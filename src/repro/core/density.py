@@ -77,6 +77,18 @@ class DensityMap:
         idx = np.floor((coords - low) / span * self.grid).astype(np.int64)
         return np.clip(idx, 0, self.grid - 1)
 
+    def _densities_at(self, subspaces, xy: np.ndarray) -> np.ndarray:
+        """Densities at ``xy[..., :]``, the subspace of each point given by
+        ``subspaces`` (anything that indexes the first axis of the fitted
+        arrays and broadcasts against ``xy.shape[:-1]``)."""
+        if not self.is_fitted:
+            raise RuntimeError("DensityMap has not been fitted")
+        mins = self.mins_[subspaces]
+        span = self.maxs_[subspaces] - mins
+        ix = self._cell_index(xy[..., 0], mins[..., 0], span[..., 0])
+        iy = self._cell_index(xy[..., 1], mins[..., 1], span[..., 1])
+        return self.densities_[subspaces, ix, iy]
+
     def lookup(self, subspace_id: int, xy: np.ndarray) -> np.ndarray:
         """Density at one or more projection coordinates.
 
@@ -88,16 +100,19 @@ class DensityMap:
         Returns:
             ``()`` or ``(R,)`` array of densities.
         """
-        if not self.is_fitted:
-            raise RuntimeError("DensityMap has not been fitted")
+        return self._densities_at(int(subspace_id), np.asarray(xy, dtype=np.float64))
+
+    def lookup_all(self, xy: np.ndarray) -> np.ndarray:
+        """Densities of ``(R, S, 2)`` coordinates, one point per ray and
+        subspace: :meth:`lookup` for every subspace in one broadcast.
+
+        Returns:
+            ``(R, S)`` array of densities.
+        """
         xy = np.asarray(xy, dtype=np.float64)
-        single = xy.ndim == 1
-        xy = np.atleast_2d(xy)
-        span = self.maxs_[subspace_id] - self.mins_[subspace_id]
-        ix = self._cell_index(xy[:, 0], self.mins_[subspace_id, 0], span[0])
-        iy = self._cell_index(xy[:, 1], self.mins_[subspace_id, 1], span[1])
-        values = self.densities_[subspace_id][ix, iy]
-        return values[0] if single else values
+        if xy.ndim != 3 or xy.shape[1:] != (self.num_subspaces, 2):
+            raise ValueError("xy must have shape (R, S, 2)")
+        return self._densities_at(np.arange(xy.shape[1]), xy)
 
     def mean_density(self, subspace_id: int) -> float:
         """Average density over the occupied cells of one subspace."""

@@ -365,6 +365,7 @@ class JunoIndex:
                 radii = adjusted_radii_for_inner_product(entries, self.sphere_radius)
                 offsets[s] = float(np.max(radii))
             self.scene.add_layer(s, entries, radii=radii, z=2.0 * s + 1.0)
+        self.scene.stacked()  # build the batch tracer's flat form now, not on the first query
         self.origin_offsets = offsets
         self.tracer = RayTracer(self.scene)
         self.bump_cache_token()

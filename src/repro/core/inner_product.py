@@ -85,9 +85,16 @@ def inner_product_threshold_to_tmax(
 
     When the argument of the square root would exceed ``z_off^2`` (a very low
     threshold), ``t_max`` is clamped to ``z_off`` so every enlarged sphere
-    remains reachable.
+    remains reachable.  ``origin_offset`` may be a scalar or an array
+    broadcastable against the thresholds (one offset per subspace).
     """
     ip_threshold = np.asarray(ip_threshold, dtype=np.float64)
     inside = base_radius**2 - np.asarray(query_norm_sq, dtype=np.float64) + 2.0 * ip_threshold
-    inside = np.clip(inside, 0.0, origin_offset**2)
+    # Square each offset as a Python float (libm ``pow``): NumPy squares an
+    # array with a multiply, which differs in the last bit for ~0.1 % of
+    # values, and a per-subspace ``(S,)`` offset array must give every
+    # subspace the bound its scalar offset gives.
+    offset = np.asarray(origin_offset, dtype=np.float64)
+    bound = np.array([o**2 for o in offset.ravel().tolist()]).reshape(offset.shape)
+    inside = np.clip(inside, 0.0, bound)
     return origin_offset - np.sqrt(inside)

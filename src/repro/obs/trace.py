@@ -137,32 +137,6 @@ class Trace:
             self._parent_stack.pop()
             self.spans.append(span)
 
-    def record_span(
-        self,
-        name: str,
-        start_s: float,
-        duration_s: float,
-        parent_id: "str | None | type(...)" = ...,
-        **attributes,
-    ) -> Span:
-        """Record an already-measured span (e.g. a timed pipeline stage).
-
-        ``parent_id`` defaults to the current open span, so pre-measured
-        stage spans recorded inside a ``with trace.span(...)`` block land
-        as its children.
-        """
-        span = Span(
-            trace_id=self.trace_id,
-            span_id=self._next_span_id(),
-            name=name,
-            parent_id=self.current_span_id if parent_id is ... else parent_id,
-            start_s=start_s,
-            duration_s=duration_s,
-            attributes=attributes,
-        )
-        self.spans.append(span)
-        return span
-
     # ----------------------------------------------------------- propagation
     def context(self) -> dict:
         """Picklable propagation payload for a downstream process/leg."""

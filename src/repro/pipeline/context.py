@@ -73,6 +73,10 @@ class QueryContext:
             per-stage spans into; exported as ``extra["trace"]`` by
             :meth:`to_result` so worker-side spans ride back across the
             resident IPC boundary for coordinator stitching.
+        registry: the :class:`~repro.obs.metrics.MetricsRegistry` stages
+            publish their own gauges to.  Set by the pipeline for the length
+            of a run; ``None`` under ``instrument=False`` (and outside a
+            pipeline), which is how a stage knows to stay silent.
     """
 
     queries: np.ndarray
@@ -98,6 +102,7 @@ class QueryContext:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     stage_work: dict[str, SearchWork] = field(default_factory=dict)
     trace: Any = None
+    registry: Any = None
 
     @property
     def num_queries(self) -> int:

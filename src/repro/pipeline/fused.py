@@ -50,8 +50,8 @@ _FUSED_BLOCK_ELEMENTS = 1 << 22
 def _expand_hits(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Flat indices of ``counts[i]`` consecutive slots starting at ``starts[i]``.
 
-    The same repeat/cumsum idiom as ``SelectiveLUT._gather_csr``:
-    vectorised expansion of variable-length slices into one index array.
+    Vectorised expansion of variable-length slices into one index array
+    (the repeat/cumsum idiom).
     """
     total = int(counts.sum())
     within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -103,9 +103,11 @@ def fused_score_candidates(
             elements += int(query_elements[q1])
             q1 += 1
 
-        rays = np.arange(q0 * nprobs, q1 * nprobs, dtype=np.int64)
-        clusters_b = flat_clusters[q0 * nprobs : q1 * nprobs]
-        sizes_b = ray_sizes[q0 * nprobs : q1 * nprobs]
+        # The block's rays are the contiguous range [r0, r1), so per-ray
+        # inputs -- and each subspace's CSR hit arrays -- are plain slices.
+        r0, r1 = q0 * nprobs, q1 * nprobs
+        clusters_b = flat_clusters[r0:r1]
+        sizes_b = ray_sizes[r0:r1]
         seg = np.zeros(sizes_b.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes_b, out=seg[1:])
         total = int(seg[-1])
@@ -113,7 +115,8 @@ def fused_score_candidates(
             candidates.extend([None] * (q1 - q0))
             q0 = q1
             continue
-        cand_ray = np.repeat(np.arange(sizes_b.shape[0], dtype=np.int64), sizes_b)
+        block_rays = np.arange(r1 - r0)
+        cand_ray = np.repeat(block_rays, sizes_b)
         cand_ids = layout.members[
             np.repeat(layout.member_base[clusters_b], sizes_b)
             + (np.arange(total) - np.repeat(seg[:-1], sizes_b))
@@ -133,10 +136,12 @@ def fused_score_candidates(
             )
 
         for s in range(num_subspaces):
-            rows, positions = lut._gather_csr(s, rays)
-            if positions.size == 0:
+            ray_offsets = lut.offsets[s][r0 : r1 + 1]
+            hit_slice = slice(int(ray_offsets[0]), int(ray_offsets[-1]))
+            if hit_slice.start == hit_slice.stop:
                 continue
-            entries = lut.entries[s][positions]
+            rows = np.repeat(block_rays, np.diff(ray_offsets))
+            entries = lut.entries[s][hit_slice]
             hit_clusters = clusters_b[rows]
             starts = layout.entry_offsets[s, hit_clusters, entries]
             counts = layout.entry_offsets[s, hit_clusters, entries + 1] - starts
@@ -146,24 +151,24 @@ def fused_score_candidates(
             member_pos = layout.positions[s, flat]
             targets = (seg[np.repeat(rows, counts)] + member_pos) * num_subspaces + s
             if values is not None:
-                backend.put(values, targets, np.repeat(lut.values[s][positions], counts))
+                backend.put(values, targets, np.repeat(lut.values[s][hit_slice], counts))
             else:
                 backend.put(hit_tables, targets, True)
                 if inner_table is not None:
                     backend.put(
                         inner_table,
                         targets,
-                        np.repeat(lut.inner_flags[s][positions], counts),
+                        np.repeat(lut.inner_flags[s][hit_slice], counts),
                     )
 
         if values is not None:
             miss = backend.isnan(values)
             matched = backend.sum(backend.logical_not(miss), axis=1)
-            penalties = miss_penalties(ctx, thresholds[rays])
+            penalties = miss_penalties(ctx, thresholds[r0:r1])
             penalty_rows = backend.take_rows(backend.asarray(penalties), cand_ray)
             scores = backend.sum(backend.where(miss, penalty_rows, values), axis=1)
             if query_cluster_ip is not None:
-                scores = scores + backend.asarray(query_cluster_ip[rays][cand_ray])
+                scores = scores + backend.asarray(query_cluster_ip[r0:r1][cand_ray])
         else:
             matched = backend.sum(hit_tables, axis=1)
             if inner_table is None:

@@ -98,16 +98,26 @@ class QueryPipeline:
         ``ctx.extra["stage_cache"]``; those counters are copied onto the
         stage's work slice (``extra["cache_hits"]`` /
         ``extra["cache_misses"]``) so they travel with ``stage_work`` into
-        sweep records and the cost model.
+        sweep records and the cost model.  With ``ctx.trace`` set, every
+        stage runs inside its own ``stage:<name>`` span.
         """
-        registry = get_registry() if self.instrument else None
+        registry = ctx.registry = get_registry() if self.instrument else None
         trace = ctx.trace
         for stage in self.stages:
             before = ctx.work.copy()
             before_counts = dict(ctx.extra.get("stage_cache", {}).get(stage.name, {}))
-            started = _now()
-            stage.run(ctx)
-            elapsed = _now() - started
+            if trace is None:
+                span = None
+                started = _now()
+                stage.run(ctx)
+                elapsed = _now() - started
+            else:
+                # The stage's span is open while it runs, so spans a stage
+                # records itself (``rt_trace``) land as its children; its
+                # duration is the stage time every consumer reads.
+                with trace.span(f"stage:{stage.name}", queries=ctx.num_queries) as span:
+                    stage.run(ctx)
+                elapsed = span.duration_s
             delta = ctx.work.delta(before)
             cache_counts = ctx.extra.get("stage_cache", {}).get(stage.name)
             if cache_counts is not None:
@@ -129,13 +139,9 @@ class QueryPipeline:
                     registry.counter("repro_stage_cache_misses_total", stage=stage.name).inc(
                         delta.extra["cache_misses"]
                     )
-            if trace is not None:
-                span = trace.record_span(
-                    f"stage:{stage.name}", started, elapsed, queries=ctx.num_queries
-                )
-                if cache_counts is not None:
-                    span.attributes["cache_hits"] = delta.extra["cache_hits"]
-                    span.attributes["cache_misses"] = delta.extra["cache_misses"]
+            if span is not None and cache_counts is not None:
+                span.attributes["cache_hits"] = delta.extra["cache_hits"]
+                span.attributes["cache_misses"] = delta.extra["cache_misses"]
         if registry is not None:
             registry.counter("repro_pipeline_batches_total").inc()
             registry.counter("repro_pipeline_queries_total").inc(ctx.num_queries)

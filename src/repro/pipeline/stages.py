@@ -187,35 +187,30 @@ class ThresholdStage:
     def _thresholds_and_tmax(
         self, ctx: QueryContext, origins: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Dynamic thresholds per (ray, subspace) and their ``t_max`` encoding."""
+        """Dynamic thresholds per (ray, subspace) and their ``t_max`` encoding.
+
+        Density lookup, regressor and ``t_max`` conversion run as one
+        broadcast over all ``(ray, subspace)`` pairs; the per-subspace
+        origin offsets broadcast along the last axis.
+        """
         index = ctx.index
         scale = ctx.threshold_scale
-        num_rays, num_subspaces, _ = origins.shape
-        thresholds = np.empty((num_rays, num_subspaces))
-        t_max = np.empty((num_rays, num_subspaces))
-        for s in range(num_subspaces):
-            density = index.density_map.lookup(s, origins[:, s, :])
-            predicted = index.threshold_model.predict_from_density(density)
-            offset = float(index.origin_offsets[s])
-            if ctx.metric is Metric.L2:
-                effective = predicted * scale
-                thresholds[:, s] = effective
-                t_max[:, s] = ThresholdModel.threshold_to_tmax(
-                    effective, index.sphere_radius, offset
-                )
-            else:
-                query_norm_sq = np.sum(origins[:, s, :] ** 2, axis=1)
-                base_tmax = inner_product_threshold_to_tmax(
-                    predicted, query_norm_sq, index.sphere_radius, offset
-                )
-                # Scaling < 1 must make the selection *more* selective; for
-                # MIPS that means shrinking the travel budget towards zero.
-                scaled_tmax = np.clip(offset - (offset - base_tmax) / scale, 0.0, offset)
-                t_max[:, s] = scaled_tmax
-                thresholds[:, s] = (
-                    query_norm_sq - index.sphere_radius**2 + (offset - scaled_tmax) ** 2
-                ) / 2.0
-        ctx.work.threshold_inferences += float(num_rays * num_subspaces)
+        offsets = index.origin_offsets
+        density = index.density_map.lookup_all(origins)
+        predicted = index.threshold_model.predict_from_density(density)
+        if ctx.metric is Metric.L2:
+            thresholds = predicted * scale
+            t_max = ThresholdModel.threshold_to_tmax(thresholds, index.sphere_radius, offsets)
+        else:
+            query_norm_sq = np.sum(origins**2, axis=2)
+            base_tmax = inner_product_threshold_to_tmax(
+                predicted, query_norm_sq, index.sphere_radius, offsets
+            )
+            # Scaling < 1 must make the selection *more* selective; for
+            # MIPS that means shrinking the travel budget towards zero.
+            t_max = np.clip(offsets - (offsets - base_tmax) / scale, 0.0, offsets)
+            thresholds = (query_norm_sq - index.sphere_radius**2 + (offsets - t_max) ** 2) / 2.0
+        ctx.work.threshold_inferences += float(thresholds.size)
         return thresholds, t_max
 
 
@@ -295,7 +290,7 @@ class RTSelectStage:
                 else None
             ),
         )
-        lut = constructor.construct(origins, t_max, thresholds=ctx.thresholds)
+        lut = constructor.construct(origins, t_max, thresholds=ctx.thresholds, trace=ctx.trace)
         ctx.lut = lut
         ctx.work.rt_rays += lut.stats.rays
         ctx.work.rt_node_visits += lut.stats.node_visits
@@ -304,6 +299,13 @@ class RTSelectStage:
         ctx.work.rt_hits += lut.stats.hits
         ctx.selected_entry_fraction = lut.selected_fraction()
         ctx.extra["rt_hits"] = lut.stats.hits
+        if ctx.registry is not None:
+            # Index-health levels of the last traced batch (Figs. 4-7 argue
+            # from these): how many spheres a ray hits, and the share of
+            # codebook entries that survive selection.
+            hits_per_ray = lut.stats.hits / max(lut.stats.rays, 1)
+            ctx.registry.gauge("repro_rt_hits_per_ray").set(hits_per_ray)
+            ctx.registry.gauge("repro_selected_entry_fraction").set(ctx.selected_entry_fraction)
         if self.cache is not None:
             self._freeze_lut(lut)
             self.cache.store(self.name, key, (lut, ctx.selected_entry_fraction))

@@ -12,8 +12,14 @@ Two execution paths are provided:
   unit tests and small examples, and
 * a vectorised batch traversal for the axis-aligned rays JUNO casts
   (:meth:`repro.rt.tracer.RayTracer.trace_vertical_batch`), which produces the
-  *same hit sets, hit times and traversal statistics* but amortises Python
-  overhead over the whole query batch.
+  *same hit sets, hit times and traversal statistics*.  Like the RT core,
+  which walks every layer of the scene in one launch, it traverses a whole
+  block of layers for a whole batch of rays in one level-synchronous pass:
+  the scene keeps a stacked flat form
+  (:meth:`repro.rt.scene.TraversableScene.stacked`) in which layers with
+  equally many spheres share one BVH topology and only node bounds and
+  sphere data carry a layer axis.  Hits come back grouped by (layer, ray),
+  so consumers build per-ray CSR layouts without sorting.
 """
 
 from repro.rt.aabb import AABB

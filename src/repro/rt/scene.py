@@ -6,6 +6,14 @@ can only interact with the entries of their own subspace.  The scene mirrors
 that organisation: each *layer* owns the spheres of one subspace and its own
 BVH, which is also how an OptiX geometry-acceleration structure per subspace
 would behave.
+
+For the batch tracer the scene also has a *stacked* flat form
+(:meth:`TraversableScene.stacked`): the median-split BVH's topology depends
+only on the sphere count and the leaf size, so layers with equally many
+spheres share one parent/level/leaf-range description and differ only in
+node bounds, leaf primitive order, centres and radii.  Those are stored with
+a leading layer axis (:class:`LayerStack`), which lets one level-synchronous
+pass traverse a whole block of layers at once.
 """
 
 from __future__ import annotations
@@ -44,6 +52,79 @@ class SceneLayer:
         return int(self.centres_xy.shape[0])
 
 
+@dataclass(frozen=True)
+class LayerStack:
+    """Flat arrays of all layers that share one BVH topology.
+
+    ``L`` layers, each a tree of ``M`` nodes and ``F`` leaves of at most
+    ``W`` spheres.  The topology arrays are shared; everything that depends
+    on where the spheres are carries a leading layer axis, so a run of
+    adjacent layers is a basic slice of every array.  Sphere data is stored
+    in leaf order on an ``(F, W)`` grid: the lanes a short leaf leaves empty
+    hold a squared radius of ``-1``, which no ray can be inside of.
+
+    Attributes:
+        layer_ids: ``(L,)`` scene layer id of every stacked layer.
+        z: ``(L,)`` depth of each layer's sphere centres.
+        parent: ``(M,)`` parent node index (``-1`` for the root).
+        level_offsets: breadth-first level boundaries (see
+            :meth:`repro.rt.bvh.FlatBVH.topology`).
+        leaf_nodes: ``(F,)`` ascending node indices of the leaves.
+        leaf_count: ``(F,)`` spheres per leaf.
+        node_min: ``(L, 3, M)`` lower AABB corners, one row per axis.
+        node_max: ``(L, 3, M)`` upper AABB corners, one row per axis.
+        leaf_primitives: ``(L, F, W)`` sphere index within the layer.
+        leaf_centres_x: ``(L, F, W)`` sphere centre x.
+        leaf_centres_y: ``(L, F, W)`` sphere centre y.
+        leaf_radii_sq: ``(L, F, W)`` squared sphere radius (``-1`` in empty
+            lanes).
+    """
+
+    layer_ids: np.ndarray
+    z: np.ndarray
+    parent: np.ndarray
+    level_offsets: np.ndarray
+    leaf_nodes: np.ndarray
+    leaf_count: np.ndarray
+    node_min: np.ndarray
+    node_max: np.ndarray
+    leaf_primitives: np.ndarray
+    leaf_centres_x: np.ndarray
+    leaf_centres_y: np.ndarray
+    leaf_radii_sq: np.ndarray
+
+
+def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
+    """Stack layers with equally many spheres (hence one shared topology)."""
+    flats = [layer.bvh.flatten() for layer in layers]
+    parent, level_offsets, leaf_nodes = flats[0].topology()
+    leaf_count = flats[0].leaf_count[leaf_nodes]
+    lanes = np.arange(int(leaf_count.max(initial=0)))
+    filled = lanes < leaf_count[:, None]
+    # Position of every (leaf, lane) in a layer's leaf-ordered primitive
+    # list; empty lanes repeat the leaf's first primitive and are masked
+    # out through their radius.
+    slots = flats[0].leaf_start[leaf_nodes][:, None] + np.where(filled, lanes, 0)
+    primitives = np.stack([flat.leaf_primitives for flat in flats])[:, slots]
+    rows = np.arange(len(layers))[:, None, None]
+    centres = np.stack([layer.centres_xy for layer in layers])
+    radii_sq = np.stack([layer.radii for layer in layers]) ** 2
+    return LayerStack(
+        layer_ids=np.array([layer.layer_id for layer in layers], dtype=np.int64),
+        z=np.array([layer.z for layer in layers], dtype=np.float64),
+        parent=parent,
+        level_offsets=level_offsets,
+        leaf_nodes=leaf_nodes,
+        leaf_count=leaf_count,
+        node_min=np.stack([flat.node_min.T for flat in flats]),
+        node_max=np.stack([flat.node_max.T for flat in flats]),
+        leaf_primitives=primitives,
+        leaf_centres_x=centres[rows, primitives, 0],
+        leaf_centres_y=centres[rows, primitives, 1],
+        leaf_radii_sq=np.where(filled, radii_sq[rows, primitives], -1.0),
+    )
+
+
 class TraversableScene:
     """Layered sphere scene with one BVH per layer.
 
@@ -54,6 +135,7 @@ class TraversableScene:
     def __init__(self, leaf_size: int = 4) -> None:
         self.leaf_size = int(leaf_size)
         self.layers: dict[int, SceneLayer] = {}
+        self._stacked: tuple[list[LayerStack], dict[int, tuple[int, int]]] | None = None
 
     # ------------------------------------------------------------ building
     def add_layer(
@@ -106,7 +188,32 @@ class TraversableScene:
             bvh=BVH(spheres, leaf_size=self.leaf_size),
         )
         self.layers[int(layer_id)] = layer
+        self._stacked = None
         return layer
+
+    def stacked(self) -> tuple[list[LayerStack], dict[int, tuple[int, int]]]:
+        """The stacked flat form of the scene (built on first use, cached).
+
+        Layers are grouped by sphere count, in insertion order within a
+        group; a JUNO scene (every subspace has ``E`` entries) is a single
+        stack.  Adding a layer drops the cache.
+
+        Returns:
+            ``(stacks, slot)`` where ``slot[layer_id]`` is the ``(stack
+            index, position in the stack)`` of a layer.
+        """
+        if self._stacked is None:
+            groups: dict[int, list[SceneLayer]] = {}
+            for layer in self.layers.values():
+                groups.setdefault(layer.num_spheres, []).append(layer)
+            stacks = [_stack_layers(group) for group in groups.values()]
+            slot = {
+                int(layer_id): (index, position)
+                for index, stack in enumerate(stacks)
+                for position, layer_id in enumerate(stack.layer_ids)
+            }
+            self._stacked = (stacks, slot)
+        return self._stacked
 
     @property
     def num_layers(self) -> int:

@@ -6,11 +6,13 @@ Two paths produce identical results:
   through the scene, invoking an optional hit-shader callback per accepted
   intersection (this mirrors OptiX's ``RT_HitShader`` of Alg. 2).
 * :meth:`RayTracer.trace_vertical_batch` exploits the structure of JUNO's
-  rays -- all parallel to ``+z``, all targeting a single layer -- to traverse
-  the layer's BVH for a whole batch of rays at once with boolean-mask
-  propagation.  Hit sets, hit times and traversal statistics are exactly the
-  ones the per-ray traversal would produce, but the Python interpreter
-  overhead is amortised over the batch.
+  rays -- all parallel to ``+z``, each targeting the layer just above its
+  origin plane -- to traverse a whole *block* of layers for a whole batch
+  of rays in one level-synchronous pass over the scene's stacked flat form
+  (:meth:`~repro.rt.scene.TraversableScene.stacked`), with boolean-mask
+  propagation.  Hit sets, hit times and traversal statistics are exactly
+  the ones the per-ray traversal would produce, but the Python interpreter
+  overhead is paid once per block, not once per layer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.rt.primitives import HitRecord, Ray
-from repro.rt.scene import TraversableScene
+from repro.rt.scene import LayerStack, TraversableScene
 
 
 @dataclass
@@ -54,30 +56,44 @@ class TraversalStats:
 
 @dataclass
 class BatchHits:
-    """Flat hit arrays for a batch of rays against one layer.
+    """Flat hit arrays for a batch of rays against a block of layers.
+
+    Hits are ordered by ``(layer, ray)`` and, within one ray, by (leaf node
+    index, position in the leaf): the order a walk over the flattened BVH's
+    leaves emits them in.  A consumer that groups hits per ray therefore
+    needs a running sum of ``hits_per_ray``, never a sort.
 
     Attributes:
-        ray_index: ``(H,)`` index of the ray that produced each hit.
-        entry_index: ``(H,)`` index of the hit sphere within the layer
+        hits_per_ray: ``(L, R)`` number of hits of every (layer, ray) pair,
+            ``L`` counting within the block.
+        entry_index: ``(H,)`` index of the hit sphere within its layer
             (equal to the codebook entry id in JUNO's scenes).
         t_hit: ``(H,)`` hit times.
-        num_rays: number of rays in the batch (for consumers that need to
-            group hits per ray).
     """
 
-    ray_index: np.ndarray
+    hits_per_ray: np.ndarray
     entry_index: np.ndarray
     t_hit: np.ndarray
-    num_rays: int
+
+    @property
+    def num_rays(self) -> int:
+        """Number of rays per layer."""
+        return int(self.hits_per_ray.shape[1])
 
     @property
     def num_hits(self) -> int:
         """Total number of hits in the batch."""
-        return int(self.ray_index.shape[0])
+        return int(self.entry_index.shape[0])
 
-    def hits_of_ray(self, ray: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(entry_indices, t_hits)`` of one ray (mainly for tests)."""
-        mask = self.ray_index == ray
+    @property
+    def pair_index(self) -> np.ndarray:
+        """``(H,)`` flat ``layer * R + ray`` key of the ray that produced
+        each hit (ascending); the gather index for per-ray quantities."""
+        return np.repeat(np.arange(self.hits_per_ray.size), self.hits_per_ray.reshape(-1))
+
+    def hits_of_ray(self, ray: int, layer: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(entry_indices, t_hits)`` of one ray in one layer (mainly for tests)."""
+        mask = self.pair_index == layer * self.num_rays + ray
         return self.entry_index[mask], self.t_hit[mask]
 
 
@@ -116,121 +132,189 @@ class RayTracer:
     # ----------------------------------------------------------- batched
     def trace_vertical_batch(
         self,
-        layer_id: int,
+        layer_ids: np.ndarray | int,
         origins_xy: np.ndarray,
         t_max: np.ndarray | float,
-        origin_z: float | None = None,
+        origin_z: np.ndarray | float | None = None,
     ) -> tuple[BatchHits, TraversalStats]:
-        """Trace a batch of ``+z`` rays against a single layer.
+        """Trace ``+z`` rays against a block of layers in one pass.
 
-        Every ray starts at ``(x, y, origin_z)`` and travels towards
-        ``+z`` with its own maximum travel time, exactly like Alg. 2
-        (lines 3-8).
+        One ray per (layer, ray index): ray ``r`` of layer ``l`` starts at
+        ``(x, y, origin_z[l])`` and travels towards ``+z`` with its own
+        maximum travel time, exactly like Alg. 2 (lines 3-8) -- but the
+        whole block is traversed level-synchronously over the scene's
+        stacked flat form instead of layer by layer.  A single layer is the
+        block-of-one case.
 
         Args:
-            layer_id: target layer (subspace) id.
-            origins_xy: ``(R, 2)`` ray origins in the subspace plane.
-            t_max: scalar or ``(R,)`` per-ray maximum travel times.
-            origin_z: depth of the ray origin plane; defaults to
-                ``layer.z - 1`` (the paper's ``z = 2s`` convention).  The
-                inner-product mapping uses a deeper origin so that per-entry
-                enlarged spheres never contain the ray origin.
+            layer_ids: ``(L,)`` target layer (subspace) ids, or one id.
+            origins_xy: ``(R, L, 2)`` ray origins per ray and layer;
+                ``(R, 2)`` is accepted for a single layer.
+            t_max: maximum travel times, broadcastable to ``(R, L)`` (a
+                ``(R,)`` array applies to every layer).
+            origin_z: scalar or ``(L,)`` depth of the ray origin planes;
+                defaults to ``z - 1`` of each layer (the paper's ``z = 2s``
+                convention).  The inner-product mapping uses a deeper origin
+                so that per-entry enlarged spheres never contain the ray
+                origin.
 
         Returns:
-            ``(hits, stats)`` -- the flat hit arrays and the traversal work
-            performed for this batch (also merged into ``self.stats``).
+            ``(hits, stats)`` -- the flat hit arrays (see :class:`BatchHits`
+            for their order) and the traversal work performed for this
+            block (also merged into ``self.stats``).  Hit sets, hit times
+            and every count equal what :meth:`trace` produces ray by ray.
         """
-        layer = self.scene.layer(layer_id)
-        origins_xy = np.atleast_2d(np.asarray(origins_xy, dtype=np.float64))
-        if origins_xy.shape[1] != 2:
-            raise ValueError("origins_xy must have shape (R, 2)")
+        layer_ids = np.atleast_1d(np.asarray(layer_ids, dtype=np.int64))
+        num_layers = layer_ids.shape[0]
+        origins_xy = np.asarray(origins_xy, dtype=np.float64)
+        if origins_xy.ndim != 3:
+            origins_xy = np.atleast_2d(origins_xy)[:, None, :]
+        if origins_xy.shape[1:] != (num_layers, 2):
+            raise ValueError("origins_xy must have shape (R, L, 2), or (R, 2) for one layer")
         num_rays = origins_xy.shape[0]
-        t_max_arr = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (num_rays,))
-        stats = TraversalStats(rays=num_rays)
-        empty = BatchHits(
-            ray_index=np.zeros(0, dtype=np.int64),
-            entry_index=np.zeros(0, dtype=np.int64),
-            t_hit=np.zeros(0, dtype=np.float64),
-            num_rays=num_rays,
-        )
-        if layer.bvh is None or layer.num_spheres == 0 or num_rays == 0:
-            self.stats.merge(stats)
-            return empty, stats
-
-        flat = layer.bvh.flatten()
+        t_max_arr = np.asarray(t_max, dtype=np.float64)
+        if t_max_arr.ndim == 1:
+            t_max_arr = t_max_arr[:, None]
+        t_max_arr = np.ascontiguousarray(np.broadcast_to(t_max_arr, (num_rays, num_layers)).T)
+        stacks, slot = self.scene.stacked()
+        try:
+            slots = [slot[layer_id] for layer_id in layer_ids.tolist()]
+        except KeyError as missing:
+            raise KeyError(f"layer {missing.args[0]} has not been added to the scene") from None
         if origin_z is None:
-            origin_z = layer.z - 1.0
-        if origin_z >= layer.z:
-            raise ValueError("origin_z must lie below the layer's sphere centres")
-        ox = origins_xy[:, 0]
-        oy = origins_xy[:, 1]
-
-        parent, level_offsets, leaf_nodes = flat.topology()
-
-        # Slab tests for every (node, ray) pair in one broadcast -- identical
-        # boolean outcomes to the per-node tests of the reference traversal.
-        in_x = (ox[None, :] >= flat.node_min[:, 0, None]) & (
-            ox[None, :] <= flat.node_max[:, 0, None]
-        )
-        in_y = (oy[None, :] >= flat.node_min[:, 1, None]) & (
-            oy[None, :] <= flat.node_max[:, 1, None]
-        )
-        t_entry = np.maximum(flat.node_min[:, 2] - origin_z, 0.0)
-        t_exit = flat.node_max[:, 2] - origin_z
-        slab = in_x & in_y & (t_max_arr[None, :] >= t_entry[:, None]) & (t_exit[:, None] >= 0.0)
-
-        # Level-synchronous reachability: ``reach[i]`` marks the rays whose
-        # traversal stack would contain node i.  A node is reached iff its
-        # parent was reached and its parent's slab test passed, and because
-        # the flattened tree is breadth-first each level is a contiguous
-        # index range -- so one gather per level replaces the per-node loop.
-        reach = np.empty((flat.num_nodes, num_rays), dtype=bool)
-        reach[0] = True
-        for level in range(1, len(level_offsets) - 1):
-            lo = int(level_offsets[level])
-            hi = int(level_offsets[level + 1])
-            parents = parent[lo:hi]
-            reach[lo:hi] = reach[parents] & slab[parents]
-        stats.node_visits = int(reach.sum())
-        stats.aabb_tests = stats.node_visits
-
-        # Leaves: expand every passing (leaf, ray) pair to its primitive
-        # range and run all sphere tests flat.  ``np.nonzero`` is row-major,
-        # so pairs come out ordered by leaf node index then ray index, and
-        # primitives keep their in-leaf order -- the exact hit order the
-        # per-node loop produced.
-        leaf_pass = reach[leaf_nodes] & slab[leaf_nodes]
-        pair_leaf, pair_ray = np.nonzero(leaf_pass)
-        counts = flat.leaf_count[leaf_nodes[pair_leaf]]
-        stats.prim_tests = int(counts.sum())
-        if stats.prim_tests:
-            starts = flat.leaf_start[leaf_nodes[pair_leaf]]
-            offsets = np.cumsum(counts) - counts
-            within = np.arange(stats.prim_tests, dtype=np.int64) - np.repeat(offsets, counts)
-            prim_ids = flat.leaf_primitives[np.repeat(starts, counts) + within]
-            ray_ids = np.repeat(pair_ray, counts)
-            dx = ox[ray_ids] - layer.centres_xy[prim_ids, 0]
-            dy = oy[ray_ids] - layer.centres_xy[prim_ids, 1]
-            dist_sq = dx * dx + dy * dy
-            radii_sq = layer.radii[prim_ids] ** 2
-            z_offset = layer.z - origin_z
-            inside = dist_sq <= radii_sq
-            half_chord = np.sqrt(np.maximum(radii_sq - dist_sq, 0.0))
-            t_hit = z_offset - half_chord
-            accepted = inside & (t_hit <= t_max_arr[ray_ids]) & (t_hit >= 0.0)
-            ray_index = ray_ids[accepted].astype(np.int64)
-            entry_index = prim_ids[accepted]
-            t_hit_all = t_hit[accepted]
+            origin_z_arr = np.array([stacks[g].z[p] for g, p in slots]) - 1.0
         else:
-            ray_index = np.zeros(0, dtype=np.int64)
-            entry_index = np.zeros(0, dtype=np.int64)
-            t_hit_all = np.zeros(0, dtype=np.float64)
-        stats.hits = int(ray_index.shape[0])
+            origin_z_arr = np.broadcast_to(np.asarray(origin_z, dtype=np.float64), (num_layers,))
+        ox = np.ascontiguousarray(origins_xy[:, :, 0].T)
+        oy = np.ascontiguousarray(origins_xy[:, :, 1].T)
+
+        stats = TraversalStats(rays=num_layers * num_rays)
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Maximal runs of layers adjacent in one stack are traced together;
+        # a JUNO scene is one stack, so a block of subspaces is one run.
+        lo = 0
+        while lo < num_layers:
+            group, first = slots[lo]
+            hi = lo + 1
+            while hi < num_layers and slots[hi] == (group, first + hi - lo):
+                hi += 1
+            parts.append(
+                self._trace_run(
+                    stacks[group],
+                    first,
+                    ox[lo:hi],
+                    oy[lo:hi],
+                    t_max_arr[lo:hi],
+                    origin_z_arr[lo:hi],
+                    stats,
+                )
+            )
+            lo = hi
+        if len(parts) == 1:
+            hits_per_ray, entry_index, t_hit = parts[0]
+        else:
+            hits_per_ray, entry_index, t_hit = (
+                np.concatenate([part[i] for part in parts]) for i in range(3)
+            )
+        hits = BatchHits(hits_per_ray=hits_per_ray, entry_index=entry_index, t_hit=t_hit)
+        stats.hits = hits.num_hits
         self.stats.merge(stats)
-        hits = BatchHits(
-            ray_index=ray_index,
-            entry_index=entry_index,
-            t_hit=t_hit_all,
-            num_rays=num_rays,
-        )
         return hits, stats
+
+    @staticmethod
+    def _trace_run(
+        stack: LayerStack,
+        first: int,
+        ox: np.ndarray,
+        oy: np.ndarray,
+        t_max: np.ndarray,
+        origin_z: np.ndarray,
+        stats: TraversalStats,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Traverse ``L`` adjacent layers of one stack for ``(L, R)`` rays.
+
+        Returns ``(hits_per_ray, entry_index, t_hit)`` -- the ``(L, R)``
+        hit counts and the hits in (layer, ray, leaf, in-leaf) order -- and
+        adds the traversal work to ``stats``.
+        """
+        num_layers, num_rays = ox.shape
+        layers = slice(first, first + num_layers)
+        z = stack.z[layers]
+        if np.any(origin_z >= z):
+            raise ValueError("origin_z must lie below the layer's sphere centres")
+        if stack.leaf_nodes.shape[0] == 0 or num_rays == 0:
+            return (
+                np.zeros((num_layers, num_rays), dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.float64),
+            )
+        node_min = stack.node_min[layers]
+        node_max = stack.node_max[layers]
+
+        # Slab tests for every (layer, ray, node) triple in one broadcast --
+        # identical boolean outcomes to the per-node tests of the reference
+        # traversal.
+        ox_b = ox[:, :, None]
+        oy_b = oy[:, :, None]
+        t_entry = np.maximum(node_min[:, 2] - origin_z[:, None], 0.0)
+        t_exit = node_max[:, 2] - origin_z[:, None]
+        slab = (
+            (ox_b >= node_min[:, None, 0])
+            & (ox_b <= node_max[:, None, 0])
+            & (oy_b >= node_min[:, None, 1])
+            & (oy_b <= node_max[:, None, 1])
+            & (t_max[:, :, None] >= t_entry[:, None, :])
+            & (t_exit >= 0.0)[:, None, :]
+        )
+
+        # Level-synchronous reachability: ``reach[l, r, i]`` marks the rays
+        # whose traversal stack would contain node i of layer l.  A node is
+        # reached iff its parent was reached and its parent's slab test
+        # passed, and because the flattened tree is breadth-first each level
+        # is a contiguous index range shared by every layer of the stack --
+        # so one gather per level serves all layers and rays.
+        reach = np.empty(slab.shape, dtype=bool)
+        reach[:, :, 0] = True
+        level_offsets = stack.level_offsets
+        for level in range(1, len(level_offsets) - 1):
+            level_nodes = slice(int(level_offsets[level]), int(level_offsets[level + 1]))
+            parents = stack.parent[level_nodes]
+            reach[:, :, level_nodes] = reach[:, :, parents] & slab[:, :, parents]
+        node_visits = int(np.count_nonzero(reach))
+        stats.node_visits += node_visits
+        stats.aabb_tests += node_visits
+
+        # Leaves: a ray tests the spheres of every leaf it reaches whose
+        # slab test passes, and ``prim_tests`` counts exactly those.  The
+        # arithmetic is evaluated on the whole (layer, ray, leaf, lane) grid
+        # -- pure broadcasts, no gathers -- and masked by ``leaf_pass``: the
+        # outcome is what testing only the passing leaves gives, at a cost
+        # that is fixed by the block size instead of by how much the BVH
+        # prunes.  The grid's row-major order *is* the order hits are wanted
+        # in: by layer, then ray, then ascending leaf node index, spheres in
+        # their in-leaf order.
+        leaves = stack.leaf_nodes
+        leaf_pass = reach[:, :, leaves] & slab[:, :, leaves]
+        stats.prim_tests += int(np.count_nonzero(leaf_pass, axis=(0, 1)) @ stack.leaf_count)
+        radii_sq = stack.leaf_radii_sq[layers, None]
+        dist_sq = ox[:, :, None, None] - stack.leaf_centres_x[layers, None]
+        dist_sq *= dist_sq
+        dy = oy[:, :, None, None] - stack.leaf_centres_y[layers, None]
+        dy *= dy
+        dist_sq += dy
+        # one scratch grid: dy**2, then the half chord, then the hit time
+        half_chord = np.subtract(radii_sq, dist_sq, out=dy)
+        np.maximum(half_chord, 0.0, out=half_chord)
+        np.sqrt(half_chord, out=half_chord)
+        t_hit = np.subtract((z - origin_z)[:, None, None, None], half_chord, out=half_chord)
+        accepted = (
+            leaf_pass[:, :, :, None]
+            & (dist_sq <= radii_sq)
+            & (t_hit <= t_max[:, :, None, None])
+            & (t_hit >= 0.0)
+        )
+        return (
+            np.count_nonzero(accepted, axis=(2, 3)),
+            np.broadcast_to(stack.leaf_primitives[layers, None], accepted.shape)[accepted],
+            t_hit[accepted],
+        )

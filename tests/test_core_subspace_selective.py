@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from rt_reference import assert_luts_identical, per_ray_hits, reference_construct
 
+from repro.core import selective_lut
+from repro.core.config import QualityMode
 from repro.core.hit_count import HitCountScorer, hit_count_correlation
+from repro.core.inner_product import inner_product_from_hit_time, l2_distance_from_hit_time
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.subspace_index import SubspaceInvertedIndex
+from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
+from repro.pipeline import CoarseFilterStage, QueryPipeline, ThresholdStage
+from repro.pipeline.context import QueryContext
 from repro.rt.scene import TraversableScene
-from repro.rt.tracer import RayTracer
+from repro.rt.tracer import RayTracer, TraversalStats
 
 
 class TestSubspaceInvertedIndex:
@@ -166,6 +173,138 @@ class TestSelectiveLUT:
             entry_ids, values = lut.ray_slice(0, ray)
             expected = entries[entry_ids] @ origins[ray, 0]
             np.testing.assert_allclose(values, expected, atol=1e-9)
+
+
+# rays -> (queries, nprobs) of the batch that casts them
+RAY_SHAPES = {0: (0, 4), 1: (1, 1), 8: (2, 4), 256: (32, 8)}
+
+
+def _rt_select_inputs(index, dataset, num_rays, mode):
+    """Constructor and ``(origins, t_max, thresholds)`` of a real batch."""
+    num_queries, nprobs = RAY_SHAPES[num_rays]
+    rows = np.random.default_rng(99).integers(0, dataset.num_points, size=num_queries)
+    ctx = QueryContext(
+        index=index,
+        queries=dataset.points[rows].astype(np.float64) + 0.1,
+        k=5,
+        nprobs=nprobs,
+        quality_mode=QualityMode(mode),
+        threshold_scale=1.0,
+        metric=index.metric,
+        work=SearchWork(num_queries=num_queries),
+    )
+    QueryPipeline((CoarseFilterStage(), ThresholdStage()), instrument=False).run(ctx)
+    assert ctx.origins.shape[0] == num_rays
+    constructor = SelectiveLUTConstructor(
+        tracer=index.tracer,
+        base_radius=index.sphere_radius,
+        origin_offsets=index.origin_offsets,
+        metric=index.metric,
+        inner_sphere_ratio=(
+            index.config.inner_sphere_ratio if ctx.quality_mode.uses_inner_sphere else None
+        ),
+    )
+    return constructor, ctx.origins, ctx.t_max, ctx.thresholds
+
+
+def _reference_lut(constructor, origins, t_max, thresholds):
+    return reference_construct(
+        constructor.tracer.scene,
+        constructor.base_radius,
+        constructor.origin_offsets,
+        constructor.metric,
+        constructor.inner_sphere_ratio,
+        origins,
+        t_max,
+        thresholds,
+    )
+
+
+class TestStackedConstruct:
+    """The block-of-subspaces constructor against its two references."""
+
+    @pytest.mark.parametrize("num_rays", sorted(RAY_SHAPES))
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_matches_references(self, request, metric, mode, num_rays):
+        index = request.getfixturevalue(f"juno_{metric}")
+        dataset = request.getfixturevalue(f"{metric}_dataset")
+        constructor, origins, t_max, thresholds = _rt_select_inputs(
+            index, dataset, num_rays, mode
+        )
+        lut = constructor.construct(origins, t_max, thresholds=thresholds)
+        # byte for byte the layer-at-a-time arrays: hit order, CSR offsets,
+        # decoded values, inner flags, all five counters
+        assert_luts_identical(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        assert (lut.inner_flags is not None) == (mode == "juno-m")
+
+        # and the exact per-ray traversal: every ray of a small batch, a few
+        # of a large one
+        scene = constructor.tracer.scene
+        rays = range(num_rays) if num_rays <= 8 else (0, 17, 101, 255)
+        per_ray_stats = TraversalStats()
+        for ray in rays:
+            for s in range(lut.num_subspaces):
+                offset = float(constructor.origin_offsets[s])
+                exact, stats = per_ray_hits(
+                    scene, s, origins[ray, s], scene.layer(s).z - offset, t_max[ray, s]
+                )
+                per_ray_stats.merge(stats)
+                entry_ids, values = lut.ray_slice(s, ray)
+                assert sorted(entry_ids.tolist()) == sorted(exact)
+                t_hit = np.array([exact[e] for e in entry_ids])
+                if index.metric is Metric.L2:
+                    decoded = l2_distance_from_hit_time(t_hit, index.sphere_radius, offset) ** 2
+                else:
+                    decoded = inner_product_from_hit_time(
+                        t_hit, np.sum(origins[ray, s] ** 2), index.sphere_radius, offset
+                    )
+                np.testing.assert_allclose(values, decoded, atol=1e-9)
+        if num_rays <= 8:
+            assert lut.stats == per_ray_stats
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_block_size_never_changes_the_lut(self, request, monkeypatch, metric):
+        index = request.getfixturevalue(f"juno_{metric}")
+        dataset = request.getfixturevalue(f"{metric}_dataset")
+        constructor, origins, t_max, thresholds = _rt_select_inputs(index, dataset, 8, "juno-m")
+        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        num_subspaces = origins.shape[1]
+        calls = []
+        traced = constructor.tracer.trace_vertical_batch
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return traced(*args, **kwargs)
+
+        monkeypatch.setattr(constructor.tracer, "trace_vertical_batch", counting)
+        for layers_per_block in (1, 2, num_subspaces):
+            calls.clear()
+            monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_PAIRS", 8 * layers_per_block)
+            lut = constructor.construct(origins, t_max, thresholds=thresholds)
+            assert max(calls) == layers_per_block and sum(calls) == num_subspaces
+            assert_luts_identical(lut, expected)
+
+    def test_unequal_and_empty_layers(self, rng):
+        """A generic scene: unequal sphere counts, one layer with none."""
+        counts = (20, 0, 7, 20)
+        scene = TraversableScene(leaf_size=4)
+        for s, count in enumerate(counts):
+            scene.add_layer(s, rng.uniform(-1, 1, size=(count, 2)), radii=1.0, z=2 * s + 1.0)
+        constructor = SelectiveLUTConstructor(
+            tracer=RayTracer(scene),
+            base_radius=1.0,
+            origin_offsets=np.full(len(counts), 1.0),
+            metric=Metric.L2,
+            inner_sphere_ratio=0.5,
+        )
+        origins = rng.uniform(-1, 1, size=(9, len(counts), 2))
+        thresholds = rng.uniform(0.2, 0.9, size=(9, len(counts)))
+        t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
+        lut = constructor.construct(origins, t_max, thresholds=thresholds)
+        assert_luts_identical(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        assert lut.num_entries == 20
+        assert lut.entries[1].size == 0 and (lut.offsets[1] == 0).all()
 
 
 class TestHitCountScorer:

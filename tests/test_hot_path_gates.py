@@ -1,0 +1,160 @@
+"""Tier-1 tripwires for the two gates a query-hot-path change can trip.
+
+The benchmark driver rejects a PR whose results differ from the parent's
+(``recall_10_at_10`` and the ``rt.*`` / ``core.*`` counts repeat exactly for
+a seed) or whose ``peak_rss_mb`` grows by more than 10 %.  Both are cheap to
+check here, long before a benchmark run:
+
+* a blake2b digest over the ids, scores and every ``SearchWork`` counter of
+  fixed-seed single-query and 32-query searches, recorded on the commit
+  *before* the subspace-stacked tracer landed (76ec7d1).  A hot-path change
+  that is meant to be bit-identical must leave it alone; one that is not
+  must re-record it deliberately (print ``_search_digest(...)`` on the
+  parent commit).
+* a ``tracemalloc`` bound on ``RTSelectStage.run`` for a 32-query batch on
+  an index of the ledger's shape (48 layers of 128 spheres, 256 rays): the
+  stage may hold the LUT it returns plus a fixed slack for one trace
+  block's temporaries.  The block constant in
+  :mod:`repro.core.selective_lut` is what decides this, so a constant that
+  would breach the RSS gate fails here first.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tracemalloc
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from repro.core.config import JunoConfig
+from repro.core.index import JunoIndex
+from repro.gpu.work import SearchWork
+from repro.pipeline import CoarseFilterStage, QueryPipeline, RTSelectStage, ThresholdStage
+from repro.pipeline.context import QueryContext
+
+MODES = ("juno-h", "juno-m", "juno-l")
+
+PINNED = {
+    ("l2", "juno-h"): "d4a7b125180f1a153c85dfe75a5279f2",
+    ("l2", "juno-m"): "4784a269df5182d34f5eb7721c0e77f8",
+    ("l2", "juno-l"): "05781383d3946d7808728457579fe5ee",
+    ("ip", "juno-h"): "b40a7091ac873cb5656e5c5f6ca599b5",
+    ("ip", "juno-m"): "1b94aba38cc84dab081be356bbc44870",
+    ("ip", "juno-l"): "8147ffeceff2c0aa190a98728b991acb",
+    ("wide", "juno-h"): "e1357472f432577e533f88eefd69a12c",
+    ("wide", "juno-m"): "3aed7f2b8df0bc13671f8d75001fa3cf",
+    ("wide", "juno-l"): "15059af1a99e0d3d4a47cef13816effe",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((800, 96)) * np.linspace(0.5, 1.5, 96)
+
+
+@pytest.fixture(scope="module")
+def wide_index(wide_corpus):
+    """A 48-subspace, 128-entry index (the ledger's scene shape) without k-means.
+
+    Centroids and codebooks are sampled corpus points / residual projections
+    and installed through ``assemble``, so the fixture costs well under a
+    second while the scene, density maps and regressor are the real ones.
+    """
+    rng = np.random.default_rng(8)
+    points = wide_corpus
+    centroids = points[rng.choice(points.shape[0], size=8, replace=False)]
+    labels = np.argmin(
+        ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1
+    )
+    residuals = (points - centroids[labels]).reshape(points.shape[0], 48, 2)
+    codebooks = []
+    codes = np.empty((points.shape[0], 48), dtype=np.int32)
+    for s in range(48):
+        entries = residuals[rng.choice(points.shape[0], size=128, replace=False), s]
+        codebooks.append(entries)
+        codes[:, s] = np.argmin(
+            ((residuals[:, s, None, :] - entries[None, :, :]) ** 2).sum(axis=2), axis=1
+        )
+    config = JunoConfig(
+        num_clusters=8,
+        num_subspaces=48,
+        num_entries=128,
+        num_threshold_samples=32,
+        threshold_top_k=20,
+        density_grid=20,
+    )
+    return JunoIndex(config).assemble(points, centroids, labels, codebooks, codes)
+
+
+def _queries(points, count=32):
+    rng = np.random.default_rng(2024)
+    rows = rng.integers(0, points.shape[0], size=count)
+    return points[rows] + 0.2 * rng.standard_normal((count, points.shape[1]))
+
+
+def _search_digest(index, points, mode, nprobs) -> str:
+    queries = _queries(points)
+    digest = hashlib.blake2b(digest_size=16)
+    for batch in [queries[i : i + 1] for i in range(8)] + [queries[:2], queries]:
+        result = index.search(batch, k=10, nprobs=nprobs, quality_mode=mode)
+        digest.update(np.ascontiguousarray(result.ids).tobytes())
+        digest.update(np.ascontiguousarray(result.scores).tobytes())
+        counters = [
+            float(getattr(result.work, f.name)) for f in fields(SearchWork) if f.name != "extra"
+        ]
+        digest.update(np.asarray(counters, dtype=np.float64).tobytes())
+        digest.update(np.float64(result.selected_entry_fraction).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedSearchDigest:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_l2_results_unchanged(self, juno_l2, l2_dataset, mode):
+        assert _search_digest(juno_l2, l2_dataset.points, mode, 4) == PINNED[("l2", mode)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_inner_product_results_unchanged(self, juno_ip, ip_dataset, mode):
+        assert _search_digest(juno_ip, ip_dataset.points, mode, 4) == PINNED[("ip", mode)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ledger_shaped_results_unchanged(self, wide_index, wide_corpus, mode):
+        assert _search_digest(wide_index, wide_corpus, mode, 8) == PINNED[("wide", mode)]
+
+
+def _lut_bytes(lut) -> int:
+    arrays = [*lut.offsets, *lut.entries, *lut.values, *(lut.inner_flags or ())]
+    return sum(int(array.nbytes) for array in arrays)
+
+
+class TestRTSelectMemory:
+    # What one trace block may hold beyond the LUT: slab masks, the
+    # primitive-test gathers and the hit arrays before they are cut to size.
+    # At 384 (layer, ray) pairs a block is ~3 MB; at 2048 pairs, the size
+    # that breached ``peak_rss_mb``, it is ~17 MB.
+    SLACK_BYTES = 6 << 20
+
+    def test_batch_peak_is_lut_plus_fixed_slack(self, wide_index, wide_corpus):
+        queries = _queries(wide_corpus)
+        ctx = QueryContext(
+            index=wide_index,
+            queries=queries,
+            k=10,
+            nprobs=8,
+            quality_mode=wide_index.config.quality_mode,
+            threshold_scale=1.0,
+            metric=wide_index.metric,
+            work=SearchWork(num_queries=queries.shape[0]),
+        )
+        QueryPipeline((CoarseFilterStage(), ThresholdStage()), instrument=False).run(ctx)
+        stage = RTSelectStage()
+        tracemalloc.start()
+        try:
+            stage.run(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.lut.num_rays == 256 and ctx.lut.total_hits > 0
+        assert peak <= _lut_bytes(ctx.lut) + self.SLACK_BYTES

@@ -7,10 +7,11 @@ brute-force sphere test must all agree on the hit sets and hit times.
 import numpy as np
 import pytest
 
+from rt_reference import per_ray_hits, reference_trace_layer
 from repro.rt.bvh import BVH
 from repro.rt.primitives import Ray, Sphere
 from repro.rt.scene import TraversableScene
-from repro.rt.tracer import RayTracer
+from repro.rt.tracer import RayTracer, TraversalStats
 
 
 def _random_layer_scene(rng, num_entries=40, radius=1.0, layer_id=0):
@@ -204,3 +205,126 @@ class TestTracer:
         batch, stats = tracer.trace_vertical_batch(0, np.zeros((0, 2)), 0.5)
         assert batch.num_hits == 0
         assert stats.rays == 0
+
+
+# Sphere counts per layer: JUNO's equal-E scene (one stack), a generic scene
+# whose equal-count layers are not adjacent (two stacks, three runs per
+# full-scene block), and a scene with an empty layer.
+SCENE_SHAPES = {
+    "equal": (20, 20, 20, 20),
+    "unequal": (20, 7, 20, 33),
+    "empty_layer": (12, 0, 12),
+}
+
+
+def _layered_scene(rng, counts):
+    scene = TraversableScene(leaf_size=4)
+    for layer_id, count in enumerate(counts):
+        scene.add_layer(
+            layer_id, rng.uniform(-2, 2, size=(count, 2)), radii=rng.uniform(0.8, 1.6, size=count)
+        )
+    return scene
+
+
+def _block_inputs(rng, scene, num_rays):
+    num_layers = scene.num_layers
+    origins = rng.uniform(-2.5, 2.5, size=(num_rays, num_layers, 2))
+    t_max = rng.uniform(0.3, 1.9, size=(num_rays, num_layers))
+    origin_z = np.array([scene.layer(i).z for i in range(num_layers)]) - 1.7
+    return origins, t_max, origin_z
+
+
+class TestStackedTracer:
+    @pytest.mark.parametrize("num_rays", [0, 1, 8])
+    @pytest.mark.parametrize("shape", sorted(SCENE_SHAPES))
+    def test_block_matches_per_ray_trace(self, rng, shape, num_rays):
+        scene = _layered_scene(rng, SCENE_SHAPES[shape])
+        origins, t_max, origin_z = _block_inputs(rng, scene, num_rays)
+        tracer = RayTracer(scene)
+        batch, stats = tracer.trace_vertical_batch(
+            np.arange(scene.num_layers), origins, t_max, origin_z
+        )
+        expected = TraversalStats()
+        for layer in range(scene.num_layers):
+            for ray in range(num_rays):
+                exact, ray_stats = per_ray_hits(
+                    scene, layer, origins[ray, layer], origin_z[layer], t_max[ray, layer]
+                )
+                expected.merge(ray_stats)
+                entry_ids, t_hit = batch.hits_of_ray(ray, layer)
+                assert batch.hits_per_ray[layer, ray] == len(exact)
+                assert sorted(entry_ids.tolist()) == sorted(exact)
+                np.testing.assert_allclose(t_hit, [exact[e] for e in entry_ids], atol=1e-9)
+        assert stats == expected
+        assert tracer.stats == expected
+
+    @pytest.mark.parametrize("num_rays", [1, 8, 256])
+    @pytest.mark.parametrize("shape", sorted(SCENE_SHAPES))
+    def test_block_matches_layer_at_a_time_reference(self, rng, shape, num_rays):
+        """Same hits in the same order as one pass per layer plus a stable
+        sort by ray: the block's order is (layer, ray, leaf, in-leaf)."""
+        scene = _layered_scene(rng, SCENE_SHAPES[shape])
+        origins, t_max, origin_z = _block_inputs(rng, scene, num_rays)
+        batch, stats = RayTracer(scene).trace_vertical_batch(
+            np.arange(scene.num_layers), origins, t_max, origin_z
+        )
+        expected = TraversalStats()
+        pairs, entries, times = [], [], []
+        for layer in range(scene.num_layers):
+            ray_index, entry_index, t_hit, layer_stats = reference_trace_layer(
+                scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer]
+            )
+            expected.merge(layer_stats)
+            order = np.argsort(ray_index, kind="stable")
+            pairs.append(layer * num_rays + ray_index[order])
+            entries.append(entry_index[order])
+            times.append(t_hit[order])
+        assert stats == expected
+        assert batch.pair_index.tobytes() == np.concatenate(pairs).tobytes()
+        assert batch.entry_index.tobytes() == np.concatenate(entries).tobytes()
+        assert batch.t_hit.tobytes() == np.concatenate(times).tobytes()
+
+    def test_layers_in_any_order_and_subset(self, rng):
+        scene = _layered_scene(rng, SCENE_SHAPES["unequal"])
+        origins, t_max, origin_z = _block_inputs(rng, scene, 6)
+        tracer = RayTracer(scene)
+        picked = np.array([3, 0, 2])
+        batch, _ = tracer.trace_vertical_batch(
+            picked, origins[:, picked], t_max[:, picked], origin_z[picked]
+        )
+        for position, layer in enumerate(picked):
+            alone, _ = tracer.trace_vertical_batch(
+                layer, origins[:, layer], t_max[:, layer], origin_z[layer]
+            )
+            for ray in range(6):
+                got_ids, got_t = batch.hits_of_ray(ray, position)
+                want_ids, want_t = alone.hits_of_ray(ray)
+                assert got_ids.tobytes() == want_ids.tobytes()
+                assert got_t.tobytes() == want_t.tobytes()
+
+    def test_equal_sphere_counts_share_one_topology(self, rng):
+        """What stacking rests on: the median split looks only at counts."""
+        scene = _layered_scene(rng, (37, 37, 37))
+        flats = [scene.layer(i).bvh.flatten() for i in range(3)]
+        for flat in flats[1:]:
+            for name in ("left", "right", "leaf_start", "leaf_count"):
+                assert (getattr(flat, name) == getattr(flats[0], name)).all()
+        stacks, slot = scene.stacked()
+        assert len(stacks) == 1 and slot == {0: (0, 0), 1: (0, 1), 2: (0, 2)}
+        assert stacks[0].node_min.shape == (3, 3, flats[0].num_nodes)
+
+    def test_adding_a_layer_rebuilds_the_stack(self, rng):
+        scene = _layered_scene(rng, (9, 9))
+        tracer = RayTracer(scene)
+        tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 2, 2)), 1.0)
+        scene.add_layer(2, rng.uniform(-1, 1, size=(9, 2)), radii=1.0)
+        batch, _ = tracer.trace_vertical_batch(2, scene.layer(2).centres_xy[:1], 1.0)
+        assert 0 in batch.hits_of_ray(0)[0]
+
+    def test_unknown_layer_and_bad_shapes_raise(self, rng):
+        scene = _layered_scene(rng, (9, 9))
+        tracer = RayTracer(scene)
+        with pytest.raises(KeyError):
+            tracer.trace_vertical_batch(np.array([0, 5]), np.zeros((1, 2, 2)), 1.0)
+        with pytest.raises(ValueError):
+            tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 3, 2)), 1.0)
