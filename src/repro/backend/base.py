@@ -1,9 +1,9 @@
 """Array-backend protocol for the batched score kernels.
 
-The online score path (``ScoreStage`` and the :class:`SelectiveLUT` /
-:class:`HitCountScorer` kernels it drives) is a handful of bulk array
-primitives: allocate a table, scatter hit values into it, gather member
-rows, and reduce over the subspace axis.  :class:`ArrayBackend` names
+The online score path (``ScoreStage``'s kernel,
+:mod:`repro.pipeline.fused`) is a handful of bulk array primitives:
+allocate a table, scatter hit values into it, gather through member
+codes, and reduce over the subspace axis.  :class:`ArrayBackend` names
 exactly those primitives so the kernels can run unchanged on NumPy (the
 default, bit-identical reference), CuPy or torch without sprinkling
 ``import cupy`` through the pipeline.

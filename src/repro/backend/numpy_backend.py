@@ -41,10 +41,10 @@ class NumpyBackend(ArrayBackend):
         array.reshape(-1)[flat_indices] = values
 
     def take(self, array: np.ndarray, flat_indices: np.ndarray) -> np.ndarray:
-        return array.reshape(-1)[flat_indices]
+        return np.take(array.reshape(-1), flat_indices)
 
     def take_rows(self, array: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
-        return array[row_indices]
+        return np.take(array, row_indices, axis=0)
 
     def astype(self, array: np.ndarray, dtype) -> np.ndarray:
         return array.astype(dtype)

@@ -65,83 +65,6 @@ class HitCountScorer:
         scores = rewards - self.miss_penalty * misses
         return scores, matched
 
-    def score_members_batch(
-        self,
-        hit_masks: np.ndarray,
-        inner_masks: np.ndarray | None,
-        codes: np.ndarray,
-        backend=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one cluster's members for many rays in one NumPy kernel.
-
-        The batched counterpart of :meth:`score_members`: all rays probing
-        the same cluster share the member ``codes``, so the gather and the
-        per-member reductions run once over a ``(R, n, S)`` block instead of
-        once per ray.  Per-element operations are identical to the scalar
-        path, so the scores are bit-identical to ``R`` separate
-        :meth:`score_members` calls.
-
-        Args:
-            hit_masks: ``(R, S, E)`` boolean selection masks, one per ray.
-            inner_masks: ``(R, S, E)`` boolean inner-sphere masks (required
-                when ``use_inner_sphere`` is set).
-            codes: ``(n, S)`` PQ codes of the cluster members.
-            backend: optional :class:`~repro.backend.ArrayBackend`; when
-                given, the masks are backend-native arrays (from
-                ``SelectiveLUT.mask_tables(..., backend=...)``), the
-                gather/reductions run through the backend's primitives
-                and backend-native arrays are returned.  The default path
-                is plain NumPy and remains the bit-exact reference.
-
-        Returns:
-            ``(scores, matched)`` with shape ``(R, n)`` each, row ``r``
-            matching ``score_members`` of ray ``r``'s masks.
-        """
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
-        if backend is not None:
-            return self._score_members_batch_backend(hit_masks, inner_masks, codes, backend)
-        num_subspaces = hit_masks.shape[1]
-        if codes.shape[1] != num_subspaces:
-            raise ValueError("codes and hit_masks disagree on the number of subspaces")
-        subspace_index = np.arange(num_subspaces)
-        member_hits = hit_masks[:, subspace_index[None, :], codes]
-        matched = member_hits.sum(axis=2)
-        if not self.use_inner_sphere:
-            return matched.astype(np.float64), matched
-        if inner_masks is None:
-            raise ValueError("inner_masks is required when use_inner_sphere is set")
-        member_inner = inner_masks[:, subspace_index[None, :], codes]
-        rewards = member_inner.sum(axis=2).astype(np.float64)
-        misses = (num_subspaces - matched).astype(np.float64)
-        scores = rewards - self.miss_penalty * misses
-        return scores, matched
-
-    def _score_members_batch_backend(self, hit_masks, inner_masks, codes, backend):
-        """:meth:`score_members_batch` routed through an array backend.
-
-        The flat gather indices are host-side integer arithmetic (the same
-        element positions advanced indexing computes); only the mask
-        gathers and reductions touch backend arrays.
-        """
-        num_rays, num_subspaces, num_entries = hit_masks.shape
-        if codes.shape[1] != num_subspaces:
-            raise ValueError("codes and hit_masks disagree on the number of subspaces")
-        plane = num_subspaces * num_entries
-        flat = (
-            np.arange(num_rays, dtype=np.int64)[:, None, None] * plane
-            + np.arange(num_subspaces, dtype=np.int64)[None, None, :] * num_entries
-            + codes[None, :, :]
-        )
-        matched = backend.sum(backend.take(hit_masks, flat), axis=2)
-        if not self.use_inner_sphere:
-            return backend.astype(matched, np.float64), matched
-        if inner_masks is None:
-            raise ValueError("inner_masks is required when use_inner_sphere is set")
-        rewards = backend.astype(backend.sum(backend.take(inner_masks, flat), axis=2), np.float64)
-        misses = backend.astype(num_subspaces - matched, np.float64)
-        scores = rewards - self.miss_penalty * misses
-        return scores, matched
-
 
 def hit_count_correlation(hit_scores: np.ndarray, true_distances: np.ndarray) -> float:
     """Pearson correlation between hit-count scores and (negated) true distances.

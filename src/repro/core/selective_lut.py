@@ -96,99 +96,6 @@ class SelectiveLUT:
             table[s, entry_ids] = values
         return table
 
-    def _gather_csr(
-        self, subspace_id: int, ray_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat CSR positions for a batch of rays in one subspace.
-
-        Returns ``(rows, positions)`` where ``positions`` indexes the
-        subspace's ``entries`` / ``values`` / ``inner_flags`` arrays and
-        ``rows`` maps every position back to its index in ``ray_ids``.
-        Positions are ascending within each ray, so a scatter through them
-        writes entries in the same order as the per-ray ``ray_slice`` path.
-        """
-        offsets = self.offsets[subspace_id]
-        starts = offsets[ray_ids]
-        lengths = offsets[ray_ids + 1] - starts
-        total = int(lengths.sum())
-        rows = np.repeat(np.arange(ray_ids.shape[0]), lengths)
-        within_ray = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        positions = np.repeat(starts, lengths) + within_ray
-        return rows, positions
-
-    def dense_tables(self, ray_ids: np.ndarray, backend=None) -> np.ndarray:
-        """Batched :meth:`dense_rows`: ``(R, S, E)`` tables for many rays at once.
-
-        With ``backend`` (an :class:`~repro.backend.ArrayBackend`), the
-        table is allocated and scattered through the backend's primitives
-        and returned as a backend-native array -- the CSR index arithmetic
-        stays on the host.  The default path is plain NumPy and remains
-        the bit-exact reference.
-        """
-        ray_ids = np.asarray(ray_ids, dtype=np.int64)
-        shape = (ray_ids.shape[0], self.num_subspaces, self.num_entries)
-        if backend is None:
-            tables = np.full(shape, np.nan)
-            for s in range(self.num_subspaces):
-                rows, positions = self._gather_csr(s, ray_ids)
-                tables[rows, s, self.entries[s][positions]] = self.values[s][positions]
-            return tables
-        tables = backend.full(shape, np.nan, np.float64)
-        plane = self.num_subspaces * self.num_entries
-        for s in range(self.num_subspaces):
-            rows, positions = self._gather_csr(s, ray_ids)
-            targets = rows * plane + s * self.num_entries + self.entries[s][positions]
-            backend.put(tables, targets, self.values[s][positions])
-        return tables
-
-    def mask_tables(
-        self, ray_ids: np.ndarray, include_inner: bool = False, backend=None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Batched ``(hit, inner)`` masks for many rays from one CSR gather.
-
-        Returns ``(hit_masks, inner_masks)``, both ``(R, S, E)`` boolean;
-        ``inner_masks`` is ``None`` unless ``include_inner`` is set.  The
-        hit-count scoring hot path needs both masks for JUNO-M, and the CSR
-        index arithmetic is shared, so computing them together halves the
-        gather cost versus two separate accessor calls.
-
-        With ``backend``, allocation and scatter run through the
-        :class:`~repro.backend.ArrayBackend` primitives and the masks are
-        backend-native arrays (see :meth:`dense_tables`).
-        """
-        if include_inner and self.inner_flags is None:
-            raise RuntimeError("inner sphere flags were not computed for this LUT")
-        ray_ids = np.asarray(ray_ids, dtype=np.int64)
-        shape = (ray_ids.shape[0], self.num_subspaces, self.num_entries)
-        if backend is None:
-            hit_masks = np.zeros(shape, dtype=bool)
-            inner_masks = np.zeros(shape, dtype=bool) if include_inner else None
-            for s in range(self.num_subspaces):
-                rows, positions = self._gather_csr(s, ray_ids)
-                entry_ids = self.entries[s][positions]
-                hit_masks[rows, s, entry_ids] = True
-                if inner_masks is not None:
-                    inner_masks[rows, s, entry_ids] = self.inner_flags[s][positions]
-            return hit_masks, inner_masks
-        hit_masks = backend.zeros(shape, bool)
-        inner_masks = backend.zeros(shape, bool) if include_inner else None
-        plane = self.num_subspaces * self.num_entries
-        for s in range(self.num_subspaces):
-            rows, positions = self._gather_csr(s, ray_ids)
-            targets = rows * plane + s * self.num_entries + self.entries[s][positions]
-            backend.put(hit_masks, targets, True)
-            if inner_masks is not None:
-                backend.put(inner_masks, targets, self.inner_flags[s][positions])
-        return hit_masks, inner_masks
-
-    def hit_mask_tables(self, ray_ids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`hit_mask_rows`: ``(R, S, E)`` selection masks."""
-        return self.mask_tables(ray_ids)[0]
-
-    def inner_mask_tables(self, ray_ids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`inner_mask_rows`: ``(R, S, E)`` inner-sphere masks."""
-        return self.mask_tables(ray_ids, include_inner=True)[1]
-
     def hit_mask_rows(self, ray_id: int) -> np.ndarray:
         """Dense boolean ``(S, E)`` selection mask for one ray."""
         mask = np.zeros((self.num_subspaces, self.num_entries), dtype=bool)

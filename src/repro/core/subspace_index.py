@@ -8,7 +8,9 @@ whose entries were selected by the ray tracing pass.
 
 The index is stored in a compact sorted-array form per (cluster, subspace):
 member ids sorted by their code, plus ``searchsorted``-style group
-boundaries, which keeps lookups vectorised.
+boundaries, which keeps lookups vectorised.  The forward direction -- every
+cluster's members and their codes, which the score kernel gathers -- is
+stored once, cluster-major, as a :class:`FlatClusterLayout`.
 """
 
 from __future__ import annotations
@@ -22,30 +24,24 @@ import numpy as np
 class FlatClusterLayout:
     """Concatenated, cluster-major view of the inverted index.
 
-    The fused score kernel works on flat ``(candidate, subspace)`` tables
-    whose rows are the members of every probed cluster laid out
-    back-to-back.  This layout provides the vectorised lookups it needs
-    without any per-cluster Python iteration:
+    The score kernel works on flat ``(candidate, subspace)`` tables whose
+    rows are the members of every probed cluster laid out back-to-back.
+    A cluster's members and codes are one contiguous slice of these
+    arrays, so a block's candidates are one row gather with no
+    per-cluster Python iteration:
 
     Attributes:
         cluster_sizes: ``(C,)`` member count per cluster.
         member_base: ``(C + 1,)`` exclusive prefix sum of the sizes -- the
             offset of each cluster's slice in the concatenated arrays.
         members: ``(N,)`` member point ids, cluster-major.
-        positions: ``(S, N)`` within-cluster member positions sorted by
-            code, cluster-major (the ``argsort`` each cluster's inverted
-            lists were built from).
-        entry_offsets: ``(S, C, E + 1)`` group boundaries indexing the
-            second axis of ``positions``: the members of cluster ``c``
-            encoded with entry ``e`` in subspace ``s`` sit at
-            ``positions[s, entry_offsets[s, c, e]:entry_offsets[s, c, e + 1]]``.
+        codes: ``(N, S)`` ``int32`` PQ codes of ``members``, row for row.
     """
 
     cluster_sizes: np.ndarray
     member_base: np.ndarray
     members: np.ndarray
-    positions: np.ndarray
-    entry_offsets: np.ndarray
+    codes: np.ndarray
 
 
 class SubspaceInvertedIndex:
@@ -59,19 +55,16 @@ class SubspaceInvertedIndex:
         if num_entries <= 0:
             raise ValueError("num_entries must be positive")
         self.num_entries = int(num_entries)
-        # Per cluster: (member_ids, codes) plus per-subspace sorted views.
-        self._members: list[np.ndarray] = []
-        self._codes: list[np.ndarray] = []
-        self._sorted_members: list[np.ndarray] = []  # (S, n_c) member ids per cluster
-        self._sorted_positions: list[np.ndarray] = []  # (S, n_c) member positions per cluster
-        self._group_offsets: list[np.ndarray] = []  # (S, E + 1) boundaries per cluster
         self._flat_layout: FlatClusterLayout | None = None
+        # Per cluster, per-subspace views of the members sorted by code.
+        self._sorted_members: list[np.ndarray] = []  # (S, n_c) member ids per cluster
+        self._group_offsets: list[np.ndarray] = []  # (S, E + 1) boundaries per cluster
         self.num_subspaces: int | None = None
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters the index has been built over."""
-        return len(self._members)
+        return len(self._group_offsets)
 
     def build(self, posting_lists: list[np.ndarray], codes: np.ndarray) -> "SubspaceInvertedIndex":
         """Build the inverted structure for every cluster.
@@ -84,80 +77,64 @@ class SubspaceInvertedIndex:
         Returns:
             ``self`` for chaining.
         """
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+        codes = np.atleast_2d(np.asarray(codes))
         self.num_subspaces = codes.shape[1]
-        self._members = []
-        self._codes = []
+        posting_lists = [np.asarray(members, dtype=np.int64) for members in posting_lists]
+        sizes = np.array([members.shape[0] for members in posting_lists], dtype=np.int64)
+        member_base = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=member_base[1:])
+        members = np.concatenate(posting_lists) if posting_lists else np.zeros(0, dtype=np.int64)
+        # The one stored copy of the codes: cluster-major, so a cluster's
+        # codes are a slice and the score kernel gathers rows of it.  Built
+        # here, not on first search, so no request pays for it and shard
+        # threads never race to build it.
+        self._flat_layout = FlatClusterLayout(
+            cluster_sizes=sizes,
+            member_base=member_base,
+            members=members,
+            codes=codes[members].astype(np.int32),
+        )
         self._sorted_members = []
-        self._sorted_positions = []
         self._group_offsets = []
-        self._flat_layout = None
-        for members in posting_lists:
-            members = np.asarray(members, dtype=np.int64)
-            cluster_codes = codes[members]
-            self._members.append(members)
-            self._codes.append(cluster_codes)
+        for cluster_id in range(sizes.shape[0]):
+            members = self.cluster_members(cluster_id)
+            cluster_codes = self.cluster_codes(cluster_id)
             sorted_members = np.empty((self.num_subspaces, members.shape[0]), dtype=np.int64)
-            sorted_positions = np.empty((self.num_subspaces, members.shape[0]), dtype=np.int64)
             offsets = np.empty((self.num_subspaces, self.num_entries + 1), dtype=np.int64)
             for s in range(self.num_subspaces):
                 order = np.argsort(cluster_codes[:, s], kind="stable")
                 sorted_codes = cluster_codes[order, s]
                 sorted_members[s] = members[order]
-                sorted_positions[s] = order
                 offsets[s] = np.searchsorted(
                     sorted_codes, np.arange(self.num_entries + 1), side="left"
                 )
             self._sorted_members.append(sorted_members)
-            self._sorted_positions.append(sorted_positions)
             self._group_offsets.append(offsets)
         return self
 
     def flat_layout(self) -> FlatClusterLayout:
-        """Concatenated CSR layout consumed by the fused score kernel.
+        """The cluster-major layout consumed by the score kernel.
 
-        Built lazily from the per-cluster structures on first use and
-        cached; the index is immutable after :meth:`build`, so the cache
-        never goes stale (mutation flows rebuild the whole index).
+        :meth:`build` creates it; the index is immutable afterwards
+        (mutation flows rebuild the whole index), so every call returns
+        the same object.
         """
         if self._flat_layout is None:
-            num_subspaces = self.num_subspaces or 0
-            sizes = np.array([m.shape[0] for m in self._members], dtype=np.int64)
-            member_base = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
-            np.cumsum(sizes, out=member_base[1:])
-            total = int(member_base[-1])
-            members = (
-                np.concatenate(self._members)
-                if self._members
-                else np.zeros(0, dtype=np.int64)
-            )
-            positions = np.empty((num_subspaces, total), dtype=np.int64)
-            for c, sorted_positions in enumerate(self._sorted_positions):
-                positions[:, member_base[c] : member_base[c + 1]] = sorted_positions
-            if self._group_offsets:
-                entry_offsets = np.stack(self._group_offsets, axis=1)
-                entry_offsets = entry_offsets + member_base[:-1][None, :, None]
-            else:
-                entry_offsets = np.zeros(
-                    (num_subspaces, 0, self.num_entries + 1), dtype=np.int64
-                )
-            self._flat_layout = FlatClusterLayout(
-                cluster_sizes=sizes,
-                member_base=member_base,
-                members=members,
-                positions=positions,
-                entry_offsets=entry_offsets,
-            )
+            raise RuntimeError("SubspaceInvertedIndex.build() has not been called")
         return self._flat_layout
 
     # --------------------------------------------------------------- lookups
+    def _cluster_slice(self, cluster_id: int) -> slice:
+        base = self.flat_layout().member_base
+        return slice(int(base[int(cluster_id)]), int(base[int(cluster_id) + 1]))
+
     def cluster_members(self, cluster_id: int) -> np.ndarray:
         """Member point ids of one cluster."""
-        return self._members[int(cluster_id)]
+        return self.flat_layout().members[self._cluster_slice(cluster_id)]
 
     def cluster_codes(self, cluster_id: int) -> np.ndarray:
         """``(n_c, S)`` PQ codes of one cluster's members."""
-        return self._codes[int(cluster_id)]
+        return self.flat_layout().codes[self._cluster_slice(cluster_id)]
 
     def points_for_entry(self, cluster_id: int, subspace_id: int, entry_id: int) -> np.ndarray:
         """Point ids of ``cluster_id`` encoded with ``entry_id`` in subspace ``subspace_id``."""

@@ -34,14 +34,14 @@ exact-scored delta buffer of freshly upserted vectors into the final top-k.
 Batched scoring
 ---------------
 
-:class:`~repro.pipeline.stages.ScoreStage` is a vectorised kernel: the
-``(query, cluster)`` work items of the batch are grouped by cluster, each
-cluster's member codes are gathered once, and every ray touching the cluster
-is scored in one ``(rays, members, subspaces)`` NumPy block -- for the
-exact-distance (JUNO-H) and both hit-count (JUNO-L/M) modes.  The historical
-per-ray Python loop survives as
-:class:`~repro.pipeline.stages.LoopedScoreStage`, which the parity and
-property tests use as the oracle: results and
+:class:`~repro.pipeline.stages.ScoreStage` is one vectorised kernel
+(:mod:`repro.pipeline.fused`): per block of queries the RT hit lists are
+scattered once into a dense ``(S, rays, E)`` table, and the members of every
+probed cluster read their PQ codes' values out of it with one flat gather
+into a ``(candidate, subspace)`` table that is reduced over the subspace
+axis -- for the exact-distance (JUNO-H) and both hit-count (JUNO-L/M) modes.
+The historical per-ray Python loop is the oracle of the parity and property
+tests and lives with them (``tests/score_reference.py``): results and
 :class:`~repro.gpu.work.SearchWork` deltas are bit-identical, only the batch
 shape of the arithmetic differs.
 
@@ -111,7 +111,6 @@ from repro.pipeline.stages import (
     CoarseFilterStage,
     DeltaMergeStage,
     ExactRerankStage,
-    LoopedScoreStage,
     QueryStage,
     RTSelectStage,
     ScoreStage,
@@ -123,7 +122,6 @@ __all__ = [
     "CoarseFilterStage",
     "DeltaMergeStage",
     "ExactRerankStage",
-    "LoopedScoreStage",
     "QueryContext",
     "QueryPipeline",
     "QueryStage",

@@ -1,72 +1,108 @@
-"""CSR-native fused threshold+score kernel (backend-pluggable).
+"""The score kernel: densify the RT hits, then gather by PQ code.
 
-The batched :class:`~repro.pipeline.stages.ScoreStage` kernel
-materialises one dense ``(rays, S, E)`` value table per probed cluster
-group and gathers member codes out of it -- ``E`` columns per subspace
-even though only the RT-selected entries carry values, plus one Python
-iteration (and one full CSR expansion) per cluster group.  This module
-is the CSR-native replacement: it consumes the
-:class:`~repro.core.selective_lut.SelectiveLUT` hit lists directly and
-scatters them straight into a flat ``(candidate, subspace)`` table whose
-rows are the members of every probed cluster laid out back-to-back
-(:meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`).
-The dynamic-threshold miss penalties are fused into the same table pass
-(JUNO-H), so the kernel touches ``O(candidates * S + hits)`` elements
-with no per-cluster Python loop and no dense ``E``-wide tables.
+The paper's distance calculation is a table lookup: each candidate's PQ
+codes index the selectively built LUT and the per-subspace values are
+accumulated.  :func:`fused_score_candidates` runs it in that direction.
+Per block of queries it
 
-Bit-identity with the dense kernel (and therefore with the looped
-reference) is by construction, not by accident:
+1. scatters the block's :class:`~repro.core.selective_lut.SelectiveLUT`
+   hits -- CSR lists per subspace -- once into a flat ``(S, rays, E)``
+   table (``NaN`` = unselected; boolean tables for the hit-count modes);
+   this touches every hit once and no candidate;
+2. fills the ``(candidate, subspace)`` table with one flat gather through
+   the index ``(s * rays + ray) * E + code``, built from the cluster-major
+   code rows of
+   :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`
+   (a probed cluster's members are one contiguous run of it);
+3. reduces over the subspace axis, the dynamic-threshold miss penalties
+   standing in for unselected entries (JUNO-H) or hit / inner-sphere
+   counts forming the score (JUNO-L/M).
 
-* the flat table holds exactly the elements the dense kernel's
-  ``(rays, members, S)`` gather produces, in the same order per row, so
-  the ``sum`` over the subspace axis runs NumPy's pairwise reduction
-  over identical operands;
-* match counts are duplicate-safe boolean/NaN occupancy counts, not
-  scatter-adds;
+There is no Python loop over clusters, candidates or -- past slicing the
+LUT's per-subspace arrays -- subspaces.
+
+Bit-identity with the per-ray reference loop (``tests/score_reference.py``)
+is by construction:
+
+* the ``(candidate, subspace)`` table holds exactly the elements the
+  reference's per-ray ``(members, S)`` lookup produces, in the same order
+  per row, so the ``sum`` over the subspace axis runs NumPy's pairwise
+  reduction over identical operands;
+* match counts are boolean/NaN occupancy counts, not scatter-adds;
 * per-query candidate order is ray-major -- the same probe order the
   reference concatenates.
 
 All bulk array work goes through an
 :class:`~repro.backend.ArrayBackend`, so the same kernel runs on NumPy
-(bit-exact) or CuPy/torch (tolerance-documented); the integer CSR
-expansion stays on the host by design (see :mod:`repro.backend.base`).
+(bit-exact) or CuPy/torch (tolerance-documented); the integer index
+arithmetic stays on the host by design (see :mod:`repro.backend.base`).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.backend import ArrayBackend
-from repro.core.hit_count import HitCountScorer
 from repro.pipeline.context import QueryContext
 
-# Per-block element budget of the kernel's largest intermediate, shared
-# with the dense kernel's blocking policy (~32 MB of float64).  Blocks
-# align on query boundaries so each query's candidates assemble in one
-# pass; rows are independent, so blocking cannot change any result.
-_FUSED_BLOCK_ELEMENTS = 1 << 22
+# Per-block element budget.  A query costs ``S * (candidates + nprobs * E)``
+# elements: its rows of the gathered ``(candidate, subspace)`` table plus its
+# rays' slice of the dense table.  Blocks align on query boundaries so each
+# query's candidates assemble in one pass; rows are independent, so blocking
+# cannot change any result.  A block holds about five float64 arrays of the
+# gathered shape at its peak, so this constant decides the stage's memory
+# (one block per 32-query ledger batch pushed ``peak_rss_mb`` towards its
+# 10 % gate) and its speed: about five ledger queries per block keep the
+# table and what is gathered from it in the L2 cache, which scores a batch a
+# quarter faster than one block does.  docs/performance.md has the numbers;
+# tests/test_hot_path_gates.py bounds the stage's peak allocation.
+_FUSED_BLOCK_ELEMENTS = 1 << 19
 
 
-def _expand_hits(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Flat indices of ``counts[i]`` consecutive slots starting at ``starts[i]``.
+def _densify(lut, r0: int, r1: int, backend: ArrayBackend, mode) -> list:
+    """Dense ``(S, rays, E)`` tables of the CSR hits of rays ``[r0, r1)``.
 
-    Vectorised expansion of variable-length slices into one index array
-    (the repeat/cumsum idiom).
+    Returns the tables the mode's score reads: ``[values]`` (``NaN`` =
+    unselected) for the exact-distance mode, else ``[hits]`` plus the
+    inner-sphere flags for JUNO-M, both boolean.  Each subspace's hits of
+    a contiguous ray range are one slice of its CSR arrays, ordered by
+    ray, so their concatenation is ordered by ``(subspace, ray)`` and one
+    ``repeat`` of the per-(subspace, ray) hit counts addresses every hit.
     """
-    total = int(counts.sum())
-    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(starts, counts) + within
+    num_subspaces, num_rays, num_entries = lut.num_subspaces, r1 - r0, lut.num_entries
+    offsets = np.stack([lut.offsets[s][r0 : r1 + 1] for s in range(num_subspaces)])
+    cuts = [slice(lo, hi) for lo, hi in zip(offsets[:, 0].tolist(), offsets[:, -1].tolist())]
+
+    def block_hits(per_subspace: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate([array[cut] for array, cut in zip(per_subspace, cuts)])
+
+    slots = np.arange(0, num_subspaces * num_rays * num_entries, num_entries)
+    targets = np.repeat(slots, np.diff(offsets, axis=1).reshape(-1))
+    targets += block_hits(lut.entries)
+
+    def table(fill, dtype, hit_values):
+        dense = backend.full((num_subspaces, num_rays, num_entries), fill, dtype)
+        backend.put(dense, targets, hit_values)
+        return dense
+
+    if mode.uses_exact_distance:
+        return [table(np.nan, np.float64, block_hits(lut.values))]
+    tables = [table(False, bool, True)]
+    if mode.uses_inner_sphere:
+        tables.append(table(False, bool, block_hits(lut.inner_flags)))
+    return tables
 
 
 def fused_score_candidates(
     ctx: QueryContext, backend: ArrayBackend, miss_penalties
 ) -> None:
-    """Run the fused score kernel over the whole query batch.
+    """Run the score kernel over the whole query batch.
 
     Fills ``ctx.candidates`` / ``ctx.candidate_total`` and the ADC work
-    counters exactly like the dense ``ScoreStage`` kernel.
-    ``miss_penalties`` is the stage's ``(ctx, (R, S) thresholds) ->
-    (R, S) penalties`` callable (JUNO-H only).
+    counters.  ``miss_penalties`` is the stage's ``(ctx, (R, S)
+    thresholds) -> (R, S) penalties`` callable (JUNO-H only).
     """
     index = ctx.require("index", "score")
     selected = ctx.require("selected", "score")
@@ -74,19 +110,19 @@ def fused_score_candidates(
     thresholds = ctx.require("thresholds", "score")
     mode = ctx.quality_mode
     num_queries, nprobs = selected.shape
-    num_subspaces = index.config.num_subspaces
+    num_subspaces, num_entries = index.config.num_subspaces, lut.num_entries
     layout = index.subspace_index.flat_layout()
-    scorer = HitCountScorer(
-        use_inner_sphere=mode.uses_inner_sphere,
-        miss_penalty=index.config.hit_count_penalty,
-    )
+    miss_penalty = float(index.config.hit_count_penalty)
     query_cluster_ip = (
         None if ctx.query_cluster_ip is None else ctx.query_cluster_ip.reshape(-1)
     )
 
     flat_clusters = np.asarray(selected, dtype=np.int64).reshape(-1)
     ray_sizes = layout.cluster_sizes[flat_clusters]
-    query_elements = ray_sizes.reshape(num_queries, nprobs).sum(axis=1) * num_subspaces
+    query_elements = (
+        ray_sizes.reshape(num_queries, nprobs).sum(axis=1) + nprobs * num_entries
+    ) * num_subspaces
+    subspace_ids = np.arange(num_subspaces, dtype=np.int32)
 
     candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
     candidate_total = 0.0
@@ -108,60 +144,37 @@ def fused_score_candidates(
         r0, r1 = q0 * nprobs, q1 * nprobs
         clusters_b = flat_clusters[r0:r1]
         sizes_b = ray_sizes[r0:r1]
-        seg = np.zeros(sizes_b.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sizes_b, out=seg[1:])
-        total = int(seg[-1])
+        total = int(sizes_b.sum())
         if total == 0:
             candidates.extend([None] * (q1 - q0))
             q0 = q1
             continue
-        block_rays = np.arange(r1 - r0)
+        block_rays = np.arange(r1 - r0, dtype=np.int32)
         cand_ray = np.repeat(block_rays, sizes_b)
-        cand_ids = layout.members[
-            np.repeat(layout.member_base[clusters_b], sizes_b)
-            + (np.arange(total) - np.repeat(seg[:-1], sizes_b))
-        ]
+        # A probed cluster's members are one run of the cluster-major
+        # layout: candidate i of a ray sits at member_base[cluster] + i.
+        run_starts = layout.member_base[clusters_b] - (np.cumsum(sizes_b) - sizes_b)
+        member_rows = np.repeat(run_starts, sizes_b) + np.arange(total)
+        cand_ids = layout.members[member_rows]
+
+        table_span = (
+            nullcontext()
+            if ctx.trace is None
+            else ctx.trace.span("score_table", rays=block_rays.shape[0])
+        )
+        with table_span:
+            tables = _densify(lut, r0, r1, backend, mode)
+
+        # Flat index of table[s, ray, code] for every (candidate, subspace):
+        # one gather per table fills what the reductions below run over.
+        table_plane = block_rays.shape[0] * num_entries
+        ray_base = np.add.outer(block_rays * num_entries, subspace_ids * table_plane)
+        gather = np.take(layout.codes, member_rows, axis=0)
+        gather += np.take(ray_base, cand_ray, axis=0)
+        gathered = [backend.take(table, gather) for table in tables]
 
         if mode.uses_exact_distance:
-            values = backend.full((total, num_subspaces), np.nan, np.float64)
-            hit_tables = None
-            inner_table = None
-        else:
-            values = None
-            hit_tables = backend.zeros((total, num_subspaces), bool)
-            inner_table = (
-                backend.zeros((total, num_subspaces), bool)
-                if mode.uses_inner_sphere
-                else None
-            )
-
-        for s in range(num_subspaces):
-            ray_offsets = lut.offsets[s][r0 : r1 + 1]
-            hit_slice = slice(int(ray_offsets[0]), int(ray_offsets[-1]))
-            if hit_slice.start == hit_slice.stop:
-                continue
-            rows = np.repeat(block_rays, np.diff(ray_offsets))
-            entries = lut.entries[s][hit_slice]
-            hit_clusters = clusters_b[rows]
-            starts = layout.entry_offsets[s, hit_clusters, entries]
-            counts = layout.entry_offsets[s, hit_clusters, entries + 1] - starts
-            if not counts.any():
-                continue
-            flat = _expand_hits(counts, starts)
-            member_pos = layout.positions[s, flat]
-            targets = (seg[np.repeat(rows, counts)] + member_pos) * num_subspaces + s
-            if values is not None:
-                backend.put(values, targets, np.repeat(lut.values[s][hit_slice], counts))
-            else:
-                backend.put(hit_tables, targets, True)
-                if inner_table is not None:
-                    backend.put(
-                        inner_table,
-                        targets,
-                        np.repeat(lut.inner_flags[s][hit_slice], counts),
-                    )
-
-        if values is not None:
+            (values,) = gathered
             miss = backend.isnan(values)
             matched = backend.sum(backend.logical_not(miss), axis=1)
             penalties = miss_penalties(ctx, thresholds[r0:r1])
@@ -170,13 +183,13 @@ def fused_score_candidates(
             if query_cluster_ip is not None:
                 scores = scores + backend.asarray(query_cluster_ip[r0:r1][cand_ray])
         else:
-            matched = backend.sum(hit_tables, axis=1)
-            if inner_table is None:
-                scores = backend.astype(matched, np.float64)
-            else:
-                rewards = backend.astype(backend.sum(inner_table, axis=1), np.float64)
+            matched = backend.sum(gathered[0], axis=1)
+            if mode.uses_inner_sphere:
+                rewards = backend.astype(backend.sum(gathered[1], axis=1), np.float64)
                 misses = backend.astype(num_subspaces - matched, np.float64)
-                scores = rewards - scorer.miss_penalty * misses
+                scores = rewards - miss_penalty * misses
+            else:
+                scores = backend.astype(matched, np.float64)
 
         matched_np = backend.to_numpy(matched)
         scores_np = backend.to_numpy(scores)

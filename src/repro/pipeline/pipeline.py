@@ -151,14 +151,13 @@ class QueryPipeline:
 def default_search_pipeline(
     stage_cache: StageCache | None = None,
     backend=None,
-    score_kernel: str = "fused",
 ) -> QueryPipeline:
     """The staged equivalent of the monolithic JUNO online path (Alg. 2).
 
     ``CoarseFilterStage -> ThresholdStage -> RTSelectStage -> ScoreStage ->
     TopKStage``; bit-identical to the pre-pipeline ``JunoIndex.search``
-    (the score stage runs the CSR-fused kernel by default, which the parity
-    tests pin to the historical loop).
+    (the score stage's densify-then-gather kernel is pinned to the
+    historical per-ray loop by the parity tests).
 
     Args:
         stage_cache: optional :class:`~repro.pipeline.cache.StageCache`
@@ -174,15 +173,13 @@ def default_search_pipeline(
             ``None`` for the ``REPRO_BACKEND``-env/NumPy default.  The
             resolved backend's fingerprint is mixed into every stage-cache
             key so cached artifacts never alias across backends.
-        score_kernel: ``"fused"`` (CSR-native, the default) or ``"dense"``
-            (the historical batched kernel; NumPy backend only).
     """
     return QueryPipeline(
         (
             CoarseFilterStage(cache=stage_cache, backend=backend),
             ThresholdStage(cache=stage_cache, backend=backend),
             RTSelectStage(cache=stage_cache, backend=backend),
-            ScoreStage(backend=backend, kernel=score_kernel),
+            ScoreStage(backend=backend),
             TopKStage(),
         )
     )
@@ -193,11 +190,10 @@ def rerank_pipeline(
     metric=None,
     stage_cache: StageCache | None = None,
     backend=None,
-    score_kernel: str = "fused",
 ) -> QueryPipeline:
     """A default pipeline with an exact rerank appended after top-k."""
     from repro.pipeline.stages import ExactRerankStage
 
-    return default_search_pipeline(
-        stage_cache=stage_cache, backend=backend, score_kernel=score_kernel
-    ).appended(ExactRerankStage(points, metric=metric))
+    return default_search_pipeline(stage_cache=stage_cache, backend=backend).appended(
+        ExactRerankStage(points, metric=metric)
+    )

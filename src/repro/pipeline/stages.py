@@ -10,11 +10,11 @@ TopKStage``
 
 which computes the same results as the monolithic ``JunoIndex.search`` of
 earlier revisions (Alg. 2 plus the distance-calculation stage) bit for bit.
-:class:`ScoreStage` is the *batched* distance-calculation kernel: it groups
-the ``(query, cluster)`` work items of the batch by cluster, gathers each
-cluster's codes once and scores every ray touching the cluster in one NumPy
-kernel; :class:`LoopedScoreStage` keeps the historical per-ray Python loop
-as the reference implementation the parity tests pin the kernel against.
+:class:`ScoreStage` is the *batched* distance-calculation kernel
+(:mod:`repro.pipeline.fused`): it densifies the RT hits of a block of
+queries into one table and scores the members of every probed cluster with
+one gather through their PQ codes; the historical per-ray Python loop the
+parity tests pin it against lives with them in ``tests/score_reference.py``.
 :class:`ExactRerankStage` is the first stage with no monolithic counterpart:
 it rescores already-selected candidates against the raw corpus, which the
 sharded router appends after its k-way merge to restore cross-shard score
@@ -36,8 +36,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendError, get_backend
-from repro.core.hit_count import HitCountScorer
+from repro.backend import ArrayBackend, get_backend
 from repro.core.inner_product import inner_product_threshold_to_tmax
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
@@ -311,11 +310,6 @@ class RTSelectStage:
             self.cache.store(self.name, key, (lut, ctx.selected_entry_fraction))
 
 
-# Per-block element budget of the batched score kernel's largest
-# intermediate (~32 MB of float64); see the blocking comment in ScoreStage.
-_SCORE_BLOCK_ELEMENTS = 1 << 22
-
-
 def _miss_penalties(ctx: QueryContext, row_thresholds: np.ndarray) -> np.ndarray:
     """Per-subspace score contribution of unselected entries.
 
@@ -334,34 +328,25 @@ def _miss_penalties(ctx: QueryContext, row_thresholds: np.ndarray) -> np.ndarray
 class ScoreStage:
     """Stage C1: batched distance calculation over the selected points only.
 
-    Two kernels compute the same scores:
+    One kernel, :func:`repro.pipeline.fused.fused_score_candidates`: per
+    block of queries the RT hit lists are scattered once into a dense
+    ``(S, rays, E)`` table, the members of every probed cluster look their
+    PQ codes up in it with one flat gather, and the ``(candidate,
+    subspace)`` values are reduced over the subspace axis -- exact
+    distances with the dynamic-threshold miss penalties standing in for
+    unselected entries (JUNO-H), or hit / inner-sphere counts (JUNO-L/M).
 
-    * ``kernel="fused"`` (the default): the CSR-native fused
-      threshold+score kernel (:mod:`repro.pipeline.fused`) scatters the
-      RT hit lists straight into a flat ``(candidate, subspace)`` table
-      -- no dense ``(rays, S, E)`` materialisation and no per-cluster
-      Python loop -- with the dynamic-threshold miss penalties fused
-      into the same pass.
-    * ``kernel="dense"``: the historical batched kernel.  The ``(query,
-      cluster)`` work items of the batch are grouped by cluster: each
-      cluster's member codes are gathered once and every ray touching
-      the cluster is scored in one vectorised NumPy kernel -- a ``(rays,
-      members, subspaces)`` block for both the exact-distance (JUNO-H)
-      and hit-count (JUNO-L/M) quality modes.
-
-    Scores, candidate ordering and :class:`SearchWork` deltas of both
-    kernels are bit-identical to :class:`LoopedScoreStage` (the
-    historical per-ray loop, kept as the parity-test reference): the
-    per-element arithmetic and the per-(ray, member) reduction over the
-    subspace axis are unchanged, only the batch shape differs.
+    Scores, candidate ordering and :class:`SearchWork` deltas are
+    bit-identical to the per-ray loop the parity and property tests keep
+    as their oracle (``tests/score_reference.py``): the per-element
+    arithmetic and the per-(ray, member) reduction over the subspace axis
+    are the loop's, only the batch shape differs.
 
     ``backend`` selects the :class:`~repro.backend.ArrayBackend` the
     bulk array work runs on (name, instance, or ``None`` for the
     ``REPRO_BACKEND``-env/NumPy default).  The NumPy backend is
     bit-exact; GPU backends are tolerance-documented (see
-    ``docs/performance.md``).  The dense kernel accepts only bit-exact
-    backends -- it *is* the NumPy reference shape; non-exact backends
-    pair with the fused kernel.
+    ``docs/performance.md``).
 
     Produces one concatenated ``(ids, scores)`` candidate pair per query
     (``None`` for queries whose probed clusters yielded no candidate); the
@@ -370,178 +355,11 @@ class ScoreStage:
 
     name = "score"
 
-    def __init__(
-        self,
-        backend: ArrayBackend | str | None = None,
-        kernel: str = "fused",
-    ) -> None:
+    def __init__(self, backend: ArrayBackend | str | None = None) -> None:
         self.backend = get_backend(backend)
-        if kernel not in ("fused", "dense"):
-            raise ValueError(f"unknown score kernel {kernel!r}; expected 'fused' or 'dense'")
-        if kernel == "dense" and not self.backend.exact:
-            raise BackendError(
-                "the dense score kernel is the bit-exact NumPy reference path; "
-                f"use kernel='fused' with the {self.backend.name!r} backend"
-            )
-        self.kernel = kernel
 
     def run(self, ctx: QueryContext) -> None:
-        if self.kernel == "fused":
-            fused_score_candidates(ctx, self.backend, _miss_penalties)
-            return
-        index = ctx.require("index", self.name)
-        selected = ctx.require("selected", self.name)
-        lut = ctx.require("lut", self.name)
-        thresholds = ctx.require("thresholds", self.name)
-        mode = ctx.quality_mode
-        num_queries, nprobs = selected.shape
-        num_rays = num_queries * nprobs
-        subspace_range = np.arange(index.config.num_subspaces)
-        scorer = HitCountScorer(
-            use_inner_sphere=mode.uses_inner_sphere,
-            miss_penalty=index.config.hit_count_penalty,
-        )
-        query_cluster_ip = (
-            None if ctx.query_cluster_ip is None else ctx.query_cluster_ip.reshape(-1)
-        )
-
-        # Group the (query, cluster) work items by cluster id.  The stable
-        # sort keeps each group's ray ids ascending, i.e. in the same
-        # (query-major, probe-order) sequence the per-ray loop visits them.
-        flat_clusters = np.asarray(selected).reshape(-1)
-        order = np.argsort(flat_clusters, kind="stable")
-        sorted_clusters = flat_clusters[order]
-        if order.size:
-            boundaries = np.flatnonzero(np.diff(sorted_clusters)) + 1
-            group_starts = np.concatenate(([0], boundaries))
-            group_stops = np.concatenate((boundaries, [order.size]))
-        else:  # empty query batch: no rays, no groups
-            group_starts = group_stops = np.zeros(0, dtype=np.int64)
-
-        per_ray: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_rays
-        adc_lookups = 0.0
-        adc_candidates = 0.0
-        for start, stop in zip(group_starts, group_stops):
-            cluster_id = int(sorted_clusters[start])
-            members = index.subspace_index.cluster_members(cluster_id)
-            if members.size == 0:
-                continue
-            codes = index.subspace_index.cluster_codes(cluster_id)
-            # Bound the working set: the kernel materialises (rays, S, E)
-            # tables and a (rays, members, S) gather, so a cluster probed by
-            # most of a large batch is scored in ray blocks sized to keep
-            # the larger of the two near _SCORE_BLOCK_ELEMENTS elements.
-            # Rows are independent, so blocking cannot change any result.
-            per_ray_elements = subspace_range.size * max(members.size, lut.num_entries)
-            block = max(1, _SCORE_BLOCK_ELEMENTS // max(per_ray_elements, 1))
-            for block_start in range(start, stop, block):
-                ray_ids = order[block_start : min(block_start + block, stop)]
-                if mode.uses_exact_distance:
-                    tables = lut.dense_tables(ray_ids)
-                    values = tables[:, subspace_range[None, :], codes]
-                    miss = np.isnan(values)
-                    matched = (~miss).sum(axis=2)
-                    penalties = _miss_penalties(ctx, thresholds[ray_ids])
-                    scores = np.where(miss, penalties[:, None, :], values).sum(axis=2)
-                    if query_cluster_ip is not None:
-                        scores = scores + query_cluster_ip[ray_ids, None]
-                else:
-                    hits, inner = lut.mask_tables(ray_ids, include_inner=mode.uses_inner_sphere)
-                    scores, matched = scorer.score_members_batch(hits, inner, codes)
-                keep = matched >= 1
-                adc_lookups += float(matched.sum())
-                adc_candidates += float(keep.sum())
-                for row, ray_id in enumerate(ray_ids):
-                    row_keep = keep[row]
-                    if row_keep.any():
-                        per_ray[int(ray_id)] = (members[row_keep], scores[row][row_keep])
-        ctx.work.adc_lookups += adc_lookups
-        ctx.work.adc_candidates += adc_candidates
-
-        # Reassemble per query in probe order, exactly like the per-ray loop.
-        candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
-        candidate_total = 0.0
-        for qi in range(num_queries):
-            pieces = [p for p in per_ray[qi * nprobs : (qi + 1) * nprobs] if p is not None]
-            if not pieces:
-                candidates.append(None)
-                continue
-            ids = np.concatenate([ids for ids, _ in pieces])
-            scores = np.concatenate([scores for _, scores in pieces])
-            candidate_total += float(ids.size)
-            candidates.append((ids, scores))
-        ctx.candidates = candidates
-        ctx.candidate_total = candidate_total
-        ctx.extra["num_candidates"] = candidate_total
-
-
-class LoopedScoreStage:
-    """The historical per-(query, cluster) Python-loop distance calculation.
-
-    Kept as the reference implementation that :class:`ScoreStage` (the
-    batched kernel) is pinned against by the parity and property tests; it
-    shares the same ``name`` so the two are drop-in interchangeable in a
-    pipeline.  Use it only for verification -- the per-ray loop is the
-    online path's wall-clock hotspot the batched kernel removes.
-    """
-
-    name = "score"
-
-    def run(self, ctx: QueryContext) -> None:
-        index = ctx.require("index", self.name)
-        selected = ctx.require("selected", self.name)
-        lut = ctx.require("lut", self.name)
-        thresholds = ctx.require("thresholds", self.name)
-        mode = ctx.quality_mode
-        num_queries, nprobs = selected.shape
-        num_subspaces = index.config.num_subspaces
-        subspace_range = np.arange(num_subspaces)
-        scorer = HitCountScorer(
-            use_inner_sphere=mode.uses_inner_sphere,
-            miss_penalty=index.config.hit_count_penalty,
-        )
-        candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
-        candidate_total = 0.0
-        for qi in range(num_queries):
-            candidate_ids: list[np.ndarray] = []
-            candidate_scores: list[np.ndarray] = []
-            for ci in range(nprobs):
-                cluster_id = int(selected[qi, ci])
-                ray_id = qi * nprobs + ci
-                members = index.subspace_index.cluster_members(cluster_id)
-                if members.size == 0:
-                    continue
-                codes = index.subspace_index.cluster_codes(cluster_id)
-                if mode.uses_exact_distance:
-                    rows = lut.dense_rows(ray_id)
-                    values = rows[subspace_range[None, :], codes]
-                    miss = np.isnan(values)
-                    matched = (~miss).sum(axis=1)
-                    penalties = _miss_penalties(ctx, thresholds[ray_id])
-                    scores = np.where(miss, penalties[None, :], values).sum(axis=1)
-                    if ctx.query_cluster_ip is not None:
-                        scores = scores + ctx.query_cluster_ip[qi, ci]
-                else:
-                    hit_mask = lut.hit_mask_rows(ray_id)
-                    inner_mask = lut.inner_mask_rows(ray_id) if mode.uses_inner_sphere else None
-                    scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
-                keep = matched >= 1
-                ctx.work.adc_lookups += float(matched.sum())
-                ctx.work.adc_candidates += float(keep.sum())
-                if not keep.any():
-                    continue
-                candidate_ids.append(members[keep])
-                candidate_scores.append(scores[keep])
-            if not candidate_ids:
-                candidates.append(None)
-                continue
-            ids = np.concatenate(candidate_ids)
-            scores = np.concatenate(candidate_scores)
-            candidate_total += float(ids.size)
-            candidates.append((ids, scores))
-        ctx.candidates = candidates
-        ctx.candidate_total = candidate_total
-        ctx.extra["num_candidates"] = candidate_total
+        fused_score_candidates(ctx, self.backend, _miss_penalties)
 
 
 class TopKStage:

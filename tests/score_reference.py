@@ -1,0 +1,93 @@
+"""Reference score kernel the batched ``ScoreStage`` is pinned against.
+
+Not a test module: the oracle the parity, backend, property and perf tests
+share.  :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped
+as its distance-calculation stage before the batched kernels: for every
+(query, probed cluster) it builds that ray's dense ``(S, E)`` table through
+the :class:`~repro.core.selective_lut.SelectiveLUT` per-ray accessors and
+looks the cluster's member codes up in it.  ``ScoreStage`` must reproduce
+its candidates -- ids, order, scores -- and ``SearchWork`` deltas bit for
+bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.hit_count import HitCountScorer
+from repro.metrics.distances import Metric
+from repro.pipeline.context import QueryContext
+
+
+def _miss_penalties(ctx: QueryContext, row_thresholds: np.ndarray) -> np.ndarray:
+    """Score contribution of an unselected entry, per subspace of one ray."""
+    factor = ctx.index.config.miss_penalty_factor
+    if ctx.metric is Metric.L2:
+        return (row_thresholds**2) * factor
+    return row_thresholds * factor
+
+
+class LoopedScoreStage:
+    """The historical per-(query, cluster) Python-loop distance calculation.
+
+    Shares ``ScoreStage``'s ``name`` so the two are drop-in interchangeable
+    in a pipeline.
+    """
+
+    name = "score"
+
+    def run(self, ctx: QueryContext) -> None:
+        index = ctx.require("index", self.name)
+        selected = ctx.require("selected", self.name)
+        lut = ctx.require("lut", self.name)
+        thresholds = ctx.require("thresholds", self.name)
+        mode = ctx.quality_mode
+        num_queries, nprobs = selected.shape
+        num_subspaces = index.config.num_subspaces
+        subspace_range = np.arange(num_subspaces)
+        scorer = HitCountScorer(
+            use_inner_sphere=mode.uses_inner_sphere,
+            miss_penalty=index.config.hit_count_penalty,
+        )
+        candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
+        candidate_total = 0.0
+        for qi in range(num_queries):
+            candidate_ids: list[np.ndarray] = []
+            candidate_scores: list[np.ndarray] = []
+            for ci in range(nprobs):
+                cluster_id = int(selected[qi, ci])
+                ray_id = qi * nprobs + ci
+                members = index.subspace_index.cluster_members(cluster_id)
+                if members.size == 0:
+                    continue
+                codes = index.subspace_index.cluster_codes(cluster_id)
+                if mode.uses_exact_distance:
+                    rows = lut.dense_rows(ray_id)
+                    values = rows[subspace_range[None, :], codes]
+                    miss = np.isnan(values)
+                    matched = (~miss).sum(axis=1)
+                    penalties = _miss_penalties(ctx, thresholds[ray_id])
+                    scores = np.where(miss, penalties[None, :], values).sum(axis=1)
+                    if ctx.query_cluster_ip is not None:
+                        scores = scores + ctx.query_cluster_ip[qi, ci]
+                else:
+                    hit_mask = lut.hit_mask_rows(ray_id)
+                    inner_mask = lut.inner_mask_rows(ray_id) if mode.uses_inner_sphere else None
+                    scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
+                keep = matched >= 1
+                ctx.work.adc_lookups += float(matched.sum())
+                ctx.work.adc_candidates += float(keep.sum())
+                if not keep.any():
+                    continue
+                candidate_ids.append(members[keep])
+                candidate_scores.append(scores[keep])
+            if not candidate_ids:
+                candidates.append(None)
+                continue
+            ids = np.concatenate(candidate_ids)
+            scores = np.concatenate(candidate_scores)
+            candidate_total += float(ids.size)
+            candidates.append((ids, scores))
+        ctx.candidates = candidates
+        ctx.candidate_total = candidate_total
+        ctx.extra["num_candidates"] = candidate_total

@@ -5,15 +5,14 @@ Pins the PR-7 backend abstraction:
 * registry semantics -- default resolution, ``REPRO_BACKEND`` env
   override, unknown names, instance pass-through, pickling by name, and
   ``ServingConfig.backend`` validation;
-* kernel parity -- the NumPy-dense and CSR-fused score kernels are
-  bit-identical to the historical per-ray loop across JUNO-H/M/L on both
+* kernel parity -- the score kernel is bit-identical to the historical
+  per-ray loop (``tests/score_reference.py``) across JUNO-H/M/L on both
   metrics, including the empty-cluster and all-miss edges and seeded
   random query resamples (the property harness);
 * backend routing -- the NumPy backend primitives match raw NumPy
-  bit-for-bit, a non-exact backend is refused by the dense kernel and
-  held to its documented tolerance by the fused kernel (the same harness
-  the GPU lanes run), and the optional CuPy/torch lanes skip cleanly when
-  the libraries are absent.
+  bit-for-bit, a non-exact backend is held to its documented tolerance
+  (the same harness the GPU lanes run), and the optional CuPy/torch lanes
+  skip cleanly when the libraries are absent.
 
 These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
 """
@@ -39,7 +38,6 @@ from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.pipeline.pipeline import default_search_pipeline
 from repro.pipeline.stages import (
     CoarseFilterStage,
-    LoopedScoreStage,
     RTSelectStage,
     ScoreStage,
     ThresholdStage,
@@ -47,6 +45,7 @@ from repro.pipeline.stages import (
 )
 from repro.pipeline.pipeline import QueryPipeline
 from repro.serving import ServingConfig
+from score_reference import LoopedScoreStage
 
 MODES = ["juno-h", "juno-m", "juno-l"]
 
@@ -74,8 +73,8 @@ class _InexactNumpy(NumpyBackend):
     """A NumPy-backed stand-in for a GPU backend: correct but not 'exact'.
 
     Lets the tolerance half of the parity contract run in CPU-only CI: the
-    fused kernel must accept it and stay within ``tolerance`` of the
-    reference, the dense kernel must refuse it.
+    score kernel must accept it and stay within ``tolerance`` of the
+    reference.
     """
 
     name = "inexact-test"
@@ -160,35 +159,25 @@ class TestNumpyBackendPrimitives:
 
 # -------------------------------------------------------------- kernel parity
 class TestKernelParity:
-    """dense == fused == looped, bit-for-bit, across modes and edges."""
+    """The score kernel == the looped reference, bit-for-bit, across modes and edges."""
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("kernel", ["dense", "fused"])
-    def test_l2_kernels_match_loop(self, juno_l2, l2_dataset, mode, kernel):
+    def test_l2_kernel_matches_loop(self, juno_l2, l2_dataset, mode):
         kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=1.0)
         looped = juno_l2.search(l2_dataset.queries, pipeline=_looped_pipeline(), **kwargs)
-        batched = juno_l2.search(
-            l2_dataset.queries,
-            pipeline=default_search_pipeline(score_kernel=kernel),
-            **kwargs,
-        )
+        batched = juno_l2.search(l2_dataset.queries, **kwargs)
         _assert_bit_identical(batched, looped)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("kernel", ["dense", "fused"])
-    def test_ip_kernels_match_loop(self, juno_ip, ip_dataset, mode, kernel):
+    def test_ip_kernel_matches_loop(self, juno_ip, ip_dataset, mode):
         kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=1.0)
         looped = juno_ip.search(ip_dataset.queries, pipeline=_looped_pipeline(), **kwargs)
-        batched = juno_ip.search(
-            ip_dataset.queries,
-            pipeline=default_search_pipeline(score_kernel=kernel),
-            **kwargs,
-        )
+        batched = juno_ip.search(ip_dataset.queries, **kwargs)
         _assert_bit_identical(batched, looped)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_seeded_resamples_property(self, juno_l2, l2_dataset, mode, rng):
-        """Property harness: random query mixes keep all three kernels equal."""
+        """Property harness: random query mixes keep kernel and loop equal."""
         for trial in range(3):
             rows = rng.integers(0, l2_dataset.queries.shape[0], size=8)
             jitter = rng.normal(scale=0.05, size=(8, l2_dataset.dim))
@@ -196,17 +185,12 @@ class TestKernelParity:
             scale = float(rng.uniform(0.5, 2.0))
             kwargs = dict(k=10, nprobs=5, quality_mode=mode, threshold_scale=scale)
             looped = juno_l2.search(queries, pipeline=_looped_pipeline(), **kwargs)
-            for kernel in ("dense", "fused"):
-                batched = juno_l2.search(
-                    queries,
-                    pipeline=default_search_pipeline(score_kernel=kernel),
-                    **kwargs,
-                )
-                _assert_bit_identical(batched, looped)
+            batched = juno_l2.search(queries, **kwargs)
+            _assert_bit_identical(batched, looped)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_cluster_edge(self, juno_l2, l2_dataset, mode):
-        """An emptied posting list is skipped identically by every kernel."""
+        """An emptied posting list is skipped identically by kernel and loop."""
         index = juno_l2
         original = index.subspace_index
         posting = [index.ivf.posting_lists[c] for c in range(index.config.num_clusters)]
@@ -225,42 +209,28 @@ class TestKernelParity:
             looped = index.search(
                 l2_dataset.queries, pipeline=_looped_pipeline(), **kwargs
             )
-            for kernel in ("dense", "fused"):
-                batched = index.search(
-                    l2_dataset.queries,
-                    pipeline=default_search_pipeline(score_kernel=kernel),
-                    **kwargs,
-                )
-                _assert_bit_identical(batched, looped)
-                assert not np.isin(
-                    batched.ids[batched.ids >= 0], original.cluster_members(victim)
-                ).any()
+            batched = index.search(l2_dataset.queries, **kwargs)
+            _assert_bit_identical(batched, looped)
+            assert not np.isin(
+                batched.ids[batched.ids >= 0], original.cluster_members(victim)
+            ).any()
         finally:
             index.subspace_index = original
 
     @pytest.mark.parametrize("mode", MODES)
     def test_all_miss_edge(self, juno_l2, l2_dataset, mode):
-        """A vanishing threshold scale yields all-padded output on every kernel."""
+        """A vanishing threshold scale yields all-padded output from kernel and loop."""
         kwargs = dict(k=10, nprobs=4, quality_mode=mode, threshold_scale=1e-6)
         looped = juno_l2.search(l2_dataset.queries, pipeline=_looped_pipeline(), **kwargs)
-        for kernel in ("dense", "fused"):
-            batched = juno_l2.search(
-                l2_dataset.queries,
-                pipeline=default_search_pipeline(score_kernel=kernel),
-                **kwargs,
-            )
-            _assert_bit_identical(batched, looped)
-            assert (batched.ids == -1).all()
+        batched = juno_l2.search(l2_dataset.queries, **kwargs)
+        _assert_bit_identical(batched, looped)
+        assert (batched.ids == -1).all()
 
 
 # ---------------------------------------------------------- backend contract
 class TestBackendContract:
-    def test_dense_kernel_refuses_inexact_backend(self):
-        with pytest.raises(BackendError, match="bit-exact"):
-            ScoreStage(backend=_InexactNumpy(), kernel="dense")
-
     @pytest.mark.parametrize("mode", MODES)
-    def test_fused_kernel_holds_inexact_backend_to_tolerance(
+    def test_kernel_holds_inexact_backend_to_tolerance(
         self, juno_l2, l2_dataset, mode
     ):
         """The tolerance harness the GPU lanes reuse, run on a CPU stand-in."""

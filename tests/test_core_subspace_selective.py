@@ -58,6 +58,22 @@ class TestSubspaceInvertedIndex:
         np.testing.assert_array_equal(index.cluster_codes(1), codes[posting_lists[1]])
         assert index.num_clusters == 2
 
+    def test_flat_layout_is_cluster_major(self, built):
+        index, codes, posting_lists = built
+        layout = index.flat_layout()
+        members = np.concatenate(posting_lists)
+        np.testing.assert_array_equal(layout.cluster_sizes, [100, 100])
+        np.testing.assert_array_equal(layout.member_base, [0, 100, 200])
+        np.testing.assert_array_equal(layout.members, members)
+        np.testing.assert_array_equal(layout.codes, codes[members])
+        assert layout.codes.dtype == np.int32
+        # one stored copy: the per-cluster accessor is a view of the layout
+        assert np.shares_memory(index.cluster_codes(1), layout.codes)
+
+    def test_flat_layout_needs_build(self):
+        with pytest.raises(RuntimeError, match="build"):
+            SubspaceInvertedIndex(8).flat_layout()
+
     def test_invalid_entries(self):
         with pytest.raises(ValueError):
             SubspaceInvertedIndex(0)

@@ -17,6 +17,9 @@ check here, long before a benchmark run:
   block's temporaries.  The block constant in
   :mod:`repro.core.selective_lut` is what decides this, so a constant that
   would breach the RSS gate fails here first.
+* the same bound on ``ScoreStage.run``: the candidates it returns plus a
+  fixed slack for one block's dense table and gathered tables, decided by
+  the block constant in :mod:`repro.pipeline.fused`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,14 @@ import pytest
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
 from repro.gpu.work import SearchWork
-from repro.pipeline import CoarseFilterStage, QueryPipeline, RTSelectStage, ThresholdStage
+from repro.pipeline import (
+    CoarseFilterStage,
+    QueryPipeline,
+    RTSelectStage,
+    ScoreStage,
+    ThresholdStage,
+    fused,
+)
 from repro.pipeline.context import QueryContext
 
 MODES = ("juno-h", "juno-m", "juno-l")
@@ -129,6 +139,34 @@ def _lut_bytes(lut) -> int:
     return sum(int(array.nbytes) for array in arrays)
 
 
+def _traced_peak(stage, ctx) -> int:
+    tracemalloc.start()
+    try:
+        stage.run(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture
+def wide_batch_ctx(wide_index, wide_corpus):
+    """The 32-query, 256-ray batch on ``wide_index``, run up to the threshold stage."""
+    queries = _queries(wide_corpus)
+    ctx = QueryContext(
+        index=wide_index,
+        queries=queries,
+        k=10,
+        nprobs=8,
+        quality_mode=wide_index.config.quality_mode,
+        threshold_scale=1.0,
+        metric=wide_index.metric,
+        work=SearchWork(num_queries=queries.shape[0]),
+    )
+    QueryPipeline((CoarseFilterStage(), ThresholdStage()), instrument=False).run(ctx)
+    return ctx
+
+
 class TestRTSelectMemory:
     # What one trace block may hold beyond the LUT: slab masks, the
     # primitive-test gathers and the hit arrays before they are cut to size.
@@ -136,25 +174,33 @@ class TestRTSelectMemory:
     # that breached ``peak_rss_mb``, it is ~17 MB.
     SLACK_BYTES = 6 << 20
 
-    def test_batch_peak_is_lut_plus_fixed_slack(self, wide_index, wide_corpus):
-        queries = _queries(wide_corpus)
-        ctx = QueryContext(
-            index=wide_index,
-            queries=queries,
-            k=10,
-            nprobs=8,
-            quality_mode=wide_index.config.quality_mode,
-            threshold_scale=1.0,
-            metric=wide_index.metric,
-            work=SearchWork(num_queries=queries.shape[0]),
-        )
-        QueryPipeline((CoarseFilterStage(), ThresholdStage()), instrument=False).run(ctx)
-        stage = RTSelectStage()
-        tracemalloc.start()
-        try:
-            stage.run(ctx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_batch_peak_is_lut_plus_fixed_slack(self, wide_batch_ctx):
+        ctx = wide_batch_ctx
+        peak = _traced_peak(RTSelectStage(), ctx)
         assert ctx.lut.num_rays == 256 and ctx.lut.total_hits > 0
         assert peak <= _lut_bytes(ctx.lut) + self.SLACK_BYTES
+
+
+class TestScoreMemory:
+    # What one score block may hold beyond the candidates: the dense
+    # (S, rays, E) table, the gather index and about four float64 arrays of
+    # the gathered (candidate, subspace) shape.  At 1 << 19 elements (five of
+    # these queries) a block is ~10 MB; at 1 << 20 it is ~21 MB, and the
+    # whole batch as one block, which breached ``peak_rss_mb``, ~47 MB.
+    SLACK_BYTES = 12 << 20
+
+    @staticmethod
+    def _peak_beyond_candidates(ctx) -> int:
+        RTSelectStage().run(ctx)
+        peak = _traced_peak(ScoreStage(), ctx)
+        returned = [array for pair in ctx.candidates if pair is not None for array in pair]
+        assert len(returned) == 2 * 32
+        return peak - sum(int(array.nbytes) for array in returned)
+
+    def test_batch_peak_is_candidates_plus_fixed_slack(self, wide_batch_ctx):
+        assert self._peak_beyond_candidates(wide_batch_ctx) <= self.SLACK_BYTES
+
+    def test_one_block_per_batch_breaks_the_bound(self, wide_batch_ctx, monkeypatch):
+        """The guard bites: the variant that breached the RSS gate fails it."""
+        monkeypatch.setattr(fused, "_FUSED_BLOCK_ELEMENTS", 1 << 40)
+        assert self._peak_beyond_candidates(wide_batch_ctx) > self.SLACK_BYTES

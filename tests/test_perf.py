@@ -1,13 +1,15 @@
 """Perf regression tests for the batched ScoreStage and the stage cache.
 
 These pin the PR's perf claims rather than its semantics (the parity and
-property suites pin those): the vectorised score kernel must not be slower
-than the historical per-ray loop on a mid-size batch, and a repeated sweep
-scale must be served from coarse-filter cache hits.  Wall-clock comparisons
-are inherently noisy on shared CI runners, so the timing assertions use
-best-of-N measurements and a generous margin -- the kernel is typically
-several times faster, and the test only guards against the refactor
-regressing back to per-ray Python costs.
+property suites pin those): the vectorised score kernel must be clearly
+faster than the historical per-ray loop on a mid-size batch, and a repeated
+sweep scale must be served from coarse-filter cache hits.  Wall-clock
+comparisons are inherently noisy on shared CI runners, so the timing
+assertions use best-of-N measurements and a margin: on this narrow fixture
+(8 subspaces of 16 entries, where the loop's per-ray tables are cheap and
+both sides pay the same short-row reductions) the kernel takes 0.45-0.7x
+the loop's time, and the test guards against a regression back to per-ray
+Python costs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.core.config import QualityMode
 from repro.gpu.cost_model import CostModel
 from repro.pipeline import (
     CoarseFilterStage,
-    LoopedScoreStage,
     QueryPipeline,
     RTSelectStage,
     ScoreStage,
@@ -31,6 +32,7 @@ from repro.pipeline import (
     TopKStage,
     default_search_pipeline,
 )
+from score_reference import LoopedScoreStage
 
 pytestmark = pytest.mark.slow
 
@@ -62,7 +64,7 @@ class TestScoreStagePerf:
         looped = _pipeline_with(LoopedScoreStage())
         vectorised = _pipeline_with(ScoreStage())
 
-        def best_score_seconds(pipeline, repeats=3):
+        def best_score_seconds(pipeline, repeats=5):
             best = np.inf
             for _ in range(repeats):
                 result = juno_l2.search(
@@ -76,7 +78,7 @@ class TestScoreStagePerf:
         best_score_seconds(vectorised, repeats=1)
         looped_s = best_score_seconds(looped)
         vectorised_s = best_score_seconds(vectorised)
-        assert vectorised_s <= looped_s * 1.25, (
+        assert vectorised_s <= looped_s * 0.85, (
             f"batched ScoreStage took {vectorised_s:.6f}s vs {looped_s:.6f}s for the loop"
         )
 

@@ -11,6 +11,8 @@ test suite instead of a binary fixture.
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +29,10 @@ from repro.datasets.synthetic import make_clustered_dataset
 from repro.gpu.cost_model import CostModel
 from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
+from repro.pipeline import fused
 from repro.pipeline import (
     CoarseFilterStage,
     ExactRerankStage,
-    LoopedScoreStage,
     QueryContext,
     QueryPipeline,
     RTSelectStage,
@@ -41,6 +43,7 @@ from repro.pipeline import (
     default_search_pipeline,
     rerank_pipeline,
 )
+from score_reference import LoopedScoreStage
 
 WORK_COUNTER_FIELDS = (
     "filter_flops",
@@ -263,6 +266,26 @@ def edge_case_juno():
     return JunoIndex(config).train(dataset.points), dataset
 
 
+@contextmanager
+def _largest_cluster_emptied(index):
+    """Rebuild ``index.subspace_index`` with its largest posting list emptied.
+
+    With ``nprobs == num_clusters`` every query probes the emptied cluster,
+    exercising the kernels' no-members path.  Yields ``(posting, victim)``.
+    """
+    original = index.subspace_index
+    posting = [index.ivf.posting_lists[c] for c in range(index.config.num_clusters)]
+    victim = int(np.argmax([ids.size for ids in posting]))
+    posting[victim] = np.array([], dtype=np.int64)
+    index.subspace_index = SubspaceInvertedIndex(index.config.num_entries).build(
+        posting, index.codes
+    )
+    try:
+        yield posting, victim
+    finally:
+        index.subspace_index = original
+
+
 class TestScoreStageParity:
     """The batched ScoreStage is bit-identical to the per-ray loop."""
 
@@ -285,23 +308,12 @@ class TestScoreStageParity:
     def test_empty_cluster_parity(self, edge_case_juno, mode):
         """Clusters whose posting list is empty are skipped identically."""
         index, dataset = edge_case_juno
-        original = index.subspace_index
-        # Empty the largest cluster's posting list: with nprobs == num_clusters
-        # every query probes it, exercising the members.size == 0 path.
-        posting = [index.ivf.posting_lists[c] for c in range(index.config.num_clusters)]
-        victim = int(np.argmax([ids.size for ids in posting]))
-        posting[victim] = np.array([], dtype=np.int64)
-        index.subspace_index = SubspaceInvertedIndex(index.config.num_entries).build(
-            posting, index.codes
-        )
-        try:
+        with _largest_cluster_emptied(index) as (posting, victim):
             kwargs = dict(
                 k=10, nprobs=index.config.num_clusters, quality_mode=mode, threshold_scale=1.0
             )
             vectorised = index.search(dataset.queries, **kwargs)
             looped = index.search(dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
-        finally:
-            index.subspace_index = original
         _assert_results_bit_identical(vectorised, looped)
         ref_ids = np.concatenate([ids for c, ids in enumerate(posting) if c != victim])
         assert not np.isin(vectorised.ids[vectorised.ids >= 0], posting[victim]).any()
@@ -330,39 +342,101 @@ class TestScoreStageParity:
         assert vectorised.ids.shape == (0, 5)
         assert vectorised.extra["num_candidates"] == 0.0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_ray_blocking_does_not_change_results(self, juno_l2, l2_dataset, mode, monkeypatch):
-        """Shrinking the kernel's memory budget to one ray per block is a no-op."""
-        from repro.pipeline import stages
 
-        kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=1.0)
-        unblocked = juno_l2.search(l2_dataset.queries, **kwargs)
-        monkeypatch.setattr(stages, "_SCORE_BLOCK_ELEMENTS", 1)
-        blocked = juno_l2.search(l2_dataset.queries, **kwargs)
-        _assert_results_bit_identical(unblocked, blocked)
+class TestScoreBlockInvariance:
+    """Any query-aligned blocking of the score kernel reproduces the loop.
 
-    def test_batched_lut_accessors_match_scalar(self, juno_l2, l2_dataset):
-        """dense/hit/inner batched tables equal the per-ray accessors row by row."""
+    ``_FUSED_BLOCK_ELEMENTS`` only decides how many queries share one dense
+    table; 1 forces one query per block, a huge value one block per batch.
+    """
+
+    BLOCKS = (1, 1 << 40)
+
+    @staticmethod
+    def _upstream(index, queries, mode, scale, nprobs, cache=None):
         ctx = QueryContext(
-            index=juno_l2,
-            queries=l2_dataset.queries[:6],
-            k=5,
-            nprobs=4,
-            quality_mode=QualityMode.MEDIUM,
-            threshold_scale=1.0,
-            metric=juno_l2.metric,
-            work=SearchWork(num_queries=6),
+            index=index,
+            queries=queries,
+            k=10,
+            nprobs=nprobs,
+            quality_mode=QualityMode(mode),
+            threshold_scale=scale,
+            metric=index.metric,
+            work=SearchWork(num_queries=queries.shape[0]),
         )
-        QueryPipeline((CoarseFilterStage(), ThresholdStage(), RTSelectStage())).run(ctx)
-        lut = ctx.lut
-        ray_ids = np.array([3, 0, 7, 3])  # unordered, with a duplicate
-        dense = lut.dense_tables(ray_ids)
-        hit = lut.hit_mask_tables(ray_ids)
-        inner = lut.inner_mask_tables(ray_ids)
-        for row, ray_id in enumerate(ray_ids):
-            np.testing.assert_array_equal(dense[row], lut.dense_rows(int(ray_id)))
-            np.testing.assert_array_equal(hit[row], lut.hit_mask_rows(int(ray_id)))
-            np.testing.assert_array_equal(inner[row], lut.inner_mask_rows(int(ray_id)))
+        QueryPipeline(
+            (CoarseFilterStage(), ThresholdStage(), RTSelectStage(cache=cache)), instrument=False
+        ).run(ctx)
+        return ctx
+
+    @staticmethod
+    def _scored(ctx, stage):
+        run = replace(ctx, work=SearchWork(num_queries=ctx.num_queries), extra={})
+        stage.run(run)
+        return run
+
+    def _assert_blocks_match_loop(self, ctx, monkeypatch):
+        looped = self._scored(ctx, LoopedScoreStage())
+        for block in self.BLOCKS:
+            monkeypatch.setattr(fused, "_FUSED_BLOCK_ELEMENTS", block)
+            batched = self._scored(ctx, ScoreStage())
+            assert len(batched.candidates) == len(looped.candidates) == ctx.num_queries
+            for got, want in zip(batched.candidates, looped.candidates):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+            assert batched.candidate_total == looped.candidate_total
+            assert batched.work.adc_lookups == looped.work.adc_lookups
+            assert batched.work.adc_candidates == looped.work.adc_candidates
+        return looped
+
+    @staticmethod
+    def _queries(dataset, count):
+        rng = np.random.default_rng(count)
+        rows = rng.integers(0, dataset.points.shape[0], size=count)
+        return dataset.points[rows] + 0.1 * rng.standard_normal((count, dataset.dim))
+
+    @pytest.mark.parametrize("count", [1, 2, 32])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_block_sizes_match_loop(
+        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, count, monkeypatch
+    ):
+        index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
+        ctx = self._upstream(index, self._queries(dataset, count), mode, 1.0, nprobs=6)
+        looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+        assert looped.candidate_total > 0
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_sparse_selection_with_all_miss_rays(self, juno_l2, l2_dataset, mode, monkeypatch):
+        """``threshold_scale=0.1``: most entries unselected, some rays hit nothing."""
+        nprobs = juno_l2.config.num_clusters
+        ctx = self._upstream(juno_l2, self._queries(l2_dataset, 32), mode, 0.1, nprobs)
+        hits_per_ray = np.sum([np.diff(offsets) for offsets in ctx.lut.offsets], axis=0)
+        assert (hits_per_ray == 0).any() and (hits_per_ray > 0).any()
+        self._assert_blocks_match_loop(ctx, monkeypatch)
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_empty_probed_cluster(self, edge_case_juno, mode, monkeypatch):
+        index, dataset = edge_case_juno
+        with _largest_cluster_emptied(index) as (_, victim):
+            ctx = self._upstream(
+                index, dataset.queries, mode, 1.0, nprobs=index.config.num_clusters
+            )
+            assert (ctx.selected == victim).any()
+            self._assert_blocks_match_loop(ctx, monkeypatch)
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m"])
+    def test_frozen_cache_restored_lut(self, juno_l2, l2_dataset, mode, monkeypatch):
+        """A LUT served from the stage cache is read-only; the kernel only reads it."""
+        cache = StageCache()
+        queries = self._queries(l2_dataset, 8)
+        self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
+        ctx = self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
+        assert cache.stats()["rt_select"]["hits"] == 1
+        assert not ctx.lut.entries[0].flags.writeable
+        self._assert_blocks_match_loop(ctx, monkeypatch)
 
 
 # --------------------------------------------------------------- stage cache

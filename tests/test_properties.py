@@ -14,7 +14,6 @@ from repro.metrics.distances import Metric, l2_squared_matrix, pairwise_distance
 from repro.metrics.recall import recall_k_at_n
 from repro.pipeline import (
     CoarseFilterStage,
-    LoopedScoreStage,
     QueryPipeline,
     RTSelectStage,
     StageCache,
@@ -25,6 +24,7 @@ from repro.pipeline import (
 from repro.quantization.scalar_quantizer import ScalarQuantizer
 from repro.rt.bvh import BVH
 from repro.rt.primitives import Sphere
+from score_reference import LoopedScoreStage
 
 # Property-based suites explore many random examples per test; CI pull-request
 # runs deselect them with ``-m "not slow"`` (the full suite runs on main).

@@ -34,7 +34,9 @@ from repro.metrics.distances import Metric
 from repro.metrics.recall import recall_k_at_n
 from repro.serving.persistence import (
     PersistenceError,
+    load_index,
     load_mutable_index,
+    save_index,
     save_mutable_index,
     search_results_equal,
 )
@@ -270,6 +272,34 @@ class TestCompaction:
             ]
         )
         assert overlap >= 0.7
+
+    def test_flat_layout_is_prebuilt_after_build_load_and_compact(
+        self, corpus, base_index, tmp_path
+    ):
+        """No search builds the score kernel's layout: ``build()`` already did.
+
+        A lazily built layout made the first request of every freshly booted
+        or compacted shard pay for it, and shard threads could race to build
+        it twice.
+        """
+
+        def prebuilt(index):
+            layout = index.subspace_index._flat_layout
+            assert layout is not None
+            assert index.subspace_index.flat_layout() is layout
+            assert layout.codes.dtype == np.int32
+            assert layout.codes.shape == (index.num_points, index.config.num_subspaces)
+            return layout
+
+        prebuilt(base_index)
+        prebuilt(load_index(save_index(base_index, tmp_path / "bundle")))
+        mutable = _mutable(corpus.points)
+        before = prebuilt(mutable.base)
+        mutable.upsert([30_000], corpus.points[:1] + 0.01)
+        mutable.compact()
+        after = prebuilt(mutable.base)
+        assert after is not before
+        assert after.members.shape[0] == before.members.shape[0] + 1
 
     def test_compact_noop_without_pending_state(self, corpus, tmp_path):
         wal = WriteAheadLog(tmp_path / "ops.wal")
