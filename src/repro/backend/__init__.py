@@ -1,7 +1,7 @@
 """Pluggable array backends for the batched score kernels.
 
-``repro.backend`` lets the score kernel (``ScoreStage``: dense hit-table
-build, gather by PQ code, reduction) run on NumPy (default), CuPy or torch
+``repro.backend`` lets the score kernel (``ScoreStage``: gather from the
+selective LUT by PQ code, reduction) run on NumPy (default), CuPy or torch
 through one small primitive surface -- see :mod:`repro.backend.base` for
 the protocol and the exactness/tolerance contract, and
 ``docs/performance.md`` for the backend matrix and selection rules.

@@ -2,20 +2,20 @@
 
 The online score path (``ScoreStage``'s kernel,
 :mod:`repro.pipeline.fused`) is a handful of bulk array primitives:
-allocate a table, scatter hit values into it, gather through member
-codes, and reduce over the subspace axis.  :class:`ArrayBackend` names
+take over the selective LUT's table, gather from it through member
+columns, and reduce over the subspace axis.  :class:`ArrayBackend` names
 exactly those primitives so the kernels can run unchanged on NumPy (the
 default, bit-identical reference), CuPy or torch without sprinkling
 ``import cupy`` through the pipeline.
 
-Index bookkeeping (CSR expansion, argsorts, segment offsets) deliberately
+Index bookkeeping (gather indices, segment offsets) deliberately
 stays in NumPy on the host: it is integer arithmetic over small arrays,
 and shipping it to a device would cost more in transfers than it saves.
 Only the value tables and their reductions go through the backend.
 
 Equality contract: a backend with ``exact=True`` must reproduce the NumPy
 reference bit-for-bit (same element order, same pairwise reductions).
-GPU backends cannot promise that -- scatter order and reduction trees are
+GPU backends cannot promise that -- reduction trees are
 nondeterministic on device -- so they carry a documented ``tolerance``
 instead, and the parity suite compares them with ``np.allclose`` at that
 tolerance rather than ``array_equal``.
@@ -73,26 +73,7 @@ class ArrayBackend:
         """Move a backend array back to a host NumPy array."""
         raise NotImplementedError
 
-    # -- allocation ----------------------------------------------------
-    def full(self, shape, fill_value, dtype):
-        """Allocate a backend array filled with ``fill_value``."""
-        raise NotImplementedError
-
-    def zeros(self, shape, dtype):
-        """Allocate a zero-filled backend array."""
-        raise NotImplementedError
-
-    # -- scatter / gather ----------------------------------------------
-    def put(self, array, flat_indices: np.ndarray, values) -> None:
-        """``array.flat[flat_indices] = values`` (assignment scatter).
-
-        With duplicate indices the reference (NumPy) semantics are
-        last-write-wins in index order; GPU backends may pick any of the
-        duplicates, which is covered by their tolerance contract (the
-        kernels only scatter duplicates carrying equal values).
-        """
-        raise NotImplementedError
-
+    # -- gather ----------------------------------------------------------
     def take(self, array, flat_indices: np.ndarray):
         """``array.flat[flat_indices]`` (flat gather)."""
         raise NotImplementedError

@@ -18,7 +18,7 @@ class CupyBackend(ArrayBackend):
 
     CuPy mirrors the NumPy API, so every primitive is the same call
     against ``cupy``.  Results are *not* bit-identical to the reference:
-    device reduction trees and scatter ordering differ, hence the
+    device reduction trees differ, hence the
     documented tolerance (see ``docs/performance.md``).
     """
 
@@ -48,15 +48,6 @@ class CupyBackend(ArrayBackend):
 
     def to_numpy(self, array) -> np.ndarray:
         return self.cupy.asnumpy(array)
-
-    def full(self, shape, fill_value, dtype):
-        return self.cupy.full(shape, fill_value, dtype=dtype)
-
-    def zeros(self, shape, dtype):
-        return self.cupy.zeros(shape, dtype=dtype)
-
-    def put(self, array, flat_indices: np.ndarray, values) -> None:
-        array.reshape(-1)[self.cupy.asarray(flat_indices)] = self.cupy.asarray(values)
 
     def take(self, array, flat_indices: np.ndarray):
         return array.reshape(-1)[self.cupy.asarray(flat_indices)]

@@ -29,17 +29,6 @@ class NumpyBackend(ArrayBackend):
     def to_numpy(self, array: np.ndarray) -> np.ndarray:
         return np.asarray(array)
 
-    def full(self, shape, fill_value, dtype) -> np.ndarray:
-        return np.full(shape, fill_value, dtype=dtype)
-
-    def zeros(self, shape, dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
-    def put(self, array: np.ndarray, flat_indices: np.ndarray, values) -> None:
-        # reshape(-1) is a view for the C-contiguous tables the kernels
-        # allocate, so this is an in-place scatter (last write wins).
-        array.reshape(-1)[flat_indices] = values
-
     def take(self, array: np.ndarray, flat_indices: np.ndarray) -> np.ndarray:
         return np.take(array.reshape(-1), flat_indices)
 

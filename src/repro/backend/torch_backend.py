@@ -48,17 +48,6 @@ class TorchBackend(ArrayBackend):
     def to_numpy(self, array) -> np.ndarray:
         return array.detach().cpu().numpy()
 
-    def full(self, shape, fill_value, dtype):
-        return self.torch.full(
-            tuple(shape), fill_value, dtype=self._dtype(dtype), device=self._device
-        )
-
-    def zeros(self, shape, dtype):
-        return self.torch.zeros(tuple(shape), dtype=self._dtype(dtype), device=self._device)
-
-    def put(self, array, flat_indices: np.ndarray, values) -> None:
-        array.view(-1)[self.asarray(flat_indices)] = self.asarray(values)
-
     def take(self, array, flat_indices: np.ndarray):
         return array.view(-1)[self.asarray(flat_indices)]
 

@@ -237,19 +237,14 @@ class JunoIndex:
         return self._finalize_training(points, residuals)
 
     def _finalize_training(self, points: np.ndarray, residuals: np.ndarray) -> "JunoIndex":
-        """Training stages 2-5: everything after clustering and encoding.
+        """Training stages 2-4: everything after clustering and encoding.
 
         Shared verbatim by :meth:`train` and :meth:`assemble` so the
         in-memory and pipeline-built paths can never drift: given identical
         ``points``/``residuals`` (and installed IVF/PQ state) the outputs
         are bit-identical.
         """
-        # 2. Subspace-level inverted indices (Alg. 1, 12-14).
-        self.subspace_index = SubspaceInvertedIndex(self.config.num_entries).build(
-            self.ivf.posting_lists, self.codes
-        )
-
-        # 3. Density maps over the projections rays will originate from:
+        # 2. Density maps over the projections rays will originate from:
         #    residual projections for L2, raw point projections for MIPS
         #    (the MIPS decomposition keeps the query whole and only adds the
         #    per-cluster constant IP(q, c)).
@@ -260,7 +255,7 @@ class JunoIndex:
             projection_source = points.reshape(self.num_points, num_subspaces, 2)
         self.density_map = DensityMap(grid=self.config.density_grid).fit(projection_source)
 
-        # 4. Threshold regressor trained on sampled corpus points.
+        # 3. Threshold regressor trained on sampled corpus points.
         samples = self._collect_threshold_samples(points, projection_source)
         self.threshold_model = ThresholdModel(
             self.density_map,
@@ -268,7 +263,9 @@ class JunoIndex:
             strategy=self.config.threshold_strategy,
         ).fit(samples)
 
-        # 5. Traversable scene: one sphere per codebook entry per subspace.
+        # 4. Traversable scene: one sphere per codebook entry per subspace --
+        #    and, against it, the subspace-level inverted indices (Alg. 1,
+        #    12-14), whose gather columns follow the scene's leaf order.
         self._build_scene(projection_source)
         return self
 
@@ -344,7 +341,9 @@ class JunoIndex:
         The scene is a pure function of the PQ codebooks and the constant
         sphere radius, so it is deterministic to rebuild; this is how
         :mod:`repro.serving.persistence` restores a reloaded index without
-        re-running any training.
+        re-running any training.  The subspace inverted index addresses the
+        selective LUT in the scene's leaf-slot order, so it is rebuilt
+        against the new scene (:meth:`rebuild_layout`).
 
         Every (re)build also stamps a fresh, process-unique
         :attr:`cache_token`: :class:`~repro.pipeline.cache.StageCache` keys
@@ -368,6 +367,24 @@ class JunoIndex:
         self.scene.stacked()  # build the batch tracer's flat form now, not on the first query
         self.origin_offsets = offsets
         self.tracer = RayTracer(self.scene)
+        self.rebuild_layout()
+
+    def rebuild_layout(self) -> None:
+        """(Re)build the subspace inverted index from the posting lists, the
+        PQ codes and the current scene, and bump the cache token.
+
+        The one place the score kernel's gather columns are made: each PQ
+        code is translated, here and never per query, to the column its
+        entry's sphere occupies in the tracer's hit grid.  Reached through
+        :meth:`rebuild_scene` by training and loading, and directly by
+        compaction, which changes members and codes but not the scene.
+        """
+        entry_slots = np.stack(
+            [self.scene.entry_slots(s) for s in range(self.config.num_subspaces)]
+        )
+        self.subspace_index = SubspaceInvertedIndex(self.config.num_entries).build(
+            self.ivf.posting_lists, self.codes, entry_slots
+        )
         self.bump_cache_token()
 
     def bump_cache_token(self) -> int:

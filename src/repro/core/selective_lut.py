@@ -9,9 +9,12 @@ entries ever receive a LUT value.
 
 The constructor operates on a whole query batch: the rays of all
 (query, cluster) pairs are traced through the vectorised tracer a *block of
-subspaces* at a time, and the resulting hits -- which the tracer emits
-already grouped by (subspace, ray) -- are stored in a compressed (CSR-like)
-per-ray layout that the distance-calculation stage consumes.
+subspaces* at a time.  The tracer hands each block over as the dense
+``(subspace, ray, leaf slot)`` grid its sphere tests ran on; the hit-time
+decode runs elementwise on that grid and the result *is* the selective LUT
+-- one ``(S, rays, E')`` table, ``NaN`` where the ray did not select the
+slot's entry -- which the distance-calculation stage gathers from directly.
+Nothing is compressed to hit lists in between.
 """
 
 from __future__ import annotations
@@ -40,80 +43,81 @@ _TRACE_BLOCK_PAIRS = 384
 
 @dataclass
 class SelectiveLUT:
-    """Sparse per-ray lookup tables produced by the RT pass.
+    """The dense per-ray lookup table produced by the RT pass.
 
-    Hits are stored per subspace in CSR form over ray ids: for subspace ``s``
-    and ray ``r``, the selected entries are
-    ``entries[s][offsets[s][r]:offsets[s][r + 1]]`` and their values (squared
-    L2 distances or inner products) are the matching slice of ``values[s]``.
+    Columns are the scene's leaf slots, not entry ids: entry ``e`` of
+    subspace ``s`` sits in column ``entry_slots[s, e]`` of the scene's
+    :class:`~repro.rt.scene.LayerStack`, and ``slot_entries`` maps back.
+    The score kernel addresses the table through PQ codes remapped to
+    columns once, at index-build time
+    (:class:`~repro.core.subspace_index.FlatClusterLayout`); the accessors
+    below translate to entry ids for tests and analysis.
 
     Attributes:
-        num_rays: number of rays per subspace (``Q * nprobs``).
-        num_entries: codebook entries per subspace ``E``.
+        table: ``(S, R, E')`` values (squared L2 distances or inner
+            products) of the selected (subspace, ray, slot) cells, ``NaN``
+            everywhere else; ``R = Q * nprobs``.
+        inner: ``(S, R, E')`` booleans marking selected cells that also fall
+            inside the reward/penalty inner sphere (JUNO-M); ``None`` when
+            the inner sphere was not evaluated.
+        slot_entries: ``(S, E')`` entry id of every column.
+        num_entries: codebook entries per subspace ``E`` (``E <= E'``).
         metric: the metric the values are expressed in.
-        offsets: per-subspace ``(num_rays + 1,)`` CSR offsets.
-        entries: per-subspace hit entry ids, grouped by ray.
-        values: per-subspace hit values, grouped by ray.
-        inner_flags: per-subspace booleans marking hits that also fall inside
-            the reward/penalty inner sphere (JUNO-M); ``None`` when the inner
-            sphere was not evaluated.
         stats: traversal statistics accumulated over all subspaces.
     """
 
-    num_rays: int
+    table: np.ndarray
+    inner: np.ndarray | None
+    slot_entries: np.ndarray
     num_entries: int
     metric: Metric
-    offsets: list[np.ndarray]
-    entries: list[np.ndarray]
-    values: list[np.ndarray]
-    inner_flags: list[np.ndarray] | None
     stats: TraversalStats
 
     @property
     def num_subspaces(self) -> int:
         """Number of subspaces covered by the LUT."""
-        return len(self.offsets)
+        return int(self.table.shape[0])
+
+    @property
+    def num_rays(self) -> int:
+        """Number of rays per subspace (``Q * nprobs``)."""
+        return int(self.table.shape[1])
 
     @property
     def total_hits(self) -> int:
-        """Total number of selected (ray, entry) pairs."""
-        return int(sum(e.shape[0] for e in self.entries))
+        """Total number of selected (subspace, ray, entry) cells."""
+        return self.stats.hits
+
+    def _entry_rows(self, cells: np.ndarray, marked: np.ndarray, fill) -> np.ndarray:
+        """``(S, E)`` entry-ordered rows holding the ``marked`` ones of one
+        ray's slot-ordered ``(S, E')`` cells, ``fill`` elsewhere."""
+        rows = np.full((self.num_subspaces, self.num_entries), fill, dtype=cells.dtype)
+        subspace, column = np.nonzero(marked)
+        rows[subspace, self.slot_entries[subspace, column]] = cells[subspace, column]
+        return rows
 
     def ray_slice(self, subspace_id: int, ray_id: int) -> tuple[np.ndarray, np.ndarray]:
         """``(entry_ids, values)`` selected for one ray in one subspace."""
-        start = self.offsets[subspace_id][ray_id]
-        stop = self.offsets[subspace_id][ray_id + 1]
-        return (
-            self.entries[subspace_id][start:stop],
-            self.values[subspace_id][start:stop],
-        )
+        values = self.table[subspace_id, ray_id]
+        columns = np.flatnonzero(~np.isnan(values))
+        return self.slot_entries[subspace_id, columns], values[columns]
 
     def dense_rows(self, ray_id: int) -> np.ndarray:
         """Dense ``(S, E)`` table for one ray with ``nan`` marking unselected entries."""
-        table = np.full((self.num_subspaces, self.num_entries), np.nan)
-        for s in range(self.num_subspaces):
-            entry_ids, values = self.ray_slice(s, ray_id)
-            table[s, entry_ids] = values
-        return table
+        cells = self.table[:, ray_id]
+        return self._entry_rows(cells, ~np.isnan(cells), np.nan)
 
     def hit_mask_rows(self, ray_id: int) -> np.ndarray:
         """Dense boolean ``(S, E)`` selection mask for one ray."""
-        mask = np.zeros((self.num_subspaces, self.num_entries), dtype=bool)
-        for s in range(self.num_subspaces):
-            entry_ids, _ = self.ray_slice(s, ray_id)
-            mask[s, entry_ids] = True
-        return mask
+        hit = ~np.isnan(self.table[:, ray_id])
+        return self._entry_rows(hit, hit, False)
 
     def inner_mask_rows(self, ray_id: int) -> np.ndarray:
         """Dense boolean ``(S, E)`` inner-sphere mask for one ray (JUNO-M)."""
-        if self.inner_flags is None:
+        if self.inner is None:
             raise RuntimeError("inner sphere flags were not computed for this LUT")
-        mask = np.zeros((self.num_subspaces, self.num_entries), dtype=bool)
-        for s in range(self.num_subspaces):
-            start = self.offsets[s][ray_id]
-            stop = self.offsets[s][ray_id + 1]
-            mask[s, self.entries[s][start:stop]] = self.inner_flags[s][start:stop]
-        return mask
+        inner = self.inner[:, ray_id]
+        return self._entry_rows(inner, inner, False)
 
     def selected_fraction(self) -> float:
         """Average fraction of entries selected per (ray, subspace); the
@@ -163,14 +167,14 @@ class SelectiveLUTConstructor:
 
         Subspaces are traced in blocks of ``_TRACE_BLOCK_PAIRS // R`` layers
         (at least one) per
-        :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  The
-        tracer returns a block's hits ordered by (subspace, ray) and, within
-        a ray, in leaf order, so the CSR layout needs no sort: the per-ray
-        offsets are a running sum of the tracer's per-ray hit counts, and
-        hit-time decoding, the MIPS query norms and the JUNO-M inner flags
-        are per-hit gathers on the flat ``subspace * R + ray`` key.  The
-        per-subspace ``offsets`` / ``entries`` / ``values`` /
-        ``inner_flags`` of the result are views of the block arrays.
+        :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  Each
+        call returns the block's dense hit grid; the hit-time decode, the
+        MIPS query norms and the JUNO-M inner-sphere test run elementwise on
+        it -- per-subspace offsets and per-(subspace, ray) norms and
+        thresholds broadcast along the slot axis -- and the block's rows of
+        the table take the decoded value where the ray hit and ``NaN`` where
+        it did not.  Every selected cell goes through exactly the arithmetic
+        a per-hit decode would apply to it.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -180,8 +184,7 @@ class SelectiveLUTConstructor:
                 inner sphere for JUNO-M; ignored otherwise).
             trace: optional :class:`~repro.obs.trace.Trace`; when set, every
                 tracer call is recorded as an ``rt_trace`` span, which
-                separates traversal from decode/CSR assembly in the caller's
-                span.
+                separates traversal from the decode in the caller's span.
 
         Returns:
             The populated :class:`SelectiveLUT`.
@@ -197,65 +200,57 @@ class SelectiveLUTConstructor:
         if want_inner and thresholds is None:
             raise ValueError("thresholds are required to evaluate the inner sphere")
 
-        scene_layers = [self.tracer.scene.layer(s) for s in range(num_subspaces)]
+        scene = self.tracer.scene
+        scene_layers = [scene.layer(s) for s in range(num_subspaces)]
         num_entries = max((layer.num_spheres for layer in scene_layers), default=0)
         origin_offsets = self.origin_offsets[:num_subspaces]
         origin_z = np.array([layer.z for layer in scene_layers]) - origin_offsets
 
-        offsets: list[np.ndarray] = []
-        entries: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        inner_flags: list[np.ndarray] | None = [] if want_inner else None
+        table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float64)
+        inner = np.empty(table.shape, dtype=bool) if want_inner else None
+        slot_entries = np.empty((num_subspaces, scene.num_slots), dtype=np.int64)
         stats = TraversalStats()
         block_layers = max(1, _TRACE_BLOCK_PAIRS // max(num_rays, 1))
         for s0 in range(0, num_subspaces, block_layers):
             block = slice(s0, min(s0 + block_layers, num_subspaces))
-            width = block.stop - s0
-            span = nullcontext() if trace is None else trace.span("rt_trace", layers=width)
+            span = (
+                nullcontext() if trace is None else trace.span("rt_trace", layers=block.stop - s0)
+            )
             with span:
                 hits, block_stats = self.tracer.trace_vertical_batch(
                     np.arange(s0, block.stop), origins[:, block], t_max[:, block], origin_z[block]
                 )
             stats.merge(block_stats)
-            block_offsets = np.zeros((width, num_rays + 1), dtype=np.int64)
-            np.cumsum(hits.hits_per_ray, axis=1, out=block_offsets[:, 1:])
-            hit_offset = np.repeat(origin_offsets[block], block_offsets[:, -1])
-            pair = hits.pair_index
+            slot_entries[block] = hits.slot_entries
+            offset = origin_offsets[block, None, None]
+            values = table[block]  # the block's rows of the table, written in place
             if self.metric is Metric.L2:
-                distance = l2_distance_from_hit_time(hits.t_hit, self.base_radius, hit_offset)
-                block_values = distance**2
+                distance = l2_distance_from_hit_time(hits.t_hit, self.base_radius, offset)
+                np.square(distance, out=values)  # distance ** 2
             else:
-                # The query-projection norm depends on the ray that produced
-                # each hit; gather it per hit before decoding.
-                query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T.reshape(-1)[pair]
-                block_values = inner_product_from_hit_time(
-                    hits.t_hit, query_norm_sq, self.base_radius, hit_offset
+                # The query-projection norm depends on the ray; it is the same
+                # for every slot the ray tests.
+                query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
+                values[...] = inner_product_from_hit_time(
+                    hits.t_hit, query_norm_sq, self.base_radius, offset
                 )
-            # Hits are grouped by layer: each subspace's arrays are one
-            # contiguous cut of the block arrays.
-            cuts = [0, *np.cumsum(block_offsets[:, -1]).tolist()]
-            layer_cuts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-            offsets.extend(block_offsets)
-            entries.extend(hits.entry_index[cut] for cut in layer_cuts)
-            values.extend(block_values[cut] for cut in layer_cuts)
             if want_inner:
-                hit_threshold = thresholds[:, block].T.reshape(-1)[pair]
+                ray_threshold = thresholds[:, block].T[:, :, None]
                 if self.metric is Metric.L2:
-                    flags = np.sqrt(block_values) <= hit_threshold * self.inner_sphere_ratio
+                    flags = np.sqrt(values) <= ray_threshold * self.inner_sphere_ratio
                 else:
                     # For inner product "inside the inner sphere" means an
                     # inner product comfortably above the selection bound; the
                     # margin shrinks with the inner-sphere ratio.
-                    margin = (1.0 - self.inner_sphere_ratio) * np.abs(hit_threshold)
-                    flags = block_values >= hit_threshold + margin
-                inner_flags.extend(flags[cut] for cut in layer_cuts)
+                    margin = (1.0 - self.inner_sphere_ratio) * np.abs(ray_threshold)
+                    flags = values >= ray_threshold + margin
+                np.logical_and(flags, hits.accepted, out=inner[block])
+            np.putmask(values, ~hits.accepted, np.nan)
         return SelectiveLUT(
-            num_rays=num_rays,
+            table=table,
+            inner=inner,
+            slot_entries=slot_entries,
             num_entries=num_entries,
             metric=self.metric,
-            offsets=offsets,
-            entries=entries,
-            values=values,
-            inner_flags=inner_flags,
             stats=stats,
         )

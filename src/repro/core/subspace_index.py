@@ -6,11 +6,11 @@ member points.  JUNO additionally needs the *reverse* mapping -- from a
 entry -- so that the distance-calculation stage only iterates over points
 whose entries were selected by the ray tracing pass.
 
-The index is stored in a compact sorted-array form per (cluster, subspace):
-member ids sorted by their code, plus ``searchsorted``-style group
-boundaries, which keeps lookups vectorised.  The forward direction -- every
-cluster's members and their codes, which the score kernel gathers -- is
-stored once, cluster-major, as a :class:`FlatClusterLayout`.
+What is stored is the forward direction, once and cluster-major, as a
+:class:`FlatClusterLayout`: every cluster's members and, per member and
+subspace, the selective-LUT column its PQ code selects.  The score kernel
+gathers through it; the reverse lookups (used by tests and analysis only)
+are computed from a cluster's slice of the corpus codes when asked.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class FlatClusterLayout:
 
     The score kernel works on flat ``(candidate, subspace)`` tables whose
     rows are the members of every probed cluster laid out back-to-back.
-    A cluster's members and codes are one contiguous slice of these
+    A cluster's members and columns are one contiguous slice of these
     arrays, so a block's candidates are one row gather with no
     per-cluster Python iteration:
 
@@ -35,13 +35,15 @@ class FlatClusterLayout:
         member_base: ``(C + 1,)`` exclusive prefix sum of the sizes -- the
             offset of each cluster's slice in the concatenated arrays.
         members: ``(N,)`` member point ids, cluster-major.
-        codes: ``(N, S)`` ``int32`` PQ codes of ``members``, row for row.
+        columns: ``(N, S)`` ``int32`` column of the
+            :class:`~repro.core.selective_lut.SelectiveLUT` that each PQ
+            code of ``members`` addresses, row for row.
     """
 
     cluster_sizes: np.ndarray
     member_base: np.ndarray
     members: np.ndarray
-    codes: np.ndarray
+    columns: np.ndarray
 
 
 class SubspaceInvertedIndex:
@@ -56,60 +58,55 @@ class SubspaceInvertedIndex:
             raise ValueError("num_entries must be positive")
         self.num_entries = int(num_entries)
         self._flat_layout: FlatClusterLayout | None = None
-        # Per cluster, per-subspace views of the members sorted by code.
-        self._sorted_members: list[np.ndarray] = []  # (S, n_c) member ids per cluster
-        self._group_offsets: list[np.ndarray] = []  # (S, E + 1) boundaries per cluster
+        self._codes: np.ndarray | None = None  # the corpus codes, not a copy
         self.num_subspaces: int | None = None
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters the index has been built over."""
-        return len(self._group_offsets)
+        return 0 if self._flat_layout is None else int(self._flat_layout.cluster_sizes.shape[0])
 
-    def build(self, posting_lists: list[np.ndarray], codes: np.ndarray) -> "SubspaceInvertedIndex":
+    def build(
+        self,
+        posting_lists: list[np.ndarray],
+        codes: np.ndarray,
+        entry_slots: np.ndarray | None = None,
+    ) -> "SubspaceInvertedIndex":
         """Build the inverted structure for every cluster.
 
         Args:
             posting_lists: per-cluster arrays of member point ids (the IVF's
                 posting lists).
             codes: ``(N, S)`` PQ codes of the whole corpus.
+            entry_slots: ``(S, E)`` selective-LUT column of every entry of
+                every subspace (the scene's leaf-slot order, see
+                :meth:`repro.rt.scene.TraversableScene.entry_slots`);
+                ``None`` for a table in entry order (column = code).
 
         Returns:
             ``self`` for chaining.
         """
         codes = np.atleast_2d(np.asarray(codes))
+        self._codes = codes
         self.num_subspaces = codes.shape[1]
         posting_lists = [np.asarray(members, dtype=np.int64) for members in posting_lists]
         sizes = np.array([members.shape[0] for members in posting_lists], dtype=np.int64)
         member_base = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes, out=member_base[1:])
         members = np.concatenate(posting_lists) if posting_lists else np.zeros(0, dtype=np.int64)
-        # The one stored copy of the codes: cluster-major, so a cluster's
-        # codes are a slice and the score kernel gathers rows of it.  Built
-        # here, not on first search, so no request pays for it and shard
-        # threads never race to build it.
+        # The one array the score kernel gathers from: cluster-major, so a
+        # cluster's rows are a slice, with every code already translated to
+        # its table column.  Built here, not on first search, so no request
+        # pays for it and shard threads never race to build it.
+        columns = codes[members]
+        if entry_slots is not None:
+            columns = np.take_along_axis(np.asarray(entry_slots).T, columns, axis=0)
         self._flat_layout = FlatClusterLayout(
             cluster_sizes=sizes,
             member_base=member_base,
             members=members,
-            codes=codes[members].astype(np.int32),
+            columns=columns.astype(np.int32, copy=False),
         )
-        self._sorted_members = []
-        self._group_offsets = []
-        for cluster_id in range(sizes.shape[0]):
-            members = self.cluster_members(cluster_id)
-            cluster_codes = self.cluster_codes(cluster_id)
-            sorted_members = np.empty((self.num_subspaces, members.shape[0]), dtype=np.int64)
-            offsets = np.empty((self.num_subspaces, self.num_entries + 1), dtype=np.int64)
-            for s in range(self.num_subspaces):
-                order = np.argsort(cluster_codes[:, s], kind="stable")
-                sorted_codes = cluster_codes[order, s]
-                sorted_members[s] = members[order]
-                offsets[s] = np.searchsorted(
-                    sorted_codes, np.arange(self.num_entries + 1), side="left"
-                )
-            self._sorted_members.append(sorted_members)
-            self._group_offsets.append(offsets)
         return self
 
     def flat_layout(self) -> FlatClusterLayout:
@@ -124,33 +121,28 @@ class SubspaceInvertedIndex:
         return self._flat_layout
 
     # --------------------------------------------------------------- lookups
-    def _cluster_slice(self, cluster_id: int) -> slice:
-        base = self.flat_layout().member_base
-        return slice(int(base[int(cluster_id)]), int(base[int(cluster_id) + 1]))
-
     def cluster_members(self, cluster_id: int) -> np.ndarray:
         """Member point ids of one cluster."""
-        return self.flat_layout().members[self._cluster_slice(cluster_id)]
+        layout = self.flat_layout()
+        base = layout.member_base
+        return layout.members[int(base[int(cluster_id)]) : int(base[int(cluster_id) + 1])]
 
     def cluster_codes(self, cluster_id: int) -> np.ndarray:
-        """``(n_c, S)`` PQ codes of one cluster's members."""
-        return self.flat_layout().codes[self._cluster_slice(cluster_id)]
+        """``(n_c, S)`` ``int32`` PQ codes of one cluster's members."""
+        return self._codes[self.cluster_members(cluster_id)].astype(np.int32, copy=False)
 
     def points_for_entry(self, cluster_id: int, subspace_id: int, entry_id: int) -> np.ndarray:
         """Point ids of ``cluster_id`` encoded with ``entry_id`` in subspace ``subspace_id``."""
-        offsets = self._group_offsets[int(cluster_id)][int(subspace_id)]
-        start, stop = offsets[int(entry_id)], offsets[int(entry_id) + 1]
-        return self._sorted_members[int(cluster_id)][int(subspace_id)][start:stop]
+        members = self.cluster_members(cluster_id)
+        return members[self._codes[members, int(subspace_id)] == int(entry_id)]
 
     def points_for_entries(
         self, cluster_id: int, subspace_id: int, entry_ids: np.ndarray
     ) -> np.ndarray:
-        """Union of point ids under several entries (vectorised)."""
-        entry_ids = np.asarray(entry_ids, dtype=np.int64)
-        offsets = self._group_offsets[int(cluster_id)][int(subspace_id)]
-        sorted_members = self._sorted_members[int(cluster_id)][int(subspace_id)]
+        """Union of point ids under several entries, grouped by entry."""
         pieces = [
-            sorted_members[offsets[e] : offsets[e + 1]] for e in entry_ids
+            self.points_for_entry(cluster_id, subspace_id, e)
+            for e in np.asarray(entry_ids, dtype=np.int64)
         ]
         if not pieces:
             return np.zeros(0, dtype=np.int64)
@@ -158,5 +150,5 @@ class SubspaceInvertedIndex:
 
     def entry_usage(self, cluster_id: int, subspace_id: int) -> np.ndarray:
         """Number of member points per entry (used by the sparsity analysis)."""
-        offsets = self._group_offsets[int(cluster_id)][int(subspace_id)]
-        return np.diff(offsets)
+        members = self.cluster_members(cluster_id)
+        return np.bincount(self._codes[members, int(subspace_id)], minlength=self.num_entries)

@@ -35,8 +35,8 @@ Batched scoring
 ---------------
 
 :class:`~repro.pipeline.stages.ScoreStage` is one vectorised kernel
-(:mod:`repro.pipeline.fused`): per block of queries the RT hit lists are
-scattered once into a dense ``(S, rays, E)`` table, and the members of every
+(:mod:`repro.pipeline.fused`): RT-select hands over the selective LUT as one
+dense ``(S, rays, E')`` table, and per block of queries the members of every
 probed cluster read their PQ codes' values out of it with one flat gather
 into a ``(candidate, subspace)`` table that is reduced over the subspace
 axis -- for the exact-distance (JUNO-H) and both hit-count (JUNO-L/M) modes.

@@ -1,25 +1,26 @@
-"""The score kernel: densify the RT hits, then gather by PQ code.
+"""The score kernel: gather the selective LUT by PQ code.
 
 The paper's distance calculation is a table lookup: each candidate's PQ
 codes index the selectively built LUT and the per-subspace values are
-accumulated.  :func:`fused_score_candidates` runs it in that direction.
-Per block of queries it
+accumulated.  The LUT arrives from RT-select as the table to look up in --
+one dense ``(S, rays, E')`` array, ``NaN`` = unselected
+(:class:`~repro.core.selective_lut.SelectiveLUT`) -- so
+:func:`fused_score_candidates`, per block of queries,
 
-1. scatters the block's :class:`~repro.core.selective_lut.SelectiveLUT`
-   hits -- CSR lists per subspace -- once into a flat ``(S, rays, E)``
-   table (``NaN`` = unselected; boolean tables for the hit-count modes);
-   this touches every hit once and no candidate;
+1. takes the block's rays' slice of that table (for the hit-count modes its
+   ``~isnan`` and, for JUNO-M, the matching slice of the inner-sphere table);
 2. fills the ``(candidate, subspace)`` table with one flat gather through
-   the index ``(s * rays + ray) * E + code``, built from the cluster-major
-   code rows of
+   the index ``(s * rays + ray) * E' + column``, built from the
+   cluster-major column rows of
    :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`
-   (a probed cluster's members are one contiguous run of it);
+   (a probed cluster's members are one contiguous run of it; a column is a
+   PQ code already translated to the table's leaf-slot order);
 3. reduces over the subspace axis, the dynamic-threshold miss penalties
    standing in for unselected entries (JUNO-H) or hit / inner-sphere
    counts forming the score (JUNO-L/M).
 
-There is no Python loop over clusters, candidates or -- past slicing the
-LUT's per-subspace arrays -- subspaces.
+There is no Python loop over clusters, candidates or subspaces, and no
+intermediate copy of the hits.
 
 Bit-identity with the per-ray reference loop (``tests/score_reference.py``)
 is by construction:
@@ -40,59 +41,25 @@ arithmetic stays on the host by design (see :mod:`repro.backend.base`).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.backend import ArrayBackend
 from repro.pipeline.context import QueryContext
 
-# Per-block element budget.  A query costs ``S * (candidates + nprobs * E)``
+# Per-block element budget.  A query costs ``S * (candidates + nprobs * E')``
 # elements: its rows of the gathered ``(candidate, subspace)`` table plus its
-# rays' slice of the dense table.  Blocks align on query boundaries so each
-# query's candidates assemble in one pass; rows are independent, so blocking
-# cannot change any result.  A block holds about five float64 arrays of the
-# gathered shape at its peak, so this constant decides the stage's memory
-# (one block per 32-query ledger batch pushed ``peak_rss_mb`` towards its
-# 10 % gate) and its speed: about five ledger queries per block keep the
-# table and what is gathered from it in the L2 cache, which scores a batch a
-# quarter faster than one block does.  docs/performance.md has the numbers;
+# rays' slice of the LUT, which the gather reads from.  Blocks align on query
+# boundaries so each query's candidates assemble in one pass; rows are
+# independent, so blocking cannot change any result.  A block holds about
+# five float64 arrays of the gathered shape at its peak, so this constant
+# decides the stage's memory (one block per 32-query ledger batch pushed
+# ``peak_rss_mb`` towards its 10 % gate) and its speed: about five ledger
+# queries per block keep the LUT slice and what is gathered from it in the L2
+# cache, which scores a batch a quarter faster than one block does -- and a
+# budget that stops counting the LUT slice runs eight queries per block, falls
+# out of L2 and is 14 % slower.  docs/performance.md has the numbers;
 # tests/test_hot_path_gates.py bounds the stage's peak allocation.
 _FUSED_BLOCK_ELEMENTS = 1 << 19
-
-
-def _densify(lut, r0: int, r1: int, backend: ArrayBackend, mode) -> list:
-    """Dense ``(S, rays, E)`` tables of the CSR hits of rays ``[r0, r1)``.
-
-    Returns the tables the mode's score reads: ``[values]`` (``NaN`` =
-    unselected) for the exact-distance mode, else ``[hits]`` plus the
-    inner-sphere flags for JUNO-M, both boolean.  Each subspace's hits of
-    a contiguous ray range are one slice of its CSR arrays, ordered by
-    ray, so their concatenation is ordered by ``(subspace, ray)`` and one
-    ``repeat`` of the per-(subspace, ray) hit counts addresses every hit.
-    """
-    num_subspaces, num_rays, num_entries = lut.num_subspaces, r1 - r0, lut.num_entries
-    offsets = np.stack([lut.offsets[s][r0 : r1 + 1] for s in range(num_subspaces)])
-    cuts = [slice(lo, hi) for lo, hi in zip(offsets[:, 0].tolist(), offsets[:, -1].tolist())]
-
-    def block_hits(per_subspace: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([array[cut] for array, cut in zip(per_subspace, cuts)])
-
-    slots = np.arange(0, num_subspaces * num_rays * num_entries, num_entries)
-    targets = np.repeat(slots, np.diff(offsets, axis=1).reshape(-1))
-    targets += block_hits(lut.entries)
-
-    def table(fill, dtype, hit_values):
-        dense = backend.full((num_subspaces, num_rays, num_entries), fill, dtype)
-        backend.put(dense, targets, hit_values)
-        return dense
-
-    if mode.uses_exact_distance:
-        return [table(np.nan, np.float64, block_hits(lut.values))]
-    tables = [table(False, bool, True)]
-    if mode.uses_inner_sphere:
-        tables.append(table(False, bool, block_hits(lut.inner_flags)))
-    return tables
 
 
 def fused_score_candidates(
@@ -110,7 +77,7 @@ def fused_score_candidates(
     thresholds = ctx.require("thresholds", "score")
     mode = ctx.quality_mode
     num_queries, nprobs = selected.shape
-    num_subspaces, num_entries = index.config.num_subspaces, lut.num_entries
+    num_subspaces, num_slots = lut.table.shape[0], lut.table.shape[2]
     layout = index.subspace_index.flat_layout()
     miss_penalty = float(index.config.hit_count_penalty)
     query_cluster_ip = (
@@ -120,7 +87,7 @@ def fused_score_candidates(
     flat_clusters = np.asarray(selected, dtype=np.int64).reshape(-1)
     ray_sizes = layout.cluster_sizes[flat_clusters]
     query_elements = (
-        ray_sizes.reshape(num_queries, nprobs).sum(axis=1) + nprobs * num_entries
+        ray_sizes.reshape(num_queries, nprobs).sum(axis=1) + nprobs * num_slots
     ) * num_subspaces
     subspace_ids = np.arange(num_subspaces, dtype=np.int32)
 
@@ -140,7 +107,7 @@ def fused_score_candidates(
             q1 += 1
 
         # The block's rays are the contiguous range [r0, r1), so per-ray
-        # inputs -- and each subspace's CSR hit arrays -- are plain slices.
+        # inputs -- and the block's part of the LUT -- are plain slices.
         r0, r1 = q0 * nprobs, q1 * nprobs
         clusters_b = flat_clusters[r0:r1]
         sizes_b = ray_sizes[r0:r1]
@@ -157,21 +124,22 @@ def fused_score_candidates(
         member_rows = np.repeat(run_starts, sizes_b) + np.arange(total)
         cand_ids = layout.members[member_rows]
 
-        table_span = (
-            nullcontext()
-            if ctx.trace is None
-            else ctx.trace.span("score_table", rays=block_rays.shape[0])
-        )
-        with table_span:
-            tables = _densify(lut, r0, r1, backend, mode)
+        # The tables the mode's score reads, cut to the block's rays.
+        if mode.uses_exact_distance:
+            tables = [lut.table[:, r0:r1]]
+        else:
+            tables = [~np.isnan(lut.table[:, r0:r1])]
+            if mode.uses_inner_sphere:
+                tables.append(lut.inner[:, r0:r1])
 
-        # Flat index of table[s, ray, code] for every (candidate, subspace):
-        # one gather per table fills what the reductions below run over.
-        table_plane = block_rays.shape[0] * num_entries
-        ray_base = np.add.outer(block_rays * num_entries, subspace_ids * table_plane)
-        gather = np.take(layout.codes, member_rows, axis=0)
+        # Flat index of table[s, ray, column] for every (candidate,
+        # subspace): one gather per table fills what the reductions below
+        # run over.
+        table_plane = block_rays.shape[0] * num_slots
+        ray_base = np.add.outer(block_rays * num_slots, subspace_ids * table_plane)
+        gather = np.take(layout.columns, member_rows, axis=0)
         gather += np.take(ray_base, cand_ray, axis=0)
-        gathered = [backend.take(table, gather) for table in tables]
+        gathered = [backend.take(backend.asarray(table), gather) for table in tables]
 
         if mode.uses_exact_distance:
             (values,) = gathered

@@ -156,7 +156,7 @@ def default_search_pipeline(
 
     ``CoarseFilterStage -> ThresholdStage -> RTSelectStage -> ScoreStage ->
     TopKStage``; bit-identical to the pre-pipeline ``JunoIndex.search``
-    (the score stage's densify-then-gather kernel is pinned to the
+    (the score stage's gather kernel is pinned to the
     historical per-ray loop by the parity tests).
 
     Args:

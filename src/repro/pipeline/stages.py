@@ -10,11 +10,12 @@ TopKStage``
 
 which computes the same results as the monolithic ``JunoIndex.search`` of
 earlier revisions (Alg. 2 plus the distance-calculation stage) bit for bit.
-:class:`ScoreStage` is the *batched* distance-calculation kernel
-(:mod:`repro.pipeline.fused`): it densifies the RT hits of a block of
-queries into one table and scores the members of every probed cluster with
-one gather through their PQ codes; the historical per-ray Python loop the
-parity tests pin it against lives with them in ``tests/score_reference.py``.
+:class:`RTSelectStage` produces the selective LUT as one dense table -- the
+tracer's hit grid, decoded in place -- and :class:`ScoreStage`, the *batched*
+distance-calculation kernel (:mod:`repro.pipeline.fused`), scores the members
+of every probed cluster with one gather from that table through their PQ
+codes; the historical per-ray Python loop the parity tests pin it against
+lives with them in ``tests/score_reference.py``.
 :class:`ExactRerankStage` is the first stage with no monolithic counterpart:
 it rescores already-selected candidates against the raw corpus, which the
 sharded router appends after its k-way merge to restore cross-shard score
@@ -216,6 +217,13 @@ class ThresholdStage:
 class RTSelectStage:
     """Stage B2: selective L2-LUT construction on the RT engine.
 
+    Traces every (query, cluster, subspace) ray through the scene a block of
+    subspaces at a time and decodes the tracer's dense hit grid, cell by
+    cell, into the :class:`~repro.core.selective_lut.SelectiveLUT` -- one
+    ``(S, rays, E')`` table with ``NaN`` for unselected entries (plus the
+    inner-sphere table for JUNO-M) that :class:`ScoreStage` gathers from as
+    it is.  The hits are never compressed to lists in between.
+
     Args:
         cache: optional :class:`StageCache` memoising the constructed
             :class:`~repro.core.selective_lut.SelectiveLUT`.  Unlike the
@@ -227,8 +235,8 @@ class RTSelectStage:
             effective inner-sphere ratio: it only pays off for exact repeat
             batches (an online workload's hot queries, or a sweep revisiting
             a grid point), and a JUNO-M search can never alias a JUNO-H LUT
-            that carries no inner-sphere flags.  Hits restore the identical
-            LUT (arrays frozen read-only) without replaying the traversal
+            that carries no inner-sphere table.  Hits restore the identical
+            LUT (its tables frozen read-only) without replaying the traversal
             counters.
     """
 
@@ -256,12 +264,6 @@ class RTSelectStage:
             self.cache.fingerprint(t_max),
             None if ctx.thresholds is None else self.cache.fingerprint(ctx.thresholds),
         )
-
-    @staticmethod
-    def _freeze_lut(lut) -> None:
-        for arrays in (lut.offsets, lut.entries, lut.values, lut.inner_flags or ()):
-            for array in arrays:
-                freeze(array)
 
     def run(self, ctx: QueryContext) -> None:
         index = ctx.require("index", self.name)
@@ -306,7 +308,8 @@ class RTSelectStage:
             ctx.registry.gauge("repro_rt_hits_per_ray").set(hits_per_ray)
             ctx.registry.gauge("repro_selected_entry_fraction").set(ctx.selected_entry_fraction)
         if self.cache is not None:
-            self._freeze_lut(lut)
+            freeze(lut.table)
+            freeze(lut.inner)
             self.cache.store(self.name, key, (lut, ctx.selected_entry_fraction))
 
 
@@ -329,12 +332,13 @@ class ScoreStage:
     """Stage C1: batched distance calculation over the selected points only.
 
     One kernel, :func:`repro.pipeline.fused.fused_score_candidates`: per
-    block of queries the RT hit lists are scattered once into a dense
-    ``(S, rays, E)`` table, the members of every probed cluster look their
-    PQ codes up in it with one flat gather, and the ``(candidate,
-    subspace)`` values are reduced over the subspace axis -- exact
-    distances with the dynamic-threshold miss penalties standing in for
-    unselected entries (JUNO-H), or hit / inner-sphere counts (JUNO-L/M).
+    block of queries the members of every probed cluster look their PQ
+    codes up in the block's rays' slice of the selective LUT with one flat
+    gather -- the codes were translated to the table's columns when the
+    index was built -- and the ``(candidate, subspace)`` values are reduced
+    over the subspace axis: exact distances with the dynamic-threshold miss
+    penalties standing in for unselected entries (JUNO-H), or hit /
+    inner-sphere counts (JUNO-L/M).
 
     Scores, candidate ordering and :class:`SearchWork` deltas are
     bit-identical to the per-ray loop the parity and property tests keep

@@ -18,8 +18,9 @@ Two execution paths are provided:
   the scene keeps a stacked flat form
   (:meth:`repro.rt.scene.TraversableScene.stacked`) in which layers with
   equally many spheres share one BVH topology and only node bounds and
-  sphere data carry a layer axis.  Hits come back grouped by (layer, ray),
-  so consumers build per-ray CSR layouts without sorting.
+  sphere data carry a layer axis.  Hits come back as the dense (layer, ray,
+  leaf slot) grid the sphere tests ran on -- an accepted mask and the hit
+  times -- which the selective LUT is decoded from cell by cell.
 """
 
 from repro.rt.aabb import AABB

@@ -13,7 +13,10 @@ only on the sphere count and the leaf size, so layers with equally many
 spheres share one parent/level/leaf-range description and differ only in
 node bounds, leaf primitive order, centres and radii.  Those are stored with
 a leading layer axis (:class:`LayerStack`), which lets one level-synchronous
-pass traverse a whole block of layers at once.
+pass traverse a whole block of layers at once.  The stack's ``(leaf, lane)``
+grid is also the column order of the dense hit grid the tracer returns and
+of the selective LUT built from it: sphere ``e`` of a layer sits in column
+``entry_slots[layer, e]``.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ class LayerStack:
         leaf_centres_y: ``(L, F, W)`` sphere centre y.
         leaf_radii_sq: ``(L, F, W)`` squared sphere radius (``-1`` in empty
             lanes).
+        entry_slots: ``(L, E)`` ``int32`` flat ``leaf * W + lane`` slot of
+            every sphere of a layer -- the inverse of ``leaf_primitives``
+            over the filled lanes.
     """
 
     layer_ids: np.ndarray
@@ -92,6 +98,12 @@ class LayerStack:
     leaf_centres_x: np.ndarray
     leaf_centres_y: np.ndarray
     leaf_radii_sq: np.ndarray
+    entry_slots: np.ndarray
+
+    @property
+    def num_slots(self) -> int:
+        """Slots ``F * W`` of one layer's leaf grid (at least ``E``)."""
+        return int(self.leaf_primitives.shape[1] * self.leaf_primitives.shape[2])
 
 
 def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
@@ -106,6 +118,9 @@ def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
     # out through their radius.
     slots = flats[0].leaf_start[leaf_nodes][:, None] + np.where(filled, lanes, 0)
     primitives = np.stack([flat.leaf_primitives for flat in flats])[:, slots]
+    entry_slots = np.empty((len(layers), int(leaf_count.sum())), dtype=np.int32)
+    # a sphere's slot is the flat (leaf, lane) index of the filled lane holding it
+    np.put_along_axis(entry_slots, primitives[:, filled], np.flatnonzero(filled)[None], axis=1)
     rows = np.arange(len(layers))[:, None, None]
     centres = np.stack([layer.centres_xy for layer in layers])
     radii_sq = np.stack([layer.radii for layer in layers]) ** 2
@@ -122,6 +137,7 @@ def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
         leaf_centres_x=centres[rows, primitives, 0],
         leaf_centres_y=centres[rows, primitives, 1],
         leaf_radii_sq=np.where(filled, radii_sq[rows, primitives], -1.0),
+        entry_slots=entry_slots,
     )
 
 
@@ -214,6 +230,18 @@ class TraversableScene:
             }
             self._stacked = (stacks, slot)
         return self._stacked
+
+    def entry_slots(self, layer_id: int) -> np.ndarray:
+        """``(E,)`` column of every sphere of a layer in the batch tracer's
+        dense hit grid (see :attr:`LayerStack.entry_slots`)."""
+        stacks, slot = self.stacked()
+        group, position = slot[int(layer_id)]
+        return stacks[group].entry_slots[position]
+
+    @property
+    def num_slots(self) -> int:
+        """Columns of the dense hit grid: the slots of the widest stack."""
+        return max((stack.num_slots for stack in self.stacked()[0]), default=0)
 
     @property
     def num_layers(self) -> int:

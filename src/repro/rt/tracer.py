@@ -13,6 +13,13 @@ Two paths produce identical results:
   propagation.  Hit sets, hit times and traversal statistics are exactly
   the ones the per-ray traversal would produce, but the Python interpreter
   overhead is paid once per block, not once per layer.
+
+The batch tracer evaluates every sphere test on a dense ``(layer, ray,
+leaf slot)`` grid and returns that grid -- an ``accepted`` mask and the hit
+times (:class:`BatchHits`) -- without extracting hit lists from it: the
+selective LUT (:mod:`repro.core.selective_lut`) is the same grid decoded in
+place, the way the paper's hit shader writes each decoded distance straight
+into the table the next stage reads.
 """
 
 from __future__ import annotations
@@ -56,45 +63,45 @@ class TraversalStats:
 
 @dataclass
 class BatchHits:
-    """Flat hit arrays for a batch of rays against a block of layers.
+    """The dense hit grid of a batch of rays against a block of layers.
 
-    Hits are ordered by ``(layer, ray)`` and, within one ray, by (leaf node
-    index, position in the leaf): the order a walk over the flattened BVH's
-    leaves emits them in.  A consumer that groups hits per ray therefore
-    needs a running sum of ``hits_per_ray``, never a sort.
+    One cell per (layer, ray, slot), a slot being one (leaf, lane) of the
+    layer's leaf-ordered sphere grid (:class:`~repro.rt.scene.LayerStack`)
+    -- the grid the sphere tests are evaluated on, handed over as it is.
+    Layers of a narrower stack than the scene's widest leave a never-accepted
+    tail.
 
     Attributes:
-        hits_per_ray: ``(L, R)`` number of hits of every (layer, ray) pair,
+        accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
             ``L`` counting within the block.
-        entry_index: ``(H,)`` index of the hit sphere within its layer
-            (equal to the codebook entry id in JUNO's scenes).
-        t_hit: ``(H,)`` hit times.
+        t_hit: ``(L, R, E')`` hit times; meaningful only where ``accepted``.
+        slot_entries: ``(L, E')`` index of each slot's sphere within its
+            layer (equal to the codebook entry id in JUNO's scenes).
     """
 
-    hits_per_ray: np.ndarray
-    entry_index: np.ndarray
+    accepted: np.ndarray
     t_hit: np.ndarray
+    slot_entries: np.ndarray
 
     @property
     def num_rays(self) -> int:
         """Number of rays per layer."""
-        return int(self.hits_per_ray.shape[1])
+        return int(self.accepted.shape[1])
 
     @property
     def num_hits(self) -> int:
         """Total number of hits in the batch."""
-        return int(self.entry_index.shape[0])
+        return int(np.count_nonzero(self.accepted))
 
     @property
-    def pair_index(self) -> np.ndarray:
-        """``(H,)`` flat ``layer * R + ray`` key of the ray that produced
-        each hit (ascending); the gather index for per-ray quantities."""
-        return np.repeat(np.arange(self.hits_per_ray.size), self.hits_per_ray.reshape(-1))
+    def hits_per_ray(self) -> np.ndarray:
+        """``(L, R)`` number of hits of every (layer, ray) pair."""
+        return np.count_nonzero(self.accepted, axis=2)
 
     def hits_of_ray(self, ray: int, layer: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """``(entry_indices, t_hits)`` of one ray in one layer (mainly for tests)."""
-        mask = self.pair_index == layer * self.num_rays + ray
-        return self.entry_index[mask], self.t_hit[mask]
+        """``(entry_indices, t_hits)`` of one ray in one layer, in slot order."""
+        mask = self.accepted[layer, ray]
+        return self.slot_entries[layer, mask], self.t_hit[layer, ray, mask]
 
 
 class RayTracer:
@@ -159,10 +166,10 @@ class RayTracer:
                 origin.
 
         Returns:
-            ``(hits, stats)`` -- the flat hit arrays (see :class:`BatchHits`
-            for their order) and the traversal work performed for this
-            block (also merged into ``self.stats``).  Hit sets, hit times
-            and every count equal what :meth:`trace` produces ray by ray.
+            ``(hits, stats)`` -- the block's dense hit grid (see
+            :class:`BatchHits`) and the traversal work performed for it
+            (also merged into ``self.stats``).  Hit sets, hit times and
+            every count equal what :meth:`trace` produces ray by ray.
         """
         layer_ids = np.atleast_1d(np.asarray(layer_ids, dtype=np.int64))
         num_layers = layer_ids.shape[0]
@@ -189,34 +196,37 @@ class RayTracer:
         oy = np.ascontiguousarray(origins_xy[:, :, 1].T)
 
         stats = TraversalStats(rays=num_layers * num_rays)
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # Maximal runs of layers adjacent in one stack are traced together;
-        # a JUNO scene is one stack, so a block of subspaces is one run.
+        # a JUNO scene is one stack, so a block of subspaces is one run and
+        # its grid is returned as it is.
+        runs: list[tuple[slice, BatchHits]] = []
         lo = 0
         while lo < num_layers:
             group, first = slots[lo]
             hi = lo + 1
             while hi < num_layers and slots[hi] == (group, first + hi - lo):
                 hi += 1
-            parts.append(
-                self._trace_run(
-                    stacks[group],
-                    first,
-                    ox[lo:hi],
-                    oy[lo:hi],
-                    t_max_arr[lo:hi],
-                    origin_z_arr[lo:hi],
-                    stats,
-                )
+            run = slice(lo, hi)
+            traced = self._trace_run(
+                stacks[group], first, ox[run], oy[run], t_max_arr[run], origin_z_arr[run], stats
             )
+            runs.append((run, traced))
             lo = hi
-        if len(parts) == 1:
-            hits_per_ray, entry_index, t_hit = parts[0]
+        width = self.scene.num_slots
+        if len(runs) == 1 and runs[0][1].accepted.shape[2] == width:
+            hits = runs[0][1]
         else:
-            hits_per_ray, entry_index, t_hit = (
-                np.concatenate([part[i] for part in parts]) for i in range(3)
+            # several stacks: pad every run to the widest one's slots
+            hits = BatchHits(
+                accepted=np.zeros((num_layers, num_rays, width), dtype=bool),
+                t_hit=np.zeros((num_layers, num_rays, width), dtype=np.float64),
+                slot_entries=np.zeros((num_layers, width), dtype=np.int64),
             )
-        hits = BatchHits(hits_per_ray=hits_per_ray, entry_index=entry_index, t_hit=t_hit)
+            for run, traced in runs:
+                run_width = traced.accepted.shape[2]
+                hits.accepted[run, :, :run_width] = traced.accepted
+                hits.t_hit[run, :, :run_width] = traced.t_hit
+                hits.slot_entries[run, :run_width] = traced.slot_entries
         stats.hits = hits.num_hits
         self.stats.merge(stats)
         return hits, stats
@@ -230,24 +240,21 @@ class RayTracer:
         t_max: np.ndarray,
         origin_z: np.ndarray,
         stats: TraversalStats,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> BatchHits:
         """Traverse ``L`` adjacent layers of one stack for ``(L, R)`` rays.
 
-        Returns ``(hits_per_ray, entry_index, t_hit)`` -- the ``(L, R)``
-        hit counts and the hits in (layer, ray, leaf, in-leaf) order -- and
-        adds the traversal work to ``stats``.
+        Returns the hit grid over the stack's ``F * W`` leaf slots and adds
+        the traversal work (hits excepted) to ``stats``.
         """
         num_layers, num_rays = ox.shape
         layers = slice(first, first + num_layers)
         z = stack.z[layers]
         if np.any(origin_z >= z):
             raise ValueError("origin_z must lie below the layer's sphere centres")
+        grid = (num_layers, num_rays, stack.num_slots)
+        slot_entries = stack.leaf_primitives[layers].reshape(num_layers, -1)
         if stack.leaf_nodes.shape[0] == 0 or num_rays == 0:
-            return (
-                np.zeros((num_layers, num_rays), dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64),
-            )
+            return BatchHits(np.zeros(grid, dtype=bool), np.zeros(grid), slot_entries)
         node_min = stack.node_min[layers]
         node_max = stack.node_max[layers]
 
@@ -290,9 +297,7 @@ class RayTracer:
         # -- pure broadcasts, no gathers -- and masked by ``leaf_pass``: the
         # outcome is what testing only the passing leaves gives, at a cost
         # that is fixed by the block size instead of by how much the BVH
-        # prunes.  The grid's row-major order *is* the order hits are wanted
-        # in: by layer, then ray, then ascending leaf node index, spheres in
-        # their in-leaf order.
+        # prunes.  The grid is the result: nothing is extracted from it.
         leaves = stack.leaf_nodes
         leaf_pass = reach[:, :, leaves] & slab[:, :, leaves]
         stats.prim_tests += int(np.count_nonzero(leaf_pass, axis=(0, 1)) @ stack.leaf_count)
@@ -313,8 +318,4 @@ class RayTracer:
             & (t_hit <= t_max[:, :, None, None])
             & (t_hit >= 0.0)
         )
-        return (
-            np.count_nonzero(accepted, axis=(2, 3)),
-            np.broadcast_to(stack.leaf_primitives[layers, None], accepted.shape)[accepted],
-            t_hit[accepted],
-        )
+        return BatchHits(accepted.reshape(grid), t_hit.reshape(grid), slot_entries)

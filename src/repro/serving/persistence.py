@@ -50,7 +50,6 @@ import numpy as np
 from repro.core.config import JunoConfig
 from repro.core.density import DensityMap
 from repro.core.index import JunoIndex
-from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.core.threshold import ThresholdModel
 from repro.errors import ServingError
 from repro.quantization.codebook import SubspaceCodebook
@@ -317,11 +316,6 @@ def index_from_arrays(manifest: dict, arrays: dict) -> JunoIndex:
     index.pq = pq
     index.codes = codes
 
-    # Subspace-level inverted indices (rebuilt, not stored).
-    index.subspace_index = SubspaceInvertedIndex(config.num_entries).build(
-        index.ivf.posting_lists, codes
-    )
-
     # Density maps and the threshold regressor.
     density_map = DensityMap(grid=int(manifest["density_grid"]))
     density_map.mins_ = density_mins
@@ -339,7 +333,8 @@ def index_from_arrays(manifest: dict, arrays: dict) -> JunoIndex:
     threshold_model.max_threshold_ = float(manifest["threshold_max"])
     index.threshold_model = threshold_model
 
-    # The RT scene is deterministic given codebooks + radius; rebuild it.
+    # The RT scene is deterministic given codebooks + radius; rebuild it,
+    # and with it the subspace-level inverted indices (rebuilt, not stored).
     index.sphere_radius = float(manifest["sphere_radius"])
     index.rebuild_scene()
     return index

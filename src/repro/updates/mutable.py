@@ -22,8 +22,9 @@ serve live writes with the classic LSM-shaped recipe:
   buffer into the trained index *retrain-free*: fresh vectors are assigned
   to their nearest existing coarse cluster (the k-means assignment rule the
   training labels came from), PQ-encoded with the existing codebooks, and
-  the posting lists / subspace inverted indices / RT scene are rebuilt from
-  the merged arrays while tombstoned rows are physically purged;
+  the posting lists / subspace inverted indices are rebuilt from the merged
+  arrays while tombstoned rows are physically purged (the RT scene depends
+  on neither and is kept);
 * a :class:`RebuildPolicy` decides *when*: the explicit
   :meth:`MutableJunoIndex.maybe_compact` maintenance step compacts once the
   buffer crosses a size threshold (mutations themselves never compact
@@ -52,7 +53,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.index import JunoIndex, JunoSearchResult
-from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.metrics.distances import Metric, pairwise_distance
 from repro.updates.delta import DeltaIndex
 from repro.updates.tombstones import TombstoneSet
@@ -255,11 +255,13 @@ class MutableJunoIndex:
         (the same L2 assignment rule the training labels came from),
         PQ-encoded against that cluster's residual frame with the *existing*
         codebooks, and appended to the trained arrays; tombstoned rows are
-        physically purged.  Posting lists, the subspace inverted indices and
-        the RT scene are rebuilt from the merged arrays -- all deterministic,
-        so a replayed ``compact`` op reproduces the state bit for bit.  The
-        density maps, threshold regressor and codebooks are *not* refitted;
-        that accumulated drift is what :attr:`retrain_due` watches.
+        physically purged.  Posting lists and the subspace inverted indices
+        are rebuilt from the merged arrays -- deterministically, so a
+        replayed ``compact`` op reproduces the state bit for bit.  The RT
+        scene is a function of the codebooks and the sphere radius alone
+        and is kept as it is; the density maps, threshold regressor and
+        codebooks are *not* refitted, and that accumulated drift is what
+        :attr:`retrain_due` watches.
 
         A no-op (nothing buffered, nothing tombstoned) is not logged.
         """
@@ -414,10 +416,9 @@ class MutableJunoIndex:
             np.flatnonzero(base.ivf.labels == cluster_id).astype(np.int64)
             for cluster_id in range(base.ivf.num_clusters)
         ]
-        base.subspace_index = SubspaceInvertedIndex(base.config.num_entries).build(
-            base.ivf.posting_lists, base.codes
-        )
-        base.rebuild_scene()  # deterministic; also bumps the cache token
+        # The scene is a function of the codebooks and the sphere radius,
+        # which compaction does not touch: only the layout is rebuilt.
+        base.rebuild_layout()  # also bumps the cache token
         self._row_of = {int(g): row for row, g in enumerate(self._global_ids)}
         self.tombstones.clear()
         self.delta.clear()

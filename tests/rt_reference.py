@@ -1,19 +1,26 @@
 """Reference RT-select kernels the stacked tracer is pinned against.
 
-Not a test module: the oracles two test files share.
+Not a test module: the oracles the RT-select test files share.
 
 * :func:`reference_trace_layer` and :func:`reference_construct` are the
   layer-at-a-time implementation ``src/`` shipped before the scene was
   traversed as a stack of layers -- one level-synchronous pass per layer,
   then a stable ``argsort`` by ray and a ``searchsorted`` per subspace to
-  assemble the CSR.  The stacked path must reproduce their arrays byte for
-  byte, hit order included.
+  assemble per-subspace CSR hit lists (:class:`ReferenceLUT`).  The stacked
+  path hands over a dense grid instead of lists, so what it must reproduce
+  is every ray's hit *set* with every value byte for byte, plus all five
+  counters; the order of hits within a ray is not part of the contract.
+* :func:`assert_columns_address_codes` pins the build-time remap of PQ
+  codes to the table's leaf-slot columns on any trained, loaded or
+  compacted index.
 * :func:`per_ray_hits` walks one ray through one layer with the exact
   per-ray traversal (:meth:`repro.rt.tracer.RayTracer.trace`), the ground
   truth for hit sets, hit times and all five traversal counters.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +30,34 @@ from repro.metrics.distances import Metric
 from repro.rt.primitives import Ray
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
+
+
+@dataclass
+class ReferenceLUT:
+    """Per-subspace CSR hit lists over ray ids, as ``src/`` once stored them.
+
+    For subspace ``s`` and ray ``r`` the selected entries are
+    ``entries[s][offsets[s][r]:offsets[s][r + 1]]``, their values and
+    JUNO-M inner-sphere flags the matching slices of ``values[s]`` /
+    ``inner_flags[s]``.
+    """
+
+    num_rays: int
+    num_entries: int
+    metric: Metric
+    offsets: list[np.ndarray]
+    entries: list[np.ndarray]
+    values: list[np.ndarray]
+    inner_flags: list[np.ndarray] | None
+    stats: TraversalStats
+
+    def rows(self, per_hit: list[np.ndarray], ray: int, fill) -> np.ndarray:
+        """Entry-ordered ``(S, E)`` rows of one ray's hits (``fill`` = no hit)."""
+        out = np.full((len(self.offsets), self.num_entries), fill, dtype=per_hit[0].dtype)
+        for s, offsets in enumerate(self.offsets):
+            cut = slice(offsets[ray], offsets[ray + 1])
+            out[s, self.entries[s][cut]] = per_hit[s][cut]
+        return out
 
 
 def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z):
@@ -87,7 +122,7 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z):
 
 def reference_construct(
     scene, base_radius, origin_offsets, metric, inner_sphere_ratio, origins, t_max, thresholds
-) -> SelectiveLUT:
+) -> ReferenceLUT:
     """The per-subspace loop: trace, stable sort by ray, ``searchsorted``."""
     num_rays, num_subspaces, _ = origins.shape
     offsets, entries, values = [], [], []
@@ -121,7 +156,7 @@ def reference_construct(
             else:
                 margin = (1.0 - inner_sphere_ratio) * np.abs(per_hit_threshold)
                 inner_flags.append(values[-1] >= per_hit_threshold + margin)
-    return SelectiveLUT(
+    return ReferenceLUT(
         num_rays=num_rays,
         num_entries=num_entries,
         metric=metric,
@@ -148,16 +183,52 @@ def per_ray_hits(scene, layer_id, origin_xy, origin_z, t_max):
     return {r.sphere.payload["entry_id"]: r.t_hit for r in records}, tracer.stats
 
 
-def assert_luts_identical(lut: SelectiveLUT, expected: SelectiveLUT) -> None:
-    """Every array byte-identical, every counter equal."""
+def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> None:
+    """Every ray's hit set, value bytes and inner flags equal; every counter equal."""
     assert lut.num_rays == expected.num_rays
     assert lut.num_entries == expected.num_entries
     assert lut.metric is expected.metric
     assert lut.stats == expected.stats
-    assert lut.num_subspaces == expected.num_subspaces
-    assert (lut.inner_flags is None) == (expected.inner_flags is None)
-    fields = ["offsets", "entries", "values"] + (["inner_flags"] if lut.inner_flags else [])
-    for name in fields:
-        for s, (got, want) in enumerate(zip(getattr(lut, name), getattr(expected, name))):
-            assert got.dtype == want.dtype, (name, s)
-            assert got.tobytes() == want.tobytes(), (name, s)
+    assert lut.num_subspaces == len(expected.offsets)
+    assert lut.total_hits == sum(e.shape[0] for e in expected.entries)
+    assert lut.table.dtype == np.float64
+    assert lut.table.shape[:2] == (lut.num_subspaces, lut.num_rays)
+    assert (lut.inner is None) == (expected.inner_flags is None)
+    # unselected cells are NaN, so the table's occupancy is the hit count
+    assert np.count_nonzero(~np.isnan(lut.table)) == lut.total_hits
+    if lut.inner is not None:
+        assert lut.inner.dtype == bool and lut.inner.shape == lut.table.shape
+        assert not (lut.inner & np.isnan(lut.table)).any()
+    for ray in range(lut.num_rays):
+        assert lut.dense_rows(ray).tobytes() == expected.rows(expected.values, ray, np.nan).tobytes()
+        if lut.inner is not None:
+            want = expected.rows(expected.inner_flags, ray, False)
+            assert lut.inner_mask_rows(ray).tobytes() == want.tobytes()
+    for s in range(lut.num_subspaces):
+        for ray in range(min(lut.num_rays, 3)):
+            entry_ids, values = lut.ray_slice(s, ray)
+            cut = slice(expected.offsets[s][ray], expected.offsets[s][ray + 1])
+            order = np.argsort(entry_ids)
+            want_order = np.argsort(expected.entries[s][cut])
+            assert entry_ids[order].tolist() == expected.entries[s][cut][want_order].tolist()
+            assert values[order].tobytes() == expected.values[s][cut][want_order].tobytes()
+
+
+def assert_columns_address_codes(index) -> None:
+    """Every member's gather column is the slot holding its PQ code's sphere.
+
+    For each subspace the column must be a filled lane of the scene's leaf
+    grid whose ``leaf_primitives`` entry equals the member's code.
+    """
+    layout = index.subspace_index.flat_layout()
+    num_subspaces = index.config.num_subspaces
+    assert layout.columns.dtype == np.int32
+    assert layout.columns.shape == (index.num_points, num_subspaces)
+    assert layout.members.shape == (index.num_points,)
+    stacks, slot = index.scene.stacked()
+    for s in range(num_subspaces):
+        group, position = slot[s]
+        columns = layout.columns[:, s]
+        assert (stacks[group].leaf_radii_sq[position].reshape(-1)[columns] >= 0).all()
+        slot_entries = stacks[group].leaf_primitives[position].reshape(-1)
+        assert (slot_entries[columns] == index.codes[layout.members, s]).all()

@@ -34,7 +34,6 @@ from repro.backend import (
     backend_available,
     get_backend,
 )
-from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.pipeline.pipeline import default_search_pipeline
 from repro.pipeline.stages import (
     CoarseFilterStage,
@@ -132,14 +131,13 @@ class TestRegistry:
 class TestNumpyBackendPrimitives:
     """The reference backend's primitives are the raw NumPy operations."""
 
-    def test_scatter_gather_reduce_roundtrip(self, rng):
+    def test_gather_reduce_roundtrip(self, rng):
         backend = get_backend("numpy")
-        table = backend.full((6, 8), np.nan, np.float64)
         flat = rng.choice(48, size=20, replace=False)
         values = rng.normal(size=20)
-        backend.put(table, flat, values)
         reference = np.full((6, 8), np.nan)
         reference.reshape(-1)[flat] = values
+        table = backend.asarray(reference)
         assert np.array_equal(backend.to_numpy(table), reference, equal_nan=True)
         assert np.array_equal(backend.take(table, flat), values)
         rows = rng.integers(0, 6, size=4)
@@ -150,11 +148,14 @@ class TestNumpyBackendPrimitives:
         masked = backend.where(backend.isnan(table), 0.0, table)
         assert np.array_equal(backend.sum(masked, axis=1), np.nan_to_num(reference).sum(axis=1))
 
-    def test_last_write_wins_scatter(self):
+    def test_flat_gather_from_a_ray_slice(self, rng):
+        """The kernel hands over a non-contiguous slice of the LUT's table."""
         backend = get_backend("numpy")
-        table = backend.zeros((2, 2), np.float64)
-        backend.put(table, np.array([3, 3, 3]), np.array([1.0, 2.0, 5.0]))
-        assert table[1, 1] == 5.0
+        table = rng.normal(size=(3, 10, 4))
+        block = table[:, 2:7]
+        flat = rng.integers(0, block.size, size=30)
+        want = np.ascontiguousarray(block).reshape(-1)[flat]
+        assert np.array_equal(backend.take(backend.asarray(block), flat), want)
 
 
 # -------------------------------------------------------------- kernel parity
@@ -193,12 +194,10 @@ class TestKernelParity:
         """An emptied posting list is skipped identically by kernel and loop."""
         index = juno_l2
         original = index.subspace_index
-        posting = [index.ivf.posting_lists[c] for c in range(index.config.num_clusters)]
+        posting = list(index.ivf.posting_lists)
         victim = int(np.argmax([ids.size for ids in posting]))
-        posting[victim] = np.array([], dtype=np.int64)
-        index.subspace_index = SubspaceInvertedIndex(index.config.num_entries).build(
-            posting, index.codes
-        )
+        index.ivf.posting_lists = [*posting[:victim], posting[victim][:0], *posting[victim + 1 :]]
+        index.rebuild_layout()
         try:
             kwargs = dict(
                 k=10,
@@ -215,6 +214,7 @@ class TestKernelParity:
                 batched.ids[batched.ids >= 0], original.cluster_members(victim)
             ).any()
         finally:
+            index.ivf.posting_lists = posting
             index.subspace_index = original
 
     @pytest.mark.parametrize("mode", MODES)

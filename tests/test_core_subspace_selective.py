@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from rt_reference import assert_luts_identical, per_ray_hits, reference_construct
+from rt_reference import assert_lut_matches_reference, per_ray_hits, reference_construct
 
 from repro.core import selective_lut
 from repro.core.config import QualityMode
@@ -65,10 +65,25 @@ class TestSubspaceInvertedIndex:
         np.testing.assert_array_equal(layout.cluster_sizes, [100, 100])
         np.testing.assert_array_equal(layout.member_base, [0, 100, 200])
         np.testing.assert_array_equal(layout.members, members)
-        np.testing.assert_array_equal(layout.codes, codes[members])
-        assert layout.codes.dtype == np.int32
-        # one stored copy: the per-cluster accessor is a view of the layout
-        assert np.shares_memory(index.cluster_codes(1), layout.codes)
+        # without a scene to follow, a code is its own column
+        np.testing.assert_array_equal(layout.columns, codes[members])
+        assert layout.columns.dtype == np.int32
+        # one stored code array: the corpus codes are referenced, not copied
+        assert index._codes is codes
+        assert index.cluster_codes(1).dtype == np.int32
+
+    def test_columns_follow_entry_slots(self, built, rng):
+        """With a slot map, every code is translated through its subspace's row."""
+        _, codes, posting_lists = built
+        entry_slots = np.stack([rng.permutation(12)[:8] for _ in range(4)])
+        index = SubspaceInvertedIndex(8).build(posting_lists, codes, entry_slots)
+        layout = index.flat_layout()
+        want = entry_slots[np.arange(4)[None, :], codes[layout.members]]
+        np.testing.assert_array_equal(layout.columns, want)
+        assert layout.columns.dtype == np.int32
+        # the reverse lookups read the codes, not the columns
+        np.testing.assert_array_equal(index.cluster_codes(0), codes[posting_lists[0]])
+        assert index.entry_usage(1, 2).sum() == 100
 
     def test_flat_layout_needs_build(self):
         with pytest.raises(RuntimeError, match="build"):
@@ -249,10 +264,17 @@ class TestStackedConstruct:
             index, dataset, num_rays, mode
         )
         lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        # byte for byte the layer-at-a-time arrays: hit order, CSR offsets,
-        # decoded values, inner flags, all five counters
-        assert_luts_identical(lut, _reference_lut(constructor, origins, t_max, thresholds))
-        assert (lut.inner_flags is not None) == (mode == "juno-m")
+        # the layer-at-a-time oracle: every ray's hit set, the decoded values
+        # and inner flags byte for byte, all five counters
+        assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        assert (lut.inner is not None) == (mode == "juno-m")
+        # the dense grid: one column per leaf slot of the scene, every entry
+        # in exactly one of them
+        num_subspaces, num_entries = index.config.num_subspaces, index.config.num_entries
+        assert lut.table.shape == (num_subspaces, num_rays, lut.slot_entries.shape[1])
+        for s in range(num_subspaces):
+            slots = index.scene.entry_slots(s)
+            assert lut.slot_entries[s, slots].tolist() == list(range(num_entries))
 
         # and the exact per-ray traversal: every ray of a small batch, a few
         # of a large one
@@ -299,7 +321,7 @@ class TestStackedConstruct:
             monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_PAIRS", 8 * layers_per_block)
             lut = constructor.construct(origins, t_max, thresholds=thresholds)
             assert max(calls) == layers_per_block and sum(calls) == num_subspaces
-            assert_luts_identical(lut, expected)
+            assert_lut_matches_reference(lut, expected)
 
     def test_unequal_and_empty_layers(self, rng):
         """A generic scene: unequal sphere counts, one layer with none."""
@@ -318,9 +340,16 @@ class TestStackedConstruct:
         thresholds = rng.uniform(0.2, 0.9, size=(9, len(counts)))
         t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
         lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        assert_luts_identical(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
         assert lut.num_entries == 20
-        assert lut.entries[1].size == 0 and (lut.offsets[1] == 0).all()
+        # three stacks (20, 0 and 7 spheres), padded to the widest one's slots
+        stacks, slot = scene.stacked()
+        widths = [stack.num_slots for stack in stacks]
+        assert min(widths) == 0 and lut.table.shape == (4, 9, max(widths))
+        assert np.isnan(lut.table[1]).all() and not lut.inner[1].any()
+        narrow = stacks[slot[2][0]].num_slots
+        assert narrow < max(widths) and np.isnan(lut.table[2, :, narrow:]).all()
+        assert lut.ray_slice(1, 0)[0].size == 0
 
 
 class TestHitCountScorer:

@@ -18,8 +18,8 @@ check here, long before a benchmark run:
   :mod:`repro.core.selective_lut` is what decides this, so a constant that
   would breach the RSS gate fails here first.
 * the same bound on ``ScoreStage.run``: the candidates it returns plus a
-  fixed slack for one block's dense table and gathered tables, decided by
-  the block constant in :mod:`repro.pipeline.fused`.
+  fixed slack for one block's slice of the LUT and gathered tables, decided
+  by the block constant in :mod:`repro.pipeline.fused`.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class TestPinnedSearchDigest:
 
 
 def _lut_bytes(lut) -> int:
-    arrays = [*lut.offsets, *lut.entries, *lut.values, *(lut.inner_flags or ())]
+    arrays = [lut.table, lut.slot_entries] + ([] if lut.inner is None else [lut.inner])
     return sum(int(array.nbytes) for array in arrays)
 
 
@@ -169,9 +169,9 @@ def wide_batch_ctx(wide_index, wide_corpus):
 
 class TestRTSelectMemory:
     # What one trace block may hold beyond the LUT: slab masks, the
-    # primitive-test gathers and the hit arrays before they are cut to size.
-    # At 384 (layer, ray) pairs a block is ~3 MB; at 2048 pairs, the size
-    # that breached ``peak_rss_mb``, it is ~17 MB.
+    # sphere-test grids and the decoded values before they are written to
+    # the table.  At 384 (layer, ray) pairs a block is ~3 MB; at 2048 pairs,
+    # the size that breached ``peak_rss_mb``, it is ~17 MB.
     SLACK_BYTES = 6 << 20
 
     def test_batch_peak_is_lut_plus_fixed_slack(self, wide_batch_ctx):
@@ -182,9 +182,9 @@ class TestRTSelectMemory:
 
 
 class TestScoreMemory:
-    # What one score block may hold beyond the candidates: the dense
-    # (S, rays, E) table, the gather index and about four float64 arrays of
-    # the gathered (candidate, subspace) shape.  At 1 << 19 elements (five of
+    # What one score block may hold beyond the candidates: its rays' slice
+    # of the LUT, the gather index and about four float64 arrays of the
+    # gathered (candidate, subspace) shape.  At 1 << 19 elements (five of
     # these queries) a block is ~10 MB; at 1 << 20 it is ~21 MB, and the
     # whole batch as one block, which breached ``peak_rss_mb``, ~47 MB.
     SLACK_BYTES = 12 << 20

@@ -22,7 +22,6 @@ from repro.core.config import JunoConfig, QualityMode
 from repro.core.hit_count import HitCountScorer
 from repro.core.index import JunoIndex
 from repro.core.selective_lut import SelectiveLUTConstructor
-from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.core.threshold import ThresholdModel
 from repro.core.inner_product import inner_product_threshold_to_tmax
 from repro.datasets.synthetic import make_clustered_dataset
@@ -273,17 +272,16 @@ def _largest_cluster_emptied(index):
     With ``nprobs == num_clusters`` every query probes the emptied cluster,
     exercising the kernels' no-members path.  Yields ``(posting, victim)``.
     """
-    original = index.subspace_index
-    posting = [index.ivf.posting_lists[c] for c in range(index.config.num_clusters)]
+    original = index.subspace_index, index.ivf.posting_lists
+    posting = list(index.ivf.posting_lists)
     victim = int(np.argmax([ids.size for ids in posting]))
     posting[victim] = np.array([], dtype=np.int64)
-    index.subspace_index = SubspaceInvertedIndex(index.config.num_entries).build(
-        posting, index.codes
-    )
+    index.ivf.posting_lists = posting
+    index.rebuild_layout()
     try:
         yield posting, victim
     finally:
-        index.subspace_index = original
+        index.subspace_index, index.ivf.posting_lists = original
 
 
 class TestScoreStageParity:
@@ -413,7 +411,7 @@ class TestScoreBlockInvariance:
         """``threshold_scale=0.1``: most entries unselected, some rays hit nothing."""
         nprobs = juno_l2.config.num_clusters
         ctx = self._upstream(juno_l2, self._queries(l2_dataset, 32), mode, 0.1, nprobs)
-        hits_per_ray = np.sum([np.diff(offsets) for offsets in ctx.lut.offsets], axis=0)
+        hits_per_ray = np.count_nonzero(~np.isnan(ctx.lut.table), axis=(0, 2))
         assert (hits_per_ray == 0).any() and (hits_per_ray > 0).any()
         self._assert_blocks_match_loop(ctx, monkeypatch)
 
@@ -435,7 +433,8 @@ class TestScoreBlockInvariance:
         self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
         ctx = self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
         assert cache.stats()["rt_select"]["hits"] == 1
-        assert not ctx.lut.entries[0].flags.writeable
+        assert not ctx.lut.table.flags.writeable
+        assert ctx.lut.inner is None or not ctx.lut.inner.flags.writeable
         self._assert_blocks_match_loop(ctx, monkeypatch)
 
 

@@ -258,31 +258,42 @@ class TestStackedTracer:
         assert stats == expected
         assert tracer.stats == expected
 
-    @pytest.mark.parametrize("num_rays", [1, 8, 256])
+    @pytest.mark.parametrize("num_rays", [0, 1, 8, 256])
     @pytest.mark.parametrize("shape", sorted(SCENE_SHAPES))
     def test_block_matches_layer_at_a_time_reference(self, rng, shape, num_rays):
-        """Same hits in the same order as one pass per layer plus a stable
-        sort by ray: the block's order is (layer, ray, leaf, in-leaf)."""
+        """The dense grid holds, per (layer, ray), the hit set of one pass per
+        layer with every hit time byte for byte -- and nothing else."""
         scene = _layered_scene(rng, SCENE_SHAPES[shape])
         origins, t_max, origin_z = _block_inputs(rng, scene, num_rays)
         batch, stats = RayTracer(scene).trace_vertical_batch(
             np.arange(scene.num_layers), origins, t_max, origin_z
         )
+        stacks, slot = scene.stacked()
+        width = scene.num_slots
+        assert batch.accepted.shape == batch.t_hit.shape == (scene.num_layers, num_rays, width)
+        assert batch.accepted.dtype == bool and batch.slot_entries.shape == (scene.num_layers, width)
         expected = TraversalStats()
-        pairs, entries, times = [], [], []
         for layer in range(scene.num_layers):
             ray_index, entry_index, t_hit, layer_stats = reference_trace_layer(
                 scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer]
             )
             expected.merge(layer_stats)
-            order = np.argsort(ray_index, kind="stable")
-            pairs.append(layer * num_rays + ray_index[order])
-            entries.append(entry_index[order])
-            times.append(t_hit[order])
+            num_spheres = scene.layer(layer).num_spheres
+            want = np.full((num_rays, num_spheres), np.nan)
+            want[ray_index, entry_index] = t_hit
+            got = np.full((num_rays, num_spheres), np.nan)
+            rays, columns = np.nonzero(batch.accepted[layer])
+            got[rays, batch.slot_entries[layer, columns]] = batch.t_hit[layer, rays, columns]
+            assert got.tobytes() == want.tobytes()
+            # one hit per accepted cell: no sphere is accepted in two slots,
+            # and the tail a narrower stack leaves is never accepted
+            assert rays.size == ray_index.size
+            assert not batch.accepted[layer, :, stacks[slot[layer][0]].num_slots :].any()
+            # a sphere's slot holds that sphere
+            slots = scene.entry_slots(layer)
+            assert batch.slot_entries[layer, slots].tolist() == list(range(num_spheres))
         assert stats == expected
-        assert batch.pair_index.tobytes() == np.concatenate(pairs).tobytes()
-        assert batch.entry_index.tobytes() == np.concatenate(entries).tobytes()
-        assert batch.t_hit.tobytes() == np.concatenate(times).tobytes()
+        assert batch.num_hits == stats.hits == int(batch.hits_per_ray.sum())
 
     def test_layers_in_any_order_and_subset(self, rng):
         scene = _layered_scene(rng, SCENE_SHAPES["unequal"])

@@ -23,6 +23,7 @@ import pickle
 
 import numpy as np
 import pytest
+from rt_reference import assert_columns_address_codes
 
 from repro.datasets.synthetic import make_clustered_dataset
 from repro.serving import (
@@ -293,6 +294,9 @@ class TestRuntimeFunctionsInProcess:
             assert search_results_equal(expected, observed)
             # the worker-private cached pipeline was applied by default
             assert "stage_cache" in observed.extra
+            # a booted shard's gather columns follow the scene it rebuilt
+            for shard_id in (0, 1):
+                assert_columns_address_codes(runtime._RESIDENT_SHARDS[shard_id][0])
             with pytest.raises(RuntimeError, match="not resident"):
                 runtime.resident_search_task(7, corpus.queries, 5, {})
         finally:

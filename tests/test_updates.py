@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from rt_reference import assert_columns_address_codes
 
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
@@ -287,12 +288,24 @@ class TestCompaction:
             layout = index.subspace_index._flat_layout
             assert layout is not None
             assert index.subspace_index.flat_layout() is layout
-            assert layout.codes.dtype == np.int32
-            assert layout.codes.shape == (index.num_points, index.config.num_subspaces)
+            # ... against the scene the index traces: one owner builds the
+            # gather columns wherever the layout or the scene is (re)built
+            assert_columns_address_codes(index)
             return layout
 
         prebuilt(base_index)
-        prebuilt(load_index(save_index(base_index, tmp_path / "bundle")))
+        bundle = save_index(base_index, tmp_path / "bundle", layout="npy")
+        prebuilt(load_index(bundle))
+        prebuilt(load_index(bundle, mmap=True))
+        prebuilt(
+            JunoIndex(base_index.config).assemble(
+                corpus.points,
+                base_index.ivf.centroids,
+                base_index.ivf.labels,
+                base_index.pq.codebooks,
+                base_index.codes,
+            )
+        )
         mutable = _mutable(corpus.points)
         before = prebuilt(mutable.base)
         mutable.upsert([30_000], corpus.points[:1] + 0.01)
@@ -300,6 +313,36 @@ class TestCompaction:
         after = prebuilt(mutable.base)
         assert after is not before
         assert after.members.shape[0] == before.members.shape[0] + 1
+
+    def test_compact_keeps_the_scene(self, corpus, tmp_path):
+        """The scene depends on codebooks and radius only: compaction keeps the
+        object, bumps the cache token, and searches as if it had rebuilt it."""
+        wal_path = tmp_path / "ops.wal"
+        mutable = _mutable(corpus.points, wal=WriteAheadLog(wal_path))
+        save_mutable_index(mutable, tmp_path / "epoch0")
+        scene, tracer, token = mutable.base.scene, mutable.base.tracer, mutable.base.cache_token
+        mutable.upsert([30_000, 30_001], corpus.points[:2] + 0.01)
+        mutable.delete([4, 9])
+        mutable.compact()
+        assert mutable.base.scene is scene and mutable.base.tracer is tracer
+        assert mutable.base.cache_token != token
+        kept = [
+            mutable.search(corpus.queries, 10, nprobs=4, quality_mode=mode)
+            for mode in ("juno-h", "juno-m", "juno-l")
+        ]
+        digest = mutable.state_digest()
+
+        mutable.base.rebuild_scene()
+        assert mutable.base.scene is not scene
+        assert mutable.state_digest() == digest
+        for mode, result in zip(("juno-h", "juno-m", "juno-l"), kept):
+            rebuilt = mutable.search(corpus.queries, 10, nprobs=4, quality_mode=mode)
+            assert search_results_equal(result, rebuilt)
+            assert rebuilt.ids.tobytes() == result.ids.tobytes()
+            assert rebuilt.scores.tobytes() == result.scores.tobytes()
+
+        replayed = load_mutable_index(tmp_path / "epoch0", wal=wal_path)
+        assert replayed.state_digest() == digest
 
     def test_compact_noop_without_pending_state(self, corpus, tmp_path):
         wal = WriteAheadLog(tmp_path / "ops.wal")
