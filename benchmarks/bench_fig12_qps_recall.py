@@ -14,13 +14,7 @@ from repro.bench.harness import (
     run_juno_sweep,
     speedup_summary,
 )
-from repro.bench.report import (
-    emit,
-    format_records_table,
-    format_table,
-    throughput_record_dict,
-    update_bench_json,
-)
+from repro.bench.report import emit, format_records_table, format_table
 from repro.core.config import QualityMode
 from repro.pipeline import StageCache
 
@@ -74,18 +68,6 @@ def test_fig12_qps_recall(which, deep_workload, sift_workload, tti_workload, rtx
     label = {"deep": "DEEP-like", "sift": "SIFT-like", "tti": "TTI-like"}[which]
     juno, baseline, summary = benchmark.pedantic(
         _run_dataset, args=(workload, rtx4090, label), rounds=1, iterations=1
-    )
-    # Machine-readable trajectory tracking: one section per dataset with the
-    # Pareto frontier of both systems plus the per-band speed-ups, so the
-    # perf numbers diff cleanly across PRs.
-    update_bench_json(
-        f"fig12_{which}",
-        {
-            "dataset": label,
-            "juno_frontier": [throughput_record_dict(r) for r in juno.frontier],
-            "baseline_frontier": [throughput_record_dict(r) for r in baseline.frontier],
-            "speedups": summary,
-        },
     )
     assert summary, "both systems must reach at least one recall band"
     # The paper's headline: JUNO wins at the reachable quality bands, with the
@@ -142,17 +124,6 @@ def test_fig12_sweep_stage_cache_reuse(deep_workload, rtx4090, benchmark):
     expected_rt_misses = 2 * expected_threshold_misses
     assert stats["rt_select"]["misses"] == expected_rt_misses
     assert stats["rt_select"]["hits"] == grid_points - expected_rt_misses
-    update_bench_json(
-        "fig12_stage_cache",
-        {
-            "grid_points": grid_points,
-            "stats": stats,
-            "hit_rates": {
-                name: counts["hits"] / max(counts["hits"] + counts["misses"], 1)
-                for name, counts in stats.items()
-            },
-        },
-    )
 
 
 def test_fig12_r100_at_1000(deep_workload, rtx4090, benchmark):

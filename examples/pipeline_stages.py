@@ -10,9 +10,9 @@ The script demonstrates the three faces of the staged query pipeline:
    (where does a JUNO search actually spend its time?);
 2. a custom stage inserted mid-pipeline (a candidate cap between scoring
    and top-k selection) without touching any core code;
-3. a sharded deployment on a process-pool executor whose merged results are
-   exactly reranked, recovering single-index recall at an aggressive
-   threshold scale where plain shard merging degrades.
+3. a sharded deployment whose merged results are exactly reranked,
+   recovering single-index recall at an aggressive threshold scale where
+   plain shard merging degrades.
 """
 
 from __future__ import annotations
@@ -70,10 +70,8 @@ def main() -> None:
         f"  (stages: {', '.join(result.extra['stage_seconds'])})"
     )
 
-    # 3. Sharded deployment + exact rerank on a process-pool executor.
-    sharded = ShardedJunoIndex.from_dim(
-        dataset.dim, num_shards=4, num_clusters=32, executor="process"
-    )
+    # 3. Sharded deployment + exact rerank.
+    sharded = ShardedJunoIndex.from_dim(dataset.dim, num_shards=4, num_clusters=32)
     with sharded:
         sharded.train(dataset.points)
         # JUNO-L hit counts are shard-local scales: at a generous threshold

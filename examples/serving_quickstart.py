@@ -33,7 +33,6 @@ from repro import (
     make_deep_like,
     recall_at,
 )
-from repro.bench.harness import run_closed_loop
 
 NUM_SHARDS = 4
 K = 10
@@ -129,24 +128,8 @@ def main() -> None:
                 f"last fan-out shipped {payload_bytes / 1024:.1f} KiB of query payloads "
                 f"({NUM_SHARDS} shards x 2 replicas resident in workers)"
             )
-
-            # Closed-loop load test: 8 clients, each keeping one request in
-            # flight, batched by the same async front-end.
-            report = run_closed_loop(
-                resident_engine,
-                dataset.queries,
-                k=K,
-                num_clients=8,
-                requests_per_client=4,
-                max_wait_s=0.002,
-                nprobs=8,
-            )
-            print(
-                f"closed loop (8 clients): {report.qps:.1f} QPS measured, "
-                f"p50 {report.latency_p50_s * 1e3:.1f} ms, "
-                f"p99 {report.latency_p99_s * 1e3:.1f} ms, "
-                f"batches of ~{report.mean_batch_size:.1f}"
-            )
+            # Measured serving throughput and latency live in the ledger:
+            #   python3 benchmarks/ledger/run.py --workload resident_serving
 
     # 6. Streaming updates (docs/updates.md): make the original router
     #    mutable, then upsert -> query -> delete while it keeps serving.

@@ -13,12 +13,7 @@ from repro.bench.harness import (
     run_juno_sweep,
     speedup_summary,
 )
-from repro.bench.report import (
-    format_records_table,
-    format_table,
-    provenance_stamp,
-    update_bench_json,
-)
+from repro.bench.report import format_records_table, format_table
 
 __all__ = [
     "QPSRecallSweep",
@@ -28,6 +23,4 @@ __all__ = [
     "speedup_summary",
     "format_table",
     "format_records_table",
-    "provenance_stamp",
-    "update_bench_json",
 ]

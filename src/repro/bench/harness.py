@@ -10,27 +10,19 @@ spends its modelled time, not just the end-to-end number.
 
 from __future__ import annotations
 
-import asyncio
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.baselines.ivfpq import IVFPQIndex
 from repro.core.config import QualityMode
 from repro.core.index import JunoIndex
-from repro.errors import OverloadError
 from repro.gpu.cost_model import CostModel
 from repro.metrics.qps import ThroughputRecord, pareto_frontier
 from repro.metrics.recall import recall_k_at_n
-from repro.obs.clock import resolve as resolve_clock
 from repro.pipeline.cache import StageCache
 from repro.pipeline.pipeline import QueryPipeline, default_search_pipeline
-from repro.serving.async_scheduler import AsyncBatchingScheduler
-from repro.serving.config import AdmissionPolicy
 from repro.serving.engine import ServingEngine
-from repro.serving.persistence import search_results_equal
 from repro.serving.shard import ShardedJunoIndex
 
 
@@ -274,660 +266,6 @@ def run_engine_sweep(
     return out
 
 
-@dataclass
-class ClosedLoopReport:
-    """Measured serving behaviour of one closed-loop multi-client run.
-
-    A *closed loop* means every client keeps exactly one request in flight:
-    it submits, awaits its result, then immediately submits the next query.
-    Offered load therefore adapts to the system's speed (the standard
-    serving-benchmark shape), and per-request latency includes both queue
-    wait and the batch's search time.
-
-    Attributes:
-        label: engine label the run measured.
-        num_clients: concurrent closed-loop clients.
-        num_requests: total requests completed.
-        wall_s: elapsed wall-clock of the whole run.
-        qps: completed requests per wall-clock second.
-        latency_p50_s / latency_p99_s: request latency percentiles.
-        latency_mean_s: mean request latency.
-        num_batches: batches the scheduler flushed.
-        mean_batch_size: average queries per flushed batch.
-        stage_cache: accumulated per-stage cache counters (empty when the
-            engine ran uncached).
-        num_overloaded: requests the admission controller refused (rejected
-            at submit or shed from the queue); they complete no search and
-            contribute no latency sample.
-        admission: the scheduler's admission counters
-            (:meth:`~repro.serving.async_scheduler.AsyncBatchingScheduler.admission_stats`).
-    """
-
-    label: str
-    num_clients: int
-    num_requests: int
-    wall_s: float
-    qps: float
-    latency_p50_s: float
-    latency_p99_s: float
-    latency_mean_s: float
-    num_batches: int
-    mean_batch_size: float
-    stage_cache: dict = field(default_factory=dict)
-    num_overloaded: int = 0
-    admission: dict = field(default_factory=dict)
-
-    def cache_hit_rates(self) -> dict[str, float]:
-        """Per-stage hit rates in ``[0, 1]`` from the accumulated counters."""
-        rates = {}
-        for name, counts in self.stage_cache.items():
-            total = counts.get("hits", 0) + counts.get("misses", 0)
-            if total:
-                rates[name] = counts["hits"] / total
-        return rates
-
-    def to_json_dict(self) -> dict:
-        """A JSON-serialisable summary for ``BENCH_serving.json``."""
-        return {
-            "label": self.label,
-            "num_clients": self.num_clients,
-            "num_requests": self.num_requests,
-            "wall_s": self.wall_s,
-            "qps": self.qps,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "latency_mean_s": self.latency_mean_s,
-            "num_batches": self.num_batches,
-            "mean_batch_size": self.mean_batch_size,
-            "stage_cache": {name: dict(counts) for name, counts in self.stage_cache.items()},
-            "cache_hit_rates": self.cache_hit_rates(),
-            "num_overloaded": self.num_overloaded,
-            "admission": dict(self.admission),
-        }
-
-
-def run_closed_loop(
-    engine,
-    queries: np.ndarray,
-    k: int = 10,
-    num_clients: int = 8,
-    requests_per_client: int = 16,
-    max_batch_size: int | None = None,
-    max_wait_s: float = 0.002,
-    label: str | None = None,
-    clock=None,
-    admission: AdmissionPolicy | None = None,
-    **search_params,
-) -> ClosedLoopReport:
-    """Drive an engine with concurrent closed-loop clients; report QPS/latency.
-
-    Each of ``num_clients`` asyncio clients walks the query set in a striped
-    order (client ``c`` issues queries ``c, c + C, c + 2C, ...`` modulo the
-    set) and awaits every answer through one shared
-    :class:`~repro.serving.async_scheduler.AsyncBatchingScheduler` before
-    issuing the next -- so batches form from genuinely concurrent traffic,
-    exactly what the synchronous sweeps above cannot model.  ``engine`` is
-    anything with ``search(queries, k, **params)``: a
-    :class:`~repro.serving.engine.ServingEngine`, a raw index, or a sharded
-    router (resident workers included).
-
-    ``max_batch_size`` defaults to ``num_clients`` -- with every client
-    blocked awaiting, that is the largest batch a closed loop can form, so
-    full batches flush on size and stragglers flush on ``max_wait_s``.
-
-    ``admission`` bounds the scheduler's queue
-    (:class:`~repro.serving.config.AdmissionPolicy`): a refused request
-    raises :class:`~repro.errors.OverloadError` at (or after) submit; the
-    client counts it and moves on, and the report carries the scheduler's
-    admission counters.
-    """
-    clock = resolve_clock(clock)
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
-    if requests_per_client <= 0:
-        raise ValueError("requests_per_client must be positive")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if max_batch_size is None:
-        max_batch_size = num_clients
-    latencies: list[float] = []
-    overloaded = [0]
-
-    async def _client(client_id: int, scheduler: AsyncBatchingScheduler) -> None:
-        for request in range(requests_per_client):
-            query = queries[(client_id + request * num_clients) % queries.shape[0]]
-            started = clock()
-            try:
-                await scheduler.submit(query)
-            except OverloadError:
-                overloaded[0] += 1
-                continue
-            latencies.append(clock() - started)
-
-    async def _run() -> ClosedLoopReport:
-        async with AsyncBatchingScheduler(
-            engine,
-            k=k,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            clock=clock,
-            admission=admission,
-            **search_params,
-        ) as scheduler:
-            started = clock()
-            await asyncio.gather(
-                *(_client(client_id, scheduler) for client_id in range(num_clients))
-            )
-            wall = max(clock() - started, 1e-12)
-            stats = scheduler.stats()
-            lat = np.asarray(latencies, dtype=np.float64)
-            return ClosedLoopReport(
-                label=label if label is not None else getattr(engine, "label", "engine"),
-                num_clients=num_clients,
-                num_requests=int(lat.size),
-                wall_s=float(wall),
-                qps=float(lat.size / wall),
-                latency_p50_s=float(np.percentile(lat, 50)) if lat.size else float("nan"),
-                latency_p99_s=float(np.percentile(lat, 99)) if lat.size else float("nan"),
-                latency_mean_s=float(lat.mean()) if lat.size else float("nan"),
-                num_batches=stats.num_batches,
-                mean_batch_size=stats.mean_batch_size,
-                stage_cache={
-                    name: dict(counts)
-                    for name, counts in scheduler.stage_cache_counters.items()
-                },
-                num_overloaded=overloaded[0],
-                admission=scheduler.admission_stats(),
-            )
-
-    return asyncio.run(_run())
-
-
-@dataclass
-class MixedLoopReport:
-    """Measured behaviour of one mixed read/write closed-loop run.
-
-    Readers behave exactly like :func:`run_closed_loop` clients; writers
-    interleave upserts and deletes with **read-your-write freshness probes**:
-    after each upsert the writer searches for the vector it just wrote
-    through the same batching front-end the readers use, and the elapsed
-    time until the new id first appears in a result is that write's
-    *freshness* (visibility latency).  After each delete the writer probes
-    once more and counts a *stale read* if the tombstoned id still surfaces
-    -- the mutable layer's delete guarantee means this must stay zero.
-
-    Attributes:
-        label: engine label the run measured.
-        num_readers / num_writers: concurrent closed-loop clients per role.
-        num_reads: reader requests completed (excludes freshness probes).
-        num_upserts / num_deletes: write ops applied.
-        wall_s: elapsed wall-clock of the whole run.
-        read_qps: reader requests per wall-clock second.
-        write_ops_per_s: write ops per wall-clock second.
-        latency_p50_s / latency_p99_s / latency_mean_s: reader latencies.
-        freshness_mean_s / freshness_max_s: upsert-to-visibility latency.
-        visible_fraction: upserts whose id became visible within the probe
-            budget (1.0 = perfect read-your-writes).
-        stale_reads: probes that returned a deleted id (must be 0).
-        num_batches / mean_batch_size: batching-front-end statistics.
-        num_overloaded: reads/probes the admission controller refused.
-        admission: the scheduler's admission counters.
-    """
-
-    label: str
-    num_readers: int
-    num_writers: int
-    num_reads: int
-    num_upserts: int
-    num_deletes: int
-    wall_s: float
-    read_qps: float
-    write_ops_per_s: float
-    latency_p50_s: float
-    latency_p99_s: float
-    latency_mean_s: float
-    freshness_mean_s: float
-    freshness_max_s: float
-    visible_fraction: float
-    stale_reads: int
-    num_batches: int
-    mean_batch_size: float
-    num_overloaded: int = 0
-    admission: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        """A JSON-serialisable summary for ``BENCH_serving.json``."""
-        return {
-            "label": self.label,
-            "num_readers": self.num_readers,
-            "num_writers": self.num_writers,
-            "num_reads": self.num_reads,
-            "num_upserts": self.num_upserts,
-            "num_deletes": self.num_deletes,
-            "wall_s": self.wall_s,
-            "read_qps": self.read_qps,
-            "write_ops_per_s": self.write_ops_per_s,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "latency_mean_s": self.latency_mean_s,
-            "freshness_mean_s": self.freshness_mean_s,
-            "freshness_max_s": self.freshness_max_s,
-            "visible_fraction": self.visible_fraction,
-            "stale_reads": self.stale_reads,
-            "num_batches": self.num_batches,
-            "mean_batch_size": self.mean_batch_size,
-            "num_overloaded": self.num_overloaded,
-            "admission": dict(self.admission),
-        }
-
-
-def run_mixed_closed_loop(
-    engine,
-    queries: np.ndarray,
-    id_start: int,
-    k: int = 10,
-    num_readers: int = 6,
-    num_writers: int = 2,
-    reads_per_client: int = 16,
-    writes_per_writer: int = 8,
-    max_batch_size: int | None = None,
-    max_wait_s: float = 0.002,
-    visibility_probes: int = 8,
-    label: str | None = None,
-    clock=None,
-    seed: int = 0,
-    admission: AdmissionPolicy | None = None,
-    **search_params,
-) -> MixedLoopReport:
-    """Drive a mutable engine with concurrent readers and writers.
-
-    The freshness benchmark of the streaming-update subsystem
-    (:mod:`repro.updates`): ``num_readers`` closed-loop clients stream
-    queries exactly like :func:`run_closed_loop` while ``num_writers``
-    clients mutate the index through ``engine.upsert`` / ``engine.delete``
-    -- every writer cycle upserts one fresh vector (a jittered clone of a
-    query, so L2 self-search must retrieve it), probes until the new id is
-    visible (the measured *freshness*), and then deletes its previous
-    insert, probing once to assert the tombstone held.  All clients share
-    one event loop and one batching scheduler, so reads and writes
-    genuinely interleave: a search batch can be scheduled between a
-    writer's upsert and its probe, exercising the state-token invalidation
-    path under load.
-
-    Args:
-        engine: anything with ``search`` plus ``upsert`` / ``delete`` --
-            a mutable :class:`~repro.serving.engine.ServingEngine`, a
-            :class:`~repro.updates.mutable.MutableJunoIndex` or a mutable
-            sharded router.
-        queries: reader query pool, also the template pool for writes.
-        id_start: first global id the writers may allocate; must be outside
-            the live id range.
-    """
-    clock = resolve_clock(clock)
-    if num_readers <= 0 or num_writers <= 0:
-        raise ValueError("num_readers and num_writers must be positive")
-    if writes_per_writer <= 0 or reads_per_client <= 0:
-        raise ValueError("reads_per_client and writes_per_writer must be positive")
-    if not callable(getattr(engine, "upsert", None)) or not callable(
-        getattr(engine, "delete", None)
-    ):
-        raise TypeError("run_mixed_closed_loop needs an engine with upsert/delete")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if max_batch_size is None:
-        max_batch_size = num_readers + num_writers
-    rng = np.random.default_rng(seed)
-    jitter = 1e-3 * rng.standard_normal((num_writers * writes_per_writer, queries.shape[1]))
-    read_latencies: list[float] = []
-    freshness: list[float] = []
-    visible = [0]
-    stale_reads = [0]
-    upserts = [0]
-    deletes = [0]
-    overloaded = [0]
-
-    async def _probe(scheduler: AsyncBatchingScheduler, vector: np.ndarray):
-        """One scheduler round trip; an overloaded probe reports no ids."""
-        try:
-            return await scheduler.submit(vector)
-        except OverloadError:
-            overloaded[0] += 1
-            return None, None
-
-    async def _reader(client_id: int, scheduler: AsyncBatchingScheduler) -> None:
-        for request in range(reads_per_client):
-            query = queries[(client_id + request * num_readers) % queries.shape[0]]
-            started = clock()
-            ids, _scores = await _probe(scheduler, query)
-            if ids is not None:
-                read_latencies.append(clock() - started)
-
-    async def _writer(writer_id: int, scheduler: AsyncBatchingScheduler) -> None:
-        previous: tuple[int, np.ndarray] | None = None
-        for cycle in range(writes_per_writer):
-            slot = writer_id * writes_per_writer + cycle
-            new_id = int(id_start + slot)
-            vector = queries[slot % queries.shape[0]] + jitter[slot]
-            written_at = clock()
-            engine.upsert([new_id], vector[None, :])
-            upserts[0] += 1
-            for _ in range(visibility_probes):
-                ids, _scores = await _probe(scheduler, vector)
-                if ids is not None and new_id in ids:
-                    freshness.append(clock() - written_at)
-                    visible[0] += 1
-                    break
-            if previous is not None:
-                old_id, old_vector = previous
-                engine.delete([old_id])
-                deletes[0] += 1
-                ids, _scores = await _probe(scheduler, old_vector)
-                if ids is not None and old_id in ids:
-                    stale_reads[0] += 1
-            previous = (new_id, vector)
-
-    async def _run() -> MixedLoopReport:
-        async with AsyncBatchingScheduler(
-            engine,
-            k=k,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            clock=clock,
-            admission=admission,
-            **search_params,
-        ) as scheduler:
-            started = clock()
-            await asyncio.gather(
-                *(_reader(client_id, scheduler) for client_id in range(num_readers)),
-                *(_writer(writer_id, scheduler) for writer_id in range(num_writers)),
-            )
-            wall = max(clock() - started, 1e-12)
-            stats = scheduler.stats()
-            lat = np.asarray(read_latencies, dtype=np.float64)
-            fresh = np.asarray(freshness, dtype=np.float64)
-            writes = upserts[0] + deletes[0]
-            return MixedLoopReport(
-                label=label if label is not None else getattr(engine, "label", "engine"),
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_reads=int(lat.size),
-                num_upserts=upserts[0],
-                num_deletes=deletes[0],
-                wall_s=float(wall),
-                read_qps=float(lat.size / wall),
-                write_ops_per_s=float(writes / wall),
-                latency_p50_s=float(np.percentile(lat, 50)) if lat.size else float("nan"),
-                latency_p99_s=float(np.percentile(lat, 99)) if lat.size else float("nan"),
-                latency_mean_s=float(lat.mean()) if lat.size else float("nan"),
-                freshness_mean_s=float(fresh.mean()) if fresh.size else float("nan"),
-                freshness_max_s=float(fresh.max()) if fresh.size else float("nan"),
-                visible_fraction=float(visible[0] / max(upserts[0], 1)),
-                stale_reads=stale_reads[0],
-                num_batches=stats.num_batches,
-                mean_batch_size=stats.mean_batch_size,
-                num_overloaded=overloaded[0],
-                admission=scheduler.admission_stats(),
-            )
-
-    return asyncio.run(_run())
-
-
-@dataclass
-class ChaosRecoveryReport:
-    """Measured behaviour of one chaos run: kills under mixed load, healed.
-
-    The self-healing acceptance report: workers are killed mid mixed
-    read/write workload, the :class:`~repro.serving.recovery.ReplicaSupervisor`
-    respawns them from their shard bundles and replays the op log, and the
-    run ends with three correctness verdicts -- no stale read was ever
-    served, the chaos deployment's final results are bit-identical to an
-    unkilled control run fed the same op sequence, and every shard's live
-    replicas report one state digest.
-
-    Attributes:
-        label: engine label the run measured.
-        num_readers / num_reads: closed-loop read side of the workload.
-        num_upserts / num_deletes: write ops applied (to chaos *and* control).
-        kills_injected: worker crashes injected mid-run.
-        recoveries: completed respawns, as
-            :meth:`~repro.serving.recovery.RecoveryEvent.to_json_dict` rows.
-        ops_replayed: op-log records replayed across all recoveries.
-        recovery_max_s: slowest detection-to-readmission recovery.
-        recovery_bound_s: the bound the run was measured against.
-        recovery_within_bound: every recovery finished inside the bound.
-        stale_reads: probes that returned a deleted id (must be 0).
-        results_match_control: final full-batch search of the chaos
-            deployment is bit-identical to the control run.
-        replicas_consistent: every shard's live replicas share one digest.
-        wall_s / read_qps: workload timing.
-        num_overloaded / admission: admission-control counters (when a
-            bounded :class:`~repro.serving.config.AdmissionPolicy` ran).
-    """
-
-    label: str
-    num_readers: int
-    num_reads: int
-    num_upserts: int
-    num_deletes: int
-    kills_injected: int
-    recoveries: list = field(default_factory=list)
-    ops_replayed: int = 0
-    recovery_max_s: float = 0.0
-    recovery_bound_s: float = 0.0
-    recovery_within_bound: bool = True
-    stale_reads: int = 0
-    results_match_control: bool = False
-    replicas_consistent: bool = False
-    wall_s: float = 0.0
-    read_qps: float = 0.0
-    num_overloaded: int = 0
-    admission: dict = field(default_factory=dict)
-
-    @property
-    def healthy(self) -> bool:
-        """All correctness verdicts at once (the chaos pass/fail line)."""
-        return (
-            self.stale_reads == 0
-            and self.results_match_control
-            and self.replicas_consistent
-            and self.recovery_within_bound
-            and len(self.recoveries) >= self.kills_injected > 0
-        )
-
-    def to_json_dict(self) -> dict:
-        """A JSON-serialisable summary for ``BENCH_serving.json``."""
-        return {
-            "label": self.label,
-            "num_readers": self.num_readers,
-            "num_reads": self.num_reads,
-            "num_upserts": self.num_upserts,
-            "num_deletes": self.num_deletes,
-            "kills_injected": self.kills_injected,
-            "recoveries": [dict(event) for event in self.recoveries],
-            "ops_replayed": self.ops_replayed,
-            "recovery_max_s": self.recovery_max_s,
-            "recovery_bound_s": self.recovery_bound_s,
-            "recovery_within_bound": self.recovery_within_bound,
-            "stale_reads": self.stale_reads,
-            "results_match_control": self.results_match_control,
-            "replicas_consistent": self.replicas_consistent,
-            "healthy": self.healthy,
-            "wall_s": self.wall_s,
-            "read_qps": self.read_qps,
-            "num_overloaded": self.num_overloaded,
-            "admission": dict(self.admission),
-        }
-
-
-def run_chaos_recovery(
-    engine,
-    supervisor,
-    control,
-    queries: np.ndarray,
-    id_start: int,
-    k: int = 10,
-    num_readers: int = 4,
-    reads_per_client: int = 12,
-    num_writes: int = 10,
-    kill_before_write: tuple[int, ...] = (2, 6),
-    recovery_bound_s: float = 60.0,
-    max_batch_size: int | None = None,
-    max_wait_s: float = 0.002,
-    visibility_probes: int = 8,
-    label: str | None = None,
-    clock=None,
-    seed: int = 0,
-    admission: AdmissionPolicy | None = None,
-    **search_params,
-) -> ChaosRecoveryReport:
-    """Kill replicas mid mixed read/write workload and verify the healing.
-
-    The chaos drill behind the self-healing guarantees: ``num_readers``
-    closed-loop clients stream queries through a batching scheduler while a
-    **single deterministic writer** applies ``num_writes`` upsert/delete
-    cycles -- each op is applied to the chaos ``engine`` *and* to an unkilled
-    ``control`` deployment loaded from the same bundle, so the op sequences
-    are identical by construction.  Immediately before the write cycles in
-    ``kill_before_write``, a replica of the owning shard is poisoned
-    (:meth:`~repro.serving.routing.ResidentProcessShardExecutor.inject_failure`),
-    so the very next op broadcast crashes a worker mid-``apply_ops``; the
-    ``supervisor`` then sweeps, respawns the dead worker from its bundle,
-    replays the retained op log, and re-admits it.  Writer cycles end with
-    ``supervisor.maintain()`` / ``control.maybe_compact()`` in lockstep, so
-    scheduled compaction triggers identically on both sides.
-
-    The writer is single on purpose: concurrent writers would interleave
-    nondeterministically against the control run and void the bit-identity
-    verdict.  Readers are the concurrency -- they race the kills and the
-    catch-up and must never observe a deleted id.
-
-    Args:
-        engine: the chaos deployment -- a mutable resident
-            :class:`~repro.serving.shard.ShardedJunoIndex` (or a
-            :class:`~repro.serving.engine.ServingEngine` over one).
-        supervisor: a :class:`~repro.serving.recovery.ReplicaSupervisor`
-            built over ``engine``'s router (so :meth:`maintain` works).
-        control: an unkilled deployment of the same bundle (any executor)
-            receiving the same op sequence; the bit-identity reference.
-        queries: reader query pool, also the template pool for writes.
-        id_start: first global id the writer may allocate.
-        kill_before_write: write-cycle indexes that start with a kill.
-        recovery_bound_s: recovery-time bound the report is judged against.
-    """
-    clock = resolve_clock(clock)
-    if num_readers <= 0 or reads_per_client <= 0:
-        raise ValueError("num_readers and reads_per_client must be positive")
-    if num_writes <= 0:
-        raise ValueError("num_writes must be positive")
-    kill_set = {int(cycle) for cycle in kill_before_write}
-    out_of_range = sorted(cycle for cycle in kill_set if not 0 <= cycle < num_writes)
-    if out_of_range:
-        raise ValueError(f"kill_before_write cycles {out_of_range} not in [0, {num_writes})")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if max_batch_size is None:
-        max_batch_size = num_readers + 1
-    executor = supervisor.executor
-    rng = np.random.default_rng(seed)
-    jitter = 1e-3 * rng.standard_normal((num_writes, queries.shape[1]))
-    read_latencies: list[float] = []
-    stale_reads = [0]
-    upserts = [0]
-    deletes = [0]
-    kills = [0]
-    overloaded = [0]
-
-    async def _probe(scheduler: AsyncBatchingScheduler, vector: np.ndarray):
-        try:
-            return await scheduler.submit(vector)
-        except OverloadError:
-            overloaded[0] += 1
-            return None, None
-
-    async def _reader(client_id: int, scheduler: AsyncBatchingScheduler) -> None:
-        for request in range(reads_per_client):
-            query = queries[(client_id + request * num_readers) % queries.shape[0]]
-            started = clock()
-            ids, _scores = await _probe(scheduler, query)
-            if ids is not None:
-                read_latencies.append(clock() - started)
-
-    async def _writer(scheduler: AsyncBatchingScheduler) -> None:
-        previous: tuple[int, np.ndarray] | None = None
-        for cycle in range(num_writes):
-            if cycle in kill_set:
-                # Poison a replica of the shard this cycle's upsert owns: the
-                # op broadcast below crashes it mid-apply_ops.
-                executor.inject_failure((id_start + cycle) % executor.num_shards)
-                kills[0] += 1
-            new_id = int(id_start + cycle)
-            vector = queries[cycle % queries.shape[0]] + jitter[cycle]
-            engine.upsert([new_id], vector[None, :])
-            control.upsert([new_id], vector[None, :])
-            upserts[0] += 1
-            for _ in range(visibility_probes):
-                ids, _scores = await _probe(scheduler, vector)
-                if ids is not None and new_id in ids:
-                    break
-            if previous is not None:
-                old_id, old_vector = previous
-                engine.delete([old_id])
-                control.delete([old_id])
-                deletes[0] += 1
-                ids, _scores = await _probe(scheduler, old_vector)
-                if ids is not None and old_id in ids:
-                    stale_reads[0] += 1
-            # Scheduled maintenance, in lockstep with the control run: both
-            # sides saw the same ops, so compaction triggers identically.
-            supervisor.maintain()
-            control.maybe_compact()
-            # Heal: respawn whatever died this cycle (probing catches workers
-            # that crashed with no in-flight future to fail).
-            supervisor.scan(probe=True)
-            previous = (new_id, vector)
-
-    async def _run() -> tuple[float, dict]:
-        async with AsyncBatchingScheduler(
-            engine,
-            k=k,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            clock=clock,
-            admission=admission,
-            **search_params,
-        ) as scheduler:
-            started = clock()
-            await asyncio.gather(
-                *(_reader(client_id, scheduler) for client_id in range(num_readers)),
-                _writer(scheduler),
-            )
-            wall = max(clock() - started, 1e-12)
-            return wall, scheduler.admission_stats()
-
-    wall, admission_stats = asyncio.run(_run())
-    supervisor.scan(probe=True)  # heal any straggler before the verdicts
-    final_chaos = engine.search(queries, k, **search_params)
-    final_control = control.search(queries, k, **search_params)
-    durations = [event.duration_s for event in supervisor.events]
-    return ChaosRecoveryReport(
-        label=label if label is not None else getattr(engine, "label", "engine"),
-        num_readers=num_readers,
-        num_reads=len(read_latencies),
-        num_upserts=upserts[0],
-        num_deletes=deletes[0],
-        kills_injected=kills[0],
-        recoveries=[event.to_json_dict() for event in supervisor.events],
-        ops_replayed=sum(event.ops_replayed for event in supervisor.events),
-        recovery_max_s=max(durations) if durations else 0.0,
-        recovery_bound_s=recovery_bound_s,
-        recovery_within_bound=all(d <= recovery_bound_s for d in durations),
-        stale_reads=stale_reads[0],
-        results_match_control=search_results_equal(final_chaos, final_control),
-        replicas_consistent=supervisor.replicas_consistent(),
-        wall_s=float(wall),
-        read_qps=float(len(read_latencies) / wall),
-        num_overloaded=overloaded[0],
-        admission=admission_stats,
-    )
-
-
 def speedup_summary(
     juno: QPSRecallSweep,
     baseline: QPSRecallSweep,
@@ -954,337 +292,3 @@ def speedup_summary(
             }
         )
     return rows
-
-
-# --------------------------------------------------------------- durability
-@dataclass
-class DurabilityReport:
-    """Verdicts of one crash-injection run over the durable update layer.
-
-    The writer's on-disk state (epoch snapshots + write-ahead log) is cut at
-    every record boundary, at the first and last byte inside every record,
-    and at *every byte offset of the tail record* -- each cut simulating a
-    writer killed at that instant.  Every cut is recovered through the real
-    recovery path (:func:`repro.serving.persistence.load_mutable_index`:
-    snapshot restore + WAL tail replay) and compared against the live
-    reference index as it was at that point in the op stream.
-
-    Attributes:
-        label: display name of the run.
-        num_records: op records the reference writer logged.
-        wal_bytes: size of the captured log.
-        injection_points: total crash points recovered (boundary + torn).
-        boundary_points / torn_points: the two cut families.
-        digest_mismatches: recoveries whose ``state_digest()`` differed from
-            the reference state (must be 0: recovery is bit-identical).
-        result_mismatches: recoveries whose probe search differed from the
-            reference results at that point (must be 0).
-        stale_reads: recovered searches that surfaced an id already deleted
-            at that point of the stream (must be 0).
-        repair_ok: a post-recovery append onto a torn log replayed cleanly
-            (the torn-tail repair path, exercised end to end).
-        recovery_mean_s / recovery_max_s: snapshot-restore + replay time
-            per crash point.
-    """
-
-    label: str
-    num_records: int = 0
-    wal_bytes: int = 0
-    injection_points: int = 0
-    boundary_points: int = 0
-    torn_points: int = 0
-    digest_mismatches: int = 0
-    result_mismatches: int = 0
-    stale_reads: int = 0
-    repair_ok: bool = False
-    recovery_mean_s: float = 0.0
-    recovery_max_s: float = 0.0
-
-    @property
-    def healthy(self) -> bool:
-        """The crash-consistency pass/fail line: every cut recovered bit-identically."""
-        return (
-            self.injection_points > 0
-            and self.digest_mismatches == 0
-            and self.result_mismatches == 0
-            and self.stale_reads == 0
-            and self.repair_ok
-        )
-
-    def to_json_dict(self) -> dict:
-        """A JSON-serialisable summary for ``BENCH_serving.json``."""
-        return {
-            "label": self.label,
-            "num_records": self.num_records,
-            "wal_bytes": self.wal_bytes,
-            "injection_points": self.injection_points,
-            "boundary_points": self.boundary_points,
-            "torn_points": self.torn_points,
-            "digest_mismatches": self.digest_mismatches,
-            "result_mismatches": self.result_mismatches,
-            "stale_reads": self.stale_reads,
-            "repair_ok": self.repair_ok,
-            "healthy": self.healthy,
-            "recovery_mean_s": self.recovery_mean_s,
-            "recovery_max_s": self.recovery_max_s,
-        }
-
-
-def run_durability_crash_injection(
-    make_index,
-    workdir,
-    fresh_vectors: np.ndarray,
-    queries: np.ndarray,
-    id_start: int,
-    num_steps: int = 24,
-    delete_every: int = 4,
-    k: int = 10,
-    label: str | None = None,
-    clock=None,
-    **search_params,
-) -> DurabilityReport:
-    """Cut the writer's durable state at every crash point and recover each.
-
-    Drives one reference :class:`~repro.updates.mutable.MutableJunoIndex`
-    through a scripted upsert/delete stream (with policy-triggered
-    compactions flowing through the same log), snapshotting twice -- once at
-    epoch 0 and once mid-stream -- and checkpointing the log size, the
-    ``state_digest()``, the probe-search results and the deleted-id set
-    after every record.  The captured log bytes are then truncated at every
-    record boundary, at the first/last byte inside each record and at every
-    byte offset of the tail record; each truncation is recovered via
-    :func:`~repro.serving.persistence.load_mutable_index` (most recent
-    covering snapshot + WAL tail replay) and must reproduce the reference
-    state at that record **bit-identically** -- digest match, identical
-    probe results, zero stale reads.  Finally one torn cut takes a fresh
-    append (the torn-tail repair) and must replay cleanly.
-
-    Args:
-        make_index: ``make_index(wal) -> MutableJunoIndex`` building the
-            reference index over the harness-owned write-ahead log; called
-            exactly once.
-        workdir: scratch directory for the log, its cuts and the snapshots.
-        fresh_vectors: pool of vectors the scripted upserts draw from.
-        queries: probe queries for the per-record reference results.
-        id_start: first fresh global id the script upserts.
-        num_steps: scripted mutation steps (records can exceed this when
-            compactions trigger).
-        delete_every: every Nth step deletes the oldest live scripted id
-            (the final step always deletes, keeping the tail record small
-            so per-byte torn cuts stay tractable).
-        k / search_params: probe-search shape.
-    """
-    from repro.serving.persistence import load_mutable_index, save_mutable_index
-    from repro.updates.wal import WriteAheadLog
-
-    clock = resolve_clock(clock)
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    wal_path = workdir / "reference.wal"
-    # fsync mode is irrelevant here (the injection truncates captured bytes
-    # itself); segmenting is disabled so the cuts span one active file.
-    wal = WriteAheadLog(wal_path)
-    index = make_index(wal)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    fresh_vectors = np.atleast_2d(np.asarray(fresh_vectors, dtype=np.float64))
-
-    snap0 = workdir / "snapshot-epoch0"
-    snap_mid = workdir / "snapshot-mid"
-    save_mutable_index(index, snap0)
-
-    offsets: list[int] = []  # log size after record j (offsets[0] == 0)
-    digests: list[str] = []
-    ref_results: list = []
-    deleted_sets: list[frozenset] = []
-    deleted: set[int] = set()
-
-    def checkpoint() -> None:
-        offsets.append(wal_path.stat().st_size if wal_path.is_file() else 0)
-        digests.append(index.state_digest())
-        ref_results.append(index.search(queries, k, **search_params))
-        deleted_sets.append(frozenset(deleted))
-
-    checkpoint()  # record 0: the epoch-0 state
-    upserted: list[int] = []
-    mid_step = max(num_steps // 2, 1)
-    mid_epoch = None
-    for step in range(1, num_steps + 1):
-        deletable = [g for g in upserted if g not in deleted]
-        if deletable and (step % delete_every == 0 or step == num_steps):
-            victim = deletable[0]
-            index.delete([victim])
-            deleted.add(victim)
-        else:
-            gid = id_start + step
-            index.upsert([gid], fresh_vectors[step % len(fresh_vectors)][None, :])
-            upserted.append(gid)
-        checkpoint()
-        if index.maybe_compact():
-            checkpoint()  # the compact op is its own logged record
-        if step == mid_step:
-            save_mutable_index(index, snap_mid)
-            mid_epoch = len(offsets) - 1  # records covered by the mid snapshot
-    wal.close()
-
-    wal_bytes = wal_path.read_bytes()
-    num_records = len(offsets) - 1
-    boundary_cuts = set(offsets)
-    torn_cuts: set[int] = set()
-    for j in range(1, num_records + 1):
-        start, end = offsets[j - 1], offsets[j]
-        if end - start > 1:
-            torn_cuts.update((start + 1, end - 1))  # first/last byte of each record
-    torn_cuts.update(range(offsets[num_records - 1] + 1, offsets[num_records]))
-    torn_cuts -= boundary_cuts
-
-    report = DurabilityReport(
-        label=label or "durability crash injection",
-        num_records=num_records,
-        wal_bytes=len(wal_bytes),
-        boundary_points=len(boundary_cuts),
-        torn_points=len(torn_cuts),
-    )
-    cut_path = workdir / "crash.wal"
-    recovery_times: list[float] = []
-    deepest_torn = max(torn_cuts, default=None)
-    from bisect import bisect_right
-
-    import json as _json
-
-    for cut in sorted(boundary_cuts | torn_cuts):
-        cut_path.write_bytes(wal_bytes[:cut])
-        j = bisect_right(offsets, cut) - 1  # records fully contained in the cut
-        if j < num_records:
-            # A cut that only sheds the record's trailing newline leaves
-            # complete, valid JSON -- that record *was* written and the WAL
-            # (correctly) keeps it on recovery, so expect the later state.
-            partial = wal_bytes[offsets[j] : cut]
-            try:
-                _json.loads(partial)
-            except ValueError:
-                pass
-            else:
-                if partial.strip():
-                    j += 1
-        snapshot = snap_mid if mid_epoch is not None and j >= mid_epoch else snap0
-        started = clock()
-        recovered = load_mutable_index(snapshot, wal=WriteAheadLog(cut_path))
-        recovery_times.append(max(clock() - started, 0.0))
-        report.injection_points += 1
-        if recovered.state_digest() != digests[j]:
-            report.digest_mismatches += 1
-            continue
-        observed = recovered.search(queries, k, **search_params)
-        if not search_results_equal(observed, ref_results[j]):
-            report.result_mismatches += 1
-        returned = {int(g) for g in np.asarray(observed.ids).ravel() if g >= 0}
-        report.stale_reads += len(returned & deleted_sets[j])
-        if cut == deepest_torn:
-            # End-to-end torn-tail repair: append onto the recovered log and
-            # prove the repaired file replays cleanly through the new record.
-            recovered.upsert([id_start + num_steps + 1], fresh_vectors[0][None, :])
-            replayed = list(recovered.wal.replay())
-            report.repair_ok = bool(replayed) and replayed[-1]["seq"] == recovered.wal.last_seq
-        recovered.wal.close()
-    if deepest_torn is None:
-        report.repair_ok = True  # nothing torn to repair (degenerate tiny runs)
-    if recovery_times:
-        report.recovery_mean_s = float(np.mean(recovery_times))
-        report.recovery_max_s = float(np.max(recovery_times))
-    return report
-
-
-def run_wal_kill9(
-    wal_path,
-    fsync: str = "batch",
-    group_window_s: float = 0.002,
-    dim: int = 8,
-    min_bytes: int = 4096,
-    timeout_s: float = 30.0,
-) -> dict:
-    """SIGKILL a real writer process mid-append; assert the log survives.
-
-    Complements the byte-level torn-write injection with the genuine
-    article: a subprocess running a tight ``WriteAheadLog.append`` loop is
-    killed with ``SIGKILL`` (no atexit, no flush, no goodbye) once the log
-    has grown past ``min_bytes``.  The surviving file is then opened by a
-    fresh :class:`~repro.updates.wal.WriteAheadLog` -- the scan must
-    classify its tail, ``replay()`` must stream every complete record
-    without raising, and a follow-up append must repair any torn tail and
-    leave the log replayable through the new record.
-
-    Returns a JSON-ready dict (records survived, tail state, repair
-    counters).  POSIX only (``SIGKILL``); raises :class:`RuntimeError`
-    elsewhere.
-    """
-    import os
-    import subprocess
-    import sys
-
-    from repro.updates.wal import DurabilityPolicy, WriteAheadLog
-
-    if os.name != "posix":  # pragma: no cover - exercised on POSIX CI only
-        raise RuntimeError("run_wal_kill9 needs POSIX kill semantics")
-    import repro
-
-    wal_path = Path(wal_path)
-    wal_path.parent.mkdir(parents=True, exist_ok=True)
-    package_root = Path(repro.__file__).resolve().parents[1]
-    writer_code = (
-        "import sys\n"
-        "from pathlib import Path\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "from repro.updates.wal import DurabilityPolicy, WriteAheadLog\n"
-        "path, fsync, window, dim = sys.argv[2], sys.argv[3], float(sys.argv[4]), int(sys.argv[5])\n"
-        "wal = WriteAheadLog(path, DurabilityPolicy(fsync=fsync, group_window_s=window))\n"
-        "i = 0\n"
-        "while True:\n"
-        "    i += 1\n"
-        "    wal.append('upsert', ids=[i], vectors=[[0.5] * dim])\n"
-    )
-    writer = subprocess.Popen(
-        [
-            sys.executable,
-            "-c",
-            writer_code,
-            str(package_root),
-            str(wal_path),
-            fsync,
-            str(group_window_s),
-            str(dim),
-        ]
-    )
-    try:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if writer.poll() is not None:
-                raise RuntimeError(
-                    f"WAL writer exited early with code {writer.returncode}"
-                )
-            if wal_path.is_file() and wal_path.stat().st_size >= min_bytes:
-                break
-            time.sleep(0.005)
-        else:
-            raise RuntimeError("WAL writer produced no output before the timeout")
-    finally:
-        writer.kill()  # SIGKILL: no flush, no cleanup
-        writer.wait()
-
-    survivor = WriteAheadLog(wal_path, DurabilityPolicy(fsync=fsync))
-    tail_state = survivor._tail
-    records = list(survivor.replay())
-    records_survived = len(records)
-    continuation_seq = survivor.append("upsert", ids=[-1], vectors=[[0.0] * dim])
-    replayed = list(survivor.replay())
-    survivor.close()
-    return {
-        "fsync": fsync,
-        "records_survived": records_survived,
-        "tail_state_on_reopen": tail_state,
-        "tail_repairs": survivor.tail_repairs,
-        "continuation_seq": continuation_seq,
-        "replayable_after_continue": bool(replayed)
-        and replayed[-1]["seq"] == continuation_seq
-        and len(replayed) == records_survived + 1,
-        "survived_bytes": int(wal_path.stat().st_size),
-    }

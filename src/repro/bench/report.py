@@ -7,21 +7,9 @@ it directly.
 
 from __future__ import annotations
 
-import json
-import os
 from collections.abc import Sequence
-from pathlib import Path
 
 from repro.metrics.qps import ThroughputRecord
-
-#: Default machine-readable benchmark output file; override with the
-#: ``REPRO_BENCH_JSON`` environment variable.
-BENCH_JSON_NAME = "BENCH_serving.json"
-
-#: Version of the per-section bench JSON schema.  Bump when the stamped
-#: provenance fields change shape; ``benchmarks/validate_bench.py`` checks
-#: that freshly written sections carry the current version.
-SCHEMA_VERSION = 1
 
 
 def _format_value(value) -> str:
@@ -75,106 +63,6 @@ def format_records_table(records: Sequence[ThroughputRecord], title: str | None 
         row.update({k: v for k, v in record.extra.items()})
         rows.append(row)
     return format_table(rows, title=title)
-
-
-def throughput_record_dict(record: ThroughputRecord) -> dict:
-    """A JSON-serialisable dict of one throughput record (for bench JSON)."""
-    return {
-        "label": record.label,
-        "recall": float(record.recall),
-        "qps": float(record.qps),
-        "latency_s": float(record.latency_s),
-        "num_queries": int(record.num_queries),
-        "extra": {
-            key: value
-            for key, value in record.extra.items()
-            if isinstance(value, (str, int, float, bool, dict, list)) or value is None
-        },
-    }
-
-
-def bench_json_path(path: "str | Path | None" = None) -> Path:
-    """Resolve the machine-readable benchmark output path.
-
-    Precedence: explicit argument, then the ``REPRO_BENCH_JSON`` environment
-    variable, then ``BENCH_serving.json`` in the current directory.
-    """
-    if path is not None:
-        return Path(path)
-    return Path(os.environ.get("REPRO_BENCH_JSON", BENCH_JSON_NAME))
-
-
-def _git_sha() -> str:
-    """The commit the benchmark ran at, best effort.
-
-    CI exposes it as ``GITHUB_SHA``; locally we ask git.  ``"unknown"`` when
-    neither works (e.g. an exported tree) -- provenance must never crash a
-    benchmark.
-    """
-    sha = os.environ.get("GITHUB_SHA")
-    if sha:
-        return sha
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
-
-
-def provenance_stamp() -> dict:
-    """Provenance fields stamped into every bench JSON section.
-
-    Records the section schema version, the git commit and the
-    ``REPRO_BENCH_SCALE`` factor the numbers were measured under, so a
-    committed ``BENCH_serving.json`` is self-describing: a diff across PRs
-    shows whether a change is a real regression or a different measurement
-    scale, and ``benchmarks/validate_bench.py`` can type-check the file.
-    """
-    try:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
-    except ValueError:
-        scale = 1.0
-    return {"schema_version": SCHEMA_VERSION, "git_sha": _git_sha(), "bench_scale": scale}
-
-
-def update_bench_json(section: str, payload, path: "str | Path | None" = None) -> Path:
-    """Merge one benchmark's results into the machine-readable output file.
-
-    The file maps section names to JSON payloads; each benchmark owns its
-    section(s) and updates them in place, so running benchmarks in any order
-    (or one at a time) accumulates one tracking file whose values can be
-    diffed across PRs.  Dict payloads are stamped with
-    :func:`provenance_stamp` (git SHA + bench scale); payload keys win on
-    collision.  An unreadable existing file is replaced rather than crashing
-    the benchmark that found it.
-
-    Returns the path written.
-    """
-    if isinstance(payload, dict):
-        payload = {**provenance_stamp(), **payload}
-    target = bench_json_path(path)
-    data: dict = {}
-    if target.is_file():
-        try:
-            existing = json.loads(target.read_text())
-            if isinstance(existing, dict):
-                data = existing
-        except (OSError, json.JSONDecodeError):
-            data = {}
-    data[str(section)] = payload
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return target
 
 
 def emit(text: str = "") -> None:

@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     merge_snapshots,
     render_prometheus,
     set_registry,
-    snapshot_summary,
 )
 from repro.obs.trace import Span, Trace
 
@@ -54,7 +53,6 @@ __all__ = [
     "merge_snapshots",
     "render_prometheus",
     "set_registry",
-    "snapshot_summary",
     "Span",
     "Trace",
 ]

@@ -39,7 +39,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "merge_snapshots",
-    "snapshot_summary",
     "render_prometheus",
 ]
 
@@ -236,8 +235,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """A JSON-able point-in-time dump of every instrument.
 
-        Shape (stable; ``benchmarks/validate_bench.py`` and the exporter
-        depend on it)::
+        Shape (stable; the exporter and the cross-process merge depend on
+        it)::
 
             {"counters":   [{"name", "labels", "value"}, ...],
              "gauges":     [{"name", "labels", "value"}, ...],
@@ -351,32 +350,6 @@ def merge_snapshots(snapshots) -> dict:
         "gauges": list(gauges.values()),
         "histograms": list(histograms.values()),
     }
-
-
-def snapshot_summary(snapshot: dict) -> dict:
-    """Compact ``{metric{labels}: value-or-summary}`` view of a snapshot.
-
-    Used for the ``observability`` section of ``BENCH_serving.json``:
-    histograms are reduced to their p50/p90/p99 summaries so the committed
-    file stays small and diffable.
-    """
-    out: dict = {}
-    for entry in snapshot.get("counters", []):
-        out[_format_series(entry["name"], entry.get("labels", {}))] = entry["value"]
-    for entry in snapshot.get("gauges", []):
-        out[_format_series(entry["name"], entry.get("labels", {}))] = entry["value"]
-    for entry in snapshot.get("histograms", []):
-        bounds = tuple(entry["buckets"])
-        counts = list(entry["counts"])
-        total = int(entry["count"])
-        out[_format_series(entry["name"], entry.get("labels", {}))] = {
-            "count": total,
-            "sum": entry["sum"],
-            "p50": _bucket_percentile(bounds, counts, total, 0.50),
-            "p90": _bucket_percentile(bounds, counts, total, 0.90),
-            "p99": _bucket_percentile(bounds, counts, total, 0.99),
-        }
-    return out
 
 
 # ------------------------------------------------------------- exposition

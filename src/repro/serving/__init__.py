@@ -23,11 +23,10 @@ Deployments are described by a typed, frozen
 :class:`~repro.serving.config.ServingConfig` (with nested
 :class:`~repro.serving.config.ReplicaPolicy` and
 :class:`~repro.serving.config.AdmissionPolicy`, plus the WAL
-:class:`~repro.updates.wal.DurabilityPolicy`); the kwargs they replaced
-survive as deprecated shims.  Failures share one exception hierarchy rooted
-at :class:`~repro.errors.ServingError`, and the self-healing loop --
-dead-replica detection, respawn from bundle, op-log catch-up, re-admission
--- lives in :mod:`repro.serving.recovery`.
+:class:`~repro.updates.wal.DurabilityPolicy`).  Failures share one
+exception hierarchy rooted at :class:`~repro.errors.ServingError`, and the
+self-healing loop -- dead-replica detection, respawn from bundle, op-log
+catch-up, re-admission -- lives in :mod:`repro.serving.recovery`.
 """
 
 from repro.errors import OverloadError, RecoveryError, ServingError
@@ -41,7 +40,6 @@ from repro.serving.config import (
 )
 from repro.serving.engine import EngineResult, ServingEngine
 from repro.serving.executors import (
-    ProcessShardExecutor,
     SequentialShardExecutor,
     ShardExecutor,
     ThreadShardExecutor,
@@ -88,7 +86,6 @@ __all__ = [
     "ObservabilityConfig",
     "OverloadError",
     "PersistenceError",
-    "ProcessShardExecutor",
     "QueryTicket",
     "RecoveryError",
     "RecoveryEvent",

@@ -1,10 +1,7 @@
-"""Typed serving configuration: one frozen object instead of kwargs sprawl.
+"""Typed serving configuration: one frozen object describes a deployment.
 
-The serving entry points grew knob by knob across PRs -- ``ShardedJunoIndex
-.load(path, num_workers=..., executor=..., num_replicas=...,
-worker_stage_cache=..., load_shards=...)``, ``make_resident(...)`` with its
-own overlapping subset, and recovery/admission knobs arriving on top.  This
-module consolidates them into three frozen dataclasses:
+``ShardedJunoIndex.load(path, config)`` and ``make_resident(path, config)``
+take every deployment setting through three frozen dataclasses:
 
 * :class:`ServingConfig` -- how a deployment is constructed (fan-out
   executor, worker count, whether the coordinator materialises shards) plus
@@ -20,9 +17,7 @@ write-ahead log it governs, re-exported here) nests under
 travels with the rest of its shape.
 
 All three round-trip through ``to_dict`` / ``from_dict`` (nested), so a
-deployment's shape can live in a JSON config file next to its bundle.  The
-legacy keyword arguments survive as deprecated shims on the entry points
-themselves, parity-tested against this path.
+deployment's shape can live in a JSON config file next to its bundle.
 """
 
 from __future__ import annotations
@@ -32,12 +27,8 @@ from dataclasses import dataclass, field, replace
 from repro.obs.config import ObservabilityConfig
 from repro.updates.wal import DurabilityPolicy
 
-#: Sentinel distinguishing "legacy kwarg not passed" from any real value, so
-#: the deprecation shims only warn when a caller actually used the old API.
-_UNSET = object()
-
 _OVERLOAD_POLICIES = ("reject", "shed_oldest")
-_EXECUTOR_KINDS = ("sequential", "thread", "process", "resident")
+_EXECUTOR_KINDS = ("sequential", "thread", "resident")
 _RESIDENCY_MODES = ("copy", "mmap", "shm")
 
 
@@ -134,12 +125,12 @@ class ServingConfig:
     """How one serving deployment is constructed, as a single typed value.
 
     Attributes:
-        executor: fan-out backend -- ``"sequential"``, ``"thread"``,
-            ``"process"`` or ``"resident"`` (the worker-resident runtime).
-            A ready :class:`~repro.serving.executors.ShardExecutor`
-            *instance* is accepted too (the caller keeps its lifecycle), but
-            such a config is no longer serialisable: :meth:`to_dict`
-            refuses, because a live process pool has no JSON form.
+        executor: fan-out backend -- ``"sequential"``, ``"thread"`` or
+            ``"resident"`` (the worker-resident runtime).  A ready
+            :class:`~repro.serving.executors.ShardExecutor` *instance* is
+            accepted too (the caller keeps its lifecycle), but such a config
+            is no longer serialisable: :meth:`to_dict` refuses, because a
+            live executor has no JSON form.
         num_workers: fan-out parallelism for the local executors; ``None``
             defaults to one worker per shard.
         load_shards: whether the coordinator also materialises shard

@@ -10,17 +10,11 @@ interface with three backends:
   reference for correctness tests;
 * :class:`ThreadShardExecutor` -- shared-memory thread pool, best when the
   NumPy kernels dominate;
-* :class:`ProcessShardExecutor` -- process pool for true parallelism of the
-  Python-level stage code.  Per-shard searches are shipped as picklable
-  ``(shard, queries, k, params)`` payloads executed by a module-level task
-  function; everything a per-shard pipeline carries (trained
-  :class:`~repro.core.index.JunoIndex` state and the built-in stage objects)
-  pickles cleanly.  Note the IPC profile: the *whole shard* is re-pickled
-  per batch, which the worker-resident executor below avoids.
 * :class:`~repro.serving.routing.ResidentProcessShardExecutor` (in
   :mod:`repro.serving.routing`) -- worker-resident processes booted from
-  per-shard disk bundles with replicated routing and failover; per-batch
-  payloads carry queries only.
+  per-shard disk bundles with replicated routing and failover, for true
+  parallelism of the Python-level stage code; per-batch payloads carry
+  queries only.
 
 The router talks to executors through :meth:`ShardExecutor.search_shards`;
 the generic ``map`` remains for the payload-agnostic backends.  All
@@ -29,19 +23,18 @@ executors are context managers with idempotent ``close()``.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-_EXECUTOR_KINDS = ("sequential", "thread", "process")
+_EXECUTOR_KINDS = ("sequential", "thread")
 
 
 def search_shard_task(payload) -> object:
-    """Run one shard's search from a picklable payload.
+    """Run one shard's search from a ``(shard, queries, k, params)`` payload.
 
-    ``payload`` is ``(shard, queries, k, params)`` where ``params`` are the
-    keyword arguments of :meth:`repro.core.index.JunoIndex.search` (including
-    an optional per-shard ``pipeline``).  Module-level so process pools can
-    pickle it by reference.
+    ``params`` are the keyword arguments of
+    :meth:`repro.core.index.JunoIndex.search` (including an optional
+    per-shard ``pipeline``).
     """
     shard, queries, k, params = payload
     return shard.search(queries, k, **params)
@@ -65,10 +58,9 @@ class ShardExecutor:
     def search_shards(self, shards: Sequence, queries, k: int, params: dict) -> list:
         """Search every shard with one query batch, preserving shard order.
 
-        The default implementation ships the shard objects themselves (the
-        payload shape every pooled backend understands); resident executors
-        override it with query-only payloads routed to the workers that
-        already hold the shard.
+        The default implementation hands the shard objects themselves to
+        :meth:`map`; resident executors override it with query-only payloads
+        routed to the workers that already hold the shard.
         """
         return self.map(search_shard_task, [(shard, queries, k, params) for shard in shards])
 
@@ -91,8 +83,8 @@ class SequentialShardExecutor(ShardExecutor):
         return [fn(payload) for payload in payloads]
 
 
-class _PooledShardExecutor(ShardExecutor):
-    """Shared lazy-pool plumbing for the thread and process backends.
+class ThreadShardExecutor(ShardExecutor):
+    """Thread-pool fan-out (NumPy releases the GIL in the hot kernels).
 
     The pool is created on first use and reused across batches (the serving
     hot path flushes a batch every few milliseconds; per-batch pool creation
@@ -100,18 +92,17 @@ class _PooledShardExecutor(ShardExecutor):
     ``map`` after a close transparently builds a fresh pool.
     """
 
+    kind = "thread"
+
     def __init__(self, num_workers: int) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = int(num_workers)
-        self._pool = None
-
-    def _make_pool(self):
-        raise NotImplementedError
+        self._pool: ThreadPoolExecutor | None = None
 
     def map(self, fn: Callable, payloads: Sequence) -> list:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
         return list(self._pool.map(fn, payloads))
 
     def close(self) -> None:
@@ -120,37 +111,14 @@ class _PooledShardExecutor(ShardExecutor):
             self._pool = None
 
 
-class ThreadShardExecutor(_PooledShardExecutor):
-    """Thread-pool fan-out (NumPy releases the GIL in the hot kernels)."""
-
-    kind = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.num_workers)
-
-
-class ProcessShardExecutor(_PooledShardExecutor):
-    """Process-pool fan-out for GIL-free parallelism of the stage code.
-
-    Payloads (including the shard indexes themselves) are pickled per call,
-    which trades serialisation bandwidth for parallel Python execution --
-    worthwhile for large batches on multi-core serving hosts.
-    """
-
-    kind = "process"
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.num_workers)
-
-
 def make_shard_executor(spec: "str | ShardExecutor", num_workers: int) -> ShardExecutor:
     """Build (or pass through) a fan-out executor.
 
     Args:
         spec: an executor instance (returned as-is), or one of
-            ``"sequential"``, ``"thread"``, ``"process"``.  The pooled kinds
-            collapse to sequential when ``num_workers <= 1``.
-        num_workers: worker budget for the pooled backends.
+            ``"sequential"``, ``"thread"``.  The thread pool collapses to
+            sequential when ``num_workers <= 1``.
+        num_workers: worker budget of the thread pool.
 
     Returns:
         A ready-to-use :class:`ShardExecutor`.
@@ -160,13 +128,12 @@ def make_shard_executor(spec: "str | ShardExecutor", num_workers: int) -> ShardE
     if spec == "resident":
         raise ValueError(
             "the resident executor needs a shard bundle on disk; build it via "
-            "ShardedJunoIndex.load(path, executor='resident') / make_resident(path), "
-            "or construct a repro.serving.routing.ResidentProcessShardExecutor directly"
+            "ShardedJunoIndex.load(path, ServingConfig(executor='resident')) / "
+            "make_resident(path), or construct a "
+            "repro.serving.routing.ResidentProcessShardExecutor directly"
         )
     if spec not in _EXECUTOR_KINDS:
         raise ValueError(f"executor must be one of {_EXECUTOR_KINDS} or a ShardExecutor")
     if spec == "sequential" or num_workers <= 1:
         return SequentialShardExecutor()
-    if spec == "thread":
-        return ThreadShardExecutor(num_workers)
-    return ProcessShardExecutor(num_workers)
+    return ThreadShardExecutor(num_workers)

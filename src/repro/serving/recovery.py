@@ -62,15 +62,6 @@ class RecoveryEvent:
     ops_replayed: int
     duration_s: float
 
-    def to_json_dict(self) -> dict:
-        """A JSON-serialisable form for the bench report."""
-        return {
-            "shard_id": self.shard_id,
-            "replica_id": self.replica_id,
-            "ops_replayed": self.ops_replayed,
-            "duration_s": self.duration_s,
-        }
-
 
 class ReplicaSupervisor:
     """Watches a resident executor's replica table and heals it.

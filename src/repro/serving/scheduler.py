@@ -10,10 +10,8 @@ or the oldest submission has waited long enough (``max_wait_s``), executes
 one batched search, and distributes the result rows back to the tickets.
 
 Latency accounting uses an injectable monotonic clock so tests can drive
-the wait-based flush deterministically, and the collected statistics are
-exposed in the shapes :mod:`repro.metrics.qps` already understands
-(:func:`~repro.metrics.qps.queries_per_second`,
-:class:`~repro.metrics.qps.ThroughputRecord`).
+the wait-based flush deterministically, and throughput is computed by
+:func:`~repro.metrics.qps.queries_per_second`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.metrics.qps import ThroughputRecord, queries_per_second
+from repro.metrics.qps import queries_per_second
 from repro.obs.clock import resolve as resolve_clock
 
 
@@ -106,17 +104,6 @@ class SchedulerStats:
     total_latency_s: float
     mean_queue_wait_s: float
     qps: float
-
-    def to_throughput_record(self, label: str, recall: float = float("nan")) -> ThroughputRecord:
-        """Adapt to the record type the bench harness and reports consume."""
-        return ThroughputRecord(
-            label=label,
-            recall=recall,
-            qps=self.qps,
-            latency_s=self.total_latency_s,
-            num_queries=self.num_queries,
-            extra={"num_batches": self.num_batches, "mean_batch_size": self.mean_batch_size},
-        )
 
 
 def aggregate_batch_records(records: "list[BatchRecord]") -> SchedulerStats:

@@ -16,9 +16,8 @@ applies that decomposition to :class:`~repro.core.index.JunoIndex`:
   :class:`~repro.gpu.work.SearchWork` counters and per-stage breakdowns.
 
 Fan-out runs on a pluggable :class:`~repro.serving.executors.ShardExecutor`
-(sequential, thread pool, or process pool -- the per-shard staged pipeline is
-picklable, so true process-level parallelism works).  With ``exact_rerank``
-enabled the router appends an
+(sequential, thread pool, or worker-resident processes).  With
+``exact_rerank`` enabled the router appends an
 :class:`~repro.pipeline.stages.ExactRerankStage` after the k-way merge:
 per-shard scores live in shard-local PQ frames, so at aggressive
 ``threshold_scale`` the merged ranking mixes incomparable scales, and the
@@ -44,7 +43,7 @@ from repro.pipeline.cache import StageCache
 from repro.pipeline.context import QueryContext
 from repro.pipeline.pipeline import QueryPipeline, default_search_pipeline
 from repro.pipeline.stages import ExactRerankStage
-from repro.serving.config import _UNSET, ReplicaPolicy, ServingConfig
+from repro.serving.config import ServingConfig
 from repro.serving.executors import (
     ShardExecutor,
     make_shard_executor,
@@ -63,7 +62,6 @@ from repro.serving.persistence import (
 from repro.storage import atomic_write_text, staged
 
 SHARDED_KIND = "sharded-juno-index"
-_SHARDED_KIND = SHARDED_KIND  # backwards-compatible alias
 _SHARD_IDS_NAME = "shard_ids.npz"
 
 
@@ -112,6 +110,18 @@ _RERANK_CORPUS_NAME = "rerank_corpus.npz"
 #: noise, not skew).
 _DELTA_IMBALANCE_FACTOR = 4.0
 _DELTA_IMBALANCE_MIN = 32
+
+
+def _checked_config(config: "ServingConfig | None") -> ServingConfig:
+    """``config`` or the default; anything else in its place is a caller error."""
+    if config is None:
+        return ServingConfig()
+    if not isinstance(config, ServingConfig):
+        raise TypeError(
+            f"config must be a ServingConfig, not {type(config).__name__}; "
+            "executor, worker and replica settings are its fields"
+        )
+    return config
 
 
 def router_manifest_dict(
@@ -319,8 +329,7 @@ class ShardedJunoIndex:
             blocks, which preserves any locality of the insertion order.
         num_workers: fan-out parallelism; ``1`` searches shards
             sequentially.  Defaults to one worker per shard.
-        executor: fan-out backend -- ``"thread"`` (default), ``"process"``
-            (GIL-free parallelism of the per-shard stage code),
+        executor: fan-out backend -- ``"thread"`` (default),
             ``"sequential"``, or a ready
             :class:`~repro.serving.executors.ShardExecutor` instance.
         exact_rerank: when ``True``, :meth:`train` retains the corpus and
@@ -337,10 +346,9 @@ class ShardedJunoIndex:
             coarse-filter/threshold outputs when the same batch is searched
             repeatedly (threshold-scale or quality-mode sweeps) instead of
             recomputing them per shard per grid point.  The cache lives in
-            router memory: with ``executor="process"`` the workers receive
-            empty copies each batch, so it only pays off on the sequential
-            and thread executors.  Ignored when a custom ``pipeline=`` is
-            passed to :meth:`search`.
+            router memory, so it serves the sequential and thread
+            executors (resident workers keep private caches instead).
+            Ignored when a custom ``pipeline=`` is passed to :meth:`search`.
         new_id_assignment: how previously unseen global ids are homed on
             upsert -- ``"contiguous"`` (default) rotates fixed-size id
             blocks across shards so bursts of fresh ids land together;
@@ -751,11 +759,12 @@ class ShardedJunoIndex:
     def upsert(self, ids: np.ndarray, vectors: np.ndarray) -> "ShardedJunoIndex":
         """Insert or replace vectors by global id, routed to the owning shard.
 
-        New ids are assigned ``global_id % num_shards`` (the round-robin deal
-        the trainer used); existing ids go back to the shard that holds
-        them.  With a resident executor the op payload is broadcast to every
-        live replica of the owning shard (the replicated op log), with the
-        same failover semantics as queries.
+        New ids are homed by the router's ``new_id_assignment`` rule (by
+        default, blocks of 1024 consecutive ids dealt to shards in
+        rotation); existing ids go back to the shard that holds them.  With
+        a resident executor the op payload is broadcast to every live
+        replica of the owning shard (the replicated op log), with the same
+        failover semantics as queries.
         """
         self._require_mutable()
         ids = np.asarray(ids, dtype=np.int64).ravel()
@@ -1087,54 +1096,11 @@ class ShardedJunoIndex:
         atomic_write_text(path / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True))
         return path
 
-    @staticmethod
-    def _resolve_legacy_config(
-        config: "ServingConfig | None", method: str, legacy: dict
-    ) -> "ServingConfig | None":
-        """Fold deprecated per-kwarg construction into a :class:`ServingConfig`.
-
-        ``legacy`` maps old kwarg names to values, with unset ones filtered
-        out by the ``_UNSET`` sentinel upstream -- so the deprecation only
-        fires for callers who actually used the old API.  Mixing both styles
-        is refused: silently preferring one would make the other a no-op.
-        """
-        legacy = {name: value for name, value in legacy.items() if value is not _UNSET}
-        if not legacy:
-            return config
-        if config is not None:
-            raise ValueError(
-                f"{method} got both config= and the legacy keyword(s) "
-                f"{sorted(legacy)}; pass everything through ServingConfig"
-            )
-        warnings.warn(
-            f"the {sorted(legacy)} keyword(s) of {method} are deprecated; "
-            "pass a ServingConfig (with a ReplicaPolicy for replica knobs) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        replicas = ReplicaPolicy(
-            num_replicas=legacy.get("num_replicas", 1),
-            worker_stage_cache=legacy.get("worker_stage_cache", True),
-        )
-        return ServingConfig(
-            executor=legacy.get("executor", "thread"),
-            num_workers=legacy.get("num_workers"),
-            load_shards=legacy.get("load_shards"),
-            replicas=replicas,
-        )
-
     @classmethod
     def load(
         cls,
         path: str | Path,
         config: "ServingConfig | None" = None,
-        *,
-        num_workers=_UNSET,
-        executor=_UNSET,
-        num_replicas=_UNSET,
-        worker_stage_cache=_UNSET,
-        load_shards=_UNSET,
     ) -> "ShardedJunoIndex":
         """Restore a sharded index saved by :meth:`save` without retraining.
 
@@ -1143,12 +1109,7 @@ class ShardedJunoIndex:
         whether the coordinator materialises shards locally, and -- for
         ``executor="resident"`` -- the
         :class:`~repro.serving.config.ReplicaPolicy` (replica count,
-        cache-affinity routing, per-worker stage caches, warm boot).  The
-        keyword arguments of the pre-config API (``num_workers``,
-        ``executor``, ``num_replicas``, ``worker_stage_cache``,
-        ``load_shards``) still work but are deprecated shims: they emit a
-        :class:`DeprecationWarning`, fold into an equivalent config, and
-        cannot be mixed with ``config=``.
+        cache-affinity routing, per-worker stage caches, warm boot).
 
         ``ServingConfig(executor="resident")`` boots the worker-resident
         runtime from the same bundle: one
@@ -1168,24 +1129,7 @@ class ShardedJunoIndex:
         *is* its persistent form); use ``load_shards=True`` if a local
         copy is genuinely needed.
         """
-        if config is not None and not isinstance(config, ServingConfig):
-            raise TypeError(
-                "config must be a ServingConfig; legacy values such as "
-                "num_workers/executor must be passed by keyword"
-            )
-        config = cls._resolve_legacy_config(
-            config,
-            "ShardedJunoIndex.load()",
-            {
-                "num_workers": num_workers,
-                "executor": executor,
-                "num_replicas": num_replicas,
-                "worker_stage_cache": worker_stage_cache,
-                "load_shards": load_shards,
-            },
-        )
-        if config is None:
-            config = ServingConfig()
+        config = _checked_config(config)
         executor = config.executor
         num_workers = config.num_workers
         load_shards = config.load_shards
@@ -1299,8 +1243,6 @@ class ShardedJunoIndex:
         path: str | Path,
         config: "ServingConfig | None" = None,
         *,
-        num_replicas=_UNSET,
-        worker_stage_cache=_UNSET,
         persist: bool = True,
     ) -> "ShardedJunoIndex":
         """Switch this router's fan-out to the worker-resident runtime.
@@ -1311,31 +1253,14 @@ class ShardedJunoIndex:
         :class:`~repro.serving.routing.ResidentProcessShardExecutor`: each
         shard gets ``config.replicas.num_replicas`` dedicated worker
         processes that load it from the bundle once and afterwards receive
-        query-only payloads.  The legacy ``num_replicas`` /
-        ``worker_stage_cache`` keywords still work but are deprecated shims
-        for the :class:`~repro.serving.config.ReplicaPolicy` inside
-        ``config``.
+        query-only payloads.
 
         Returns ``self`` (builder style).
         """
         from repro.serving.routing import ResidentProcessShardExecutor
 
-        if config is not None and not isinstance(config, ServingConfig):
-            raise TypeError(
-                "config must be a ServingConfig; the old num_replicas "
-                "positional must now be passed by keyword"
-            )
-        config = self._resolve_legacy_config(
-            config,
-            "ShardedJunoIndex.make_resident()",
-            {
-                "num_replicas": num_replicas,
-                "worker_stage_cache": worker_stage_cache,
-            },
-        )
-        replicas = config.replicas if config is not None else ReplicaPolicy()
-        backend = config.backend if config is not None else None
-        piggyback = config.observability.piggyback_metrics if config is not None else True
+        config = _checked_config(config)
+        replicas = config.replicas
         if persist:
             # mmap residency maps raw arrays straight off disk, so the
             # bundle must be written in the uncompressed npy layout.
@@ -1349,8 +1274,8 @@ class ShardedJunoIndex:
             warm=replicas.warm,
             affinity=replicas.affinity,
             residency=replicas.residency,
-            backend=backend,
-            piggyback_metrics=piggyback,
+            backend=config.backend,
+            piggyback_metrics=config.observability.piggyback_metrics,
         )
         if self._owns_spec_executor and isinstance(self.executor_spec, ShardExecutor):
             self.executor_spec.close()

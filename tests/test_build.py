@@ -15,18 +15,16 @@ Covers the data-parallel build tentpole end to end:
 * the fingerprint guard -- checkpoints from a different plan/corpus are
   refused, ``fresh=True`` rebuilds;
 * satellite surfaces -- scaled registry defaults, ``shard_stats`` delta
-  imbalance warnings, bench JSON provenance stamps.
+  imbalance warnings.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from repro.bench.report import update_bench_json
 from repro.build import (
     BuildError,
     BuildInterrupted,
@@ -302,20 +300,3 @@ class TestShardStats:
         # diagnostics must stay silenceable
         router.shard_stats(warn_imbalance=False)
         router.close()
-
-
-class TestBenchStamp:
-    def test_sections_carry_provenance(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GITHUB_SHA", "cafe" * 10)
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
-        target = tmp_path / "bench.json"
-        update_bench_json("build", {"wall_s": 1.5}, path=target)
-        section = json.loads(target.read_text())["build"]
-        assert section["git_sha"] == "cafe" * 10
-        assert section["bench_scale"] == 0.5
-        assert section["wall_s"] == 1.5
-
-    def test_payload_keys_win_collisions(self, tmp_path):
-        target = tmp_path / "bench.json"
-        update_bench_json("s", {"git_sha": "payload-wins"}, path=target)
-        assert json.loads(target.read_text())["s"]["git_sha"] == "payload-wins"

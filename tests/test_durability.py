@@ -23,7 +23,8 @@ satellites:
 * :class:`~repro.serving.recovery.CompactionWorker` -- background
   compaction off the serving path, on local indexes and resident routers
   alike, with the compact op still flowing through the replicated op log;
-* reduced-scale runs of the crash-injection and kill-9 harnesses.
+* reduced-scale runs of the crash-injection and kill-9 harnesses
+  (``durability_harness.py``).
 
 These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
 """
@@ -36,7 +37,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bench.harness import run_durability_crash_injection, run_wal_kill9
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
 from repro.datasets.synthetic import make_clustered_dataset
@@ -55,6 +55,8 @@ from repro.serving import (
 )
 from repro.storage import atomic_write_bytes, atomic_write_text, staged, staging_name
 from repro.updates import MutableJunoIndex, RebuildPolicy, WalError, WriteAheadLog
+
+from durability_harness import run_durability_crash_injection, run_wal_kill9
 
 
 def _settings():
@@ -512,12 +514,11 @@ class TestHarnessesAtReducedScale:
             k=5,
             nprobs=4,
         )
-        assert report.healthy, report.to_json_dict()
+        assert report.healthy, report
         assert report.digest_mismatches == 0
         assert report.result_mismatches == 0
         assert report.stale_reads == 0
         assert report.injection_points > report.num_records  # per-byte tail cuts ran
-        assert report.to_json_dict()["healthy"] is True
 
     def test_kill9_leaves_a_replayable_log(self, tmp_path):
         result = run_wal_kill9(

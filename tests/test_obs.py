@@ -29,7 +29,6 @@ from repro.obs import (
     merge_snapshots,
     render_prometheus,
     set_registry,
-    snapshot_summary,
 )
 from repro.obs.log import PACKAGE_LOGGER_NAME, event, get_logger
 
@@ -121,14 +120,6 @@ class TestSnapshots:
         b = {"histograms": [{"name": "h", "labels": {}, "buckets": [2.0], "counts": [5, 0], "sum": 9.0, "count": 5}]}
         (hist,) = merge_snapshots([a, b])["histograms"]
         assert hist["count"] == 1  # mismatched bounds are dropped, not mis-summed
-
-    def test_snapshot_summary_reduces_histograms(self, registry):
-        registry.counter("a_total", stage="x").inc(2)
-        registry.histogram("lat_seconds").observe(0.01)
-        summary = snapshot_summary(registry.snapshot())
-        assert summary['a_total{stage="x"}'] == 2.0
-        assert summary["lat_seconds"]["count"] == 1
-        assert set(summary["lat_seconds"]) == {"count", "sum", "p50", "p90", "p99"}
 
     def test_render_prometheus_text(self, registry):
         registry.counter("repro_x_total", stage="rt select").inc(2)
@@ -387,36 +378,3 @@ class TestPipelineInstrumentation:
         bare = default_search_pipeline()
         bare.instrument = False
         assert bare.without_stage("top_k").instrument is False
-
-
-class TestBenchReportStamp:
-    def test_provenance_stamp_carries_schema_version(self):
-        from repro.bench.report import SCHEMA_VERSION, provenance_stamp
-
-        stamp = provenance_stamp()
-        assert stamp["schema_version"] == SCHEMA_VERSION
-        assert isinstance(stamp["git_sha"], str) and stamp["git_sha"]
-        assert stamp["bench_scale"] > 0
-
-    def test_validate_bench_modes(self, tmp_path):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            import validate_bench
-        finally:
-            sys.path.pop(0)
-        from repro.bench.report import SCHEMA_VERSION
-
-        stamped = {"schema_version": SCHEMA_VERSION, "git_sha": "abc", "bench_scale": 1.0}
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"section": stamped}))
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"section": {"qps": 1.0}}))
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"section": {"schema_version": 999}}))
-        assert validate_bench.main([str(good), "--strict"]) == 0
-        assert validate_bench.main([str(legacy)]) == 0
-        assert validate_bench.main([str(legacy), "--strict"]) == 1
-        assert validate_bench.main([str(bad)]) == 1
-        assert validate_bench.main([str(tmp_path / "missing.json")]) == 1

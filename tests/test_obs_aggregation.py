@@ -11,7 +11,8 @@ The acceptance tests of the observability tentpole, run against a real
 * every query's trace stitches coordinator and worker spans under one
   trace id;
 * the merged snapshot renders to Prometheus text with per-stage latency
-  histograms aggregated across worker processes;
+  histograms aggregated across worker processes, and the live HTTP
+  exporter serves it;
 * legacy per-executor counter fields and the registry counters stay in
   parity.
 
@@ -20,7 +21,9 @@ These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
 
 from __future__ import annotations
 
+import json
 import os
+import urllib.request
 
 import pytest
 
@@ -217,3 +220,22 @@ class TestExposition:
         assert 'repro_stage_seconds_bucket{le="+Inf",stage="score"}' in text
         assert 'repro_stage_seconds_count{stage="top_k"}' in text
         assert "repro_pipeline_batches_total" in text
+
+    def test_live_exporter_serves_cross_process_stage_histograms(self, corpus, bundle, registry):
+        """The opt-in HTTP exporter, end to end over a resident deployment."""
+        config = _resident().with_updates(observability=ObservabilityConfig(exporter=True))
+        with ShardedJunoIndex.load(bundle, config) as resident:
+            with ServingEngine(resident, config=config) as engine:
+                for _ in range(3):
+                    engine.search(corpus.queries, k=5, nprobs=4)
+                url = engine.metrics_exporter.url
+                with urllib.request.urlopen(f"{url}/metrics", timeout=10) as response:
+                    text = response.read().decode("utf-8")
+                with urllib.request.urlopen(f"{url}/metrics.json", timeout=10) as response:
+                    snapshot = json.loads(response.read().decode("utf-8"))
+                worker_pids = {
+                    pid for _shard, _replica, pid in resident.resident_executor().worker_snapshots()
+                }
+        assert "# TYPE repro_stage_seconds histogram" in text
+        assert any(h["name"] == "repro_stage_seconds" for h in snapshot["histograms"])
+        assert len(worker_pids) >= 2 and os.getpid() not in worker_pids

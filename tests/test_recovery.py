@@ -5,9 +5,8 @@ satellites:
 
 * the typed :class:`~repro.serving.config.ServingConfig` /
   :class:`~repro.serving.config.ReplicaPolicy` /
-  :class:`~repro.serving.config.AdmissionPolicy` API -- validation,
-  ``to_dict``/``from_dict`` round-trips, and the deprecated keyword shims
-  producing bit-identical deployments while warning;
+  :class:`~repro.serving.config.AdmissionPolicy` API -- validation and
+  ``to_dict``/``from_dict`` round-trips;
 * the unified :class:`~repro.errors.ServingError` exception hierarchy;
 * admission control in the async batching front-end -- bounded queue,
   reject vs shed-oldest, and the load-shedding counters;
@@ -18,7 +17,7 @@ satellites:
 * online elasticity (:meth:`ReplicaSupervisor.set_replicas`, add/remove);
 * explicit scheduled compaction (``maybe_compact``) behaving identically
   on the local and worker-resident paths;
-* a reduced-scale chaos run through :func:`run_chaos_recovery`.
+* a reduced-scale chaos run through ``chaos_harness.run_chaos_recovery``.
 
 These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
 """
@@ -30,7 +29,6 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.bench.harness import run_chaos_recovery, run_closed_loop
 from repro.datasets.synthetic import make_clustered_dataset
 from repro.serving import (
     AdmissionPolicy,
@@ -50,6 +48,8 @@ from repro.serving import (
     search_results_equal,
 )
 from repro.updates import RebuildPolicy
+
+from chaos_harness import run_chaos_recovery
 
 
 def _settings():
@@ -171,58 +171,9 @@ class TestServingConfig:
         assert not AdmissionPolicy().bounded
         assert AdmissionPolicy(max_queue_depth=1).bounded
 
-
-class TestLegacyKwargShims:
-    def test_load_legacy_kwargs_warn_and_match_config_path(self, corpus, mutable_bundle):
-        with pytest.deprecated_call():
-            legacy = ShardedJunoIndex.load(mutable_bundle, executor="thread", num_workers=2)
-        with legacy:
-            legacy_result = legacy.search(corpus.queries, 5, nprobs=4)
-        with ShardedJunoIndex.load(
-            mutable_bundle, ServingConfig(executor="thread", num_workers=2)
-        ) as modern:
-            modern_result = modern.search(corpus.queries, 5, nprobs=4)
-        assert search_results_equal(legacy_result, modern_result)
-
-    def test_load_rejects_mixing_config_and_legacy_kwargs(self, mutable_bundle):
-        with pytest.raises(ValueError, match="both config="):
-            ShardedJunoIndex.load(mutable_bundle, ServingConfig(), executor="thread")
-
     def test_load_rejects_non_config_positional(self, mutable_bundle):
         with pytest.raises(TypeError, match="must be a ServingConfig"):
             ShardedJunoIndex.load(mutable_bundle, 4)
-
-    def test_make_resident_legacy_kwargs_warn_and_match(self, corpus, tmp_path):
-        def _fresh_router():
-            router = ShardedJunoIndex.from_dim(
-                corpus.dim, num_shards=2, executor="sequential", **_settings()
-            )
-            router.train(corpus.points)
-            return router
-
-        legacy = _fresh_router()
-        with pytest.deprecated_call():
-            legacy.make_resident(tmp_path / "legacy", num_replicas=2)
-        try:
-            legacy_result = legacy.search(corpus.queries, 5, nprobs=4)
-        finally:
-            legacy.close()
-
-        modern = _fresh_router()
-        modern.make_resident(
-            tmp_path / "modern",
-            ServingConfig(replicas=ReplicaPolicy(num_replicas=2)),
-        )
-        try:
-            modern_result = modern.search(corpus.queries, 5, nprobs=4)
-        finally:
-            modern.close()
-        assert search_results_equal(legacy_result, modern_result)
-
-    def test_config_path_emits_no_deprecation(self, mutable_bundle, recwarn):
-        with ShardedJunoIndex.load(mutable_bundle, ServingConfig(executor="sequential")):
-            pass
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
 
 class TestAdmissionControl:
@@ -325,20 +276,6 @@ class TestAdmissionControl:
             override = AdmissionPolicy(max_queue_depth=2)
             assert engine.serve_async(k=5, admission=override).admission == override
             assert engine.label == "sharded-juno"
-
-    def test_closed_loop_reports_admission_counters(self, corpus):
-        report = run_closed_loop(
-            _EchoEngine(),
-            corpus.queries,
-            k=3,
-            num_clients=4,
-            requests_per_client=4,
-            admission=AdmissionPolicy(max_queue_depth=64),
-        )
-        assert report.admission["admitted"] == report.num_requests
-        assert report.admission["max_queue_depth"] == 64
-        assert report.num_overloaded == 0
-        assert report.to_json_dict()["admission"]["overload"] == "reject"
 
 
 class TestRespawnCatchUp:
@@ -566,8 +503,6 @@ class TestChaosHarness:
         assert report.replicas_consistent
         assert report.recovery_within_bound
         assert report.healthy
-        payload = report.to_json_dict()
-        assert payload["healthy"] and payload["recoveries"]
 
     def test_chaos_rejects_out_of_range_kill_cycles(self, corpus, mutable_bundle):
         with ShardedJunoIndex.load(

@@ -1,11 +1,9 @@
-"""Tests for the asyncio batching front-end and the closed-loop harness.
+"""Tests for the asyncio batching front-end.
 
 The deterministic-clock suite pins the acceptance criteria of the async
 front-end: max-wait flush, max-size flush and cancellation on close, all
 driven by an injected clock (``poll()`` applies one wait-policy check
-without real sleeping).  The closed-loop harness tests check that the
-multi-client QPS/latency report is internally consistent and lands in
-``BENCH_serving.json``.
+without real sleeping).
 
 These tests run in the tier-1 CI matrix by path (no ``slow`` marker) and use
 ``asyncio.run`` directly, so no async test plugin is required.
@@ -14,13 +12,10 @@ These tests run in the tier-1 CI matrix by path (no ``slow`` marker) and use
 from __future__ import annotations
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import run_closed_loop
-from repro.bench.report import update_bench_json
 from repro.serving import AsyncBatchingScheduler, ServingEngine
 
 
@@ -223,71 +218,26 @@ class TestServeAsyncEngineWiring:
         with pytest.raises(ValueError, match="does not accept"):
             engine.serve_async(k=5, quality_mode="juno-h")
 
-
-class TestClosedLoopHarness:
-    def test_report_is_internally_consistent(self):
-        queries = np.arange(32, dtype=np.float64).reshape(16, 2)
-        report = run_closed_loop(
-            _EchoIndex(),
-            queries,
-            k=3,
-            num_clients=4,
-            requests_per_client=6,
-            max_wait_s=0.001,
-            label="echo",
-        )
-        assert report.num_requests == 24
-        assert report.num_clients == 4
-        assert report.qps > 0
-        assert report.wall_s > 0
-        assert 0 < report.latency_p50_s <= report.latency_p99_s
-        assert report.latency_mean_s > 0
-        assert report.num_batches >= 24 / 4
-        assert 1.0 <= report.mean_batch_size <= 4.0
-        payload = report.to_json_dict()
-        assert payload["label"] == "echo"
-        json.dumps(payload)  # must be JSON-serialisable as-is
-
-    def test_closed_loop_over_real_engine_with_cache(self, juno_l2, l2_dataset):
-        """The harness reports cache-hit rates when the engine runs cached."""
+    def test_scheduler_sums_stage_cache_counters(self, juno_l2, l2_dataset):
+        """A cached pipeline's per-batch hit/miss counts sum on the scheduler."""
         from repro.pipeline import StageCache, default_search_pipeline
 
         engine = ServingEngine(juno_l2)
         pipeline = default_search_pipeline(stage_cache=StageCache())
-        report = run_closed_loop(
-            engine,
-            l2_dataset.queries[:8],
-            k=5,
-            num_clients=8,
-            requests_per_client=3,
-            max_wait_s=0.002,
-            nprobs=6,
-            pipeline=pipeline,
-        )
-        assert report.num_requests == 24
-        assert report.stage_cache  # counters were accumulated
-        rates = report.cache_hit_rates()
-        assert set(rates) >= {"coarse_filter", "threshold"}
-        assert all(0.0 <= rate <= 1.0 for rate in rates.values())
 
-    def test_report_lands_in_bench_json(self, tmp_path):
-        queries = np.arange(8, dtype=np.float64).reshape(4, 2)
-        report = run_closed_loop(
-            _EchoIndex(), queries, k=2, num_clients=2, requests_per_client=2
-        )
-        target = tmp_path / "BENCH_serving.json"
-        update_bench_json("closed_loop_echo", report.to_json_dict(), path=target)
-        update_bench_json("other_section", {"qps": 1.0}, path=target)
-        data = json.loads(target.read_text())
-        assert data["closed_loop_echo"]["num_requests"] == 4
-        assert data["other_section"]["qps"] == 1.0
-        # every dict section carries the provenance stamp
-        assert "git_sha" in data["other_section"]
-        assert "bench_scale" in data["other_section"]
+        async def scenario():
+            async with engine.serve_async(
+                k=5, max_batch_size=8, nprobs=6, pipeline=pipeline
+            ) as scheduler:
+                for _ in range(3):  # the same 8-query batch, three times over
+                    await asyncio.gather(
+                        *(scheduler.submit(query) for query in l2_dataset.queries[:8])
+                    )
+                return scheduler.stats(), scheduler.stage_cache_counters
 
-    def test_rejects_invalid_configuration(self):
-        queries = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="num_clients"):
-            run_closed_loop(_EchoIndex(), queries, num_clients=0)
-        with pytest.raises(ValueError, match="requests_per_client"):
-            run_closed_loop(_EchoIndex(), queries, requests_per_client=0)
+        stats, counters = asyncio.run(scenario())
+        assert stats.num_queries == 24
+        assert set(counters) >= {"coarse_filter", "threshold"}
+        for name in ("coarse_filter", "threshold"):
+            assert counters[name]["hits"] + counters[name]["misses"] == stats.num_batches
+        assert counters["coarse_filter"]["hits"] >= 1  # the repeats were served from cache

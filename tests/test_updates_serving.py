@@ -21,6 +21,8 @@ These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -401,10 +403,10 @@ class TestCacheAffinityRouting:
             executor.close()
 
 
-class TestMixedClosedLoop:
-    """The freshness harness: concurrent readers + writers over one engine."""
+class TestReadYourWrites:
+    """Concurrent readers and writers share one async batching front-end."""
 
-    def _mutable_engine(self, corpus):
+    def test_next_probe_sees_upsert_and_never_a_deleted_id(self, corpus):
         from repro.core.config import JunoConfig
         from repro.core.index import JunoIndex
 
@@ -414,44 +416,55 @@ class TestMixedClosedLoop:
             ),
             corpus.points,
         )
-        return ServingEngine(mutable, label="mutable")
-
-    def test_mixed_loop_reports_freshness_and_zero_stale_reads(self, corpus):
-        from repro.bench.harness import run_mixed_closed_loop
-
-        report = run_mixed_closed_loop(
-            self._mutable_engine(corpus),
-            corpus.queries,
-            id_start=corpus.num_points + 100,
-            k=5,
-            num_readers=3,
-            num_writers=2,
-            reads_per_client=4,
-            writes_per_writer=3,
-            nprobs=4,
+        engine = ServingEngine(mutable, label="mutable")
+        num_readers, num_writers, reads_per_reader, writes_per_writer = 3, 2, 4, 3
+        id_start = corpus.num_points + 100
+        jitter = 1e-3 * np.random.default_rng(0).standard_normal(
+            (num_writers * writes_per_writer, corpus.dim)
         )
-        assert report.num_reads == 12
-        assert report.num_upserts == 6 and report.num_deletes == 4
-        # read-your-writes through the shared batching front-end
-        assert report.visible_fraction == 1.0
-        assert report.stale_reads == 0
-        assert report.freshness_mean_s > 0.0
-        assert report.read_qps > 0 and report.write_ops_per_s > 0
-        payload = report.to_json_dict()
-        assert payload["stale_reads"] == 0 and payload["visible_fraction"] == 1.0
+        reads, invisible, stale = [], [], []
 
-    def test_mixed_loop_validates_inputs(self, corpus, juno_l2, l2_dataset):
-        from repro.bench.harness import run_mixed_closed_loop
+        async def reader(reader_id, scheduler):
+            for request in range(reads_per_reader):
+                query = corpus.queries[(reader_id + request * num_readers) % len(corpus.queries)]
+                ids, _scores = await scheduler.submit(query)
+                reads.append(ids)
 
-        with pytest.raises(TypeError, match="upsert/delete"):
-            run_mixed_closed_loop(juno_l2, l2_dataset.queries, id_start=10_000)
-        engine = self._mutable_engine(corpus)
-        with pytest.raises(ValueError, match="num_readers"):
-            run_mixed_closed_loop(engine, corpus.queries, id_start=10_000, num_readers=0)
-        with pytest.raises(ValueError, match="writes_per_writer"):
-            run_mixed_closed_loop(
-                engine, corpus.queries, id_start=10_000, writes_per_writer=0
-            )
+        async def writer(writer_id, scheduler):
+            previous = None
+            for cycle in range(writes_per_writer):
+                slot = writer_id * writes_per_writer + cycle
+                new_id = id_start + slot
+                # a jittered clone of a query: L2 self-search must retrieve it
+                vector = corpus.queries[slot % len(corpus.queries)] + jitter[slot]
+                engine.upsert([new_id], vector[None, :])
+                ids, _scores = await scheduler.submit(vector)
+                if new_id not in ids:
+                    invisible.append(new_id)
+                if previous is not None:
+                    old_id, old_vector = previous
+                    engine.delete([old_id])
+                    ids, _scores = await scheduler.submit(old_vector)
+                    if old_id in ids:
+                        stale.append(old_id)
+                previous = (new_id, vector)
+
+        async def scenario():
+            async with engine.serve_async(
+                k=5, max_batch_size=num_readers + num_writers, max_wait_s=0.002, nprobs=4
+            ) as scheduler:
+                await asyncio.gather(
+                    *(reader(reader_id, scheduler) for reader_id in range(num_readers)),
+                    *(writer(writer_id, scheduler) for writer_id in range(num_writers)),
+                )
+                return scheduler.stats()
+
+        stats = asyncio.run(scenario())
+        assert len(reads) == num_readers * reads_per_reader
+        # reads and probes really shared batches, so writes interleaved with them
+        assert stats.mean_batch_size > 1.0
+        assert invisible == []  # read-your-writes on the very next awaited probe
+        assert stale == []  # a tombstoned id never surfaces
 
 
 class TestEngineMutationAPI:
