@@ -37,6 +37,8 @@ from repro.datasets.ground_truth import compute_ground_truth
 from repro.gpu.work import SearchWork
 from repro.ivf.inverted_file import InvertedFileIndex
 from repro.metrics.distances import Metric
+from repro.obs import clock
+from repro.obs.metrics import get_registry
 from repro.quantization.product_quantizer import ProductQuantizer
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer
@@ -144,7 +146,9 @@ class JunoIndex:
             )
 
         # 1. Coarse clustering and PQ codebooks over residuals (Alg. 1, 2-9).
+        marks = [clock.now()]
         self.ivf.train(points)
+        marks.append(clock.now())
         residuals = self.ivf.point_residuals(points)
         self.pq = ProductQuantizer(
             dim=self.dim,
@@ -153,9 +157,16 @@ class JunoIndex:
             seed=self.config.seed,
             kmeans_iters=self.config.kmeans_iters,
         ).train(residuals)
+        marks.append(clock.now())
         self.codes = self.pq.encode(residuals)
+        marks.append(clock.now())
 
-        return self._finalize_training(points, residuals)
+        self._finalize_training(points, residuals)
+        marks.append(clock.now())
+        # The four intervals tile the call, so the gauges sum to its wall time.
+        for step, begin, end in zip(("ivf", "pq_train", "encode", "finalize"), marks, marks[1:]):
+            get_registry().gauge("repro_train_step_seconds", step=step).set(end - begin)
+        return self
 
     def assemble(
         self,
@@ -293,6 +304,7 @@ class JunoIndex:
         neighbours = compute_ground_truth(
             points, points[sample_ids], k=top_k, metric=self.metric
         )
+        densities = self.density_map.lookup_all(projection_source[sample_ids])
         samples: list[ThresholdTrainingSample] = []
         for row, sample_id in enumerate(sample_ids):
             neighbour_ids = neighbours[row]
@@ -309,10 +321,9 @@ class JunoIndex:
                     threshold = float(distances.max())
                 else:
                     threshold = float((entries @ sample_proj[s]).min())
-                density = float(self.density_map.lookup(s, sample_proj[s]))
                 samples.append(
                     ThresholdTrainingSample(
-                        subspace_id=s, density=density, threshold=threshold
+                        subspace_id=s, density=float(densities[row, s]), threshold=threshold
                     )
                 )
         return samples

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.distances import Metric, inner_product_matrix, l2_squared_matrix
+from repro.quantization.kmeans import assign_labels
 
 
 class SubspaceCodebook:
@@ -47,9 +48,7 @@ class SubspaceCodebook:
         Returns:
             ``(N,)`` int array of entry ids.
         """
-        projections = np.atleast_2d(np.asarray(projections, dtype=np.float64))
-        dist = l2_squared_matrix(projections, self.entries)
-        return np.argmin(dist, axis=1).astype(np.int32)
+        return assign_labels(np.atleast_2d(projections), self.entries)[0].astype(np.int32)
 
     def distance_table(
         self, query_projection: np.ndarray, metric: Metric = Metric.L2

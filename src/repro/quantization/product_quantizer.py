@@ -84,17 +84,10 @@ class ProductQuantizer:
                 f"residuals must have shape (N, {self.dim}), got {residuals.shape}"
             )
         self.codebooks = []
-        for subspace_id in range(self.num_subspaces):
-            projection = residuals[:, self.subspace_slice(subspace_id)]
-            kmeans = KMeans(
-                n_clusters=min(self.num_entries, projection.shape[0]),
-                max_iter=self.kmeans_iters,
-                seed=self.seed + subspace_id,
-            )
-            result = kmeans.fit(projection)
-            self.codebooks.append(
-                SubspaceCodebook(result.centroids, subspace_id=subspace_id)
-            )
+        for s in range(self.num_subspaces):
+            kmeans = KMeans(self.num_entries, max_iter=self.kmeans_iters, seed=self.seed + s)
+            result = kmeans.fit(residuals[:, self.subspace_slice(s)])
+            self.codebooks.append(SubspaceCodebook(result.centroids, subspace_id=s))
         return self
 
     # ---------------------------------------------------------------- encode

@@ -135,47 +135,36 @@ class BVH:
         self._flat: FlatBVH | None = None
         if self.spheres:
             centres = np.array([s.centre for s in self.spheres])
-            self.root = self._build(np.arange(len(self.spheres)), centres)
+            radii = np.array([s.radius for s in self.spheres])[:, None]
+            self.root = self._build(
+                np.arange(len(self.spheres)), centres, centres - radii, centres + radii
+            )
 
     # ---------------------------------------------------------------- build
-    def _build(self, indices: np.ndarray, centres: np.ndarray) -> BVHNode:
-        aabb = AABB.empty()
-        for idx in indices:
-            aabb = aabb.union(self.spheres[int(idx)].aabb())
+    def _build(
+        self, indices: np.ndarray, centres: np.ndarray, lows: np.ndarray, highs: np.ndarray
+    ) -> BVHNode:
+        # ``lows``/``highs`` are every sphere's ``aabb()`` corners, made once;
+        # a node's box is their min/max over the spheres below it.
+        aabb = AABB(lows[indices].min(axis=0), highs[indices].max(axis=0))
         if len(indices) <= self.leaf_size:
-            return BVHNode(aabb=aabb, primitive_indices=[int(i) for i in indices])
+            return BVHNode(aabb=aabb, primitive_indices=indices.tolist())
         axis = aabb.longest_axis()
         order = np.argsort(centres[indices, axis], kind="stable")
         sorted_indices = indices[order]
         mid = len(sorted_indices) // 2
-        left = self._build(sorted_indices[:mid], centres)
-        right = self._build(sorted_indices[mid:], centres)
+        left = self._build(sorted_indices[:mid], centres, lows, highs)
+        right = self._build(sorted_indices[mid:], centres, lows, highs)
         return BVHNode(aabb=aabb, left=left, right=right)
 
     # ----------------------------------------------------------- statistics
     def depth(self) -> int:
         """Maximum depth of the tree (root = 1); 0 for an empty BVH."""
-
-        def _depth(node: BVHNode | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(self.root)
+        return len(self.flatten().topology()[1]) - 1
 
     def num_nodes(self) -> int:
         """Total number of nodes."""
-
-        def _count(node: BVHNode | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return 1 + _count(node.left) + _count(node.right)
-
-        return _count(self.root)
+        return self.flatten().num_nodes
 
     # ------------------------------------------------------------- traverse
     def traverse(
@@ -231,25 +220,10 @@ class BVH:
         """Breadth-first array form of the tree (cached)."""
         if self._flat is not None:
             return self._flat
-        if self.root is None:
-            self._flat = FlatBVH(
-                node_min=np.zeros((0, 3)),
-                node_max=np.zeros((0, 3)),
-                left=np.zeros(0, dtype=np.int64),
-                right=np.zeros(0, dtype=np.int64),
-                leaf_start=np.zeros(0, dtype=np.int64),
-                leaf_count=np.zeros(0, dtype=np.int64),
-                leaf_primitives=np.zeros(0, dtype=np.int64),
-            )
-            return self._flat
-        nodes: list[BVHNode] = []
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            nodes.append(node)
+        nodes: list[BVHNode] = [] if self.root is None else [self.root]
+        for node in nodes:  # breadth-first: children join the list being read
             if not node.is_leaf:
-                queue.append(node.left)
-                queue.append(node.right)
+                nodes += [node.left, node.right]
         index_of = {id(node): i for i, node in enumerate(nodes)}
         count = len(nodes)
         node_min = np.empty((count, 3))

@@ -11,6 +11,12 @@ check here, long before a benchmark run:
   that is meant to be bit-identical must leave it alone; one that is not
   must re-record it deliberately (print ``_search_digest(...)`` on the
   parent commit).
+* a blake2b digest over what ``JunoIndex.train`` leaves behind on a corpus of
+  the ledger's shape (96 dimensions, 48 subspaces of 128 entries; L2 and
+  inner product): IVF centroids and labels, every codebook, the codes, the
+  threshold regressor, the sphere radius and every ``LayerStack`` array.
+  Recorded at f82457f, before k-means computed each thing once; a set-up
+  change that is meant to keep the bytes must leave it alone.
 * a ``tracemalloc`` bound on ``RTSelectStage.run`` for a 32-query batch on
   an index of the ledger's shape (48 layers of 128 spheres, 256 rays): the
   stage may hold the LUT it returns plus a fixed slack for one trace
@@ -33,7 +39,9 @@ import pytest
 
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
+from repro.datasets.synthetic import make_clustered_dataset
 from repro.gpu.work import SearchWork
+from repro.metrics.distances import Metric
 from repro.pipeline import (
     CoarseFilterStage,
     QueryPipeline,
@@ -132,6 +140,56 @@ class TestPinnedSearchDigest:
     @pytest.mark.parametrize("mode", MODES)
     def test_ledger_shaped_results_unchanged(self, wide_index, wide_corpus, mode):
         assert _search_digest(wide_index, wide_corpus, mode, 8) == PINNED[("wide", mode)]
+
+
+PINNED_TRAINING = {
+    Metric.L2: "8204b7588a2b76b4b831ab5ec04a219b",
+    Metric.INNER_PRODUCT: "4c07cbaee311561453b95525c206845d",
+}
+
+
+def _training_digest(metric: Metric, seed: int) -> str:
+    dataset = make_clustered_dataset(
+        name="train-pin",
+        num_points=2400,
+        num_queries=1,
+        dim=96,
+        num_components=32,
+        metric=metric,
+        anisotropy=1.4,
+        cluster_spread=0.7,
+        seed=seed,
+    )
+    points = dataset.points.astype(np.float64)
+    points /= np.maximum(np.linalg.norm(points, axis=1, keepdims=True), 1e-12)
+    config = JunoConfig(
+        num_clusters=16,
+        num_subspaces=48,
+        num_entries=128,
+        num_threshold_samples=16,
+        kmeans_iters=4,
+        metric=metric,
+    )
+    index = JunoIndex(config).train(points)
+    (stack,), _ = index.scene.stacked()
+    arrays = [index.ivf.centroids, index.ivf.labels, index.codes]
+    arrays += [codebook.entries for codebook in index.pq.codebooks]
+    arrays += [index.threshold_model.coefficients_, np.float64(index.sphere_radius)]
+    arrays += [getattr(stack, f.name) for f in fields(stack)]
+    digest = hashlib.blake2b(digest_size=16)
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype}{array.shape}".encode() + array.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedTrainingDigest:
+    # Clustering and encoding never look at the metric, so the two cases
+    # train different corpora (seeds 5 and 6); the metric decides the
+    # regressor, the radius and the scene.
+    @pytest.mark.parametrize("metric, seed", [(Metric.L2, 5), (Metric.INNER_PRODUCT, 6)])
+    def test_trained_state_unchanged(self, metric, seed):
+        assert _training_digest(metric, seed) == PINNED_TRAINING[metric]
 
 
 def _lut_bytes(lut) -> int:

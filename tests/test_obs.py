@@ -378,3 +378,21 @@ class TestPipelineInstrumentation:
         bare = default_search_pipeline()
         bare.instrument = False
         assert bare.without_stage("top_k").instrument is False
+
+
+class TestTrainInstrumentation:
+    def test_train_exports_its_four_steps(self, l2_dataset, registry):
+        from repro.core.index import JunoIndex
+
+        index = JunoIndex.for_dataset(l2_dataset, num_clusters=8, num_entries=16, kmeans_iters=2)
+        start = obs_clock.now()
+        index.train(l2_dataset.points)
+        wall = obs_clock.now() - start
+        steps = {
+            entry["labels"]["step"]: entry["value"]
+            for entry in registry.snapshot()["gauges"]
+            if entry["name"] == "repro_train_step_seconds"
+        }
+        assert set(steps) == {"ivf", "pq_train", "encode", "finalize"}
+        assert all(seconds > 0.0 for seconds in steps.values())
+        assert sum(steps.values()) <= wall

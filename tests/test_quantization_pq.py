@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.metrics.distances import Metric
+from kmeans_reference import reference_fit
+from repro.metrics.distances import Metric, l2_squared_matrix
 from repro.quantization.codebook import SubspaceCodebook
 from repro.quantization.opq import OptimizedProductQuantizer
 from repro.quantization.product_quantizer import ProductQuantizer
@@ -116,6 +117,35 @@ class TestProductQuantizer:
             pq.encode(np.zeros((2, 6)))
         with pytest.raises(ValueError):
             pq.lookup_table(np.zeros(6))
+
+
+class TestMatchesReferenceKMeans:
+    """``train`` and ``encode`` run on the shared blocked kernel; the bytes
+    are those of one reference k-means / one whole distance matrix per subspace."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        rng = np.random.default_rng(5)
+        residuals = rng.standard_normal((3000, 8)) * np.linspace(0.2, 2.0, 8)
+        pq = ProductQuantizer(dim=8, num_subspaces=4, num_entries=128, seed=7, kmeans_iters=4)
+        return pq.train(residuals), residuals
+
+    def test_codebooks_are_the_reference_fits(self, trained):
+        pq, residuals = trained
+        for s, codebook in enumerate(pq.codebooks):
+            expected = reference_fit(
+                residuals[:, pq.subspace_slice(s)], n_clusters=128, max_iter=4, seed=7 + s
+            )
+            assert codebook.entries.tobytes() == expected["centroids"].tobytes()
+
+    def test_codes_are_the_whole_matrix_argmin(self, trained):
+        pq, residuals = trained
+        codes = pq.encode(residuals)
+        assert codes.dtype == np.int32
+        for s, codebook in enumerate(pq.codebooks):
+            dist = l2_squared_matrix(residuals[:, pq.subspace_slice(s)], codebook.entries)
+            np.testing.assert_array_equal(codes[:, s], np.argmin(dist, axis=1))
+        np.testing.assert_array_equal(pq.encode(residuals[17]), codes[17:18])
 
 
 class TestScalarQuantizer:
