@@ -11,10 +11,10 @@ The constructor operates on a whole query batch: the rays of all
 (query, cluster) pairs are traced through the vectorised tracer a *block of
 subspaces* at a time.  The tracer hands each block over as the dense
 ``(subspace, ray, leaf slot)`` grid its sphere tests ran on; the hit-time
-decode runs elementwise on that grid and the result *is* the selective LUT
--- one ``(S, rays, E')`` table, ``NaN`` where the ray did not select the
-slot's entry -- which the distance-calculation stage gathers from directly.
-Nothing is compressed to hit lists in between.
+decode runs in place on that grid while it is in cache and the result *is*
+the selective LUT -- one ``(S, rays, E')`` table, ``NaN`` where the ray did
+not select the slot's entry -- which the distance-calculation stage gathers
+from directly.  Nothing is compressed to hit lists in between.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inner_product import (
-    inner_product_from_hit_time,
-    l2_distance_from_hit_time,
-)
 from repro.metrics.distances import Metric
 from repro.rt.tracer import RayTracer, TraversalStats
 
@@ -35,9 +31,8 @@ from repro.rt.tracer import RayTracer, TraversalStats
 # (layer, ray) pairs traced per block.  A 1-query request (8 rays) traces all
 # 48 subspaces in one tracer call; a 32-query batch (256 rays) degenerates to
 # one subspace per call, where the per-call overhead is already amortised.
-# The block's primitive-test temporaries grow with this (~8 kB per pair at
-# 128 entries): 2048 pairs raised the ledger's ``peak_rss_mb`` by 12 % on
-# 32-query batches, 384 keeps it at the per-layer tracer's level.
+# A block's grids grow with this (~2.5 kB per pair at 128 entries, ~8 kB when
+# 2048 pairs raised the ledger's ``peak_rss_mb`` by 12 %); 384 keeps it level.
 _TRACE_BLOCK_PAIRS = 384
 
 
@@ -168,13 +163,12 @@ class SelectiveLUTConstructor:
         Subspaces are traced in blocks of ``_TRACE_BLOCK_PAIRS // R`` layers
         (at least one) per
         :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  Each
-        call returns the block's dense hit grid; the hit-time decode, the
-        MIPS query norms and the JUNO-M inner-sphere test run elementwise on
-        it -- per-subspace offsets and per-(subspace, ray) norms and
-        thresholds broadcast along the slot axis -- and the block's rows of
-        the table take the decoded value where the ray hit and ``NaN`` where
-        it did not.  Every selected cell goes through exactly the arithmetic
-        a per-hit decode would apply to it.
+        call returns the block's dense hit grid, which this method then owns:
+        rejected cells take their ``NaN`` in it first, the decode runs in
+        place -- offsets, norms and thresholds broadcast along the slot axis,
+        operand for operand ``l2_distance_from_hit_time(...) ** 2`` /
+        ``inner_product_from_hit_time`` of :mod:`repro.core.inner_product` --
+        and the block's rows of the table take exactly one write.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -201,10 +195,15 @@ class SelectiveLUTConstructor:
             raise ValueError("thresholds are required to evaluate the inner sphere")
 
         scene = self.tracer.scene
-        scene_layers = [scene.layer(s) for s in range(num_subspaces)]
-        num_entries = max((layer.num_spheres for layer in scene_layers), default=0)
+        z = np.full(num_subspaces, np.nan)  # a missing layer: the tracer raises KeyError
+        num_entries = 0
+        for stack in scene.stacked()[0]:
+            mine = stack.layer_ids < num_subspaces
+            z[stack.layer_ids[mine]] = stack.z[mine]
+            num_entries = max(num_entries, stack.entry_slots.shape[1] if mine.any() else 0)
         origin_offsets = self.origin_offsets[:num_subspaces]
-        origin_z = np.array([layer.z for layer in scene_layers]) - origin_offsets
+        origin_z = z - origin_offsets
+        radius_sq = self.base_radius**2
 
         table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float64)
         inner = np.empty(table.shape, dtype=bool) if want_inner else None
@@ -222,30 +221,31 @@ class SelectiveLUTConstructor:
                 )
             stats.merge(block_stats)
             slot_entries[block] = hits.slot_entries
-            offset = origin_offsets[block, None, None]
-            values = table[block]  # the block's rows of the table, written in place
+            grid = hits.t_hit  # still in cache; decoded in place
+            np.putmask(grid, ~hits.accepted, np.nan)
+            np.subtract(origin_offsets[block, None, None], grid, out=grid)
+            np.multiply(grid, grid, out=grid)
             if self.metric is Metric.L2:
-                distance = l2_distance_from_hit_time(hits.t_hit, self.base_radius, offset)
-                np.square(distance, out=values)  # distance ** 2
+                np.subtract(radius_sq, grid, out=grid)
+                np.maximum(grid, 0.0, out=grid)
+                np.sqrt(grid, out=grid)
+                np.multiply(grid, grid, out=table[block])
             else:
-                # The query-projection norm depends on the ray; it is the same
-                # for every slot the ray tests.
+                # |q|^2 depends on the ray, not on the slot it tests
                 query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
-                values[...] = inner_product_from_hit_time(
-                    hits.t_hit, query_norm_sq, self.base_radius, offset
-                )
+                np.add(query_norm_sq - radius_sq, grid, out=grid)
+                np.divide(grid, 2.0, out=table[block])
             if want_inner:
+                # NaN compares false: the flags need no AND with the hit mask
                 ray_threshold = thresholds[:, block].T[:, :, None]
                 if self.metric is Metric.L2:
-                    flags = np.sqrt(values) <= ray_threshold * self.inner_sphere_ratio
+                    np.sqrt(table[block], out=grid)
+                    np.less_equal(grid, ray_threshold * self.inner_sphere_ratio, out=inner[block])
                 else:
-                    # For inner product "inside the inner sphere" means an
-                    # inner product comfortably above the selection bound; the
-                    # margin shrinks with the inner-sphere ratio.
+                    # "Inside the inner sphere" for MIPS: above the selection
+                    # bound by a margin that shrinks with the inner-sphere ratio.
                     margin = (1.0 - self.inner_sphere_ratio) * np.abs(ray_threshold)
-                    flags = values >= ray_threshold + margin
-                np.logical_and(flags, hits.accepted, out=inner[block])
-            np.putmask(values, ~hits.accepted, np.nan)
+                    np.greater_equal(table[block], ray_threshold + margin, out=inner[block])
         return SelectiveLUT(
             table=table,
             inner=inner,

@@ -63,10 +63,9 @@ class SearchWork:
 
     def copy(self) -> "SearchWork":
         """An independent copy of this record (counters and ``extra``)."""
-        duplicate = SearchWork(
-            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
-        )
-        duplicate.extra = dict(self.extra)
+        duplicate = SearchWork(extra=dict(self.extra))
+        for name in _BATCH_FIELDS + _COUNTERS:
+            setattr(duplicate, name, getattr(self, name))
         return duplicate
 
     def delta(self, baseline: "SearchWork") -> "SearchWork":
@@ -78,10 +77,8 @@ class SearchWork:
         every stage and calls this to attribute work to the stage.
         """
         out = SearchWork(num_queries=self.num_queries, lut_pairwise_dims=self.lut_pairwise_dims)
-        for f in fields(self):
-            if f.name in ("extra", "num_queries", "lut_pairwise_dims"):
-                continue
-            setattr(out, f.name, getattr(self, f.name) - getattr(baseline, f.name))
+        for name in _COUNTERS:
+            setattr(out, name, getattr(self, name) - getattr(baseline, name))
         return out
 
     def merge(self, other: "SearchWork") -> "SearchWork":
@@ -92,10 +89,8 @@ class SearchWork:
         key so they aggregate across shards like the primary counters;
         non-numeric extras keep the first value seen.
         """
-        for f in fields(self):
-            if f.name in ("extra", "lut_pairwise_dims"):
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in ("num_queries",) + _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.lut_pairwise_dims = max(self.lut_pairwise_dims, other.lut_pairwise_dims)
         for key, value in other.extra.items():
             mine = self.extra.get(key)
@@ -110,10 +105,8 @@ class SearchWork:
         if self.num_queries <= 0:
             raise ValueError("cannot normalise work with num_queries <= 0")
         scaled = SearchWork(num_queries=1, lut_pairwise_dims=self.lut_pairwise_dims)
-        for f in fields(self):
-            if f.name in ("num_queries", "extra", "lut_pairwise_dims"):
-                continue
-            setattr(scaled, f.name, getattr(self, f.name) / self.num_queries)
+        for name in _COUNTERS:
+            setattr(scaled, name, getattr(self, name) / self.num_queries)
         return scaled
 
     def lut_flops(self) -> float:
@@ -125,3 +118,14 @@ class SearchWork:
     def distance_calc_flops(self) -> float:
         """FLOPs spent accumulating LUT values in the distance calculation stage."""
         return float(self.adc_lookups)
+
+
+# ``num_queries`` and ``lut_pairwise_dims`` describe the batch; every other
+# numeric field accumulates.  Computed once: the query pipeline copies and
+# diffs the record around every stage of every request, and reflecting over
+# ``dataclasses.fields`` each time was a measurable share of a single-query
+# search.
+_BATCH_FIELDS = ("num_queries", "lut_pairwise_dims")
+_COUNTERS = tuple(
+    f.name for f in fields(SearchWork) if f.name != "extra" and f.name not in _BATCH_FIELDS
+)

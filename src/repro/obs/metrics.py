@@ -19,8 +19,10 @@ pins the overhead).
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts so
 they can ride the resident-worker IPC boundary; :func:`merge_snapshots`
 folds per-process snapshots into one view (counters and histogram buckets
-sum; gauges sum, which is the right semantics for per-process quantities
-like queue depth or resident bytes), and :func:`render_prometheus` turns a
+sum; gauges sum too, which is only meaningful for a per-process *amount*
+like queue depth or resident bytes -- a ratio or a "last value" must be
+exported as counters and divided by the reader), and
+:func:`render_prometheus` turns a
 snapshot into Prometheus text exposition for :class:`~repro.obs.exporter.
 MetricsExporter`.
 """
@@ -307,8 +309,11 @@ def merge_snapshots(snapshots) -> dict:
     """Fold per-process registry snapshots into one aggregate snapshot.
 
     Counters and histogram bucket counts sum across snapshots; gauges sum
-    too (each process reports its own queue depth / resident bytes, and the
-    fleet-wide value is the total).  Histograms merged under the same
+    too, so a gauge must be a per-process amount whose fleet-wide value is
+    the total (queue depth, resident bytes) -- never a ratio: two workers'
+    hits-per-ray would merge to twice the truth, which is why the RT-select
+    stage exports ``repro_rt_{rays,hits,slots}_total`` counters instead.
+    Histograms merged under the same
     ``(name, labels)`` must share bucket bounds -- they always do, because
     the bounds are fixed in code -- otherwise the entry is kept from the
     first snapshot and the rest are dropped rather than mis-summed.

@@ -301,12 +301,13 @@ class RTSelectStage:
         ctx.selected_entry_fraction = lut.selected_fraction()
         ctx.extra["rt_hits"] = lut.stats.hits
         if ctx.registry is not None:
-            # Index-health levels of the last traced batch (Figs. 4-7 argue
-            # from these): how many spheres a ray hits, and the share of
-            # codebook entries that survive selection.
-            hits_per_ray = lut.stats.hits / max(lut.stats.rays, 1)
-            ctx.registry.gauge("repro_rt_hits_per_ray").set(hits_per_ray)
-            ctx.registry.gauge("repro_selected_entry_fraction").set(ctx.selected_entry_fraction)
+            # Index health (Figs. 4-7 argue from these): spheres hit per ray
+            # is hits / rays, the share of codebook entries that survive
+            # selection is hits / slots.  Exported as their sums, because
+            # merged worker snapshots add up and a sum of ratios is no ratio.
+            ctx.registry.counter("repro_rt_rays_total").inc(lut.stats.rays)
+            ctx.registry.counter("repro_rt_hits_total").inc(lut.stats.hits)
+            ctx.registry.counter("repro_rt_slots_total").inc(lut.stats.rays * lut.num_entries)
         if self.cache is not None:
             freeze(lut.table)
             freeze(lut.inner)

@@ -14,7 +14,7 @@ Two execution paths are provided:
   (:meth:`repro.rt.tracer.RayTracer.trace_vertical_batch`), which produces the
   *same hit sets, hit times and traversal statistics*.  Like the RT core,
   which walks every layer of the scene in one launch, it traverses a whole
-  block of layers for a whole batch of rays in one level-synchronous pass:
+  block of layers for a whole batch of rays in one pass of slab tests:
   the scene keeps a stacked flat form
   (:meth:`repro.rt.scene.TraversableScene.stacked`) in which layers with
   equally many spheres share one BVH topology and only node bounds and

@@ -84,9 +84,9 @@ class FlatBVH:
 
         Because nodes are stored breadth-first, every tree level occupies a
         contiguous index range: level ``l`` is ``[level_offsets[l],
-        level_offsets[l + 1])``.  The level-synchronous batch tracer uses
-        this to propagate reachability one level at a time with a single
-        gather per level instead of a Python loop over nodes.  Computed
+        level_offsets[l + 1])``.  The batch tracer needs only ``parent`` (how
+        many children a node has) and ``leaf_nodes``: boxes are nested, so
+        the nodes a ray visits follow from the slab tests alone.  Computed
         lazily and cached (the tree is immutable once flattened).
 
         Returns:

@@ -12,8 +12,8 @@ For the batch tracer the scene also has a *stacked* flat form
 only on the sphere count and the leaf size, so layers with equally many
 spheres share one parent/level/leaf-range description and differ only in
 node bounds, leaf primitive order, centres and radii.  Those are stored with
-a leading layer axis (:class:`LayerStack`), which lets one level-synchronous
-pass traverse a whole block of layers at once.  The stack's ``(leaf, lane)``
+a leading layer axis (:class:`LayerStack`), which lets one pass of slab tests
+traverse a whole block of layers at once.  The stack's ``(leaf, lane)``
 grid is also the column order of the dense hit grid the tracer returns and
 of the selective LUT built from it: sphere ``e`` of a layer sits in column
 ``entry_slots[layer, e]``.
@@ -124,7 +124,7 @@ def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
     rows = np.arange(len(layers))[:, None, None]
     centres = np.stack([layer.centres_xy for layer in layers])
     radii_sq = np.stack([layer.radii for layer in layers]) ** 2
-    return LayerStack(
+    stack = LayerStack(
         layer_ids=np.array([layer.layer_id for layer in layers], dtype=np.int64),
         z=np.array([layer.z for layer in layers], dtype=np.float64),
         parent=parent,
@@ -139,6 +139,13 @@ def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
         leaf_radii_sq=np.where(filled, radii_sq[rows, primitives], -1.0),
         entry_slots=entry_slots,
     )
+    # The batch tracer takes the slab mask for the traversal: boxes must be nested.
+    low, high, up = stack.node_min, stack.node_max, parent[1:]
+    nested = (low[..., 1:] >= low[..., up]) & (high[..., 1:] <= high[..., up])
+    if not nested.all():
+        loose = stack.layer_ids[~nested.all(axis=(1, 2))].tolist()
+        raise ValueError(f"BVH node boxes of layer(s) {loose} are not nested in their parents'")
+    return stack
 
 
 class TraversableScene:

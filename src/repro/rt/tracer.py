@@ -8,11 +8,12 @@ Two paths produce identical results:
 * :meth:`RayTracer.trace_vertical_batch` exploits the structure of JUNO's
   rays -- all parallel to ``+z``, each targeting the layer just above its
   origin plane -- to traverse a whole *block* of layers for a whole batch
-  of rays in one level-synchronous pass over the scene's stacked flat form
-  (:meth:`~repro.rt.scene.TraversableScene.stacked`), with boolean-mask
-  propagation.  Hit sets, hit times and traversal statistics are exactly
-  the ones the per-ray traversal would produce, but the Python interpreter
-  overhead is paid once per block, not once per layer.
+  of rays in one straight line of array passes over the scene's stacked
+  flat form (:meth:`~repro.rt.scene.TraversableScene.stacked`).  Node boxes
+  are nested, so the slab-test mask *is* the traversal and the counters are
+  sums over it.  Hit sets, hit times and traversal statistics are exactly
+  the per-ray traversal's, but the Python interpreter overhead is paid once
+  per block, not once per layer.
 
 The batch tracer evaluates every sphere test on a dense ``(layer, ray,
 leaf slot)`` grid and returns that grid -- an ``accepted`` mask and the hit
@@ -74,7 +75,8 @@ class BatchHits:
     Attributes:
         accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
             ``L`` counting within the block.
-        t_hit: ``(L, R, E')`` hit times; meaningful only where ``accepted``.
+        t_hit: ``(L, R, E')`` hit times where ``accepted``, NaN or meaningless
+            elsewhere; the caller owns the array and may decode it in place.
         slot_entries: ``(L, E')`` index of each slot's sphere within its
             layer (equal to the codebook entry id in JUNO's scenes).
     """
@@ -82,11 +84,6 @@ class BatchHits:
     accepted: np.ndarray
     t_hit: np.ndarray
     slot_entries: np.ndarray
-
-    @property
-    def num_rays(self) -> int:
-        """Number of rays per layer."""
-        return int(self.accepted.shape[1])
 
     @property
     def num_hits(self) -> int:
@@ -149,9 +146,8 @@ class RayTracer:
         One ray per (layer, ray index): ray ``r`` of layer ``l`` starts at
         ``(x, y, origin_z[l])`` and travels towards ``+z`` with its own
         maximum travel time, exactly like Alg. 2 (lines 3-8) -- but the
-        whole block is traversed level-synchronously over the scene's
-        stacked flat form instead of layer by layer.  A single layer is the
-        block-of-one case.
+        whole block is traversed at once over the scene's stacked flat form
+        instead of layer by layer.  A single layer is the block-of-one case.
 
         Args:
             layer_ids: ``(L,)`` target layer (subspace) ids, or one id.
@@ -244,78 +240,75 @@ class RayTracer:
         """Traverse ``L`` adjacent layers of one stack for ``(L, R)`` rays.
 
         Returns the hit grid over the stack's ``F * W`` leaf slots and adds
-        the traversal work (hits excepted) to ``stats``.
+        the traversal work (hits excepted) to ``stats``.  ``docs/performance.md``
+        ("rt_select, pass by pass") proves the identities this rests on.
         """
         num_layers, num_rays = ox.shape
         layers = slice(first, first + num_layers)
-        z = stack.z[layers]
-        if np.any(origin_z >= z):
+        offset = stack.z[layers] - origin_z
+        if (offset <= 0.0).any():
             raise ValueError("origin_z must lie below the layer's sphere centres")
         grid = (num_layers, num_rays, stack.num_slots)
         slot_entries = stack.leaf_primitives[layers].reshape(num_layers, -1)
         if stack.leaf_nodes.shape[0] == 0 or num_rays == 0:
             return BatchHits(np.zeros(grid, dtype=bool), np.zeros(grid), slot_entries)
-        node_min = stack.node_min[layers]
-        node_max = stack.node_max[layers]
+        node_min, node_max = stack.node_min[layers], stack.node_max[layers]
+        num_nodes = stack.parent.shape[0]
 
-        # Slab tests for every (layer, ray, node) triple in one broadcast --
-        # identical boolean outcomes to the per-node tests of the reference
-        # traversal.
-        ox_b = ox[:, :, None]
-        oy_b = oy[:, :, None]
+        # Slab tests for every (layer, node, ray), ANDed into one buffer through
+        # a second; the longer of the node and ray axes is contiguous in memory.
+        if num_rays >= num_nodes:
+            slab = np.ones((num_layers, num_nodes, num_rays), dtype=bool)
+        else:
+            slab = np.ones((num_layers, num_rays, num_nodes), dtype=bool).transpose(0, 2, 1)
+        test = np.empty_like(slab)  # same memory order
+        # a box behind the ray (t_exit < 0) gets a NaN entry time: never reached
         t_entry = np.maximum(node_min[:, 2] - origin_z[:, None], 0.0)
-        t_exit = node_max[:, 2] - origin_z[:, None]
-        slab = (
-            (ox_b >= node_min[:, None, 0])
-            & (ox_b <= node_max[:, None, 0])
-            & (oy_b >= node_min[:, None, 1])
-            & (oy_b <= node_max[:, None, 1])
-            & (t_max[:, :, None] >= t_entry[:, None, :])
-            & (t_exit >= 0.0)[:, None, :]
-        )
+        t_entry[node_max[:, 2] - origin_z[:, None] < 0.0] = np.nan
+        for compare, of_ray, of_node in (
+            (np.greater_equal, ox, node_min[:, 0]),
+            (np.less_equal, ox, node_max[:, 0]),
+            (np.greater_equal, oy, node_min[:, 1]),
+            (np.less_equal, oy, node_max[:, 1]),
+            (np.greater_equal, t_max, t_entry),
+        ):
+            compare(of_ray[:, None, :], of_node[:, :, None], out=test)
+            slab &= test
 
-        # Level-synchronous reachability: ``reach[l, r, i]`` marks the rays
-        # whose traversal stack would contain node i of layer l.  A node is
-        # reached iff its parent was reached and its parent's slab test
-        # passed, and because the flattened tree is breadth-first each level
-        # is a contiguous index range shared by every layer of the stack --
-        # so one gather per level serves all layers and rays.
-        reach = np.empty(slab.shape, dtype=bool)
-        reach[:, :, 0] = True
-        level_offsets = stack.level_offsets
-        for level in range(1, len(level_offsets) - 1):
-            level_nodes = slice(int(level_offsets[level]), int(level_offsets[level + 1]))
-            parents = stack.parent[level_nodes]
-            reach[:, :, level_nodes] = reach[:, :, parents] & slab[:, :, parents]
-        node_visits = int(np.count_nonzero(reach))
+        # The slab mask is the traversal: boxes are nested (the stack checks
+        # it), so a node is visited iff its parent passed and a leaf's spheres
+        # are tested iff the leaf passed -- the counters are sums of pass counts.
+        passed = np.count_nonzero(slab, axis=(0, 2))
+        children = np.bincount(stack.parent[1:], minlength=num_nodes)
+        node_visits = num_layers * num_rays + int(passed @ children)
         stats.node_visits += node_visits
         stats.aabb_tests += node_visits
-
-        # Leaves: a ray tests the spheres of every leaf it reaches whose
-        # slab test passes, and ``prim_tests`` counts exactly those.  The
-        # arithmetic is evaluated on the whole (layer, ray, leaf, lane) grid
-        # -- pure broadcasts, no gathers -- and masked by ``leaf_pass``: the
-        # outcome is what testing only the passing leaves gives, at a cost
-        # that is fixed by the block size instead of by how much the BVH
-        # prunes.  The grid is the result: nothing is extracted from it.
         leaves = stack.leaf_nodes
-        leaf_pass = reach[:, :, leaves] & slab[:, :, leaves]
-        stats.prim_tests += int(np.count_nonzero(leaf_pass, axis=(0, 1)) @ stack.leaf_count)
-        radii_sq = stack.leaf_radii_sq[layers, None]
-        dist_sq = ox[:, :, None, None] - stack.leaf_centres_x[layers, None]
-        dist_sq *= dist_sq
-        dy = oy[:, :, None, None] - stack.leaf_centres_y[layers, None]
-        dy *= dy
-        dist_sq += dy
-        # one scratch grid: dy**2, then the half chord, then the hit time
-        half_chord = np.subtract(radii_sq, dist_sq, out=dy)
-        np.maximum(half_chord, 0.0, out=half_chord)
-        np.sqrt(half_chord, out=half_chord)
-        t_hit = np.subtract((z - origin_z)[:, None, None, None], half_chord, out=half_chord)
-        accepted = (
-            leaf_pass[:, :, :, None]
-            & (dist_sq <= radii_sq)
-            & (t_hit <= t_max[:, :, None, None])
-            & (t_hit >= 0.0)
-        )
-        return BatchHits(accepted.reshape(grid), t_hit.reshape(grid), slot_entries)
+        stats.prim_tests += int(passed[leaves] @ stack.leaf_count)
+
+        # Sphere tests on the whole (layer, ray, slot) grid.  NaN is the miss:
+        # the half chord ``sqrt(r^2 - d^2)`` is NaN exactly where the ray
+        # passes outside the sphere (and in the ``r^2 = -1`` padding lanes),
+        # and a NaN hit time never satisfies ``t_hit <= t_max``.
+        row = (num_layers, 1, stack.num_slots)
+        radii_sq = stack.leaf_radii_sq[layers].reshape(row)
+        t_hit, scratch = np.empty(grid), np.empty(grid)
+        np.subtract(ox[:, :, None], stack.leaf_centres_x[layers].reshape(row), out=t_hit)
+        np.multiply(t_hit, t_hit, out=t_hit)
+        np.subtract(oy[:, :, None], stack.leaf_centres_y[layers].reshape(row), out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(t_hit, scratch, out=t_hit)
+        np.subtract(radii_sq, t_hit, out=t_hit)
+        with np.errstate(invalid="ignore"):
+            np.sqrt(t_hit, out=t_hit)
+        np.subtract(offset[:, None, None], t_hit, out=t_hit)
+        accepted = t_hit <= t_max[:, :, None]
+        # ``t_hit >= fl(offset - r_max) >= 0`` unless a layer's largest sphere
+        # reaches past the origin plane (JUNO's ``offset = r_max`` sits on the
+        # boundary: rounding sends about half its layers through the compare).
+        if (offset < np.sqrt(radii_sq.max(axis=(1, 2)))).any():
+            accepted &= t_hit >= 0.0
+        if (passed[leaves] != num_layers * num_rays).any():
+            failed = ~slab[:, leaves].transpose(0, 2, 1)  # (layer, ray, leaf): rows of lanes
+            accepted.reshape(num_layers, num_rays, leaves.size, -1)[failed] = False
+        return BatchHits(accepted, t_hit, slot_entries)

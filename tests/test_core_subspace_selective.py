@@ -1,5 +1,7 @@
 """Unit tests for the subspace inverted index, selective LUT and hit-count scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 from rt_reference import assert_lut_matches_reference, per_ray_hits, reference_construct
@@ -350,6 +352,105 @@ class TestStackedConstruct:
         narrow = stacks[slot[2][0]].num_slots
         assert narrow < max(widths) and np.isnan(lut.table[2, :, narrow:]).all()
         assert lut.ray_slice(1, 0)[0].size == 0
+
+
+# Scenes the trained fixtures never produce, as (entries per layer, spread of
+# the centres, sphere radius, origin offset): a BVH that really prunes (radius
+# << spread, so most leaves fail their slab test and the leaf mask and the
+# derived counters run where a ray does not visit every node); spheres that
+# contain their ray origin (offset < r: negative hit times); an entry count
+# that is not a multiple of the leaf size (padding lanes in the leaf grid).
+GENERIC_SCENES = {
+    "pruning": (64, 10.0, 0.5, 1.0),
+    "origin_inside": (20, 1.0, 1.2, 0.7),
+    "ragged_leaves": (37, 1.0, 1.0, 1.0),
+}
+
+
+def _generic_case(rng, scene_name, metric, mode, num_rays):
+    """Constructor and inputs on a hand-made 3-layer scene.
+
+    The decode is arithmetic on hit times, pinned byte for byte against the
+    same arithmetic in the oracle, so the radii need not be the MIPS ones for
+    the inner-product cases to mean something.
+    """
+    num_entries, spread, radius, offset = GENERIC_SCENES[scene_name]
+    scene = TraversableScene(leaf_size=4)
+    for s in range(3):
+        scene.add_layer(
+            s,
+            rng.uniform(-spread, spread, size=(num_entries, 2)),
+            radii=rng.uniform(0.8 * radius, 1.2 * radius, size=num_entries),
+        )
+    constructor = SelectiveLUTConstructor(
+        tracer=RayTracer(scene),
+        base_radius=radius,
+        origin_offsets=np.full(3, offset),
+        metric=metric,
+        inner_sphere_ratio=0.5 if QualityMode(mode).uses_inner_sphere else None,
+    )
+    origins = rng.uniform(-1.25 * spread, 1.25 * spread, size=(num_rays, 3, 2))
+    t_max = rng.uniform(0.3 * offset, offset + 0.2, size=(num_rays, 3))
+    thresholds = rng.uniform(0.2, 0.9, size=(num_rays, 3))
+    return constructor, origins, t_max, thresholds
+
+
+def _construct_strictly(constructor, origins, t_max, thresholds):
+    """``construct`` with warnings as errors: the tracer's NaN-producing
+    ``sqrt`` sits under an ``errstate`` and nothing else may warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return constructor.construct(origins, t_max, thresholds=thresholds)
+
+
+class TestPassByPass:
+    """The identities the in-place tracer and decode rest on, where the
+    trained fixtures (every ray visits every node, offsets clear every
+    sphere) cannot tell them from their absence."""
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
+    @pytest.mark.parametrize("scene_name", sorted(GENERIC_SCENES))
+    def test_generic_scenes_match_the_reference(self, rng, scene_name, metric, mode):
+        constructor, origins, t_max, thresholds = _generic_case(rng, scene_name, metric, mode, 24)
+        lut = _construct_strictly(constructor, origins, t_max, thresholds)
+        assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        (stack,), _ = constructor.tracer.scene.stacked()
+        num_entries, _, _, offset = GENERIC_SCENES[scene_name]
+        if scene_name == "pruning":
+            # reach != all: the slab mask did the traversal's work
+            assert lut.stats.node_visits < 0.5 * lut.stats.rays * stack.parent.shape[0]
+            assert 0 < lut.stats.hits < lut.stats.prim_tests < 0.5 * lut.stats.rays * num_entries
+        elif scene_name == "origin_inside":
+            # some sphere swallowed a ray origin, so ``t_hit >= 0`` had work
+            centres = np.stack([stack.leaf_centres_x, stack.leaf_centres_y], axis=-1)
+            gap_sq = ((origins.transpose(1, 0, 2)[:, :, None, None] - centres[:, None]) ** 2).sum(-1)
+            assert (stack.leaf_radii_sq[:, None] - gap_sq > offset**2).any()
+        else:
+            # the padding lanes' columns exist and never hold a value
+            padding = stack.leaf_radii_sq.reshape(3, -1) < 0
+            assert padding.any() and lut.table.shape[2] > num_entries
+            assert np.isnan(lut.table.transpose(0, 2, 1)[padding]).all()
+
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
+    def test_slab_memory_order_never_changes_the_lut(self, rng, metric):
+        """256 rays in one block lay the slab mask out node-major, the same
+        rays in blocks of 8 ray-major: byte-equal tables, equal counters."""
+        constructor, origins, t_max, thresholds = _generic_case(
+            rng, "pruning", metric, "juno-m", 256
+        )
+        whole = _construct_strictly(constructor, origins, t_max, thresholds)
+        assert_lut_matches_reference(whole, _reference_lut(constructor, origins, t_max, thresholds))
+        parts = [
+            _construct_strictly(constructor, origins[r : r + 8], t_max[r : r + 8], thresholds[r : r + 8])
+            for r in range(0, 256, 8)
+        ]
+        assert np.concatenate([p.table for p in parts], axis=1).tobytes() == whole.table.tobytes()
+        assert np.concatenate([p.inner for p in parts], axis=1).tobytes() == whole.inner.tobytes()
+        stats = TraversalStats()
+        for part in parts:
+            stats.merge(part.stats)
+        assert stats == whole.stats
 
 
 class TestHitCountScorer:

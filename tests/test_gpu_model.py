@@ -1,5 +1,7 @@
 """Unit tests for the GPU device catalog, work accounting, cost model and pipeline."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,34 @@ class TestSearchWork:
     def test_per_query_invalid(self):
         with pytest.raises(ValueError):
             SearchWork(num_queries=0).per_query()
+
+    def test_every_numeric_field_is_copied_diffed_and_merged(self):
+        """``copy`` / ``delta`` / ``merge`` / ``per_query`` walk a tuple of
+        names made once at import; a counter added to the dataclass must not
+        be able to fall outside it."""
+        numeric = [f.name for f in fields(SearchWork) if f.name != "extra"]
+        counters = [n for n in numeric if n not in ("num_queries", "lut_pairwise_dims")]
+        before = SearchWork(**{name: 2 * (i + 1) for i, name in enumerate(numeric)})
+        after = SearchWork(**{name: 5 * (i + 1) for i, name in enumerate(numeric)})
+        clone = after.copy()
+        assert clone == after and clone is not after and clone.extra is not after.extra
+        delta = after.delta(before)
+        assert [getattr(delta, name) for name in counters] == [
+            getattr(after, name) - getattr(before, name) for name in counters
+        ]
+        assert (delta.num_queries, delta.lut_pairwise_dims) == (
+            after.num_queries,
+            after.lut_pairwise_dims,
+        )
+        per = after.per_query()
+        assert [getattr(per, name) for name in counters] == [
+            getattr(after, name) / after.num_queries for name in counters
+        ]
+        clone.merge(before)
+        assert [getattr(clone, name) for name in ["num_queries"] + counters] == [
+            getattr(after, name) + getattr(before, name) for name in ["num_queries"] + counters
+        ]
+        assert clone.lut_pairwise_dims == max(after.lut_pairwise_dims, before.lut_pairwise_dims)
 
     def test_lut_flops_formula(self):
         work = SearchWork(num_queries=1, lut_pairwise=100.0, lut_pairwise_dims=2.0)

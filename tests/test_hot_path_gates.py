@@ -37,6 +37,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.core import selective_lut
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
 from repro.datasets.synthetic import make_clustered_dataset
@@ -226,17 +227,26 @@ def wide_batch_ctx(wide_index, wide_corpus):
 
 
 class TestRTSelectMemory:
-    # What one trace block may hold beyond the LUT: slab masks, the
-    # sphere-test grids and the decoded values before they are written to
-    # the table.  At 384 (layer, ray) pairs a block is ~3 MB; at 2048 pairs,
-    # the size that breached ``peak_rss_mb``, it is ~17 MB.
+    # What one trace block may hold beyond the LUT: two float grids (the hit
+    # times, decoded in place, and one scratch) and three bool grids (the
+    # accepted mask and the two slab-mask buffers).  At 384 (layer, ray)
+    # pairs a block is ~1 MB; at 2048 pairs, the size that once breached
+    # ``peak_rss_mb``, ~7 MB; the whole batch as one block ~28 MB.
     SLACK_BYTES = 6 << 20
 
-    def test_batch_peak_is_lut_plus_fixed_slack(self, wide_batch_ctx):
-        ctx = wide_batch_ctx
+    @staticmethod
+    def _peak_beyond_lut(ctx) -> int:
         peak = _traced_peak(RTSelectStage(), ctx)
         assert ctx.lut.num_rays == 256 and ctx.lut.total_hits > 0
-        assert peak <= _lut_bytes(ctx.lut) + self.SLACK_BYTES
+        return peak - _lut_bytes(ctx.lut)
+
+    def test_batch_peak_is_lut_plus_fixed_slack(self, wide_batch_ctx):
+        assert self._peak_beyond_lut(wide_batch_ctx) <= self.SLACK_BYTES
+
+    def test_one_block_per_batch_breaks_the_bound(self, wide_batch_ctx, monkeypatch):
+        """The guard bites: all 48 layers x 256 rays as one block fails it."""
+        monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_PAIRS", 1 << 40)
+        assert self._peak_beyond_lut(wide_batch_ctx) > self.SLACK_BYTES
 
 
 class TestScoreMemory:

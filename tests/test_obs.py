@@ -350,9 +350,17 @@ class TestPipelineInstrumentation:
     def test_instrumented_run_publishes_stage_metrics(self, juno_l2, l2_dataset, registry):
         result = juno_l2.search(l2_dataset.queries[:4], k=5, nprobs=4)
         snap = registry.snapshot()
-        gauges = {entry["name"]: entry["value"] for entry in snap["gauges"]}
-        assert gauges["repro_rt_hits_per_ray"] == result.work.rt_hits / result.work.rt_rays
-        assert gauges["repro_selected_entry_fraction"] == result.selected_entry_fraction
+        counters = {entry["name"]: entry["value"] for entry in snap["counters"]}
+        assert counters["repro_rt_rays_total"] == result.work.rt_rays
+        assert counters["repro_rt_hits_total"] == result.work.rt_hits
+        assert (
+            counters["repro_rt_hits_total"] / counters["repro_rt_slots_total"]
+            == result.selected_entry_fraction
+        )
+        # ratios are not exported as gauges: merged snapshots sum them
+        assert not {"repro_rt_hits_per_ray", "repro_selected_entry_fraction"} & {
+            entry["name"] for entry in snap["gauges"]
+        }
         counter_names = {entry["name"] for entry in snap["counters"]}
         histogram_names = {entry["name"] for entry in snap["histograms"]}
         assert "repro_pipeline_batches_total" in counter_names

@@ -38,6 +38,7 @@ from repro.serving import (
 
 NUM_SHARDS = 2
 NUM_REPLICAS = 2
+RT_COUNTERS = ("repro_rt_rays_total", "repro_rt_hits_total", "repro_rt_slots_total")
 
 
 def _resident(piggyback_metrics=True):
@@ -111,6 +112,30 @@ class TestCrossProcessAggregation:
             assert totals == sorted(totals)
             # snapshots arrived via piggyback alone -- no explicit collection
             assert len(executor.worker_snapshots()) >= NUM_SHARDS
+
+    def test_merged_rt_ratios_are_ratios_of_sums(self, corpus, bundle, registry):
+        """Two workers' snapshots merge by summing, so index-health ratios
+        are exported as counters: dividing the merged sums gives the pooled
+        ratio, where summed per-worker ratios would read about double."""
+        with ShardedJunoIndex.load(bundle, _resident()) as resident:
+            executor = resident.executor_spec
+            result = resident.search(corpus.queries, k=5, nprobs=4)
+            snapshots = executor.worker_snapshots()
+            assert len(snapshots) == NUM_SHARDS
+            merged = {name: _worker_total(executor, name) for name in RT_COUNTERS}
+        rays, hits, slots = (merged[name] for name in RT_COUNTERS)
+        assert rays == result.work.rt_rays and hits == result.work.rt_hits
+        assert hits / rays == result.work.rt_hits / result.work.rt_rays
+        num_entries = slots / rays
+        assert num_entries == 8  # the bundle's codebook size
+        per_worker = [
+            {e["name"]: e["value"] for e in snap["counters"]} for snap in snapshots.values()
+        ]
+        assert all(w["repro_rt_hits_total"] <= w["repro_rt_slots_total"] for w in per_worker)
+        summed_ratios = sum(
+            w["repro_rt_hits_total"] / w["repro_rt_slots_total"] for w in per_worker
+        )
+        assert 0.0 < hits / slots <= 1.0 and hits / slots < summed_ratios
 
     def test_collect_metrics_pulls_every_live_worker(self, corpus, bundle, registry):
         with ShardedJunoIndex.load(bundle, _resident(piggyback_metrics=False)) as resident:

@@ -4,6 +4,9 @@ The central invariant: the BVH traversal, the vectorised batch tracer and a
 brute-force sphere test must all agree on the hit sets and hit times.
 """
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -207,43 +210,72 @@ class TestTracer:
         assert stats.rays == 0
 
 
-# Sphere counts per layer: JUNO's equal-E scene (one stack), a generic scene
-# whose equal-count layers are not adjacent (two stacks, three runs per
-# full-scene block), and a scene with an empty layer.
+@dataclass(frozen=True)
+class SceneShape:
+    """Sphere counts per layer, where the spheres lie and where the rays start."""
+
+    counts: tuple
+    spread: float = 2.0
+    radii: tuple = (0.8, 1.6)
+    offset: float = 1.7  # origin plane to centre plane; the default clears every sphere
+
+
+# JUNO's equal-E scene (one stack; 20 spheres leave leaves of 2 and 3, so the
+# leaf grid has padding lanes), a generic scene whose equal-count layers are
+# not adjacent (two stacks, three runs per full-scene block), a scene with an
+# empty layer, a scene whose BVH really prunes (radius << spread: most rays
+# fail most boxes, so counters and leaf mask are exercised where a ray does
+# not visit every node), and one whose spheres contain their ray origins
+# (offset < r: negative hit times, which only the vectorised tracers agree to
+# reject -- the per-ray traversal takes the far root instead).
 SCENE_SHAPES = {
-    "equal": (20, 20, 20, 20),
-    "unequal": (20, 7, 20, 33),
-    "empty_layer": (12, 0, 12),
+    "equal": SceneShape((20, 20, 20, 20)),
+    "unequal": SceneShape((20, 7, 20, 33)),
+    "empty_layer": SceneShape((12, 0, 12)),
+    "pruning": SceneShape((64, 64, 64), spread=10.0, radii=(0.3, 0.6), offset=1.0),
+    "origin_inside": SceneShape((20, 20), offset=0.9),
 }
+PER_RAY_SHAPES = sorted(set(SCENE_SHAPES) - {"origin_inside"})
 
 
-def _layered_scene(rng, counts):
+def _layered_scene(rng, shape):
     scene = TraversableScene(leaf_size=4)
-    for layer_id, count in enumerate(counts):
+    for layer_id, count in enumerate(shape.counts):
         scene.add_layer(
-            layer_id, rng.uniform(-2, 2, size=(count, 2)), radii=rng.uniform(0.8, 1.6, size=count)
+            layer_id,
+            rng.uniform(-shape.spread, shape.spread, size=(count, 2)),
+            radii=rng.uniform(*shape.radii, size=count),
         )
     return scene
 
 
-def _block_inputs(rng, scene, num_rays):
+def _block_inputs(rng, scene, num_rays, shape=SceneShape(())):
     num_layers = scene.num_layers
-    origins = rng.uniform(-2.5, 2.5, size=(num_rays, num_layers, 2))
-    t_max = rng.uniform(0.3, 1.9, size=(num_rays, num_layers))
-    origin_z = np.array([scene.layer(i).z for i in range(num_layers)]) - 1.7
+    reach = 1.25 * shape.spread
+    origins = rng.uniform(-reach, reach, size=(num_rays, num_layers, 2))
+    t_max = rng.uniform(0.3, shape.offset + 0.2, size=(num_rays, num_layers))
+    origin_z = np.array([scene.layer(i).z for i in range(num_layers)]) - shape.offset
     return origins, t_max, origin_z
+
+
+def _trace_block(scene, origins, t_max, origin_z):
+    """Trace the whole scene as one block; no ``RuntimeWarning`` may escape."""
+    tracer = RayTracer(scene)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch, stats = tracer.trace_vertical_batch(
+            np.arange(scene.num_layers), origins, t_max, origin_z
+        )
+    return tracer, batch, stats
 
 
 class TestStackedTracer:
     @pytest.mark.parametrize("num_rays", [0, 1, 8])
-    @pytest.mark.parametrize("shape", sorted(SCENE_SHAPES))
+    @pytest.mark.parametrize("shape", PER_RAY_SHAPES)
     def test_block_matches_per_ray_trace(self, rng, shape, num_rays):
         scene = _layered_scene(rng, SCENE_SHAPES[shape])
-        origins, t_max, origin_z = _block_inputs(rng, scene, num_rays)
-        tracer = RayTracer(scene)
-        batch, stats = tracer.trace_vertical_batch(
-            np.arange(scene.num_layers), origins, t_max, origin_z
-        )
+        origins, t_max, origin_z = _block_inputs(rng, scene, num_rays, SCENE_SHAPES[shape])
+        tracer, batch, stats = _trace_block(scene, origins, t_max, origin_z)
         expected = TraversalStats()
         for layer in range(scene.num_layers):
             for ray in range(num_rays):
@@ -264,10 +296,8 @@ class TestStackedTracer:
         """The dense grid holds, per (layer, ray), the hit set of one pass per
         layer with every hit time byte for byte -- and nothing else."""
         scene = _layered_scene(rng, SCENE_SHAPES[shape])
-        origins, t_max, origin_z = _block_inputs(rng, scene, num_rays)
-        batch, stats = RayTracer(scene).trace_vertical_batch(
-            np.arange(scene.num_layers), origins, t_max, origin_z
-        )
+        origins, t_max, origin_z = _block_inputs(rng, scene, num_rays, SCENE_SHAPES[shape])
+        _, batch, stats = _trace_block(scene, origins, t_max, origin_z)
         stacks, slot = scene.stacked()
         width = scene.num_slots
         assert batch.accepted.shape == batch.t_hit.shape == (scene.num_layers, num_rays, width)
@@ -288,12 +318,45 @@ class TestStackedTracer:
             # one hit per accepted cell: no sphere is accepted in two slots,
             # and the tail a narrower stack leaves is never accepted
             assert rays.size == ray_index.size
-            assert not batch.accepted[layer, :, stacks[slot[layer][0]].num_slots :].any()
+            stack, position = stacks[slot[layer][0]], slot[layer][1]
+            assert not batch.accepted[layer, :, stack.num_slots :].any()
+            # a padding lane's radius^2 of -1 makes its hit time NaN: a miss
+            padding = np.flatnonzero(stack.leaf_radii_sq[position].reshape(-1) < 0)
+            assert np.isnan(batch.t_hit[layer][:, padding]).all()
             # a sphere's slot holds that sphere
             slots = scene.entry_slots(layer)
             assert batch.slot_entries[layer, slots].tolist() == list(range(num_spheres))
         assert stats == expected
         assert batch.num_hits == stats.hits == int(batch.hits_per_ray.sum())
+        if num_rays and shape == "equal":
+            assert (stacks[0].leaf_radii_sq < 0).any()  # the padding lanes exist
+        if num_rays == 256 and shape == "pruning":
+            # the counters were derived where reach != all: far fewer than the
+            # 31 nodes and 64 spheres of a layer per ray, yet some hits
+            assert stats.node_visits < 0.5 * stats.rays * stacks[0].parent.shape[0]
+            assert 0 < stats.hits < stats.prim_tests < 0.5 * stats.rays * 64
+        if num_rays == 256 and shape == "origin_inside":
+            # the ``t_hit >= 0`` branch had cells to reject
+            assert (batch.t_hit[~batch.accepted] < 0).any()
+
+    @pytest.mark.parametrize("copies", [1, 256])
+    def test_sphere_a_failed_leaf_box_hides_is_not_hit(self, copies):
+        """Where the leaf mask decides alone.  The ray starts half an ulp
+        outside the leaf's box, so the traversal never tests the leaf's
+        spheres; ``ox - cx`` rounds to exactly ``-r``, so the sphere test on
+        the dense grid says "tangent hit".  Only the mask rejects it."""
+        centres = np.array([[1.0, 0.0], [5.0, 0.0], [6.0, 1.0], [7.0, -1.0], [8.0, 0.5]])
+        scene = TraversableScene(leaf_size=2)
+        scene.add_layer(0, centres, radii=0.5)
+        origin = np.array([0.5 - 2.0**-54, 0.0])
+        assert origin[0] < 1.0 - 0.5 and (origin[0] - 1.0) ** 2 <= 0.5**2
+        origins = np.tile(origin, (copies, 1, 1))
+        t_max = np.full((copies, 1), 1.0)
+        _, batch, stats = _trace_block(scene, origins, t_max, np.array([0.0]))
+        *_, expected = reference_trace_layer(scene, 0, origins[:, 0], t_max[:, 0], 0.0)
+        assert stats == expected == TraversalStats(rays=copies, node_visits=copies, aabb_tests=copies)
+        assert not batch.accepted.any()
+        assert per_ray_hits(scene, 0, origin, 0.0, 1.0) == ({}, TraversalStats(1, 1, 1, 0, 0))
 
     def test_layers_in_any_order_and_subset(self, rng):
         scene = _layered_scene(rng, SCENE_SHAPES["unequal"])
@@ -315,7 +378,7 @@ class TestStackedTracer:
 
     def test_equal_sphere_counts_share_one_topology(self, rng):
         """What stacking rests on: the median split looks only at counts."""
-        scene = _layered_scene(rng, (37, 37, 37))
+        scene = _layered_scene(rng, SceneShape((37, 37, 37)))
         flats = [scene.layer(i).bvh.flatten() for i in range(3)]
         for flat in flats[1:]:
             for name in ("left", "right", "leaf_start", "leaf_count"):
@@ -324,8 +387,23 @@ class TestStackedTracer:
         assert len(stacks) == 1 and slot == {0: (0, 0), 1: (0, 1), 2: (0, 2)}
         assert stacks[0].node_min.shape == (3, 3, flats[0].num_nodes)
 
+    @pytest.mark.parametrize("corner, push", [("node_min", -0.25), ("node_max", 0.25)])
+    def test_boxes_not_nested_in_their_parents_fail_the_build(self, rng, corner, push):
+        """The tracer reads the traversal off the slab mask, which is only
+        right for nested boxes: a padded or refitted child must not get as
+        far as reporting wrong visit counts."""
+        scene = _layered_scene(rng, SceneShape((9, 9, 9)))
+        bounds = getattr(scene.layer(1).bvh.flatten(), corner)  # (nodes, 3), cached
+        for axis in range(3):
+            kept = bounds[2, axis]
+            bounds[2, axis] = bounds[0, axis] + push  # sticks out of the root
+            with pytest.raises(ValueError, match=r"layer\(s\) \[1\]"):
+                scene.stacked()
+            bounds[2, axis] = kept
+        scene.stacked()
+
     def test_adding_a_layer_rebuilds_the_stack(self, rng):
-        scene = _layered_scene(rng, (9, 9))
+        scene = _layered_scene(rng, SceneShape((9, 9)))
         tracer = RayTracer(scene)
         tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 2, 2)), 1.0)
         scene.add_layer(2, rng.uniform(-1, 1, size=(9, 2)), radii=1.0)
@@ -333,7 +411,7 @@ class TestStackedTracer:
         assert 0 in batch.hits_of_ray(0)[0]
 
     def test_unknown_layer_and_bad_shapes_raise(self, rng):
-        scene = _layered_scene(rng, (9, 9))
+        scene = _layered_scene(rng, SceneShape((9, 9)))
         tracer = RayTracer(scene)
         with pytest.raises(KeyError):
             tracer.trace_vertical_batch(np.array([0, 5]), np.zeros((1, 2, 2)), 1.0)
