@@ -445,7 +445,7 @@ class DeltaMergeStage:
     index produced an over-fetched top-k in its *local* id space; this stage
 
     1. remaps base-local ids to global ids,
-    2. masks tombstoned ids (a deleted -- or upsert-superseded -- point can
+    2. masks tombstoned rows (a deleted -- or upsert-superseded -- point can
        never surface, no matter how well the stale trained copy scored),
     3. when the delta buffer holds fresh vectors (or ``always_exact`` is
        set), rescoring the surviving base candidates *and* the buffered
@@ -468,7 +468,8 @@ class DeltaMergeStage:
             (exact rescoring of surviving base candidates).
         delta_ids: ``(N_delta,)`` buffered global ids.
         delta_vectors: ``(N_delta, D)`` buffered vectors.
-        tombstone_ids: sorted array of tombstoned global ids.
+        dead_rows: ``(N_base,)`` bool, true for base rows whose id is
+            tombstoned (kept current by the mutable index, not copied).
         always_exact: exact-rescore even when the buffer is empty.  The
             sharded router enables this on every mutable shard so per-shard
             scores stay on one (exact) scale regardless of which shards
@@ -484,7 +485,7 @@ class DeltaMergeStage:
         base_vectors: np.ndarray,
         delta_ids: np.ndarray,
         delta_vectors: np.ndarray,
-        tombstone_ids: np.ndarray,
+        dead_rows: np.ndarray,
         always_exact: bool = False,
     ) -> None:
         if k <= 0:
@@ -494,7 +495,7 @@ class DeltaMergeStage:
         self.base_vectors = np.atleast_2d(np.asarray(base_vectors, dtype=np.float64))
         self.delta_ids = np.asarray(delta_ids, dtype=np.int64).ravel()
         self.delta_vectors = np.atleast_2d(np.asarray(delta_vectors, dtype=np.float64))
-        self.tombstone_ids = np.asarray(tombstone_ids, dtype=np.int64).ravel()
+        self.dead_rows = np.asarray(dead_rows, dtype=bool)
         self.always_exact = bool(always_exact)
 
     def run(self, ctx: QueryContext) -> None:
@@ -502,11 +503,8 @@ class DeltaMergeStage:
         scores = ctx.require("scores", self.name)
         valid = ids >= 0
         local = np.where(valid, ids, 0)
-        global_ids = np.where(valid, self.base_global_ids[local], -1)
-        if self.tombstone_ids.size:
-            tombstoned = np.isin(global_ids, self.tombstone_ids)
-            global_ids = np.where(tombstoned, -1, global_ids)
-        base_valid = global_ids >= 0
+        base_valid = valid & ~self.dead_rows[local]
+        global_ids = np.where(base_valid, self.base_global_ids[local], -1)
         ctx.extra["delta_merged"] = True
         ctx.extra["tombstones_filtered"] = float((valid & ~base_valid).sum())
 

@@ -506,7 +506,7 @@ def load_mutable_index(path: str | Path, wal=None, policy=None):
     if delta_ids.size:
         index.delta.upsert(delta_ids, delta_vectors)
     if tombstone_ids.size:
-        index.tombstones.add(tombstone_ids)
+        index._tombstone(tombstone_ids)
     index._trained_points = int(manifest["trained_points"])
     index._mutated_since_train = int(manifest["mutated_since_train"])
     index.ops_applied = int(manifest["ops_applied"])

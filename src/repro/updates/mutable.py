@@ -148,7 +148,7 @@ class MutableJunoIndex:
         self.policy = policy if policy is not None else RebuildPolicy()
         self.exact_scores = bool(exact_scores)
         self.wal = WriteAheadLog(wal) if isinstance(wal, (str, Path)) else wal
-        self._row_of = {int(g): row for row, g in enumerate(self._global_ids)}
+        self._reindex_rows()
         self._trained_points = int(base.num_points)
         self._mutated_since_train = 0
         self.ops_applied = 0
@@ -201,7 +201,7 @@ class MutableJunoIndex:
 
     def live_ids(self) -> np.ndarray:
         """Sorted global ids currently visible to search."""
-        base_live = self._global_ids[~self.tombstones.mask(self._global_ids)]
+        base_live = self._global_ids[~self._dead_rows]
         return np.sort(np.concatenate([base_live, self.delta.ids]))
 
     # -------------------------------------------------------------- mutation
@@ -219,11 +219,7 @@ class MutableJunoIndex:
                 f"expected vectors of shape {(ids.shape[0], self.base.dim)}, "
                 f"got {vectors.shape}"
             )
-        self._log(
-            "upsert",
-            ids=[int(i) for i in ids],
-            vectors=[[float(x) for x in row] for row in vectors],
-        )
+        self._log("upsert", ids=ids, vectors=vectors)
         self._apply_upsert(ids, vectors)
         return self
 
@@ -244,7 +240,7 @@ class MutableJunoIndex:
         ]
         if missing:
             raise KeyError(f"cannot delete ids that are not live: {missing}")
-        self._log("delete", ids=[int(i) for i in ids])
+        self._log("delete", ids=ids)
         self._apply_delete(ids)
         return self
 
@@ -349,20 +345,19 @@ class MutableJunoIndex:
         """Apply one WAL-shaped op record (replay and replication path).
 
         Used by :func:`repro.serving.persistence.load_mutable_index` to
-        replay the log tail, and by the resident worker runtime to apply
-        replicated op payloads -- both must reproduce exactly what the
-        original mutation did, so this routes through the same ``_apply_*``
-        code paths without re-logging or re-triggering policy maintenance
-        (maintenance that *did* trigger was logged as its own record).
+        replay the log tail: ``record`` is what
+        :meth:`~repro.updates.wal.WriteAheadLog.replay` yields, ``ids`` an
+        ``int64`` array and ``vectors`` an ``(n, dim)`` ``float64`` array.
+        Replay must reproduce exactly what the original mutation did, so
+        this routes through the same ``_apply_*`` code paths without
+        re-logging or re-triggering policy maintenance (maintenance that
+        *did* trigger was logged as its own record).
         """
         op = record["op"]
         if op == "upsert":
-            self._apply_upsert(
-                np.asarray(record["ids"], dtype=np.int64),
-                np.asarray(record["vectors"], dtype=np.float64),
-            )
+            self._apply_upsert(record["ids"], record["vectors"])
         elif op == "delete":
-            self._apply_delete(np.asarray(record["ids"], dtype=np.int64))
+            self._apply_delete(record["ids"])
         elif op == "compact":
             self._apply_compact()
         elif op == "retrain":
@@ -370,10 +365,24 @@ class MutableJunoIndex:
         else:
             raise ValueError(f"unknown mutable-index op {op!r}")
 
-    def _apply_upsert(self, ids: np.ndarray, vectors: np.ndarray) -> None:
+    def _reindex_rows(self) -> None:
+        """Rebuild the id -> base row map; the new rows are all live."""
+        self._row_of = {int(g): row for row, g in enumerate(self._global_ids)}
+        self._dead_rows = np.zeros(self._global_ids.shape[0], dtype=bool)
+
+    def _tombstone(self, ids) -> None:
+        """Tombstone the trained copies of whichever ``ids`` the base owns.
+
+        ``_dead_rows`` is the tombstone set by base row, kept current here
+        so that a search filters with one gather instead of a set lookup.
+        """
         in_base = [int(g) for g in ids if int(g) in self._row_of]
         if in_base:
             self.tombstones.add(in_base)
+            self._dead_rows[[self._row_of[g] for g in in_base]] = True
+
+    def _apply_upsert(self, ids: np.ndarray, vectors: np.ndarray) -> None:
+        self._tombstone(ids)
         self.delta.upsert(ids, vectors)
         self._mutated_since_train += int(ids.shape[0])
         self.ops_applied += 1
@@ -381,18 +390,15 @@ class MutableJunoIndex:
 
     def _apply_delete(self, ids: np.ndarray) -> None:
         self.delta.discard(ids)
-        in_base = [int(g) for g in ids if int(g) in self._row_of]
-        if in_base:
-            self.tombstones.add(in_base)
+        self._tombstone(ids)
         self._mutated_since_train += int(ids.shape[0])
         self.ops_applied += 1
         self.base.bump_cache_token()
 
     def _merged_live_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(live_mask, delta_ids, delta_vectors)`` of the current state."""
-        live_mask = ~self.tombstones.mask(self._global_ids)
         delta_ids, delta_vectors = self.delta.snapshot()
-        return live_mask, delta_ids, delta_vectors
+        return ~self._dead_rows, delta_ids, delta_vectors
 
     def _apply_compact(self) -> None:
         base = self.base
@@ -419,7 +425,7 @@ class MutableJunoIndex:
         # The scene is a function of the codebooks and the sphere radius,
         # which compaction does not touch: only the layout is rebuilt.
         base.rebuild_layout()  # also bumps the cache token
-        self._row_of = {int(g): row for row, g in enumerate(self._global_ids)}
+        self._reindex_rows()
         self.tombstones.clear()
         self.delta.clear()
         self.ops_applied += 1
@@ -431,7 +437,7 @@ class MutableJunoIndex:
         self.base.train(vectors)
         self._vectors = vectors
         self._global_ids = global_ids
-        self._row_of = {int(g): row for row, g in enumerate(global_ids)}
+        self._reindex_rows()
         self.tombstones.clear()
         self.delta.clear()
         self._trained_points = int(vectors.shape[0])
@@ -469,7 +475,7 @@ class MutableJunoIndex:
             base_vectors=self._vectors,
             delta_ids=delta_ids,
             delta_vectors=delta_vectors,
-            tombstone_ids=self.tombstones.to_array(),
+            dead_rows=self._dead_rows,
             always_exact=self.exact_scores,
         )
         active = pipeline if pipeline is not None else self.base.default_pipeline()

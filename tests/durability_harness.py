@@ -11,7 +11,6 @@ numbers live in the ledger (``benchmarks/ledger``, workload
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -32,8 +31,8 @@ class DurabilityReport:
     """Verdicts of one crash-injection run over the durable update layer.
 
     The writer's on-disk state (epoch snapshots + write-ahead log) is cut at
-    every record boundary, at the first and last byte inside every record,
-    and at *every byte offset of the tail record* -- each cut simulating a
+    every frame boundary, at the first and last byte inside every frame,
+    and at *every byte offset of the tail frame* -- each cut simulating a
     writer killed at that instant.  Every cut is recovered through the real
     recovery path (:func:`repro.serving.persistence.load_mutable_index`:
     snapshot restore + WAL tail replay) and compared against the live
@@ -187,19 +186,7 @@ def run_durability_crash_injection(
     deepest_torn = max(torn_cuts, default=None)
     for cut in sorted(boundary_cuts | torn_cuts):
         cut_path.write_bytes(wal_bytes[:cut])
-        j = bisect_right(offsets, cut) - 1  # records fully contained in the cut
-        if j < num_records:
-            # A cut that only sheds the record's trailing newline leaves
-            # complete, valid JSON -- that record *was* written and the WAL
-            # (correctly) keeps it on recovery, so expect the later state.
-            partial = wal_bytes[offsets[j] : cut]
-            try:
-                json.loads(partial)
-            except ValueError:
-                pass
-            else:
-                if partial.strip():
-                    j += 1
+        j = bisect_right(offsets, cut) - 1  # frames fully contained in the cut
         snapshot = snap_mid if mid_epoch is not None and j >= mid_epoch else snap0
         recovered = load_mutable_index(snapshot, wal=WriteAheadLog(cut_path))
         report.injection_points += 1

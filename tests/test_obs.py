@@ -404,3 +404,36 @@ class TestTrainInstrumentation:
         assert set(steps) == {"ivf", "pq_train", "encode", "finalize"}
         assert all(seconds > 0.0 for seconds in steps.values())
         assert sum(steps.values()) <= wall
+
+
+class TestWalInstrumentation:
+    """What an operator needs to see the durability table's bound hold."""
+
+    def test_pending_records_gauge_follows_the_committer(self, tmp_path, registry):
+        import time
+
+        from repro.updates.wal import DurabilityPolicy, WriteAheadLog
+
+        pending = registry.gauge("repro_wal_pending_records")
+        wal = WriteAheadLog(tmp_path / "ops.wal", DurabilityPolicy("batch", group_window_s=0.02))
+        wal.append("compact")  # creates the file: durable on return
+        assert pending.value == 0
+        wal.append("compact")
+        wal.append("compact")
+        assert pending.value == wal.flushed_seq - wal.durable_seq == 2  # set by append ...
+        deadline = time.monotonic() + 2.0
+        while pending.value and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert wal.durable_seq == 3 and pending.value == 0  # ... and by the committer
+        wal.close()
+
+    def test_bytes_counter_is_the_size_of_the_log(self, tmp_path, registry):
+        from repro.updates.wal import WriteAheadLog
+
+        wal = WriteAheadLog(tmp_path / "ops.wal")
+        wal.append("upsert", ids=[1, 2], vectors=[[0.5] * 4, [1.5] * 4])
+        wal.append("delete", ids=[1])
+        wal.close()
+        assert registry.counter("repro_wal_bytes_total").value == wal.path.stat().st_size
+        assert registry.counter("repro_wal_appends_total").value == 2
+        assert registry.gauge("repro_wal_pending_records").value == 0  # "never" tracks none

@@ -147,7 +147,8 @@ class TestWriteAheadLog:
         reopened = WriteAheadLog(tmp_path / "ops.wal")
         records = list(reopened.replay())
         assert [r["op"] for r in records] == ["upsert", "delete"]
-        assert records[0]["vectors"][0] == vector  # bit-exact float round trip
+        assert records[0]["vectors"].dtype == np.float64 and records[0]["ids"].tolist() == [5]
+        assert records[0]["vectors"].tolist() == [vector]  # the bytes the caller upserted
         assert reopened.last_seq == 2
         assert reopened.append("compact") == 3
 
@@ -156,9 +157,22 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(path)
         wal.append("delete", ids=[1])
         wal.close()
-        with path.open("a") as handle:
-            handle.write('{"seq": 2, "op": "ups')  # crash mid-append
+        frame = path.read_bytes()
+        with path.open("ab") as handle:
+            handle.write(frame[: len(frame) // 2])  # crash mid-append
         assert [r["seq"] for r in WriteAheadLog(path).replay()] == [1]
+
+    def test_append_validates_before_writing(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "ops.wal")
+        with pytest.raises(ValueError):
+            wal.append("frobnicate")
+        with pytest.raises(ValueError, match="vectors"):
+            wal.append("delete", ids=[1], vectors=[[0.5]])
+        with pytest.raises(ValueError, match="vectors"):
+            wal.append("upsert", ids=[1])
+        with pytest.raises(ValueError, match="one vector per id"):
+            wal.append("upsert", ids=[1, 2], vectors=[[0.5]])
+        assert wal.last_seq == 0 and not wal.path.exists()
 
     def test_corrupt_middle_record_is_typed(self, tmp_path):
         path = tmp_path / "ops.wal"
@@ -225,6 +239,37 @@ class TestMutableSearch:
         with pytest.raises(KeyError, match="not live"):
             mutable.delete([123_456])
         assert wal.last_seq == 0  # failed ops never enter the log
+
+    def test_dead_rows_mask_is_the_tombstone_set_by_row(self, corpus, tmp_path):
+        """The merge stage filters with ``_dead_rows[local]``; it must say
+        what ``isin(global ids, tombstones)`` said, through every op."""
+        mutable = _mutable(corpus.points, policy=RebuildPolicy(auto_compact=False))
+        queries = corpus.queries
+
+        def check(index):
+            expected = np.isin(index._global_ids, index.tombstones.to_array())
+            np.testing.assert_array_equal(index._dead_rows, expected)
+            ids = index.search(queries, 10, nprobs=8).ids
+            live = set(index.live_ids().tolist())
+            assert set(ids[ids >= 0].tolist()) <= live
+
+        check(mutable)
+        mutable.upsert([70_000, 70_001], queries[:2])
+        check(mutable)
+        mutable.upsert([3, 4], queries[2:4])  # supersede two trained points
+        mutable.delete([5, 70_000])  # one trained, one buffered
+        check(mutable)
+        assert int(mutable._dead_rows.sum()) == len(mutable.tombstones) == 3
+        restored = load_mutable_index(mutable.save(tmp_path / "snap"))
+        check(restored)
+        assert restored.state_digest() == mutable.state_digest()
+        mutable.compact()
+        assert not mutable._dead_rows.any()
+        assert mutable._dead_rows.shape == mutable._global_ids.shape
+        mutable.delete([3, 9])
+        check(mutable)
+        mutable.retrain()
+        check(mutable)
 
     def test_mips_metric_supported(self):
         corpus = _corpus(metric=Metric.INNER_PRODUCT)
