@@ -9,10 +9,12 @@ Trains the ledger's index (seed 1) and searches it in 24 cells -- quality mode
 nine searches per cell.  A cell's time is the median ``rt_select`` plus the
 median ``score`` stage time of the nine (the selective LUT is one table
 written by the first and read by the second, so a change can move time
-between them: their sum is what must hold up); its digest covers every id and
-score.  Run it on the parent and on the change when touching
-``rt/tracer.py``, ``core/selective_lut.py`` or ``pipeline/fused.py``:
-digests must match cell for cell, and the time must hold at low
+between them: their sum is what must hold up).  A cell also records two
+digests, one of every id and one of every id and score, and recall@10 of its
+searches against brute force (computed once).  Run it on the parent and on
+the change when touching ``rt/tracer.py``, ``core/selective_lut.py`` or
+``pipeline/fused.py``: recall must match cell for cell, the digests say
+whether ids or only scores moved, and the time must hold at low
 ``threshold_scale`` too, not only in the dense regime the ledger runs.
 
 A single pass on a shared box wanders by +-20 %, so a cell keeps the best of
@@ -26,7 +28,8 @@ what OUT already holds -- which is how parent and change alternate::
 
 ``--tree`` names the checkout whose ``src/`` and ``benchmarks/ledger/`` are
 measured (default: the one this file is in).  ``--against`` prints every
-cell's time over the parent's and exits non-zero when any digest differs.
+cell's time over the parent's and which digests differ from it, and exits
+non-zero when a cell's recall differs or a cell is missing on either side.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 MODES = ("juno-h", "juno-m", "juno-l")
 SCALES = (0.1, 0.25, 0.5, 1.0)
@@ -61,8 +66,12 @@ def _median_ms(results, stage: str) -> float:
     return times[len(times) // 2] * 1e3
 
 
-def sweep_once(index, queries) -> dict[str, dict]:
-    """One pass over the 24 cells: ``{cell: {ms, rt_select_ms, digest}}``."""
+def _digest(arrays) -> str:
+    return hashlib.blake2b(b"".join(a.tobytes() for a in arrays), digest_size=6).hexdigest()
+
+
+def sweep_once(index, queries, truth, recall_k_at_n) -> dict[str, dict]:
+    """One pass over the 24 cells: ``{cell: {ms, rt_select_ms, digests, recall}}``."""
     cells = {}
     for mode, scale, batch in product(MODES, SCALES, BATCHES):
         results = [
@@ -76,13 +85,13 @@ def sweep_once(index, queries) -> dict[str, dict]:
             for i in range(SEARCHES)
         ]
         rt_select_ms = _median_ms(results, "rt_select")
-        digest = hashlib.blake2b(
-            b"".join(r.ids.tobytes() + r.scores.tobytes() for r in results), digest_size=6
-        )
+        ids = np.concatenate([r.ids for r in results])
         cells[f"{mode}/{scale}/{batch}"] = {
             "ms": rt_select_ms + _median_ms(results, "score"),
             "rt_select_ms": rt_select_ms,
-            "digest": digest.hexdigest(),
+            "digest": _digest([a for r in results for a in (r.ids, r.scores)]),
+            "ids_digest": _digest([r.ids for r in results]),
+            "recall": float(recall_k_at_n(ids, truth[: ids.shape[0]], k=10, n=10)),
             "selected_fraction": results[-1].selected_entry_fraction,
         }
     return cells
@@ -110,17 +119,21 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(path))
     from ledgerlib.common import Sizes, make_inputs
     from repro.core.index import JunoIndex
+    from repro.datasets.ground_truth import compute_ground_truth
+    from repro.metrics.recall import recall_k_at_n
 
     sizes = Sizes() if args.points is None else replace(Sizes(), num_points=args.points)
     inputs = make_inputs(sizes, 1)
     index = JunoIndex(sizes.juno_config()).train(inputs.points)
+    searched = inputs.queries[: SEARCHES * max(BATCHES)]
+    truth = compute_ground_truth(inputs.points, searched, k=10)
 
     cells: dict[str, dict] = {}
     unstable: list[str] = []
     if args.json is not None and args.json.exists():
         cells = json.loads(args.json.read_text())
     for _ in range(args.repeats):
-        unstable += keep_best(cells, sweep_once(index, inputs.queries))
+        unstable += keep_best(cells, sweep_once(index, inputs.queries, truth, recall_k_at_n))
     if unstable:
         print(f"digests differ between passes of one tree (stale {args.json}?): {unstable}")
         return 1
@@ -128,21 +141,27 @@ def main(argv=None) -> int:
         args.json.write_text(json.dumps(cells, indent=1) + "\n")
 
     parent = {} if args.against is None else json.loads(args.against.read_text())
-    mismatched = []
+    recall_moved = []
     for cell, record in cells.items():
         line = (
-            f"{cell:<16} frac={record['selected_fraction']:.3f} "
+            f"{cell:<16} frac={record['selected_fraction']:.3f} recall={record['recall']:.4f} "
             f"rt_select+score_ms={record['ms']:6.2f} (rt_select {record['rt_select_ms']:6.2f}) "
-            f"{record['digest']}"
+            f"{record['ids_digest']}/{record['digest']}"
         )
         if cell in parent:
-            line += f"  x{record['ms'] / parent[cell]['ms']:.2f} of parent {parent[cell]['ms']:.2f}"
-            if parent[cell]["digest"] != record["digest"]:
-                mismatched.append(cell)
-                line += "  DIGEST DIFFERS"
+            was = parent[cell]
+            line += f"  x{record['ms'] / was['ms']:.2f} of parent {was['ms']:.2f}"
+            if was["ids_digest"] != record["ids_digest"]:
+                line += "  IDS DIFFER"
+            elif was["digest"] != record["digest"]:
+                line += "  scores differ, every id equal"
+            if was["recall"] != record["recall"]:
+                recall_moved.append(cell)
+                line += f"  RECALL {was['recall']:.4f} -> {record['recall']:.4f}"
         print(line)
-    if parent and (mismatched or set(parent) != set(cells)):
-        print(f"digest mismatch or missing cells against {args.against}: {mismatched}")
+    missing = sorted(set(parent) ^ set(cells)) if parent else []
+    if recall_moved or missing:
+        print(f"against {args.against}: recall moved in {recall_moved}, cells missing {missing}")
         return 1
     return 0
 

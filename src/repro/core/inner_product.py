@@ -35,16 +35,24 @@ def adjusted_radii_for_inner_product(
     return np.sqrt(base_radius**2 + norms_sq)
 
 
+def _hit_times(t_hit) -> np.ndarray:
+    """``t_hit`` as a float array: float32 stays float32, anything else float64."""
+    t_hit = np.asarray(t_hit)
+    return t_hit.astype(np.result_type(t_hit.dtype, np.float32), copy=False)
+
+
 def l2_distance_from_hit_time(
     t_hit: np.ndarray, sphere_radius: float, origin_offset: float
 ) -> np.ndarray:
     """Recover the in-plane (subspace) L2 distance from the hit time.
 
-    ``d = sqrt(R^2 - (z_off - t_hit)^2)`` -- the left half of Fig. 9.
+    ``d = sqrt(R^2 - (z_off - t_hit)^2)`` -- the left half of Fig. 9.  The
+    arithmetic runs in the dtype of ``t_hit`` (the batch tracer's hit times
+    are float32); scalars are rounded to it first.
     """
-    t_hit = np.asarray(t_hit, dtype=np.float64)
-    inside = sphere_radius**2 - (origin_offset - t_hit) ** 2
-    return np.sqrt(np.maximum(inside, 0.0))
+    t_hit = _hit_times(t_hit)
+    radius_sq, offset = (np.asarray(x, t_hit.dtype) for x in (sphere_radius**2, origin_offset))
+    return np.sqrt(np.maximum(radius_sq - (offset - t_hit) ** 2, 0.0))
 
 
 def inner_product_from_hit_time(
@@ -64,10 +72,12 @@ def inner_product_from_hit_time(
             centre plane.
 
     Returns:
-        Subspace inner products ``IP(e, q)``.
+        Subspace inner products ``IP(e, q)``, in the dtype of ``t_hit``
+        (``|q|^2 - R^2`` is formed in float64 and rounded to it once).
     """
-    t_hit = np.asarray(t_hit, dtype=np.float64)
-    return (np.asarray(query_norm_sq, dtype=np.float64) - base_radius**2 + (origin_offset - t_hit) ** 2) / 2.0
+    t_hit = _hit_times(t_hit)
+    norm_term = (np.asarray(query_norm_sq, dtype=np.float64) - base_radius**2).astype(t_hit.dtype)
+    return (norm_term + (np.asarray(origin_offset, t_hit.dtype) - t_hit) ** 2) / 2.0
 
 
 def inner_product_threshold_to_tmax(

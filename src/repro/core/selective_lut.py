@@ -7,14 +7,13 @@ pairwise (query projection, entry) distances.  JUNO instead casts one ray per
 distance (or inner product) from the hit time alone, and only the selected
 entries ever receive a LUT value.
 
-The constructor operates on a whole query batch: the rays of all
-(query, cluster) pairs are traced through the vectorised tracer a *block of
-subspaces* at a time.  The tracer hands each block over as the dense
-``(subspace, ray, leaf slot)`` grid its sphere tests ran on; the hit-time
-decode runs in place on that grid while it is in cache and the result *is*
-the selective LUT -- one ``(S, rays, E')`` table, ``NaN`` where the ray did
-not select the slot's entry -- which the distance-calculation stage gathers
-from directly.  Nothing is compressed to hit lists in between.
+The constructor traces the rays of all (query, cluster) pairs of a batch a
+*block of subspaces* at a time.  The tracer hands each block over as the
+dense ``(subspace, ray, leaf slot)`` grid its float32 sphere tests ran on;
+the hit-time decode runs in place on that grid while it is in cache and the
+result *is* the selective LUT -- one float32 ``(S, rays, E')`` table, ``NaN``
+where the ray did not select the slot's entry -- which the
+distance-calculation stage gathers from directly, with no hit lists between.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from repro.rt.tracer import RayTracer, TraversalStats
 
 
 # (layer, ray) pairs traced per block.  A 1-query request (8 rays) traces all
-# 48 subspaces in one tracer call; a 32-query batch (256 rays) degenerates to
-# one subspace per call, where the per-call overhead is already amortised.
-# A block's grids grow with this (~2.5 kB per pair at 128 entries, ~8 kB when
-# 2048 pairs raised the ledger's ``peak_rss_mb`` by 12 %); 384 keeps it level.
+# 48 subspaces in one tracer call; a 32-query batch (256 rays) one subspace per
+# call, where the per-call overhead is already amortised.  A pair at 128
+# entries holds two 4-byte grids of 512 B (hit times, scratch) and ~0.4 kB of
+# bool masks: ~0.5 MB a block (2048 pairs of 8-byte cells raised peak_rss 12 %).
 _TRACE_BLOCK_PAIRS = 384
 
 
@@ -49,7 +48,7 @@ class SelectiveLUT:
     below translate to entry ids for tests and analysis.
 
     Attributes:
-        table: ``(S, R, E')`` values (squared L2 distances or inner
+        table: ``(S, R, E')`` float32 values (squared L2 distances or inner
             products) of the selected (subspace, ray, slot) cells, ``NaN``
             everywhere else; ``R = Q * nprobs``.
         inner: ``(S, R, E')`` booleans marking selected cells that also fall
@@ -164,11 +163,11 @@ class SelectiveLUTConstructor:
         (at least one) per
         :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  Each
         call returns the block's dense hit grid, which this method then owns:
-        rejected cells take their ``NaN`` in it first, the decode runs in
-        place -- offsets, norms and thresholds broadcast along the slot axis,
-        operand for operand ``l2_distance_from_hit_time(...) ** 2`` /
-        ``inner_product_from_hit_time`` of :mod:`repro.core.inner_product` --
-        and the block's rows of the table take exactly one write.
+        rejected cells take their ``NaN`` in it first, the float32 decode runs
+        in place -- offsets, norms and thresholds broadcast along the slot
+        axis, operand for operand ``l2_distance_from_hit_time(...) ** 2`` /
+        ``inner_product_from_hit_time`` -- and the block's rows of the table
+        take exactly one write.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -203,9 +202,10 @@ class SelectiveLUTConstructor:
             num_entries = max(num_entries, stack.entry_slots.shape[1] if mine.any() else 0)
         origin_offsets = self.origin_offsets[:num_subspaces]
         origin_z = z - origin_offsets
+        offsets = origin_offsets.astype(np.float32)  # the decode runs on float32 hit times
         radius_sq = self.base_radius**2
 
-        table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float64)
+        table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float32)
         inner = np.empty(table.shape, dtype=bool) if want_inner else None
         slot_entries = np.empty((num_subspaces, scene.num_slots), dtype=np.int64)
         stats = TraversalStats()
@@ -223,7 +223,7 @@ class SelectiveLUTConstructor:
             slot_entries[block] = hits.slot_entries
             grid = hits.t_hit  # still in cache; decoded in place
             np.putmask(grid, ~hits.accepted, np.nan)
-            np.subtract(origin_offsets[block, None, None], grid, out=grid)
+            np.subtract(offsets[block, None, None], grid, out=grid)
             np.multiply(grid, grid, out=grid)
             if self.metric is Metric.L2:
                 np.subtract(radius_sq, grid, out=grid)
@@ -233,7 +233,7 @@ class SelectiveLUTConstructor:
             else:
                 # |q|^2 depends on the ray, not on the slot it tests
                 query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
-                np.add(query_norm_sq - radius_sq, grid, out=grid)
+                np.add((query_norm_sq - radius_sq).astype(np.float32), grid, out=grid)
                 np.divide(grid, 2.0, out=table[block])
             if want_inner:
                 # NaN compares false: the flags need no AND with the hit mask

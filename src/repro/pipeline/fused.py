@@ -10,9 +10,8 @@ one dense ``(S, rays, E')`` array, ``NaN`` = unselected
 1. takes the block's rays' slice of that table (for the hit-count modes its
    ``~isnan`` and, for JUNO-M, the matching slice of the inner-sphere table);
 2. fills the ``(candidate, subspace)`` table with one flat gather through
-   the index ``(s * rays + ray) * E' + column``, built from the
-   cluster-major column rows of
-   :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`
+   the index ``(s * rays + ray) * E' + column``, built from the cluster-major
+   column rows of :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`
    (a probed cluster's members are one contiguous run of it; a column is a
    PQ code already translated to the table's leaf-slot order);
 3. reduces over the subspace axis, the dynamic-threshold miss penalties
@@ -20,10 +19,11 @@ one dense ``(S, rays, E')`` array, ``NaN`` = unselected
    counts forming the score (JUNO-L/M).
 
 There is no Python loop over clusters, candidates or subspaces, and no
-intermediate copy of the hits.
+intermediate copy of the hits.  Gathered values, miss penalties and the sum
+are float32, the LUT's dtype; the top-k stage widens the scores it returns.
 
 Bit-identity with the per-ray reference loop (``tests/score_reference.py``)
-is by construction:
+at the table's dtype is by construction:
 
 * the ``(candidate, subspace)`` table holds exactly the elements the
   reference's per-ray ``(members, S)`` lookup produces, in the same order
@@ -33,10 +33,11 @@ is by construction:
 * per-query candidate order is ray-major -- the same probe order the
   reference concatenates.
 
-All bulk array work goes through an
-:class:`~repro.backend.ArrayBackend`, so the same kernel runs on NumPy
-(bit-exact) or CuPy/torch (tolerance-documented); the integer index
-arithmetic stays on the host by design (see :mod:`repro.backend.base`).
+Against the float64 path it replaced, scores agree within the precision
+oracle's bound (``tests/test_precision_oracle.py``).  All bulk array work
+goes through an :class:`~repro.backend.ArrayBackend` (NumPy, or CuPy/torch
+within a documented tolerance); the integer index arithmetic stays on the
+host by design (see :mod:`repro.backend.base`).
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ from repro.pipeline.context import QueryContext
 # elements: its rows of the gathered ``(candidate, subspace)`` table plus its
 # rays' slice of the LUT, which the gather reads from.  Blocks align on query
 # boundaries so each query's candidates assemble in one pass; rows are
-# independent, so blocking cannot change any result.  A block holds about
-# five float64 arrays of the gathered shape at its peak, so this constant
-# decides the stage's memory (one block per 32-query ledger batch pushed
-# ``peak_rss_mb`` towards its 10 % gate) and its speed: about five ledger
-# queries per block keep the LUT slice and what is gathered from it in the L2
-# cache, which scores a batch a quarter faster than one block does -- and a
-# budget that stops counting the LUT slice runs eight queries per block, falls
-# out of L2 and is 14 % slower.  docs/performance.md has the numbers;
+# independent, so blocking cannot change any result.  At its peak a block
+# holds the 4-byte values and gather index and the 1-byte masks of the
+# gathered shape, ~5.6 MB for five ledger queries, so this constant decides
+# the stage's memory and its speed: about five queries per block keep the LUT
+# slice and what is gathered from it in the L2 cache.  Doubling it, the same
+# bytes of 4-byte cells that 1 << 19 held of 8-byte ones, is 13-15 % slower on
+# the 32-query JUNO-H sweep cells (docs/performance.md);
 # tests/test_hot_path_gates.py bounds the stage's peak allocation.
 _FUSED_BLOCK_ELEMENTS = 1 << 19
 
@@ -145,7 +145,7 @@ def fused_score_candidates(
             (values,) = gathered
             miss = backend.isnan(values)
             matched = backend.sum(backend.logical_not(miss), axis=1)
-            penalties = miss_penalties(ctx, thresholds[r0:r1])
+            penalties = miss_penalties(ctx, thresholds[r0:r1]).astype(lut.table.dtype)
             penalty_rows = backend.take_rows(backend.asarray(penalties), cand_ray)
             scores = backend.sum(backend.where(miss, penalty_rows, values), axis=1)
             if query_cluster_ip is not None:

@@ -341,17 +341,19 @@ class ScoreStage:
     penalties standing in for unselected entries (JUNO-H), or hit /
     inner-sphere counts (JUNO-L/M).
 
-    Scores, candidate ordering and :class:`SearchWork` deltas are
-    bit-identical to the per-ray loop the parity and property tests keep
-    as their oracle (``tests/score_reference.py``): the per-element
+    The kernel runs in the float32 of the selective LUT.  Scores,
+    candidate ordering and :class:`SearchWork` deltas are bit-identical to
+    the per-ray loop the parity and property tests keep as their oracle
+    (``tests/score_reference.py``) run on the same LUT: the per-element
     arithmetic and the per-(ray, member) reduction over the subspace axis
-    are the loop's, only the batch shape differs.
+    are the loop's, only the batch shape differs.  Against the float64
+    path, the precision oracle (``tests/test_precision_oracle.py``) bounds
+    the scores.
 
     ``backend`` selects the :class:`~repro.backend.ArrayBackend` the
     bulk array work runs on (name, instance, or ``None`` for the
-    ``REPRO_BACKEND``-env/NumPy default).  The NumPy backend is
-    bit-exact; GPU backends are tolerance-documented (see
-    ``docs/performance.md``).
+    ``REPRO_BACKEND``-env/NumPy default).  GPU backends are
+    tolerance-documented against NumPy (see ``docs/performance.md``).
 
     Produces one concatenated ``(ids, scores)`` candidate pair per query
     (``None`` for queries whose probed clusters yielded no candidate); the

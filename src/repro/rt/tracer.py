@@ -1,7 +1,5 @@
 """Ray casting with hit shaders, plus the vectorised batch tracer.
 
-Two paths produce identical results:
-
 * :meth:`RayTracer.trace` follows one :class:`~repro.rt.primitives.Ray`
   through the scene, invoking an optional hit-shader callback per accepted
   intersection (this mirrors OptiX's ``RT_HitShader`` of Alg. 2).
@@ -9,18 +7,18 @@ Two paths produce identical results:
   rays -- all parallel to ``+z``, each targeting the layer just above its
   origin plane -- to traverse a whole *block* of layers for a whole batch
   of rays in one straight line of array passes over the scene's stacked
-  flat form (:meth:`~repro.rt.scene.TraversableScene.stacked`).  Node boxes
-  are nested, so the slab-test mask *is* the traversal and the counters are
-  sums over it.  Hit sets, hit times and traversal statistics are exactly
-  the per-ray traversal's, but the Python interpreter overhead is paid once
-  per block, not once per layer.
+  flat form (:meth:`~repro.rt.scene.TraversableScene.stacked`), paying the
+  interpreter once per block.  Node boxes are nested, so the float64 slab
+  mask *is* the traversal: node, box and sphere-test counts are the per-ray
+  path's.  The sphere tests run in float32, as on an RT core: hit sets and
+  times agree with the per-ray path to float32 precision.
 
 The batch tracer evaluates every sphere test on a dense ``(layer, ray,
-leaf slot)`` grid and returns that grid -- an ``accepted`` mask and the hit
-times (:class:`BatchHits`) -- without extracting hit lists from it: the
-selective LUT (:mod:`repro.core.selective_lut`) is the same grid decoded in
-place, the way the paper's hit shader writes each decoded distance straight
-into the table the next stage reads.
+leaf slot)`` grid and returns that grid (:class:`BatchHits`) without
+extracting hit lists from it: the selective LUT
+(:mod:`repro.core.selective_lut`) is the same grid decoded in place, the
+way the paper's hit shader writes each decoded distance straight into the
+table the next stage reads.
 """
 
 from __future__ import annotations
@@ -67,16 +65,15 @@ class BatchHits:
     """The dense hit grid of a batch of rays against a block of layers.
 
     One cell per (layer, ray, slot), a slot being one (leaf, lane) of the
-    layer's leaf-ordered sphere grid (:class:`~repro.rt.scene.LayerStack`)
-    -- the grid the sphere tests are evaluated on, handed over as it is.
-    Layers of a narrower stack than the scene's widest leave a never-accepted
-    tail.
+    layer's leaf-ordered sphere grid (:class:`~repro.rt.scene.LayerStack`),
+    handed over as the sphere tests left it.  Layers of a narrower stack
+    than the scene's widest leave a never-accepted tail.
 
     Attributes:
         accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
             ``L`` counting within the block.
-        t_hit: ``(L, R, E')`` hit times where ``accepted``, NaN or meaningless
-            elsewhere; the caller owns the array and may decode it in place.
+        t_hit: ``(L, R, E')`` float32 hit times where ``accepted``, NaN or
+            meaningless elsewhere; the caller owns it and may decode in place.
         slot_entries: ``(L, E')`` index of each slot's sphere within its
             layer (equal to the codebook entry id in JUNO's scenes).
     """
@@ -162,10 +159,10 @@ class RayTracer:
                 origin.
 
         Returns:
-            ``(hits, stats)`` -- the block's dense hit grid (see
-            :class:`BatchHits`) and the traversal work performed for it
-            (also merged into ``self.stats``).  Hit sets, hit times and
-            every count equal what :meth:`trace` produces ray by ray.
+            ``(hits, stats)`` -- the block's dense hit grid (:class:`BatchHits`)
+            and its traversal work (also merged into ``self.stats``): node, box
+            and sphere-test counts are :meth:`trace`'s, ray by ray; hit sets,
+            times and the hit count agree with it to float32 precision.
         """
         layer_ids = np.atleast_1d(np.asarray(layer_ids, dtype=np.int64))
         num_layers = layer_ids.shape[0]
@@ -215,7 +212,7 @@ class RayTracer:
             # several stacks: pad every run to the widest one's slots
             hits = BatchHits(
                 accepted=np.zeros((num_layers, num_rays, width), dtype=bool),
-                t_hit=np.zeros((num_layers, num_rays, width), dtype=np.float64),
+                t_hit=np.zeros((num_layers, num_rays, width), dtype=np.float32),
                 slot_entries=np.zeros((num_layers, width), dtype=np.int64),
             )
             for run, traced in runs:
@@ -251,7 +248,7 @@ class RayTracer:
         grid = (num_layers, num_rays, stack.num_slots)
         slot_entries = stack.leaf_primitives[layers].reshape(num_layers, -1)
         if stack.leaf_nodes.shape[0] == 0 or num_rays == 0:
-            return BatchHits(np.zeros(grid, dtype=bool), np.zeros(grid), slot_entries)
+            return BatchHits(np.zeros(grid, dtype=bool), np.zeros(grid, np.float32), slot_entries)
         node_min, node_max = stack.node_min[layers], stack.node_max[layers]
         num_nodes = stack.parent.shape[0]
 
@@ -286,16 +283,18 @@ class RayTracer:
         leaves = stack.leaf_nodes
         stats.prim_tests += int(passed[leaves] @ stack.leaf_count)
 
-        # Sphere tests on the whole (layer, ray, slot) grid.  NaN is the miss:
-        # the half chord ``sqrt(r^2 - d^2)`` is NaN exactly where the ray
-        # passes outside the sphere (and in the ``r^2 = -1`` padding lanes),
+        # Sphere tests on the whole (layer, ray, slot) grid, in float32 as on an
+        # RT core.  NaN is the miss: ``sqrt(r^2 - d^2)`` is NaN exactly where the
+        # ray passes outside the sphere (and in the ``r^2 = -1`` padding lanes),
         # and a NaN hit time never satisfies ``t_hit <= t_max``.
         row = (num_layers, 1, stack.num_slots)
-        radii_sq = stack.leaf_radii_sq[layers].reshape(row)
-        t_hit, scratch = np.empty(grid), np.empty(grid)
-        np.subtract(ox[:, :, None], stack.leaf_centres_x[layers].reshape(row), out=t_hit)
+        leaf = (stack.leaf_centres_x, stack.leaf_centres_y, stack.leaf_radii_sq)
+        cx, cy, radii_sq = (a[layers].astype(np.float32).reshape(row) for a in leaf)
+        ox, oy, offset, t_max = (a.astype(np.float32) for a in (ox, oy, offset, t_max))
+        t_hit, scratch = np.empty(grid, np.float32), np.empty(grid, np.float32)
+        np.subtract(ox[:, :, None], cx, out=t_hit)
         np.multiply(t_hit, t_hit, out=t_hit)
-        np.subtract(oy[:, :, None], stack.leaf_centres_y[layers].reshape(row), out=scratch)
+        np.subtract(oy[:, :, None], cy, out=scratch)
         np.multiply(scratch, scratch, out=scratch)
         np.add(t_hit, scratch, out=t_hit)
         np.subtract(radii_sq, t_hit, out=t_hit)

@@ -114,6 +114,47 @@ def juno_ip(ip_dataset):
 
 
 @pytest.fixture(scope="session")
+def wide_corpus():
+    """An unclustered 96-d corpus (N=800) of the ledger's dimensionality."""
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((800, 96)) * np.linspace(0.5, 1.5, 96)
+
+
+@pytest.fixture(scope="session")
+def wide_index(wide_corpus):
+    """A 48-subspace, 128-entry index (the ledger's scene shape) without k-means.
+
+    Centroids and codebooks are sampled corpus points / residual projections
+    and installed through ``assemble``, so the fixture costs well under a
+    second while the scene, density maps and regressor are the real ones.
+    """
+    rng = np.random.default_rng(8)
+    points = wide_corpus
+    centroids = points[rng.choice(points.shape[0], size=8, replace=False)]
+    labels = np.argmin(
+        ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1
+    )
+    residuals = (points - centroids[labels]).reshape(points.shape[0], 48, 2)
+    codebooks = []
+    codes = np.empty((points.shape[0], 48), dtype=np.int32)
+    for s in range(48):
+        entries = residuals[rng.choice(points.shape[0], size=128, replace=False), s]
+        codebooks.append(entries)
+        codes[:, s] = np.argmin(
+            ((residuals[:, s, None, :] - entries[None, :, :]) ** 2).sum(axis=2), axis=1
+        )
+    config = JunoConfig(
+        num_clusters=8,
+        num_subspaces=48,
+        num_entries=128,
+        num_threshold_samples=32,
+        threshold_top_k=20,
+        density_grid=20,
+    )
+    return JunoIndex(config).assemble(points, centroids, labels, codebooks, codes)
+
+
+@pytest.fixture(scope="session")
 def ivfpq_l2(l2_dataset):
     """A trained FAISS-style IVFPQ baseline over the L2 dataset."""
     index = IVFPQIndex(

@@ -6,16 +6,26 @@ Not a test module: the oracles the RT-select test files share.
   layer-at-a-time implementation ``src/`` shipped before the scene was
   traversed as a stack of layers -- one level-synchronous pass per layer,
   then a stable ``argsort`` by ray and a ``searchsorted`` per subspace to
-  assemble per-subspace CSR hit lists (:class:`ReferenceLUT`).  The stacked
-  path hands over a dense grid instead of lists, so what it must reproduce
-  is every ray's hit *set* with every value byte for byte, plus all five
-  counters; the order of hits within a ray is not part of the contract.
+  assemble per-subspace CSR hit lists (:class:`ReferenceLUT`).  The
+  traversal runs in float64; the sphere tests and the decode run in the
+  ``dtype`` they are given, every operand rounded to it on use.  At float32
+  they are the stacked path's oracle: it must reproduce every ray's hit
+  *set* with every value byte for byte, plus all five counters (the order of
+  hits within a ray is not part of the contract).  At float64 they are the
+  path ``src/`` ran before its hot path went float32, and the reference of
+  the precision oracle below.
+* :func:`sphere_test_margins`, :func:`assert_layer_within_precision` (hit
+  grids) and :func:`assert_lut_within_precision` (tables) are that precision
+  oracle: a float32 sphere test may disagree with the float64 one only on
+  cells within :data:`ULPS` float32 ulps of a decision boundary, and hit
+  times and values agree within the same slack (``docs/performance.md``,
+  "Float32 hot path", derives it).
 * :func:`assert_columns_address_codes` pins the build-time remap of PQ
   codes to the table's leaf-slot columns on any trained, loaded or
   compacted index.
 * :func:`per_ray_hits` walks one ray through one layer with the exact
-  per-ray traversal (:meth:`repro.rt.tracer.RayTracer.trace`), the ground
-  truth for hit sets, hit times and all five traversal counters.
+  per-ray traversal (:meth:`repro.rt.tracer.RayTracer.trace`), the float64
+  ground truth for hit sets, hit times and all five traversal counters.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ class ReferenceLUT:
     values: list[np.ndarray]
     inner_flags: list[np.ndarray] | None
     stats: TraversalStats
+    inner_sphere_ratio: float | None = None
 
     def rows(self, per_hit: list[np.ndarray], ray: int, fill) -> np.ndarray:
         """Entry-ordered ``(S, E)`` rows of one ray's hits (``fill`` = no hit)."""
@@ -59,11 +70,23 @@ class ReferenceLUT:
             out[s, self.entries[s][cut]] = per_hit[s][cut]
         return out
 
+    # The SelectiveLUT accessors the looped score stage reads, so a
+    # reference LUT can be scored like a production one.
+    def dense_rows(self, ray: int) -> np.ndarray:
+        return self.rows(self.values, ray, np.nan)
 
-def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z):
+    def hit_mask_rows(self, ray: int) -> np.ndarray:
+        return self.rows([np.ones(e.shape, dtype=bool) for e in self.entries], ray, False)
+
+    def inner_mask_rows(self, ray: int) -> np.ndarray:
+        return self.rows(self.inner_flags, ray, False)
+
+
+def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np.float64):
     """One layer, one pass: ``(ray_index, entry_index, t_hit, stats)``.
 
-    Hits come out ordered by (leaf node index, ray, in-leaf position).
+    The slab tests run in float64, the sphere tests in ``dtype``.  Hits come
+    out ordered by (leaf node index, ray, in-leaf position).
     """
     layer = scene.layer(layer_id)
     origins_xy = np.atleast_2d(np.asarray(origins_xy, dtype=np.float64))
@@ -73,7 +96,7 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z):
     empty = (
         np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64),
-        np.zeros(0, dtype=np.float64),
+        np.zeros(0, dtype=dtype),
         stats,
     )
     if layer.num_spheres == 0 or num_rays == 0:
@@ -107,23 +130,35 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z):
     within = np.arange(stats.prim_tests, dtype=np.int64) - np.repeat(offsets, counts)
     prim_ids = flat.leaf_primitives[np.repeat(starts, counts) + within]
     ray_ids = np.repeat(pair_ray, counts)
-    dx = ox[ray_ids] - layer.centres_xy[prim_ids, 0]
-    dy = oy[ray_ids] - layer.centres_xy[prim_ids, 1]
+    dx = ox.astype(dtype)[ray_ids] - layer.centres_xy[prim_ids, 0].astype(dtype)
+    dy = oy.astype(dtype)[ray_ids] - layer.centres_xy[prim_ids, 1].astype(dtype)
     dist_sq = dx * dx + dy * dy
-    radii_sq = layer.radii[prim_ids] ** 2
-    z_offset = layer.z - origin_z
+    radii_sq = (layer.radii[prim_ids] ** 2).astype(dtype)
+    z_offset = np.asarray(layer.z - origin_z, dtype=np.float64).astype(dtype)
     inside = dist_sq <= radii_sq
     half_chord = np.sqrt(np.maximum(radii_sq - dist_sq, 0.0))
     t_hit = z_offset - half_chord
-    accepted = inside & (t_hit <= t_max_arr[ray_ids]) & (t_hit >= 0.0)
+    accepted = inside & (t_hit <= t_max_arr[ray_ids].astype(dtype)) & (t_hit >= 0.0)
     stats.hits = int(np.count_nonzero(accepted))
     return ray_ids[accepted].astype(np.int64), prim_ids[accepted], t_hit[accepted], stats
 
 
 def reference_construct(
-    scene, base_radius, origin_offsets, metric, inner_sphere_ratio, origins, t_max, thresholds
+    scene,
+    base_radius,
+    origin_offsets,
+    metric,
+    inner_sphere_ratio,
+    origins,
+    t_max,
+    thresholds,
+    dtype=np.float64,
 ) -> ReferenceLUT:
-    """The per-subspace loop: trace, stable sort by ray, ``searchsorted``."""
+    """The per-subspace loop: trace, stable sort by ray, ``searchsorted``.
+
+    Sphere tests and decode run in ``dtype`` (the decode functions follow
+    the dtype of the hit times they are given).
+    """
     num_rays, num_subspaces, _ = origins.shape
     offsets, entries, values = [], [], []
     inner_flags = [] if inner_sphere_ratio is not None else None
@@ -134,7 +169,7 @@ def reference_construct(
         num_entries = max(num_entries, layer.num_spheres)
         offset = float(origin_offsets[s])
         ray_index, entry_index, t_hit, layer_stats = reference_trace_layer(
-            scene, s, origins[:, s, :], t_max[:, s], layer.z - offset
+            scene, s, origins[:, s, :], t_max[:, s], layer.z - offset, dtype
         )
         stats.merge(layer_stats)
         order = np.argsort(ray_index, kind="stable")
@@ -165,6 +200,7 @@ def reference_construct(
         values=values,
         inner_flags=inner_flags,
         stats=stats,
+        inner_sphere_ratio=inner_sphere_ratio,
     )
 
 
@@ -184,14 +220,16 @@ def per_ray_hits(scene, layer_id, origin_xy, origin_z, t_max):
 
 
 def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> None:
-    """Every ray's hit set, value bytes and inner flags equal; every counter equal."""
+    """Every ray's hit set, value bytes and inner flags equal; every counter
+    equal.  ``expected`` is the float32 reference: the table is float32."""
     assert lut.num_rays == expected.num_rays
     assert lut.num_entries == expected.num_entries
     assert lut.metric is expected.metric
     assert lut.stats == expected.stats
     assert lut.num_subspaces == len(expected.offsets)
     assert lut.total_hits == sum(e.shape[0] for e in expected.entries)
-    assert lut.table.dtype == np.float64
+    assert lut.table.dtype == np.float32
+    assert all(values.dtype == np.float32 for values in expected.values)
     assert lut.table.shape[:2] == (lut.num_subspaces, lut.num_rays)
     assert (lut.inner is None) == (expected.inner_flags is None)
     # unselected cells are NaN, so the table's occupancy is the hit count
@@ -232,3 +270,119 @@ def assert_columns_address_codes(index) -> None:
         assert (stacks[group].leaf_radii_sq[position].reshape(-1)[columns] >= 0).all()
         slot_entries = stacks[group].leaf_primitives[position].reshape(-1)
         assert (slot_entries[columns] == index.codes[layout.members, s]).all()
+
+
+# The precision oracle's slack, in float32 ulps of a cell's scale: the largest
+# square among the magnitudes of the cell's operands (ray origin, sphere
+# centre, radius, offset, t_max).  docs/performance.md ("Float32 hot path")
+# bounds the float32 error of the squared half chord and of the decoded value
+# by 22 of them; 32 rounds that up.
+ULPS = 32
+
+
+def sphere_test_margins(ox, oy, cx, cy, radii_sq, offset, t_max):
+    """``(near, slack)`` of the float64 sphere tests of a grid of cells.
+
+    The arguments broadcast against each other.  A float32 sphere test can
+    only disagree with the float64 one on a cell within ``slack`` of one of
+    its three decision boundaries, each measured on the squared half chord
+    ``h^2 = r^2 - d^2`` -- not on ``t_hit``, which ``sqrt`` makes
+    ill-conditioned at the rim (an error ``e`` in ``h^2`` is ``e / 2h`` in
+    ``t``):
+
+    * the rim, ``h^2 = 0``;
+    * ``t_hit = t_max``, i.e. ``h^2 = (offset - t_max)^2``;
+    * ``t_hit = 0``, i.e. ``h^2 = offset^2`` (a sphere reaching the origin
+      plane).
+
+    ``near`` marks those cells; ``slack`` is :data:`ULPS` float32 ulps of
+    each cell's scale.
+    """
+    half_chord_sq = radii_sq - ((ox - cx) ** 2 + (oy - cy) ** 2)
+    squares = (ox**2, oy**2, cx**2, cy**2, radii_sq, offset**2, t_max**2)
+    scale = np.maximum.reduce(np.broadcast_arrays(*squares))
+    slack = ULPS * np.spacing(scale.astype(np.float32)).astype(np.float64)
+    budget_sq = np.maximum(offset - t_max, 0.0) ** 2
+    gaps = (half_chord_sq, half_chord_sq - budget_sq, offset**2 - half_chord_sq)
+    near = np.minimum.reduce([np.abs(gap) for gap in gaps]) <= slack
+    return near, slack
+
+
+def assert_layer_within_precision(got, want, origins_xy, centres_xy, radii_sq, offset, t_max):
+    """One layer's ``(R, E)`` float32 hit times against float64 ones (NaN = miss).
+
+    Hit states agree outside the near-boundary cells; where both hit, the
+    squared half chords ``(offset - t)^2`` -- what the decode reads -- agree
+    within the slack.  Returns the ``(R,)`` count of cells whose state differs.
+    """
+    near, slack = sphere_test_margins(
+        origins_xy[:, None, 0],
+        origins_xy[:, None, 1],
+        centres_xy[None, :, 0],
+        centres_xy[None, :, 1],
+        radii_sq[None, :],
+        offset,
+        np.broadcast_to(np.asarray(t_max, dtype=np.float64), origins_xy.shape[:1])[:, None],
+    )
+    got_hit, want_hit = ~np.isnan(got), ~np.isnan(want)
+    differs = got_hit != want_hit
+    assert not (differs & ~near).any(), "a hit state differs away from every boundary"
+    both = got_hit & want_hit
+    error = np.abs((offset - got.astype(np.float64)) ** 2 - (offset - want) ** 2)
+    assert (error <= slack)[both].all()
+    return differs.sum(axis=1)
+
+
+def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds, origin_offsets):
+    """The float32 :class:`SelectiveLUT` against the float64 :class:`ReferenceLUT`.
+
+    The traversal counters are equal; per subspace, hit states agree outside
+    the near-boundary cells, values within the slack (L2 values are ``d^2``,
+    inner products ``(|q|^2 - R^2 + h^2) / 2``: both inherit the slack of
+    ``h^2``) and inner-sphere flags wherever the value is not within twice
+    the slack (the value's, plus the rounding of its ``sqrt``) of the flag's
+    bound.  Returns the ``(S, R)`` count of cells whose hit state or flag
+    differs.
+    """
+    for name in ("rays", "node_visits", "aabb_tests", "prim_tests"):
+        assert getattr(lut.stats, name) == getattr(expected.stats, name), name
+    num_rays = lut.num_rays
+    flipped = np.zeros((lut.num_subspaces, num_rays), dtype=np.int64)
+    for s in range(lut.num_subspaces):
+        layer = scene.layer(s)
+        if layer.num_spheres == 0:
+            continue
+        columns = scene.entry_slots(s)
+        got = lut.table[s][:, columns]
+        counts = np.diff(expected.offsets[s])
+        hit_rays = np.repeat(np.arange(num_rays), counts)
+        want = np.full((num_rays, layer.num_spheres), np.nan)
+        want[hit_rays, expected.entries[s]] = expected.values[s]
+        offset = layer.z - (layer.z - float(origin_offsets[s]))
+        near, slack = sphere_test_margins(
+            origins[:, s, None, 0],
+            origins[:, s, None, 1],
+            layer.centres_xy[None, :, 0],
+            layer.centres_xy[None, :, 1],
+            layer.radii[None, :] ** 2,
+            offset,
+            t_max[:, s, None],
+        )
+        got_hit, want_hit = ~np.isnan(got), ~np.isnan(want)
+        differs = got_hit != want_hit
+        assert not (differs & ~near).any(), f"subspace {s}: a hit flipped away from boundaries"
+        both = got_hit & want_hit
+        assert (np.abs(got - want) <= slack)[both].all(), f"subspace {s}: a value is off"
+        if lut.inner is not None:
+            flags = np.zeros((num_rays, layer.num_spheres), dtype=bool)
+            flags[hit_rays, expected.entries[s]] = expected.inner_flags[s]
+            threshold, ratio = thresholds[:, s, None], expected.inner_sphere_ratio
+            if lut.metric is Metric.L2:
+                bound = (threshold * ratio) ** 2
+            else:
+                bound = threshold + (1.0 - ratio) * np.abs(threshold)
+            flag_differs = both & (lut.inner[s][:, columns] != flags)
+            assert not (flag_differs & (np.abs(want - bound) > 2 * slack)).any()
+            differs |= flag_differs
+        flipped[s] = differs.sum(axis=1)
+    return flipped

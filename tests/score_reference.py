@@ -5,9 +5,12 @@ share.  :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped
 as its distance-calculation stage before the batched kernels: for every
 (query, probed cluster) it builds that ray's dense ``(S, E)`` table through
 the :class:`~repro.core.selective_lut.SelectiveLUT` per-ray accessors and
-looks the cluster's member codes up in it.  ``ScoreStage`` must reproduce
-its candidates -- ids, order, scores -- and ``SearchWork`` deltas bit for
-bit.
+looks the cluster's member codes up in it.  Its arithmetic follows the
+dtype of the table it is given (the miss penalties are cast to it): on the
+float32 LUT of ``src/``, ``ScoreStage`` must reproduce its candidates --
+ids, order, scores -- and ``SearchWork`` deltas bit for bit; on a float64
+reference LUT (``rt_reference.ReferenceLUT``) it is the float64 score path
+the precision oracle (``test_precision_oracle.py``) compares against.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class LoopedScoreStage:
                     values = rows[subspace_range[None, :], codes]
                     miss = np.isnan(values)
                     matched = (~miss).sum(axis=1)
-                    penalties = _miss_penalties(ctx, thresholds[ray_id])
+                    penalties = _miss_penalties(ctx, thresholds[ray_id]).astype(rows.dtype)
                     scores = np.where(miss, penalties[None, :], values).sum(axis=1)
                     if ctx.query_cluster_ip is not None:
                         scores = scores + ctx.query_cluster_ip[qi, ci]

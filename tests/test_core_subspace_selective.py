@@ -4,7 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from rt_reference import assert_lut_matches_reference, per_ray_hits, reference_construct
+from rt_reference import (
+    assert_lut_matches_reference,
+    assert_lut_within_precision,
+    per_ray_hits,
+    reference_construct,
+    reference_trace_layer,
+)
 
 from repro.core import selective_lut
 from repro.core.config import QualityMode
@@ -128,9 +134,9 @@ class TestSelectiveLUT:
                 dist = np.sqrt(np.sum((entry_sets[s] - origins[ray, s]) ** 2, axis=1))
                 expected = set(np.flatnonzero(dist <= thresholds[ray, s] + 1e-12).tolist())
                 assert set(entry_ids.tolist()) == expected
-                np.testing.assert_allclose(
-                    np.sqrt(values), dist[entry_ids], atol=1e-9
-                )
+                # float32 values: within 32 ulps of the operands' scale (1 here)
+                slack = 32 * np.spacing(np.float32(1.0))
+                np.testing.assert_allclose(values, dist[entry_ids] ** 2, rtol=0, atol=slack)
 
     def test_dense_rows_and_masks(self, rng):
         constructor, entry_sets = _build_constructor(rng)
@@ -205,7 +211,9 @@ class TestSelectiveLUT:
         for ray in range(6):
             entry_ids, values = lut.ray_slice(0, ray)
             expected = entries[entry_ids] @ origins[ray, 0]
-            np.testing.assert_allclose(values, expected, atol=1e-9)
+            # float32 decode: within 32 ulps of the operands' scale, offset^2 here
+            slack = 32 * np.spacing(np.float32(offset**2))
+            np.testing.assert_allclose(values, expected, rtol=0, atol=slack)
 
 
 # rays -> (queries, nprobs) of the batch that casts them
@@ -240,7 +248,7 @@ def _rt_select_inputs(index, dataset, num_rays, mode):
     return constructor, ctx.origins, ctx.t_max, ctx.thresholds
 
 
-def _reference_lut(constructor, origins, t_max, thresholds):
+def _reference_lut(constructor, origins, t_max, thresholds, dtype=np.float32):
     return reference_construct(
         constructor.tracer.scene,
         constructor.base_radius,
@@ -250,7 +258,16 @@ def _reference_lut(constructor, origins, t_max, thresholds):
         origins,
         t_max,
         thresholds,
+        dtype,
     )
+
+
+def _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds):
+    """``lut`` against the float64 reference, which it returns."""
+    exact = _reference_lut(constructor, origins, t_max, thresholds, np.float64)
+    scene, offsets = constructor.tracer.scene, constructor.origin_offsets
+    assert_lut_within_precision(lut, exact, scene, origins, t_max, thresholds, offsets)
+    return exact
 
 
 class TestStackedConstruct:
@@ -266,9 +283,11 @@ class TestStackedConstruct:
             index, dataset, num_rays, mode
         )
         lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        # the layer-at-a-time oracle: every ray's hit set, the decoded values
-        # and inner flags byte for byte, all five counters
+        # the layer-at-a-time oracle at float32: every ray's hit set, the
+        # decoded values and inner flags byte for byte, all five counters;
+        # at float64, the precision oracle
         assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        reference = _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
         assert (lut.inner is not None) == (mode == "juno-m")
         # the dense grid: one column per leaf slot of the scene, every entry
         # in exactly one of them
@@ -278,8 +297,8 @@ class TestStackedConstruct:
             slots = index.scene.entry_slots(s)
             assert lut.slot_entries[s, slots].tolist() == list(range(num_entries))
 
-        # and the exact per-ray traversal: every ray of a small batch, a few
-        # of a large one
+        # and the float64 reference against the exact per-ray traversal: every
+        # ray of a small batch, a few of a large one
         scene = constructor.tracer.scene
         rays = range(num_rays) if num_rays <= 8 else (0, 17, 101, 255)
         per_ray_stats = TraversalStats()
@@ -290,7 +309,8 @@ class TestStackedConstruct:
                     scene, s, origins[ray, s], scene.layer(s).z - offset, t_max[ray, s]
                 )
                 per_ray_stats.merge(stats)
-                entry_ids, values = lut.ray_slice(s, ray)
+                cut = slice(reference.offsets[s][ray], reference.offsets[s][ray + 1])
+                entry_ids, values = reference.entries[s][cut], reference.values[s][cut]
                 assert sorted(entry_ids.tolist()) == sorted(exact)
                 t_hit = np.array([exact[e] for e in entry_ids])
                 if index.metric is Metric.L2:
@@ -301,7 +321,7 @@ class TestStackedConstruct:
                     )
                 np.testing.assert_allclose(values, decoded, atol=1e-9)
         if num_rays <= 8:
-            assert lut.stats == per_ray_stats
+            assert reference.stats == per_ray_stats
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_block_size_never_changes_the_lut(self, request, monkeypatch, metric):
@@ -415,6 +435,7 @@ class TestPassByPass:
         constructor, origins, t_max, thresholds = _generic_case(rng, scene_name, metric, mode, 24)
         lut = _construct_strictly(constructor, origins, t_max, thresholds)
         assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
         (stack,), _ = constructor.tracer.scene.stacked()
         num_entries, _, _, offset = GENERIC_SCENES[scene_name]
         if scene_name == "pruning":
@@ -431,6 +452,40 @@ class TestPassByPass:
             padding = stack.leaf_radii_sq.reshape(3, -1) < 0
             assert padding.any() and lut.table.shape[2] > num_entries
             assert np.isnan(lut.table.transpose(0, 2, 1)[padding]).all()
+
+    def test_float32_origin_plane_boundary(self):
+        """JUNO puts the origin plane at ``offset = r_max``, and float32 decides
+        which side of it a layer lands on.  Layer 0's offset is one float32 ulp
+        below ``sqrt(fl32(r^2))``, layer 1's on it, layer 2's one ulp above.
+        A ray through a sphere's centre then hits at ``t_hit`` = -1, 0 and +1
+        ulp: only the ``t_hit >= 0`` compare rejects the first."""
+        radius = 0.7
+        rim = np.sqrt(np.float32(radius**2))
+        below, above = np.nextafter(rim, np.float32(0)), np.nextafter(rim, np.float32(1))
+        offsets = np.array([below, rim, above])
+        assert offsets.dtype == np.float32 and offsets[0] < rim < offsets[2]
+        centres = np.array([[0.25, -0.5], [1.0, 0.75], [-0.5, 0.125], [1.5, -1.0]])
+        scene = TraversableScene(leaf_size=2)
+        for s in range(3):
+            scene.add_layer(s, centres, radii=radius)
+        origin_z = np.array([scene.layer(s).z for s in range(3)]) - offsets.astype(np.float64)
+        origins = np.repeat(centres[:, None, :], 3, axis=1)  # ray i starts at centre i
+        t_max = np.ones((4, 3))  # beyond every offset: t_max rejects nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits, _ = RayTracer(scene).trace_vertical_batch(np.arange(3), origins, t_max, origin_z)
+        assert not (hits.accepted & (hits.t_hit < 0)).any()
+        own = [hits.accepted[s, np.arange(4), scene.entry_slots(s)] for s in range(3)]
+        assert np.array(own).tolist() == [[False] * 4, [True] * 4, [True] * 4]
+        ulp = np.spacing(rim)
+        assert (hits.t_hit[1][hits.accepted[1]] == 0).all()
+        assert (hits.t_hit[2][hits.accepted[2]] == ulp).all()
+        for s in range(3):
+            rays, entries, t_hit, _ = reference_trace_layer(
+                scene, s, origins[:, s], t_max[:, s], origin_z[s], dtype=np.float32
+            )
+            assert sorted(zip(rays.tolist(), entries.tolist())) == [(i, i) for i in range(4) if s]
+            assert hits.t_hit[s][rays, scene.entry_slots(s)[entries]].tobytes() == t_hit.tobytes()
 
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
     def test_slab_memory_order_never_changes_the_lut(self, rng, metric):

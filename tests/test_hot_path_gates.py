@@ -6,11 +6,12 @@ a seed) or whose ``peak_rss_mb`` grows by more than 10 %.  Both are cheap to
 check here, long before a benchmark run:
 
 * a blake2b digest over the ids, scores and every ``SearchWork`` counter of
-  fixed-seed single-query and 32-query searches, recorded on the commit
-  *before* the subspace-stacked tracer landed (76ec7d1).  A hot-path change
-  that is meant to be bit-identical must leave it alone; one that is not
-  must re-record it deliberately (print ``_search_digest(...)`` on the
-  parent commit).
+  fixed-seed single-query and 32-query searches, recorded before the
+  subspace-stacked tracer landed (76ec7d1) and re-recorded where the float32
+  hot path moved it.  A hot-path change that is meant to be bit-identical
+  must leave it alone; one that is not must pass the precision oracle
+  (``test_precision_oracle.py``) and re-record it deliberately (print
+  ``_search_digest(...)`` on the change).
 * a blake2b digest over what ``JunoIndex.train`` leaves behind on a corpus of
   the ledger's shape (96 dimensions, 48 subspaces of 128 entries; L2 and
   inner product): IVF centroids and labels, every codebook, the codes, the
@@ -19,13 +20,15 @@ check here, long before a benchmark run:
   change that is meant to keep the bytes must leave it alone.
 * a ``tracemalloc`` bound on ``RTSelectStage.run`` for a 32-query batch on
   an index of the ledger's shape (48 layers of 128 spheres, 256 rays): the
-  stage may hold the LUT it returns plus a fixed slack for one trace
-  block's temporaries.  The block constant in
+  stage may hold the LUT it returns, at 4 bytes a cell, plus a fixed slack
+  for one trace block's temporaries.  The block constant in
   :mod:`repro.core.selective_lut` is what decides this, so a constant that
-  would breach the RSS gate fails here first.
+  would breach the RSS gate fails here first -- and so does a table or a
+  grid that silently went back to float64.
 * the same bound on ``ScoreStage.run``: the candidates it returns plus a
   fixed slack for one block's slice of the LUT and gathered tables, decided
-  by the block constant in :mod:`repro.pipeline.fused`.
+  by the block constant in :mod:`repro.pipeline.fused` and sized for
+  float32.
 """
 
 from __future__ import annotations
@@ -55,57 +58,22 @@ from repro.pipeline.context import QueryContext
 
 MODES = ("juno-h", "juno-m", "juno-l")
 
+# Re-recorded once when the hot path went float32: JUNO-H scores moved by at
+# most 4e-6 relative (a float32 sum), and one wide-fixture cell on a sphere's
+# rim changed hit state, moving ``rt_hits`` and the selected fraction of all
+# three wide modes.  Every id held; tests/test_precision_oracle.py is what
+# judges the float32 results against float64.
 PINNED = {
-    ("l2", "juno-h"): "d4a7b125180f1a153c85dfe75a5279f2",
+    ("l2", "juno-h"): "dac3c0321ab9158c7428d9ac67d6661d",
     ("l2", "juno-m"): "4784a269df5182d34f5eb7721c0e77f8",
     ("l2", "juno-l"): "05781383d3946d7808728457579fe5ee",
-    ("ip", "juno-h"): "b40a7091ac873cb5656e5c5f6ca599b5",
+    ("ip", "juno-h"): "abfff51e5ea0261677a5de6711b4152e",
     ("ip", "juno-m"): "1b94aba38cc84dab081be356bbc44870",
     ("ip", "juno-l"): "8147ffeceff2c0aa190a98728b991acb",
-    ("wide", "juno-h"): "e1357472f432577e533f88eefd69a12c",
-    ("wide", "juno-m"): "3aed7f2b8df0bc13671f8d75001fa3cf",
-    ("wide", "juno-l"): "15059af1a99e0d3d4a47cef13816effe",
+    ("wide", "juno-h"): "36fb186c7cbd09cab622174ee4802de3",
+    ("wide", "juno-m"): "44258ac9838a1a1cde8d9c8b86569842",
+    ("wide", "juno-l"): "a4f2f1f97bb37dbd7bcc00bfedf83883",
 }
-
-
-@pytest.fixture(scope="module")
-def wide_corpus():
-    rng = np.random.default_rng(7)
-    return rng.standard_normal((800, 96)) * np.linspace(0.5, 1.5, 96)
-
-
-@pytest.fixture(scope="module")
-def wide_index(wide_corpus):
-    """A 48-subspace, 128-entry index (the ledger's scene shape) without k-means.
-
-    Centroids and codebooks are sampled corpus points / residual projections
-    and installed through ``assemble``, so the fixture costs well under a
-    second while the scene, density maps and regressor are the real ones.
-    """
-    rng = np.random.default_rng(8)
-    points = wide_corpus
-    centroids = points[rng.choice(points.shape[0], size=8, replace=False)]
-    labels = np.argmin(
-        ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1
-    )
-    residuals = (points - centroids[labels]).reshape(points.shape[0], 48, 2)
-    codebooks = []
-    codes = np.empty((points.shape[0], 48), dtype=np.int32)
-    for s in range(48):
-        entries = residuals[rng.choice(points.shape[0], size=128, replace=False), s]
-        codebooks.append(entries)
-        codes[:, s] = np.argmin(
-            ((residuals[:, s, None, :] - entries[None, :, :]) ** 2).sum(axis=2), axis=1
-        )
-    config = JunoConfig(
-        num_clusters=8,
-        num_subspaces=48,
-        num_entries=128,
-        num_threshold_samples=32,
-        threshold_top_k=20,
-        density_grid=20,
-    )
-    return JunoIndex(config).assemble(points, centroids, labels, codebooks, codes)
 
 
 def _queries(points, count=32):
@@ -194,8 +162,9 @@ class TestPinnedTrainingDigest:
 
 
 def _lut_bytes(lut) -> int:
-    arrays = [lut.table, lut.slot_entries] + ([] if lut.inner is None else [lut.inner])
-    return sum(int(array.nbytes) for array in arrays)
+    """The LUT's size with 4-byte table cells: a float64 table overshoots it by 6 MB."""
+    arrays = [lut.slot_entries] + ([] if lut.inner is None else [lut.inner])
+    return 4 * lut.table.size + sum(int(array.nbytes) for array in arrays)
 
 
 def _traced_peak(stage, ctx) -> int:
@@ -227,12 +196,12 @@ def wide_batch_ctx(wide_index, wide_corpus):
 
 
 class TestRTSelectMemory:
-    # What one trace block may hold beyond the LUT: two float grids (the hit
-    # times, decoded in place, and one scratch) and three bool grids (the
-    # accepted mask and the two slab-mask buffers).  At 384 (layer, ray)
-    # pairs a block is ~1 MB; at 2048 pairs, the size that once breached
-    # ``peak_rss_mb``, ~7 MB; the whole batch as one block ~28 MB.
-    SLACK_BYTES = 6 << 20
+    # What one trace block may hold beyond the float32 LUT: two float32 grids
+    # (the hit times, decoded in place, and one scratch) and the bool grids
+    # (the accepted mask and the two slab-mask buffers).  At 384 (layer, ray)
+    # pairs a block peaks at ~0.53 MB, at float64 ~0.96 MB; the whole batch as
+    # one block at ~16.5 MB.  A float64 table would add 6 MB.
+    SLACK_BYTES = 3 << 18
 
     @staticmethod
     def _peak_beyond_lut(ctx) -> int:
@@ -251,11 +220,12 @@ class TestRTSelectMemory:
 
 class TestScoreMemory:
     # What one score block may hold beyond the candidates: its rays' slice
-    # of the LUT, the gather index and about four float64 arrays of the
-    # gathered (candidate, subspace) shape.  At 1 << 19 elements (five of
-    # these queries) a block is ~10 MB; at 1 << 20 it is ~21 MB, and the
-    # whole batch as one block, which breached ``peak_rss_mb``, ~47 MB.
-    SLACK_BYTES = 12 << 20
+    # of the LUT, the gather index and the float32 arrays of the gathered
+    # (candidate, subspace) shape.  At 1 << 19 elements (five of these
+    # queries) a block peaks at ~5.6 MB, at float64 ~8.7 MB; at 1 << 20 at
+    # ~12.3 MB, and the whole batch as one block, the variant that breached
+    # ``peak_rss_mb`` at float64, at ~20.5 MB.
+    SLACK_BYTES = 7 << 20
 
     @staticmethod
     def _peak_beyond_candidates(ctx) -> int:

@@ -3,8 +3,8 @@
 These tests pin down the relationships between JUNO and the baseline that
 the paper's correctness argument relies on:
 
-* the values JUNO decodes from hit times are exactly the values the
-  baseline's dense LUT would contain for the selected entries;
+* the values JUNO decodes from hit times are the values the baseline's
+  dense LUT would contain for the selected entries, to float32 precision;
 * with a threshold large enough to select everything, JUNO-H ranks candidate
   points exactly like the baseline's ADC does;
 * JUNO's distance-calculation work is a subset of the baseline's.
@@ -12,6 +12,7 @@ the paper's correctness argument relies on:
 
 import numpy as np
 import pytest
+from rt_reference import sphere_test_margins
 
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
@@ -50,7 +51,16 @@ class TestSelectiveValuesMatchDenseLUT:
             dense = juno_l2.pq.lookup_table(residual, Metric.L2)
             for s in range(juno_l2.config.num_subspaces):
                 entry_ids, values = lut.ray_slice(s, ci)
-                np.testing.assert_allclose(values, dense[s, entry_ids], atol=1e-6)
+                # float32 values: within the precision oracle's slack
+                layer = juno_l2.scene.layer(s)
+                _, slack = sphere_test_margins(
+                    *origins[ci, s],
+                    *layer.centres_xy[entry_ids].T,
+                    layer.radii[entry_ids] ** 2,
+                    juno_l2.origin_offsets[s],
+                    t_max[ci, s],
+                )
+                assert (np.abs(values - dense[s, entry_ids]) <= slack).all()
 
     def test_full_threshold_juno_matches_baseline_ranking(self, l2_dataset):
         """With every entry selected, JUNO-H reduces to the baseline's ADC."""

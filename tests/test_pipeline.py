@@ -137,7 +137,8 @@ def _reference_score_batch(
                 values = rows[subspace_range[None, :], codes]
                 miss = np.isnan(values)
                 matched = (~miss).sum(axis=1)
-                penalties = _reference_miss_penalties(index, thresholds[ray_id])
+                # penalties follow the table's dtype (float32 since the hot path is)
+                penalties = _reference_miss_penalties(index, thresholds[ray_id]).astype(rows.dtype)
                 scores = np.where(miss, penalties[None, :], values).sum(axis=1)
                 if query_cluster_ip is not None:
                     scores = scores + query_cluster_ip[qi, ci]
