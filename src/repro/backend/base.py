@@ -2,7 +2,7 @@
 
 The online score path (``ScoreStage``'s kernel,
 :mod:`repro.pipeline.fused`) is a handful of bulk array primitives:
-take over the selective LUT's table, gather from it through member
+take over the selective LUT's tables, gather from them through member
 columns, and reduce over the subspace axis.  :class:`ArrayBackend` names
 exactly those primitives so the kernels can run unchanged on NumPy (the
 default, bit-identical reference), CuPy or torch without sprinkling
@@ -33,9 +33,9 @@ class BackendError(RuntimeError):
 class ArrayBackend:
     """Bulk-array primitives the batched score kernels are written against.
 
-    Subclasses bind the primitives to one array library.  All index
-    arguments (``flat_indices``, ``row_indices``) are host NumPy integer
-    arrays; implementations convert them as needed.
+    Subclasses bind the primitives to one array library.  Index arguments
+    (``flat_indices``) are host NumPy integer arrays; implementations
+    convert them as needed.
 
     Attributes:
         name: registry name (``"numpy"``, ``"cupy"``, ``"torch"``).
@@ -78,29 +78,13 @@ class ArrayBackend:
         """``array.flat[flat_indices]`` (flat gather)."""
         raise NotImplementedError
 
-    def take_rows(self, array, row_indices: np.ndarray):
-        """``array[row_indices]`` for a 2-D table (row gather)."""
-        raise NotImplementedError
-
-    # -- elementwise / reduction ---------------------------------------
+    # -- cast / reduction -----------------------------------------------
     def astype(self, array, dtype):
         """Cast to ``dtype`` (NumPy ``astype`` semantics)."""
         raise NotImplementedError
 
-    def isnan(self, array):
-        """Elementwise NaN test."""
-        raise NotImplementedError
-
-    def logical_not(self, array):
-        """Elementwise boolean negation."""
-        raise NotImplementedError
-
-    def where(self, condition, if_true, if_false):
-        """Elementwise select."""
-        raise NotImplementedError
-
-    def sum(self, array, axis: int):
-        """Reduce one axis (NumPy ``sum`` semantics, bools promote to int)."""
+    def sum(self, array, axis: int, dtype=None):
+        """Reduce one axis in ``dtype`` (NumPy ``sum`` semantics, bools promote to int)."""
         raise NotImplementedError
 
     def __reduce__(self):

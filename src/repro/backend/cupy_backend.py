@@ -52,20 +52,8 @@ class CupyBackend(ArrayBackend):
     def take(self, array, flat_indices: np.ndarray):
         return array.reshape(-1)[self.cupy.asarray(flat_indices)]
 
-    def take_rows(self, array, row_indices: np.ndarray):
-        return array[self.cupy.asarray(row_indices)]
-
     def astype(self, array, dtype):
         return array.astype(dtype)
 
-    def isnan(self, array):
-        return self.cupy.isnan(array)
-
-    def logical_not(self, array):
-        return ~array
-
-    def where(self, condition, if_true, if_false):
-        return self.cupy.where(condition, if_true, if_false)
-
-    def sum(self, array, axis: int):
-        return array.sum(axis=axis)
+    def sum(self, array, axis: int, dtype=None):
+        return array.sum(axis=axis, dtype=dtype)

@@ -32,20 +32,8 @@ class NumpyBackend(ArrayBackend):
     def take(self, array: np.ndarray, flat_indices: np.ndarray) -> np.ndarray:
         return np.take(array.reshape(-1), flat_indices)
 
-    def take_rows(self, array: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
-        return np.take(array, row_indices, axis=0)
-
     def astype(self, array: np.ndarray, dtype) -> np.ndarray:
         return array.astype(dtype)
 
-    def isnan(self, array: np.ndarray) -> np.ndarray:
-        return np.isnan(array)
-
-    def logical_not(self, array: np.ndarray) -> np.ndarray:
-        return ~array
-
-    def where(self, condition, if_true, if_false) -> np.ndarray:
-        return np.where(condition, if_true, if_false)
-
-    def sum(self, array: np.ndarray, axis: int) -> np.ndarray:
-        return array.sum(axis=axis)
+    def sum(self, array: np.ndarray, axis: int, dtype=None) -> np.ndarray:
+        return array.sum(axis=axis, dtype=dtype)

@@ -51,22 +51,12 @@ class TorchBackend(ArrayBackend):
     def take(self, array, flat_indices: np.ndarray):
         return array.view(-1)[self.asarray(flat_indices)]
 
-    def take_rows(self, array, row_indices: np.ndarray):
-        return array[self.asarray(row_indices)]
-
     def astype(self, array, dtype):
         return array.to(self._dtype(dtype))
 
-    def isnan(self, array):
-        return self.torch.isnan(array)
-
-    def logical_not(self, array):
-        return ~array
-
-    def where(self, condition, if_true, if_false):
-        return self.torch.where(condition, if_true, if_false)
-
-    def sum(self, array, axis: int):
+    def sum(self, array, axis: int, dtype=None):
+        if dtype is not None:
+            return array.sum(dim=axis, dtype=self._dtype(dtype))
         result = array.sum(dim=axis)
         # match NumPy's bool -> int64 promotion contract
         if array.dtype is self.torch.bool:

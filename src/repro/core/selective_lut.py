@@ -11,9 +11,11 @@ The constructor traces the rays of all (query, cluster) pairs of a batch a
 *block of subspaces* at a time.  The tracer hands each block over as the
 dense ``(subspace, ray, leaf slot)`` grid its float32 sphere tests ran on;
 the hit-time decode runs in place on that grid while it is in cache and the
-result *is* the selective LUT -- one float32 ``(S, rays, E')`` table, ``NaN``
-where the ray did not select the slot's entry -- which the
-distance-calculation stage gathers from directly, with no hit lists between.
+result *is* the selective LUT: one float32 ``(S, rays, E')`` table holding
+what the distance calculation reads of each cell -- the decoded value where
+the ray selected the slot's entry, the ray's miss value where it did not --
+and the tracer's hit grid beside it.  The distance-calculation stage gathers
+from both directly, with no hit lists between.
 """
 
 from __future__ import annotations
@@ -48,9 +50,13 @@ class SelectiveLUT:
     below translate to entry ids for tests and analysis.
 
     Attributes:
-        table: ``(S, R, E')`` float32 values (squared L2 distances or inner
-            products) of the selected (subspace, ray, slot) cells, ``NaN``
-            everywhere else; ``R = Q * nprobs``.
+        table: ``(S, R, E')`` float32 score contributions, ``R = Q * nprobs``:
+            the value (squared L2 distance or inner product) of every
+            selected (subspace, ray, slot) cell and the ray's miss value in
+            every other -- its JUNO-H miss penalty in that subspace, or
+            ``NaN`` when the hit-count modes built the table.
+        hits: ``(S, R, E')`` booleans marking the selected cells (the
+            tracer's accepted grid).
         inner: ``(S, R, E')`` booleans marking selected cells that also fall
             inside the reward/penalty inner sphere (JUNO-M); ``None`` when
             the inner sphere was not evaluated.
@@ -61,6 +67,7 @@ class SelectiveLUT:
     """
 
     table: np.ndarray
+    hits: np.ndarray
     inner: np.ndarray | None
     slot_entries: np.ndarray
     num_entries: int
@@ -92,18 +99,16 @@ class SelectiveLUT:
 
     def ray_slice(self, subspace_id: int, ray_id: int) -> tuple[np.ndarray, np.ndarray]:
         """``(entry_ids, values)`` selected for one ray in one subspace."""
-        values = self.table[subspace_id, ray_id]
-        columns = np.flatnonzero(~np.isnan(values))
-        return self.slot_entries[subspace_id, columns], values[columns]
+        columns = np.flatnonzero(self.hits[subspace_id, ray_id])
+        return self.slot_entries[subspace_id, columns], self.table[subspace_id, ray_id, columns]
 
     def dense_rows(self, ray_id: int) -> np.ndarray:
         """Dense ``(S, E)`` table for one ray with ``nan`` marking unselected entries."""
-        cells = self.table[:, ray_id]
-        return self._entry_rows(cells, ~np.isnan(cells), np.nan)
+        return self._entry_rows(self.table[:, ray_id], self.hits[:, ray_id], np.nan)
 
     def hit_mask_rows(self, ray_id: int) -> np.ndarray:
         """Dense boolean ``(S, E)`` selection mask for one ray."""
-        hit = ~np.isnan(self.table[:, ray_id])
+        hit = self.hits[:, ray_id]
         return self._entry_rows(hit, hit, False)
 
     def inner_mask_rows(self, ray_id: int) -> np.ndarray:
@@ -156,6 +161,7 @@ class SelectiveLUTConstructor:
         t_max: np.ndarray,
         thresholds: np.ndarray | None = None,
         trace=None,
+        miss: np.ndarray | None = None,
     ) -> SelectiveLUT:
         """Trace all rays and build the selective LUT.
 
@@ -163,11 +169,11 @@ class SelectiveLUTConstructor:
         (at least one) per
         :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  Each
         call returns the block's dense hit grid, which this method then owns:
-        rejected cells take their ``NaN`` in it first, the float32 decode runs
-        in place -- offsets, norms and thresholds broadcast along the slot
-        axis, operand for operand ``l2_distance_from_hit_time(...) ** 2`` /
+        the float32 decode runs in place on every cell -- offsets, norms and
+        thresholds broadcast along the slot axis, operand for operand
+        ``l2_distance_from_hit_time(...) ** 2`` /
         ``inner_product_from_hit_time`` -- and the block's rows of the table
-        take exactly one write.
+        take exactly one write, ``where(accepted, decoded, miss)``.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -178,6 +184,9 @@ class SelectiveLUTConstructor:
             trace: optional :class:`~repro.obs.trace.Trace`; when set, every
                 tracer call is recorded as an ``rt_trace`` span, which
                 separates traversal from the decode in the caller's span.
+            miss: ``(R, S)`` value of the cells a ray does not select, cast
+                to float32 (JUNO-H's miss penalties); ``None`` fills them
+                with ``NaN``, which the inner sphere requires.
 
         Returns:
             The populated :class:`SelectiveLUT`.
@@ -190,8 +199,8 @@ class SelectiveLUTConstructor:
         if t_max.shape != (num_rays, num_subspaces):
             raise ValueError("t_max must have shape (R, S)")
         want_inner = self.inner_sphere_ratio is not None
-        if want_inner and thresholds is None:
-            raise ValueError("thresholds are required to evaluate the inner sphere")
+        if want_inner and (thresholds is None or miss is not None):
+            raise ValueError("the inner sphere needs thresholds and NaN misses")
 
         scene = self.tracer.scene
         z = np.full(num_subspaces, np.nan)  # a missing layer: the tracer raises KeyError
@@ -205,7 +214,12 @@ class SelectiveLUTConstructor:
         offsets = origin_offsets.astype(np.float32)  # the decode runs on float32 hit times
         radius_sq = self.base_radius**2
 
+        if miss is None:
+            miss = np.full((num_subspaces, 1, 1), np.nan, dtype=np.float32)
+        else:
+            miss = np.asarray(miss, dtype=np.float32).T[:, :, None]  # (S, R, 1)
         table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float32)
+        hit_grid = np.empty(table.shape, dtype=bool)
         inner = np.empty(table.shape, dtype=bool) if want_inner else None
         slot_entries = np.empty((num_subspaces, scene.num_slots), dtype=np.int64)
         stats = TraversalStats()
@@ -221,22 +235,23 @@ class SelectiveLUTConstructor:
                 )
             stats.merge(block_stats)
             slot_entries[block] = hits.slot_entries
+            hit_grid[block] = hits.accepted
             grid = hits.t_hit  # still in cache; decoded in place
-            np.putmask(grid, ~hits.accepted, np.nan)
             np.subtract(offsets[block, None, None], grid, out=grid)
             np.multiply(grid, grid, out=grid)
             if self.metric is Metric.L2:
                 np.subtract(radius_sq, grid, out=grid)
                 np.maximum(grid, 0.0, out=grid)
                 np.sqrt(grid, out=grid)
-                np.multiply(grid, grid, out=table[block])
+                np.multiply(grid, grid, out=grid)
             else:
                 # |q|^2 depends on the ray, not on the slot it tests
                 query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
                 np.add((query_norm_sq - radius_sq).astype(np.float32), grid, out=grid)
-                np.divide(grid, 2.0, out=table[block])
+                np.divide(grid, 2.0, out=grid)
+            table[block] = np.where(hits.accepted, grid, miss[block])
             if want_inner:
-                # NaN compares false: the flags need no AND with the hit mask
+                # a NaN miss compares false: the flags need no AND with the hits
                 ray_threshold = thresholds[:, block].T[:, :, None]
                 if self.metric is Metric.L2:
                     np.sqrt(table[block], out=grid)
@@ -248,6 +263,7 @@ class SelectiveLUTConstructor:
                     np.greater_equal(table[block], ray_threshold + margin, out=inner[block])
         return SelectiveLUT(
             table=table,
+            hits=hit_grid,
             inner=inner,
             slot_entries=slot_entries,
             num_entries=num_entries,

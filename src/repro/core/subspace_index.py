@@ -7,8 +7,8 @@ entry -- so that the distance-calculation stage only iterates over points
 whose entries were selected by the ray tracing pass.
 
 What is stored is the forward direction, once and cluster-major, as a
-:class:`FlatClusterLayout`: every cluster's members and, per member and
-subspace, the selective-LUT column its PQ code selects.  The score kernel
+:class:`FlatClusterLayout`: every cluster's members and, per subspace and
+member, the selective-LUT column its PQ code selects.  The score kernel
 gathers through it; the reverse lookups (used by tests and analysis only)
 are computed from a cluster's slice of the corpus codes when asked.
 """
@@ -24,20 +24,21 @@ import numpy as np
 class FlatClusterLayout:
     """Concatenated, cluster-major view of the inverted index.
 
-    The score kernel works on flat ``(candidate, subspace)`` tables whose
-    rows are the members of every probed cluster laid out back-to-back.
+    The score kernel works on flat ``(subspace, candidate)`` tables whose
+    columns are the members of every probed cluster laid out back-to-back.
     A cluster's members and columns are one contiguous slice of these
-    arrays, so a block's candidates are one row gather with no
-    per-cluster Python iteration:
+    arrays, so a block's candidates are one gather with no per-cluster
+    Python iteration:
 
     Attributes:
         cluster_sizes: ``(C,)`` member count per cluster.
         member_base: ``(C + 1,)`` exclusive prefix sum of the sizes -- the
             offset of each cluster's slice in the concatenated arrays.
         members: ``(N,)`` member point ids, cluster-major.
-        columns: ``(N, S)`` ``int32`` column of the
+        columns: ``(S, N)`` ``int32``, subspace-major: the column of the
             :class:`~repro.core.selective_lut.SelectiveLUT` that each PQ
-            code of ``members`` addresses, row for row.
+            code of ``members`` addresses, member for member, so one
+            subspace's columns of a cluster are one contiguous run.
     """
 
     cluster_sizes: np.ndarray
@@ -95,17 +96,18 @@ class SubspaceInvertedIndex:
         np.cumsum(sizes, out=member_base[1:])
         members = np.concatenate(posting_lists) if posting_lists else np.zeros(0, dtype=np.int64)
         # The one array the score kernel gathers from: cluster-major, so a
-        # cluster's rows are a slice, with every code already translated to
-        # its table column.  Built here, not on first search, so no request
-        # pays for it and shard threads never race to build it.
-        columns = codes[members]
+        # cluster's members are a slice of every subspace's row, with every
+        # code already translated to its table column.  Built here, not on
+        # first search, so no request pays for it and shard threads never
+        # race to build it.
+        columns = codes[members].T
         if entry_slots is not None:
-            columns = np.take_along_axis(np.asarray(entry_slots).T, columns, axis=0)
+            columns = np.take_along_axis(np.asarray(entry_slots), columns, axis=1)
         self._flat_layout = FlatClusterLayout(
             cluster_sizes=sizes,
             member_base=member_base,
             members=members,
-            columns=columns.astype(np.int32, copy=False),
+            columns=np.ascontiguousarray(columns, dtype=np.int32),
         )
         return self
 

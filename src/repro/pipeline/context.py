@@ -53,7 +53,9 @@ class QueryContext:
             MIPS, ``None`` for L2 (threshold stage).
         thresholds: ``(Q * nprobs, S)`` dynamic thresholds (threshold stage).
         t_max: ``(Q * nprobs, S)`` ray travel budgets (threshold stage).
-        lut: the selective LUT built by the RT stage.
+        lut: the selective LUT built by the RT stage: its table of score
+            contributions (the ray's miss value where it selected nothing)
+            and the hit grid beside it.
         candidates: per-query ``(ids, scores)`` candidate arrays produced by
             the score stage; ``None`` entries mark queries with no candidates.
         candidate_total: total candidates that entered top-k selection.

@@ -1,35 +1,39 @@
-"""The score kernel: gather the selective LUT by PQ code.
+"""The score kernel: gather the selective LUT by PQ code and sum.
 
 The paper's distance calculation is a table lookup: each candidate's PQ
 codes index the selectively built LUT and the per-subspace values are
-accumulated.  The LUT arrives from RT-select as the table to look up in --
-one dense ``(S, rays, E')`` array, ``NaN`` = unselected
-(:class:`~repro.core.selective_lut.SelectiveLUT`) -- so
-:func:`fused_score_candidates`, per block of queries,
+accumulated.  RT-select hands the LUT over as exactly what that lookup reads
+(:class:`~repro.core.selective_lut.SelectiveLUT`): one dense
+``(S, rays, E')`` float32 table of each cell's contribution -- its decoded
+value where the ray selected the slot, the ray's miss value (JUNO-H's
+dynamic-threshold penalty) where it did not -- and the hit grid beside it.
+So :func:`fused_score_candidates`, per block of queries,
 
-1. takes the block's rays' slice of that table (for the hit-count modes its
-   ``~isnan`` and, for JUNO-M, the matching slice of the inner-sphere table);
-2. fills the ``(candidate, subspace)`` table with one flat gather through
-   the index ``(s * rays + ray) * E' + column``, built from the cluster-major
+1. builds one ``(S, candidates)`` index into the whole table,
+   ``columns[:, rows] + s * plane + ray * E'``, from the subspace-major
    column rows of :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`
-   (a probed cluster's members are one contiguous run of it; a column is a
-   PQ code already translated to the table's leaf-slot order);
-3. reduces over the subspace axis, the dynamic-threshold miss penalties
-   standing in for unselected entries (JUNO-H) or hit / inner-sphere
-   counts forming the score (JUNO-L/M).
+   (a probed cluster's members are one contiguous run of each row; a column
+   is a PQ code already translated to the table's leaf-slot order);
+2. gathers through it the hit bytes and the contributions (JUNO-H) or the
+   inner-sphere bytes (JUNO-M);
+3. sums each over the subspace axis: match counts in the narrowest unsigned
+   integer that holds ``S``, scores subspace by subspace as in the paper's
+   kernel.
 
 There is no Python loop over clusters, candidates or subspaces, and no
-intermediate copy of the hits.  Gathered values, miss penalties and the sum
-are float32, the LUT's dtype; the top-k stage widens the scores it returns.
+per-cell test or select: RT-select decided each cell once.  The index is
+built in ``int32`` while the table has fewer than 2**31 cells and widened
+once to the ``intp`` every gather reads; contributions and their sum are
+float32, the LUT's dtype; the top-k stage widens the scores it returns.
 
 Bit-identity with the per-ray reference loop (``tests/score_reference.py``)
 at the table's dtype is by construction:
 
-* the ``(candidate, subspace)`` table holds exactly the elements the
-  reference's per-ray ``(members, S)`` lookup produces, in the same order
-  per row, so the ``sum`` over the subspace axis runs NumPy's pairwise
-  reduction over identical operands;
-* match counts are boolean/NaN occupancy counts, not scatter-adds;
+* a candidate's column of the index addresses exactly the cells the
+  reference's per-ray ``(members, S)`` lookup reads, in subspace order, and
+  ``sum(axis=0)`` of an ``(S, n >= 2)`` array adds one row after the other --
+  the reference's accumulation;
+* match counts are integer hit counts, not scatter-adds;
 * per-query candidate order is ray-major -- the same probe order the
   reference concatenates.
 
@@ -47,37 +51,32 @@ import numpy as np
 from repro.backend import ArrayBackend
 from repro.pipeline.context import QueryContext
 
-# Per-block element budget.  A query costs ``S * (candidates + nprobs * E')``
-# elements: its rows of the gathered ``(candidate, subspace)`` table plus its
-# rays' slice of the LUT, which the gather reads from.  Blocks align on query
-# boundaries so each query's candidates assemble in one pass; rows are
-# independent, so blocking cannot change any result.  At its peak a block
-# holds the 4-byte values and gather index and the 1-byte masks of the
-# gathered shape, ~5.6 MB for five ledger queries, so this constant decides
-# the stage's memory and its speed: about five queries per block keep the LUT
-# slice and what is gathered from it in the L2 cache.  Doubling it, the same
-# bytes of 4-byte cells that 1 << 19 held of 8-byte ones, is 13-15 % slower on
-# the 32-query JUNO-H sweep cells (docs/performance.md);
-# tests/test_hot_path_gates.py bounds the stage's peak allocation.
-_FUSED_BLOCK_ELEMENTS = 1 << 19
+# Per-block element budget: a query costs ``S * candidates`` elements, its
+# columns of the gathered ``(subspace, candidate)`` tables.  Blocks align on
+# query boundaries so each query's candidates assemble in one pass; columns
+# are independent, so blocking cannot change any result.  At its peak a block
+# holds the 8-byte gather index, the 4-byte contributions and the 1-byte hits
+# of the gathered shape, ~3.4 MB, so this constant decides the stage's memory
+# and its speed.  On the 32-query sweep cells it beats 1 << 17, 1 << 19 and
+# 1 << 20 in every JUNO-H cell (by 7-11 % against 1 << 19) and stays within
+# 3 % of 1 << 19 in the JUNO-M/L cells, where 1 << 17 loses 16-20 % to
+# per-block overhead (docs/performance.md).  The top-k stage blocks its key
+# matrix by it too; tests/test_hot_path_gates.py bounds both stages' peaks.
+_FUSED_BLOCK_ELEMENTS = 1 << 18
 
 
-def fused_score_candidates(
-    ctx: QueryContext, backend: ArrayBackend, miss_penalties
-) -> None:
+def fused_score_candidates(ctx: QueryContext, backend: ArrayBackend) -> None:
     """Run the score kernel over the whole query batch.
 
     Fills ``ctx.candidates`` / ``ctx.candidate_total`` and the ADC work
-    counters.  ``miss_penalties`` is the stage's ``(ctx, (R, S)
-    thresholds) -> (R, S) penalties`` callable (JUNO-H only).
+    counters.
     """
     index = ctx.require("index", "score")
     selected = ctx.require("selected", "score")
     lut = ctx.require("lut", "score")
-    thresholds = ctx.require("thresholds", "score")
     mode = ctx.quality_mode
     num_queries, nprobs = selected.shape
-    num_subspaces, num_slots = lut.table.shape[0], lut.table.shape[2]
+    num_subspaces, num_rays, num_slots = lut.table.shape
     layout = index.subspace_index.flat_layout()
     miss_penalty = float(index.config.hit_count_penalty)
     query_cluster_ip = (
@@ -86,10 +85,17 @@ def fused_score_candidates(
 
     flat_clusters = np.asarray(selected, dtype=np.int64).reshape(-1)
     ray_sizes = layout.cluster_sizes[flat_clusters]
-    query_elements = (
-        ray_sizes.reshape(num_queries, nprobs).sum(axis=1) + nprobs * num_slots
-    ) * num_subspaces
-    subspace_ids = np.arange(num_subspaces, dtype=np.int32)
+    query_elements = ray_sizes.reshape(num_queries, nprobs).sum(axis=1) * num_subspaces
+    index_dtype = np.int32 if lut.table.size < 2**31 else np.int64
+    subspace_base = np.arange(num_subspaces, dtype=index_dtype)[:, None] * (num_rays * num_slots)
+    count_dtype = np.min_scalar_type(num_subspaces)
+    # The tables the mode's score reads: the hit bytes first.
+    tables = [lut.hits.view(np.uint8)]
+    if mode.uses_exact_distance:
+        tables.append(lut.table)
+    elif mode.uses_inner_sphere:
+        tables.append(lut.inner.view(np.uint8))
+    tables = [backend.asarray(table) for table in tables]
 
     candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
     candidate_total = 0.0
@@ -107,7 +113,7 @@ def fused_score_candidates(
             q1 += 1
 
         # The block's rays are the contiguous range [r0, r1), so per-ray
-        # inputs -- and the block's part of the LUT -- are plain slices.
+        # inputs are plain slices.
         r0, r1 = q0 * nprobs, q1 * nprobs
         clusters_b = flat_clusters[r0:r1]
         sizes_b = ray_sizes[r0:r1]
@@ -116,51 +122,39 @@ def fused_score_candidates(
             candidates.extend([None] * (q1 - q0))
             q0 = q1
             continue
-        block_rays = np.arange(r1 - r0, dtype=np.int32)
-        cand_ray = np.repeat(block_rays, sizes_b)
+        cand_ray = np.repeat(np.arange(r1 - r0), sizes_b)
         # A probed cluster's members are one run of the cluster-major
         # layout: candidate i of a ray sits at member_base[cluster] + i.
         run_starts = layout.member_base[clusters_b] - (np.cumsum(sizes_b) - sizes_b)
         member_rows = np.repeat(run_starts, sizes_b) + np.arange(total)
         cand_ids = layout.members[member_rows]
 
-        # The tables the mode's score reads, cut to the block's rays.
-        if mode.uses_exact_distance:
-            tables = [lut.table[:, r0:r1]]
-        else:
-            tables = [~np.isnan(lut.table[:, r0:r1])]
-            if mode.uses_inner_sphere:
-                tables.append(lut.inner[:, r0:r1])
+        # Flat index of table[s, ray, column] for every (subspace,
+        # candidate): one gather per table fills what the sums below run over.
+        gather = layout.columns.take(member_rows, axis=1).astype(index_dtype, copy=False)
+        gather += ((cand_ray + r0) * num_slots).astype(index_dtype)
+        gather += subspace_base
+        if total == 1:
+            # NumPy sums a lone column pairwise; beside a copy of itself it
+            # is summed row after row like every other block
+            gather = np.repeat(gather, 2, axis=1)
+        gather = gather.astype(np.intp, copy=False)  # once, not inside every take
+        gathered = [backend.take(table, gather) for table in tables]
 
-        # Flat index of table[s, ray, column] for every (candidate,
-        # subspace): one gather per table fills what the reductions below
-        # run over.
-        table_plane = block_rays.shape[0] * num_slots
-        ray_base = np.add.outer(block_rays * num_slots, subspace_ids * table_plane)
-        gather = np.take(layout.columns, member_rows, axis=0)
-        gather += np.take(ray_base, cand_ray, axis=0)
-        gathered = [backend.take(backend.asarray(table), gather) for table in tables]
-
+        matched = backend.sum(gathered[0], axis=0, dtype=count_dtype)
         if mode.uses_exact_distance:
-            (values,) = gathered
-            miss = backend.isnan(values)
-            matched = backend.sum(backend.logical_not(miss), axis=1)
-            penalties = miss_penalties(ctx, thresholds[r0:r1]).astype(lut.table.dtype)
-            penalty_rows = backend.take_rows(backend.asarray(penalties), cand_ray)
-            scores = backend.sum(backend.where(miss, penalty_rows, values), axis=1)
+            scores = backend.sum(gathered[1], axis=0)
             if query_cluster_ip is not None:
-                scores = scores + backend.asarray(query_cluster_ip[r0:r1][cand_ray])
+                scores = scores[:total] + backend.asarray(query_cluster_ip[r0:r1][cand_ray])
+        elif mode.uses_inner_sphere:
+            rewards = backend.sum(gathered[1], axis=0, dtype=count_dtype)
+            misses = num_subspaces - backend.astype(matched, np.float64)
+            scores = backend.astype(rewards, np.float64) - miss_penalty * misses
         else:
-            matched = backend.sum(gathered[0], axis=1)
-            if mode.uses_inner_sphere:
-                rewards = backend.astype(backend.sum(gathered[1], axis=1), np.float64)
-                misses = backend.astype(num_subspaces - matched, np.float64)
-                scores = rewards - miss_penalty * misses
-            else:
-                scores = backend.astype(matched, np.float64)
+            scores = backend.astype(matched, np.float64)
 
-        matched_np = backend.to_numpy(matched)
-        scores_np = backend.to_numpy(scores)
+        matched_np = backend.to_numpy(matched)[:total]
+        scores_np = backend.to_numpy(scores)[:total]
         keep = matched_np >= 1
         adc_lookups += float(matched_np.sum())
         adc_candidates += float(keep.sum())

@@ -10,12 +10,14 @@ TopKStage``
 
 which computes the same results as the monolithic ``JunoIndex.search`` of
 earlier revisions (Alg. 2 plus the distance-calculation stage) bit for bit.
-:class:`RTSelectStage` produces the selective LUT as one dense table -- the
-tracer's hit grid, decoded in place -- and :class:`ScoreStage`, the *batched*
-distance-calculation kernel (:mod:`repro.pipeline.fused`), scores the members
-of every probed cluster with one gather from that table through their PQ
-codes; the historical per-ray Python loop the parity tests pin it against
-lives with them in ``tests/score_reference.py``.
+:class:`RTSelectStage` produces the selective LUT as one dense table of
+score contributions -- the tracer's hit grid, decoded in place, with each
+ray's miss value where it selected nothing -- plus that hit grid, and
+:class:`ScoreStage`, the *batched* distance-calculation kernel
+(:mod:`repro.pipeline.fused`), scores the members of every probed cluster
+with one gather from them through their PQ codes; the historical per-ray
+Python loop the parity tests pin it against lives with them in
+``tests/score_reference.py``.
 :class:`ExactRerankStage` is the first stage with no monolithic counterpart:
 it rescores already-selected candidates against the raw corpus, which the
 sharded router appends after its k-way merge to restore cross-shard score
@@ -26,9 +28,9 @@ their outputs in a :class:`~repro.pipeline.cache.StageCache` (their outputs
 do not depend on the quality mode, and the coarse filter does not depend on
 ``threshold_scale`` either, so sweeps reuse them across grid points);
 :class:`RTSelectStage` can memoise its selective LUT too, keyed by the full
-upstream slice including the inner-sphere setting and ``t_max``, so it pays
-off only for exact repeat batches.  See :mod:`repro.pipeline.cache` for the
-key/invalidation scheme.
+upstream slice including the inner-sphere setting, the miss fill and
+``t_max``, so it pays off only for exact repeat batches.  See
+:mod:`repro.pipeline.cache` for the key/invalidation scheme.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from repro.core.inner_product import inner_product_threshold_to_tmax
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
 from repro.metrics.distances import Metric, padded_top_k
+from repro.pipeline import fused
 from repro.pipeline.cache import StageCache, freeze
 from repro.pipeline.context import QueryContext
-from repro.pipeline.fused import fused_score_candidates
 
 
 @runtime_checkable
@@ -214,30 +216,48 @@ class ThresholdStage:
         return thresholds, t_max
 
 
+def _miss_penalties(ctx: QueryContext, row_thresholds: np.ndarray) -> np.ndarray:
+    """Per-subspace score contribution of unselected entries.
+
+    For L2 the true per-subspace distance of a miss is at least the
+    threshold, so the squared threshold (scaled by ``miss_penalty_factor``)
+    is a conservative stand-in.  For MIPS the true contribution is at most
+    the threshold, which is used directly.  Operates on ``(S,)`` rows and
+    ``(R, S)`` batches alike (pure elementwise arithmetic).
+    """
+    factor = ctx.index.config.miss_penalty_factor
+    if ctx.metric is Metric.L2:
+        return (row_thresholds**2) * factor
+    return row_thresholds * factor
+
+
 class RTSelectStage:
     """Stage B2: selective L2-LUT construction on the RT engine.
 
     Traces every (query, cluster, subspace) ray through the scene a block of
     subspaces at a time and decodes the tracer's dense hit grid, cell by
     cell, into the :class:`~repro.core.selective_lut.SelectiveLUT` -- one
-    ``(S, rays, E')`` table with ``NaN`` for unselected entries (plus the
-    inner-sphere table for JUNO-M) that :class:`ScoreStage` gathers from as
-    it is.  The hits are never compressed to lists in between.
+    ``(S, rays, E')`` table of score contributions and the hit grid beside
+    it (plus the inner-sphere table for JUNO-M) that :class:`ScoreStage`
+    gathers from as they are.  A cell the ray did not select holds the ray's
+    miss value: its dynamic-threshold miss penalty for JUNO-H, or ``NaN``
+    for JUNO-L/M, whose scores count hits.  The hits are never compressed to
+    lists in between.
 
     Args:
         cache: optional :class:`StageCache` memoising the constructed
             :class:`~repro.core.selective_lut.SelectiveLUT`.  Unlike the
             earlier stages the LUT depends on *everything* upstream -- the
             ray origins, the ``t_max`` travel budgets (and hence the
-            threshold scale), the metric, and whether the quality mode
-            evaluates the inner sphere -- so the key fingerprints the
-            origins/``t_max``/``thresholds`` slices and includes the
-            effective inner-sphere ratio: it only pays off for exact repeat
-            batches (an online workload's hot queries, or a sweep revisiting
-            a grid point), and a JUNO-M search can never alias a JUNO-H LUT
-            that carries no inner-sphere table.  Hits restore the identical
-            LUT (its tables frozen read-only) without replaying the traversal
-            counters.
+            threshold scale), the metric, whether the quality mode
+            evaluates the inner sphere and what it fills misses with -- so
+            the key fingerprints the origins/``t_max``/``thresholds`` slices
+            and includes the effective inner-sphere ratio and the miss fill:
+            it only pays off for exact repeat batches (an online workload's
+            hot queries, or a sweep revisiting a grid point), and a search
+            can never alias a LUT built for another mode's inner sphere or
+            misses.  Hits restore the identical LUT (its tables frozen
+            read-only) without replaying the traversal counters.
     """
 
     name = "rt_select"
@@ -254,12 +274,18 @@ class RTSelectStage:
             if ctx.quality_mode.uses_inner_sphere
             else None
         )
+        miss_fill = (
+            ("penalty", float(index.config.miss_penalty_factor))
+            if ctx.quality_mode.uses_exact_distance
+            else "nan"
+        )
         return (
             self.name,
             self.backend.fingerprint,
             _index_cache_identity(index),
             ctx.metric.value,
             inner_ratio,
+            miss_fill,
             self.cache.fingerprint(origins),
             self.cache.fingerprint(t_max),
             None if ctx.thresholds is None else self.cache.fingerprint(ctx.thresholds),
@@ -291,7 +317,12 @@ class RTSelectStage:
                 else None
             ),
         )
-        lut = constructor.construct(origins, t_max, thresholds=ctx.thresholds, trace=ctx.trace)
+        miss = None
+        if ctx.quality_mode.uses_exact_distance:
+            miss = _miss_penalties(ctx, ctx.require("thresholds", self.name))
+        lut = constructor.construct(
+            origins, t_max, thresholds=ctx.thresholds, trace=ctx.trace, miss=miss
+        )
         ctx.lut = lut
         ctx.work.rt_rays += lut.stats.rays
         ctx.work.rt_node_visits += lut.stats.node_visits
@@ -310,23 +341,9 @@ class RTSelectStage:
             ctx.registry.counter("repro_rt_slots_total").inc(lut.stats.rays * lut.num_entries)
         if self.cache is not None:
             freeze(lut.table)
+            freeze(lut.hits)
             freeze(lut.inner)
             self.cache.store(self.name, key, (lut, ctx.selected_entry_fraction))
-
-
-def _miss_penalties(ctx: QueryContext, row_thresholds: np.ndarray) -> np.ndarray:
-    """Per-subspace score contribution of unselected entries.
-
-    For L2 the true per-subspace distance of a miss is at least the
-    threshold, so the squared threshold (scaled by ``miss_penalty_factor``)
-    is a conservative stand-in.  For MIPS the true contribution is at most
-    the threshold, which is used directly.  Operates on ``(S,)`` rows and
-    ``(R, S)`` batches alike (pure elementwise arithmetic).
-    """
-    factor = ctx.index.config.miss_penalty_factor
-    if ctx.metric is Metric.L2:
-        return (row_thresholds**2) * factor
-    return row_thresholds * factor
 
 
 class ScoreStage:
@@ -334,21 +351,22 @@ class ScoreStage:
 
     One kernel, :func:`repro.pipeline.fused.fused_score_candidates`: per
     block of queries the members of every probed cluster look their PQ
-    codes up in the block's rays' slice of the selective LUT with one flat
-    gather -- the codes were translated to the table's columns when the
-    index was built -- and the ``(candidate, subspace)`` values are reduced
-    over the subspace axis: exact distances with the dynamic-threshold miss
-    penalties standing in for unselected entries (JUNO-H), or hit /
-    inner-sphere counts (JUNO-L/M).
+    codes up in the selective LUT with one flat gather per table -- the
+    codes were translated to the table's columns when the index was built
+    -- and the ``(subspace, candidate)`` cells are summed over the subspace
+    axis: the contributions RT-select wrote, exact distances with the miss
+    penalties already standing in for unselected entries (JUNO-H), or hit /
+    inner-sphere counts (JUNO-L/M).  Match counts are hit counts in every
+    mode.
 
     The kernel runs in the float32 of the selective LUT.  Scores,
     candidate ordering and :class:`SearchWork` deltas are bit-identical to
     the per-ray loop the parity and property tests keep as their oracle
     (``tests/score_reference.py``) run on the same LUT: the per-element
-    arithmetic and the per-(ray, member) reduction over the subspace axis
-    are the loop's, only the batch shape differs.  Against the float64
-    path, the precision oracle (``tests/test_precision_oracle.py``) bounds
-    the scores.
+    arithmetic and the per-(ray, member) accumulation over the subspace axis,
+    subspace by subspace, are the loop's, only the batch shape differs.
+    Against the float64 path, the precision oracle
+    (``tests/test_precision_oracle.py``) bounds the scores.
 
     ``backend`` selects the :class:`~repro.backend.ArrayBackend` the
     bulk array work runs on (name, instance, or ``None`` for the
@@ -366,11 +384,21 @@ class ScoreStage:
         self.backend = get_backend(backend)
 
     def run(self, ctx: QueryContext) -> None:
-        fused_score_candidates(ctx, self.backend, _miss_penalties)
+        fused.fused_score_candidates(ctx, self.backend)
 
 
 class TopKStage:
-    """Stage C2: per-query top-k selection over the scored candidates."""
+    """Stage C2: per-query top-k selection over the scored candidates.
+
+    Every query of a block is selected at once, by a few array passes over a
+    padded ``(queries, candidates)`` key matrix -- the scores, negated when
+    higher is better, ``NaN`` past a query's last candidate -- built in
+    blocks of at most the score kernel's element budget.  ``np.partition``
+    finds each row's k-th key; keys before it are in, keys tied with it go
+    in candidate order, and the chosen k are sorted stably.  That is a
+    per-query ``argsort(kind="stable")[:k]``, bit for bit: ``NaN`` sorts
+    last, and the padding, behind every candidate, after any ``NaN`` score.
+    """
 
     name = "top_k"
 
@@ -381,17 +409,60 @@ class TopKStage:
         k = ctx.k
         all_ids = np.full((ctx.num_queries, k), -1, dtype=np.int64)
         all_scores = np.full((ctx.num_queries, k), fill_value, dtype=np.float64)
-        for qi, pair in enumerate(candidates):
-            if pair is None:
-                continue
-            ids, scores = pair
-            order = np.argsort(-scores if higher_is_better else scores, kind="stable")[:k]
-            count = order.size
-            all_ids[qi, :count] = ids[order]
-            all_scores[qi, :count] = scores[order]
+        counts = [0 if pair is None else len(pair[0]) for pair in candidates]
+        q0 = 0
+        while q0 < len(counts):
+            # grow the block while its padded matrix stays within budget
+            q1, width = q0 + 1, counts[q0]
+            while q1 < len(counts):
+                grown = max(width, counts[q1])
+                if (q1 + 1 - q0) * grown > fused._FUSED_BLOCK_ELEMENTS:
+                    break
+                q1, width = q1 + 1, grown
+            rows = [q for q in range(q0, q1) if counts[q]]
+            if rows:
+                ids, scores, ranked = self._rank(candidates, rows, k, higher_is_better)
+                kept = ranked >= 0
+                all_ids[rows, : ranked.shape[1]] = np.where(kept, ids[ranked], -1)
+                all_scores[rows, : ranked.shape[1]] = np.where(kept, scores[ranked], fill_value)
+            q0 = q1
         ctx.work.sorted_candidates += ctx.candidate_total
         ctx.ids = all_ids
         ctx.scores = all_scores
+
+    @staticmethod
+    def _rank(candidates, rows, k, higher_is_better):
+        """``(ids, scores, ranked)`` of the non-empty queries ``rows``.
+
+        ``ids`` and ``scores`` concatenate their candidates; ``ranked`` is
+        ``(len(rows), min(k, widest))``: row by row the positions in them of
+        the query's best candidates, best first, ``-1`` past its last one.
+        """
+        ids = np.concatenate([candidates[q][0] for q in rows])
+        scores = np.concatenate([candidates[q][1] for q in rows])
+        sizes = np.array([len(candidates[q][0]) for q in rows])
+        width = int(sizes.max())
+        inside = np.arange(width) < sizes[:, None]
+        keys = np.full(inside.shape, np.nan, dtype=np.promote_types(scores.dtype, np.float32))
+        keys[inside] = -scores if higher_is_better else scores
+        kk = min(k, width)
+        kth = np.partition(keys, kk - 1, axis=1)[:, [kk - 1]]
+        before, tied = keys < kth, keys == kth
+        nan_rows = np.isnan(kth[:, 0])
+        if nan_rows.any():  # NaN sorts last: every other key is before it
+            tied[nan_rows] = np.isnan(keys[nan_rows])
+            before[nan_rows] = ~tied[nan_rows]
+        need = kk - before.sum(axis=1)
+        if (tied.sum(axis=1) > need).any():
+            # ties at the k-th key go in candidate order, as in a stable sort
+            tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= need[:, None]
+        before |= tied
+        row = np.arange(sizes.size)[:, None]
+        picked = np.flatnonzero(before).reshape(-1, kk)  # kk a row, in candidate order
+        picked = picked[row, np.argsort(keys.reshape(-1)[picked], axis=1, kind="stable")]
+        column = picked - row * width
+        starts = (np.cumsum(sizes) - sizes)[:, None]
+        return ids, scores, np.where(column < sizes[:, None], column + starts, -1)
 
 
 class ExactRerankStage:

@@ -71,9 +71,12 @@ class BatchHits:
 
     Attributes:
         accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
-            ``L`` counting within the block.
+            ``L`` counting within the block; the selective LUT keeps it as
+            its hit grid.
         t_hit: ``(L, R, E')`` float32 hit times where ``accepted``, NaN or
-            meaningless elsewhere; the caller owns it and may decode in place.
+            meaningless elsewhere, so a reader selects by ``accepted`` (the
+            LUT's decode writes the ray's miss value there); the caller owns
+            it and may decode in place.
         slot_entries: ``(L, E')`` index of each slot's sphere within its
             layer (equal to the codebook entry id in JUNO's scenes).
     """

@@ -6,8 +6,9 @@ id to a :class:`TombstoneSet`, search filters tombstoned ids out of every
 result before they can surface, and the online compactor eventually purges
 the underlying rows for real (:meth:`repro.updates.mutable.MutableJunoIndex.compact`).
 
-The set is deliberately tiny: membership, vectorised masking of candidate-id
-arrays, and a deterministic (sorted) array form for persistence snapshots.
+The set is deliberately tiny: membership and a deterministic (sorted) array
+form for persistence snapshots.  Search masks rows, not ids: the mutable
+index keeps a per-row dead mask current beside this set.
 """
 
 from __future__ import annotations
@@ -43,17 +44,6 @@ class TombstoneSet:
     def clear(self) -> None:
         """Forget every tombstone (compaction purged the rows)."""
         self._ids.clear()
-
-    def mask(self, ids: np.ndarray) -> np.ndarray:
-        """Boolean array marking which entries of ``ids`` are tombstoned.
-
-        Vectorised via :func:`numpy.isin`; order-insensitive, so the set's
-        iteration order can never leak into search results.
-        """
-        ids = np.asarray(ids)
-        if not self._ids:
-            return np.zeros(ids.shape, dtype=bool)
-        return np.isin(ids, self.to_array())
 
     def to_array(self) -> np.ndarray:
         """The tombstoned ids as a sorted ``int64`` array (deterministic)."""

@@ -20,6 +20,10 @@ Not a test module: the oracles the RT-select test files share.
   cells within :data:`ULPS` float32 ulps of a decision boundary, and hit
   times and values agree within the same slack (``docs/performance.md``,
   "Float32 hot path", derives it).
+* :func:`assert_hits_are_accepted` and :func:`assert_miss_fill` pin what the
+  table holds besides the oracle's values: its hit grid is the tracer's
+  accepted grid, and every other cell the ray's miss value -- JUNO-H's
+  float32 miss penalty, ``NaN`` for JUNO-L/M.
 * :func:`assert_columns_address_codes` pins the build-time remap of PQ
   codes to the table's leaf-slot columns on any trained, loaded or
   compacted index.
@@ -232,11 +236,13 @@ def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> N
     assert all(values.dtype == np.float32 for values in expected.values)
     assert lut.table.shape[:2] == (lut.num_subspaces, lut.num_rays)
     assert (lut.inner is None) == (expected.inner_flags is None)
-    # unselected cells are NaN, so the table's occupancy is the hit count
-    assert np.count_nonzero(~np.isnan(lut.table)) == lut.total_hits
+    # the hit grid marks exactly the selected cells; what the others hold is
+    # assert_miss_fill's to check
+    assert lut.hits.dtype == bool and lut.hits.shape == lut.table.shape
+    assert np.count_nonzero(lut.hits) == lut.total_hits
     if lut.inner is not None:
         assert lut.inner.dtype == bool and lut.inner.shape == lut.table.shape
-        assert not (lut.inner & np.isnan(lut.table)).any()
+        assert not (lut.inner & ~lut.hits).any()
     for ray in range(lut.num_rays):
         assert lut.dense_rows(ray).tobytes() == expected.rows(expected.values, ray, np.nan).tobytes()
         if lut.inner is not None:
@@ -252,6 +258,34 @@ def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> N
             assert values[order].tobytes() == expected.values[s][cut][want_order].tobytes()
 
 
+def assert_hits_are_accepted(lut: SelectiveLUT, constructor, origins, t_max) -> None:
+    """``lut.hits`` is the tracer's accepted grid of the same rays, byte for byte."""
+    scene = constructor.tracer.scene
+    layers = np.arange(lut.num_subspaces)
+    origin_z = np.array([scene.layer(s).z for s in layers]) - constructor.origin_offsets[layers]
+    traced, _ = RayTracer(scene).trace_vertical_batch(layers, origins, t_max, origin_z)
+    assert lut.hits.tobytes() == traced.accepted.tobytes()
+
+
+def assert_miss_fill(lut: SelectiveLUT, thresholds=None, penalty_factor=None) -> None:
+    """The cells no ray selected hold the miss value, the selected ones never NaN.
+
+    With a ``penalty_factor`` (JUNO-H) the miss value of ray ``r`` in
+    subspace ``s`` is the score's miss penalty cast to float32: the squared
+    threshold (L2) or the threshold (inner product) times the factor;
+    without one (JUNO-L/M) it is ``NaN``.
+    """
+    missed = ~lut.hits
+    assert not np.isnan(lut.table[lut.hits]).any()
+    if penalty_factor is None:
+        assert np.isnan(lut.table[missed]).all()
+        return
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    base = thresholds**2 if lut.metric is Metric.L2 else thresholds
+    want = np.broadcast_to((base * penalty_factor).astype(np.float32).T[:, :, None], missed.shape)
+    assert lut.table[missed].tobytes() == want[missed].tobytes()
+
+
 def assert_columns_address_codes(index) -> None:
     """Every member's gather column is the slot holding its PQ code's sphere.
 
@@ -260,13 +294,13 @@ def assert_columns_address_codes(index) -> None:
     """
     layout = index.subspace_index.flat_layout()
     num_subspaces = index.config.num_subspaces
-    assert layout.columns.dtype == np.int32
-    assert layout.columns.shape == (index.num_points, num_subspaces)
+    assert layout.columns.dtype == np.int32 and layout.columns.flags.c_contiguous
+    assert layout.columns.shape == (num_subspaces, index.num_points)
     assert layout.members.shape == (index.num_points,)
     stacks, slot = index.scene.stacked()
     for s in range(num_subspaces):
         group, position = slot[s]
-        columns = layout.columns[:, s]
+        columns = layout.columns[s]
         assert (stacks[group].leaf_radii_sq[position].reshape(-1)[columns] >= 0).all()
         slot_entries = stacks[group].leaf_primitives[position].reshape(-1)
         assert (slot_entries[columns] == index.codes[layout.members, s]).all()
@@ -368,7 +402,7 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
             offset,
             t_max[:, s, None],
         )
-        got_hit, want_hit = ~np.isnan(got), ~np.isnan(want)
+        got_hit, want_hit = lut.hits[s][:, columns], ~np.isnan(want)
         differs = got_hit != want_hit
         assert not (differs & ~near).any(), f"subspace {s}: a hit flipped away from boundaries"
         both = got_hit & want_hit

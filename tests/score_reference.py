@@ -3,14 +3,18 @@
 Not a test module: the oracle the parity, backend, property and perf tests
 share.  :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped
 as its distance-calculation stage before the batched kernels: for every
-(query, probed cluster) it builds that ray's dense ``(S, E)`` table through
-the :class:`~repro.core.selective_lut.SelectiveLUT` per-ray accessors and
-looks the cluster's member codes up in it.  Its arithmetic follows the
-dtype of the table it is given (the miss penalties are cast to it): on the
-float32 LUT of ``src/``, ``ScoreStage`` must reproduce its candidates --
-ids, order, scores -- and ``SearchWork`` deltas bit for bit; on a float64
-reference LUT (``rt_reference.ReferenceLUT``) it is the float64 score path
-the precision oracle (``test_precision_oracle.py``) compares against.
+(query, probed cluster) it builds that ray's dense ``(S, E)`` values and hit
+mask through the :class:`~repro.core.selective_lut.SelectiveLUT` per-ray
+accessors (``lut.hits`` decides what was selected), looks the cluster's
+member codes up in them, puts its own miss penalties where nothing was
+selected and accumulates subspace by subspace (:func:`subspace_sum`).  Its
+arithmetic follows the dtype of the table it is given (the miss penalties
+are cast to it): on the float32 LUT of ``src/``, ``ScoreStage`` must
+reproduce its candidates -- ids, order, scores -- and ``SearchWork`` deltas
+bit for bit, which also pins the miss values RT-select filled the table
+with; on a float64 reference LUT (``rt_reference.ReferenceLUT``) it is the
+float64 score path the precision oracle (``test_precision_oracle.py``)
+compares against.
 """
 
 from __future__ import annotations
@@ -28,6 +32,16 @@ def _miss_penalties(ctx: QueryContext, row_thresholds: np.ndarray) -> np.ndarray
     if ctx.metric is Metric.L2:
         return (row_thresholds**2) * factor
     return row_thresholds * factor
+
+
+def subspace_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums of ``(members, S)`` values, accumulated one subspace after
+    the other in their dtype -- the paper's distance kernel, and the order
+    in which ``sum(axis=0)`` reduces the score kernel's ``(S, n)`` tables."""
+    total = values[:, 0].copy()
+    for column in values.T[1:]:
+        total += column
+    return total
 
 
 class LoopedScoreStage:
@@ -67,10 +81,10 @@ class LoopedScoreStage:
                 if mode.uses_exact_distance:
                     rows = lut.dense_rows(ray_id)
                     values = rows[subspace_range[None, :], codes]
-                    miss = np.isnan(values)
-                    matched = (~miss).sum(axis=1)
+                    hit = lut.hit_mask_rows(ray_id)[subspace_range[None, :], codes]
+                    matched = hit.sum(axis=1)
                     penalties = _miss_penalties(ctx, thresholds[ray_id]).astype(rows.dtype)
-                    scores = np.where(miss, penalties[None, :], values).sum(axis=1)
+                    scores = subspace_sum(np.where(hit, values, penalties[None, :]))
                     if ctx.query_cluster_ip is not None:
                         scores = scores + ctx.query_cluster_ip[qi, ci]
                 else:

@@ -132,24 +132,26 @@ class TestNumpyBackendPrimitives:
     """The reference backend's primitives are the raw NumPy operations."""
 
     def test_gather_reduce_roundtrip(self, rng):
+        """The kernel's three steps: gather values and hit bytes through one
+        ``(S, n)`` index, sum the values and count the hits in ``uint8``."""
         backend = get_backend("numpy")
         flat = rng.choice(48, size=20, replace=False)
-        values = rng.normal(size=20)
-        reference = np.full((6, 8), np.nan)
-        reference.reshape(-1)[flat] = values
+        reference = np.zeros((6, 8), dtype=np.float32)
+        reference.reshape(-1)[flat[:12]] = rng.normal(size=12)
         table = backend.asarray(reference)
-        assert np.array_equal(backend.to_numpy(table), reference, equal_nan=True)
-        assert np.array_equal(backend.take(table, flat), values)
-        rows = rng.integers(0, 6, size=4)
-        assert np.array_equal(
-            backend.take_rows(table, rows), reference[rows], equal_nan=True
-        )
-        assert np.array_equal(backend.isnan(table), np.isnan(reference))
-        masked = backend.where(backend.isnan(table), 0.0, table)
-        assert np.array_equal(backend.sum(masked, axis=1), np.nan_to_num(reference).sum(axis=1))
+        assert np.array_equal(backend.to_numpy(table), reference)
+        assert np.array_equal(backend.take(table, flat), reference.reshape(-1)[flat])
+        index = flat.reshape(4, 5)
+        want = reference.reshape(-1)[index]
+        assert backend.sum(backend.take(table, index), axis=0).tobytes() == want.sum(0).tobytes()
+        hits = backend.asarray((reference != 0).view(np.uint8))
+        counts = backend.sum(backend.take(hits, index), axis=0, dtype=np.uint8)
+        assert counts.dtype == np.uint8
+        assert np.array_equal(counts, (want != 0).sum(axis=0))
+        assert np.array_equal(backend.astype(counts, np.float64), (want != 0).sum(axis=0))
 
     def test_flat_gather_from_a_ray_slice(self, rng):
-        """The kernel hands over a non-contiguous slice of the LUT's table."""
+        """A non-contiguous slice gathers as its contiguous copy does."""
         backend = get_backend("numpy")
         table = rng.normal(size=(3, 10, 4))
         block = table[:, 2:7]

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from rt_reference import (
+    assert_hits_are_accepted,
     assert_lut_matches_reference,
     assert_lut_within_precision,
+    assert_miss_fill,
     per_ray_hits,
     reference_construct,
     reference_trace_layer,
@@ -20,7 +22,7 @@ from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
-from repro.pipeline import CoarseFilterStage, QueryPipeline, ThresholdStage
+from repro.pipeline import CoarseFilterStage, QueryPipeline, RTSelectStage, ThresholdStage
 from repro.pipeline.context import QueryContext
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
@@ -73,9 +75,9 @@ class TestSubspaceInvertedIndex:
         np.testing.assert_array_equal(layout.cluster_sizes, [100, 100])
         np.testing.assert_array_equal(layout.member_base, [0, 100, 200])
         np.testing.assert_array_equal(layout.members, members)
-        # without a scene to follow, a code is its own column
-        np.testing.assert_array_equal(layout.columns, codes[members])
-        assert layout.columns.dtype == np.int32
+        # without a scene to follow, a code is its own column, subspace-major
+        np.testing.assert_array_equal(layout.columns, codes[members].T)
+        assert layout.columns.dtype == np.int32 and layout.columns.flags.c_contiguous
         # one stored code array: the corpus codes are referenced, not copied
         assert index._codes is codes
         assert index.cluster_codes(1).dtype == np.int32
@@ -86,7 +88,7 @@ class TestSubspaceInvertedIndex:
         entry_slots = np.stack([rng.permutation(12)[:8] for _ in range(4)])
         index = SubspaceInvertedIndex(8).build(posting_lists, codes, entry_slots)
         layout = index.flat_layout()
-        want = entry_slots[np.arange(4)[None, :], codes[layout.members]]
+        want = entry_slots[np.arange(4)[:, None], codes[layout.members].T]
         np.testing.assert_array_equal(layout.columns, want)
         assert layout.columns.dtype == np.int32
         # the reverse lookups read the codes, not the columns
@@ -220,8 +222,8 @@ class TestSelectiveLUT:
 RAY_SHAPES = {0: (0, 4), 1: (1, 1), 8: (2, 4), 256: (32, 8)}
 
 
-def _rt_select_inputs(index, dataset, num_rays, mode):
-    """Constructor and ``(origins, t_max, thresholds)`` of a real batch."""
+def _rt_select_ctx(index, dataset, num_rays, mode):
+    """A real batch of ``num_rays`` rays, run up to the threshold stage."""
     num_queries, nprobs = RAY_SHAPES[num_rays]
     rows = np.random.default_rng(99).integers(0, dataset.num_points, size=num_queries)
     ctx = QueryContext(
@@ -236,7 +238,13 @@ def _rt_select_inputs(index, dataset, num_rays, mode):
     )
     QueryPipeline((CoarseFilterStage(), ThresholdStage()), instrument=False).run(ctx)
     assert ctx.origins.shape[0] == num_rays
-    constructor = SelectiveLUTConstructor(
+    return ctx
+
+
+def _rt_select_constructor(ctx):
+    """The constructor ``RTSelectStage`` builds for ``ctx``."""
+    index = ctx.index
+    return SelectiveLUTConstructor(
         tracer=index.tracer,
         base_radius=index.sphere_radius,
         origin_offsets=index.origin_offsets,
@@ -245,7 +253,12 @@ def _rt_select_inputs(index, dataset, num_rays, mode):
             index.config.inner_sphere_ratio if ctx.quality_mode.uses_inner_sphere else None
         ),
     )
-    return constructor, ctx.origins, ctx.t_max, ctx.thresholds
+
+
+def _rt_select_inputs(index, dataset, num_rays, mode):
+    """Constructor and ``(origins, t_max, thresholds)`` of a real batch."""
+    ctx = _rt_select_ctx(index, dataset, num_rays, mode)
+    return _rt_select_constructor(ctx), ctx.origins, ctx.t_max, ctx.thresholds
 
 
 def _reference_lut(constructor, origins, t_max, thresholds, dtype=np.float32):
@@ -287,6 +300,8 @@ class TestStackedConstruct:
         # decoded values and inner flags byte for byte, all five counters;
         # at float64, the precision oracle
         assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        assert_hits_are_accepted(lut, constructor, origins, t_max)
+        assert_miss_fill(lut)
         reference = _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
         assert (lut.inner is not None) == (mode == "juno-m")
         # the dense grid: one column per leaf slot of the scene, every entry
@@ -322,6 +337,23 @@ class TestStackedConstruct:
                 np.testing.assert_allclose(values, decoded, atol=1e-9)
         if num_rays <= 8:
             assert reference.stats == per_ray_stats
+
+    @pytest.mark.parametrize("num_rays", [1, 8, 256])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_stage_fills_misses_for_its_mode(self, request, metric, mode, num_rays):
+        """``RTSelectStage``'s table: the oracle's values where a ray selected
+        an entry, JUNO-H's float32 miss penalties where it did not (NaN for
+        JUNO-L/M), beside the tracer's accepted grid as its hits."""
+        index = request.getfixturevalue(f"juno_{metric}")
+        ctx = _rt_select_ctx(index, request.getfixturevalue(f"{metric}_dataset"), num_rays, mode)
+        RTSelectStage().run(ctx)
+        factor = index.config.miss_penalty_factor if mode == "juno-h" else None
+        assert_miss_fill(ctx.lut, ctx.thresholds, factor)
+        constructor = _rt_select_constructor(ctx)
+        assert_hits_are_accepted(ctx.lut, constructor, ctx.origins, ctx.t_max)
+        reference = _reference_lut(constructor, ctx.origins, ctx.t_max, ctx.thresholds)
+        assert_lut_matches_reference(ctx.lut, reference)
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_block_size_never_changes_the_lut(self, request, monkeypatch, metric):
@@ -368,10 +400,12 @@ class TestStackedConstruct:
         stacks, slot = scene.stacked()
         widths = [stack.num_slots for stack in stacks]
         assert min(widths) == 0 and lut.table.shape == (4, 9, max(widths))
-        assert np.isnan(lut.table[1]).all() and not lut.inner[1].any()
+        assert not lut.hits[1].any() and not lut.inner[1].any()
         narrow = stacks[slot[2][0]].num_slots
-        assert narrow < max(widths) and np.isnan(lut.table[2, :, narrow:]).all()
+        assert narrow < max(widths) and not lut.hits[2, :, narrow:].any()
         assert lut.ray_slice(1, 0)[0].size == 0
+        assert_hits_are_accepted(lut, constructor, origins, t_max)
+        assert_miss_fill(lut)
 
 
 # Scenes the trained fixtures never produce, as (entries per layer, spread of
@@ -448,10 +482,12 @@ class TestPassByPass:
             gap_sq = ((origins.transpose(1, 0, 2)[:, :, None, None] - centres[:, None]) ** 2).sum(-1)
             assert (stack.leaf_radii_sq[:, None] - gap_sq > offset**2).any()
         else:
-            # the padding lanes' columns exist and never hold a value
+            # the padding lanes' columns exist and are never hit
             padding = stack.leaf_radii_sq.reshape(3, -1) < 0
             assert padding.any() and lut.table.shape[2] > num_entries
-            assert np.isnan(lut.table.transpose(0, 2, 1)[padding]).all()
+            assert not lut.hits.transpose(0, 2, 1)[padding].any()
+        assert_hits_are_accepted(lut, constructor, origins, t_max)
+        assert_miss_fill(lut)
 
     def test_float32_origin_plane_boundary(self):
         """JUNO puts the origin plane at ``offset = r_max``, and float32 decides
@@ -500,8 +536,9 @@ class TestPassByPass:
             _construct_strictly(constructor, origins[r : r + 8], t_max[r : r + 8], thresholds[r : r + 8])
             for r in range(0, 256, 8)
         ]
-        assert np.concatenate([p.table for p in parts], axis=1).tobytes() == whole.table.tobytes()
-        assert np.concatenate([p.inner for p in parts], axis=1).tobytes() == whole.inner.tobytes()
+        for name in ("table", "hits", "inner"):
+            joined = np.concatenate([getattr(p, name) for p in parts], axis=1)
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
         stats = TraversalStats()
         for part in parts:
             stats.merge(part.stats)

@@ -20,15 +20,16 @@ check here, long before a benchmark run:
   change that is meant to keep the bytes must leave it alone.
 * a ``tracemalloc`` bound on ``RTSelectStage.run`` for a 32-query batch on
   an index of the ledger's shape (48 layers of 128 spheres, 256 rays): the
-  stage may hold the LUT it returns, at 4 bytes a cell, plus a fixed slack
-  for one trace block's temporaries.  The block constant in
-  :mod:`repro.core.selective_lut` is what decides this, so a constant that
-  would breach the RSS gate fails here first -- and so does a table or a
-  grid that silently went back to float64.
+  stage may hold the LUT it returns, at 4 bytes a cell plus a byte of hit
+  grid, plus a fixed slack for one trace block's temporaries.  The block
+  constant in :mod:`repro.core.selective_lut` is what decides this, so a
+  constant that would breach the RSS gate fails here first -- and so does a
+  table or a grid that silently went back to float64.
 * the same bound on ``ScoreStage.run``: the candidates it returns plus a
-  fixed slack for one block's slice of the LUT and gathered tables, decided
-  by the block constant in :mod:`repro.pipeline.fused` and sized for
-  float32.
+  fixed slack for one block's gather index and gathered tables, decided by
+  the block constant in :mod:`repro.pipeline.fused` and sized for float32;
+  ``TopKStage.run`` blocks its key matrix by the same constant and stays
+  within the same slack when one query holds 50x the others' candidates.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 import pytest
 
 from repro.core import selective_lut
-from repro.core.config import JunoConfig
+from repro.core.config import JunoConfig, QualityMode
 from repro.core.index import JunoIndex
 from repro.datasets.synthetic import make_clustered_dataset
 from repro.gpu.work import SearchWork
@@ -52,6 +53,7 @@ from repro.pipeline import (
     RTSelectStage,
     ScoreStage,
     ThresholdStage,
+    TopKStage,
     fused,
 )
 from repro.pipeline.context import QueryContext
@@ -62,15 +64,19 @@ MODES = ("juno-h", "juno-m", "juno-l")
 # most 4e-6 relative (a float32 sum), and one wide-fixture cell on a sphere's
 # rim changed hit state, moving ``rt_hits`` and the selected fraction of all
 # three wide modes.  Every id held; tests/test_precision_oracle.py is what
-# judges the float32 results against float64.
+# judges the float32 results against float64.  The l2 and wide JUNO-H
+# digests were re-recorded once more when the score kernel began to sum
+# subspace by subspace instead of pairwise: scores moved by at most 3.2e-7
+# relative, every id and counter held.  The ip fixture's 6 subspaces sum in
+# the same order both ways, so its digest held too.
 PINNED = {
-    ("l2", "juno-h"): "dac3c0321ab9158c7428d9ac67d6661d",
+    ("l2", "juno-h"): "3ca06095ac0024bfa9372dfd3de913c8",
     ("l2", "juno-m"): "4784a269df5182d34f5eb7721c0e77f8",
     ("l2", "juno-l"): "05781383d3946d7808728457579fe5ee",
     ("ip", "juno-h"): "abfff51e5ea0261677a5de6711b4152e",
     ("ip", "juno-m"): "1b94aba38cc84dab081be356bbc44870",
     ("ip", "juno-l"): "8147ffeceff2c0aa190a98728b991acb",
-    ("wide", "juno-h"): "36fb186c7cbd09cab622174ee4802de3",
+    ("wide", "juno-h"): "4098015ac2e759cab0f2efa4951fa90f",
     ("wide", "juno-m"): "44258ac9838a1a1cde8d9c8b86569842",
     ("wide", "juno-l"): "a4f2f1f97bb37dbd7bcc00bfedf83883",
 }
@@ -162,8 +168,9 @@ class TestPinnedTrainingDigest:
 
 
 def _lut_bytes(lut) -> int:
-    """The LUT's size with 4-byte table cells: a float64 table overshoots it by 6 MB."""
-    arrays = [lut.slot_entries] + ([] if lut.inner is None else [lut.inner])
+    """The LUT's size with 4-byte table cells and its 1-byte hit grid: a
+    float64 table overshoots it by 6 MB."""
+    arrays = [lut.slot_entries, lut.hits] + ([] if lut.inner is None else [lut.inner])
     return 4 * lut.table.size + sum(int(array.nbytes) for array in arrays)
 
 
@@ -196,11 +203,13 @@ def wide_batch_ctx(wide_index, wide_corpus):
 
 
 class TestRTSelectMemory:
-    # What one trace block may hold beyond the float32 LUT: two float32 grids
-    # (the hit times, decoded in place, and one scratch) and the bool grids
-    # (the accepted mask and the two slab-mask buffers).  At 384 (layer, ray)
-    # pairs a block peaks at ~0.53 MB, at float64 ~0.96 MB; the whole batch as
-    # one block at ~16.5 MB.  A float64 table would add 6 MB.
+    # What one trace block may hold beyond the float32 LUT and its R * S * E'
+    # byte hit grid: three float32 grids (the hit times, decoded in place,
+    # one scratch and the miss-filled rows the table takes) and the bool
+    # grids (the accepted mask and the two slab-mask buffers), plus JUNO-H's
+    # (R, S) miss penalties.  At 384 (layer, ray) pairs a JUNO-H block peaks
+    # at ~0.71 MB, a float64 one at ~1.3 MB; the whole batch as one block at
+    # ~17.4 MB.  A float64 table would add 6 MB.
     SLACK_BYTES = 3 << 18
 
     @staticmethod
@@ -219,13 +228,13 @@ class TestRTSelectMemory:
 
 
 class TestScoreMemory:
-    # What one score block may hold beyond the candidates: its rays' slice
-    # of the LUT, the gather index and the float32 arrays of the gathered
-    # (candidate, subspace) shape.  At 1 << 19 elements (five of these
-    # queries) a block peaks at ~5.6 MB, at float64 ~8.7 MB; at 1 << 20 at
-    # ~12.3 MB, and the whole batch as one block, the variant that breached
-    # ``peak_rss_mb`` at float64, at ~20.5 MB.
-    SLACK_BYTES = 7 << 20
+    # What one score block may hold beyond the candidates: the (S, candidates)
+    # gather index, built in int32 and widened once to the 8 bytes ``take``
+    # reads, and the float32 contributions and uint8 hits gathered through
+    # it.  At 1 << 18 elements (six of these queries) a JUNO-H block peaks at
+    # ~4.2 MB; at 1 << 19 at ~9.1 MB, and the whole batch as one block, the
+    # variant that breached ``peak_rss_mb`` at float64, at ~17 MB.
+    SLACK_BYTES = 5 << 20
 
     @staticmethod
     def _peak_beyond_candidates(ctx) -> int:
@@ -242,3 +251,43 @@ class TestScoreMemory:
         """The guard bites: the variant that breached the RSS gate fails it."""
         monkeypatch.setattr(fused, "_FUSED_BLOCK_ELEMENTS", 1 << 40)
         assert self._peak_beyond_candidates(wide_batch_ctx) > self.SLACK_BYTES
+
+
+class TestTopKMemory:
+    """The top-k stage's padded key matrix stays within the score's bound.
+
+    One query holding 50x the candidates of the other 31 pads to a (32,
+    50 000) matrix as one block (~18.6 MB of keys, masks and ties); blocked
+    by the score kernel's element budget, the query shares its block with at
+    most four others and the stage peaks at ~3.5 MB.
+    """
+
+    @staticmethod
+    def _peak_beyond_output() -> int:
+        rng = np.random.default_rng(50)
+        sizes = [1000] * 32
+        sizes[5] = 50 * 1000
+        ctx = QueryContext(
+            queries=np.zeros((32, 2)),
+            k=10,
+            nprobs=1,
+            quality_mode=QualityMode.HIGH,
+            threshold_scale=1.0,
+            metric=Metric.L2,
+            work=SearchWork(num_queries=32),
+            candidates=[
+                (rng.integers(0, 10**6, size=n), rng.standard_normal(n).astype(np.float32))
+                for n in sizes
+            ],
+            candidate_total=float(sum(sizes)),
+        )
+        peak = _traced_peak(TopKStage(), ctx)
+        assert (ctx.ids >= 0).all()
+        return peak - ctx.ids.nbytes - ctx.scores.nbytes
+
+    def test_one_crowded_query_stays_within_the_score_bound(self):
+        assert self._peak_beyond_output() <= TestScoreMemory.SLACK_BYTES
+
+    def test_one_block_per_batch_breaks_the_bound(self, monkeypatch):
+        monkeypatch.setattr(fused, "_FUSED_BLOCK_ELEMENTS", 1 << 40)
+        assert self._peak_beyond_output() > TestScoreMemory.SLACK_BYTES

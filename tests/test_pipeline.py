@@ -42,7 +42,7 @@ from repro.pipeline import (
     default_search_pipeline,
     rerank_pipeline,
 )
-from score_reference import LoopedScoreStage
+from score_reference import LoopedScoreStage, subspace_sum
 
 WORK_COUNTER_FIELDS = (
     "filter_flops",
@@ -137,9 +137,10 @@ def _reference_score_batch(
                 values = rows[subspace_range[None, :], codes]
                 miss = np.isnan(values)
                 matched = (~miss).sum(axis=1)
-                # penalties follow the table's dtype (float32 since the hot path is)
+                # penalties follow the table's dtype (float32 since the hot path
+                # is), and the sum runs subspace by subspace as the kernel's does
                 penalties = _reference_miss_penalties(index, thresholds[ray_id]).astype(rows.dtype)
-                scores = np.where(miss, penalties[None, :], values).sum(axis=1)
+                scores = subspace_sum(np.where(miss, penalties[None, :], values))
                 if query_cluster_ip is not None:
                     scores = scores + query_cluster_ip[qi, ci]
             else:
@@ -412,7 +413,7 @@ class TestScoreBlockInvariance:
         """``threshold_scale=0.1``: most entries unselected, some rays hit nothing."""
         nprobs = juno_l2.config.num_clusters
         ctx = self._upstream(juno_l2, self._queries(l2_dataset, 32), mode, 0.1, nprobs)
-        hits_per_ray = np.count_nonzero(~np.isnan(ctx.lut.table), axis=(0, 2))
+        hits_per_ray = np.count_nonzero(ctx.lut.hits, axis=(0, 2))
         assert (hits_per_ray == 0).any() and (hits_per_ray > 0).any()
         self._assert_blocks_match_loop(ctx, monkeypatch)
 
@@ -426,6 +427,20 @@ class TestScoreBlockInvariance:
             assert (ctx.selected == victim).any()
             self._assert_blocks_match_loop(ctx, monkeypatch)
 
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_lone_candidate_block(self, wide_index, wide_corpus, mode, monkeypatch):
+        """A block holding a single candidate sums its 48 subspaces one after
+        the other too, which NumPy's ``sum`` does not do for a lone column."""
+        original = wide_index.subspace_index, wide_index.ivf.posting_lists
+        wide_index.ivf.posting_lists = [ids[:1] for ids in original[1]]
+        wide_index.rebuild_layout()
+        try:
+            ctx = self._upstream(wide_index, wide_corpus[6:12] + 0.3, mode, 1.0, nprobs=1)
+            looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+        finally:
+            wide_index.subspace_index, wide_index.ivf.posting_lists = original
+        assert looped.candidate_total > 0
+
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m"])
     def test_frozen_cache_restored_lut(self, juno_l2, l2_dataset, mode, monkeypatch):
         """A LUT served from the stage cache is read-only; the kernel only reads it."""
@@ -434,7 +449,7 @@ class TestScoreBlockInvariance:
         self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
         ctx = self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
         assert cache.stats()["rt_select"]["hits"] == 1
-        assert not ctx.lut.table.flags.writeable
+        assert not ctx.lut.table.flags.writeable and not ctx.lut.hits.flags.writeable
         assert ctx.lut.inner is None or not ctx.lut.inner.flags.writeable
         self._assert_blocks_match_loop(ctx, monkeypatch)
 

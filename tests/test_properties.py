@@ -6,20 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.config import JunoConfig
+from repro.core.config import JunoConfig, QualityMode
 from repro.core.index import JunoIndex
 from repro.core.threshold import ThresholdModel
 from repro.datasets.synthetic import make_clustered_dataset
+from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric, l2_squared_matrix, pairwise_distance, top_k
 from repro.metrics.recall import recall_k_at_n
 from repro.pipeline import (
     CoarseFilterStage,
+    QueryContext,
     QueryPipeline,
     RTSelectStage,
     StageCache,
     ThresholdStage,
     TopKStage,
     default_search_pipeline,
+    fused,
 )
 from repro.quantization.scalar_quantizer import ScalarQuantizer
 from repro.rt.bvh import BVH
@@ -326,9 +329,73 @@ class TestRTSelectCacheProperties:
         assert cache.stats()["threshold"] == {"hits": 1, "misses": 1}
         # ... but the LUT could not be: different inner-sphere setting
         assert cache.stats()["rt_select"] == {"hits": 0, "misses": 2}
-        # JUNO-L shares JUNO-H's setting (no inner sphere): exact reuse
+        # JUNO-L shares JUNO-M's NaN miss fill and JUNO-H's absent inner
+        # sphere, so it matches neither key: a third LUT
         index.search(dataset.queries, pipeline=pipeline, quality_mode="juno-l", **kwargs)
-        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 2}
+        assert cache.stats()["rt_select"] == {"hits": 0, "misses": 3}
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        first=st.sampled_from(["juno-h", "juno-l"]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_miss_fill_invalidates(self, seed, first):
+        """JUNO-H and JUNO-L trace the same rays with the same (absent) inner
+        sphere, but JUNO-H's table holds miss penalties where JUNO-L's holds
+        NaN: neither is ever served to the other, in either order, while a
+        repeat of either mode hits."""
+        index, dataset = _seeded_juno(seed)
+        second = "juno-l" if first == "juno-h" else "juno-h"
+        cache = StageCache()
+        pipeline = default_search_pipeline(stage_cache=cache)
+
+        def search(mode, pipeline=None):
+            kwargs = dict(k=8, nprobs=4, threshold_scale=1.0, quality_mode=mode)
+            return index.search(dataset.queries, pipeline=pipeline, **kwargs)
+
+        search(first, pipeline)
+        _assert_identical_results(search(second, pipeline), search(second))
+        assert cache.stats()["rt_select"] == {"hits": 0, "misses": 2}
+        for mode in (first, second):
+            _assert_identical_results(search(mode, pipeline), search(mode))
+        assert cache.stats()["rt_select"] == {"hits": 2, "misses": 2}
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_hit_restores_frozen_identical_lut(self, seed, mode):
+        """A cache hit hands back the table, hit grid and inner flags of the
+        miss byte for byte, every one read-only."""
+        index, dataset = _seeded_juno(seed)
+        cache = StageCache()
+        luts = []
+        for _ in range(2):
+            ctx = QueryContext(
+                index=index,
+                queries=dataset.queries,
+                k=8,
+                nprobs=4,
+                quality_mode=QualityMode(mode),
+                threshold_scale=1.0,
+                metric=index.metric,
+                work=SearchWork(num_queries=dataset.queries.shape[0]),
+            )
+            stages = (CoarseFilterStage(), ThresholdStage(), RTSelectStage(cache=cache))
+            QueryPipeline(stages, instrument=False).run(ctx)
+            luts.append(ctx.lut)
+        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 1}
+        RTSelectStage().run(ctx)  # uncached: a fresh LUT to compare against
+        assert (ctx.lut.inner is None) == (mode != "juno-m")
+        for name in ("table", "hits", "inner"):
+            want = getattr(ctx.lut, name)
+            for lut in luts:
+                got = getattr(lut, name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.tobytes() == want.tobytes() and not got.flags.writeable, name
 
     @given(
         seed=st.integers(min_value=0, max_value=3),
@@ -454,6 +521,76 @@ class TestMutationInvalidationProperties:
         plain = mutable.search(dataset.queries, **kwargs)
         _assert_identical_results(cached, plain)
         assert cache.stats()["rt_select"] == {"hits": 0, "misses": 2}
+
+
+@st.composite
+def scored_candidates(draw):
+    """Per-query ``(ids, scores)`` lists as the score stage leaves them, with
+    ``None`` entries, empty and short lists and scores drawn from a small pool
+    (so they repeat; the pool may hold -0.0, infinities and NaN)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.floats(-3.0, 3.0, width=32),
+                st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    candidates = []
+    for query in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            candidates.append(None)
+            continue
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+        ids = 1000 * query + np.arange(len(picks), dtype=np.int64)
+        candidates.append((ids, np.asarray(pool, dtype=dtype)[picks]))
+    return candidates
+
+
+class TestTopKProperties:
+    """The batched top-k is the per-query stable argsort, bit for bit."""
+
+    @given(
+        candidates=scored_candidates(),
+        k=st.integers(1, 12),
+        higher_is_better=st.booleans(),
+        budget=st.sampled_from([1, 10, 64, 1 << 18]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_query_stable_argsort(self, candidates, k, higher_is_better, budget):
+        num_queries = len(candidates)
+        ctx = QueryContext(
+            queries=np.zeros((num_queries, 2)),
+            k=k,
+            nprobs=1,
+            quality_mode=QualityMode.LOW if higher_is_better else QualityMode.HIGH,
+            threshold_scale=1.0,
+            metric=Metric.L2,
+            work=SearchWork(num_queries=num_queries),
+            candidates=candidates,
+        )
+        assert ctx.higher_is_better == higher_is_better
+        original, fused._FUSED_BLOCK_ELEMENTS = fused._FUSED_BLOCK_ELEMENTS, budget
+        try:
+            TopKStage().run(ctx)
+        finally:
+            fused._FUSED_BLOCK_ELEMENTS = original
+        fill = -np.inf if higher_is_better else np.inf
+        want_ids = np.full((num_queries, k), -1, dtype=np.int64)
+        want_scores = np.full((num_queries, k), fill)
+        for qi, pair in enumerate(candidates):
+            if pair is None:
+                continue
+            ids, scores = pair
+            order = np.argsort(-scores if higher_is_better else scores, kind="stable")[:k]
+            want_ids[qi, : order.size] = ids[order]
+            want_scores[qi, : order.size] = scores[order]
+        assert ctx.ids.tobytes() == want_ids.tobytes()
+        assert ctx.scores.dtype == np.float64
+        assert ctx.scores.tobytes() == want_scores.tobytes()
 
 
 class TestScalarQuantizerProperties:

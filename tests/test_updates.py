@@ -128,11 +128,10 @@ class TestDeltaIndex:
 
 class TestTombstoneSet:
     def test_mask_and_membership(self):
-        tombs = TombstoneSet([3, 5])
+        tombs = TombstoneSet([5, 3])
         assert 3 in tombs and 4 not in tombs
-        np.testing.assert_array_equal(
-            tombs.mask(np.array([1, 3, 5, 7])), [False, True, True, False]
-        )
+        assert [i in tombs for i in np.array([1, 3, 5, 7])] == [False, True, True, False]
+        np.testing.assert_array_equal(tombs.to_array(), [3, 5])
         tombs.discard([3])
         assert len(tombs) == 1 and list(tombs.to_array()) == [5]
 
