@@ -43,7 +43,10 @@ class TorchBackend(ArrayBackend):
         return self.torch.from_numpy(np.empty(0, dtype=np.dtype(dtype))).dtype
 
     def asarray(self, array: np.ndarray):
-        return self.torch.as_tensor(np.ascontiguousarray(array), device=self._device)
+        array = np.ascontiguousarray(array)
+        if not array.flags.writeable:  # a cached LUT; torch warns on read-only memory
+            array = array.copy()
+        return self.torch.as_tensor(array, device=self._device)
 
     def to_numpy(self, array) -> np.ndarray:
         return array.detach().cpu().numpy()

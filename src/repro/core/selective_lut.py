@@ -53,8 +53,8 @@ class SelectiveLUT:
         table: ``(S, R, E')`` float32 score contributions, ``R = Q * nprobs``:
             the value (squared L2 distance or inner product) of every
             selected (subspace, ray, slot) cell and the ray's miss value in
-            every other -- its JUNO-H miss penalty in that subspace, or
-            ``NaN`` when the hit-count modes built the table.
+            every other -- its miss penalty in that subspace, or ``NaN``
+            when JUNO-M built the table.
         hits: ``(S, R, E')`` booleans marking the selected cells (the
             tracer's accepted grid).
         inner: ``(S, R, E')`` booleans marking selected cells that also fall
@@ -185,7 +185,7 @@ class SelectiveLUTConstructor:
                 tracer call is recorded as an ``rt_trace`` span, which
                 separates traversal from the decode in the caller's span.
             miss: ``(R, S)`` value of the cells a ray does not select, cast
-                to float32 (JUNO-H's miss penalties); ``None`` fills them
+                to float32 (the miss penalties); ``None`` fills them
                 with ``NaN``, which the inner sphere requires.
 
         Returns:

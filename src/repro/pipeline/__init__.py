@@ -37,13 +37,13 @@ Batched scoring
 :class:`~repro.pipeline.stages.ScoreStage` is one vectorised kernel
 (:mod:`repro.pipeline.fused`): RT-select hands over the selective LUT as one
 dense ``(S, rays, E')`` table of score contributions -- decoded values where
-a ray selected the slot, its miss penalty (JUNO-H) or ``NaN`` (JUNO-L/M)
-where it did not -- beside its hit grid, and per block of queries the
-members of every probed cluster read their PQ codes' cells out of both with
-one flat gather each into ``(subspace, candidate)`` tables that are summed
-over the subspace axis -- for the exact-distance (JUNO-H) and both hit-count
-(JUNO-L/M) modes.  :class:`~repro.pipeline.stages.TopKStage` then ranks all
-queries in a few passes over a padded key matrix.  The historical per-ray
+a ray selected the slot, its miss penalty (``NaN`` for JUNO-M) where it did
+not -- beside its hit grid, and per block of queries the members of every
+probed cluster read their PQ codes' cells out of both with one flat gather
+each into ``(subspace, candidate)`` tables that are summed over the subspace
+axis -- for the exact-distance (JUNO-H) and both hit-count (JUNO-L/M) modes.
+:class:`~repro.pipeline.stages.TopKStage` then ranks each query, sorting
+only the candidates up to its k-th best score.  The historical per-ray
 Python loop is the oracle of the parity and property tests and lives with
 them (``tests/score_reference.py``): results and
 :class:`~repro.gpu.work.SearchWork` deltas are bit-identical, only the batch
@@ -62,11 +62,12 @@ the threshold stage -- so neither depends on the quality mode, and the
 coarse filter is also scale-independent: a ``threshold_scale`` x
 quality-mode sweep recomputes each slice once.  The RT-select memo keys on
 the full upstream slice (origins, ``t_max``, thresholds, metric *and* the
-quality mode's inner-sphere setting and miss fill), so it serves exact
-repeat batches only -- hot repeated queries against worker-resident serving
-shards, or a sweep revisiting a grid point -- and a search can never alias
-a LUT built for another mode: JUNO-M's carries inner-sphere flags, JUNO-H's
-miss penalties where JUNO-L/M's hold ``NaN``.  A changed query batch
+quality mode's inner-sphere setting and the miss penalty factor), so it
+serves exact repeat batches only -- hot repeated queries against
+worker-resident serving shards, or a sweep revisiting a grid point, where
+JUNO-H and JUNO-L share one LUT -- and a search can never alias a LUT built
+for another inner sphere: JUNO-M's carries inner-sphere flags and ``NaN``
+where the others hold miss penalties.  A changed query batch
 changes the fingerprint (automatic invalidation); old entries age out of
 the LRU ring.  Cache hits restore
 bit-identical arrays (stored read-only) but do *not* replay the stage's work

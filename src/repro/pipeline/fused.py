@@ -5,8 +5,9 @@ codes index the selectively built LUT and the per-subspace values are
 accumulated.  RT-select hands the LUT over as exactly what that lookup reads
 (:class:`~repro.core.selective_lut.SelectiveLUT`): one dense
 ``(S, rays, E')`` float32 table of each cell's contribution -- its decoded
-value where the ray selected the slot, the ray's miss value (JUNO-H's
-dynamic-threshold penalty) where it did not -- and the hit grid beside it.
+value where the ray selected the slot, the ray's miss value (its
+dynamic-threshold penalty, ``NaN`` for JUNO-M) where it did not -- and the
+hit grid beside it.
 So :func:`fused_score_candidates`, per block of queries,
 
 1. builds one ``(S, candidates)`` index into the whole table,
@@ -16,8 +17,8 @@ So :func:`fused_score_candidates`, per block of queries,
    is a PQ code already translated to the table's leaf-slot order);
 2. gathers through it the hit bytes and the contributions (JUNO-H) or the
    inner-sphere bytes (JUNO-M);
-3. sums each over the subspace axis: match counts in the narrowest unsigned
-   integer that holds ``S``, scores subspace by subspace as in the paper's
+3. sums each over the subspace axis: match counts in ``uint8`` (``int32``
+   past 255 subspaces), scores subspace by subspace as in the paper's
    kernel.
 
 There is no Python loop over clusters, candidates or subspaces, and no
@@ -60,8 +61,8 @@ from repro.pipeline.context import QueryContext
 # and its speed.  On the 32-query sweep cells it beats 1 << 17, 1 << 19 and
 # 1 << 20 in every JUNO-H cell (by 7-11 % against 1 << 19) and stays within
 # 3 % of 1 << 19 in the JUNO-M/L cells, where 1 << 17 loses 16-20 % to
-# per-block overhead (docs/performance.md).  The top-k stage blocks its key
-# matrix by it too; tests/test_hot_path_gates.py bounds both stages' peaks.
+# per-block overhead (docs/performance.md).  tests/test_hot_path_gates.py
+# bounds the stage's peak.
 _FUSED_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -88,7 +89,8 @@ def fused_score_candidates(ctx: QueryContext, backend: ArrayBackend) -> None:
     query_elements = ray_sizes.reshape(num_queries, nprobs).sum(axis=1) * num_subspaces
     index_dtype = np.int32 if lut.table.size < 2**31 else np.int64
     subspace_base = np.arange(num_subspaces, dtype=index_dtype)[:, None] * (num_rays * num_slots)
-    count_dtype = np.min_scalar_type(num_subspaces)
+    # uint8 counts while they fit; every backend sums int32, not all uint16
+    count_dtype = np.uint8 if num_subspaces < 256 else np.int32
     # The tables the mode's score reads: the hit bytes first.
     tables = [lut.hits.view(np.uint8)]
     if mode.uses_exact_distance:

@@ -28,8 +28,8 @@ their outputs in a :class:`~repro.pipeline.cache.StageCache` (their outputs
 do not depend on the quality mode, and the coarse filter does not depend on
 ``threshold_scale`` either, so sweeps reuse them across grid points);
 :class:`RTSelectStage` can memoise its selective LUT too, keyed by the full
-upstream slice including the inner-sphere setting, the miss fill and
-``t_max``, so it pays off only for exact repeat batches.  See
+upstream slice including the inner-sphere setting, the miss penalty factor
+and ``t_max``, so it pays off only for exact repeat batches.  See
 :mod:`repro.pipeline.cache` for the key/invalidation scheme.
 """
 
@@ -240,9 +240,10 @@ class RTSelectStage:
     ``(S, rays, E')`` table of score contributions and the hit grid beside
     it (plus the inner-sphere table for JUNO-M) that :class:`ScoreStage`
     gathers from as they are.  A cell the ray did not select holds the ray's
-    miss value: its dynamic-threshold miss penalty for JUNO-H, or ``NaN``
-    for JUNO-L/M, whose scores count hits.  The hits are never compressed to
-    lists in between.
+    miss value: its dynamic-threshold miss penalty, or ``NaN`` for JUNO-M,
+    whose inner-sphere test must fail on a miss.  JUNO-L reads only the hit
+    grid, so it builds JUNO-H's LUT.  The hits are never compressed to lists
+    in between.
 
     Args:
         cache: optional :class:`StageCache` memoising the constructed
@@ -250,14 +251,15 @@ class RTSelectStage:
             earlier stages the LUT depends on *everything* upstream -- the
             ray origins, the ``t_max`` travel budgets (and hence the
             threshold scale), the metric, whether the quality mode
-            evaluates the inner sphere and what it fills misses with -- so
+            evaluates the inner sphere and the miss penalty factor -- so
             the key fingerprints the origins/``t_max``/``thresholds`` slices
-            and includes the effective inner-sphere ratio and the miss fill:
-            it only pays off for exact repeat batches (an online workload's
-            hot queries, or a sweep revisiting a grid point), and a search
-            can never alias a LUT built for another mode's inner sphere or
-            misses.  Hits restore the identical LUT (its tables frozen
-            read-only) without replaying the traversal counters.
+            and includes the effective inner-sphere ratio and the penalty
+            factor: it only pays off for exact repeat batches (an online
+            workload's hot queries, or a sweep revisiting a grid point, where
+            JUNO-H and JUNO-L share one LUT), and a search can never alias a
+            LUT built for another inner sphere or other misses.  Hits restore
+            the identical LUT (its tables frozen read-only) without replaying
+            the traversal counters.
     """
 
     name = "rt_select"
@@ -274,18 +276,13 @@ class RTSelectStage:
             if ctx.quality_mode.uses_inner_sphere
             else None
         )
-        miss_fill = (
-            ("penalty", float(index.config.miss_penalty_factor))
-            if ctx.quality_mode.uses_exact_distance
-            else "nan"
-        )
         return (
             self.name,
             self.backend.fingerprint,
             _index_cache_identity(index),
             ctx.metric.value,
             inner_ratio,
-            miss_fill,
+            float(index.config.miss_penalty_factor),
             self.cache.fingerprint(origins),
             self.cache.fingerprint(t_max),
             None if ctx.thresholds is None else self.cache.fingerprint(ctx.thresholds),
@@ -318,7 +315,7 @@ class RTSelectStage:
             ),
         )
         miss = None
-        if ctx.quality_mode.uses_exact_distance:
+        if not ctx.quality_mode.uses_inner_sphere:
             miss = _miss_penalties(ctx, ctx.require("thresholds", self.name))
         lut = constructor.construct(
             origins, t_max, thresholds=ctx.thresholds, trace=ctx.trace, miss=miss
@@ -390,14 +387,12 @@ class ScoreStage:
 class TopKStage:
     """Stage C2: per-query top-k selection over the scored candidates.
 
-    Every query of a block is selected at once, by a few array passes over a
-    padded ``(queries, candidates)`` key matrix -- the scores, negated when
-    higher is better, ``NaN`` past a query's last candidate -- built in
-    blocks of at most the score kernel's element budget.  ``np.partition``
-    finds each row's k-th key; keys before it are in, keys tied with it go
-    in candidate order, and the chosen k are sorted stably.  That is a
-    per-query ``argsort(kind="stable")[:k]``, bit for bit: ``NaN`` sorts
-    last, and the padding, behind every candidate, after any ``NaN`` score.
+    Each query keeps exactly what ``argsort(kind="stable")[:k]`` of its keys
+    (the scores, negated when higher is better) keeps, without sorting them
+    all: ``np.partition`` finds the k-th key, and only the keys up to it --
+    every tie with it included, in candidate order -- are sorted stably.
+    When the k-th key is ``NaN`` (fewer than k keys are numbers) the whole
+    list is sorted, which puts ``NaN`` last as the full sort does.
     """
 
     name = "top_k"
@@ -409,60 +404,27 @@ class TopKStage:
         k = ctx.k
         all_ids = np.full((ctx.num_queries, k), -1, dtype=np.int64)
         all_scores = np.full((ctx.num_queries, k), fill_value, dtype=np.float64)
-        counts = [0 if pair is None else len(pair[0]) for pair in candidates]
-        q0 = 0
-        while q0 < len(counts):
-            # grow the block while its padded matrix stays within budget
-            q1, width = q0 + 1, counts[q0]
-            while q1 < len(counts):
-                grown = max(width, counts[q1])
-                if (q1 + 1 - q0) * grown > fused._FUSED_BLOCK_ELEMENTS:
-                    break
-                q1, width = q1 + 1, grown
-            rows = [q for q in range(q0, q1) if counts[q]]
-            if rows:
-                ids, scores, ranked = self._rank(candidates, rows, k, higher_is_better)
-                kept = ranked >= 0
-                all_ids[rows, : ranked.shape[1]] = np.where(kept, ids[ranked], -1)
-                all_scores[rows, : ranked.shape[1]] = np.where(kept, scores[ranked], fill_value)
-            q0 = q1
+        for qi, pair in enumerate(candidates):
+            if pair is None:
+                continue
+            ids, scores = pair
+            order = self._stable_top(-scores if higher_is_better else scores, k)
+            count = order.size
+            all_ids[qi, :count] = ids[order]
+            all_scores[qi, :count] = scores[order]
         ctx.work.sorted_candidates += ctx.candidate_total
         ctx.ids = all_ids
         ctx.scores = all_scores
 
     @staticmethod
-    def _rank(candidates, rows, k, higher_is_better):
-        """``(ids, scores, ranked)`` of the non-empty queries ``rows``.
-
-        ``ids`` and ``scores`` concatenate their candidates; ``ranked`` is
-        ``(len(rows), min(k, widest))``: row by row the positions in them of
-        the query's best candidates, best first, ``-1`` past its last one.
-        """
-        ids = np.concatenate([candidates[q][0] for q in rows])
-        scores = np.concatenate([candidates[q][1] for q in rows])
-        sizes = np.array([len(candidates[q][0]) for q in rows])
-        width = int(sizes.max())
-        inside = np.arange(width) < sizes[:, None]
-        keys = np.full(inside.shape, np.nan, dtype=np.promote_types(scores.dtype, np.float32))
-        keys[inside] = -scores if higher_is_better else scores
-        kk = min(k, width)
-        kth = np.partition(keys, kk - 1, axis=1)[:, [kk - 1]]
-        before, tied = keys < kth, keys == kth
-        nan_rows = np.isnan(kth[:, 0])
-        if nan_rows.any():  # NaN sorts last: every other key is before it
-            tied[nan_rows] = np.isnan(keys[nan_rows])
-            before[nan_rows] = ~tied[nan_rows]
-        need = kk - before.sum(axis=1)
-        if (tied.sum(axis=1) > need).any():
-            # ties at the k-th key go in candidate order, as in a stable sort
-            tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= need[:, None]
-        before |= tied
-        row = np.arange(sizes.size)[:, None]
-        picked = np.flatnonzero(before).reshape(-1, kk)  # kk a row, in candidate order
-        picked = picked[row, np.argsort(keys.reshape(-1)[picked], axis=1, kind="stable")]
-        column = picked - row * width
-        starts = (np.cumsum(sizes) - sizes)[:, None]
-        return ids, scores, np.where(column < sizes[:, None], column + starts, -1)
+    def _stable_top(keys: np.ndarray, k: int) -> np.ndarray:
+        """``np.argsort(keys, kind="stable")[:k]``, sorting only a shortlist."""
+        if keys.size > k:
+            kth = np.partition(keys, k - 1)[k - 1]
+            if not np.isnan(kth):
+                shortlist = np.flatnonzero(keys <= kth)
+                return shortlist[np.argsort(keys[shortlist], kind="stable")[:k]]
+        return np.argsort(keys, kind="stable")[:k]
 
 
 class ExactRerankStage:

@@ -22,8 +22,8 @@ Not a test module: the oracles the RT-select test files share.
   "Float32 hot path", derives it).
 * :func:`assert_hits_are_accepted` and :func:`assert_miss_fill` pin what the
   table holds besides the oracle's values: its hit grid is the tracer's
-  accepted grid, and every other cell the ray's miss value -- JUNO-H's
-  float32 miss penalty, ``NaN`` for JUNO-L/M.
+  accepted grid, and every other cell the ray's miss value -- the float32
+  miss penalty (JUNO-H/L), ``NaN`` for JUNO-M.
 * :func:`assert_columns_address_codes` pins the build-time remap of PQ
   codes to the table's leaf-slot columns on any trained, loaded or
   compacted index.
@@ -270,10 +270,10 @@ def assert_hits_are_accepted(lut: SelectiveLUT, constructor, origins, t_max) -> 
 def assert_miss_fill(lut: SelectiveLUT, thresholds=None, penalty_factor=None) -> None:
     """The cells no ray selected hold the miss value, the selected ones never NaN.
 
-    With a ``penalty_factor`` (JUNO-H) the miss value of ray ``r`` in
+    With a ``penalty_factor`` (JUNO-H/L) the miss value of ray ``r`` in
     subspace ``s`` is the score's miss penalty cast to float32: the squared
     threshold (L2) or the threshold (inner product) times the factor;
-    without one (JUNO-L/M) it is ``NaN``.
+    without one (JUNO-M) it is ``NaN``.
     """
     missed = ~lut.hits
     assert not np.isnan(lut.table[lut.hits]).any()

@@ -343,12 +343,12 @@ class TestStackedConstruct:
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_stage_fills_misses_for_its_mode(self, request, metric, mode, num_rays):
         """``RTSelectStage``'s table: the oracle's values where a ray selected
-        an entry, JUNO-H's float32 miss penalties where it did not (NaN for
-        JUNO-L/M), beside the tracer's accepted grid as its hits."""
+        an entry, the float32 miss penalties where it did not (NaN for
+        JUNO-M), beside the tracer's accepted grid as its hits."""
         index = request.getfixturevalue(f"juno_{metric}")
         ctx = _rt_select_ctx(index, request.getfixturevalue(f"{metric}_dataset"), num_rays, mode)
         RTSelectStage().run(ctx)
-        factor = index.config.miss_penalty_factor if mode == "juno-h" else None
+        factor = None if mode == "juno-m" else index.config.miss_penalty_factor
         assert_miss_fill(ctx.lut, ctx.thresholds, factor)
         constructor = _rt_select_constructor(ctx)
         assert_hits_are_accepted(ctx.lut, constructor, ctx.origins, ctx.t_max)

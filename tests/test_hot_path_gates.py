@@ -28,8 +28,8 @@ check here, long before a benchmark run:
 * the same bound on ``ScoreStage.run``: the candidates it returns plus a
   fixed slack for one block's gather index and gathered tables, decided by
   the block constant in :mod:`repro.pipeline.fused` and sized for float32;
-  ``TopKStage.run`` blocks its key matrix by the same constant and stays
-  within the same slack when one query holds 50x the others' candidates.
+  ``TopKStage.run`` stays within the same slack when one query holds 50x the
+  others' candidates.
 """
 
 from __future__ import annotations
@@ -254,12 +254,11 @@ class TestScoreMemory:
 
 
 class TestTopKMemory:
-    """The top-k stage's padded key matrix stays within the score's bound.
+    """The top-k stage stays within the score's bound.
 
-    One query holding 50x the candidates of the other 31 pads to a (32,
-    50 000) matrix as one block (~18.6 MB of keys, masks and ties); blocked
-    by the score kernel's element budget, the query shares its block with at
-    most four others and the stage peaks at ~3.5 MB.
+    It holds one query's keys, partition and shortlist at a time, so one
+    query holding 50x the candidates of the other 31 costs it ~0.5 MB; a
+    padded (32, 50 000) key matrix for the batch would take ~18 MB.
     """
 
     @staticmethod
@@ -287,7 +286,3 @@ class TestTopKMemory:
 
     def test_one_crowded_query_stays_within_the_score_bound(self):
         assert self._peak_beyond_output() <= TestScoreMemory.SLACK_BYTES
-
-    def test_one_block_per_batch_breaks_the_bound(self, monkeypatch):
-        monkeypatch.setattr(fused, "_FUSED_BLOCK_ELEMENTS", 1 << 40)
-        assert self._peak_beyond_output() > TestScoreMemory.SLACK_BYTES
