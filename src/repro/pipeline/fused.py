@@ -39,17 +39,15 @@ at the table's dtype is by construction:
   reference concatenates.
 
 Against the float64 path it replaced, scores agree within the precision
-oracle's bound (``tests/test_precision_oracle.py``).  All bulk array work
-goes through an :class:`~repro.backend.ArrayBackend` (NumPy, or CuPy/torch
-within a documented tolerance); the integer index arithmetic stays on the
-host by design (see :mod:`repro.backend.base`).
+oracle's bound (``tests/test_precision_oracle.py``).  Every step is a plain
+NumPy call: the paper's GPU kernels are modelled by work counts and the
+cost model in :mod:`repro.gpu`, not executed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.pipeline.context import QueryContext
 
 # Per-block element budget: a query costs ``S * candidates`` elements, its
@@ -66,7 +64,7 @@ from repro.pipeline.context import QueryContext
 _FUSED_BLOCK_ELEMENTS = 1 << 18
 
 
-def fused_score_candidates(ctx: QueryContext, backend: ArrayBackend) -> None:
+def fused_score_candidates(ctx: QueryContext) -> None:
     """Run the score kernel over the whole query batch.
 
     Fills ``ctx.candidates`` / ``ctx.candidate_total`` and the ADC work
@@ -89,15 +87,16 @@ def fused_score_candidates(ctx: QueryContext, backend: ArrayBackend) -> None:
     query_elements = ray_sizes.reshape(num_queries, nprobs).sum(axis=1) * num_subspaces
     index_dtype = np.int32 if lut.table.size < 2**31 else np.int64
     subspace_base = np.arange(num_subspaces, dtype=index_dtype)[:, None] * (num_rays * num_slots)
-    # uint8 counts while they fit; every backend sums int32, not all uint16
+    # uint8 counts while they fit: a count never exceeds num_subspaces
     count_dtype = np.uint8 if num_subspaces < 256 else np.int32
-    # The tables the mode's score reads: the hit bytes first.
+    # The tables the mode's score reads, flattened for the flat gather: the
+    # hit bytes first.
     tables = [lut.hits.view(np.uint8)]
     if mode.uses_exact_distance:
         tables.append(lut.table)
     elif mode.uses_inner_sphere:
         tables.append(lut.inner.view(np.uint8))
-    tables = [backend.asarray(table) for table in tables]
+    tables = [table.reshape(-1) for table in tables]
 
     candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
     candidate_total = 0.0
@@ -141,28 +140,27 @@ def fused_score_candidates(ctx: QueryContext, backend: ArrayBackend) -> None:
             # is summed row after row like every other block
             gather = np.repeat(gather, 2, axis=1)
         gather = gather.astype(np.intp, copy=False)  # once, not inside every take
-        gathered = [backend.take(table, gather) for table in tables]
+        gathered = [table.take(gather) for table in tables]
 
-        matched = backend.sum(gathered[0], axis=0, dtype=count_dtype)
+        matched = gathered[0].sum(axis=0, dtype=count_dtype)
         if mode.uses_exact_distance:
-            scores = backend.sum(gathered[1], axis=0)
+            scores = gathered[1].sum(axis=0)
             if query_cluster_ip is not None:
-                scores = scores[:total] + backend.asarray(query_cluster_ip[r0:r1][cand_ray])
+                scores = scores[:total] + query_cluster_ip[r0:r1][cand_ray]
         elif mode.uses_inner_sphere:
-            rewards = backend.sum(gathered[1], axis=0, dtype=count_dtype)
-            misses = num_subspaces - backend.astype(matched, np.float64)
-            scores = backend.astype(rewards, np.float64) - miss_penalty * misses
+            rewards = gathered[1].sum(axis=0, dtype=count_dtype)
+            misses = num_subspaces - matched.astype(np.float64)
+            scores = rewards.astype(np.float64) - miss_penalty * misses
         else:
-            scores = backend.astype(matched, np.float64)
+            scores = matched.astype(np.float64)
 
-        matched_np = backend.to_numpy(matched)[:total]
-        scores_np = backend.to_numpy(scores)[:total]
-        keep = matched_np >= 1
-        adc_lookups += float(matched_np.sum())
+        matched = matched[:total]
+        keep = matched >= 1
+        adc_lookups += float(matched.sum())
         adc_candidates += float(keep.sum())
 
         kept_ids = cand_ids[keep]
-        kept_scores = scores_np[keep]
+        kept_scores = scores[:total][keep]
         kept_per_ray = np.bincount(cand_ray[keep], minlength=sizes_b.shape[0])
         kept_per_query = kept_per_ray.reshape(q1 - q0, nprobs).sum(axis=1)
         bounds = np.zeros(kept_per_query.shape[0] + 1, dtype=np.int64)

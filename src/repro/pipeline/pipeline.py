@@ -148,10 +148,7 @@ class QueryPipeline:
         return ctx
 
 
-def default_search_pipeline(
-    stage_cache: StageCache | None = None,
-    backend=None,
-) -> QueryPipeline:
+def default_search_pipeline(stage_cache: StageCache | None = None) -> QueryPipeline:
     """The staged equivalent of the monolithic JUNO online path (Alg. 2).
 
     ``CoarseFilterStage -> ThresholdStage -> RTSelectStage -> ScoreStage ->
@@ -168,18 +165,13 @@ def default_search_pipeline(
             RT-select memo keys on the full upstream slice -- including the
             quality mode's inner-sphere setting and the ``t_max`` budgets --
             so it only hits for exact repeats.
-        backend: array backend for the score kernel's bulk work -- an
-            :class:`~repro.backend.ArrayBackend`, a registry name, or
-            ``None`` for the ``REPRO_BACKEND``-env/NumPy default.  The
-            resolved backend's fingerprint is mixed into every stage-cache
-            key so cached artifacts never alias across backends.
     """
     return QueryPipeline(
         (
-            CoarseFilterStage(cache=stage_cache, backend=backend),
-            ThresholdStage(cache=stage_cache, backend=backend),
-            RTSelectStage(cache=stage_cache, backend=backend),
-            ScoreStage(backend=backend),
+            CoarseFilterStage(cache=stage_cache),
+            ThresholdStage(cache=stage_cache),
+            RTSelectStage(cache=stage_cache),
+            ScoreStage(),
             TopKStage(),
         )
     )
@@ -189,11 +181,10 @@ def rerank_pipeline(
     points,
     metric=None,
     stage_cache: StageCache | None = None,
-    backend=None,
 ) -> QueryPipeline:
     """A default pipeline with an exact rerank appended after top-k."""
     from repro.pipeline.stages import ExactRerankStage
 
-    return default_search_pipeline(stage_cache=stage_cache, backend=backend).appended(
+    return default_search_pipeline(stage_cache=stage_cache).appended(
         ExactRerankStage(points, metric=metric)
     )

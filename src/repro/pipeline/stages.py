@@ -39,7 +39,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.core.inner_product import inner_product_threshold_to_tmax
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
@@ -104,11 +103,8 @@ class CoarseFilterStage:
 
     name = "coarse_filter"
 
-    def __init__(
-        self, cache: StageCache | None = None, backend: ArrayBackend | str | None = None
-    ) -> None:
+    def __init__(self, cache: StageCache | None = None) -> None:
         self.cache = cache
-        self.backend = get_backend(backend)
 
     def run(self, ctx: QueryContext) -> None:
         index = ctx.require("index", self.name)
@@ -116,7 +112,6 @@ class CoarseFilterStage:
         if self.cache is not None:
             key = (
                 self.name,
-                self.backend.fingerprint,
                 _index_cache_identity(index),
                 int(ctx.nprobs),
                 self.cache.fingerprint(ctx.queries),
@@ -148,11 +143,8 @@ class ThresholdStage:
 
     name = "threshold"
 
-    def __init__(
-        self, cache: StageCache | None = None, backend: ArrayBackend | str | None = None
-    ) -> None:
+    def __init__(self, cache: StageCache | None = None) -> None:
         self.cache = cache
-        self.backend = get_backend(backend)
 
     def run(self, ctx: QueryContext) -> None:
         index = ctx.require("index", self.name)
@@ -161,7 +153,6 @@ class ThresholdStage:
         if self.cache is not None:
             key = (
                 self.name,
-                self.backend.fingerprint,
                 _index_cache_identity(index),
                 float(ctx.threshold_scale),
                 self.cache.fingerprint(ctx.queries),
@@ -264,11 +255,8 @@ class RTSelectStage:
 
     name = "rt_select"
 
-    def __init__(
-        self, cache: StageCache | None = None, backend: ArrayBackend | str | None = None
-    ) -> None:
+    def __init__(self, cache: StageCache | None = None) -> None:
         self.cache = cache
-        self.backend = get_backend(backend)
 
     def _cache_key(self, ctx: QueryContext, index, origins, t_max) -> tuple:
         inner_ratio = (
@@ -278,7 +266,6 @@ class RTSelectStage:
         )
         return (
             self.name,
-            self.backend.fingerprint,
             _index_cache_identity(index),
             ctx.metric.value,
             inner_ratio,
@@ -365,10 +352,8 @@ class ScoreStage:
     Against the float64 path, the precision oracle
     (``tests/test_precision_oracle.py``) bounds the scores.
 
-    ``backend`` selects the :class:`~repro.backend.ArrayBackend` the
-    bulk array work runs on (name, instance, or ``None`` for the
-    ``REPRO_BACKEND``-env/NumPy default).  GPU backends are
-    tolerance-documented against NumPy (see ``docs/performance.md``).
+    The kernel is plain NumPy; the GPU it stands for is modelled by the
+    work counters it fills and :mod:`repro.gpu`'s cost model.
 
     Produces one concatenated ``(ids, scores)`` candidate pair per query
     (``None`` for queries whose probed clusters yielded no candidate); the
@@ -377,11 +362,8 @@ class ScoreStage:
 
     name = "score"
 
-    def __init__(self, backend: ArrayBackend | str | None = None) -> None:
-        self.backend = get_backend(backend)
-
     def run(self, ctx: QueryContext) -> None:
-        fused.fused_score_candidates(ctx, self.backend)
+        fused.fused_score_candidates(ctx)
 
 
 class TopKStage:

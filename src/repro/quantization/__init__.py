@@ -2,22 +2,16 @@
 
 Product quantization (PQ) is the encoding backbone of the IVFPQ pipeline the
 paper studies (Sec. 2.1); k-means is the shared clustering primitive used by
-both the coarse IVF stage and the per-subspace PQ codebooks.  Scalar
-quantization and optimized PQ are provided as the encoding alternatives
-discussed in the related-work section (Sec. 7).
+both the coarse IVF stage and the per-subspace PQ codebooks.
 """
 
 from repro.quantization.kmeans import KMeans, KMeansResult
 from repro.quantization.product_quantizer import ProductQuantizer
 from repro.quantization.codebook import SubspaceCodebook
-from repro.quantization.scalar_quantizer import ScalarQuantizer
-from repro.quantization.opq import OptimizedProductQuantizer
 
 __all__ = [
     "KMeans",
     "KMeansResult",
     "ProductQuantizer",
     "SubspaceCodebook",
-    "ScalarQuantizer",
-    "OptimizedProductQuantizer",
 ]

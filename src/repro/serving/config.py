@@ -149,9 +149,6 @@ class ServingConfig:
             :class:`~repro.serving.engine.ServingEngine`) and whether
             resident workers piggyback registry snapshots on task replies.
         label: display name for engines built over the deployment.
-        backend: array-backend name (:mod:`repro.backend`) the deployment's
-            score kernels run on; ``None`` keeps the
-            ``REPRO_BACKEND``-env/NumPy default.
     """
 
     executor: object = "thread"
@@ -162,18 +159,12 @@ class ServingConfig:
     durability: DurabilityPolicy = field(default_factory=DurabilityPolicy)
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     label: str | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.executor, str) and self.executor not in _EXECUTOR_KINDS:
             raise ValueError(f"executor must be one of {_EXECUTOR_KINDS}")
         if self.num_workers is not None and self.num_workers <= 0:
             raise ValueError("num_workers must be positive (or None for one per shard)")
-        if self.backend is not None:
-            from repro.backend import KNOWN_BACKENDS
-
-            if self.backend not in KNOWN_BACKENDS:
-                raise ValueError(f"backend must be one of {KNOWN_BACKENDS} (or None)")
 
     def with_updates(self, **changes) -> "ServingConfig":
         """A copy with the given fields replaced (frozen-dataclass idiom)."""
@@ -195,7 +186,6 @@ class ServingConfig:
             "durability": self.durability.to_dict(),
             "observability": self.observability.to_dict(),
             "label": self.label,
-            "backend": self.backend,
         }
 
     @classmethod

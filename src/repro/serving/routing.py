@@ -124,8 +124,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
             share one physical copy of its trained arrays.  Zero-copy modes
             require an immutable deployment: mutable shards replay WAL tails
             and mutate state in place, which cannot alias a shared mapping.
-        backend: array-backend name for the workers' score kernels
-            (:mod:`repro.backend`), or ``None`` for the default.
         piggyback_metrics: workers attach a metrics-registry snapshot to
             every search/apply reply, keeping the coordinator's
             :meth:`worker_metrics` aggregate fresh without extra round
@@ -158,7 +156,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
         mutable: bool = False,
         affinity: bool = True,
         residency: str = "copy",
-        backend: str | None = None,
         piggyback_metrics: bool = True,
     ) -> None:
         if num_replicas <= 0:
@@ -183,7 +180,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
         self.mutable = bool(mutable)
         self.affinity = bool(affinity)
         self.residency = str(residency)
-        self.backend = backend
         self.piggyback_metrics = bool(piggyback_metrics)
         self.last_batch_payload_bytes = 0
         self.retried_batches = 0
@@ -252,7 +248,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
             )
 
     def _make_worker(self, shard_id: int, replica_id: int) -> ResidentWorker:
-        """Boot one worker with this executor's residency/backend settings."""
+        """Boot one worker with this executor's residency settings."""
         shm_set = self._shm_sets.get(shard_id)
         return ResidentWorker(
             self.bundle_path,
@@ -264,7 +260,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
             shm_descriptors=(
                 {shard_id: shm_set.descriptors} if shm_set is not None else None
             ),
-            backend=self.backend,
             piggyback_metrics=self.piggyback_metrics,
         )
 

@@ -52,7 +52,6 @@ def resident_worker_init(
     mutable: bool = False,
     residency: str = "copy",
     shm_descriptors: dict | None = None,
-    backend: str | None = None,
     replica_id: int = 0,
     piggyback_metrics: bool = True,
 ) -> None:
@@ -74,9 +73,7 @@ def resident_worker_init(
     ``npy``-layout arrays read-only, and ``"shm"`` attaches the
     shared-memory segments whose descriptors arrive in ``shm_descriptors``
     (``{shard_id: {name: ShmArrayDescriptor}}``) -- the arrays themselves
-    never cross the process boundary.  ``backend`` names the array backend
-    the worker's score kernels run on (``None`` keeps the
-    ``REPRO_BACKEND``-env/NumPy default).
+    never cross the process boundary.
 
     ``replica_id`` identifies which replica of its shards this worker is;
     it is stamped (with the pid) into the worker's metrics snapshots and
@@ -130,13 +127,7 @@ def resident_worker_init(
                 )
             else:
                 index = load_index(shard_path, mmap=residency == "mmap")
-            pipeline = (
-                default_search_pipeline(
-                    stage_cache=StageCache() if stage_cache else None, backend=backend
-                )
-                if stage_cache or backend is not None
-                else None
-            )
+            pipeline = default_search_pipeline(stage_cache=StageCache()) if stage_cache else None
             _RESIDENT_SHARDS[int(shard_id)] = (index, pipeline)
         if attached:
             _RESIDENT_SHARDS["__shm__"] = attached
@@ -382,8 +373,6 @@ class ResidentWorker:
         shm_descriptors: per-shard shared-memory descriptors
             (``{shard_id: {name: ShmArrayDescriptor}}``) when ``residency``
             is ``"shm"``; the coordinator owns the segments.
-        backend: array-backend name for the worker's score kernels, or
-            ``None`` for the default.
         piggyback_metrics: have search/apply replies carry the worker's
             registry snapshot (see :func:`resident_worker_init`).
 
@@ -404,7 +393,6 @@ class ResidentWorker:
         mutable: bool = False,
         residency: str = "copy",
         shm_descriptors: dict | None = None,
-        backend: str | None = None,
         piggyback_metrics: bool = True,
     ) -> None:
         self.bundle_path = str(bundle_path)
@@ -413,7 +401,6 @@ class ResidentWorker:
         self.stage_cache = bool(stage_cache)
         self.mutable = bool(mutable)
         self.residency = str(residency)
-        self.backend = backend
         self.piggyback_metrics = bool(piggyback_metrics)
         self.alive = True
         initargs = (
@@ -423,7 +410,6 @@ class ResidentWorker:
             self.mutable,
             self.residency,
             shm_descriptors,
-            self.backend,
             self.replica_id,
             self.piggyback_metrics,
         )

@@ -1161,7 +1161,6 @@ class ShardedJunoIndex:
                 warm=replicas.warm,
                 affinity=replicas.affinity,
                 residency=replicas.residency,
-                backend=config.backend,
                 piggyback_metrics=config.observability.piggyback_metrics,
             )
             owns_executor = True
@@ -1274,7 +1273,6 @@ class ShardedJunoIndex:
             warm=replicas.warm,
             affinity=replicas.affinity,
             residency=replicas.residency,
-            backend=config.backend,
             piggyback_metrics=config.observability.piggyback_metrics,
         )
         if self._owns_spec_executor and isinstance(self.executor_spec, ShardExecutor):

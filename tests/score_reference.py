@@ -1,8 +1,8 @@
 """Reference score kernel the batched ``ScoreStage`` is pinned against.
 
-Not a test module: the oracle the parity, backend, property and perf tests
-share.  :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped
-as its distance-calculation stage before the batched kernels: for every
+Not a test module: the oracle the parity, property and perf tests share.
+:class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped as its
+distance-calculation stage before the batched kernels: for every
 (query, probed cluster) it builds that ray's dense ``(S, E)`` values and hit
 mask through the :class:`~repro.core.selective_lut.SelectiveLUT` per-ray
 accessors (``lut.hits`` decides what was selected), looks the cluster's

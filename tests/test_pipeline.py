@@ -342,6 +342,113 @@ class TestScoreStageParity:
         assert vectorised.ids.shape == (0, 5)
         assert vectorised.extra["num_candidates"] == 0.0
 
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_jittered_resamples(
+        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, rng
+    ):
+        """Off-corpus query mixes: resampled queries jittered off the data."""
+        index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
+        for _ in range(3):
+            rows = rng.integers(0, dataset.queries.shape[0], size=8)
+            queries = dataset.queries[rows] + rng.normal(scale=0.05, size=(8, dataset.dim))
+            scale = float(rng.uniform(0.5, 2.0))
+            kwargs = dict(k=10, nprobs=5, quality_mode=mode, threshold_scale=scale)
+            vectorised = index.search(queries, **kwargs)
+            looped = index.search(queries, pipeline=looped_score_pipeline(), **kwargs)
+            _assert_results_bit_identical(vectorised, looped)
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_empty_cluster_parity_mips(self, juno_ip, ip_dataset, mode):
+        """MIPS adds each ray's query-cluster product; an empty ray adds none."""
+        with _largest_cluster_emptied(juno_ip) as (posting, victim):
+            kwargs = dict(
+                k=10, nprobs=juno_ip.config.num_clusters, quality_mode=mode, threshold_scale=1.0
+            )
+            vectorised = juno_ip.search(ip_dataset.queries, **kwargs)
+            looped = juno_ip.search(ip_dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
+        _assert_results_bit_identical(vectorised, looped)
+        assert not np.isin(vectorised.ids[vectorised.ids >= 0], posting[victim]).any()
+        assert (vectorised.ids >= 0).any()
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_all_miss_parity_mips(self, juno_ip, ip_dataset, mode):
+        kwargs = dict(k=10, nprobs=4, quality_mode=mode, threshold_scale=1e-6)
+        vectorised = juno_ip.search(ip_dataset.queries, **kwargs)
+        looped = juno_ip.search(ip_dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
+        _assert_results_bit_identical(vectorised, looped)
+        assert (vectorised.ids == -1).all()
+        assert vectorised.work.adc_candidates == 0.0
+
+
+def _full_width_juno(num_subspaces: int) -> JunoIndex:
+    """A ``num_subspaces``-subspace index over 2-d subspaces, assembled without
+    k-means (sampled centroids and codebooks) so it builds in well under a
+    second."""
+    rng = np.random.default_rng(num_subspaces)
+    points = rng.standard_normal((120, 2 * num_subspaces))
+    centroids = points[rng.choice(points.shape[0], size=4, replace=False)]
+    labels = np.argmin(((points[:, None, :] - centroids[None]) ** 2).sum(axis=2), axis=1)
+    residuals = (points - centroids[labels]).reshape(points.shape[0], num_subspaces, 2)
+    codebooks = []
+    codes = np.empty((points.shape[0], num_subspaces), dtype=np.int32)
+    for s in range(num_subspaces):
+        entries = residuals[rng.choice(points.shape[0], size=8, replace=False), s]
+        codebooks.append(entries)
+        codes[:, s] = np.argmin(
+            ((residuals[:, s, None, :] - entries[None]) ** 2).sum(axis=2), axis=1
+        )
+    config = JunoConfig(
+        num_clusters=4,
+        num_subspaces=num_subspaces,
+        num_entries=8,
+        num_threshold_samples=16,
+        threshold_top_k=10,
+        density_grid=8,
+    )
+    return JunoIndex(config).assemble(points, centroids, labels, codebooks, codes)
+
+
+class TestScoreCountWidth:
+    """Match counts are summed in ``uint8`` up to 255 subspaces and wider past
+    it: a candidate every one of 256 subspaces selects counts 256, not 0."""
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("num_subspaces", [255, 256])
+    def test_every_subspace_hit(self, num_subspaces, mode):
+        index = _full_width_juno(num_subspaces)
+        queries = np.random.default_rng(1).standard_normal((4, 2 * num_subspaces))
+        kwargs = dict(k=5, nprobs=4, quality_mode=mode, threshold_scale=50.0)
+        vectorised = index.search(queries, **kwargs)
+        looped = index.search(queries, pipeline=looped_score_pipeline(), **kwargs)
+        _assert_results_bit_identical(vectorised, looped)
+        assert vectorised.work.adc_lookups > 0
+        if mode != "juno-h":
+            # the generous scale selects nearly every slot: each query's best
+            # candidate matches in every subspace
+            np.testing.assert_array_equal(vectorised.scores[:, 0], float(num_subspaces))
+
+
+class TestSubspaceSumOrder:
+    """The premise of the kernel's bit-identity: NumPy's ``sum(axis=0)`` of a
+    C-contiguous ``(S, n >= 2)`` float32 table adds its rows one after the
+    other, as ``subspace_sum`` does; a lone column (``n == 1``) is summed
+    that way once it is gathered beside a copy of itself."""
+
+    @pytest.mark.parametrize("num_subspaces", [2, 3, 7, 8, 9, 16, 48, 129])
+    def test_sum_adds_rows_in_order(self, num_subspaces):
+        rng = np.random.default_rng(num_subspaces)
+        for n in (1, 2, 3, 17, 1000):
+            magnitudes = 10.0 ** rng.uniform(-4, 4, size=(num_subspaces, n))
+            table = (rng.standard_normal((num_subspaces, n)) * magnitudes).astype(np.float32)
+            want = subspace_sum(table.T)
+            if n == 1:
+                got = np.repeat(table, 2, axis=1).sum(axis=0)[:1]
+            else:
+                got = table.sum(axis=0)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
 
 class TestScoreBlockInvariance:
     """Any query-aligned blocking of the score kernel reproduces the loop.
@@ -452,6 +559,19 @@ class TestScoreBlockInvariance:
         assert not ctx.lut.table.flags.writeable and not ctx.lut.hits.flags.writeable
         assert ctx.lut.inner is None or not ctx.lut.inner.flags.writeable
         self._assert_blocks_match_loop(ctx, monkeypatch)
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_ledger_shaped_batch(self, wide_index, wide_corpus, mode, scale, monkeypatch):
+        """48 subspaces of 128 entries, 32 queries x 8 probes: the ledger's
+        scene and batch shape, sparse and dense."""
+        rng = np.random.default_rng(32)
+        queries = wide_corpus[rng.integers(0, wide_corpus.shape[0], size=32)]
+        queries = queries + 0.1 * rng.standard_normal(queries.shape)
+        ctx = self._upstream(wide_index, queries, mode, scale, nprobs=8)
+        assert ctx.lut.num_rays == 256
+        looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+        assert looped.candidate_total > 0
 
 
 # --------------------------------------------------------------- stage cache
@@ -578,6 +698,23 @@ class TestStageCache:
         third = self._search(juno_l2, l2_dataset, pipeline=pipeline, scale=0.6)
         latencies = CostModel("rtx4090").stage_latencies(third.extra["stage_work"])
         assert latencies["rt_select"] > 0.0
+
+    @pytest.mark.parametrize("stage", ["coarse_filter", "threshold", "rt_select"])
+    def test_separately_built_pipelines_share_entries(self, juno_l2, l2_dataset, stage):
+        """A stage's key names its inputs only, so a fresh pipeline over the
+        same cache is served what another pipeline stored."""
+        cache = StageCache()
+        first = self._search(
+            juno_l2, l2_dataset, pipeline=default_search_pipeline(stage_cache=cache)
+        )
+        second = self._search(
+            juno_l2, l2_dataset, pipeline=default_search_pipeline(stage_cache=cache)
+        )
+        assert first.extra["stage_cache"][stage] == {"hits": 0, "misses": 1}
+        assert second.extra["stage_cache"][stage] == {"hits": 1, "misses": 0}
+        plain = self._search(juno_l2, l2_dataset)
+        np.testing.assert_array_equal(second.ids, plain.ids)
+        np.testing.assert_array_equal(second.scores, plain.scores)
 
     def test_lru_eviction_and_len(self, juno_l2, l2_dataset):
         cache = StageCache(max_entries=1)

@@ -23,7 +23,6 @@ from repro.pipeline import (
     TopKStage,
     default_search_pipeline,
 )
-from repro.quantization.scalar_quantizer import ScalarQuantizer
 from repro.rt.bvh import BVH
 from repro.rt.primitives import Sphere
 from score_reference import LoopedScoreStage
@@ -588,14 +587,3 @@ class TestTopKProperties:
         assert ctx.scores.dtype == np.float64
         assert ctx.scores.tobytes() == want_scores.tobytes()
 
-
-class TestScalarQuantizerProperties:
-    @given(points=point_sets(max_points=30, max_dim=5), bits=st.integers(2, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_reconstruction_within_cell_size(self, points, bits):
-        sq = ScalarQuantizer(bits=bits).train(points)
-        decoded = sq.decode(sq.encode(points))
-        span = points.max(axis=0) - points.min(axis=0)
-        span[span <= 0] = 1.0
-        cell = span / ((1 << bits) - 1)
-        assert (np.abs(decoded - points) <= cell * 0.5 + 1e-9).all()

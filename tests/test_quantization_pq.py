@@ -1,4 +1,4 @@
-"""Unit tests for product quantization, codebooks, SQ and OPQ."""
+"""Unit tests for product quantization and codebooks."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from kmeans_reference import reference_fit
 from repro.metrics.distances import Metric, l2_squared_matrix
 from repro.quantization.codebook import SubspaceCodebook
-from repro.quantization.opq import OptimizedProductQuantizer
 from repro.quantization.product_quantizer import ProductQuantizer
-from repro.quantization.scalar_quantizer import ScalarQuantizer
 
 
 class TestSubspaceCodebook:
@@ -146,69 +144,3 @@ class TestMatchesReferenceKMeans:
             dist = l2_squared_matrix(residuals[:, pq.subspace_slice(s)], codebook.entries)
             np.testing.assert_array_equal(codes[:, s], np.argmin(dist, axis=1))
         np.testing.assert_array_equal(pq.encode(residuals[17]), codes[17:18])
-
-
-class TestScalarQuantizer:
-    def test_round_trip_error_small_for_8_bits(self, rng):
-        points = rng.uniform(-3, 5, size=(200, 10))
-        sq = ScalarQuantizer(bits=8).train(points)
-        err = sq.reconstruction_error(points)
-        span = (points.max(0) - points.min(0)).mean()
-        assert err < (span / 255) ** 2 * 10
-
-    def test_more_bits_less_error(self, rng):
-        points = rng.standard_normal((300, 6))
-        e4 = ScalarQuantizer(bits=4).train(points).reconstruction_error(points)
-        e8 = ScalarQuantizer(bits=8).train(points).reconstruction_error(points)
-        assert e8 < e4
-
-    def test_codes_within_range(self, rng):
-        points = rng.standard_normal((100, 4))
-        sq = ScalarQuantizer(bits=6).train(points)
-        codes = sq.encode(points)
-        assert codes.max() <= 63
-        assert codes.min() >= 0
-
-    def test_constant_dimension_handled(self):
-        points = np.ones((50, 3))
-        sq = ScalarQuantizer(bits=8).train(points)
-        np.testing.assert_allclose(sq.decode(sq.encode(points)), points)
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            ScalarQuantizer(bits=0)
-
-    def test_untrained_raises(self):
-        with pytest.raises(RuntimeError):
-            ScalarQuantizer().encode(np.zeros((1, 2)))
-
-
-class TestOptimizedProductQuantizer:
-    def test_rotation_is_orthonormal(self, rng):
-        vectors = rng.standard_normal((300, 8))
-        opq = OptimizedProductQuantizer(dim=8, num_subspaces=4, num_entries=8, iterations=2)
-        opq.train(vectors)
-        should_be_identity = opq.rotation_ @ opq.rotation_.T
-        np.testing.assert_allclose(should_be_identity, np.eye(8), atol=1e-8)
-
-    def test_opq_not_worse_than_pq_on_correlated_data(self, rng):
-        # Correlated dimensions are where OPQ helps: PQ's axis-aligned
-        # subspaces miss the correlation, the learned rotation captures it.
-        latent = rng.standard_normal((500, 2))
-        mix = rng.standard_normal((2, 8))
-        vectors = latent @ mix + 0.05 * rng.standard_normal((500, 8))
-        from repro.quantization.product_quantizer import ProductQuantizer
-
-        pq = ProductQuantizer(dim=8, num_subspaces=4, num_entries=8, seed=1).train(vectors)
-        opq = OptimizedProductQuantizer(
-            dim=8, num_subspaces=4, num_entries=8, iterations=3, seed=1
-        ).train(vectors)
-        assert opq.reconstruction_error(vectors) <= pq.reconstruction_error(vectors) * 1.05
-
-    def test_encode_decode_shapes(self, rng):
-        vectors = rng.standard_normal((100, 6))
-        opq = OptimizedProductQuantizer(dim=6, num_subspaces=3, num_entries=4, iterations=1)
-        opq.train(vectors)
-        codes = opq.encode(vectors)
-        assert codes.shape == (100, 3)
-        assert opq.decode(codes).shape == (100, 6)

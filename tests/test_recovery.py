@@ -25,6 +25,7 @@ These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ class TestServingConfig:
             AdmissionPolicy(max_queue_depth=4, overload="drop_newest")
         with pytest.raises(ValueError, match="does not understand keys"):
             ServingConfig.from_dict({"executor": "thread", "replica_count": 2})
+        with pytest.raises(ValueError, match=r"does not understand keys \['backend'\]"):
+            ServingConfig.from_dict({"executor": "thread", "backend": "numpy"})
+
+    def test_to_dict_names_every_field(self):
+        """The JSON form carries exactly the dataclass fields, so every key
+        ``to_dict`` writes is one ``from_dict`` understands."""
+        config = ServingConfig()
+        assert set(config.to_dict()) == {f.name for f in dataclasses.fields(ServingConfig)}
+        assert ServingConfig.from_dict(config.to_dict()) == config
 
     def test_live_executor_instance_has_no_json_form(self):
         executor = ThreadShardExecutor(num_workers=1)

@@ -302,6 +302,52 @@ class TestRuntimeFunctionsInProcess:
         finally:
             runtime._RESIDENT_SHARDS.clear()
 
+    @pytest.mark.parametrize("residency", ["copy", "mmap"])
+    @pytest.mark.parametrize("stage_cache", [True, False])
+    def test_init_pipeline_follows_stage_cache(
+        self, corpus, sequential_router, bundle, stage_cache, residency, tmp_path
+    ):
+        """A worker builds a cached pipeline only when asked to; without one
+        its shards search through the index's default pipeline."""
+        from repro.serving import runtime
+
+        if residency == "mmap":
+            bundle = sequential_router.save(tmp_path / "deployment", layout="npy")
+        runtime.resident_worker_init(str(bundle), (0, 1), stage_cache, residency=residency)
+        try:
+            for shard_id in (0, 1):
+                pipeline = runtime._RESIDENT_SHARDS[shard_id][1]
+                assert (pipeline is None) is not stage_cache
+            expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
+            for _ in range(2):
+                observed = runtime.resident_search_task(1, corpus.queries, 5, {"nprobs": 4})
+                assert search_results_equal(expected, observed)
+            if stage_cache:
+                assert observed.extra["stage_cache"]["rt_select"] == {"hits": 1, "misses": 0}
+            else:
+                assert "stage_cache" not in observed.extra
+        finally:
+            runtime._RESIDENT_SHARDS.clear()
+
+    def test_worker_boot_arguments_reach_their_parameters(self, corpus, sequential_router, bundle):
+        """The worker's positional initializer arguments line up with
+        :func:`resident_worker_init`'s parameters across the process boundary."""
+        from repro.serving.runtime import ResidentWorker
+
+        worker = ResidentWorker(
+            bundle, (1,), replica_id=3, stage_cache=False, piggyback_metrics=False
+        )
+        try:
+            assert worker.ping() == [1]
+            assert worker.submit_metrics().result()["replica_id"] == 3
+            observed = worker.submit_search(1, corpus.queries, 5, {"nprobs": 4}).result()
+            expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
+            assert search_results_equal(expected, observed)
+            assert "worker_metrics" not in observed.extra
+            assert "stage_cache" not in observed.extra
+        finally:
+            worker.close()
+
     def test_init_failure_is_recorded_and_reraised_typed(self, corpus, tmp_path):
         from repro.serving import runtime
 
