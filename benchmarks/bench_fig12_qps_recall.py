@@ -16,7 +16,6 @@ from repro.bench.harness import (
 )
 from repro.bench.report import emit, format_records_table, format_table
 from repro.core.config import QualityMode
-from repro.pipeline import StageCache
 
 SWEEP = SweepConfig(
     nprobs_values=(1, 2, 4, 8),
@@ -81,49 +80,6 @@ def test_fig12_qps_recall(which, deep_workload, sift_workload, tti_workload, rtx
     best_juno = max(r.recall for r in juno.records)
     best_base = max(r.recall for r in baseline.records)
     assert best_juno >= best_base - 0.1
-
-
-def test_fig12_sweep_stage_cache_reuse(deep_workload, rtx4090, benchmark):
-    """Cross-sweep stage caching on the full Fig. 12 grid.
-
-    The (mode x nprobs x scale) grid revisits the same query batch at every
-    point, but the coarse filter depends only on ``nprobs`` and the threshold
-    stage only on ``(nprobs, scale)`` -- so a cached sweep recomputes each
-    coarse slice once per ``nprobs`` value and each threshold slice once per
-    (nprobs, scale) pair, serving the rest of the grid from cache.
-    """
-    workload = deep_workload
-    dataset = workload.dataset
-    cache = StageCache()
-    juno = benchmark.pedantic(
-        run_juno_sweep,
-        args=(workload.juno, dataset.queries, dataset.ground_truth, SWEEP, rtx4090),
-        kwargs={"label": "JUNO-cached", "stage_cache": cache},
-        rounds=1,
-        iterations=1,
-    )
-    grid_points = (
-        len(SWEEP.quality_modes) * len(SWEEP.nprobs_values) * len(SWEEP.threshold_scales)
-    )
-    assert len(juno.records) == grid_points
-    stats = cache.stats()
-    emit()
-    emit(
-        format_table(
-            [{"stage": name, **counts} for name, counts in sorted(stats.items())],
-            title="Fig 12 [DEEP-like]: stage-cache reuse across the sweep grid",
-        )
-    )
-    assert stats["coarse_filter"]["misses"] == len(SWEEP.nprobs_values)
-    assert stats["coarse_filter"]["hits"] == grid_points - len(SWEEP.nprobs_values)
-    expected_threshold_misses = len(SWEEP.nprobs_values) * len(SWEEP.threshold_scales)
-    assert stats["threshold"]["misses"] == expected_threshold_misses
-    assert stats["threshold"]["hits"] == grid_points - expected_threshold_misses
-    # The RT-select memo keys include the inner-sphere setting: JUNO-H and
-    # JUNO-L share one LUT per (nprobs, scale) point, JUNO-M recomputes it.
-    expected_rt_misses = 2 * expected_threshold_misses
-    assert stats["rt_select"]["misses"] == expected_rt_misses
-    assert stats["rt_select"]["hits"] == grid_points - expected_rt_misses
 
 
 def test_fig12_r100_at_1000(deep_workload, rtx4090, benchmark):

@@ -20,8 +20,7 @@ from repro.core.index import JunoIndex
 from repro.gpu.cost_model import CostModel
 from repro.metrics.qps import ThroughputRecord, pareto_frontier
 from repro.metrics.recall import recall_k_at_n
-from repro.pipeline.cache import StageCache
-from repro.pipeline.pipeline import QueryPipeline, default_search_pipeline
+from repro.pipeline.pipeline import QueryPipeline
 from repro.serving.engine import ServingEngine
 from repro.serving.shard import ShardedJunoIndex
 
@@ -40,9 +39,6 @@ def _stage_extras(result_extra: dict, cost_model: CostModel) -> dict:
     stage_work = result_extra.get("stage_work")
     if stage_work:
         extras["stage_modelled_s"] = cost_model.stage_latencies(stage_work)
-    stage_cache = result_extra.get("stage_cache")
-    if stage_cache:
-        extras["stage_cache"] = {name: dict(counts) for name, counts in stage_cache.items()}
     return extras
 
 
@@ -137,7 +133,6 @@ def run_juno_sweep(
     label: str = "JUNO",
     pipelined: bool | None = None,
     pipeline: QueryPipeline | None = None,
-    stage_cache: "StageCache | bool | None" = None,
 ) -> QPSRecallSweep:
     """Measure JUNO across nprobs x scale x quality-mode combinations.
 
@@ -149,24 +144,8 @@ def run_juno_sweep(
     ``pipeline`` optionally substitutes a custom staged query pipeline for
     every search in the sweep; per-stage breakdowns land in each record's
     ``extra``.
-
-    ``stage_cache`` (``True`` for a sweep-local cache, or a ready
-    :class:`~repro.pipeline.cache.StageCache` to inspect afterwards) runs
-    every search through a cached default pipeline: the sweep grid revisits
-    the same query batch once per (mode, nprobs, scale) point, but the
-    coarse filter only depends on ``nprobs`` and the threshold stage only on
-    ``(nprobs, scale)``, so all other grid points reuse those outputs
-    instead of recomputing them.  Results are bit-identical to an uncached
-    sweep; cached searches simply skip (and do not re-count) the reused
-    work, and each record's ``extra["stage_cache"]`` reports the search's
-    hit/miss counts.  Mutually exclusive with ``pipeline``.
     """
     pipelined = sweep.pipelined if pipelined is None else pipelined
-    if isinstance(stage_cache, StageCache) or stage_cache:
-        if pipeline is not None:
-            raise ValueError("pass either pipeline or stage_cache, not both")
-        cache = stage_cache if isinstance(stage_cache, StageCache) else StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
     out = QPSRecallSweep(label=label)
     for mode in sweep.quality_modes:
         for nprobs in sweep.nprobs_values:

@@ -22,7 +22,6 @@ reward/penalty hit count and JUNO-L the plain hit count (Sec. 5.4 / 6.1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -45,13 +44,6 @@ from repro.rt.tracer import RayTracer
 
 if TYPE_CHECKING:  # pragma: no cover - the pipeline package imports core leaves
     from repro.pipeline.pipeline import QueryPipeline
-
-# Process-wide monotonic source of cache tokens: every (re)build of an
-# index's trained state gets a token no other index state in this process
-# ever had, so StageCache keys can never alias entries across retrains or
-# across a new index reusing a garbage-collected one's id().
-_CACHE_TOKENS = itertools.count()
-
 
 @dataclass
 class JunoSearchResult:
@@ -109,7 +101,6 @@ class JunoIndex:
         self.tracer: RayTracer | None = None
         self.sphere_radius: float = 1.0
         self.origin_offsets: np.ndarray | None = None
-        self.cache_token: int | None = None
 
     # ------------------------------------------------------------- factory
     @classmethod
@@ -355,11 +346,6 @@ class JunoIndex:
         re-running any training.  The subspace inverted index addresses the
         selective LUT in the scene's leaf-slot order, so it is rebuilt
         against the new scene (:meth:`rebuild_layout`).
-
-        Every (re)build also stamps a fresh, process-unique
-        :attr:`cache_token`: :class:`~repro.pipeline.cache.StageCache` keys
-        include it, so retraining an index -- or loading new state into one
-        -- invalidates every cached stage output derived from the old state.
         """
         config = self.config
         if self.pq is None or not self.pq.is_trained:
@@ -382,7 +368,7 @@ class JunoIndex:
 
     def rebuild_layout(self) -> None:
         """(Re)build the subspace inverted index from the posting lists, the
-        PQ codes and the current scene, and bump the cache token.
+        PQ codes and the current scene.
 
         The one place the score kernel's gather columns are made: each PQ
         code is translated, here and never per query, to the column its
@@ -396,20 +382,6 @@ class JunoIndex:
         self.subspace_index = SubspaceInvertedIndex(self.config.num_entries).build(
             self.ivf.posting_lists, self.codes, entry_slots
         )
-        self.bump_cache_token()
-
-    def bump_cache_token(self) -> int:
-        """Stamp a fresh process-unique cache token onto this index.
-
-        :class:`~repro.pipeline.cache.StageCache` keys include the token, so
-        bumping it invalidates every cached stage output (coarse filter,
-        thresholds, RT-select LUTs) derived from the previous state.  Called
-        on every scene (re)build and by the streaming-update layer
-        (:mod:`repro.updates`) after each upsert/delete, so a mutated index
-        can never serve a stale cached slice.
-        """
-        self.cache_token = next(_CACHE_TOKENS)
-        return self.cache_token
 
     # ----------------------------------------------------------------- search
     def default_pipeline(self) -> "QueryPipeline":

@@ -192,15 +192,7 @@ class CostModel:
     }
 
     def stage_latency(self, stage_name: str, work: SearchWork) -> float:
-        """Modelled latency of one named pipeline stage's work slice.
-
-        A slice served entirely from a
-        :class:`~repro.pipeline.cache.StageCache` (``extra["cache_hits"]``
-        positive with no misses) launches no kernel at all, so it is
-        modelled as free rather than charged the per-stage launch overhead.
-        """
-        if work.extra.get("cache_hits", 0) > 0 and work.extra.get("cache_misses", 0) == 0:
-            return 0.0
+        """Modelled latency of one named pipeline stage's work slice."""
         route = self.STAGE_ROUTES.get(stage_name, "distance")
         if route == "filter":
             return self.filter_latency(work)

@@ -14,7 +14,7 @@ otherwise dominate and hide the algorithmic effects the paper measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -59,11 +59,10 @@ class SearchWork:
     sorted_candidates: float = 0.0
     threshold_inferences: float = 0.0
     rerank_flops: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def copy(self) -> "SearchWork":
-        """An independent copy of this record (counters and ``extra``)."""
-        duplicate = SearchWork(extra=dict(self.extra))
+        """An independent copy of this record."""
+        duplicate = SearchWork()
         for name in _BATCH_FIELDS + _COUNTERS:
             setattr(duplicate, name, getattr(self, name))
         return duplicate
@@ -82,22 +81,10 @@ class SearchWork:
         return out
 
     def merge(self, other: "SearchWork") -> "SearchWork":
-        """Accumulate another batch's work into this record (in place).
-
-        Numeric ``extra`` entries (diagnostic counters such as the stage
-        cache's ``cache_hits`` / ``cache_misses``) are summed under the same
-        key so they aggregate across shards like the primary counters;
-        non-numeric extras keep the first value seen.
-        """
+        """Accumulate another batch's work into this record (in place)."""
         for name in ("num_queries",) + _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.lut_pairwise_dims = max(self.lut_pairwise_dims, other.lut_pairwise_dims)
-        for key, value in other.extra.items():
-            mine = self.extra.get(key)
-            if isinstance(value, (int, float)) and isinstance(mine, (int, float)):
-                self.extra[key] = mine + value
-            else:
-                self.extra.setdefault(key, value)
         return self
 
     def per_query(self) -> "SearchWork":
@@ -126,6 +113,4 @@ class SearchWork:
 # ``dataclasses.fields`` each time was a measurable share of a single-query
 # search.
 _BATCH_FIELDS = ("num_queries", "lut_pairwise_dims")
-_COUNTERS = tuple(
-    f.name for f in fields(SearchWork) if f.name != "extra" and f.name not in _BATCH_FIELDS
-)
+_COUNTERS = tuple(f.name for f in fields(SearchWork) if f.name not in _BATCH_FIELDS)

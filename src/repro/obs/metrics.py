@@ -1,7 +1,7 @@
 """Typed metrics registry: counters, gauges, fixed-bucket histograms.
 
-The serving stack accumulates operational counters in many places (stage
-cache hits, admission decisions, failover retries, WAL fsyncs); this module
+The serving stack accumulates operational counters in many places (RT
+rays and hits, admission decisions, failover retries, WAL fsyncs); this module
 gives them one home.  A :class:`MetricsRegistry` is a process-local,
 thread-safe collection of named instruments:
 
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Default histogram buckets (seconds): ~5 per decade from 10us to 10s.
-#: Chosen to straddle everything this repo measures, from a single cached
+#: Chosen to straddle everything this repo measures, from a single small
 #: pipeline stage (tens of microseconds) to a cold shard respawn (seconds).
 DEFAULT_LATENCY_BUCKETS = (
     1e-5, 2.5e-5, 5e-5,

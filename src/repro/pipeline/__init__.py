@@ -49,35 +49,6 @@ them (``tests/score_reference.py``): results and
 :class:`~repro.gpu.work.SearchWork` deltas are bit-identical, only the batch
 shape of the arithmetic differs.
 
-Stage caching
--------------
-
-A :class:`~repro.pipeline.cache.StageCache` passed to
-``default_search_pipeline(stage_cache=...)`` memoises the coarse-filter,
-threshold and RT-select stages across searches.  Keys combine a content
-fingerprint of the query batch (shape + dtype + bytes) with the parameters
-that determine each stage's output -- ``(index identity, nprobs)`` for the
-coarse filter, plus ``(selected-cluster fingerprint, threshold_scale)`` for
-the threshold stage -- so neither depends on the quality mode, and the
-coarse filter is also scale-independent: a ``threshold_scale`` x
-quality-mode sweep recomputes each slice once.  The RT-select memo keys on
-the full upstream slice (origins, ``t_max``, thresholds, metric *and* the
-quality mode's inner-sphere setting and the miss penalty factor), so it
-serves exact repeat batches only -- hot repeated queries against
-worker-resident serving shards, or a sweep revisiting a grid point, where
-JUNO-H and JUNO-L share one LUT -- and a search can never alias a LUT built
-for another inner sphere: JUNO-M's carries inner-sphere flags and ``NaN``
-where the others hold miss penalties.  A changed query batch
-changes the fingerprint (automatic invalidation); old entries age out of
-the LRU ring.  Cache hits restore
-bit-identical arrays (stored read-only) but do *not* replay the stage's work
-counters -- the operations were genuinely skipped -- and each search reports
-its lookup counts under ``extra["stage_cache"]`` and on the per-stage work
-slices (``extra["stage_work"][name].extra["cache_hits"]`` /
-``["cache_misses"]``), which
-:meth:`repro.gpu.cost_model.CostModel.stage_latencies` uses to model fully
-cached slices as free.
-
 Inserting a custom stage
 ------------------------
 
@@ -106,7 +77,6 @@ are recorded under ``result.extra["stage_seconds"]`` /
 per-stage GPU latencies.
 """
 
-from repro.pipeline.cache import StageCache
 from repro.pipeline.context import QueryContext
 from repro.pipeline.pipeline import (
     QueryPipeline,
@@ -133,7 +103,6 @@ __all__ = [
     "QueryStage",
     "RTSelectStage",
     "ScoreStage",
-    "StageCache",
     "ThresholdStage",
     "TopKStage",
     "default_search_pipeline",

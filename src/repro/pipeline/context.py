@@ -63,11 +63,7 @@ class QueryContext:
         scores: final ``(Q, k)`` scores aligned with ``ids``.
         selected_entry_fraction: average fraction of codebook entries
             selected per (ray, subspace).
-        extra: diagnostics accumulated by stages.  Cache-aware stages count
-            their lookups under ``extra["stage_cache"]`` (``{stage name:
-            {"hits": ..., "misses": ...}}``); the pipeline copies each
-            stage's counts onto its ``stage_work`` slice as
-            ``extra["cache_hits"]`` / ``extra["cache_misses"]``.
+        extra: diagnostics accumulated by stages.
         stage_seconds: wall-clock seconds per stage name, in execution order.
         stage_work: per-stage :class:`SearchWork` deltas, keyed like
             ``stage_seconds``.

@@ -6,7 +6,6 @@ from typing import Iterable
 
 from repro.obs.clock import now as _now
 from repro.obs.metrics import get_registry
-from repro.pipeline.cache import StageCache
 from repro.pipeline.context import QueryContext
 from repro.pipeline.stages import (
     CoarseFilterStage,
@@ -32,7 +31,7 @@ class QueryPipeline:
     With ``instrument=True`` (the default) every stage execution also
     publishes to the process-local metrics registry
     (:func:`repro.obs.metrics.get_registry`): a ``repro_stage_seconds``
-    latency histogram per stage plus batch/query/cache-counter totals.
+    latency histogram per stage plus batch and query totals.
     ``instrument=False`` gives the bare pipeline -- the
     ``tests/test_obs_perf.py`` slow test pins the instrumented/bare
     throughput gap.
@@ -94,20 +93,14 @@ class QueryPipeline:
         The per-stage :class:`SearchWork` is the delta of the shared counters
         across the stage, so summing the breakdown over all stages recovers
         the batch totals exactly; a stage name that occurs twice accumulates.
-        Cache-aware stages record their hit/miss counts in
-        ``ctx.extra["stage_cache"]``; those counters are copied onto the
-        stage's work slice (``extra["cache_hits"]`` /
-        ``extra["cache_misses"]``) so they travel with ``stage_work`` into
-        sweep records and the cost model.  With ``ctx.trace`` set, every
-        stage runs inside its own ``stage:<name>`` span.
+        With ``ctx.trace`` set, every stage runs inside its own
+        ``stage:<name>`` span.
         """
         registry = ctx.registry = get_registry() if self.instrument else None
         trace = ctx.trace
         for stage in self.stages:
             before = ctx.work.copy()
-            before_counts = dict(ctx.extra.get("stage_cache", {}).get(stage.name, {}))
             if trace is None:
-                span = None
                 started = _now()
                 stage.run(ctx)
                 elapsed = _now() - started
@@ -119,11 +112,6 @@ class QueryPipeline:
                     stage.run(ctx)
                 elapsed = span.duration_s
             delta = ctx.work.delta(before)
-            cache_counts = ctx.extra.get("stage_cache", {}).get(stage.name)
-            if cache_counts is not None:
-                before_misses = before_counts.get("misses", 0)
-                delta.extra["cache_hits"] = cache_counts["hits"] - before_counts.get("hits", 0)
-                delta.extra["cache_misses"] = cache_counts["misses"] - before_misses
             ctx.stage_seconds[stage.name] = ctx.stage_seconds.get(stage.name, 0.0) + elapsed
             if stage.name in ctx.stage_work:
                 ctx.stage_work[stage.name].merge(delta)
@@ -132,59 +120,27 @@ class QueryPipeline:
                 ctx.stage_work[stage.name] = delta
             if registry is not None:
                 registry.histogram("repro_stage_seconds", stage=stage.name).observe(elapsed)
-                if cache_counts is not None:
-                    registry.counter("repro_stage_cache_hits_total", stage=stage.name).inc(
-                        delta.extra["cache_hits"]
-                    )
-                    registry.counter("repro_stage_cache_misses_total", stage=stage.name).inc(
-                        delta.extra["cache_misses"]
-                    )
-            if span is not None and cache_counts is not None:
-                span.attributes["cache_hits"] = delta.extra["cache_hits"]
-                span.attributes["cache_misses"] = delta.extra["cache_misses"]
         if registry is not None:
             registry.counter("repro_pipeline_batches_total").inc()
             registry.counter("repro_pipeline_queries_total").inc(ctx.num_queries)
         return ctx
 
 
-def default_search_pipeline(stage_cache: StageCache | None = None) -> QueryPipeline:
+def default_search_pipeline() -> QueryPipeline:
     """The staged equivalent of the monolithic JUNO online path (Alg. 2).
 
     ``CoarseFilterStage -> ThresholdStage -> RTSelectStage -> ScoreStage ->
     TopKStage``; bit-identical to the pre-pipeline ``JunoIndex.search``
     (the score stage's gather kernel is pinned to the
     historical per-ray loop by the parity tests).
-
-    Args:
-        stage_cache: optional :class:`~repro.pipeline.cache.StageCache`
-            shared by the coarse-filter, threshold and RT-select stages, so
-            repeated searches of the same batch (threshold-scale or
-            quality-mode sweeps, hot repeat queries against resident shard
-            workers) reuse their outputs instead of recomputing them.  The
-            RT-select memo keys on the full upstream slice -- including the
-            quality mode's inner-sphere setting and the ``t_max`` budgets --
-            so it only hits for exact repeats.
     """
     return QueryPipeline(
-        (
-            CoarseFilterStage(cache=stage_cache),
-            ThresholdStage(cache=stage_cache),
-            RTSelectStage(cache=stage_cache),
-            ScoreStage(),
-            TopKStage(),
-        )
+        (CoarseFilterStage(), ThresholdStage(), RTSelectStage(), ScoreStage(), TopKStage())
     )
 
 
-def rerank_pipeline(
-    points,
-    metric=None,
-    stage_cache: StageCache | None = None,
-) -> QueryPipeline:
+def rerank_pipeline(points, metric=None) -> QueryPipeline:
     """A default pipeline with an exact rerank appended after top-k."""
     from repro.pipeline.stages import ExactRerankStage
 
-    return default_search_pipeline(stage_cache=stage_cache).appended(
-        ExactRerankStage(points, metric=metric)
-    )
+    return default_search_pipeline().appended(ExactRerankStage(points, metric=metric))

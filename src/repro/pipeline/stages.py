@@ -22,15 +22,6 @@ Python loop the parity tests pin it against lives with them in
 it rescores already-selected candidates against the raw corpus, which the
 sharded router appends after its k-way merge to restore cross-shard score
 comparability.
-
-:class:`CoarseFilterStage` and :class:`ThresholdStage` optionally memoise
-their outputs in a :class:`~repro.pipeline.cache.StageCache` (their outputs
-do not depend on the quality mode, and the coarse filter does not depend on
-``threshold_scale`` either, so sweeps reuse them across grid points);
-:class:`RTSelectStage` can memoise its selective LUT too, keyed by the full
-upstream slice including the inner-sphere setting, the miss penalty factor
-and ``t_max``, so it pays off only for exact repeat batches.  See
-:mod:`repro.pipeline.cache` for the key/invalidation scheme.
 """
 
 from __future__ import annotations
@@ -44,7 +35,6 @@ from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
 from repro.metrics.distances import Metric, padded_top_k
 from repro.pipeline import fused
-from repro.pipeline.cache import StageCache, freeze
 from repro.pipeline.context import QueryContext
 
 
@@ -65,117 +55,29 @@ class QueryStage(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-def _index_cache_identity(index) -> tuple:
-    """The part of a stage-cache key that names the index's trained state.
-
-    ``cache_token`` is stamped process-uniquely on every scene (re)build, so
-    a retrained index -- or a new index whose ``id()`` happens to reuse a
-    collected one's -- can never alias another state's cached entries; the
-    ``id()`` component merely keeps tokenless stand-ins distinct.
-    """
-    return (id(index), getattr(index, "cache_token", None))
-
-
-def _note_cache_event(ctx: QueryContext, stage_name: str, hit: bool) -> None:
-    """Record one cache lookup in ``ctx.extra["stage_cache"]``.
-
-    The pipeline copies these counters onto the stage's
-    ``extra["stage_work"]`` slice after the stage runs, which is how they
-    reach sweep records and the cost model.
-    """
-    counters = ctx.extra.setdefault("stage_cache", {}).setdefault(
-        stage_name, {"hits": 0, "misses": 0}
-    )
-    counters["hits" if hit else "misses"] += 1
-
-
 class CoarseFilterStage:
-    """Stage A: brute-force coarse filtering over the IVF centroids.
-
-    Args:
-        cache: optional :class:`StageCache`.  The selected-cluster matrix
-            depends only on ``(index, queries, nprobs)``, so every grid point
-            of a ``threshold_scale`` or quality-mode sweep past the first is
-            served from cache.  Hits do not replay the filtering FLOPs --
-            the work was genuinely skipped -- and are counted in
-            ``ctx.extra["stage_cache"]``.
-    """
+    """Stage A: brute-force coarse filtering over the IVF centroids."""
 
     name = "coarse_filter"
 
-    def __init__(self, cache: StageCache | None = None) -> None:
-        self.cache = cache
-
     def run(self, ctx: QueryContext) -> None:
         index = ctx.require("index", self.name)
-        key = None
-        if self.cache is not None:
-            key = (
-                self.name,
-                _index_cache_identity(index),
-                int(ctx.nprobs),
-                self.cache.fingerprint(ctx.queries),
-            )
-            cached = self.cache.fetch(self.name, key)
-            _note_cache_event(ctx, self.name, hit=cached is not None)
-            if cached is not None:
-                ctx.selected = cached
-                ctx.nprobs = cached.shape[1]
-                return
         selected = index.ivf.select_clusters(ctx.queries, ctx.nprobs)
         ctx.nprobs = selected.shape[1]
         ctx.selected = selected
         ctx.work.filter_flops += 2.0 * ctx.num_queries * index.dim * index.ivf.num_clusters
-        if self.cache is not None:
-            self.cache.store(self.name, key, freeze(selected))
 
 
 class ThresholdStage:
-    """Stage B1: ray origins plus dynamic per-ray thresholds and ``t_max``.
-
-    Args:
-        cache: optional :class:`StageCache`.  Origins, thresholds and
-            ``t_max`` depend on ``(index, queries, selected clusters,
-            threshold_scale)`` but not on the quality mode, so a quality-mode
-            sweep at a fixed scale reuses them.  Hits skip the
-            threshold-regressor work (and its counters).
-    """
+    """Stage B1: ray origins plus dynamic per-ray thresholds and ``t_max``."""
 
     name = "threshold"
-
-    def __init__(self, cache: StageCache | None = None) -> None:
-        self.cache = cache
 
     def run(self, ctx: QueryContext) -> None:
         index = ctx.require("index", self.name)
         selected = ctx.require("selected", self.name)
-        key = None
-        if self.cache is not None:
-            key = (
-                self.name,
-                _index_cache_identity(index),
-                float(ctx.threshold_scale),
-                self.cache.fingerprint(ctx.queries),
-                self.cache.fingerprint(selected),
-            )
-            cached = self.cache.fetch(self.name, key)
-            _note_cache_event(ctx, self.name, hit=cached is not None)
-            if cached is not None:
-                ctx.origins, ctx.query_cluster_ip, ctx.thresholds, ctx.t_max = cached
-                return
         ctx.origins, ctx.query_cluster_ip = index._ray_origins(ctx.queries, selected)
         ctx.thresholds, ctx.t_max = self._thresholds_and_tmax(ctx, ctx.origins)
-        if self.cache is not None:
-            self.cache.store(
-                self.name,
-                key,
-                (
-                    freeze(ctx.origins),
-                    freeze(ctx.query_cluster_ip),
-                    freeze(ctx.thresholds),
-                    freeze(ctx.t_max),
-                ),
-            )
 
     def _thresholds_and_tmax(
         self, ctx: QueryContext, origins: np.ndarray
@@ -235,61 +137,14 @@ class RTSelectStage:
     whose inner-sphere test must fail on a miss.  JUNO-L reads only the hit
     grid, so it builds JUNO-H's LUT.  The hits are never compressed to lists
     in between.
-
-    Args:
-        cache: optional :class:`StageCache` memoising the constructed
-            :class:`~repro.core.selective_lut.SelectiveLUT`.  Unlike the
-            earlier stages the LUT depends on *everything* upstream -- the
-            ray origins, the ``t_max`` travel budgets (and hence the
-            threshold scale), the metric, whether the quality mode
-            evaluates the inner sphere and the miss penalty factor -- so
-            the key fingerprints the origins/``t_max``/``thresholds`` slices
-            and includes the effective inner-sphere ratio and the penalty
-            factor: it only pays off for exact repeat batches (an online
-            workload's hot queries, or a sweep revisiting a grid point, where
-            JUNO-H and JUNO-L share one LUT), and a search can never alias a
-            LUT built for another inner sphere or other misses.  Hits restore
-            the identical LUT (its tables frozen read-only) without replaying
-            the traversal counters.
     """
 
     name = "rt_select"
-
-    def __init__(self, cache: StageCache | None = None) -> None:
-        self.cache = cache
-
-    def _cache_key(self, ctx: QueryContext, index, origins, t_max) -> tuple:
-        inner_ratio = (
-            float(index.config.inner_sphere_ratio)
-            if ctx.quality_mode.uses_inner_sphere
-            else None
-        )
-        return (
-            self.name,
-            _index_cache_identity(index),
-            ctx.metric.value,
-            inner_ratio,
-            float(index.config.miss_penalty_factor),
-            self.cache.fingerprint(origins),
-            self.cache.fingerprint(t_max),
-            None if ctx.thresholds is None else self.cache.fingerprint(ctx.thresholds),
-        )
 
     def run(self, ctx: QueryContext) -> None:
         index = ctx.require("index", self.name)
         origins = ctx.require("origins", self.name)
         t_max = ctx.require("t_max", self.name)
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(ctx, index, origins, t_max)
-            cached = self.cache.fetch(self.name, key)
-            _note_cache_event(ctx, self.name, hit=cached is not None)
-            if cached is not None:
-                lut, fraction = cached
-                ctx.lut = lut
-                ctx.selected_entry_fraction = fraction
-                ctx.extra["rt_hits"] = lut.stats.hits
-                return
         constructor = SelectiveLUTConstructor(
             tracer=index.tracer,
             base_radius=index.sphere_radius,
@@ -323,11 +178,6 @@ class RTSelectStage:
             ctx.registry.counter("repro_rt_rays_total").inc(lut.stats.rays)
             ctx.registry.counter("repro_rt_hits_total").inc(lut.stats.hits)
             ctx.registry.counter("repro_rt_slots_total").inc(lut.stats.rays * lut.num_entries)
-        if self.cache is not None:
-            freeze(lut.table)
-            freeze(lut.hits)
-            freeze(lut.inner)
-            self.cache.store(self.name, key, (lut, ctx.selected_entry_fraction))
 
 
 class ScoreStage:

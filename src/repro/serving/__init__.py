@@ -16,8 +16,7 @@ a batching **front-end** feeds the **routing layer**
 (:mod:`repro.serving.routing`: replica selection, load balancing, failover),
 which dispatches query-only payloads to the **worker runtime**
 (:mod:`repro.serving.runtime`: processes that load their shard from a
-per-shard bundle once and keep it -- plus a private stage cache -- resident
-for their lifetime).
+per-shard bundle once and keep it resident for their lifetime).
 
 Deployments are described by a typed, frozen
 :class:`~repro.serving.config.ServingConfig` (with nested

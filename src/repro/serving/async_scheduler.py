@@ -35,7 +35,6 @@ from repro.serving.config import AdmissionPolicy
 from repro.serving.scheduler import (
     BatchRecord,
     SchedulerStats,
-    accumulate_stage_cache_counters,
     aggregate_batch_records,
     freeze_result_rows,
 )
@@ -124,7 +123,6 @@ class AsyncBatchingScheduler:
         self.admission = admission
         self.search_params = dict(search_params)
         self.records: list[BatchRecord] = []
-        self.stage_cache_counters: dict[str, dict[str, int]] = {}
         self.admitted = 0
         self.rejected = 0
         self.shed = 0
@@ -292,7 +290,6 @@ class AsyncBatchingScheduler:
             ids, scores = result.ids, result.scores
         else:
             ids, scores = result[0], result[1]
-        accumulate_stage_cache_counters(self.stage_cache_counters, result)
         for row, future in enumerate(pending.futures):
             if not future.done():
                 future.set_result(freeze_result_rows(ids[row], scores[row]))

@@ -7,7 +7,7 @@ take every deployment setting through three frozen dataclasses:
   executor, worker count, whether the coordinator materialises shards) plus
   the two nested policies;
 * :class:`ReplicaPolicy` -- the worker-resident replica table (replica
-  count, cache-affinity routing, per-worker stage caches, warm boot);
+  count, warm boot, residency mode);
 * :class:`AdmissionPolicy` -- the async front-end's overload story (bounded
   pending queue, reject vs shed-oldest).
 
@@ -79,10 +79,6 @@ class ReplicaPolicy:
         num_replicas: worker processes hosting each shard; ``R > 1`` buys
             failover and respawn headroom at the cost of ``R`` resident
             copies.
-        affinity: route batches by fingerprint to a preferred replica so
-            repeat batches hit the worker whose stage cache is warm.
-        worker_stage_cache: give every worker a private batch-surviving
-            :class:`~repro.pipeline.cache.StageCache`.
         warm: ping every worker at boot so a bad bundle fails fast.
         residency: how workers make shard arrays resident -- ``"copy"``
             (private copies, the default), ``"mmap"`` (read-only maps of the
@@ -93,8 +89,6 @@ class ReplicaPolicy:
     """
 
     num_replicas: int = 1
-    affinity: bool = True
-    worker_stage_cache: bool = True
     warm: bool = True
     residency: str = "copy"
 
@@ -108,8 +102,6 @@ class ReplicaPolicy:
         """JSON-serialisable form; inverse of :meth:`from_dict`."""
         return {
             "num_replicas": self.num_replicas,
-            "affinity": self.affinity,
-            "worker_stage_cache": self.worker_stage_cache,
             "warm": self.warm,
             "residency": self.residency,
         }

@@ -206,8 +206,7 @@ class ServingEngine:
     def upsert(self, ids, vectors):
         """Insert or replace vectors by global id (mutable backends only).
 
-        Visible to the next search: the mutation bumps the backend's state
-        token, so no cached stage output from before it can be served.
+        Visible to the next search: read-your-writes.
         """
         if not self.supports_updates:
             raise TypeError(f"backend {self.backend!r} does not support streaming updates")

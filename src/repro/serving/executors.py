@@ -44,8 +44,8 @@ class ShardExecutor:
     """Interface of a fan-out backend: map a task over payloads, then close.
 
     ``resident`` marks executors whose workers own their shard state for the
-    process lifetime; the router uses it to skip shipping router-side cached
-    pipelines (the workers keep private caches instead).
+    process lifetime; the router sends such executors mutations as op
+    payloads (``apply_ops``) instead of applying them to local shards.
     """
 
     kind: str = "abstract"

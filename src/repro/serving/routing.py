@@ -11,29 +11,23 @@ the process.
 :class:`ResidentProcessShardExecutor` implements the
 :class:`~repro.serving.executors.ShardExecutor` fan-out interface on top of
 a replica table: every shard is hosted by ``num_replicas`` independent
-worker processes, batches are routed by **cache affinity** (a fingerprint of
-the batch maps it to a preferred replica, so hot repeat batches hit the
-worker whose resident stage cache already holds them; round-robin otherwise
-and as the fallback when replicas die), and when a worker dies mid-batch
-(detected as a broken pool) the batch is transparently retried on a
-surviving replica.  Per-batch IPC is query-only -- a payload is
-``(shard_id, queries, k, params)`` -- so its pickled size is independent of
-the corpus; shard bytes reach the workers through the per-shard bundles on
-disk, at pool init.  Mutable deployments additionally broadcast op payloads
+worker processes, batches go round-robin over the live replicas, and when a
+worker dies mid-batch (detected as a broken pool) the batch is
+transparently retried on a surviving replica.  Per-batch IPC is query-only
+-- a payload is ``(shard_id, queries, k, params)`` -- so its pickled size is
+independent of the corpus; shard bytes reach the workers through the
+per-shard bundles on disk, at pool init.  Mutable deployments additionally broadcast op payloads
 to every live replica of the owning shard (:meth:`apply_ops` -- the
 replicated op log), keeping replicas bit-identical under streaming updates.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import pickle
 import threading
 from concurrent.futures import BrokenExecutor, Future
 from pathlib import Path
-
-import numpy as np
 
 from repro.errors import RecoveryError, ServingError
 from repro.obs.log import event as log_event
@@ -61,19 +55,8 @@ class _ReplicaSet:
     def alive(self) -> list[ResidentWorker]:
         return [worker for worker in self.workers if worker.alive]
 
-    def pick(
-        self, exclude: set[int] | None = None, preferred: int | None = None
-    ) -> ResidentWorker:
-        """Next live replica, skipping ``exclude``.
-
-        With ``preferred`` (a batch-fingerprint hash), the same batch maps
-        to the same live replica every time -- cache-affinity routing, so a
-        hot repeat batch lands on the worker whose resident
-        :class:`~repro.pipeline.cache.StageCache` already holds its slices.
-        The mapping is over the *surviving* candidates, so a dead (or
-        excluded-for-this-batch) preferred replica transparently falls over
-        to a sibling.  Without a preference the round-robin cursor decides.
-        """
+    def pick(self, exclude: set[int] | None = None) -> ResidentWorker:
+        """Next live replica in round-robin order, skipping ``exclude``."""
         exclude = exclude or set()
         candidates = [w for w in self.alive() if w.replica_id not in exclude]
         if not candidates:
@@ -82,8 +65,6 @@ class _ReplicaSet:
                 f"({len(self.workers)} configured, {len(self.alive())} alive, "
                 f"{sorted(exclude)} excluded for this batch)"
             )
-        if preferred is not None:
-            return candidates[preferred % len(candidates)]
         worker = candidates[self._cursor % len(candidates)]
         self._cursor += 1
         return worker
@@ -101,20 +82,12 @@ class ResidentProcessShardExecutor(ShardExecutor):
         num_replicas: worker processes hosting *each* shard.  ``R > 1`` buys
             failover (a dying worker's batches retry on a sibling) and
             load-balancing headroom at the cost of ``R`` resident copies.
-        stage_cache: give every worker a private
-            :class:`~repro.pipeline.cache.StageCache` that survives across
-            batches (worker-resident caching; the router-side cache cannot
-            cross the process boundary).
         warm: ping every worker at construction so a bad bundle raises its
             typed error immediately (and shard loading provably happens at
             pool init, not on the first live batch).
         mutable: boot the workers from mutable per-shard bundles
             (:mod:`repro.updates`); :meth:`apply_ops` then broadcasts
             mutation payloads to every live replica of the owning shard.
-        affinity: route each batch to a replica chosen by a fingerprint of
-            its ``(queries, k, params)`` instead of pure round-robin, so hot
-            repeat batches hit the worker whose resident stage cache already
-            holds them; falls back over surviving replicas on death.
         residency: how workers make shard arrays resident.  ``"copy"``
             (default) gives every worker a private copy; ``"mmap"`` maps the
             bundle's ``npy``-layout arrays read-only from the page cache;
@@ -151,10 +124,8 @@ class ResidentProcessShardExecutor(ShardExecutor):
         bundle_path: str | Path,
         num_shards: int | None = None,
         num_replicas: int = 1,
-        stage_cache: bool = True,
         warm: bool = True,
         mutable: bool = False,
-        affinity: bool = True,
         residency: str = "copy",
         piggyback_metrics: bool = True,
     ) -> None:
@@ -176,9 +147,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
             raise ValueError("num_shards must be positive")
         self.num_shards = int(num_shards)
         self.num_replicas = int(num_replicas)
-        self.stage_cache = bool(stage_cache)
         self.mutable = bool(mutable)
-        self.affinity = bool(affinity)
         self.residency = str(residency)
         self.piggyback_metrics = bool(piggyback_metrics)
         self.last_batch_payload_bytes = 0
@@ -254,7 +223,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
             self.bundle_path,
             (shard_id,),
             replica_id=replica_id,
-            stage_cache=self.stage_cache,
             mutable=self.mutable,
             residency=self.residency,
             shm_descriptors=(
@@ -372,31 +340,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
             "does) instead of the generic map() interface"
         )
 
-    @staticmethod
-    def _batch_preference(queries, k: int, params: dict) -> int:
-        """A stable fingerprint of one batch, used for cache-affinity routing.
-
-        Hashes the query bytes plus the primitive search knobs -- the same
-        ingredients the worker-resident stage caches key on -- so an exact
-        repeat batch maps to the same preferred replica and hits the cache
-        it warmed.  Non-primitive params (a custom pipeline object) hash by
-        type only: they cannot be fingerprinted stably, and a coarser hash
-        merely costs affinity, never correctness.
-        """
-        digest = hashlib.blake2b(digest_size=8)
-        array = np.ascontiguousarray(np.asarray(queries))
-        digest.update(str(array.dtype).encode())
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
-        digest.update(str(int(k)).encode())
-        for key in sorted(params):
-            value = params[key]
-            if isinstance(value, (str, int, float, bool, type(None))):
-                digest.update(f"{key}={value};".encode())
-            else:
-                digest.update(f"{key}=<{type(value).__name__}>;".encode())
-        return int.from_bytes(digest.digest(), "big")
-
     def search_shards(self, shards, queries, k: int, params: dict) -> list:
         """Fan one query batch out to every shard's resident workers.
 
@@ -418,19 +361,12 @@ class ResidentProcessShardExecutor(ShardExecutor):
         self.last_batch_payload_bytes = self.num_shards * len(
             pickle.dumps((0, queries, k, params))
         )
-        preferred = (
-            self._batch_preference(queries, k, params)
-            if self.affinity and self.num_replicas > 1
-            else None
-        )
         inflight: list[tuple[ResidentWorker, Future, set[int]]] = []
         for shard_id in range(self.num_shards):
-            inflight.append(self._dispatch(shard_id, queries, k, params, preferred=preferred))
+            inflight.append(self._dispatch(shard_id, queries, k, params))
         results = []
         for shard_id, (worker, future, exclude) in enumerate(inflight):
-            results.append(
-                self._collect(shard_id, worker, future, exclude, queries, k, params, preferred)
-            )
+            results.append(self._collect(shard_id, worker, future, exclude, queries, k, params))
         return results
 
     def _dispatch(
@@ -440,7 +376,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
         k: int,
         params: dict,
         exclude: set[int] | None = None,
-        preferred: int | None = None,
     ) -> tuple[ResidentWorker, Future, set[int]]:
         """Submit one shard's batch to the chosen live replica.
 
@@ -451,7 +386,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
         """
         exclude = set(exclude or ())
         while True:
-            worker = self._replica_sets[shard_id].pick(exclude, preferred=preferred)
+            worker = self._replica_sets[shard_id].pick(exclude)
             if self._pop_injected_failure(shard_id, worker.replica_id):
                 # Crash the worker under a live batch; depending on how fast
                 # the pool notices, the search fails either at submit time or
@@ -488,7 +423,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
         queries,
         k,
         params,
-        preferred: int | None = None,
     ):
         """Await one shard's result, failing over across replicas on death."""
         while True:
@@ -499,7 +433,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
             except BrokenExecutor:
                 self._retire(worker, exclude)
                 worker, future, exclude = self._dispatch(
-                    shard_id, queries, k, params, exclude=exclude, preferred=preferred
+                    shard_id, queries, k, params, exclude=exclude
                 )
 
     # ----------------------------------------------------------- observability
@@ -568,7 +502,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
         the op succeeds as long as at least one replica applied it.
 
         Returns the last surviving replica's report (``live`` point count,
-        ``ops_applied``, ``state_token``).
+        ``ops_applied``, buffer sizes and pending maintenance).
 
         Thread-safe: broadcasts are serialised under an internal lock, so a
         writer thread and a background

@@ -5,8 +5,7 @@ pool on every batch, so per-batch IPC grew with the corpus instead of the
 query batch.  This module is the worker half of the resident architecture
 (the Megatron-style "workers own their model state for a process lifetime"
 shape): a pool worker is booted with an initializer that loads its assigned
-shard(s) from persisted per-shard bundles exactly once, keeps them -- plus a
-private, batch-surviving :class:`~repro.pipeline.cache.StageCache` -- in
+shard(s) from persisted per-shard bundles exactly once, keeps them in
 process-global state, and from then on receives only
 ``(shard_id, queries, k, params)`` payloads.  Shard bytes cross the process
 boundary at pool init (via the filesystem), never per batch.
@@ -37,7 +36,7 @@ RESIDENCY_MODES = ("copy", "mmap", "shm")
 
 #: Process-global state of a resident worker, populated by
 #: :func:`resident_worker_init` when the pool boots the process.  Maps
-#: ``shard_id -> (JunoIndex, QueryPipeline | None)``; the ``"__error__"`` key
+#: ``shard_id -> JunoIndex`` (or its mutable wrapper); the ``"__error__"`` key
 #: holds an initializer failure so tasks can re-raise it as a typed error
 #: instead of breaking the pool, and ``"__shm__"`` retains the attached
 #: :class:`~repro.serving.shm.ShmArraySet` objects so their views stay valid
@@ -48,7 +47,6 @@ _RESIDENT_SHARDS: dict = {}
 def resident_worker_init(
     bundle_path: str,
     shard_ids: Sequence[int],
-    stage_cache: bool,
     mutable: bool = False,
     residency: str = "copy",
     shm_descriptors: dict | None = None,
@@ -59,13 +57,9 @@ def resident_worker_init(
 
     Runs inside the freshly started worker process.  Each shard is restored
     from its per-shard bundle (written by
-    :meth:`repro.serving.shard.ShardedJunoIndex.save`) and paired with a
-    worker-private cached pipeline when ``stage_cache`` is set -- the cache
-    lives for the worker's whole life, so repeated batches hit it across
-    flushes (unlike the router-side cache, which pickles empty into process
-    pools).  ``mutable`` boots the shard as a
-    :class:`~repro.updates.mutable.MutableJunoIndex` (from a mutable bundle),
-    so the worker can apply replicated op payloads
+    :meth:`repro.serving.shard.ShardedJunoIndex.save`).  ``mutable`` boots
+    the shard as a :class:`~repro.updates.mutable.MutableJunoIndex` (from a
+    mutable bundle), so the worker can apply replicated op payloads
     (:func:`resident_apply_task`) in addition to serving queries.
 
     ``residency`` picks how the trained arrays become resident: ``"copy"``
@@ -86,8 +80,6 @@ def resident_worker_init(
     :class:`~concurrent.futures.process.BrokenProcessPool`; instead every
     subsequent task re-raises the stored (typed) error.
     """
-    from repro.pipeline.cache import StageCache
-    from repro.pipeline.pipeline import default_search_pipeline
     from repro.serving.persistence import (
         index_from_arrays,
         load_index,
@@ -127,8 +119,7 @@ def resident_worker_init(
                 )
             else:
                 index = load_index(shard_path, mmap=residency == "mmap")
-            pipeline = default_search_pipeline(stage_cache=StageCache()) if stage_cache else None
-            _RESIDENT_SHARDS[int(shard_id)] = (index, pipeline)
+            _RESIDENT_SHARDS[int(shard_id)] = index
         if attached:
             _RESIDENT_SHARDS["__shm__"] = attached
     except Exception as exc:  # noqa: BLE001 - re-raised typed by every task
@@ -184,9 +175,9 @@ def resident_search_task(shard_id: int, queries, k: int, params: dict):
     """Run one shard's search against worker-resident state.
 
     The payload carries only the query batch and search knobs; the shard
-    itself (and its private stage cache) already lives in this process.  An
-    explicit ``params["pipeline"]`` (shipped pickled, like the non-resident
-    executors) overrides the worker's cached default pipeline.
+    itself already lives in this process.  An explicit
+    ``params["pipeline"]`` (shipped pickled, like the non-resident executors)
+    overrides the index's default pipeline.
 
     A propagated ``params["trace"]`` context is rebuilt into a worker-side
     :class:`~repro.obs.trace.Trace`: the whole call is wrapped in a
@@ -198,15 +189,13 @@ def resident_search_task(shard_id: int, queries, k: int, params: dict):
     """
     _check_worker_ready()
     try:
-        index, pipeline = _RESIDENT_SHARDS[int(shard_id)]
+        index = _RESIDENT_SHARDS[int(shard_id)]
     except KeyError:
         raise RuntimeError(
             f"shard {shard_id} is not resident in this worker "
             f"(resident: {sorted(s for s in _RESIDENT_SHARDS if isinstance(s, int))})"
         ) from None
     params = dict(params)
-    if "pipeline" not in params and pipeline is not None:
-        params["pipeline"] = pipeline
     trace_ctx = params.pop("trace", None)
     if trace_ctx is not None:
         from repro.obs.trace import Trace
@@ -241,7 +230,7 @@ def resident_apply_task(shard_id: int, ops: Sequence[dict]) -> dict:
     """
     _check_worker_ready()
     try:
-        index, _ = _RESIDENT_SHARDS[int(shard_id)]
+        index = _RESIDENT_SHARDS[int(shard_id)]
     except KeyError:
         raise RuntimeError(
             f"shard {shard_id} is not resident in this worker "
@@ -269,7 +258,6 @@ def resident_apply_task(shard_id: int, ops: Sequence[dict]) -> dict:
         "shard_id": int(shard_id),
         "ops_applied": int(index.ops_applied),
         "live": int(index.num_points),
-        "state_token": index.state_token,
         # Maintenance signals for the coordinator's explicit maybe_compact()
         # scheduling: mutations never compact inline in the worker either.
         "maintenance_due": index.maintenance_due(),
@@ -316,12 +304,12 @@ def resident_state_task(shard_id: int) -> dict:
     The recovery layer compares these across a shard's replicas: equal
     digests prove the replicas hold bit-identical state, which is exactly
     the guarantee op-log replay (respawn catch-up) must restore.  Mutable
-    shards additionally report their live count, state token and pending
-    maintenance.
+    shards additionally report their applied-op count, buffer sizes and
+    pending maintenance.
     """
     _check_worker_ready()
     try:
-        index, _ = _RESIDENT_SHARDS[int(shard_id)]
+        index = _RESIDENT_SHARDS[int(shard_id)]
     except KeyError:
         raise RuntimeError(
             f"shard {shard_id} is not resident in this worker "
@@ -333,7 +321,6 @@ def resident_state_task(shard_id: int) -> dict:
         "live": int(index.num_points),
     }
     if callable(getattr(index, "maintenance_due", None)):
-        report["state_token"] = index.state_token
         report["ops_applied"] = int(index.ops_applied)
         report["maintenance_due"] = index.maintenance_due()
         report["delta"] = int(len(index.delta))
@@ -364,8 +351,6 @@ class ResidentWorker:
             :meth:`ShardedJunoIndex.save` produced).
         shard_ids: shards this worker hosts (usually exactly one).
         replica_id: which replica of those shards this worker is.
-        stage_cache: give the worker a private, batch-surviving
-            :class:`~repro.pipeline.cache.StageCache`.
         mutable: boot the shards as mutable indexes (from mutable bundles)
             so the worker accepts replicated op payloads.
         residency: how the worker makes shard arrays resident (one of
@@ -389,7 +374,6 @@ class ResidentWorker:
         bundle_path: str | Path,
         shard_ids: Sequence[int],
         replica_id: int = 0,
-        stage_cache: bool = True,
         mutable: bool = False,
         residency: str = "copy",
         shm_descriptors: dict | None = None,
@@ -398,7 +382,6 @@ class ResidentWorker:
         self.bundle_path = str(bundle_path)
         self.shard_ids = tuple(int(s) for s in shard_ids)
         self.replica_id = int(replica_id)
-        self.stage_cache = bool(stage_cache)
         self.mutable = bool(mutable)
         self.residency = str(residency)
         self.piggyback_metrics = bool(piggyback_metrics)
@@ -406,7 +389,6 @@ class ResidentWorker:
         initargs = (
             self.bundle_path,
             self.shard_ids,
-            self.stage_cache,
             self.mutable,
             self.residency,
             shm_descriptors,

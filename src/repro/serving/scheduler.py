@@ -43,9 +43,9 @@ class QueryTicket:
 
         The rows of every ticket in a batch share the batched result's
         memory, so a client mutating its row in place would silently corrupt
-        its batch-mates' results; like stage-cache restores, the views are
-        frozen so that bug raises immediately instead.  Callers that need a
-        mutable array should copy (``ids.copy()``).
+        its batch-mates' results; the views are frozen so that bug raises
+        immediately instead.  Callers that need a mutable array should copy
+        (``ids.copy()``).
 
         Raises:
             RuntimeError: if the batch has not been flushed yet; call
@@ -133,23 +133,6 @@ def aggregate_batch_records(records: "list[BatchRecord]") -> SchedulerStats:
     )
 
 
-def accumulate_stage_cache_counters(counters: dict, result) -> None:
-    """Fold one batched result's stage-cache hit/miss counts into ``counters``.
-
-    Works for any result shape the schedulers accept; results without an
-    ``extra["stage_cache"]`` entry (baselines, uncached pipelines) are a
-    no-op.  The accumulated shape matches
-    :meth:`repro.pipeline.cache.StageCache.stats`.
-    """
-    extra = getattr(result, "extra", None)
-    if not isinstance(extra, dict):
-        return
-    for name, counts in extra.get("stage_cache", {}).items():
-        merged = counters.setdefault(name, {"hits": 0, "misses": 0})
-        merged["hits"] += int(counts.get("hits", 0))
-        merged["misses"] += int(counts.get("misses", 0))
-
-
 @dataclass
 class _PendingBatch:
     queries: list[np.ndarray] = field(default_factory=list)
@@ -198,7 +181,6 @@ class BatchingScheduler:
         self.clock = resolve_clock(clock)
         self.search_params = dict(search_params)
         self.records: list[BatchRecord] = []
-        self.stage_cache_counters: dict[str, dict[str, int]] = {}
         self._pending = _PendingBatch()
 
     # ------------------------------------------------------------ submission
@@ -234,7 +216,6 @@ class BatchingScheduler:
             ids, scores = result.ids, result.scores
         else:
             ids, scores = result[0], result[1]
-        accumulate_stage_cache_counters(self.stage_cache_counters, result)
         for row, ticket in enumerate(pending.tickets):
             ticket._complete(ids[row], scores[row])
         self.records.append(

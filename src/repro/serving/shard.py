@@ -39,9 +39,8 @@ from repro.core.index import JunoIndex, JunoSearchResult
 from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric, padded_top_k
 from repro.obs.trace import Trace
-from repro.pipeline.cache import StageCache
 from repro.pipeline.context import QueryContext
-from repro.pipeline.pipeline import QueryPipeline, default_search_pipeline
+from repro.pipeline.pipeline import QueryPipeline
 from repro.pipeline.stages import ExactRerankStage
 from repro.serving.config import ServingConfig
 from repro.serving.executors import (
@@ -270,17 +269,6 @@ def merge_shard_results(
         extra["stage_seconds"] = stage_seconds
     if stage_work:
         extra["stage_work"] = stage_work
-    # Stage-cache lookups sum across shards (each shard consults the shared
-    # cache once per cached stage), keeping the merged result's extra
-    # schema-compatible with a single index's.
-    stage_cache: dict[str, dict[str, int]] = {}
-    for result in results:
-        for name, counts in result.extra.get("stage_cache", {}).items():
-            merged_counts = stage_cache.setdefault(name, {"hits": 0, "misses": 0})
-            merged_counts["hits"] += int(counts.get("hits", 0))
-            merged_counts["misses"] += int(counts.get("misses", 0))
-    if stage_cache:
-        extra["stage_cache"] = stage_cache
     # Worker-side trace spans ride back in each shard result's
     # extra["trace"]; collect them so the coordinator can stitch them under
     # its own parent span (ShardedJunoIndex.search adopts and re-exports
@@ -338,17 +326,6 @@ class ShardedJunoIndex:
             k-way merge (see :meth:`enable_exact_rerank`).
         rerank_depth: merged candidates kept per query for the rerank;
             defaults to all ``num_shards * k`` of them.
-        stage_cache: enable a shared
-            :class:`~repro.pipeline.cache.StageCache` for the per-shard
-            default pipelines (pass ``True`` for a router-owned cache or a
-            ready instance to share one across routers).  Cache keys include
-            each shard's identity, so the fan-out reuses every shard's
-            coarse-filter/threshold outputs when the same batch is searched
-            repeatedly (threshold-scale or quality-mode sweeps) instead of
-            recomputing them per shard per grid point.  The cache lives in
-            router memory, so it serves the sequential and thread
-            executors (resident workers keep private caches instead).
-            Ignored when a custom ``pipeline=`` is passed to :meth:`search`.
         new_id_assignment: how previously unseen global ids are homed on
             upsert -- ``"contiguous"`` (default) rotates fixed-size id
             blocks across shards so bursts of fresh ids land together;
@@ -366,7 +343,6 @@ class ShardedJunoIndex:
         executor: str | ShardExecutor = "thread",
         exact_rerank: bool = False,
         rerank_depth: int | None = None,
-        stage_cache: "bool | StageCache" = False,
         new_id_assignment: str = "contiguous",
     ) -> None:
         if num_shards <= 0:
@@ -411,13 +387,6 @@ class ShardedJunoIndex:
         # executor="resident", or make_resident()); caller-supplied instances
         # stay caller-owned and survive close().
         self._owns_spec_executor = False
-        if isinstance(stage_cache, StageCache):
-            self._stage_cache: StageCache | None = stage_cache
-            self._owns_stage_cache = False
-        else:
-            self._stage_cache = StageCache() if stage_cache else None
-            self._owns_stage_cache = self._stage_cache is not None
-        self._cached_pipeline: QueryPipeline | None = None
         if not isinstance(executor, ShardExecutor):
             # Validate eagerly so a typo fails at construction, not first search.
             make_shard_executor(executor, 1).close()
@@ -433,7 +402,6 @@ class ShardedJunoIndex:
         executor = config_overrides.pop("executor", "thread")
         exact_rerank = config_overrides.pop("exact_rerank", False)
         rerank_depth = config_overrides.pop("rerank_depth", None)
-        stage_cache = config_overrides.pop("stage_cache", False)
         new_id_assignment = config_overrides.pop("new_id_assignment", "contiguous")
         config_overrides.setdefault("num_subspaces", dim // 2)
         return cls(
@@ -444,7 +412,6 @@ class ShardedJunoIndex:
             executor=executor,
             exact_rerank=exact_rerank,
             rerank_depth=rerank_depth,
-            stage_cache=stage_cache,
             new_id_assignment=new_id_assignment,
         )
 
@@ -883,12 +850,6 @@ class ShardedJunoIndex:
         }
         if pipeline is not None:
             params["pipeline"] = pipeline
-        elif self._stage_cache is not None and not executor.resident:
-            # Resident workers keep their own batch-surviving caches; the
-            # router-side cache would pickle empty into their processes.
-            if self._cached_pipeline is None:
-                self._cached_pipeline = default_search_pipeline(stage_cache=self._stage_cache)
-            params["pipeline"] = self._cached_pipeline
         with trace.span(
             "sharded_search",
             shards=self.num_shards,
@@ -1009,11 +970,6 @@ class ShardedJunoIndex:
             self._executor_key = None
         if self._owns_spec_executor and isinstance(self.executor_spec, ShardExecutor):
             self.executor_spec.close()
-        # Only drop entries of a cache this router created (stage_cache=True):
-        # a caller-supplied instance may be shared across routers and keeps
-        # its entries and counters, mirroring the executor ownership rule.
-        if self._stage_cache is not None and self._owns_stage_cache:
-            self._stage_cache.clear()
         # Mutable shards may hold an open WAL append handle; close it (the
         # log itself stays on disk, and a later append re-opens lazily).
         if self._mutable:
@@ -1021,18 +977,6 @@ class ShardedJunoIndex:
                 wal = getattr(shard, "wal", None)
                 if wal is not None:
                     wal.close()
-
-    # ------------------------------------------------------------ stage cache
-    @property
-    def stage_cache(self) -> StageCache | None:
-        """The router's shared per-shard stage cache, if enabled."""
-        return self._stage_cache
-
-    def stage_cache_stats(self) -> dict[str, dict[str, int]]:
-        """Per-stage hit/miss counters of the router's stage cache."""
-        if self._stage_cache is None:
-            return {}
-        return self._stage_cache.stats()
 
     def __enter__(self) -> "ShardedJunoIndex":
         return self
@@ -1108,8 +1052,8 @@ class ShardedJunoIndex:
         describes the whole deployment: fan-out executor, worker count,
         whether the coordinator materialises shards locally, and -- for
         ``executor="resident"`` -- the
-        :class:`~repro.serving.config.ReplicaPolicy` (replica count,
-        cache-affinity routing, per-worker stage caches, warm boot).
+        :class:`~repro.serving.config.ReplicaPolicy` (replica count, warm
+        boot, residency mode).
 
         ``ServingConfig(executor="resident")`` boots the worker-resident
         runtime from the same bundle: one
@@ -1156,10 +1100,8 @@ class ShardedJunoIndex:
                 path,
                 num_shards=num_shards,
                 num_replicas=replicas.num_replicas,
-                stage_cache=replicas.worker_stage_cache,
                 mutable=mutable,
                 warm=replicas.warm,
-                affinity=replicas.affinity,
                 residency=replicas.residency,
                 piggyback_metrics=config.observability.piggyback_metrics,
             )
@@ -1268,10 +1210,8 @@ class ShardedJunoIndex:
             path,
             num_shards=self.num_shards,
             num_replicas=replicas.num_replicas,
-            stage_cache=replicas.worker_stage_cache,
             mutable=self._mutable,
             warm=replicas.warm,
-            affinity=replicas.affinity,
             residency=replicas.residency,
             piggyback_metrics=config.observability.piggyback_metrics,
         )

@@ -33,11 +33,6 @@ serve live writes with the classic LSM-shaped recipe:
   when the frozen density maps / threshold regressor / codebooks have
   drifted enough that a full :meth:`retrain` is warranted.
 
-Every mutation bumps the base index's cache token
-(:meth:`~repro.core.index.JunoIndex.bump_cache_token`), so
-:class:`~repro.pipeline.cache.StageCache` entries and RT-select LUTs derived
-from the pre-mutation state can never serve a stale hit.
-
 The wrapper exposes the :meth:`search` signature of ``JunoIndex`` but
 returns **global** ids (the ids callers upserted), so the serving stack --
 engine facade, sharded router, resident workers -- runs unchanged on top.
@@ -173,16 +168,6 @@ class MutableJunoIndex:
     def dim(self) -> int | None:
         """Vector dimensionality."""
         return self.base.dim
-
-    @property
-    def state_token(self) -> int | None:
-        """The cache token naming the current mutable state.
-
-        Bumped by every mutation, compaction and retrain;
-        :class:`~repro.pipeline.cache.StageCache` keys include it, so two
-        different mutable states can never alias each other's entries.
-        """
-        return self.base.cache_token
 
     @property
     def num_points(self) -> int:
@@ -386,14 +371,12 @@ class MutableJunoIndex:
         self.delta.upsert(ids, vectors)
         self._mutated_since_train += int(ids.shape[0])
         self.ops_applied += 1
-        self.base.bump_cache_token()
 
     def _apply_delete(self, ids: np.ndarray) -> None:
         self.delta.discard(ids)
         self._tombstone(ids)
         self._mutated_since_train += int(ids.shape[0])
         self.ops_applied += 1
-        self.base.bump_cache_token()
 
     def _merged_live_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(live_mask, delta_ids, delta_vectors)`` of the current state."""
@@ -424,7 +407,7 @@ class MutableJunoIndex:
         ]
         # The scene is a function of the codebooks and the sphere radius,
         # which compaction does not touch: only the layout is rebuilt.
-        base.rebuild_layout()  # also bumps the cache token
+        base.rebuild_layout()
         self._reindex_rows()
         self.tombstones.clear()
         self.delta.clear()

@@ -13,7 +13,6 @@ from repro.bench.report import format_records_table, format_table
 from repro.core.config import QualityMode
 from repro.gpu.cost_model import CostModel
 from repro.metrics.qps import ThroughputRecord
-from repro.pipeline import StageCache, default_search_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -57,51 +56,6 @@ class TestSweeps:
         )
         assert len(sweep.records) == expected
         assert all("threshold_scale" in r.extra for r in sweep.records)
-
-    def test_juno_sweep_stage_cache_hits_and_schema(self, juno_l2, l2_dataset, small_sweep):
-        """A multi-scale sweep reuses coarse results; record schema is unchanged."""
-        cache = StageCache()
-        cost = CostModel("rtx4090")
-        cached = run_juno_sweep(
-            juno_l2,
-            l2_dataset.queries,
-            l2_dataset.ground_truth,
-            small_sweep,
-            cost,
-            stage_cache=cache,
-        )
-        plain = run_juno_sweep(
-            juno_l2, l2_dataset.queries, l2_dataset.ground_truth, small_sweep, cost
-        )
-        stats = cache.stats()
-        assert stats["coarse_filter"]["hits"] > 0
-        # coarse results recompute once per nprobs value, nothing else
-        assert stats["coarse_filter"]["misses"] == len(small_sweep.nprobs_values)
-        assert len(cached.records) == len(plain.records)
-        for cached_record, plain_record in zip(cached.records, plain.records):
-            # identical search results (the cache only skips recomputation)
-            assert cached_record.recall == plain_record.recall
-            assert cached_record.num_queries == plain_record.num_queries
-            # same record schema, plus the per-search cache counters
-            assert set(plain_record.extra).issubset(set(cached_record.extra))
-            assert "stage_cache" in cached_record.extra
-        # at least one record ran entirely from cached coarse results
-        assert any(
-            record.extra["stage_cache"]["coarse_filter"]["hits"] > 0
-            for record in cached.records
-        )
-
-    def test_juno_sweep_rejects_pipeline_and_stage_cache(self, juno_l2, l2_dataset, small_sweep):
-        with pytest.raises(ValueError, match="not both"):
-            run_juno_sweep(
-                juno_l2,
-                l2_dataset.queries,
-                l2_dataset.ground_truth,
-                small_sweep,
-                CostModel("rtx4090"),
-                pipeline=default_search_pipeline(),
-                stage_cache=True,
-            )
 
     def test_frontier_and_best_at_recall(self):
         sweep = QPSRecallSweep(label="x")

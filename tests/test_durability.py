@@ -704,7 +704,8 @@ class TestSegments:
 
     def test_unparseable_segment_name_is_typed(self, tmp_path):
         path = tmp_path / "ops.wal"
-        WriteAheadLog(path).append("compact")
+        with WriteAheadLog(path) as wal:
+            wal.append("compact")
         (tmp_path / "ops.wal.junk.seg").write_text("")
         with pytest.raises(WalError, match="segment"):
             WriteAheadLog(path)

@@ -95,9 +95,7 @@ def _search_digest(index, points, mode, nprobs) -> str:
         result = index.search(batch, k=10, nprobs=nprobs, quality_mode=mode)
         digest.update(np.ascontiguousarray(result.ids).tobytes())
         digest.update(np.ascontiguousarray(result.scores).tobytes())
-        counters = [
-            float(getattr(result.work, f.name)) for f in fields(SearchWork) if f.name != "extra"
-        ]
+        counters = [float(getattr(result.work, f.name)) for f in fields(SearchWork)]
         digest.update(np.asarray(counters, dtype=np.float64).tobytes())
         digest.update(np.float64(result.selected_entry_fraction).tobytes())
     return digest.hexdigest()

@@ -235,9 +235,11 @@ class TestExporter:
         with MetricsExporter(broken) as exporter:
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._fetch(f"{exporter.url}/nope")
+            err.value.close()  # the error carries the response body
             assert err.value.code == 404
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._fetch(f"{exporter.url}/metrics")
+            err.value.close()
             assert err.value.code == 500
 
     def test_requires_callable_collect(self):

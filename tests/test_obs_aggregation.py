@@ -44,7 +44,7 @@ RT_COUNTERS = ("repro_rt_rays_total", "repro_rt_hits_total", "repro_rt_slots_tot
 def _resident(piggyback_metrics=True):
     return ServingConfig(
         executor="resident",
-        replicas=ReplicaPolicy(num_replicas=NUM_REPLICAS, worker_stage_cache=False),
+        replicas=ReplicaPolicy(num_replicas=NUM_REPLICAS),
         observability=ObservabilityConfig(piggyback_metrics=piggyback_metrics),
     )
 

@@ -25,7 +25,6 @@ from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
 from repro.core.inner_product import inner_product_threshold_to_tmax
 from repro.datasets.synthetic import make_clustered_dataset
-from repro.gpu.cost_model import CostModel
 from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
 from repro.pipeline import fused
@@ -36,7 +35,6 @@ from repro.pipeline import (
     QueryPipeline,
     RTSelectStage,
     ScoreStage,
-    StageCache,
     ThresholdStage,
     TopKStage,
     default_search_pipeline,
@@ -460,7 +458,7 @@ class TestScoreBlockInvariance:
     BLOCKS = (1, 1 << 40)
 
     @staticmethod
-    def _upstream(index, queries, mode, scale, nprobs, cache=None):
+    def _upstream(index, queries, mode, scale, nprobs):
         ctx = QueryContext(
             index=index,
             queries=queries,
@@ -472,7 +470,7 @@ class TestScoreBlockInvariance:
             work=SearchWork(num_queries=queries.shape[0]),
         )
         QueryPipeline(
-            (CoarseFilterStage(), ThresholdStage(), RTSelectStage(cache=cache)), instrument=False
+            (CoarseFilterStage(), ThresholdStage(), RTSelectStage()), instrument=False
         ).run(ctx)
         return ctx
 
@@ -548,18 +546,6 @@ class TestScoreBlockInvariance:
             wide_index.subspace_index, wide_index.ivf.posting_lists = original
         assert looped.candidate_total > 0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m"])
-    def test_frozen_cache_restored_lut(self, juno_l2, l2_dataset, mode, monkeypatch):
-        """A LUT served from the stage cache is read-only; the kernel only reads it."""
-        cache = StageCache()
-        queries = self._queries(l2_dataset, 8)
-        self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
-        ctx = self._upstream(juno_l2, queries, mode, 1.0, nprobs=6, cache=cache)
-        assert cache.stats()["rt_select"]["hits"] == 1
-        assert not ctx.lut.table.flags.writeable and not ctx.lut.hits.flags.writeable
-        assert ctx.lut.inner is None or not ctx.lut.inner.flags.writeable
-        self._assert_blocks_match_loop(ctx, monkeypatch)
-
     @pytest.mark.parametrize("scale", [0.25, 1.0])
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
     def test_ledger_shaped_batch(self, wide_index, wide_corpus, mode, scale, monkeypatch):
@@ -572,196 +558,6 @@ class TestScoreBlockInvariance:
         assert ctx.lut.num_rays == 256
         looped = self._assert_blocks_match_loop(ctx, monkeypatch)
         assert looped.candidate_total > 0
-
-
-# --------------------------------------------------------------- stage cache
-class TestStageCache:
-    def _search(self, index, dataset, pipeline=None, scale=1.0, queries=None, mode="juno-h"):
-        return index.search(
-            dataset.queries if queries is None else queries,
-            k=10,
-            nprobs=6,
-            quality_mode=mode,
-            threshold_scale=scale,
-            pipeline=pipeline,
-        )
-
-    def test_cached_results_bit_identical_across_scales(self, juno_l2, l2_dataset):
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        for scale in (1.0, 0.6, 1.0, 0.6):
-            cached = self._search(juno_l2, l2_dataset, pipeline=pipeline, scale=scale)
-            plain = self._search(juno_l2, l2_dataset, scale=scale)
-            np.testing.assert_array_equal(cached.ids, plain.ids)
-            np.testing.assert_array_equal(cached.scores, plain.scores)
-        stats = cache.stats()
-        # one coarse miss total; one threshold miss per distinct scale
-        assert stats["coarse_filter"] == {"hits": 3, "misses": 1}
-        assert stats["threshold"] == {"hits": 2, "misses": 2}
-
-    def test_cached_results_bit_identical_mips(self, juno_ip, ip_dataset):
-        """The cached query_cluster_ip path (MIPS-only) restores identically."""
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        for _ in range(2):
-            cached = self._search(juno_ip, ip_dataset, pipeline=pipeline)
-            plain = self._search(juno_ip, ip_dataset)
-            np.testing.assert_array_equal(cached.ids, plain.ids)
-            np.testing.assert_array_equal(cached.scores, plain.scores)
-        assert cache.stats()["threshold"] == {"hits": 1, "misses": 1}
-
-    def test_quality_mode_sweep_reuses_thresholds(self, juno_l2, l2_dataset):
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        for mode in ("juno-h", "juno-m", "juno-l"):
-            cached = self._search(juno_l2, l2_dataset, pipeline=pipeline, mode=mode)
-            plain = self._search(juno_l2, l2_dataset, mode=mode)
-            np.testing.assert_array_equal(cached.ids, plain.ids)
-            np.testing.assert_array_equal(cached.scores, plain.scores)
-        assert cache.stats()["threshold"] == {"hits": 2, "misses": 1}
-
-    def test_cache_invalidation_on_query_batch_change(self, juno_l2, l2_dataset):
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        self._search(juno_l2, l2_dataset, pipeline=pipeline)
-        other_queries = l2_dataset.queries + 0.25
-        cached = self._search(juno_l2, l2_dataset, pipeline=pipeline, queries=other_queries)
-        plain = self._search(juno_l2, l2_dataset, queries=other_queries)
-        np.testing.assert_array_equal(cached.ids, plain.ids)
-        np.testing.assert_array_equal(cached.scores, plain.scores)
-        assert cache.stats()["coarse_filter"] == {"hits": 0, "misses": 2}
-
-    def test_retrained_index_invalidates_cached_entries(self):
-        """A retrain stamps a new cache token: no stale hits, correct results."""
-        first = make_clustered_dataset(
-            name="retrain-a", num_points=240, num_queries=6, dim=8, num_components=6, seed=21
-        )
-        second = make_clustered_dataset(
-            name="retrain-b", num_points=240, num_queries=6, dim=8, num_components=6, seed=22
-        )
-        config = JunoConfig(
-            num_clusters=5,
-            num_subspaces=4,
-            num_entries=8,
-            num_threshold_samples=16,
-            threshold_top_k=20,
-            kmeans_iters=4,
-            density_grid=10,
-            seed=9,
-        )
-        index = JunoIndex(config).train(first.points)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=5, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
-        index.search(second.queries, pipeline=pipeline, **kwargs)
-        token_before = index.cache_token
-        index.train(second.points)
-        assert index.cache_token != token_before
-        cached = index.search(second.queries, pipeline=pipeline, **kwargs)
-        plain = index.search(second.queries, **kwargs)
-        np.testing.assert_array_equal(cached.ids, plain.ids)
-        np.testing.assert_array_equal(cached.scores, plain.scores)
-        # both trainings missed: the retrained state never hit stale entries
-        assert cache.stats()["coarse_filter"] == {"hits": 0, "misses": 2}
-
-    def test_hit_skips_work_and_counts_in_stage_work(self, juno_l2, l2_dataset):
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        first = self._search(juno_l2, l2_dataset, pipeline=pipeline)
-        second = self._search(juno_l2, l2_dataset, pipeline=pipeline)
-        assert first.work.filter_flops > 0.0
-        assert second.work.filter_flops == 0.0
-        assert second.work.threshold_inferences == 0.0
-        coarse = second.extra["stage_work"]["coarse_filter"]
-        assert coarse.extra == {"cache_hits": 1, "cache_misses": 0}
-        assert first.extra["stage_work"]["coarse_filter"].extra == {
-            "cache_hits": 0,
-            "cache_misses": 1,
-        }
-        assert second.extra["stage_cache"]["threshold"] == {"hits": 1, "misses": 0}
-
-    def test_cost_model_treats_fully_cached_slice_as_free(self, juno_l2, l2_dataset):
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        self._search(juno_l2, l2_dataset, pipeline=pipeline)
-        second = self._search(juno_l2, l2_dataset, pipeline=pipeline)
-        latencies = CostModel("rtx4090").stage_latencies(second.extra["stage_work"])
-        # An exact repeat batch hits all three cached stages (the RT-select
-        # LUT memo included), so their modelled slices are free; the score
-        # stage genuinely re-runs and still costs modelled time.
-        assert latencies["coarse_filter"] == 0.0
-        assert latencies["threshold"] == 0.0
-        assert latencies["rt_select"] == 0.0
-        assert latencies["score"] > 0.0
-        # A different threshold scale changes t_max, so the RT stage misses
-        # and its slice is paid again.
-        third = self._search(juno_l2, l2_dataset, pipeline=pipeline, scale=0.6)
-        latencies = CostModel("rtx4090").stage_latencies(third.extra["stage_work"])
-        assert latencies["rt_select"] > 0.0
-
-    @pytest.mark.parametrize("stage", ["coarse_filter", "threshold", "rt_select"])
-    def test_separately_built_pipelines_share_entries(self, juno_l2, l2_dataset, stage):
-        """A stage's key names its inputs only, so a fresh pipeline over the
-        same cache is served what another pipeline stored."""
-        cache = StageCache()
-        first = self._search(
-            juno_l2, l2_dataset, pipeline=default_search_pipeline(stage_cache=cache)
-        )
-        second = self._search(
-            juno_l2, l2_dataset, pipeline=default_search_pipeline(stage_cache=cache)
-        )
-        assert first.extra["stage_cache"][stage] == {"hits": 0, "misses": 1}
-        assert second.extra["stage_cache"][stage] == {"hits": 1, "misses": 0}
-        plain = self._search(juno_l2, l2_dataset)
-        np.testing.assert_array_equal(second.ids, plain.ids)
-        np.testing.assert_array_equal(second.scores, plain.scores)
-
-    def test_lru_eviction_and_len(self, juno_l2, l2_dataset):
-        cache = StageCache(max_entries=1)
-        pipeline = default_search_pipeline(stage_cache=cache)
-        self._search(juno_l2, l2_dataset, scale=1.0, pipeline=pipeline)
-        assert cache.size == 1
-        self._search(juno_l2, l2_dataset, scale=0.6, pipeline=pipeline)
-        assert cache.size == 1
-        # scale 1.0's threshold entry was evicted -> miss again
-        self._search(juno_l2, l2_dataset, scale=1.0, pipeline=pipeline)
-        assert cache.stats()["threshold"] == {"hits": 0, "misses": 3}
-
-    def test_cached_arrays_are_frozen(self, juno_l2, l2_dataset):
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        ctx = QueryContext(
-            index=juno_l2,
-            queries=l2_dataset.queries[:4],
-            k=5,
-            nprobs=4,
-            quality_mode=QualityMode.HIGH,
-            threshold_scale=1.0,
-            metric=juno_l2.metric,
-            work=SearchWork(num_queries=4),
-        )
-        pipeline.run(ctx)
-        with pytest.raises(ValueError, match="read-only"):
-            ctx.selected[0, 0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            ctx.thresholds[0, 0] = 0.0
-
-    def test_pickling_drops_entries_but_keeps_config(self, juno_l2, l2_dataset):
-        cache = StageCache(max_entries=7)
-        pipeline = default_search_pipeline(stage_cache=cache)
-        self._search(juno_l2, l2_dataset, pipeline=pipeline)
-        assert cache.size > 0
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert clone.size == 0
-        assert clone.stats() == {}
-        # a cached pipeline stays picklable for the process-pool executor
-        pipeline_clone = pickle.loads(pickle.dumps(pipeline))
-        assert pipeline_clone.stage_names == pipeline.stage_names
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            StageCache(max_entries=0)
 
 
 # -------------------------------------------------------------- composition

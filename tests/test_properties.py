@@ -18,10 +18,8 @@ from repro.pipeline import (
     QueryContext,
     QueryPipeline,
     RTSelectStage,
-    StageCache,
     ThresholdStage,
     TopKStage,
-    default_search_pipeline,
 )
 from repro.rt.bvh import BVH
 from repro.rt.primitives import Sphere
@@ -218,308 +216,6 @@ class TestScoreStageParityProperties:
         vectorised = index.search(dataset.queries, **kwargs)
         looped = index.search(dataset.queries, pipeline=_looped_pipeline(), **kwargs)
         _assert_identical_results(vectorised, looped)
-
-
-class TestStageCacheProperties:
-    """Caching never changes results; invalidation tracks the query batch."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=5),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
-        scales=st.lists(
-            st.sampled_from([0.5, 0.7, 1.0, 1.5]), min_size=2, max_size=5
-        ),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_cached_sweep_identical_to_uncached(self, seed, mode, scales):
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        for scale in scales:
-            cached = index.search(
-                dataset.queries,
-                k=8,
-                nprobs=4,
-                quality_mode=mode,
-                threshold_scale=scale,
-                pipeline=pipeline,
-            )
-            plain = index.search(
-                dataset.queries, k=8, nprobs=4, quality_mode=mode, threshold_scale=scale
-            )
-            _assert_identical_results(cached, plain)
-        stats = cache.stats()
-        # the coarse filter does not depend on the scale: one miss, then hits
-        assert stats["coarse_filter"] == {"hits": len(scales) - 1, "misses": 1}
-        # the threshold stage recomputes once per *distinct* scale
-        assert stats["threshold"] == {
-            "hits": len(scales) - len(set(scales)),
-            "misses": len(set(scales)),
-        }
-
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        jitter=st.floats(min_value=0.05, max_value=0.5, allow_nan=False),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_cache_invalidates_on_query_batch_change(self, seed, jitter):
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
-        index.search(dataset.queries, pipeline=pipeline, **kwargs)
-        changed = dataset.queries + jitter
-        cached = index.search(changed, pipeline=pipeline, **kwargs)
-        plain = index.search(changed, **kwargs)
-        _assert_identical_results(cached, plain)
-        # the changed batch can never alias the first batch's entries
-        assert cache.stats()["coarse_filter"] == {"hits": 0, "misses": 2}
-        # ... but repeating either batch is served from cache, still identically
-        repeat = index.search(dataset.queries, pipeline=pipeline, **kwargs)
-        plain_repeat = index.search(dataset.queries, **kwargs)
-        _assert_identical_results(repeat, plain_repeat)
-        assert cache.stats()["coarse_filter"]["hits"] == 1
-
-
-class TestRTSelectCacheProperties:
-    """The RT-select LUT memo: hits only for exact repeats, never across
-    inner-sphere settings or t_max slices; results stay bit-identical."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=4),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
-        scale=st.sampled_from([0.6, 1.0, 1.5]),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_exact_repeat_hits_and_restores_identically(self, seed, mode, scale):
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, quality_mode=mode, threshold_scale=scale)
-        first = index.search(dataset.queries, pipeline=pipeline, **kwargs)
-        second = index.search(dataset.queries, pipeline=pipeline, **kwargs)
-        plain = index.search(dataset.queries, **kwargs)
-        _assert_identical_results(first, plain)
-        _assert_identical_results(second, plain)
-        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 1}
-        # the hit honestly skipped the traversal work
-        assert second.work.rt_rays == 0.0
-        assert first.work.rt_rays > 0.0
-
-    @given(seed=st.integers(min_value=0, max_value=3))
-    @settings(max_examples=6, deadline=None)
-    def test_inner_sphere_setting_invalidates(self, seed):
-        """JUNO-M evaluates the inner sphere, JUNO-H does not; at the same
-        scale their threshold stages produce identical origins/t_max, so
-        only the inner-sphere key component keeps JUNO-M from reusing a
-        JUNO-H LUT that carries no inner flags."""
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, threshold_scale=1.0)
-        index.search(dataset.queries, pipeline=pipeline, quality_mode="juno-h", **kwargs)
-        cached = index.search(
-            dataset.queries, pipeline=pipeline, quality_mode="juno-m", **kwargs
-        )
-        plain = index.search(dataset.queries, quality_mode="juno-m", **kwargs)
-        _assert_identical_results(cached, plain)
-        # the threshold slice was shared (mode-independent) ...
-        assert cache.stats()["threshold"] == {"hits": 1, "misses": 1}
-        # ... but the LUT could not be: different inner-sphere setting
-        assert cache.stats()["rt_select"] == {"hits": 0, "misses": 2}
-        # JUNO-L shares JUNO-H's setting (no inner sphere): exact reuse
-        index.search(dataset.queries, pipeline=pipeline, quality_mode="juno-l", **kwargs)
-        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 2}
-
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        order=st.permutations(["juno-h", "juno-m", "juno-l"]),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_miss_fill_invalidates(self, seed, order):
-        """JUNO-H and JUNO-L fill misses with penalties and share one LUT in
-        either order; JUNO-M's NaN-filled LUT is never served to them, nor
-        theirs to it.  A changed penalty factor builds a new LUT."""
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-
-        def search(mode, pipeline=None):
-            kwargs = dict(k=8, nprobs=4, threshold_scale=1.0, quality_mode=mode)
-            return index.search(dataset.queries, pipeline=pipeline, **kwargs)
-
-        for mode in order:
-            _assert_identical_results(search(mode, pipeline), search(mode))
-        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 2}
-        factor = index.config.miss_penalty_factor
-        index.config.miss_penalty_factor = 2.0 * factor
-        try:
-            _assert_identical_results(search("juno-h", pipeline), search("juno-h"))
-        finally:
-            index.config.miss_penalty_factor = factor
-        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 3}
-
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_hit_restores_frozen_identical_lut(self, seed, mode):
-        """A cache hit hands back the table, hit grid and inner flags of the
-        miss byte for byte, every one read-only."""
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        luts = []
-        for _ in range(2):
-            ctx = QueryContext(
-                index=index,
-                queries=dataset.queries,
-                k=8,
-                nprobs=4,
-                quality_mode=QualityMode(mode),
-                threshold_scale=1.0,
-                metric=index.metric,
-                work=SearchWork(num_queries=dataset.queries.shape[0]),
-            )
-            stages = (CoarseFilterStage(), ThresholdStage(), RTSelectStage(cache=cache))
-            QueryPipeline(stages, instrument=False).run(ctx)
-            luts.append(ctx.lut)
-        assert cache.stats()["rt_select"] == {"hits": 1, "misses": 1}
-        RTSelectStage().run(ctx)  # uncached: a fresh LUT to compare against
-        assert (ctx.lut.inner is None) == (mode != "juno-m")
-        for name in ("table", "hits", "inner"):
-            want = getattr(ctx.lut, name)
-            for lut in luts:
-                got = getattr(lut, name)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.tobytes() == want.tobytes() and not got.flags.writeable, name
-
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        scales=st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.4]), min_size=2, max_size=4),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_t_max_slice_invalidates(self, seed, scales):
-        """A changed threshold scale changes the t_max travel budgets, so the
-        RT stage recomputes once per distinct scale (like the threshold
-        stage) while the coarse filter still hits."""
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        for scale in scales:
-            cached = index.search(
-                dataset.queries,
-                k=8,
-                nprobs=4,
-                quality_mode="juno-h",
-                threshold_scale=scale,
-                pipeline=pipeline,
-            )
-            plain = index.search(
-                dataset.queries, k=8, nprobs=4, quality_mode="juno-h", threshold_scale=scale
-            )
-            _assert_identical_results(cached, plain)
-        assert cache.stats()["rt_select"] == {
-            "hits": len(scales) - len(set(scales)),
-            "misses": len(set(scales)),
-        }
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2),
-        jitter=st.floats(min_value=0.05, max_value=0.5, allow_nan=False),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_query_batch_change_invalidates(self, seed, jitter):
-        index, dataset = _seeded_juno(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
-        index.search(dataset.queries, pipeline=pipeline, **kwargs)
-        cached = index.search(dataset.queries + jitter, pipeline=pipeline, **kwargs)
-        plain = index.search(dataset.queries + jitter, **kwargs)
-        _assert_identical_results(cached, plain)
-        assert cache.stats()["rt_select"] == {"hits": 0, "misses": 2}
-
-
-class TestMutationInvalidationProperties:
-    """Streaming updates vs. the stage caches: any upsert/delete bumps the
-    index state token, so no cached coarse-filter/threshold output and no
-    RT-select LUT from before the mutation can ever be served -- while an
-    unmutated mutable index still hits and restores bit-identically."""
-
-    @staticmethod
-    def _fresh_mutable(seed):
-        import copy
-
-        from repro.updates import MutableJunoIndex
-
-        index, dataset = _seeded_juno(seed)
-        # deep-copy the memoised trained base: mutations must never leak
-        # into the corpora shared with the other property suites
-        return MutableJunoIndex(copy.deepcopy(index), dataset.points), dataset
-
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        op=st.sampled_from(["insert", "update", "delete"]),
-        mode=st.sampled_from(["juno-h", "juno-m"]),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_any_mutation_invalidates_every_cached_stage(self, seed, op, mode):
-        mutable, dataset = self._fresh_mutable(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, quality_mode=mode, threshold_scale=1.0)
-        mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
-        token = mutable.state_token
-        if op == "insert":
-            mutable.upsert([10_000], dataset.queries[:1])
-        elif op == "update":
-            mutable.upsert([0], dataset.points[0][None, :] * 1.05)
-        else:
-            mutable.delete([0])
-        assert mutable.state_token != token
-        cached = mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
-        plain = mutable.search(dataset.queries, **kwargs)
-        _assert_identical_results(cached, plain)
-        # the same batch, but a new state token: every stage re-misses, so a
-        # pre-mutation LUT or filter slice can never shadow the mutation
-        for stage in ("coarse_filter", "threshold", "rt_select"):
-            assert cache.stats()[stage] == {"hits": 0, "misses": 2}, stage
-
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        mode=st.sampled_from(["juno-h", "juno-l"]),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_unmutated_mutable_index_still_hits(self, seed, mode):
-        mutable, dataset = self._fresh_mutable(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, quality_mode=mode, threshold_scale=1.0)
-        first = mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
-        second = mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
-        _assert_identical_results(first, second)
-        for stage in ("coarse_filter", "threshold", "rt_select"):
-            assert cache.stats()[stage] == {"hits": 1, "misses": 1}, stage
-        # the exact-repeat hit honestly skipped the traversal work
-        assert second.work.rt_rays == 0.0
-
-    @given(seed=st.integers(min_value=0, max_value=2))
-    @settings(max_examples=6, deadline=None)
-    def test_compaction_also_invalidates(self, seed):
-        mutable, dataset = self._fresh_mutable(seed)
-        cache = StageCache()
-        pipeline = default_search_pipeline(stage_cache=cache)
-        kwargs = dict(k=8, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
-        mutable.upsert([10_000], dataset.queries[:1])
-        mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
-        mutable.compact()
-        cached = mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
-        plain = mutable.search(dataset.queries, **kwargs)
-        _assert_identical_results(cached, plain)
-        assert cache.stats()["rt_select"] == {"hits": 0, "misses": 2}
 
 
 @st.composite

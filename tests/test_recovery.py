@@ -131,7 +131,7 @@ class TestServingConfig:
             executor="resident",
             num_workers=3,
             load_shards=False,
-            replicas=ReplicaPolicy(num_replicas=2, affinity=False),
+            replicas=ReplicaPolicy(num_replicas=2, warm=False),
             admission=AdmissionPolicy(max_queue_depth=16, overload="shed_oldest"),
             label="prod",
         )
@@ -160,6 +160,9 @@ class TestServingConfig:
             ServingConfig.from_dict({"executor": "thread", "replica_count": 2})
         with pytest.raises(ValueError, match=r"does not understand keys \['backend'\]"):
             ServingConfig.from_dict({"executor": "thread", "backend": "numpy"})
+        for removed in ("affinity", "worker_stage_cache"):
+            with pytest.raises(ValueError, match=rf"does not understand keys \['{removed}'\]"):
+                ServingConfig.from_dict({"replicas": {"num_replicas": 2, removed: True}})
 
     def test_to_dict_names_every_field(self):
         """The JSON form carries exactly the dataclass fields, so every key

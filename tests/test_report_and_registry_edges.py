@@ -48,11 +48,6 @@ class TestSearchWorkDefaults:
         assert work.lut_flops() == 0.0
         assert work.distance_calc_flops() == 0.0
 
-    def test_extra_dict_not_shared(self):
-        a, b = SearchWork(), SearchWork()
-        a.extra["key"] = 1
-        assert "key" not in b.extra
-
 
 class TestProductQuantizerInnerProductLUT:
     def test_ip_lookup_table_matches_manual(self, rng):

@@ -312,48 +312,6 @@ class TestShardedJunoIndex:
         with pytest.raises(ValueError, match="cannot split"):
             sharded.train(np.zeros((10, 8)))
 
-    def test_stage_cache_fanout_matches_uncached(self, sharded_juno, shard_corpus):
-        cached = ShardedJunoIndex.from_dim(
-            shard_corpus.dim, num_shards=4, stage_cache=True, **_shard_settings(shard_corpus)
-        )
-        cached.shards = sharded_juno.shards
-        cached.shard_global_ids = sharded_juno.shard_global_ids
-        cached.dim = sharded_juno.dim
-        cached.num_points = sharded_juno.num_points
-        with cached:
-            for scale in (1.0, 0.6, 1.0):
-                expected = sharded_juno.search(
-                    shard_corpus.queries, k=5, nprobs=4, threshold_scale=scale
-                )
-                observed = cached.search(
-                    shard_corpus.queries, k=5, nprobs=4, threshold_scale=scale
-                )
-                assert search_results_equal(expected, observed)
-            stats = cached.stage_cache_stats()
-            # one coarse miss per shard; every later scale hits, for all 4 shards
-            assert stats["coarse_filter"] == {"hits": 8, "misses": 4}
-            merged = observed.extra["stage_work"]["coarse_filter"].extra
-            assert merged == {"cache_hits": 4, "cache_misses": 0}
-        # close() drops the cached entries along with the executor
-        assert cached.stage_cache_stats() == {}
-
-    def test_caller_supplied_stage_cache_survives_close(self, sharded_juno, shard_corpus):
-        from repro.pipeline import StageCache
-
-        shared = StageCache()
-        router = ShardedJunoIndex.from_dim(
-            shard_corpus.dim, num_shards=4, stage_cache=shared, **_shard_settings(shard_corpus)
-        )
-        router.shards = sharded_juno.shards
-        router.shard_global_ids = sharded_juno.shard_global_ids
-        router.dim = sharded_juno.dim
-        router.num_points = sharded_juno.num_points
-        with router:
-            router.search(shard_corpus.queries, k=5, nprobs=4)
-        # the shared cache keeps its entries and counters after close()
-        assert shared.size > 0
-        assert shared.stats()["coarse_filter"]["misses"] == 4
-
     def test_runs_in_harness_sweep(self, sharded_juno, shard_corpus):
         sweep = SweepConfig(
             nprobs_values=(4,),
@@ -374,33 +332,6 @@ class TestShardedJunoIndex:
         assert len(result.records) == 1
         assert 0.0 <= result.records[0].recall <= 1.0
         assert result.records[0].qps > 0
-
-    def test_harness_sweep_stage_cache_on_sharded_index(self, sharded_juno, shard_corpus):
-        """Sharded cached sweeps report per-record cache counters like single ones."""
-        from repro.pipeline import StageCache
-
-        sweep = SweepConfig(
-            nprobs_values=(4,),
-            threshold_scales=(0.7, 1.0),
-            quality_modes=(QualityMode.HIGH,),
-            k=10,
-            recall_k=10,
-            recall_n=10,
-        )
-        cache = StageCache()
-        result = run_juno_sweep(
-            sharded_juno,
-            shard_corpus.queries,
-            shard_corpus.ground_truth,
-            sweep,
-            CostModel("rtx4090"),
-            stage_cache=cache,
-        )
-        assert [record.extra["stage_cache"]["coarse_filter"] for record in result.records] == [
-            {"hits": 0, "misses": 4},
-            {"hits": 4, "misses": 0},
-        ]
-        assert cache.stats()["coarse_filter"] == {"hits": 4, "misses": 4}
 
 
 def _fake_result(ids, scores, mode=QualityMode.HIGH, rays=1.0, fraction=0.5):

@@ -217,27 +217,3 @@ class TestServeAsyncEngineWiring:
         engine = ServingEngine(ivfpq_l2)
         with pytest.raises(ValueError, match="does not accept"):
             engine.serve_async(k=5, quality_mode="juno-h")
-
-    def test_scheduler_sums_stage_cache_counters(self, juno_l2, l2_dataset):
-        """A cached pipeline's per-batch hit/miss counts sum on the scheduler."""
-        from repro.pipeline import StageCache, default_search_pipeline
-
-        engine = ServingEngine(juno_l2)
-        pipeline = default_search_pipeline(stage_cache=StageCache())
-
-        async def scenario():
-            async with engine.serve_async(
-                k=5, max_batch_size=8, nprobs=6, pipeline=pipeline
-            ) as scheduler:
-                for _ in range(3):  # the same 8-query batch, three times over
-                    await asyncio.gather(
-                        *(scheduler.submit(query) for query in l2_dataset.queries[:8])
-                    )
-                return scheduler.stats(), scheduler.stage_cache_counters
-
-        stats, counters = asyncio.run(scenario())
-        assert stats.num_queries == 24
-        assert set(counters) >= {"coarse_filter", "threshold"}
-        for name in ("coarse_filter", "threshold"):
-            assert counters[name]["hits"] + counters[name]["misses"] == stats.num_batches
-        assert counters["coarse_filter"]["hits"] >= 1  # the repeats were served from cache

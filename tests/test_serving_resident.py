@@ -8,7 +8,7 @@ Covers the tentpole acceptance criteria of the resident refactor:
   failure mid-sweep;
 * query-only IPC -- per-batch payload pickle size is independent of the
   corpus size (shard bytes cross the process boundary only at pool init);
-* worker-private stage caches that survive across batches;
+* in-process worker boots that search like the router, batch after batch;
 * typed persistence errors for broken sharded bundles and the per-shard
   bundle layout round-trip.
 
@@ -41,13 +41,11 @@ from repro.serving import (
 from repro.serving.persistence import MANIFEST_NAME
 
 
-def _resident(num_replicas=1, worker_stage_cache=True, load_shards=None):
+def _resident(num_replicas=1, load_shards=None):
     return ServingConfig(
         executor="resident",
         load_shards=load_shards,
-        replicas=ReplicaPolicy(
-            num_replicas=num_replicas, worker_stage_cache=worker_stage_cache
-        ),
+        replicas=ReplicaPolicy(num_replicas=num_replicas),
     )
 
 
@@ -99,8 +97,6 @@ def bundle(sequential_router, tmp_path_factory):
 
 def _assert_work_equal(a, b):
     for field in dataclasses.fields(a):
-        if field.name == "extra":
-            continue
         assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
@@ -110,9 +106,7 @@ class TestResidentParity:
     ):
         """Acceptance: resident == sequential across a sweep, with R=2 and one
         worker killed between grid points (the batch fails over)."""
-        with ShardedJunoIndex.load(
-            bundle, _resident(num_replicas=2, worker_stage_cache=False)
-        ) as resident:
+        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
             executor = resident.executor_spec
             assert executor.kind == "resident"
             for step, scale in enumerate((1.0, 0.7, 1.4)):
@@ -134,9 +128,7 @@ class TestResidentParity:
     def test_resident_quality_modes_match_sequential(
         self, corpus, sequential_router, bundle
     ):
-        with ShardedJunoIndex.load(
-            bundle, _resident(worker_stage_cache=False)
-        ) as resident:
+        with ShardedJunoIndex.load(bundle, _resident()) as resident:
             for mode in ("juno-h", "juno-m", "juno-l"):
                 expected = sequential_router.search(
                     corpus.queries, k=5, nprobs=4, quality_mode=mode
@@ -178,35 +170,6 @@ class TestQueryOnlyIPC:
         )
         legacy_big = len(pickle.dumps((big_router.shards[0], corpus.queries, 5, params)))
         assert legacy_big > legacy_small > small_bytes / 2
-
-
-class TestWorkerResidentCache:
-    def test_worker_cache_survives_across_batches(self, corpus, sequential_router, bundle):
-        with ShardedJunoIndex.load(bundle, _resident()) as resident:
-            first = resident.search(corpus.queries, k=5, nprobs=4)
-            second = resident.search(corpus.queries, k=5, nprobs=4)
-            counters = second.extra["stage_cache"]
-            # one hit per shard and cached stage on the exact repeat batch
-            assert counters["coarse_filter"] == {"hits": 2, "misses": 0}
-            assert counters["threshold"] == {"hits": 2, "misses": 0}
-            assert counters["rt_select"] == {"hits": 2, "misses": 0}
-            assert first.extra["stage_cache"]["coarse_filter"] == {"hits": 0, "misses": 2}
-            # cached restores stay bit-identical and honestly skip the work
-            expected = sequential_router.search(corpus.queries, k=5, nprobs=4)
-            assert search_results_equal(expected, second)
-            assert second.work.filter_flops == 0.0
-            assert second.work.rt_rays == 0.0
-
-    def test_router_stage_cache_not_shipped_to_resident_workers(self, corpus, bundle):
-        """The router-side cache stays empty: resident workers own caching."""
-        with ShardedJunoIndex.load(bundle, _resident()) as resident:
-            from repro.pipeline import StageCache
-
-            resident._stage_cache = StageCache()
-            resident.search(corpus.queries, k=5, nprobs=4)
-            resident.search(corpus.queries, k=5, nprobs=4)
-            assert resident._stage_cache.size == 0
-            assert resident.stage_cache_stats() == {}
 
 
 class TestBundleBackedCoordinator:
@@ -284,7 +247,7 @@ class TestRuntimeFunctionsInProcess:
     def test_init_ping_and_search(self, corpus, sequential_router, bundle):
         from repro.serving import runtime
 
-        runtime.resident_worker_init(str(bundle), (0, 1), True)
+        runtime.resident_worker_init(str(bundle), (0, 1))
         try:
             assert runtime.resident_ping_task() == [0, 1]
             observed = runtime.resident_search_task(
@@ -292,40 +255,29 @@ class TestRuntimeFunctionsInProcess:
             )
             expected = sequential_router.shards[0].search(corpus.queries, 5, nprobs=4)
             assert search_results_equal(expected, observed)
-            # the worker-private cached pipeline was applied by default
-            assert "stage_cache" in observed.extra
             # a booted shard's gather columns follow the scene it rebuilt
             for shard_id in (0, 1):
-                assert_columns_address_codes(runtime._RESIDENT_SHARDS[shard_id][0])
+                assert_columns_address_codes(runtime._RESIDENT_SHARDS[shard_id])
             with pytest.raises(RuntimeError, match="not resident"):
                 runtime.resident_search_task(7, corpus.queries, 5, {})
         finally:
             runtime._RESIDENT_SHARDS.clear()
 
     @pytest.mark.parametrize("residency", ["copy", "mmap"])
-    @pytest.mark.parametrize("stage_cache", [True, False])
-    def test_init_pipeline_follows_stage_cache(
-        self, corpus, sequential_router, bundle, stage_cache, residency, tmp_path
+    def test_init_searches_like_the_router(
+        self, corpus, sequential_router, bundle, residency, tmp_path
     ):
-        """A worker builds a cached pipeline only when asked to; without one
-        its shards search through the index's default pipeline."""
+        """A booted worker's shards search like the router's, batch after batch."""
         from repro.serving import runtime
 
         if residency == "mmap":
             bundle = sequential_router.save(tmp_path / "deployment", layout="npy")
-        runtime.resident_worker_init(str(bundle), (0, 1), stage_cache, residency=residency)
+        runtime.resident_worker_init(str(bundle), (0, 1), residency=residency)
         try:
-            for shard_id in (0, 1):
-                pipeline = runtime._RESIDENT_SHARDS[shard_id][1]
-                assert (pipeline is None) is not stage_cache
             expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
             for _ in range(2):
                 observed = runtime.resident_search_task(1, corpus.queries, 5, {"nprobs": 4})
                 assert search_results_equal(expected, observed)
-            if stage_cache:
-                assert observed.extra["stage_cache"]["rt_select"] == {"hits": 1, "misses": 0}
-            else:
-                assert "stage_cache" not in observed.extra
         finally:
             runtime._RESIDENT_SHARDS.clear()
 
@@ -334,9 +286,7 @@ class TestRuntimeFunctionsInProcess:
         :func:`resident_worker_init`'s parameters across the process boundary."""
         from repro.serving.runtime import ResidentWorker
 
-        worker = ResidentWorker(
-            bundle, (1,), replica_id=3, stage_cache=False, piggyback_metrics=False
-        )
+        worker = ResidentWorker(bundle, (1,), replica_id=3, piggyback_metrics=False)
         try:
             assert worker.ping() == [1]
             assert worker.submit_metrics().result()["replica_id"] == 3
@@ -344,14 +294,13 @@ class TestRuntimeFunctionsInProcess:
             expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
             assert search_results_equal(expected, observed)
             assert "worker_metrics" not in observed.extra
-            assert "stage_cache" not in observed.extra
         finally:
             worker.close()
 
     def test_init_failure_is_recorded_and_reraised_typed(self, corpus, tmp_path):
         from repro.serving import runtime
 
-        runtime.resident_worker_init(str(tmp_path / "missing"), (0,), False)
+        runtime.resident_worker_init(str(tmp_path / "missing"), (0,))
         try:
             with pytest.raises(PersistenceError, match="no index bundle"):
                 runtime.resident_ping_task()

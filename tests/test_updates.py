@@ -143,13 +143,14 @@ class TestWriteAheadLog:
         wal.append("upsert", ids=[5], vectors=[vector])
         wal.append("delete", ids=[5])
         wal.close()
-        reopened = WriteAheadLog(tmp_path / "ops.wal")
-        records = list(reopened.replay())
-        assert [r["op"] for r in records] == ["upsert", "delete"]
-        assert records[0]["vectors"].dtype == np.float64 and records[0]["ids"].tolist() == [5]
-        assert records[0]["vectors"].tolist() == [vector]  # the bytes the caller upserted
-        assert reopened.last_seq == 2
-        assert reopened.append("compact") == 3
+        with WriteAheadLog(tmp_path / "ops.wal") as reopened:
+            records = list(reopened.replay())
+            assert [r["op"] for r in records] == ["upsert", "delete"]
+            assert records[0]["vectors"].dtype == np.float64
+            assert records[0]["ids"].tolist() == [5]
+            assert records[0]["vectors"].tolist() == [vector]  # the bytes the caller upserted
+            assert reopened.last_seq == 2
+            assert reopened.append("compact") == 3
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "ops.wal"
@@ -278,17 +279,6 @@ class TestMutableSearch:
         result = mutable.search(corpus.queries[:1], 5, nprobs=4)
         assert result.ids[0, 0] == 7777  # dominant inner product wins
 
-    def test_state_token_bumps_on_every_mutation(self, corpus):
-        mutable = _mutable(corpus.points)
-        tokens = [mutable.state_token]
-        mutable.upsert([5000], corpus.queries[:1])
-        tokens.append(mutable.state_token)
-        mutable.delete([0])
-        tokens.append(mutable.state_token)
-        mutable.compact()
-        tokens.append(mutable.state_token)
-        assert len(set(tokens)) == len(tokens)
-
 
 class TestCompaction:
     def test_compact_drains_buffer_purges_tombstones(self, corpus):
@@ -360,16 +350,16 @@ class TestCompaction:
 
     def test_compact_keeps_the_scene(self, corpus, tmp_path):
         """The scene depends on codebooks and radius only: compaction keeps the
-        object, bumps the cache token, and searches as if it had rebuilt it."""
+        object and searches as if it had rebuilt it."""
         wal_path = tmp_path / "ops.wal"
         mutable = _mutable(corpus.points, wal=WriteAheadLog(wal_path))
         save_mutable_index(mutable, tmp_path / "epoch0")
-        scene, tracer, token = mutable.base.scene, mutable.base.tracer, mutable.base.cache_token
+        scene, tracer = mutable.base.scene, mutable.base.tracer
         mutable.upsert([30_000, 30_001], corpus.points[:2] + 0.01)
         mutable.delete([4, 9])
         mutable.compact()
+        mutable.wal.close()
         assert mutable.base.scene is scene and mutable.base.tracer is tracer
-        assert mutable.base.cache_token != token
         kept = [
             mutable.search(corpus.queries, 10, nprobs=4, quality_mode=mode)
             for mode in ("juno-h", "juno-m", "juno-l")
@@ -386,6 +376,7 @@ class TestCompaction:
             assert rebuilt.scores.tobytes() == result.scores.tobytes()
 
         replayed = load_mutable_index(tmp_path / "epoch0", wal=wal_path)
+        replayed.wal.close()
         assert replayed.state_digest() == digest
 
     def test_compact_noop_without_pending_state(self, corpus, tmp_path):
@@ -494,9 +485,11 @@ class TestWalReplayAndSnapshots:
         mutable = _mutable(corpus.points, wal=WriteAheadLog(wal_path))
         save_mutable_index(mutable, tmp_path / "epoch0")  # snapshot before any op
         self._mutate(mutable, corpus)
+        mutable.wal.close()
         expected = mutable.search(corpus.queries, 10, nprobs=4)
 
         replayed = load_mutable_index(tmp_path / "epoch0", wal=wal_path)
+        replayed.wal.close()
         observed = replayed.search(corpus.queries, 10, nprobs=4)
         assert search_results_equal(expected, observed)
         assert replayed.num_points == mutable.num_points
@@ -508,6 +501,7 @@ class TestWalReplayAndSnapshots:
         self._mutate(mutable, corpus)
         save_mutable_index(mutable, tmp_path / "epochN")  # epoch-stamped mid-stream
         mutable.delete([40_100])
+        mutable.wal.close()
         expected = mutable.search(corpus.queries, 10, nprobs=4)
 
         replayed = load_mutable_index(tmp_path / "epochN", wal=wal_path)
@@ -515,7 +509,8 @@ class TestWalReplayAndSnapshots:
         assert search_results_equal(expected, observed)
         # the reloaded index keeps appending to the same log
         assert replayed.wal is not None
-        replayed.upsert([40_200], corpus.queries[1:2])
+        with replayed.wal:
+            replayed.upsert([40_200], corpus.queries[1:2])
         assert replayed.wal.last_seq > mutable.wal.last_seq
 
     def test_replayed_retrain_is_deterministic(self, corpus, tmp_path):
@@ -524,8 +519,10 @@ class TestWalReplayAndSnapshots:
         save_mutable_index(mutable, tmp_path / "epoch0")
         mutable.delete(np.arange(5))
         mutable.retrain()
+        mutable.wal.close()
         expected = mutable.search(corpus.queries, 10, nprobs=4)
         replayed = load_mutable_index(tmp_path / "epoch0", wal=wal_path)
+        replayed.wal.close()
         assert search_results_equal(expected, replayed.search(corpus.queries, 10, nprobs=4))
 
     def test_unknown_op_record_is_rejected(self, corpus):
@@ -536,8 +533,8 @@ class TestWalReplayAndSnapshots:
     def test_wal_pickles_by_path_without_handle(self, corpus, tmp_path):
         import pickle
 
-        wal = WriteAheadLog(tmp_path / "ops.wal")
-        wal.append("delete", ids=[1])
+        with WriteAheadLog(tmp_path / "ops.wal") as wal:
+            wal.append("delete", ids=[1])
         clone = pickle.loads(pickle.dumps(wal))
         assert clone.path == wal.path and clone.last_seq == 1
         assert [r["seq"] for r in clone.replay()] == [1]

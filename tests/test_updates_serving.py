@@ -1,7 +1,6 @@
 """Tests for streaming updates through the serving stack.
 
-Covers the serving half of the mutable-index tentpole plus the
-cache-affinity routing satellite:
+Covers the serving half of the mutable-index tentpole:
 
 * sharded routing -- ``ShardedJunoIndex.upsert/delete`` route ops to the
   owning shard, searches return global ids and merged scores stay on one
@@ -11,9 +10,8 @@ cache-affinity routing satellite:
 * replica consistency -- resident op payloads broadcast to every live
   replica (the replicated op log) and survive a worker death with the same
   failover semantics as queries;
-* cache-affinity routing -- exact repeat batches land on the replica whose
-  resident stage cache already holds them, and fall back to survivors on
-  replica death;
+* replica routing -- consecutive batches alternate over a shard's live
+  replicas;
 * the engine mutation API.
 
 These tests run in the tier-1 CI matrix by path (no ``slow`` marker).
@@ -258,8 +256,8 @@ class TestResidentMutableServing:
             hit = resident.search(corpus.queries[1:2], 5, nprobs=4)
             assert hit.ids[0, 0] == 7777
 
-            # replica consistency: two distinct batches (affinity may route
-            # them to different replicas) both see the mutation
+            # replica consistency: two batches (round-robin sends them to
+            # different replicas) both see the mutation
             other = resident.search(corpus.queries[1:3], 5, nprobs=4)
             assert other.ids[0, 0] == 7777
 
@@ -346,59 +344,42 @@ class TestResidentMutableServing:
             assert alone.ids[1, 0] == 8402
 
 
-class TestCacheAffinityRouting:
-    def test_repeat_batches_hit_the_same_workers_cache(self, corpus, tmp_path):
-        """With R=2 and affinity on, an exact repeat batch must land on the
-        replica that served it before -- observable as stage-cache hits that
-        pure round-robin (which alternates replicas) cannot produce."""
-        router = ShardedJunoIndex.from_dim(
-            corpus.dim, num_shards=2, executor="sequential", **_settings()
-        ).train(corpus.points)
-        bundle = router.save(tmp_path / "affinity")
-        router.close()
-        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
-            assert resident.executor_spec.affinity
-            first = resident.search(corpus.queries, 5, nprobs=4)
-            second = resident.search(corpus.queries, 5, nprobs=4)
-            assert first.extra["stage_cache"]["coarse_filter"] == {"hits": 0, "misses": 2}
-            assert second.extra["stage_cache"]["coarse_filter"] == {"hits": 2, "misses": 0}
-            assert second.extra["stage_cache"]["rt_select"] == {"hits": 2, "misses": 0}
-            # a different batch routes (and caches) independently
-            third = resident.search(corpus.queries[:4], 5, nprobs=4)
-            assert third.extra["stage_cache"]["coarse_filter"]["misses"] == 2
-
-    def test_affinity_falls_back_on_replica_death(self, corpus, tmp_path):
-        router = ShardedJunoIndex.from_dim(
-            corpus.dim, num_shards=1, executor="sequential", **_settings()
-        ).train(corpus.points)
-        expected = router.search(corpus.queries, 5, nprobs=4)
-        bundle = router.save(tmp_path / "fallback")
-        router.close()
-        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
-            executor = resident.executor_spec
-            resident.search(corpus.queries, 5, nprobs=4)
-            executor.inject_failure(0)  # whichever replica the batch prefers
-            failover = resident.search(corpus.queries, 5, nprobs=4)
-            assert search_results_equal(expected, failover)
-            # the repeat batch now consistently maps to the survivor
-            again = resident.search(corpus.queries, 5, nprobs=4)
-            assert search_results_equal(expected, again)
-            assert len(executor.alive_replicas(0)) == 1
-
-    def test_affinity_can_be_disabled(self, corpus, tmp_path):
+class TestReplicaRouting:
+    def test_replicas_alternate_round_robin(self, corpus, tmp_path):
+        """With R=2, consecutive batches of one shard go to alternate
+        replicas: each worker's pipeline counts one more batch."""
         router = ShardedJunoIndex.from_dim(
             corpus.dim, num_shards=1, executor="sequential", **_settings()
         ).train(corpus.points)
         bundle = router.save(tmp_path / "rr")
         router.close()
-        executor = ResidentProcessShardExecutor(bundle, num_replicas=2, affinity=False)
+        executor = ResidentProcessShardExecutor(bundle, num_replicas=2)
+
+        def batches_per_replica():
+            # A forked worker inherits the parent's registry, so only the
+            # change across the searches is the workers' own.
+            return {
+                replica: next(
+                    (
+                        entry["value"]
+                        for entry in snapshot["counters"]
+                        if entry["name"] == "repro_pipeline_batches_total"
+                    ),
+                    0.0,
+                )
+                for (_shard, replica, _pid), snapshot in executor.worker_snapshots().items()
+            }
+
         try:
-            # round-robin alternates replicas, so the exact repeat batch
-            # cannot hit the first replica's warm cache
-            r1 = executor.search_shards([None], corpus.queries, 5, {"nprobs": 4})
-            r2 = executor.search_shards([None], corpus.queries, 5, {"nprobs": 4})
-            assert r1[0].extra["stage_cache"]["coarse_filter"]["misses"] == 1
-            assert r2[0].extra["stage_cache"]["coarse_filter"]["misses"] == 1
+            executor.collect_metrics()
+            before = batches_per_replica()
+            for _ in range(2):
+                executor.search_shards([None], corpus.queries, 5, {"nprobs": 4})
+            after = batches_per_replica()
+            assert {replica: after[replica] - before[replica] for replica in after} == {
+                0: 1.0,
+                1: 1.0,
+            }
         finally:
             executor.close()
 
