@@ -12,7 +12,9 @@ from repro.bench.harness import (
 from repro.bench.report import format_records_table, format_table
 from repro.core.config import QualityMode
 from repro.gpu.cost_model import CostModel
+from repro.gpu.work import SearchWork
 from repro.metrics.qps import ThroughputRecord
+from repro.pipeline import default_search_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,43 @@ class TestSweeps:
         )
         assert len(sweep.records) == expected
         assert all("threshold_scale" in r.extra for r in sweep.records)
+
+    def test_juno_sweep_prices_every_stage_in_every_record(
+        self, juno_l2, l2_dataset, small_sweep
+    ):
+        """No grid point rides on an earlier one: the coarse filter, which
+        depends on nprobs alone, is priced the same in every record of one
+        nprobs, and every stage costs more than an empty launch."""
+        cost = CostModel("rtx4090")
+        sweep = run_juno_sweep(
+            juno_l2, l2_dataset.queries, l2_dataset.ground_truth, small_sweep, cost
+        )
+        empty = cost.filter_latency(SearchWork(num_queries=1))
+        filter_by_nprobs = {}
+        for record in sweep.records:
+            modelled = record.extra["stage_modelled_s"]
+            assert tuple(modelled) == default_search_pipeline().stage_names
+            assert all(seconds > empty for seconds in modelled.values())
+            nprobs = record.extra["nprobs"]
+            seconds = filter_by_nprobs.setdefault(nprobs, modelled["coarse_filter"])
+            assert modelled["coarse_filter"] == seconds
+        assert len(filter_by_nprobs) == len(small_sweep.nprobs_values)
+
+    def test_juno_sweep_with_reused_pipeline_matches_default(
+        self, juno_l2, l2_dataset, small_sweep
+    ):
+        cost = CostModel("rtx4090")
+        args = (juno_l2, l2_dataset.queries, l2_dataset.ground_truth, small_sweep, cost)
+        reused = run_juno_sweep(*args, pipeline=default_search_pipeline())
+        plain = run_juno_sweep(*args)
+        assert len(reused.records) == len(plain.records)
+        for got, want in zip(reused.records, plain.records):
+            assert (got.recall, got.latency_s, got.num_queries) == (
+                want.recall,
+                want.latency_s,
+                want.num_queries,
+            )
+            assert got.extra["stage_modelled_s"] == want.extra["stage_modelled_s"]
 
     def test_frontier_and_best_at_recall(self):
         sweep = QPSRecallSweep(label="x")

@@ -201,6 +201,53 @@ class TestCostModel:
         assert keys == {"filter", "lut_construction", "distance_calculation", "total"}
 
 
+class TestStageLatency:
+    """Each pipeline stage's work slice is priced by the model of the unit
+    that runs it: Tensor cores for the coarse filter and the exact rerank,
+    LUT construction for thresholds and RT selection, and the memory-bound
+    distance model for scoring and top-k."""
+
+    UNIT_MODELS = ("filter_latency", "lut_latency", "distance_latency")
+
+    @pytest.mark.parametrize(
+        "stage, unit_model",
+        [
+            ("coarse_filter", "filter_latency"),
+            ("exact_rerank", "filter_latency"),
+            ("threshold", "lut_latency"),
+            ("rt_select", "lut_latency"),
+            ("score", "distance_latency"),
+            ("top_k", "distance_latency"),
+        ],
+    )
+    def test_stage_priced_by_its_unit(self, stage, unit_model):
+        model = CostModel("rtx4090")
+        work = _juno_like_work()
+        seconds = model.stage_latency(stage, work)
+        assert seconds == getattr(model, unit_model)(work)
+        for other in set(self.UNIT_MODELS) - {unit_model}:
+            assert seconds != getattr(model, other)(work), other
+
+    def test_custom_stage_priced_as_distance_calculation(self):
+        model = CostModel("rtx4090")
+        work = _juno_like_work()
+        assert model.stage_latency("candidate_cap", work) == model.distance_latency(work)
+
+    def test_search_breakdown_sums_to_serial_plus_launches(self, juno_l2, l2_dataset):
+        """Stages are separate kernels: the per-stage sum is the serial
+        latency plus one launch overhead per stage beyond the three units."""
+        from repro.gpu.cost_model import _LAUNCH_OVERHEAD_S
+
+        result = juno_l2.search(l2_dataset.queries, k=10, nprobs=6)
+        model = CostModel("rtx4090")
+        stages = model.stage_latencies(result.extra["stage_work"])
+        assert len(stages) == 5
+        serial = model.serial_latency(result.work).total_s
+        assert sum(stages.values()) == pytest.approx(
+            serial + (len(stages) - 3) * _LAUNCH_OVERHEAD_S, rel=1e-12
+        )
+
+
 class TestPipelineModel:
     def test_three_modes(self):
         model = PipelineModel(CostModel("rtx4090"))

@@ -25,6 +25,7 @@ from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
 from repro.core.inner_product import inner_product_threshold_to_tmax
 from repro.datasets.synthetic import make_clustered_dataset
+from repro.gpu.cost_model import CostModel
 from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
 from repro.pipeline import fused
@@ -558,6 +559,170 @@ class TestScoreBlockInvariance:
         assert ctx.lut.num_rays == 256
         looped = self._assert_blocks_match_loop(ctx, monkeypatch)
         assert looped.candidate_total > 0
+
+
+# --------------------------------------------------------- stateless search
+class TestStatelessSearch:
+    """A search is a pure function of the query batch and the trained index.
+
+    Nothing one search computes is kept for the next: a reused pipeline, a
+    repeated batch and a retrained index all search exactly like a fresh
+    pipeline on a fresh call, and a repeated batch pays every stage's work
+    again.
+    """
+
+    STAGE_COUNTERS = (
+        ("coarse_filter", "filter_flops"),
+        ("threshold", "threshold_inferences"),
+        ("rt_select", "rt_rays"),
+        ("score", "adc_lookups"),
+        ("top_k", "sorted_candidates"),
+    )
+
+    @staticmethod
+    def _search(index, dataset, pipeline=None, scale=1.0, queries=None, mode="juno-h"):
+        return index.search(
+            dataset.queries if queries is None else queries,
+            k=10,
+            nprobs=6,
+            quality_mode=mode,
+            threshold_scale=scale,
+            pipeline=pipeline,
+        )
+
+    def test_reused_pipeline_bit_identical_across_scales(self, juno_l2, l2_dataset):
+        pipeline = default_search_pipeline()
+        first = {}
+        for scale in (1.0, 0.6, 1.0, 0.6):
+            reused = self._search(juno_l2, l2_dataset, pipeline=pipeline, scale=scale)
+            _assert_results_bit_identical(reused, self._search(juno_l2, l2_dataset, scale=scale))
+            _assert_results_bit_identical(reused, first.setdefault(scale, reused))
+        # the two scales really select differently, so no result is reused
+        assert first[1.0].work.rt_hits != first[0.6].work.rt_hits
+
+    def test_reused_pipeline_bit_identical_mips(self, juno_ip, ip_dataset):
+        pipeline = default_search_pipeline()
+        fresh = self._search(juno_ip, ip_dataset)
+        for _ in range(2):
+            _assert_results_bit_identical(
+                self._search(juno_ip, ip_dataset, pipeline=pipeline), fresh
+            )
+
+    def test_quality_mode_sweep_on_one_pipeline(self, juno_l2, l2_dataset):
+        pipeline = default_search_pipeline()
+        for mode in ("juno-h", "juno-m", "juno-l", "juno-h"):
+            _assert_results_bit_identical(
+                self._search(juno_l2, l2_dataset, pipeline=pipeline, mode=mode),
+                self._search(juno_l2, l2_dataset, mode=mode),
+            )
+
+    @pytest.mark.parametrize("stage, counter", STAGE_COUNTERS)
+    def test_repeat_batch_pays_full_stage_work(self, juno_l2, l2_dataset, stage, counter):
+        pipeline = default_search_pipeline()
+        first = self._search(juno_l2, l2_dataset, pipeline=pipeline)
+        second = self._search(juno_l2, l2_dataset, pipeline=pipeline)
+        paid, repaid = first.extra["stage_work"][stage], second.extra["stage_work"][stage]
+        assert getattr(paid, counter) > 0.0
+        for field_name in WORK_COUNTER_FIELDS:
+            assert getattr(repaid, field_name) == getattr(paid, field_name), field_name
+
+    def test_cost_model_charges_every_stage_of_a_repeat(self, juno_l2, l2_dataset):
+        model = CostModel("rtx4090")
+        pipeline = default_search_pipeline()
+        first = model.stage_latencies(
+            self._search(juno_l2, l2_dataset, pipeline=pipeline).extra["stage_work"]
+        )
+        second = model.stage_latencies(
+            self._search(juno_l2, l2_dataset, pipeline=pipeline).extra["stage_work"]
+        )
+        assert second == first
+        assert tuple(second) == pipeline.stage_names
+        # each stage is charged more than the bare launch of an empty slice
+        empty = SearchWork(num_queries=l2_dataset.queries.shape[0])
+        for name, seconds in second.items():
+            assert seconds > model.stage_latency(name, empty), name
+
+    def test_changed_batch_matches_fresh_search(self, juno_l2, l2_dataset):
+        pipeline = default_search_pipeline()
+        before = self._search(juno_l2, l2_dataset, pipeline=pipeline)
+        moved = l2_dataset.queries + 0.25
+        after = self._search(juno_l2, l2_dataset, pipeline=pipeline, queries=moved)
+        _assert_results_bit_identical(after, self._search(juno_l2, l2_dataset, queries=moved))
+        assert not np.array_equal(after.scores, before.scores)
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_rows_do_not_depend_on_batch_companions(
+        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode
+    ):
+        """A query's row is the same alone, reordered or in a sub-batch."""
+        index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
+        full = self._search(index, dataset, mode=mode)
+        order = np.arange(dataset.queries.shape[0])[::-1]
+        reversed_batch = self._search(index, dataset, queries=dataset.queries[order], mode=mode)
+        np.testing.assert_array_equal(reversed_batch.ids, full.ids[order])
+        np.testing.assert_array_equal(reversed_batch.scores, full.scores[order])
+        for row in (0, 5):
+            alone = self._search(index, dataset, queries=dataset.queries[row : row + 1], mode=mode)
+            np.testing.assert_array_equal(alone.ids[0], full.ids[row])
+            np.testing.assert_array_equal(alone.scores[0], full.scores[row])
+
+    def test_retrained_index_searches_like_a_fresh_one(self):
+        first = make_clustered_dataset(
+            name="retrain-a", num_points=240, num_queries=6, dim=8, num_components=6, seed=21
+        )
+        second = make_clustered_dataset(
+            name="retrain-b", num_points=240, num_queries=6, dim=8, num_components=6, seed=22
+        )
+        config = JunoConfig(
+            num_clusters=5,
+            num_subspaces=4,
+            num_entries=8,
+            num_threshold_samples=16,
+            threshold_top_k=20,
+            kmeans_iters=4,
+            density_grid=10,
+            seed=9,
+        )
+        index = JunoIndex(config).train(first.points)
+        pipeline = default_search_pipeline()
+        kwargs = dict(k=5, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
+        stale = index.search(second.queries, pipeline=pipeline, **kwargs)
+        index.train(second.points)
+        retrained = index.search(second.queries, pipeline=pipeline, **kwargs)
+        fresh = JunoIndex(config).train(second.points).search(second.queries, **kwargs)
+        _assert_results_bit_identical(retrained, fresh)
+        assert not np.array_equal(retrained.scores, stale.scores)
+
+    @pytest.mark.parametrize("field", ["selected", "thresholds", "t_max", "lut"])
+    def test_stage_outputs_are_private_to_each_run(self, juno_l2, l2_dataset, field):
+        """Scribbling over one run's stage outputs cannot reach the next run."""
+
+        def arrays(ctx):
+            value = getattr(ctx, field)
+            if field != "lut":
+                return [value]
+            return [value.table, value.hits] + ([] if value.inner is None else [value.inner])
+
+        upstream = TestScoreBlockInvariance._upstream
+        queries = l2_dataset.queries[:8]
+        first = upstream(juno_l2, queries, "juno-m", 1.0, nprobs=6)
+        pristine = [array.copy() for array in arrays(first)]
+        for array in arrays(first):
+            array[...] = 0
+        second = upstream(juno_l2, queries, "juno-m", 1.0, nprobs=6)
+        for got, want, scribbled in zip(arrays(second), pristine, arrays(first)):
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, scribbled)
+
+    def test_pickled_pipeline_searches_identically(self, juno_l2, l2_dataset):
+        pipeline = default_search_pipeline()
+        self._search(juno_l2, l2_dataset, pipeline=pipeline)
+        clone = pickle.loads(pickle.dumps(pipeline))
+        _assert_results_bit_identical(
+            self._search(juno_l2, l2_dataset, pipeline=clone),
+            self._search(juno_l2, l2_dataset, pipeline=pipeline),
+        )
 
 
 # -------------------------------------------------------------- composition

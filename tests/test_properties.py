@@ -20,6 +20,7 @@ from repro.pipeline import (
     RTSelectStage,
     ThresholdStage,
     TopKStage,
+    default_search_pipeline,
 )
 from repro.rt.bvh import BVH
 from repro.rt.primitives import Sphere
@@ -216,6 +217,221 @@ class TestScoreStageParityProperties:
         vectorised = index.search(dataset.queries, **kwargs)
         looped = index.search(dataset.queries, pipeline=_looped_pipeline(), **kwargs)
         _assert_identical_results(vectorised, looped)
+
+
+class TestRepeatSearchProperties:
+    """A reused pipeline keeps nothing between searches: every search of a
+    sweep, and every search after the batch changed, equals a fresh one."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=5),
+        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+        scales=st.lists(
+            st.sampled_from([0.5, 0.7, 1.0, 1.5]), min_size=2, max_size=5
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_reused_pipeline_sweep_identical_to_fresh(self, seed, mode, scales):
+        index, dataset = _seeded_juno(seed)
+        pipeline = default_search_pipeline()
+        first = {}
+        for scale in scales:
+            kwargs = dict(k=8, nprobs=4, quality_mode=mode, threshold_scale=scale)
+            reused = index.search(dataset.queries, pipeline=pipeline, **kwargs)
+            _assert_identical_results(reused, index.search(dataset.queries, **kwargs))
+            # a repeated scale pays its traversal again, ray for ray
+            previous = first.setdefault(scale, reused)
+            assert reused.work.rt_rays == previous.work.rt_rays > 0.0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        jitter=st.floats(min_value=0.05, max_value=0.5, allow_nan=False),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_query_batch_change_matches_fresh(self, seed, jitter):
+        index, dataset = _seeded_juno(seed)
+        pipeline = default_search_pipeline()
+        kwargs = dict(k=8, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
+        index.search(dataset.queries, pipeline=pipeline, **kwargs)
+        changed = dataset.queries + jitter
+        _assert_identical_results(
+            index.search(changed, pipeline=pipeline, **kwargs), index.search(changed, **kwargs)
+        )
+        _assert_identical_results(
+            index.search(dataset.queries, pipeline=pipeline, **kwargs),
+            index.search(dataset.queries, **kwargs),
+        )
+
+
+def _selective_lut(index, queries, mode, scale=1.0):
+    """The LUT RT-select builds for ``queries`` (coarse filter and
+    threshold stages run first, on a fresh context)."""
+    ctx = QueryContext(
+        index=index,
+        queries=queries,
+        k=8,
+        nprobs=4,
+        quality_mode=QualityMode(mode),
+        threshold_scale=scale,
+        metric=index.metric,
+        work=SearchWork(num_queries=queries.shape[0]),
+    )
+    stages = (CoarseFilterStage(), ThresholdStage(), RTSelectStage())
+    QueryPipeline(stages, instrument=False).run(ctx)
+    return ctx.lut
+
+
+class TestRTSelectProperties:
+    """What the RT-select stage's LUT holds in each quality mode, and how it
+    follows the inner-sphere setting, the miss penalty and the ``t_max``
+    travel budgets."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_repeat_builds_an_identical_private_lut(self, seed, mode):
+        index, dataset = _seeded_juno(seed)
+        first = _selective_lut(index, dataset.queries, mode)
+        second = _selective_lut(index, dataset.queries, mode)
+        assert (first.inner is None) == (mode != "juno-m")
+        for name in ("table", "hits", "inner"):
+            want, got = getattr(first, name), getattr(second, name)
+            if want is None:
+                assert got is None
+                continue
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.writeable and not np.shares_memory(got, want), name
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        metric=st.sampled_from([Metric.L2, Metric.INNER_PRODUCT]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_miss_fill_follows_mode(self, seed, metric):
+        """JUNO-H and JUNO-L build one LUT, misses filled with penalties;
+        JUNO-M selects the same cells with the same values but fills every
+        miss with NaN and flags its inner-sphere cells among the hits."""
+        index, dataset = _seeded_juno(seed, metric=metric)
+        high = _selective_lut(index, dataset.queries, "juno-h")
+        low = _selective_lut(index, dataset.queries, "juno-l")
+        medium = _selective_lut(index, dataset.queries, "juno-m")
+        assert high.table.tobytes() == low.table.tobytes()
+        assert high.hits.tobytes() == low.hits.tobytes()
+        assert high.inner is None and low.inner is None
+        np.testing.assert_array_equal(medium.hits, high.hits)
+        np.testing.assert_array_equal(medium.table[medium.hits], high.table[high.hits])
+        assert np.isnan(medium.table[~medium.hits]).all()
+        assert not np.isnan(high.table).any()
+        assert not (medium.inner & ~medium.hits).any()
+
+    @given(seed=st.integers(min_value=0, max_value=3), mode=st.sampled_from(["juno-h", "juno-l"]))
+    @settings(max_examples=6, deadline=None)
+    def test_penalty_factor_scales_only_miss_cells(self, seed, mode):
+        index, dataset = _seeded_juno(seed)
+        base = _selective_lut(index, dataset.queries, mode)
+        factor = index.config.miss_penalty_factor
+        index.config.miss_penalty_factor = 2.0 * factor
+        try:
+            doubled = _selective_lut(index, dataset.queries, mode)
+        finally:
+            index.config.miss_penalty_factor = factor
+        np.testing.assert_array_equal(doubled.hits, base.hits)
+        np.testing.assert_array_equal(doubled.table[base.hits], base.table[base.hits])
+        np.testing.assert_array_equal(doubled.table[~base.hits], 2.0 * base.table[~base.hits])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        metric=st.sampled_from([Metric.L2, Metric.INNER_PRODUCT]),
+        scales=st.lists(
+            st.sampled_from([0.5, 0.8, 1.0, 1.4]), min_size=2, max_size=4, unique=True
+        ),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_wider_threshold_scale_selects_a_superset(self, seed, metric, scales):
+        """A larger scale lengthens every ray's ``t_max``, so the cells it
+        selects contain those of every smaller scale."""
+        index, dataset = _seeded_juno(seed, metric=metric)
+        hits = [
+            _selective_lut(index, dataset.queries, "juno-h", scale).hits
+            for scale in sorted(scales)
+        ]
+        for narrow, wide in zip(hits, hits[1:]):
+            assert not (narrow & ~wide).any()
+
+
+class TestMutationVisibilityProperties:
+    """Streaming updates: a mutation is visible to the very next search of
+    the same batch, and an unmutated mutable index searches like its base."""
+
+    @staticmethod
+    def _fresh_mutable(seed):
+        import copy
+
+        from repro.updates import MutableJunoIndex
+
+        index, dataset = _seeded_juno(seed)
+        # deep-copy the memoised trained base: mutations must never leak
+        # into the corpora shared with the other property suites
+        return MutableJunoIndex(copy.deepcopy(index), dataset.points), dataset
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        op=st.sampled_from(["insert", "update", "delete"]),
+        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_any_mutation_is_visible_to_the_next_search(self, seed, op, mode):
+        mutable, dataset = self._fresh_mutable(seed)
+        pipeline = default_search_pipeline()
+        kwargs = dict(k=8, nprobs=4, quality_mode=mode, threshold_scale=1.0)
+        mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
+        if op == "insert":
+            mutable.upsert([10_000], dataset.queries[:1])
+        elif op == "update":
+            mutable.upsert([0], dataset.queries[1:2])
+        else:
+            mutable.delete([0])
+        after = mutable.search(dataset.queries, pipeline=pipeline, **kwargs)
+        _assert_identical_results(after, mutable.search(dataset.queries, **kwargs))
+        if op == "insert":
+            assert after.ids[0, 0] == 10_000  # the query itself is now a point
+        elif op == "update":
+            assert after.ids[1, 0] == 0  # point 0 moved onto query 1
+        else:
+            assert not (after.ids == 0).any()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_unmutated_mutable_index_matches_its_base(self, seed, mode):
+        mutable, dataset = self._fresh_mutable(seed)
+        base, _ = _seeded_juno(seed)
+        kwargs = dict(k=8, nprobs=4, quality_mode=mode, threshold_scale=1.0)
+        expected = base.search(dataset.queries, **kwargs)
+        for _ in range(2):
+            observed = mutable.search(dataset.queries, **kwargs)
+            _assert_identical_results(observed, expected)
+            assert observed.work.rt_rays == expected.work.rt_rays
+
+    @given(seed=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=6, deadline=None)
+    def test_compaction_keeps_mutations_visible(self, seed):
+        mutable, dataset = self._fresh_mutable(seed)
+        kwargs = dict(k=8, nprobs=4, quality_mode="juno-h", threshold_scale=1.0)
+        mutable.upsert([10_000], dataset.queries[:1])
+        mutable.delete([0])
+        before = mutable.search(dataset.queries, **kwargs)
+        mutable.compact()
+        after = mutable.search(dataset.queries, **kwargs)
+        _assert_identical_results(after, mutable.search(dataset.queries, **kwargs))
+        assert not (before.ids == 0).any() and not (after.ids == 0).any()
+        live = mutable.live_ids()
+        assert 10_000 in live and 0 not in live
+        assert len(mutable.delta) == 0 and len(mutable.tombstones) == 0
 
 
 @st.composite

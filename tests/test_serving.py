@@ -312,6 +312,22 @@ class TestShardedJunoIndex:
         with pytest.raises(ValueError, match="cannot split"):
             sharded.train(np.zeros((10, 8)))
 
+    def test_repeat_fanout_searches_and_costs_like_the_first(self, sharded_juno, shard_corpus):
+        """Every shard reruns its whole pipeline on a repeated batch: results,
+        merged work and the per-stage breakdown repeat exactly."""
+        first = {}
+        for scale in (1.0, 0.6, 1.0, 0.6):
+            result = sharded_juno.search(
+                shard_corpus.queries, k=5, nprobs=4, threshold_scale=scale
+            )
+            previous = first.setdefault(scale, result)
+            assert search_results_equal(previous, result)
+            assert result.work == previous.work
+            for name, work in result.extra["stage_work"].items():
+                assert work == previous.extra["stage_work"][name], name
+            assert result.extra["stage_work"]["coarse_filter"].filter_flops > 0.0
+        assert first[1.0].work.rt_hits != first[0.6].work.rt_hits
+
     def test_runs_in_harness_sweep(self, sharded_juno, shard_corpus):
         sweep = SweepConfig(
             nprobs_values=(4,),

@@ -213,6 +213,30 @@ class TestServeAsyncEngineWiring:
             np.testing.assert_array_equal(ids, direct.ids[row])
             np.testing.assert_array_equal(scores, direct.scores[row])
 
+    def test_repeated_batches_are_served_like_direct_search(self, juno_l2, l2_dataset):
+        """The same 8-query batch, three times over: every batch is searched
+        afresh and every row matches the direct search."""
+        engine = ServingEngine(juno_l2)
+        direct = engine.search(l2_dataset.queries[:8], k=5, nprobs=6)
+
+        async def scenario():
+            async with engine.serve_async(k=5, max_batch_size=8, nprobs=6) as scheduler:
+                rounds = []
+                for _ in range(3):
+                    rounds.append(
+                        await asyncio.gather(
+                            *(scheduler.submit(query) for query in l2_dataset.queries[:8])
+                        )
+                    )
+                return rounds, scheduler.stats()
+
+        rounds, stats = asyncio.run(scenario())
+        assert stats.num_queries == 24 and stats.num_batches == 3
+        for rows in rounds:
+            for row, (ids, scores) in enumerate(rows):
+                np.testing.assert_array_equal(ids, direct.ids[row])
+                np.testing.assert_array_equal(scores, direct.scores[row])
+
     def test_serve_async_validates_search_params(self, ivfpq_l2):
         engine = ServingEngine(ivfpq_l2)
         with pytest.raises(ValueError, match="does not accept"):

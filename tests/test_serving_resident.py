@@ -137,6 +137,18 @@ class TestResidentParity:
                 assert search_results_equal(expected, observed)
                 _assert_work_equal(expected.work, observed.work)
 
+    def test_repeat_batch_searches_and_costs_like_the_first(
+        self, corpus, sequential_router, bundle
+    ):
+        """Resident workers rerun the whole pipeline on a repeated batch."""
+        expected = sequential_router.search(corpus.queries, k=5, nprobs=4)
+        with ShardedJunoIndex.load(bundle, _resident()) as resident:
+            for _ in range(2):
+                observed = resident.search(corpus.queries, k=5, nprobs=4)
+                assert search_results_equal(expected, observed)
+                _assert_work_equal(expected.work, observed.work)
+                assert observed.work.filter_flops > 0.0 and observed.work.rt_rays > 0.0
+
     def test_single_replica_failure_exhausts_replicas(self, corpus, bundle):
         with ShardedJunoIndex.load(bundle, _resident()) as resident:
             executor = resident.executor_spec

@@ -279,6 +279,23 @@ class TestMutableSearch:
         result = mutable.search(corpus.queries[:1], 5, nprobs=4)
         assert result.ids[0, 0] == 7777  # dominant inner product wins
 
+    def test_state_digest_changes_with_every_mutation(self, corpus):
+        """Each upsert, delete and compaction changes what the digest names;
+        a no-op compaction and a search change nothing."""
+        mutable = _mutable(corpus.points)
+        digests = [mutable.state_digest()]
+        mutable.upsert([5000], corpus.queries[:1])
+        digests.append(mutable.state_digest())
+        assert mutable.search(corpus.queries[:1], 5, nprobs=4).ids[0, 0] == 5000
+        mutable.delete([0])
+        digests.append(mutable.state_digest())
+        mutable.compact()
+        digests.append(mutable.state_digest())
+        assert len(set(digests)) == len(digests)
+        mutable.compact()
+        mutable.search(corpus.queries, 5, nprobs=4)
+        assert mutable.state_digest() == digests[-1]
+
 
 class TestCompaction:
     def test_compact_drains_buffer_purges_tombstones(self, corpus):

@@ -383,6 +383,28 @@ class TestReplicaRouting:
         finally:
             executor.close()
 
+    def test_round_robin_falls_back_on_replica_death(self, corpus, tmp_path):
+        """A replica that dies mid-batch leaves the rotation: the batch and
+        every later one are served by the survivor, with no further retry."""
+        router = ShardedJunoIndex.from_dim(
+            corpus.dim, num_shards=1, executor="sequential", **_settings()
+        ).train(corpus.points)
+        expected = router.search(corpus.queries, 5, nprobs=4)
+        bundle = router.save(tmp_path / "fallback")
+        router.close()
+        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
+            executor = resident.executor_spec
+            assert search_results_equal(expected, resident.search(corpus.queries, 5, nprobs=4))
+            executor.inject_failure(0)  # whichever replica the rotation picks next
+            failover = resident.search(corpus.queries, 5, nprobs=4)
+            assert search_results_equal(expected, failover)
+            assert executor.retried_batches == 1
+            assert len(executor.alive_replicas(0)) == 1
+            for _ in range(2):
+                again = resident.search(corpus.queries, 5, nprobs=4)
+                assert search_results_equal(expected, again)
+            assert executor.retried_batches == 1
+
 
 class TestReadYourWrites:
     """Concurrent readers and writers share one async batching front-end."""
