@@ -9,7 +9,7 @@ of Sec. 4 and the end-to-end system of Sec. 5:
   region density into a per-query distance threshold, plus the static
   threshold strategies used as ablations.
 * :mod:`repro.core.selective_lut` -- threshold-based selective L2-LUT
-  construction on the ray-tracing engine (hit-time distance recovery).
+  construction on the ray-tracing engine (the sphere test's distances).
 * :mod:`repro.core.hit_count` -- the aggressive hit-count approximation with
   the reward/penalty inner sphere (Sec. 5.4).
 * :mod:`repro.core.inner_product` -- the extra-dimension-free MIPS transform.
@@ -22,11 +22,7 @@ from repro.core.config import JunoConfig, QualityMode, ThresholdStrategy
 from repro.core.density import DensityMap
 from repro.core.threshold import ThresholdModel
 from repro.core.hit_count import HitCountScorer
-from repro.core.inner_product import (
-    adjusted_radii_for_inner_product,
-    inner_product_from_hit_time,
-    l2_distance_from_hit_time,
-)
+from repro.core.inner_product import adjusted_radii_for_inner_product
 from repro.core.selective_lut import SelectiveLUT, SelectiveLUTConstructor
 from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.core.index import JunoIndex, JunoSearchResult
@@ -44,6 +40,4 @@ __all__ = [
     "JunoIndex",
     "JunoSearchResult",
     "adjusted_radii_for_inner_product",
-    "inner_product_from_hit_time",
-    "l2_distance_from_hit_time",
 ]

@@ -1,16 +1,20 @@
 """Inner-product (MIPS) support without extra dimensions (Sec. 4.2).
 
 Earlier MIPS-to-L2 reductions append extra dimensions to queries and points.
-JUNO instead observes that the hit time already encodes the in-plane
-distance, and that enlarging each entry's sphere radius from ``R`` to
-``sqrt(R^2 + |e|^2)`` *offline* makes the hit time directly decodable into an
-inner product at query time, with no per-hit memory accesses:
+JUNO instead enlarges each entry's sphere radius from ``R`` to
+``r = sqrt(R^2 + |e|^2)`` *offline*.  With ``d^2 = |q - e|^2`` the squared
+in-plane distance the sphere test computes, ``r^2 - d^2 = R^2 - |q|^2 +
+2 IP(e, q)``, so
 
-    IP(e, q) = (|q|^2 - R^2 + (z_off - t_hit)^2) / 2
+    IP(e, q) = (|q|^2 - R^2 + r^2 - d^2) / 2 = (|q|^2 - R^2 + (z_off - t_hit)^2) / 2
 
 where ``z_off`` is the distance from the ray origin plane to the sphere
 centre plane (the paper uses ``z_off = 1``; this reproduction generalises it
-so that enlarged spheres never swallow the ray origin).
+so that enlarged spheres never swallow the ray origin).  The paper's hit
+shader reads the second form, because an RT core reports only ``t_hit``;
+the selective LUT (:mod:`repro.core.selective_lut`) holds ``d^2`` and writes
+the first.  The selection bound on ``IP`` becomes a ``t_max`` through
+:func:`inner_product_threshold_to_tmax`.
 """
 
 from __future__ import annotations
@@ -33,51 +37,6 @@ def adjusted_radii_for_inner_product(
     entries_xy = np.atleast_2d(np.asarray(entries_xy, dtype=np.float64))
     norms_sq = np.sum(entries_xy**2, axis=1)
     return np.sqrt(base_radius**2 + norms_sq)
-
-
-def _hit_times(t_hit) -> np.ndarray:
-    """``t_hit`` as a float array: float32 stays float32, anything else float64."""
-    t_hit = np.asarray(t_hit)
-    return t_hit.astype(np.result_type(t_hit.dtype, np.float32), copy=False)
-
-
-def l2_distance_from_hit_time(
-    t_hit: np.ndarray, sphere_radius: float, origin_offset: float
-) -> np.ndarray:
-    """Recover the in-plane (subspace) L2 distance from the hit time.
-
-    ``d = sqrt(R^2 - (z_off - t_hit)^2)`` -- the left half of Fig. 9.  The
-    arithmetic runs in the dtype of ``t_hit`` (the batch tracer's hit times
-    are float32); scalars are rounded to it first.
-    """
-    t_hit = _hit_times(t_hit)
-    radius_sq, offset = (np.asarray(x, t_hit.dtype) for x in (sphere_radius**2, origin_offset))
-    return np.sqrt(np.maximum(radius_sq - (offset - t_hit) ** 2, 0.0))
-
-
-def inner_product_from_hit_time(
-    t_hit: np.ndarray,
-    query_norm_sq: np.ndarray | float,
-    base_radius: float,
-    origin_offset: float,
-) -> np.ndarray:
-    """Recover the subspace inner product from the hit time.
-
-    Args:
-        t_hit: hit times against the *enlarged* spheres.
-        query_norm_sq: ``|q|^2`` of the query projection(s); scalar or
-            broadcastable to ``t_hit``.
-        base_radius: the base radius ``R`` (before per-entry enlargement).
-        origin_offset: distance from the ray-origin plane to the sphere
-            centre plane.
-
-    Returns:
-        Subspace inner products ``IP(e, q)``, in the dtype of ``t_hit``
-        (``|q|^2 - R^2`` is formed in float64 and rounded to it once).
-    """
-    t_hit = _hit_times(t_hit)
-    norm_term = (np.asarray(query_norm_sq, dtype=np.float64) - base_radius**2).astype(t_hit.dtype)
-    return (norm_term + (np.asarray(origin_offset, t_hit.dtype) - t_hit) ** 2) / 2.0
 
 
 def inner_product_threshold_to_tmax(

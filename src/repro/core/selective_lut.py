@@ -3,19 +3,22 @@
 The baseline builds a dense ``(nprobs, S, E)`` lookup table by computing all
 pairwise (query projection, entry) distances.  JUNO instead casts one ray per
 (query, cluster, subspace) into the traversable scene with a per-ray
-``t_max`` encoding the dynamic threshold; the hit shader recovers the
-distance (or inner product) from the hit time alone, and only the selected
-entries ever receive a LUT value.
+``t_max`` encoding the dynamic threshold, and only the selected entries ever
+receive a LUT value.
 
 The constructor traces the rays of all (query, cluster) pairs of a batch a
 *block of subspaces* at a time.  The tracer hands each block over as the
-dense ``(subspace, ray, leaf slot)`` grid its float32 sphere tests ran on;
-the hit-time decode runs in place on that grid while it is in cache and the
-result *is* the selective LUT: one float32 ``(S, rays, E')`` table holding
-what the distance calculation reads of each cell -- the decoded value where
-the ray selected the slot's entry, the ray's miss value where it did not --
-and the tracer's hit grid beside it.  The distance-calculation stage gathers
-from both directly, with no hit lists between.
+dense ``(subspace, ray, leaf slot)`` grid its float32 sphere tests ran on,
+with the squared in-plane distance ``d²`` each test computed.  That ``d²`` is
+the value: the L2 entry itself, and the inner product through the enlarged
+radius ``r² = R² + |e|²`` (:mod:`repro.core.inner_product`).  The paper's
+hit shader decodes it from ``t_hit`` because an RT core returns nothing
+else; the emulation has it in hand.  The result *is* the selective LUT: one
+float32 ``(S, rays, E')`` table holding what the distance calculation reads
+of each cell -- the value where the ray selected the slot's entry, the ray's
+miss value where it did not -- and the tracer's hit grid beside it.  The
+distance-calculation stage gathers from both directly, with no hit lists
+between.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.rt.tracer import RayTracer, TraversalStats
 # (layer, ray) pairs traced per block.  A 1-query request (8 rays) traces all
 # 48 subspaces in one tracer call; a 32-query batch (256 rays) one subspace per
 # call, where the per-call overhead is already amortised.  A pair at 128
-# entries holds two 4-byte grids of 512 B (hit times, scratch) and ~0.4 kB of
+# entries holds two 4-byte grids of 512 B (d², scratch) and ~0.4 kB of
 # bool masks: ~0.5 MB a block (2048 pairs of 8-byte cells raised peak_rss 12 %).
 _TRACE_BLOCK_PAIRS = 384
 
@@ -128,12 +131,13 @@ class SelectiveLUT:
 
 
 class SelectiveLUTConstructor:
-    """Casts the per-subspace ray batches and decodes hit times into values.
+    """Casts the per-subspace ray batches and writes the selected values.
 
     Args:
         tracer: ray tracer over the offline-built traversable scene.
         base_radius: the constant sphere radius ``R`` (L2 spheres use exactly
-            ``R``; inner-product spheres were enlarged per entry offline).
+            ``R``; inner-product spheres were enlarged per entry offline to
+            ``r² = R² + |e|²``).
         origin_offsets: ``(S,)`` distance from the ray-origin plane to the
             sphere-centre plane for every subspace layer.
         metric: L2 or inner product.
@@ -168,12 +172,12 @@ class SelectiveLUTConstructor:
         Subspaces are traced in blocks of ``_TRACE_BLOCK_PAIRS // R`` layers
         (at least one) per
         :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  Each
-        call returns the block's dense hit grid, which this method then owns:
-        the float32 decode runs in place on every cell -- offsets, norms and
-        thresholds broadcast along the slot axis, operand for operand
-        ``l2_distance_from_hit_time(...) ** 2`` /
-        ``inner_product_from_hit_time`` -- and the block's rows of the table
-        take exactly one write, ``where(accepted, decoded, miss)``.
+        call returns the block's dense hit grid and its ``d²``, which this
+        method then owns.  The L2 value is ``d²`` itself; the inner product
+        is ``(|q|² − R² + r² − d²) / 2``, in float32 on every cell, with the
+        norms broadcast along the slot axis and each slot's ``r²`` read from
+        the scene's stacks.  The block's rows of the table take exactly one
+        write, ``where(accepted, value, miss)``.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -183,7 +187,8 @@ class SelectiveLUTConstructor:
                 inner sphere for JUNO-M; ignored otherwise).
             trace: optional :class:`~repro.obs.trace.Trace`; when set, every
                 tracer call is recorded as an ``rt_trace`` span, which
-                separates traversal from the decode in the caller's span.
+                separates traversal from writing the table in the caller's
+                span.
             miss: ``(R, S)`` value of the cells a ray does not select, cast
                 to float32 (the miss penalties); ``None`` fills them
                 with ``NaN``, which the inner sphere requires.
@@ -204,15 +209,17 @@ class SelectiveLUTConstructor:
 
         scene = self.tracer.scene
         z = np.full(num_subspaces, np.nan)  # a missing layer: the tracer raises KeyError
+        radii_sq = np.zeros((num_subspaces, 1, scene.num_slots), dtype=np.float32)  # MIPS reads it
         num_entries = 0
         for stack in scene.stacked()[0]:
             mine = stack.layer_ids < num_subspaces
-            z[stack.layer_ids[mine]] = stack.z[mine]
+            layers = stack.layer_ids[mine]
+            z[layers] = stack.z[mine]
+            if self.metric is Metric.INNER_PRODUCT:
+                rows = stack.leaf_radii_sq[mine].reshape(len(layers), -1)
+                radii_sq[layers, 0, : rows.shape[1]] = rows
             num_entries = max(num_entries, stack.entry_slots.shape[1] if mine.any() else 0)
-        origin_offsets = self.origin_offsets[:num_subspaces]
-        origin_z = z - origin_offsets
-        offsets = origin_offsets.astype(np.float32)  # the decode runs on float32 hit times
-        radius_sq = self.base_radius**2
+        origin_z = z - self.origin_offsets[:num_subspaces]
 
         if miss is None:
             miss = np.full((num_subspaces, 1, 1), np.nan, dtype=np.float32)
@@ -236,18 +243,12 @@ class SelectiveLUTConstructor:
             stats.merge(block_stats)
             slot_entries[block] = hits.slot_entries
             hit_grid[block] = hits.accepted
-            grid = hits.t_hit  # still in cache; decoded in place
-            np.subtract(offsets[block, None, None], grid, out=grid)
-            np.multiply(grid, grid, out=grid)
-            if self.metric is Metric.L2:
-                np.subtract(radius_sq, grid, out=grid)
-                np.maximum(grid, 0.0, out=grid)
-                np.sqrt(grid, out=grid)
-                np.multiply(grid, grid, out=grid)
-            else:
-                # |q|^2 depends on the ray, not on the slot it tests
+            grid = hits.dist_sq  # the L2 value; still in cache
+            if self.metric is Metric.INNER_PRODUCT:
+                # (offset - t_hit)^2 = r^2 - d^2, and |q|^2 depends on the ray only
                 query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
-                np.add((query_norm_sq - radius_sq).astype(np.float32), grid, out=grid)
+                np.subtract(radii_sq[block], grid, out=grid)
+                np.add((query_norm_sq - self.base_radius**2).astype(np.float32), grid, out=grid)
                 np.divide(grid, 2.0, out=grid)
             table[block] = np.where(hits.accepted, grid, miss[block])
             if want_inner:

@@ -48,7 +48,9 @@ _MEMORY_EFFICIENCY = 0.4
 # Fraction of peak Tensor throughput achieved by the ADC accumulation matmul.
 _TENSOR_ADC_EFFICIENCY = 0.02
 # CUDA-flop cost of one hit-shader invocation (register math recovering the
-# distance from t_hit) and of one threshold-regressor evaluation.
+# distance from t_hit) and of one threshold-regressor evaluation.  The NumPy
+# tracer hands the selective LUT the sphere test's d^2 and skips the decode,
+# but an RT core reports only t_hit, so the modelled hardware still pays it.
 _HIT_SHADER_FLOPS = 12.0
 _THRESHOLD_INFERENCE_FLOPS = 8.0
 # Bytes touched per LUT lookup + accumulation in the distance calc stage.

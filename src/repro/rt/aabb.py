@@ -1,9 +1,8 @@
-"""Axis-aligned bounding boxes and the slab intersection test.
+"""Axis-aligned bounding boxes, the node bounds of the BVH.
 
 The AABB test is one of the two operations RT cores implement in hardware
-(Sec. 2.2).  The slab method used here is the standard interval-based test:
-a ray intersects the box iff the per-axis entry/exit parameter intervals have
-a non-empty intersection within ``[t_min, t_max]``.
+(Sec. 2.2).  The batch tracer runs it as array-wide slab compares over the
+scene's stacked node bounds (:mod:`repro.rt.tracer`).
 """
 
 from __future__ import annotations
@@ -39,27 +38,12 @@ class AABB:
         box.maximum = np.full(3, -np.inf)
         return box
 
-    @classmethod
-    def from_points(cls, points: np.ndarray) -> "AABB":
-        """Tightest box containing all ``(N, 3)`` points."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return cls(points.min(axis=0), points.max(axis=0))
-
     def union(self, other: "AABB") -> "AABB":
         """Smallest box containing both boxes."""
         box = AABB.__new__(AABB)
         box.minimum = np.minimum(self.minimum, other.minimum)
         box.maximum = np.maximum(self.maximum, other.maximum)
         return box
-
-    def expanded(self, margin: float) -> "AABB":
-        """Box grown by ``margin`` on every side."""
-        return AABB(self.minimum - margin, self.maximum + margin)
-
-    def contains_point(self, point: np.ndarray) -> bool:
-        """Whether a 3-D point lies inside (inclusive) the box."""
-        point = np.asarray(point, dtype=np.float64).reshape(3)
-        return bool(np.all(point >= self.minimum) and np.all(point <= self.maximum))
 
     @property
     def centre(self) -> np.ndarray:
@@ -71,44 +55,6 @@ class AABB:
         """Per-axis side lengths."""
         return self.maximum - self.minimum
 
-    def surface_area(self) -> float:
-        """Surface area (used by SAH-style diagnostics)."""
-        ext = np.maximum(self.extent, 0.0)
-        return float(2.0 * (ext[0] * ext[1] + ext[1] * ext[2] + ext[0] * ext[2]))
-
     def longest_axis(self) -> int:
         """Index of the longest axis (the BVH's median-split axis)."""
         return int(np.argmax(self.extent))
-
-    def intersects_ray(
-        self,
-        origin: np.ndarray,
-        direction: np.ndarray,
-        t_min: float = 0.0,
-        t_max: float = np.inf,
-    ) -> bool:
-        """Slab test: does the ray segment ``[t_min, t_max]`` hit the box?
-
-        Zero direction components are handled by requiring the origin to lie
-        within the slab on that axis.
-        """
-        origin = np.asarray(origin, dtype=np.float64).reshape(3)
-        direction = np.asarray(direction, dtype=np.float64).reshape(3)
-        low, high = float(t_min), float(t_max)
-        for axis in range(3):
-            d = direction[axis]
-            o = origin[axis]
-            if abs(d) < 1e-300:
-                if o < self.minimum[axis] or o > self.maximum[axis]:
-                    return False
-                continue
-            inv = 1.0 / d
-            t0 = (self.minimum[axis] - o) * inv
-            t1 = (self.maximum[axis] - o) * inv
-            if t0 > t1:
-                t0, t1 = t1, t0
-            low = max(low, t0)
-            high = min(high, t1)
-            if low > high:
-                return False
-        return True

@@ -1,4 +1,4 @@
-"""Bounding volume hierarchy construction and traversal.
+"""Bounding volume hierarchy construction.
 
 The BVH is the tree the RT core traverses in hardware (Sec. 2.2): interior
 nodes hold an AABB covering their children, leaves hold a few primitives.
@@ -6,11 +6,11 @@ Finding all spheres intersected by a ray costs ``O(log E + hits)`` node
 visits instead of ``E`` pairwise tests, which is exactly the saving JUNO's
 selective L2-LUT construction relies on.
 
-Besides the per-ray traversal, the BVH exposes a *flattened* array form
-(:meth:`BVH.flatten`) used by the vectorised batch tracer: node bounds, the
-tree topology and per-leaf primitive ranges as plain numpy arrays, so a whole
-batch of axis-aligned rays can be traversed with boolean-mask propagation
-while producing identical hit sets and traversal counts.
+The vectorised batch tracer reads the tree in its *flattened* array form
+(:meth:`BVH.flatten`): node bounds, the tree topology and per-leaf primitive
+ranges as plain numpy arrays, so a whole batch of axis-aligned rays can be
+traversed with array-wide slab tests.  A per-ray walk of the same tree lives
+in ``tests/rt_reference.py`` as the oracle of the traversal counts.
 """
 
 from __future__ import annotations
@@ -165,55 +165,6 @@ class BVH:
     def num_nodes(self) -> int:
         """Total number of nodes."""
         return self.flatten().num_nodes
-
-    # ------------------------------------------------------------- traverse
-    def traverse(
-        self,
-        origin: np.ndarray,
-        direction: np.ndarray,
-        t_max: float = np.inf,
-        counters: dict | None = None,
-    ) -> list[tuple[int, float]]:
-        """All primitive intersections of one ray, as ``(sphere_index, t_hit)``.
-
-        Args:
-            origin: ray origin.
-            direction: ray direction.
-            t_max: maximum travel time.
-            counters: optional dict whose ``node_visits`` / ``aabb_tests`` /
-                ``prim_tests`` keys are incremented with the traversal work.
-
-        Returns:
-            List of hits sorted by ``t_hit``.
-        """
-        if self.root is None:
-            return []
-        hits: list[tuple[int, float]] = []
-        stack = [self.root]
-        node_visits = 0
-        aabb_tests = 0
-        prim_tests = 0
-        while stack:
-            node = stack.pop()
-            node_visits += 1
-            aabb_tests += 1
-            if not node.aabb.intersects_ray(origin, direction, 0.0, t_max):
-                continue
-            if node.is_leaf:
-                for prim_index in node.primitive_indices:
-                    prim_tests += 1
-                    t_hit = self.spheres[prim_index].intersect(origin, direction, t_max)
-                    if t_hit is not None:
-                        hits.append((prim_index, t_hit))
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        if counters is not None:
-            counters["node_visits"] = counters.get("node_visits", 0) + node_visits
-            counters["aabb_tests"] = counters.get("aabb_tests", 0) + aabb_tests
-            counters["prim_tests"] = counters.get("prim_tests", 0) + prim_tests
-        hits.sort(key=lambda pair: pair[1])
-        return hits
 
     # -------------------------------------------------------------- flatten
     def flatten(self) -> FlatBVH:

@@ -1,10 +1,10 @@
-"""Geometric primitives of the RT scene: spheres, rays and hit records.
+"""The sphere primitive of the RT scene.
 
 In JUNO's mapping (Sec. 4.2) every codebook entry of subspace ``s`` becomes a
 sphere centred at ``(x_e, y_e, 2s + 1)`` with a constant radius ``R``, and
 every query projection becomes a ray cast from ``(x_q, y_q, 2s)`` towards
 ``+z`` with a per-query ``t_max`` that encodes the dynamic distance
-threshold.
+threshold (:meth:`repro.rt.tracer.RayTracer.trace_vertical_batch`).
 """
 
 from __future__ import annotations
@@ -40,75 +40,3 @@ class Sphere:
     def aabb(self) -> AABB:
         """Tight axis-aligned bounding box of the sphere."""
         return AABB(self.centre - self.radius, self.centre + self.radius)
-
-    def intersect(
-        self, origin: np.ndarray, direction: np.ndarray, t_max: float = np.inf
-    ) -> float | None:
-        """Nearest intersection parameter ``t_hit`` in ``[0, t_max]``, or ``None``.
-
-        Solves ``|o + t d - c|^2 = r^2`` for the smallest non-negative root.
-        ``direction`` must be unit length for ``t`` to measure distance (it is
-        for JUNO's axis-aligned rays).
-        """
-        origin = np.asarray(origin, dtype=np.float64).reshape(3)
-        direction = np.asarray(direction, dtype=np.float64).reshape(3)
-        oc = origin - self.centre
-        a = float(direction @ direction)
-        b = 2.0 * float(oc @ direction)
-        c = float(oc @ oc) - self.radius**2
-        discriminant = b * b - 4.0 * a * c
-        if discriminant < 0.0:
-            return None
-        sqrt_disc = float(np.sqrt(discriminant))
-        for root in ((-b - sqrt_disc) / (2.0 * a), (-b + sqrt_disc) / (2.0 * a)):
-            if 0.0 <= root <= t_max:
-                return float(root)
-        return None
-
-
-@dataclass
-class Ray:
-    """A ray with OptiX-style travel limits and payload.
-
-    Attributes:
-        origin: ``(3,)`` ray origin.
-        direction: ``(3,)`` travel direction (unit length by convention).
-        t_max: maximum travel time; intersections beyond it are ignored.
-            This is the knob JUNO uses to realise a dynamic distance
-            threshold without rebuilding the scene (Fig. 9, right).
-        payload: free-form data; JUNO stores query / cluster / subspace ids.
-    """
-
-    origin: np.ndarray
-    direction: np.ndarray
-    t_max: float = np.inf
-    payload: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if float(self.direction @ self.direction) <= 0.0:
-            raise ValueError("ray direction must be non-zero")
-        self.t_max = float(self.t_max)
-        if self.t_max < 0.0:
-            raise ValueError("t_max must be non-negative")
-
-    def at(self, t: float) -> np.ndarray:
-        """Point reached after travelling ``t`` units."""
-        return self.origin + t * self.direction
-
-
-@dataclass(frozen=True)
-class HitRecord:
-    """One accepted ray/sphere intersection.
-
-    Attributes:
-        sphere: the sphere that was hit.
-        t_hit: travel time at the intersection point (the quantity the hit
-            shader reads to recover distances without memory accesses).
-        ray: the ray that produced the hit.
-    """
-
-    sphere: Sphere
-    t_hit: float
-    ray: Ray

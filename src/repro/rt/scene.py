@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.rt.bvh import BVH
-from repro.rt.primitives import HitRecord, Ray, Sphere
+from repro.rt.primitives import Sphere
 
 
 @dataclass
@@ -265,21 +265,3 @@ class TraversableScene:
         if layer_id not in self.layers:
             raise KeyError(f"layer {layer_id} has not been added to the scene")
         return self.layers[layer_id]
-
-    # ------------------------------------------------------------ tracing
-    def cast(self, ray: Ray, counters: dict | None = None) -> list[HitRecord]:
-        """Exact intersection of one ray against every layer's BVH.
-
-        Used by tests and small examples; the batched tracer in
-        :mod:`repro.rt.tracer` is the production path.
-        """
-        hits: list[HitRecord] = []
-        for layer in self.layers.values():
-            if layer.bvh is None:
-                continue
-            for prim_index, t_hit in layer.bvh.traverse(
-                ray.origin, ray.direction, ray.t_max, counters
-            ):
-                hits.append(HitRecord(sphere=layer.spheres[prim_index], t_hit=t_hit, ray=ray))
-        hits.sort(key=lambda record: record.t_hit)
-        return hits

@@ -1,34 +1,30 @@
-"""Ray casting with hit shaders, plus the vectorised batch tracer.
+"""The vectorised batch tracer over the scene's stacked flat form.
 
-* :meth:`RayTracer.trace` follows one :class:`~repro.rt.primitives.Ray`
-  through the scene, invoking an optional hit-shader callback per accepted
-  intersection (this mirrors OptiX's ``RT_HitShader`` of Alg. 2).
-* :meth:`RayTracer.trace_vertical_batch` exploits the structure of JUNO's
-  rays -- all parallel to ``+z``, each targeting the layer just above its
-  origin plane -- to traverse a whole *block* of layers for a whole batch
-  of rays in one straight line of array passes over the scene's stacked
-  flat form (:meth:`~repro.rt.scene.TraversableScene.stacked`), paying the
-  interpreter once per block.  Node boxes are nested, so the float64 slab
-  mask *is* the traversal: node, box and sphere-test counts are the per-ray
-  path's.  The sphere tests run in float32, as on an RT core: hit sets and
-  times agree with the per-ray path to float32 precision.
+:meth:`RayTracer.trace_vertical_batch` exploits the structure of JUNO's
+rays -- all parallel to ``+z``, each targeting the layer just above its
+origin plane -- to traverse a whole *block* of layers for a whole batch of
+rays in one straight line of array passes over the scene's stacked flat form
+(:meth:`~repro.rt.scene.TraversableScene.stacked`), paying the interpreter
+once per block.  Node boxes are nested, so the float64 slab mask *is* the
+traversal: node, box and sphere-test counts are those of a per-ray BVH walk
+(``tests/rt_reference.py`` keeps one as the oracle).  The sphere tests run in
+float32, as on an RT core.
 
-The batch tracer evaluates every sphere test on a dense ``(layer, ray,
-leaf slot)`` grid and returns that grid (:class:`BatchHits`) without
-extracting hit lists from it: the selective LUT
-(:mod:`repro.core.selective_lut`) is the same grid decoded in place, the
-way the paper's hit shader writes each decoded distance straight into the
-table the next stage reads.
+The tracer evaluates every sphere test on a dense ``(layer, ray, leaf slot)``
+grid and returns that grid (:class:`BatchHits`) without extracting hit lists
+from it: the accepted mask, and the squared in-plane distance ``d²`` the
+sphere test computed before its ``sqrt``.  An RT core hands its hit shader
+only ``t_hit``, from which the paper decodes ``d²`` (Sec. 4.2); here ``d²`` is
+already in hand, so the selective LUT (:mod:`repro.core.selective_lut`) is
+written from it directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rt.primitives import HitRecord, Ray
 from repro.rt.scene import LayerStack, TraversableScene
 
 
@@ -73,16 +69,17 @@ class BatchHits:
         accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
             ``L`` counting within the block; the selective LUT keeps it as
             its hit grid.
-        t_hit: ``(L, R, E')`` float32 hit times where ``accepted``, NaN or
-            meaningless elsewhere, so a reader selects by ``accepted`` (the
-            LUT's decode writes the ray's miss value there); the caller owns
-            it and may decode in place.
+        dist_sq: ``(L, R, E')`` float32 squared in-plane distance from the
+            ray to the slot's sphere centre, as the sphere test computed it;
+            meaningless where not ``accepted`` (padding lanes hold another
+            sphere's), so a reader selects by ``accepted``.  The caller owns
+            it and may overwrite it.
         slot_entries: ``(L, E')`` index of each slot's sphere within its
             layer (equal to the codebook entry id in JUNO's scenes).
     """
 
     accepted: np.ndarray
-    t_hit: np.ndarray
+    dist_sq: np.ndarray
     slot_entries: np.ndarray
 
     @property
@@ -94,11 +91,6 @@ class BatchHits:
     def hits_per_ray(self) -> np.ndarray:
         """``(L, R)`` number of hits of every (layer, ray) pair."""
         return np.count_nonzero(self.accepted, axis=2)
-
-    def hits_of_ray(self, ray: int, layer: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """``(entry_indices, t_hits)`` of one ray in one layer, in slot order."""
-        mask = self.accepted[layer, ray]
-        return self.slot_entries[layer, mask], self.t_hit[layer, ray, mask]
 
 
 class RayTracer:
@@ -112,28 +104,6 @@ class RayTracer:
         self.scene = scene
         self.stats = TraversalStats()
 
-    def reset_stats(self) -> None:
-        """Zero the accumulated traversal statistics."""
-        self.stats = TraversalStats()
-
-    # ------------------------------------------------------------ per ray
-    def trace(
-        self, ray: Ray, hit_shader: Callable[[HitRecord], None] | None = None
-    ) -> list[HitRecord]:
-        """Exact traversal of one ray with optional hit-shader callback."""
-        counters: dict = {}
-        records = self.scene.cast(ray, counters)
-        self.stats.rays += 1
-        self.stats.node_visits += counters.get("node_visits", 0)
-        self.stats.aabb_tests += counters.get("aabb_tests", 0)
-        self.stats.prim_tests += counters.get("prim_tests", 0)
-        self.stats.hits += len(records)
-        if hit_shader is not None:
-            for record in records:
-                hit_shader(record)
-        return records
-
-    # ----------------------------------------------------------- batched
     def trace_vertical_batch(
         self,
         layer_ids: np.ndarray | int,
@@ -164,8 +134,8 @@ class RayTracer:
         Returns:
             ``(hits, stats)`` -- the block's dense hit grid (:class:`BatchHits`)
             and its traversal work (also merged into ``self.stats``): node, box
-            and sphere-test counts are :meth:`trace`'s, ray by ray; hit sets,
-            times and the hit count agree with it to float32 precision.
+            and sphere-test counts are a per-ray BVH walk's, ray by ray; hit
+            sets and the hit count agree with it to float32 precision.
         """
         layer_ids = np.atleast_1d(np.asarray(layer_ids, dtype=np.int64))
         num_layers = layer_ids.shape[0]
@@ -215,13 +185,13 @@ class RayTracer:
             # several stacks: pad every run to the widest one's slots
             hits = BatchHits(
                 accepted=np.zeros((num_layers, num_rays, width), dtype=bool),
-                t_hit=np.zeros((num_layers, num_rays, width), dtype=np.float32),
+                dist_sq=np.zeros((num_layers, num_rays, width), dtype=np.float32),
                 slot_entries=np.zeros((num_layers, width), dtype=np.int64),
             )
             for run, traced in runs:
                 run_width = traced.accepted.shape[2]
                 hits.accepted[run, :, :run_width] = traced.accepted
-                hits.t_hit[run, :, :run_width] = traced.t_hit
+                hits.dist_sq[run, :, :run_width] = traced.dist_sq
                 hits.slot_entries[run, :run_width] = traced.slot_entries
         stats.hits = hits.num_hits
         self.stats.merge(stats)
@@ -287,20 +257,23 @@ class RayTracer:
         stats.prim_tests += int(passed[leaves] @ stack.leaf_count)
 
         # Sphere tests on the whole (layer, ray, slot) grid, in float32 as on an
-        # RT core.  NaN is the miss: ``sqrt(r^2 - d^2)`` is NaN exactly where the
-        # ray passes outside the sphere (and in the ``r^2 = -1`` padding lanes),
-        # and a NaN hit time never satisfies ``t_hit <= t_max``.
+        # RT core.  ``d^2`` keeps its own grid: it is the value the LUT takes.
+        # The accept test runs on the scratch grid as the hit time ``t_hit =
+        # offset - sqrt(r^2 - d^2)``, compared with ``t_max``.  NaN is the miss:
+        # ``sqrt(r^2 - d^2)`` is NaN exactly where the ray passes outside the
+        # sphere (and in the ``r^2 = -1`` padding lanes), and a NaN hit time
+        # never satisfies ``t_hit <= t_max``.
         row = (num_layers, 1, stack.num_slots)
         leaf = (stack.leaf_centres_x, stack.leaf_centres_y, stack.leaf_radii_sq)
         cx, cy, radii_sq = (a[layers].astype(np.float32).reshape(row) for a in leaf)
         ox, oy, offset, t_max = (a.astype(np.float32) for a in (ox, oy, offset, t_max))
-        t_hit, scratch = np.empty(grid, np.float32), np.empty(grid, np.float32)
-        np.subtract(ox[:, :, None], cx, out=t_hit)
+        dist_sq, t_hit = np.empty(grid, np.float32), np.empty(grid, np.float32)
+        np.subtract(ox[:, :, None], cx, out=dist_sq)
+        np.multiply(dist_sq, dist_sq, out=dist_sq)
+        np.subtract(oy[:, :, None], cy, out=t_hit)
         np.multiply(t_hit, t_hit, out=t_hit)
-        np.subtract(oy[:, :, None], cy, out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        np.add(t_hit, scratch, out=t_hit)
-        np.subtract(radii_sq, t_hit, out=t_hit)
+        np.add(dist_sq, t_hit, out=dist_sq)
+        np.subtract(radii_sq, dist_sq, out=t_hit)
         with np.errstate(invalid="ignore"):
             np.sqrt(t_hit, out=t_hit)
         np.subtract(offset[:, None, None], t_hit, out=t_hit)
@@ -313,4 +286,4 @@ class RayTracer:
         if (passed[leaves] != num_layers * num_rays).any():
             failed = ~slab[:, leaves].transpose(0, 2, 1)  # (layer, ray, leaf): rows of lanes
             accepted.reshape(num_layers, num_rays, leaves.size, -1)[failed] = False
-        return BatchHits(accepted, t_hit, slot_entries)
+        return BatchHits(accepted, dist_sq, slot_entries)

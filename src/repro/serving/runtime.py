@@ -87,8 +87,12 @@ def resident_worker_init(
         read_manifest,
         shard_bundle_path,
     )
+    from repro.obs.metrics import set_registry
     from repro.serving.shm import ShmArraySet
 
+    # A forked worker inherits the coordinator's registry and its counts;
+    # its snapshots must count this process's work alone.
+    set_registry(None)
     _RESIDENT_SHARDS.clear()
     _RESIDENT_SHARDS["__meta__"] = {
         "replica_id": int(replica_id),

@@ -7,18 +7,19 @@ Not a test module: the oracles the RT-select test files share.
   traversed as a stack of layers -- one level-synchronous pass per layer,
   then a stable ``argsort`` by ray and a ``searchsorted`` per subspace to
   assemble per-subspace CSR hit lists (:class:`ReferenceLUT`).  The
-  traversal runs in float64; the sphere tests and the decode run in the
-  ``dtype`` they are given, every operand rounded to it on use.  At float32
-  they are the stacked path's oracle: it must reproduce every ray's hit
-  *set* with every value byte for byte, plus all five counters (the order of
-  hits within a ray is not part of the contract).  At float64 they are the
-  path ``src/`` ran before its hot path went float32, and the reference of
-  the precision oracle below.
+  traversal runs in float64; the sphere tests and the values run in the
+  ``dtype`` they are given, every operand rounded to it on use.  A value is
+  the sphere test's ``d²`` (L2) or ``(|q|² − R² + r² − d²) / 2`` (inner
+  product), as ``src/`` writes it.  At float32 they are the stacked path's
+  oracle: it must reproduce every ray's hit *set* with every value byte for
+  byte, plus all five counters (the order of hits within a ray is not part
+  of the contract).  At float64 they are the path ``src/`` ran before its
+  hot path went float32, and the reference of the precision oracle below.
 * :func:`sphere_test_margins`, :func:`assert_layer_within_precision` (hit
   grids) and :func:`assert_lut_within_precision` (tables) are that precision
   oracle: a float32 sphere test may disagree with the float64 one only on
-  cells within :data:`ULPS` float32 ulps of a decision boundary, and hit
-  times and values agree within the same slack (``docs/performance.md``,
+  cells within :data:`ULPS` float32 ulps of a decision boundary, and ``d²``
+  and values agree within the same slack (``docs/performance.md``,
   "Float32 hot path", derives it).
 * :func:`assert_hits_are_accepted` and :func:`assert_miss_fill` pin what the
   table holds besides the oracle's values: its hit grid is the tracer's
@@ -27,21 +28,27 @@ Not a test module: the oracles the RT-select test files share.
 * :func:`assert_columns_address_codes` pins the build-time remap of PQ
   codes to the table's leaf-slot columns on any trained, loaded or
   compacted index.
-* :func:`per_ray_hits` walks one ray through one layer with the exact
-  per-ray traversal (:meth:`repro.rt.tracer.RayTracer.trace`), the float64
-  ground truth for hit sets, hit times and all five traversal counters.
+* The exact per-ray tracer -- :class:`Ray`, :class:`HitRecord`,
+  :func:`trace` (every layer of a scene), :func:`bvh_traverse` (one BVH's
+  stack walk), :func:`aabb_intersects_ray` and :func:`sphere_intersect` --
+  is the float64 ground truth for hit sets, hit times and all five
+  traversal counters; :func:`per_ray_hits` walks one ray through one layer
+  with it.  It reports ``t_hit``, as an RT core does, and
+  :func:`l2_distance_from_hit_time` / :func:`inner_product_from_hit_time`
+  are the paper's hit-shader decodes of it (Sec. 4.2, Fig. 9).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.inner_product import inner_product_from_hit_time, l2_distance_from_hit_time
 from repro.core.selective_lut import SelectiveLUT
 from repro.metrics.distances import Metric
-from repro.rt.primitives import Ray
+from repro.rt.aabb import AABB
+from repro.rt.bvh import BVH
+from repro.rt.primitives import Sphere
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
 
@@ -87,10 +94,11 @@ class ReferenceLUT:
 
 
 def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np.float64):
-    """One layer, one pass: ``(ray_index, entry_index, t_hit, stats)``.
+    """One layer, one pass: ``(ray_index, entry_index, dist_sq, stats)``.
 
-    The slab tests run in float64, the sphere tests in ``dtype``.  Hits come
-    out ordered by (leaf node index, ray, in-leaf position).
+    The slab tests run in float64, the sphere tests in ``dtype``; ``dist_sq``
+    is every hit's ``d²`` as its sphere test computed it.  Hits come out
+    ordered by (leaf node index, ray, in-leaf position).
     """
     layer = scene.layer(layer_id)
     origins_xy = np.atleast_2d(np.asarray(origins_xy, dtype=np.float64))
@@ -144,7 +152,7 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np
     t_hit = z_offset - half_chord
     accepted = inside & (t_hit <= t_max_arr[ray_ids].astype(dtype)) & (t_hit >= 0.0)
     stats.hits = int(np.count_nonzero(accepted))
-    return ray_ids[accepted].astype(np.int64), prim_ids[accepted], t_hit[accepted], stats
+    return ray_ids[accepted].astype(np.int64), prim_ids[accepted], dist_sq[accepted], stats
 
 
 def reference_construct(
@@ -160,8 +168,7 @@ def reference_construct(
 ) -> ReferenceLUT:
     """The per-subspace loop: trace, stable sort by ray, ``searchsorted``.
 
-    Sphere tests and decode run in ``dtype`` (the decode functions follow
-    the dtype of the hit times they are given).
+    Sphere tests and values run in ``dtype``.
     """
     num_rays, num_subspaces, _ = origins.shape
     offsets, entries, values = [], [], []
@@ -172,22 +179,25 @@ def reference_construct(
         layer = scene.layer(s)
         num_entries = max(num_entries, layer.num_spheres)
         offset = float(origin_offsets[s])
-        ray_index, entry_index, t_hit, layer_stats = reference_trace_layer(
+        ray_index, entry_index, dist_sq, layer_stats = reference_trace_layer(
             scene, s, origins[:, s, :], t_max[:, s], layer.z - offset, dtype
         )
         stats.merge(layer_stats)
         order = np.argsort(ray_index, kind="stable")
         ray_sorted = ray_index[order]
-        t_sorted = t_hit[order]
+        dist_sq = dist_sq[order]
         offsets.append(
             np.searchsorted(ray_sorted, np.arange(num_rays + 1), side="left").astype(np.int64)
         )
         entries.append(entry_index[order].astype(np.int64))
         if metric is Metric.L2:
-            values.append(l2_distance_from_hit_time(t_sorted, base_radius, offset) ** 2)
+            values.append(dist_sq)
         else:
+            # (offset - t_hit)^2 = r^2 - d^2 against the entry's enlarged sphere
             query_norm_sq = np.sum(origins[ray_sorted, s, :] ** 2, axis=1)
-            values.append(inner_product_from_hit_time(t_sorted, query_norm_sq, base_radius, offset))
+            norm_term = (query_norm_sq - base_radius**2).astype(dtype)
+            radii_sq = (layer.radii[entries[-1]] ** 2).astype(dtype)
+            values.append((norm_term + (radii_sq - dist_sq)) / 2.0)
         if inner_flags is not None:
             per_hit_threshold = thresholds[ray_sorted, s]
             if metric is Metric.L2:
@@ -208,6 +218,139 @@ def reference_construct(
     )
 
 
+@dataclass
+class Ray:
+    """A ray with OptiX-style travel limits and payload.
+
+    Attributes:
+        origin: ``(3,)`` ray origin.
+        direction: ``(3,)`` travel direction (unit length by convention).
+        t_max: maximum travel time; intersections beyond it are ignored.
+            This is the knob JUNO uses to realise a dynamic distance
+            threshold without rebuilding the scene (Fig. 9, right).
+        payload: free-form data; JUNO stores query / cluster / subspace ids.
+    """
+
+    origin: np.ndarray
+    direction: np.ndarray
+    t_max: float = np.inf
+    payload: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
+        self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
+        if float(self.direction @ self.direction) <= 0.0:
+            raise ValueError("ray direction must be non-zero")
+        self.t_max = float(self.t_max)
+        if self.t_max < 0.0:
+            raise ValueError("t_max must be non-negative")
+
+    def at(self, t: float) -> np.ndarray:
+        """Point reached after travelling ``t`` units."""
+        return self.origin + t * self.direction
+
+
+@dataclass(frozen=True)
+class HitRecord:
+    """One accepted ray/sphere intersection at travel time ``t_hit``."""
+
+    sphere: Sphere
+    t_hit: float
+    ray: Ray
+
+
+def aabb_intersects_ray(box: AABB, origin, direction, t_min=0.0, t_max=np.inf) -> bool:
+    """Slab test: does the ray segment ``[t_min, t_max]`` hit the box?
+
+    A zero direction component requires the origin to lie within the slab
+    on that axis.
+    """
+    origin = np.asarray(origin, dtype=np.float64).reshape(3)
+    direction = np.asarray(direction, dtype=np.float64).reshape(3)
+    low, high = float(t_min), float(t_max)
+    for axis in range(3):
+        d, o = direction[axis], origin[axis]
+        if abs(d) < 1e-300:
+            if o < box.minimum[axis] or o > box.maximum[axis]:
+                return False
+            continue
+        inv = 1.0 / d
+        t0, t1 = sorted(((box.minimum[axis] - o) * inv, (box.maximum[axis] - o) * inv))
+        low, high = max(low, t0), min(high, t1)
+        if low > high:
+            return False
+    return True
+
+
+def sphere_intersect(sphere: Sphere, origin, direction, t_max=np.inf) -> float | None:
+    """Nearest intersection parameter ``t_hit`` in ``[0, t_max]``, or ``None``.
+
+    Solves ``|o + t d - c|^2 = r^2`` for the smallest non-negative root.
+    """
+    origin = np.asarray(origin, dtype=np.float64).reshape(3)
+    direction = np.asarray(direction, dtype=np.float64).reshape(3)
+    oc = origin - sphere.centre
+    a = float(direction @ direction)
+    b = 2.0 * float(oc @ direction)
+    c = float(oc @ oc) - sphere.radius**2
+    discriminant = b * b - 4.0 * a * c
+    if discriminant < 0.0:
+        return None
+    sqrt_disc = float(np.sqrt(discriminant))
+    for root in ((-b - sqrt_disc) / (2.0 * a), (-b + sqrt_disc) / (2.0 * a)):
+        if 0.0 <= root <= t_max:
+            return float(root)
+    return None
+
+
+def bvh_traverse(bvh: BVH, origin, direction, t_max=np.inf, stats=None):
+    """Stack walk of one ray through one BVH: ``[(sphere_index, t_hit)]`` by
+    ``t_hit``; node, box and sphere-test counts are added to ``stats``."""
+    stats = TraversalStats() if stats is None else stats
+    hits = []
+    stack = [] if bvh.root is None else [bvh.root]
+    while stack:
+        node = stack.pop()
+        stats.node_visits += 1
+        stats.aabb_tests += 1
+        if not aabb_intersects_ray(node.aabb, origin, direction, 0.0, t_max):
+            continue
+        if node.is_leaf:
+            for index in node.primitive_indices:
+                stats.prim_tests += 1
+                t_hit = sphere_intersect(bvh.spheres[index], origin, direction, t_max)
+                if t_hit is not None:
+                    hits.append((index, t_hit))
+        else:
+            stack += [node.left, node.right]
+    return sorted(hits, key=lambda pair: pair[1])
+
+
+def trace(scene: TraversableScene, ray: Ray) -> tuple[list[HitRecord], TraversalStats]:
+    """Exact traversal of one ray through every layer's BVH, hits by ``t_hit``."""
+    stats = TraversalStats(rays=1)
+    records = [
+        HitRecord(sphere=layer.spheres[index], t_hit=t_hit, ray=ray)
+        for layer in scene.layers.values()
+        for index, t_hit in bvh_traverse(layer.bvh, ray.origin, ray.direction, ray.t_max, stats)
+    ]
+    stats.hits = len(records)
+    return sorted(records, key=lambda record: record.t_hit), stats
+
+
+def l2_distance_from_hit_time(t_hit, sphere_radius, origin_offset):
+    """``d = sqrt(R^2 - (z_off - t_hit)^2)`` -- the left half of Fig. 9."""
+    chord_sq = (origin_offset - np.asarray(t_hit, dtype=np.float64)) ** 2
+    return np.sqrt(np.maximum(sphere_radius**2 - chord_sq, 0.0))
+
+
+def inner_product_from_hit_time(t_hit, query_norm_sq, base_radius, origin_offset):
+    """``IP(e, q) = (|q|^2 - R^2 + (z_off - t_hit)^2) / 2`` against the
+    enlarged sphere ``sqrt(R^2 + |e|^2)`` (Sec. 4.2)."""
+    chord_sq = (origin_offset - np.asarray(t_hit, dtype=np.float64)) ** 2
+    return (query_norm_sq - base_radius**2 + chord_sq) / 2.0
+
+
 def per_ray_hits(scene, layer_id, origin_xy, origin_z, t_max):
     """Exact traversal of one ray through one layer of ``scene``.
 
@@ -217,10 +360,9 @@ def per_ray_hits(scene, layer_id, origin_xy, origin_z, t_max):
     """
     alone = TraversableScene(leaf_size=scene.leaf_size)
     alone.layers[layer_id] = scene.layer(layer_id)
-    tracer = RayTracer(alone)
     ray = Ray(origin=[origin_xy[0], origin_xy[1], origin_z], direction=[0, 0, 1], t_max=t_max)
-    records = tracer.trace(ray)
-    return {r.sphere.payload["entry_id"]: r.t_hit for r in records}, tracer.stats
+    records, stats = trace(alone, ray)
+    return {r.sphere.payload["entry_id"]: r.t_hit for r in records}, stats
 
 
 def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> None:
@@ -343,11 +485,12 @@ def sphere_test_margins(ox, oy, cx, cy, radii_sq, offset, t_max):
 
 
 def assert_layer_within_precision(got, want, origins_xy, centres_xy, radii_sq, offset, t_max):
-    """One layer's ``(R, E)`` float32 hit times against float64 ones (NaN = miss).
+    """One layer's ``(R, E)`` float32 ``d²`` against float64 ones (NaN = miss).
 
-    Hit states agree outside the near-boundary cells; where both hit, the
-    squared half chords ``(offset - t)^2`` -- what the decode reads -- agree
-    within the slack.  Returns the ``(R,)`` count of cells whose state differs.
+    Hit states agree outside the near-boundary cells; where both hit, ``d²``
+    agrees within the slack (the squared half chord ``h² = r² − d²`` the
+    slack is measured on carries the same error).  Returns the ``(R,)``
+    count of cells whose state differs.
     """
     near, slack = sphere_test_margins(
         origins_xy[:, None, 0],
@@ -362,8 +505,7 @@ def assert_layer_within_precision(got, want, origins_xy, centres_xy, radii_sq, o
     differs = got_hit != want_hit
     assert not (differs & ~near).any(), "a hit state differs away from every boundary"
     both = got_hit & want_hit
-    error = np.abs((offset - got.astype(np.float64)) ** 2 - (offset - want) ** 2)
-    assert (error <= slack)[both].all()
+    assert (np.abs(got.astype(np.float64) - want) <= slack)[both].all()
     return differs.sum(axis=1)
 
 

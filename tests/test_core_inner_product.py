@@ -1,13 +1,17 @@
-"""Unit tests for the extra-dimension-free inner-product (MIPS) transform."""
+"""Unit tests for the extra-dimension-free inner-product (MIPS) transform.
+
+The hit-time decodes are the paper's hit shader, kept with the per-ray
+reference tracer (``rt_reference.py``); the selective LUT writes the same
+values from the sphere test's ``d²``.
+"""
 
 import numpy as np
 import pytest
+from rt_reference import inner_product_from_hit_time, l2_distance_from_hit_time
 
 from repro.core.inner_product import (
     adjusted_radii_for_inner_product,
-    inner_product_from_hit_time,
     inner_product_threshold_to_tmax,
-    l2_distance_from_hit_time,
 )
 
 
@@ -48,6 +52,17 @@ class TestHitTimeDecoding:
         recovered = inner_product_from_hit_time(t_hit, query_norm_sq, base_radius, offset)
         expected = entries[hit] @ query
         np.testing.assert_allclose(recovered, expected, atol=1e-9)
+
+    def test_inner_product_from_dist_sq(self, rng):
+        """The LUT's form: ``(offset - t_hit)^2 = r^2 - d^2``, so the inner
+        product is ``(|q|^2 - R^2 + r^2 - d^2) / 2`` with no hit time."""
+        base_radius = 2.0
+        entries = rng.standard_normal((50, 2))
+        query = rng.standard_normal(2)
+        radii = adjusted_radii_for_inner_product(entries, base_radius)
+        dist_sq = np.sum((entries - query) ** 2, axis=1)
+        value = (query @ query - base_radius**2 + radii**2 - dist_sq) / 2
+        np.testing.assert_allclose(value, entries @ query, atol=1e-12)
 
     def test_tmax_encodes_ip_threshold(self, rng):
         """Accepting hits with t_hit <= t_max selects exactly IP >= threshold."""

@@ -51,6 +51,8 @@ def _resident(piggyback_metrics=True):
 
 @pytest.fixture()
 def registry():
+    """A fresh registry for the coordinator's own counters (workers start
+    theirs at zero when they boot)."""
     previous = set_registry(None)
     try:
         yield get_registry()
@@ -86,18 +88,16 @@ def bundle(corpus, tmp_path_factory):
     return sharded.save(tmp_path_factory.mktemp("obs-agg") / "deployment")
 
 
+def _counter(snapshot: dict, name: str) -> float:
+    return sum(entry["value"] for entry in snapshot["counters"] if entry["name"] == name)
+
+
 def _worker_total(executor, name: str) -> float:
-    return sum(
-        entry["value"]
-        for entry in executor.worker_metrics()["counters"]
-        if entry["name"] == name
-    )
+    return _counter(executor.worker_metrics(), name)
 
 
 class TestCrossProcessAggregation:
-    def test_piggybacked_snapshots_sum_exactly_and_stay_monotonic(
-        self, corpus, bundle, registry
-    ):
+    def test_piggybacked_snapshots_sum_exactly_and_stay_monotonic(self, corpus, bundle):
         """Each search fans the batch out to one replica per shard, so the
         merged worker-side query total is exactly shards x queries x
         searches -- and it only ever grows."""
@@ -113,7 +113,7 @@ class TestCrossProcessAggregation:
             # snapshots arrived via piggyback alone -- no explicit collection
             assert len(executor.worker_snapshots()) >= NUM_SHARDS
 
-    def test_merged_rt_ratios_are_ratios_of_sums(self, corpus, bundle, registry):
+    def test_merged_rt_ratios_are_ratios_of_sums(self, corpus, bundle):
         """Two workers' snapshots merge by summing, so index-health ratios
         are exported as counters: dividing the merged sums gives the pooled
         ratio, where summed per-worker ratios would read about double."""
@@ -137,7 +137,7 @@ class TestCrossProcessAggregation:
         )
         assert 0.0 < hits / slots <= 1.0 and hits / slots < summed_ratios
 
-    def test_collect_metrics_pulls_every_live_worker(self, corpus, bundle, registry):
+    def test_collect_metrics_pulls_every_live_worker(self, corpus, bundle):
         with ShardedJunoIndex.load(bundle, _resident(piggyback_metrics=False)) as resident:
             executor = resident.executor_spec
             resident.search(corpus.queries, k=5, nprobs=4)
@@ -156,7 +156,7 @@ class TestCrossProcessAggregation:
             )
             assert total == NUM_SHARDS * corpus.queries.shape[0]
 
-    def test_failover_and_respawn_do_not_double_count(self, corpus, bundle, registry):
+    def test_failover_and_respawn_do_not_double_count(self, corpus, bundle):
         """The dead incarnation's final snapshot keeps counting exactly once;
         the respawned replica starts a fresh key at zero."""
         num_queries = corpus.queries.shape[0]
@@ -191,6 +191,20 @@ class TestCrossProcessAggregation:
             # old and new incarnation coexist under distinct pids
             assert dead_keys < respawn_keys
             assert len(respawn_keys) == 2
+
+    def test_workers_boot_with_an_empty_registry(self, corpus, bundle, registry):
+        """Searches the coordinator ran before the workers booted are not the
+        workers': every worker reports zero batches until it serves one."""
+        with ShardedJunoIndex.load(bundle) as local:
+            local.search(corpus.queries, k=5, nprobs=4)
+        assert _counter(registry.snapshot(), "repro_pipeline_batches_total") > 0
+        with ShardedJunoIndex.load(bundle, _resident(piggyback_metrics=False)) as resident:
+            executor = resident.executor_spec
+            executor.collect_metrics()
+            snapshots = executor.worker_snapshots()
+        assert len(snapshots) == NUM_SHARDS * NUM_REPLICAS
+        for snapshot in snapshots.values():
+            assert _counter(snapshot, "repro_pipeline_batches_total") == 0
 
     def test_legacy_fields_and_registry_counters_agree(self, corpus, bundle, registry):
         with ShardedJunoIndex.load(bundle, _resident()) as resident:

