@@ -27,7 +27,7 @@ def main() -> None:
     juno = JunoIndex.for_dataset(dataset, num_clusters=48, num_entries=96)
     juno.train(dataset.points)
     # The MIPS mapping enlarges each entry's sphere by its norm: report the range.
-    radii = np.concatenate([layer.radii for layer in juno.scene.layers.values()])
+    radii = np.sqrt(juno.scene.leaf_radii_sq[juno.scene.leaf_radii_sq > 0])  # empty lanes hold -1
     print(f"base radius R={juno.sphere_radius:.2f}; enlarged sphere radii span "
           f"[{radii.min():.2f}, {radii.max():.2f}]")
 

@@ -25,8 +25,9 @@ def main() -> None:
     #    regressor, traversable RT scene).
     juno = JunoIndex.for_dataset(dataset, num_clusters=64, num_entries=128)
     juno.train(dataset.points)
+    layers, spheres = juno.scene.entry_slots.shape  # one row of entry slots per layer
     print(f"JUNO trained: sphere radius R={juno.sphere_radius:.3f}, "
-          f"{juno.scene.num_spheres} spheres in {juno.scene.num_layers} subspace layers")
+          f"{layers * spheres} spheres in {layers} subspace layers")
 
     # 3. Train the FAISS-style IVFPQ baseline with the same IVF/PQ settings.
     baseline = IVFPQIndex(num_clusters=64, num_subspaces=dataset.dim // 2, num_entries=128)

@@ -350,19 +350,15 @@ class JunoIndex:
         config = self.config
         if self.pq is None or not self.pq.is_trained:
             raise RuntimeError("rebuild_scene requires trained PQ codebooks")
-        self.scene = TraversableScene(leaf_size=config.leaf_size)
-        offsets = np.empty(config.num_subspaces, dtype=np.float64)
-        for s in range(config.num_subspaces):
-            entries = self.pq.codebooks[s].entries
-            if self.metric is Metric.L2:
-                radii: np.ndarray | float = self.sphere_radius
-                offsets[s] = self.sphere_radius
-            else:
-                radii = adjusted_radii_for_inner_product(entries, self.sphere_radius)
-                offsets[s] = float(np.max(radii))
-            self.scene.add_layer(s, entries, radii=radii, z=2.0 * s + 1.0)
-        self.scene.stacked()  # build the batch tracer's flat form now, not on the first query
-        self.origin_offsets = offsets
+        entries = np.stack([codebook.entries for codebook in self.pq.codebooks])
+        if self.metric is Metric.L2:
+            radii = np.full(entries.shape[:2], self.sphere_radius)
+        else:
+            radii = adjusted_radii_for_inner_product(entries, self.sphere_radius)
+        # the origin plane sits one largest radius below each layer
+        self.origin_offsets = radii.max(axis=1)
+        z = 2.0 * np.arange(config.num_subspaces) + 1.0
+        self.scene = TraversableScene.build(entries, radii, z, config.leaf_size)
         self.tracer = RayTracer(self.scene)
         self.rebuild_layout()
 
@@ -376,11 +372,8 @@ class JunoIndex:
         :meth:`rebuild_scene` by training and loading, and directly by
         compaction, which changes members and codes but not the scene.
         """
-        entry_slots = np.stack(
-            [self.scene.entry_slots(s) for s in range(self.config.num_subspaces)]
-        )
         self.subspace_index = SubspaceInvertedIndex(self.config.num_entries).build(
-            self.ivf.posting_lists, self.codes, entry_slots
+            self.ivf.posting_lists, self.codes, self.scene.entry_slots
         )
 
     # ----------------------------------------------------------------- search

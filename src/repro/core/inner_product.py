@@ -28,14 +28,15 @@ def adjusted_radii_for_inner_product(
     """Per-entry sphere radii ``R' = sqrt(R^2 + |e|^2)`` for the MIPS mapping.
 
     Args:
-        entries_xy: ``(E, 2)`` codebook entry coordinates in the subspace.
+        entries_xy: ``(..., E, 2)`` codebook entry coordinates in the subspace
+            (a leading axis for the subspaces builds every layer's at once).
         base_radius: the constant base radius ``R``.
 
     Returns:
-        ``(E,)`` adjusted radii.
+        ``(..., E)`` adjusted radii.
     """
     entries_xy = np.atleast_2d(np.asarray(entries_xy, dtype=np.float64))
-    norms_sq = np.sum(entries_xy**2, axis=1)
+    norms_sq = np.sum(entries_xy**2, axis=-1)
     return np.sqrt(base_radius**2 + norms_sq)
 
 

@@ -45,12 +45,11 @@ class SelectiveLUT:
     """The dense per-ray lookup table produced by the RT pass.
 
     Columns are the scene's leaf slots, not entry ids: entry ``e`` of
-    subspace ``s`` sits in column ``entry_slots[s, e]`` of the scene's
-    :class:`~repro.rt.scene.LayerStack`, and ``slot_entries`` maps back.
-    The score kernel addresses the table through PQ codes remapped to
-    columns once, at index-build time
-    (:class:`~repro.core.subspace_index.FlatClusterLayout`); the accessors
-    below translate to entry ids for tests and analysis.
+    subspace ``s`` sits in column ``entry_slots[s, e]`` of the
+    :class:`~repro.rt.scene.TraversableScene`, and ``slot_entries`` maps
+    back.  The score kernel addresses the table through PQ codes remapped
+    to columns once, at index-build time
+    (:class:`~repro.core.subspace_index.FlatClusterLayout`).
 
     Attributes:
         table: ``(S, R, E')`` float32 score contributions, ``R = Q * nprobs``:
@@ -91,35 +90,6 @@ class SelectiveLUT:
     def total_hits(self) -> int:
         """Total number of selected (subspace, ray, entry) cells."""
         return self.stats.hits
-
-    def _entry_rows(self, cells: np.ndarray, marked: np.ndarray, fill) -> np.ndarray:
-        """``(S, E)`` entry-ordered rows holding the ``marked`` ones of one
-        ray's slot-ordered ``(S, E')`` cells, ``fill`` elsewhere."""
-        rows = np.full((self.num_subspaces, self.num_entries), fill, dtype=cells.dtype)
-        subspace, column = np.nonzero(marked)
-        rows[subspace, self.slot_entries[subspace, column]] = cells[subspace, column]
-        return rows
-
-    def ray_slice(self, subspace_id: int, ray_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(entry_ids, values)`` selected for one ray in one subspace."""
-        columns = np.flatnonzero(self.hits[subspace_id, ray_id])
-        return self.slot_entries[subspace_id, columns], self.table[subspace_id, ray_id, columns]
-
-    def dense_rows(self, ray_id: int) -> np.ndarray:
-        """Dense ``(S, E)`` table for one ray with ``nan`` marking unselected entries."""
-        return self._entry_rows(self.table[:, ray_id], self.hits[:, ray_id], np.nan)
-
-    def hit_mask_rows(self, ray_id: int) -> np.ndarray:
-        """Dense boolean ``(S, E)`` selection mask for one ray."""
-        hit = self.hits[:, ray_id]
-        return self._entry_rows(hit, hit, False)
-
-    def inner_mask_rows(self, ray_id: int) -> np.ndarray:
-        """Dense boolean ``(S, E)`` inner-sphere mask for one ray (JUNO-M)."""
-        if self.inner is None:
-            raise RuntimeError("inner sphere flags were not computed for this LUT")
-        inner = self.inner[:, ray_id]
-        return self._entry_rows(inner, inner, False)
 
     def selected_fraction(self) -> float:
         """Average fraction of entries selected per (ray, subspace); the
@@ -176,7 +146,7 @@ class SelectiveLUTConstructor:
         method then owns.  The L2 value is ``d²`` itself; the inner product
         is ``(|q|² − R² + r² − d²) / 2``, in float32 on every cell, with the
         norms broadcast along the slot axis and each slot's ``r²`` read from
-        the scene's stacks.  The block's rows of the table take exactly one
+        the scene.  The block's rows of the table take exactly one
         write, ``where(accepted, value, miss)``.
 
         Args:
@@ -208,18 +178,10 @@ class SelectiveLUTConstructor:
             raise ValueError("the inner sphere needs thresholds and NaN misses")
 
         scene = self.tracer.scene
-        z = np.full(num_subspaces, np.nan)  # a missing layer: the tracer raises KeyError
-        radii_sq = np.zeros((num_subspaces, 1, scene.num_slots), dtype=np.float32)  # MIPS reads it
-        num_entries = 0
-        for stack in scene.stacked()[0]:
-            mine = stack.layer_ids < num_subspaces
-            layers = stack.layer_ids[mine]
-            z[layers] = stack.z[mine]
-            if self.metric is Metric.INNER_PRODUCT:
-                rows = stack.leaf_radii_sq[mine].reshape(len(layers), -1)
-                radii_sq[layers, 0, : rows.shape[1]] = rows
-            num_entries = max(num_entries, stack.entry_slots.shape[1] if mine.any() else 0)
-        origin_z = z - self.origin_offsets[:num_subspaces]
+        origin_z = scene.z[:num_subspaces] - self.origin_offsets[:num_subspaces]
+        if self.metric is Metric.INNER_PRODUCT:
+            radii_sq = scene.leaf_radii_sq[:num_subspaces].reshape(num_subspaces, 1, -1)
+            radii_sq = radii_sq.astype(np.float32)
 
         if miss is None:
             miss = np.full((num_subspaces, 1, 1), np.nan, dtype=np.float32)
@@ -228,7 +190,6 @@ class SelectiveLUTConstructor:
         table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float32)
         hit_grid = np.empty(table.shape, dtype=bool)
         inner = np.empty(table.shape, dtype=bool) if want_inner else None
-        slot_entries = np.empty((num_subspaces, scene.num_slots), dtype=np.int64)
         stats = TraversalStats()
         block_layers = max(1, _TRACE_BLOCK_PAIRS // max(num_rays, 1))
         for s0 in range(0, num_subspaces, block_layers):
@@ -241,7 +202,6 @@ class SelectiveLUTConstructor:
                     np.arange(s0, block.stop), origins[:, block], t_max[:, block], origin_z[block]
                 )
             stats.merge(block_stats)
-            slot_entries[block] = hits.slot_entries
             hit_grid[block] = hits.accepted
             grid = hits.dist_sq  # the L2 value; still in cache
             if self.metric is Metric.INNER_PRODUCT:
@@ -266,8 +226,8 @@ class SelectiveLUTConstructor:
             table=table,
             hits=hit_grid,
             inner=inner,
-            slot_entries=slot_entries,
-            num_entries=num_entries,
+            slot_entries=scene.leaf_primitives[:num_subspaces].reshape(num_subspaces, -1),
+            num_entries=scene.entry_slots.shape[1],
             metric=self.metric,
             stats=stats,
         )

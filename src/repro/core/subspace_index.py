@@ -81,7 +81,7 @@ class SubspaceInvertedIndex:
             codes: ``(N, S)`` PQ codes of the whole corpus.
             entry_slots: ``(S, E)`` selective-LUT column of every entry of
                 every subspace (the scene's leaf-slot order, see
-                :meth:`repro.rt.scene.TraversableScene.entry_slots`);
+                :attr:`repro.rt.scene.TraversableScene.entry_slots`);
                 ``None`` for a table in entry order (column = code).
 
         Returns:

@@ -154,12 +154,3 @@ class ThresholdModel:
         """
         thresholds = np.clip(np.asarray(thresholds, dtype=np.float64), 0.0, sphere_radius)
         return origin_offset - np.sqrt(np.maximum(sphere_radius**2 - thresholds**2, 0.0))
-
-    @staticmethod
-    def tmax_to_threshold(
-        t_max: np.ndarray, sphere_radius: float, origin_offset: float
-    ) -> np.ndarray:
-        """Inverse of :meth:`threshold_to_tmax` (used by tests and reports)."""
-        t_max = np.asarray(t_max, dtype=np.float64)
-        inside = np.maximum(sphere_radius**2 - (origin_offset - t_max) ** 2, 0.0)
-        return np.sqrt(inside)

@@ -1,77 +1,47 @@
-"""The traversable scene: layered sphere sets with per-layer BVHs.
+"""The traversable scene: one BVH per subspace, stored as one stack of arrays.
 
 JUNO places the codebook entries of subspace ``s`` at depth ``z = 2s + 1``
 (Alg. 1, lines 10-13) so that rays cast from ``z = 2s`` with ``t_max <= 1``
-can only interact with the entries of their own subspace.  The scene mirrors
-that organisation: each *layer* owns the spheres of one subspace and its own
-BVH, which is also how an OptiX geometry-acceleration structure per subspace
-would behave.
+can only interact with the entries of their own subspace.  Each *layer* of
+the scene holds the spheres of one subspace under its own median-split BVH,
+as one OptiX geometry-acceleration structure per subspace would.
 
-For the batch tracer the scene also has a *stacked* flat form
-(:meth:`TraversableScene.stacked`): the median-split BVH's topology depends
-only on the sphere count and the leaf size, so layers with equally many
-spheres share one parent/level/leaf-range description and differ only in
-node bounds, leaf primitive order, centres and radii.  Those are stored with
-a leading layer axis (:class:`LayerStack`), which lets one pass of slab tests
-traverse a whole block of layers at once.  The stack's ``(leaf, lane)``
-grid is also the column order of the dense hit grid the tracer returns and
-of the selective LUT built from it: sphere ``e`` of a layer sits in column
-``entry_slots[layer, e]``.
+Every subspace has equally many entries, and a median-split tree's topology
+depends only on the sphere count and the leaf size, so all layers share one
+parent/level/leaf-range description and differ only in node bounds, leaf
+primitive order, centres and radii.  Those carry a leading layer axis, which
+lets one pass of slab tests traverse a whole block of layers at once
+(:mod:`repro.rt.tracer`).  :meth:`TraversableScene.build` writes every array
+for all layers in one breadth-first walk of the tree.  The stack's
+``(leaf, lane)`` grid is also the column order of the dense hit grid the
+tracer returns and of the selective LUT built from it: sphere ``e`` of layer
+``s`` sits in column ``entry_slots[s, e]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rt.bvh import BVH
-from repro.rt.primitives import Sphere
 
+@dataclass(frozen=True, eq=False)
+class TraversableScene:
+    """``L`` layers of ``E`` spheres, each layer under its own BVH.
 
-@dataclass
-class SceneLayer:
-    """All spheres of one subspace, plus their acceleration structure.
-
-    Attributes:
-        layer_id: subspace index ``s``.
-        z: depth of the sphere centres (``2s + 1`` in JUNO's convention).
-        centres_xy: ``(E, 2)`` sphere centres in the subspace plane.
-        radii: ``(E,)`` sphere radii.
-        spheres: the :class:`Sphere` objects (payload carries entry ids).
-        bvh: BVH over the layer's spheres.
-    """
-
-    layer_id: int
-    z: float
-    centres_xy: np.ndarray
-    radii: np.ndarray
-    spheres: list[Sphere] = field(default_factory=list)
-    bvh: BVH | None = None
-
-    @property
-    def num_spheres(self) -> int:
-        """Number of spheres (codebook entries) in this layer."""
-        return int(self.centres_xy.shape[0])
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Flat arrays of all layers that share one BVH topology.
-
-    ``L`` layers, each a tree of ``M`` nodes and ``F`` leaves of at most
-    ``W`` spheres.  The topology arrays are shared; everything that depends
-    on where the spheres are carries a leading layer axis, so a run of
-    adjacent layers is a basic slice of every array.  Sphere data is stored
-    in leaf order on an ``(F, W)`` grid: the lanes a short leaf leaves empty
-    hold a squared radius of ``-1``, which no ray can be inside of.
+    Each tree has ``M`` nodes and ``F`` leaves of at most ``W`` spheres.
+    The topology arrays are shared; everything that depends on where the
+    spheres are carries a leading layer axis, so a run of adjacent layers is
+    a basic slice of every array.  Sphere data is stored in leaf order on an
+    ``(F, W)`` grid: the lanes a short leaf leaves empty hold a squared
+    radius of ``-1``, which no ray can be inside of.
 
     Attributes:
-        layer_ids: ``(L,)`` scene layer id of every stacked layer.
+        layer_ids: ``(L,)`` layer (subspace) id of every layer, ``0..L-1``.
         z: ``(L,)`` depth of each layer's sphere centres.
         parent: ``(M,)`` parent node index (``-1`` for the root).
-        level_offsets: breadth-first level boundaries (see
-            :meth:`repro.rt.bvh.FlatBVH.topology`).
+        level_offsets: breadth-first level boundaries: level ``l`` is the
+            node range ``[level_offsets[l], level_offsets[l + 1])``.
         leaf_nodes: ``(F,)`` ascending node indices of the leaves.
         leaf_count: ``(F,)`` spheres per leaf.
         node_min: ``(L, 3, M)`` lower AABB corners, one row per axis.
@@ -100,168 +70,98 @@ class LayerStack:
     leaf_radii_sq: np.ndarray
     entry_slots: np.ndarray
 
+    def __post_init__(self) -> None:
+        # The batch tracer takes the slab mask for the traversal: boxes must be nested.
+        low, high, up = self.node_min, self.node_max, self.parent[1:]
+        nested = (low[..., 1:] >= low[..., up]) & (high[..., 1:] <= high[..., up])
+        if not nested.all():
+            loose = self.layer_ids[~nested.all(axis=(1, 2))].tolist()
+            raise ValueError(f"BVH node boxes of layer(s) {loose} are not nested in their parents'")
+
     @property
     def num_slots(self) -> int:
         """Slots ``F * W`` of one layer's leaf grid (at least ``E``)."""
         return int(self.leaf_primitives.shape[1] * self.leaf_primitives.shape[2])
 
+    @classmethod
+    def build(
+        cls, centres: np.ndarray, radii: np.ndarray | float, z: np.ndarray, leaf_size: int
+    ) -> "TraversableScene":
+        """Median-split BVHs over every layer's spheres, all layers at once.
 
-def _stack_layers(layers: list[SceneLayer]) -> LayerStack:
-    """Stack layers with equally many spheres (hence one shared topology)."""
-    flats = [layer.bvh.flatten() for layer in layers]
-    parent, level_offsets, leaf_nodes = flats[0].topology()
-    leaf_count = flats[0].leaf_count[leaf_nodes]
-    lanes = np.arange(int(leaf_count.max(initial=0)))
-    filled = lanes < leaf_count[:, None]
-    # Position of every (leaf, lane) in a layer's leaf-ordered primitive
-    # list; empty lanes repeat the leaf's first primitive and are masked
-    # out through their radius.
-    slots = flats[0].leaf_start[leaf_nodes][:, None] + np.where(filled, lanes, 0)
-    primitives = np.stack([flat.leaf_primitives for flat in flats])[:, slots]
-    entry_slots = np.empty((len(layers), int(leaf_count.sum())), dtype=np.int32)
-    # a sphere's slot is the flat (leaf, lane) index of the filled lane holding it
-    np.put_along_axis(entry_slots, primitives[:, filled], np.flatnonzero(filled)[None], axis=1)
-    rows = np.arange(len(layers))[:, None, None]
-    centres = np.stack([layer.centres_xy for layer in layers])
-    radii_sq = np.stack([layer.radii for layer in layers]) ** 2
-    stack = LayerStack(
-        layer_ids=np.array([layer.layer_id for layer in layers], dtype=np.int64),
-        z=np.array([layer.z for layer in layers], dtype=np.float64),
-        parent=parent,
-        level_offsets=level_offsets,
-        leaf_nodes=leaf_nodes,
-        leaf_count=leaf_count,
-        node_min=np.stack([flat.node_min.T for flat in flats]),
-        node_max=np.stack([flat.node_max.T for flat in flats]),
-        leaf_primitives=primitives,
-        leaf_centres_x=centres[rows, primitives, 0],
-        leaf_centres_y=centres[rows, primitives, 1],
-        leaf_radii_sq=np.where(filled, radii_sq[rows, primitives], -1.0),
-        entry_slots=entry_slots,
-    )
-    # The batch tracer takes the slab mask for the traversal: boxes must be nested.
-    low, high, up = stack.node_min, stack.node_max, parent[1:]
-    nested = (low[..., 1:] >= low[..., up]) & (high[..., 1:] <= high[..., up])
-    if not nested.all():
-        loose = stack.layer_ids[~nested.all(axis=(1, 2))].tolist()
-        raise ValueError(f"BVH node boxes of layer(s) {loose} are not nested in their parents'")
-    return stack
-
-
-class TraversableScene:
-    """Layered sphere scene with one BVH per layer.
-
-    Args:
-        leaf_size: BVH leaf size used for every layer.
-    """
-
-    def __init__(self, leaf_size: int = 4) -> None:
-        self.leaf_size = int(leaf_size)
-        self.layers: dict[int, SceneLayer] = {}
-        self._stacked: tuple[list[LayerStack], dict[int, tuple[int, int]]] | None = None
-
-    # ------------------------------------------------------------ building
-    def add_layer(
-        self,
-        layer_id: int,
-        centres_xy: np.ndarray,
-        radii: np.ndarray | float,
-        z: float | None = None,
-        payloads: list[dict] | None = None,
-    ) -> SceneLayer:
-        """Create a layer of spheres for one subspace.
+        A node's box is the ``min``/``max`` of its spheres' boxes; a node of
+        more than ``leaf_size`` spheres is split at the median of their
+        centres along its box's longest axis (the first one on a tie), with
+        a stable sort.  The tree is walked breadth first with each node's
+        spheres held as an ``(L, n)`` index array: its shape depends on
+        ``n`` alone, so one walk builds every layer's tree.
 
         Args:
-            layer_id: subspace index ``s``.
-            centres_xy: ``(E, 2)`` entry coordinates in the subspace plane.
-            radii: scalar or ``(E,)`` sphere radii.
-            z: depth of the sphere centres; defaults to ``2 * layer_id + 1``.
-            payloads: optional per-sphere payload dicts; defaults to
-                ``{"entry_id": e, "subspace_id": layer_id}``.
-
-        Returns:
-            The constructed :class:`SceneLayer`.
+            centres: ``(L, E, 2)`` sphere centres in each layer's plane.
+            radii: sphere radii, broadcastable to ``(L, E)``; all positive.
+            z: ``(L,)`` depth of each layer's sphere centres.
+            leaf_size: most spheres per leaf.
         """
-        centres_xy = np.atleast_2d(np.asarray(centres_xy, dtype=np.float64))
-        if centres_xy.shape[1] != 2:
-            raise ValueError("centres_xy must have shape (E, 2)")
-        num_entries = centres_xy.shape[0]
-        radii_arr = np.broadcast_to(
-            np.asarray(radii, dtype=np.float64), (num_entries,)
-        ).copy()
-        if np.any(radii_arr <= 0):
+        centres = np.asarray(centres, dtype=np.float64)
+        if centres.ndim != 3 or centres.shape[2] != 2 or centres.shape[1] == 0:
+            raise ValueError("centres must have shape (L, E, 2) with E >= 1")
+        num_layers, num_entries, _ = centres.shape
+        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (num_layers, num_entries))
+        if not (radii > 0.0).all():
             raise ValueError("all sphere radii must be positive")
-        if z is None:
-            z = 2.0 * layer_id + 1.0
-        spheres = []
-        for entry_id in range(num_entries):
-            payload = (
-                payloads[entry_id]
-                if payloads is not None
-                else {"entry_id": entry_id, "subspace_id": layer_id}
-            )
-            centre = np.array([centres_xy[entry_id, 0], centres_xy[entry_id, 1], z])
-            spheres.append(Sphere(centre=centre, radius=float(radii_arr[entry_id]), payload=payload))
-        layer = SceneLayer(
-            layer_id=int(layer_id),
-            z=float(z),
-            centres_xy=centres_xy,
-            radii=radii_arr,
-            spheres=spheres,
-            bvh=BVH(spheres, leaf_size=self.leaf_size),
+        if leaf_size < 1:
+            raise ValueError("leaf_size must be at least 1")
+        z = np.asarray(z, dtype=np.float64).reshape(num_layers)
+        points = np.concatenate(
+            (centres, np.broadcast_to(z[:, None, None], (num_layers, num_entries, 1))), axis=2
         )
-        self.layers[int(layer_id)] = layer
-        self._stacked = None
-        return layer
+        lows, highs = points - radii[..., None], points + radii[..., None]
+        rows = np.arange(num_layers)[:, None]
 
-    def stacked(self) -> tuple[list[LayerStack], dict[int, tuple[int, int]]]:
-        """The stacked flat form of the scene (built on first use, cached).
+        # Breadth first: children join the list being read, so every level
+        # of the tree is a contiguous node range.
+        members = [np.broadcast_to(np.arange(num_entries), (num_layers, num_entries))]
+        parent, depth, node_min, node_max, leaf_nodes = [-1], [0], [], [], []
+        for node, below in enumerate(members):
+            low, high = lows[rows, below].min(axis=1), highs[rows, below].max(axis=1)
+            node_min.append(low)
+            node_max.append(high)
+            count = below.shape[1]
+            if count <= leaf_size:
+                leaf_nodes.append(node)
+                continue
+            axis = np.argmax(high - low, axis=1)[:, None]
+            order = np.argsort(points[rows, below, axis], axis=1, kind="stable")
+            below = np.take_along_axis(below, order, axis=1)
+            members += [below[:, : count // 2], below[:, count // 2 :]]
+            parent += [node, node]
+            depth += [depth[node] + 1] * 2
 
-        Layers are grouped by sphere count, in insertion order within a
-        group; a JUNO scene (every subspace has ``E`` entries) is a single
-        stack.  Adding a layer drops the cache.
-
-        Returns:
-            ``(stacks, slot)`` where ``slot[layer_id]`` is the ``(stack
-            index, position in the stack)`` of a layer.
-        """
-        if self._stacked is None:
-            groups: dict[int, list[SceneLayer]] = {}
-            for layer in self.layers.values():
-                groups.setdefault(layer.num_spheres, []).append(layer)
-            stacks = [_stack_layers(group) for group in groups.values()]
-            slot = {
-                int(layer_id): (index, position)
-                for index, stack in enumerate(stacks)
-                for position, layer_id in enumerate(stack.layer_ids)
-            }
-            self._stacked = (stacks, slot)
-        return self._stacked
-
-    def entry_slots(self, layer_id: int) -> np.ndarray:
-        """``(E,)`` column of every sphere of a layer in the batch tracer's
-        dense hit grid (see :attr:`LayerStack.entry_slots`)."""
-        stacks, slot = self.stacked()
-        group, position = slot[int(layer_id)]
-        return stacks[group].entry_slots[position]
-
-    @property
-    def num_slots(self) -> int:
-        """Columns of the dense hit grid: the slots of the widest stack."""
-        return max((stack.num_slots for stack in self.stacked()[0]), default=0)
-
-    @property
-    def num_layers(self) -> int:
-        """Number of layers (subspaces) in the scene."""
-        return len(self.layers)
-
-    @property
-    def num_spheres(self) -> int:
-        """Total number of spheres across all layers."""
-        return sum(layer.num_spheres for layer in self.layers.values())
-
-    def layer(self, layer_id: int) -> SceneLayer:
-        """Look up one layer by id."""
-        if layer_id not in self.layers:
-            raise KeyError(f"layer {layer_id} has not been added to the scene")
-        return self.layers[layer_id]
+        leaf_count = np.array([members[node].shape[1] for node in leaf_nodes], dtype=np.int64)
+        lanes = np.arange(int(leaf_count.max()))
+        filled = lanes < leaf_count[:, None]
+        # empty lanes repeat the leaf's first sphere and are masked out through their radius
+        primitives = np.stack(
+            [members[node][:, np.where(full, lanes, 0)] for node, full in zip(leaf_nodes, filled)],
+            axis=1,
+        )
+        entry_slots = np.empty((num_layers, num_entries), dtype=np.int32)
+        # a sphere's slot is the flat (leaf, lane) index of the filled lane holding it
+        np.put_along_axis(entry_slots, primitives[:, filled], np.flatnonzero(filled)[None], axis=1)
+        at = (rows[:, :, None], primitives)
+        levels = np.flatnonzero(np.diff(depth)) + 1
+        return cls(
+            layer_ids=np.arange(num_layers, dtype=np.int64),
+            z=z,
+            parent=np.array(parent, dtype=np.int64),
+            level_offsets=np.concatenate(([0], levels, [len(depth)])).astype(np.int64),
+            leaf_nodes=np.array(leaf_nodes, dtype=np.int64),
+            leaf_count=leaf_count,
+            node_min=np.stack(node_min, axis=2),
+            node_max=np.stack(node_max, axis=2),
+            leaf_primitives=primitives,
+            leaf_centres_x=centres[(*at, 0)],
+            leaf_centres_y=centres[(*at, 1)],
+            leaf_radii_sq=np.where(filled, (radii**2)[at], -1.0),
+            entry_slots=entry_slots,
+        )

@@ -1,12 +1,12 @@
-"""The vectorised batch tracer over the scene's stacked flat form.
+"""The vectorised batch tracer over the scene's stacked arrays.
 
 :meth:`RayTracer.trace_vertical_batch` exploits the structure of JUNO's
 rays -- all parallel to ``+z``, each targeting the layer just above its
 origin plane -- to traverse a whole *block* of layers for a whole batch of
-rays in one straight line of array passes over the scene's stacked flat form
-(:meth:`~repro.rt.scene.TraversableScene.stacked`), paying the interpreter
-once per block.  Node boxes are nested, so the float64 slab mask *is* the
-traversal: node, box and sphere-test counts are those of a per-ray BVH walk
+rays in one straight line of array passes over the scene's stack
+(:class:`~repro.rt.scene.TraversableScene`), paying the interpreter once per
+block.  Node boxes are nested, so the float64 slab mask *is* the traversal:
+node, box and sphere-test counts are those of a per-ray BVH walk
 (``tests/rt_reference.py`` keeps one as the oracle).  The sphere tests run in
 float32, as on an RT core.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rt.scene import LayerStack, TraversableScene
+from repro.rt.scene import TraversableScene
 
 
 @dataclass
@@ -61,9 +61,8 @@ class BatchHits:
     """The dense hit grid of a batch of rays against a block of layers.
 
     One cell per (layer, ray, slot), a slot being one (leaf, lane) of the
-    layer's leaf-ordered sphere grid (:class:`~repro.rt.scene.LayerStack`),
-    handed over as the sphere tests left it.  Layers of a narrower stack
-    than the scene's widest leave a never-accepted tail.
+    layer's leaf-ordered sphere grid (:class:`~repro.rt.scene.TraversableScene`),
+    handed over as the sphere tests left it.
 
     Attributes:
         accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
@@ -116,7 +115,7 @@ class RayTracer:
         One ray per (layer, ray index): ray ``r`` of layer ``l`` starts at
         ``(x, y, origin_z[l])`` and travels towards ``+z`` with its own
         maximum travel time, exactly like Alg. 2 (lines 3-8) -- but the
-        whole block is traversed at once over the scene's stacked flat form
+        whole block is traversed at once over the scene's stacked arrays
         instead of layer by layer.  A single layer is the block-of-one case.
 
         Args:
@@ -149,81 +148,53 @@ class RayTracer:
         if t_max_arr.ndim == 1:
             t_max_arr = t_max_arr[:, None]
         t_max_arr = np.ascontiguousarray(np.broadcast_to(t_max_arr, (num_rays, num_layers)).T)
-        stacks, slot = self.scene.stacked()
-        try:
-            slots = [slot[layer_id] for layer_id in layer_ids.tolist()]
-        except KeyError as missing:
-            raise KeyError(f"layer {missing.args[0]} has not been added to the scene") from None
+        scene = self.scene
+        unknown = layer_ids[(layer_ids < 0) | (layer_ids >= scene.z.shape[0])]
+        if unknown.size:
+            raise KeyError(f"layer {int(unknown[0])} is not in the scene")
+        # a run of adjacent layers (JUNO's blocks) is a basic slice of every array
+        first = int(layer_ids[0]) if num_layers else 0
+        adjacent = (layer_ids == np.arange(first, first + num_layers)).all()
+        layers = slice(first, first + num_layers) if adjacent else layer_ids
         if origin_z is None:
-            origin_z_arr = np.array([stacks[g].z[p] for g, p in slots]) - 1.0
+            origin_z_arr = scene.z[layers] - 1.0
         else:
             origin_z_arr = np.broadcast_to(np.asarray(origin_z, dtype=np.float64), (num_layers,))
         ox = np.ascontiguousarray(origins_xy[:, :, 0].T)
         oy = np.ascontiguousarray(origins_xy[:, :, 1].T)
 
         stats = TraversalStats(rays=num_layers * num_rays)
-        # Maximal runs of layers adjacent in one stack are traced together;
-        # a JUNO scene is one stack, so a block of subspaces is one run and
-        # its grid is returned as it is.
-        runs: list[tuple[slice, BatchHits]] = []
-        lo = 0
-        while lo < num_layers:
-            group, first = slots[lo]
-            hi = lo + 1
-            while hi < num_layers and slots[hi] == (group, first + hi - lo):
-                hi += 1
-            run = slice(lo, hi)
-            traced = self._trace_run(
-                stacks[group], first, ox[run], oy[run], t_max_arr[run], origin_z_arr[run], stats
-            )
-            runs.append((run, traced))
-            lo = hi
-        width = self.scene.num_slots
-        if len(runs) == 1 and runs[0][1].accepted.shape[2] == width:
-            hits = runs[0][1]
-        else:
-            # several stacks: pad every run to the widest one's slots
-            hits = BatchHits(
-                accepted=np.zeros((num_layers, num_rays, width), dtype=bool),
-                dist_sq=np.zeros((num_layers, num_rays, width), dtype=np.float32),
-                slot_entries=np.zeros((num_layers, width), dtype=np.int64),
-            )
-            for run, traced in runs:
-                run_width = traced.accepted.shape[2]
-                hits.accepted[run, :, :run_width] = traced.accepted
-                hits.dist_sq[run, :, :run_width] = traced.dist_sq
-                hits.slot_entries[run, :run_width] = traced.slot_entries
+        hits = self._trace_layers(scene, layers, ox, oy, t_max_arr, origin_z_arr, stats)
         stats.hits = hits.num_hits
         self.stats.merge(stats)
         return hits, stats
 
     @staticmethod
-    def _trace_run(
-        stack: LayerStack,
-        first: int,
+    def _trace_layers(
+        scene: TraversableScene,
+        layers: slice | np.ndarray,
         ox: np.ndarray,
         oy: np.ndarray,
         t_max: np.ndarray,
         origin_z: np.ndarray,
         stats: TraversalStats,
     ) -> BatchHits:
-        """Traverse ``L`` adjacent layers of one stack for ``(L, R)`` rays.
+        """Traverse ``L`` layers of the scene for ``(L, R)`` rays.
 
-        Returns the hit grid over the stack's ``F * W`` leaf slots and adds
+        Returns the hit grid over the scene's ``F * W`` leaf slots and adds
         the traversal work (hits excepted) to ``stats``.  ``docs/performance.md``
         ("rt_select, pass by pass") proves the identities this rests on.
         """
         num_layers, num_rays = ox.shape
-        layers = slice(first, first + num_layers)
-        offset = stack.z[layers] - origin_z
+        offset = scene.z[layers] - origin_z
         if (offset <= 0.0).any():
             raise ValueError("origin_z must lie below the layer's sphere centres")
-        grid = (num_layers, num_rays, stack.num_slots)
-        slot_entries = stack.leaf_primitives[layers].reshape(num_layers, -1)
-        if stack.leaf_nodes.shape[0] == 0 or num_rays == 0:
+        grid = (num_layers, num_rays, scene.num_slots)
+        slot_entries = scene.leaf_primitives[layers].reshape(num_layers, -1)
+        if ox.size == 0:
             return BatchHits(np.zeros(grid, dtype=bool), np.zeros(grid, np.float32), slot_entries)
-        node_min, node_max = stack.node_min[layers], stack.node_max[layers]
-        num_nodes = stack.parent.shape[0]
+        node_min, node_max = scene.node_min[layers], scene.node_max[layers]
+        num_nodes = scene.parent.shape[0]
 
         # Slab tests for every (layer, node, ray), ANDed into one buffer through
         # a second; the longer of the node and ray axes is contiguous in memory.
@@ -245,16 +216,16 @@ class RayTracer:
             compare(of_ray[:, None, :], of_node[:, :, None], out=test)
             slab &= test
 
-        # The slab mask is the traversal: boxes are nested (the stack checks
+        # The slab mask is the traversal: boxes are nested (the scene checks
         # it), so a node is visited iff its parent passed and a leaf's spheres
         # are tested iff the leaf passed -- the counters are sums of pass counts.
         passed = np.count_nonzero(slab, axis=(0, 2))
-        children = np.bincount(stack.parent[1:], minlength=num_nodes)
+        children = np.bincount(scene.parent[1:], minlength=num_nodes)
         node_visits = num_layers * num_rays + int(passed @ children)
         stats.node_visits += node_visits
         stats.aabb_tests += node_visits
-        leaves = stack.leaf_nodes
-        stats.prim_tests += int(passed[leaves] @ stack.leaf_count)
+        leaves = scene.leaf_nodes
+        stats.prim_tests += int(passed[leaves] @ scene.leaf_count)
 
         # Sphere tests on the whole (layer, ray, slot) grid, in float32 as on an
         # RT core.  ``d^2`` keeps its own grid: it is the value the LUT takes.
@@ -263,8 +234,8 @@ class RayTracer:
         # ``sqrt(r^2 - d^2)`` is NaN exactly where the ray passes outside the
         # sphere (and in the ``r^2 = -1`` padding lanes), and a NaN hit time
         # never satisfies ``t_hit <= t_max``.
-        row = (num_layers, 1, stack.num_slots)
-        leaf = (stack.leaf_centres_x, stack.leaf_centres_y, stack.leaf_radii_sq)
+        row = (num_layers, 1, scene.num_slots)
+        leaf = (scene.leaf_centres_x, scene.leaf_centres_y, scene.leaf_radii_sq)
         cx, cy, radii_sq = (a[layers].astype(np.float32).reshape(row) for a in leaf)
         ox, oy, offset, t_max = (a.astype(np.float32) for a in (ox, oy, offset, t_max))
         dist_sq, t_hit = np.empty(grid, np.float32), np.empty(grid, np.float32)

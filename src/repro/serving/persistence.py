@@ -52,6 +52,7 @@ from repro.core.density import DensityMap
 from repro.core.index import JunoIndex
 from repro.core.threshold import ThresholdModel
 from repro.errors import ServingError
+from repro.metrics.distances import Metric
 from repro.quantization.codebook import SubspaceCodebook
 from repro.quantization.product_quantizer import ProductQuantizer
 from repro.storage import atomic_write_text, staged
@@ -284,16 +285,13 @@ def index_from_arrays(manifest: dict, arrays: dict) -> JunoIndex:
     centroids = arrays["ivf_centroids"]
     labels = arrays["ivf_labels"]
     codes = arrays["codes"]
-    codebooks = [
-        SubspaceCodebook(arrays[f"codebook_{s}"], subspace_id=s)
-        for s in range(config.num_subspaces)
-    ]
+    entries = [arrays[f"codebook_{s}"] for s in range(config.num_subspaces)]
     density_mins = arrays["density_mins"]
     density_maxs = arrays["density_maxs"]
     densities = arrays["density_densities"]
     coefficients = arrays["threshold_coefficients"]
 
-    _check_consistency(index, manifest, centroids, labels, codes, densities)
+    _check_consistency(index, manifest, centroids, labels, codes, densities, entries)
 
     # IVF: posting lists are a deterministic function of the labels.
     index.ivf.centroids = centroids
@@ -312,7 +310,7 @@ def index_from_arrays(manifest: dict, arrays: dict) -> JunoIndex:
         seed=config.seed,
         kmeans_iters=config.kmeans_iters,
     )
-    pq.codebooks = codebooks
+    pq.codebooks = [SubspaceCodebook(entry, subspace_id=s) for s, entry in enumerate(entries)]
     index.pq = pq
     index.codes = codes
 
@@ -540,9 +538,35 @@ def search_results_equal(a, b) -> bool:
     return bool(ids_equal and scores_equal)
 
 
-def _check_consistency(index, manifest, centroids, labels, codes, densities) -> None:
+def _check_consistency(index, manifest, centroids, labels, codes, densities, entries) -> None:
     config = index.config
     problems = []
+    # the scene is one stack: every subspace has the same E' <= E entries
+    shapes = sorted({np.shape(entry) for entry in entries})
+    width = config.subspace_dim
+    if not (
+        len(shapes) == 1
+        and len(shapes[0]) == 2
+        and 1 <= shapes[0][0] <= config.num_entries
+        and shapes[0][1] == width
+    ):
+        problems.append(
+            f"codebooks have shapes {shapes}, expected one (E', {width}) "
+            f"with 1 <= E' <= {config.num_entries}"
+        )
+    # the radius training fixed (JunoIndex._build_scene), from the thresholds it kept
+    radius, margin = float(manifest["sphere_radius"]), config.sphere_radius_margin
+    if index.metric is Metric.L2:
+        want = max(float(manifest["threshold_max"]) * margin, 1e-6)
+        if radius != want:
+            problems.append(
+                f"sphere radius {radius} is not max(threshold_max x margin, 1e-6) = {want}"
+            )
+    else:
+        reach = -2.0 * min(float(manifest["threshold_min"]), 0.0)
+        least = margin * float(np.sqrt(max(reach, 1.0)))
+        if not radius >= least:
+            problems.append(f"sphere radius {radius} cannot reach threshold_min: below {least}")
     if centroids.ndim != 2 or centroids.shape[1] != index.dim:
         problems.append(f"centroid matrix has shape {centroids.shape}, expected (*, {index.dim})")
     if labels.shape[0] != index.num_points:

@@ -1,7 +1,16 @@
-"""Reference RT-select kernels the stacked tracer is pinned against.
+"""Reference RT kernels the scene, the stacked tracer and the LUT are pinned against.
 
 Not a test module: the oracles the RT-select test files share.
 
+* :class:`BVH` is the recursive median-split tree of :class:`Sphere` and
+  :class:`AABB` objects ``src/`` once built layer by layer, with its
+  breadth-first array form (:meth:`BVH.flatten`); :func:`reference_scene`
+  stacks one per layer the way ``src/`` then did.  It is the oracle of
+  :meth:`repro.rt.scene.TraversableScene.build`, which must write the same
+  thirteen arrays byte for byte.  :func:`layer_spheres` reads a layer's
+  centres and radii back out of a scene (exactly: ``sqrt`` of a rounded
+  square returns the float64 it squared) and :func:`reference_bvh` builds
+  -- once per scene and layer -- the tree the traversal oracles below walk.
 * :func:`reference_trace_layer` and :func:`reference_construct` are the
   layer-at-a-time implementation ``src/`` shipped before the scene was
   traversed as a stack of layers -- one level-synchronous pass per layer,
@@ -28,6 +37,10 @@ Not a test module: the oracles the RT-select test files share.
 * :func:`assert_columns_address_codes` pins the build-time remap of PQ
   codes to the table's leaf-slot columns on any trained, loaded or
   compacted index.
+* :func:`ray_slice`, :func:`dense_rows`, :func:`hit_mask_rows` and
+  :func:`inner_mask_rows` read a :class:`~repro.core.selective_lut.SelectiveLUT`
+  (or a :class:`ReferenceLUT`) back in entry order, one ray at a time, for
+  the oracles and the looped scorer.
 * The exact per-ray tracer -- :class:`Ray`, :class:`HitRecord`,
   :func:`trace` (every layer of a scene), :func:`bvh_traverse` (one BVH's
   stack walk), :func:`aabb_intersects_ray` and :func:`sphere_intersect` --
@@ -35,22 +48,231 @@ Not a test module: the oracles the RT-select test files share.
   traversal counters; :func:`per_ray_hits` walks one ray through one layer
   with it.  It reports ``t_hit``, as an RT core does, and
   :func:`l2_distance_from_hit_time` / :func:`inner_product_from_hit_time`
-  are the paper's hit-shader decodes of it (Sec. 4.2, Fig. 9).
+  are the paper's hit-shader decodes of it (Sec. 4.2, Fig. 9);
+  :func:`tmax_to_threshold` inverts the threshold-to-``t_max`` mapping.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.selective_lut import SelectiveLUT
 from repro.metrics.distances import Metric
-from repro.rt.aabb import AABB
-from repro.rt.bvh import BVH
-from repro.rt.primitives import Sphere
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
+
+
+@dataclass
+class AABB:
+    """Axis-aligned bounding box in 3-D: a node bound of the reference BVH."""
+
+    minimum: np.ndarray
+    maximum: np.ndarray
+
+    def longest_axis(self) -> int:
+        """Index of the longest axis (the median-split axis; the first on a tie)."""
+        return int(np.argmax(np.subtract(self.maximum, self.minimum)))
+
+
+@dataclass
+class Sphere:
+    """A sphere of the reference scene: ``(3,)`` centre and radius."""
+
+    centre: np.ndarray
+    radius: float
+
+
+@dataclass
+class BVHNode:
+    """One node of the reference hierarchy: a leaf holds sphere indices."""
+
+    aabb: AABB
+    left: "BVHNode | None" = None
+    right: "BVHNode | None" = None
+    primitive_indices: list[int] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+@dataclass
+class FlatBVH:
+    """Breadth-first array form of a :class:`BVH`; node 0 is the root.
+
+    ``left``/``right`` are ``-1`` at leaves; leaf ``n``'s spheres are
+    ``leaf_primitives[leaf_start[n] : leaf_start[n] + leaf_count[n]]``.
+    """
+
+    node_min: np.ndarray
+    node_max: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_start: np.ndarray
+    leaf_count: np.ndarray
+    leaf_primitives: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return int(self.node_min.shape[0])
+
+    def topology(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(parent, level_offsets, leaf_nodes)``: the parent of every node
+        (``-1`` at the root), the node range of every breadth-first level,
+        and the ascending indices of the leaves."""
+        parent = np.full(self.num_nodes, -1, dtype=np.int64)
+        internal = np.flatnonzero(self.left >= 0)
+        parent[self.left[internal]] = internal
+        parent[self.right[internal]] = internal
+        depth = np.zeros(self.num_nodes, dtype=np.int64)
+        for node in range(1, self.num_nodes):
+            depth[node] = depth[parent[node]] + 1
+        boundaries = np.flatnonzero(np.diff(depth)) + 1
+        level_offsets = np.concatenate(([0], boundaries, [self.num_nodes])).astype(np.int64)
+        return parent, level_offsets, np.flatnonzero(self.left < 0)
+
+
+class BVH:
+    """Median-split BVH over a list of spheres, built recursively.
+
+    A node's box is the ``min``/``max`` of its spheres' boxes; a node of
+    more than ``leaf_size`` spheres is split at the median of their centres
+    along its box's longest axis, with a stable sort.
+    """
+
+    def __init__(self, spheres: list[Sphere], leaf_size: int = 4) -> None:
+        self.spheres = list(spheres)
+        centres = np.array([sphere.centre for sphere in self.spheres])
+        radii = np.array([sphere.radius for sphere in self.spheres])[:, None]
+        self.leaf_size = leaf_size
+        self.root = self._build(
+            np.arange(len(self.spheres)), centres, centres - radii, centres + radii
+        )
+
+    def _build(self, indices, centres, lows, highs) -> BVHNode:
+        aabb = AABB(lows[indices].min(axis=0), highs[indices].max(axis=0))
+        if len(indices) <= self.leaf_size:
+            return BVHNode(aabb=aabb, primitive_indices=indices.tolist())
+        order = np.argsort(centres[indices, aabb.longest_axis()], kind="stable")
+        sorted_indices = indices[order]
+        mid = len(sorted_indices) // 2
+        left = self._build(sorted_indices[:mid], centres, lows, highs)
+        right = self._build(sorted_indices[mid:], centres, lows, highs)
+        return BVHNode(aabb=aabb, left=left, right=right)
+
+    def flatten(self) -> FlatBVH:
+        """The tree in breadth-first array form."""
+        nodes = [self.root]
+        for node in nodes:  # breadth-first: children join the list being read
+            if not node.is_leaf:
+                nodes += [node.left, node.right]
+        index_of = {id(node): i for i, node in enumerate(nodes)}
+        count = len(nodes)
+        left = np.full(count, -1, dtype=np.int64)
+        right = np.full(count, -1, dtype=np.int64)
+        leaf_start = np.zeros(count, dtype=np.int64)
+        leaf_count = np.zeros(count, dtype=np.int64)
+        leaf_primitives: list[int] = []
+        for i, node in enumerate(nodes):
+            if node.is_leaf:
+                leaf_start[i] = len(leaf_primitives)
+                leaf_count[i] = len(node.primitive_indices)
+                leaf_primitives.extend(node.primitive_indices)
+            else:
+                left[i], right[i] = index_of[id(node.left)], index_of[id(node.right)]
+        return FlatBVH(
+            node_min=np.array([node.aabb.minimum for node in nodes]),
+            node_max=np.array([node.aabb.maximum for node in nodes]),
+            left=left,
+            right=right,
+            leaf_start=leaf_start,
+            leaf_count=leaf_count,
+            leaf_primitives=np.asarray(leaf_primitives, dtype=np.int64),
+        )
+
+
+def layer_bvh(centres_xy, radii, z, leaf_size) -> BVH:
+    """The reference tree over one layer: sphere ``e`` at ``(x_e, y_e, z)``."""
+    spheres = [
+        Sphere(centre=np.array([x, y, z], dtype=np.float64), radius=float(radius))
+        for (x, y), radius in zip(np.asarray(centres_xy, dtype=np.float64), radii)
+    ]
+    return BVH(spheres, leaf_size=leaf_size)
+
+
+def reference_scene(centres, radii, z, leaf_size) -> TraversableScene:
+    """One recursive BVH per layer, flattened and stacked: the arrays
+    :meth:`TraversableScene.build` must reproduce byte for byte."""
+    centres = np.asarray(centres, dtype=np.float64)
+    num_layers, num_entries, _ = centres.shape
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (num_layers, num_entries))
+    z = np.asarray(z, dtype=np.float64)
+    flats = [layer_bvh(centres[s], radii[s], z[s], leaf_size).flatten() for s in range(num_layers)]
+    parent, level_offsets, leaf_nodes = flats[0].topology()
+    for flat in flats[1:]:  # the topology depends on the sphere count alone
+        assert all((a == b).all() for a, b in zip(flat.topology(), flats[0].topology()))
+    leaf_count = flats[0].leaf_count[leaf_nodes]
+    lanes = np.arange(int(leaf_count.max()))
+    filled = lanes < leaf_count[:, None]
+    # empty lanes repeat the leaf's first primitive
+    slots = flats[0].leaf_start[leaf_nodes][:, None] + np.where(filled, lanes, 0)
+    primitives = np.stack([flat.leaf_primitives for flat in flats])[:, slots]
+    entry_slots = np.empty((num_layers, num_entries), dtype=np.int32)
+    for s in range(num_layers):
+        entry_slots[s, primitives[s][filled]] = np.flatnonzero(filled)
+    rows = np.arange(num_layers)[:, None, None]
+    return TraversableScene(
+        layer_ids=np.arange(num_layers, dtype=np.int64),
+        z=z,
+        parent=parent,
+        level_offsets=level_offsets,
+        leaf_nodes=leaf_nodes,
+        leaf_count=leaf_count,
+        node_min=np.stack([flat.node_min.T for flat in flats]),
+        node_max=np.stack([flat.node_max.T for flat in flats]),
+        leaf_primitives=primitives,
+        leaf_centres_x=centres[rows, primitives, 0],
+        leaf_centres_y=centres[rows, primitives, 1],
+        leaf_radii_sq=np.where(filled, (radii**2)[rows, primitives], -1.0),
+        entry_slots=entry_slots,
+    )
+
+
+def make_scene(centres, radii, leaf_size=4) -> TraversableScene:
+    """The scene of ``(S, E, 2)`` centres with layer ``s`` at depth ``2s + 1``."""
+    centres = np.asarray(centres, dtype=np.float64)
+    return TraversableScene.build(centres, radii, 2.0 * np.arange(len(centres)) + 1.0, leaf_size)
+
+
+def layer_spheres(scene: TraversableScene, layer_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(centres_xy, radii)`` of one layer's spheres in entry order, as the
+    scene was built from them."""
+    slots = scene.entry_slots[layer_id]
+    x, y, radii_sq = (
+        a[layer_id].reshape(-1)[slots]
+        for a in (scene.leaf_centres_x, scene.leaf_centres_y, scene.leaf_radii_sq)
+    )
+    return np.stack([x, y], axis=1), np.sqrt(radii_sq)
+
+
+_BVHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reference_bvh(scene: TraversableScene, layer_id: int) -> BVH:
+    """The recursive tree over one layer of ``scene`` (built once, cached)."""
+    trees = _BVHS.setdefault(scene, {})
+    if layer_id not in trees:
+        # The scene keeps no leaf size; its largest leaf does as well.  A node
+        # is split iff it holds more spheres than the leaf size, so no node
+        # holds more than the largest leaf but no more than the leaf size,
+        # and the two split the same nodes.
+        leaf_size = int(scene.leaf_count.max())
+        centres_xy, radii = layer_spheres(scene, layer_id)
+        trees[layer_id] = layer_bvh(centres_xy, radii, scene.z[layer_id], leaf_size)
+    return trees[layer_id]
 
 
 @dataclass
@@ -81,16 +303,43 @@ class ReferenceLUT:
             out[s, self.entries[s][cut]] = per_hit[s][cut]
         return out
 
-    # The SelectiveLUT accessors the looped score stage reads, so a
-    # reference LUT can be scored like a production one.
-    def dense_rows(self, ray: int) -> np.ndarray:
-        return self.rows(self.values, ray, np.nan)
 
-    def hit_mask_rows(self, ray: int) -> np.ndarray:
-        return self.rows([np.ones(e.shape, dtype=bool) for e in self.entries], ray, False)
+def _entry_rows(lut: SelectiveLUT, cells: np.ndarray, marked: np.ndarray, fill) -> np.ndarray:
+    """``(S, E)`` entry-ordered rows holding the ``marked`` ones of one ray's
+    slot-ordered ``(S, E')`` cells, ``fill`` elsewhere."""
+    rows = np.full((lut.num_subspaces, lut.num_entries), fill, dtype=cells.dtype)
+    subspace, column = np.nonzero(marked)
+    rows[subspace, lut.slot_entries[subspace, column]] = cells[subspace, column]
+    return rows
 
-    def inner_mask_rows(self, ray: int) -> np.ndarray:
-        return self.rows(self.inner_flags, ray, False)
+
+def ray_slice(lut: SelectiveLUT, subspace_id: int, ray_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(entry_ids, values)`` one ray selected in one subspace."""
+    columns = np.flatnonzero(lut.hits[subspace_id, ray_id])
+    return lut.slot_entries[subspace_id, columns], lut.table[subspace_id, ray_id, columns]
+
+
+def dense_rows(lut, ray_id: int) -> np.ndarray:
+    """Dense ``(S, E)`` values of one ray, ``NaN`` where it selected nothing."""
+    if isinstance(lut, ReferenceLUT):
+        return lut.rows(lut.values, ray_id, np.nan)
+    return _entry_rows(lut, lut.table[:, ray_id], lut.hits[:, ray_id], np.nan)
+
+
+def hit_mask_rows(lut, ray_id: int) -> np.ndarray:
+    """Dense boolean ``(S, E)`` selection mask of one ray."""
+    if isinstance(lut, ReferenceLUT):
+        return lut.rows([np.ones(e.shape, dtype=bool) for e in lut.entries], ray_id, False)
+    hit = lut.hits[:, ray_id]
+    return _entry_rows(lut, hit, hit, False)
+
+
+def inner_mask_rows(lut, ray_id: int) -> np.ndarray:
+    """Dense boolean ``(S, E)`` inner-sphere mask of one ray (JUNO-M)."""
+    if isinstance(lut, ReferenceLUT):
+        return lut.rows(lut.inner_flags, ray_id, False)
+    inner = lut.inner[:, ray_id]
+    return _entry_rows(lut, inner, inner, False)
 
 
 def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np.float64):
@@ -100,7 +349,7 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np
     is every hit's ``d²`` as its sphere test computed it.  Hits come out
     ordered by (leaf node index, ray, in-leaf position).
     """
-    layer = scene.layer(layer_id)
+    centres_xy, radii = layer_spheres(scene, layer_id)
     origins_xy = np.atleast_2d(np.asarray(origins_xy, dtype=np.float64))
     num_rays = origins_xy.shape[0]
     t_max_arr = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (num_rays,))
@@ -111,9 +360,9 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np
         np.zeros(0, dtype=dtype),
         stats,
     )
-    if layer.num_spheres == 0 or num_rays == 0:
+    if num_rays == 0:
         return empty
-    flat = layer.bvh.flatten()
+    flat = reference_bvh(scene, layer_id).flatten()
     ox = origins_xy[:, 0]
     oy = origins_xy[:, 1]
     parent, level_offsets, leaf_nodes = flat.topology()
@@ -142,11 +391,11 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np
     within = np.arange(stats.prim_tests, dtype=np.int64) - np.repeat(offsets, counts)
     prim_ids = flat.leaf_primitives[np.repeat(starts, counts) + within]
     ray_ids = np.repeat(pair_ray, counts)
-    dx = ox.astype(dtype)[ray_ids] - layer.centres_xy[prim_ids, 0].astype(dtype)
-    dy = oy.astype(dtype)[ray_ids] - layer.centres_xy[prim_ids, 1].astype(dtype)
+    dx = ox.astype(dtype)[ray_ids] - centres_xy[prim_ids, 0].astype(dtype)
+    dy = oy.astype(dtype)[ray_ids] - centres_xy[prim_ids, 1].astype(dtype)
     dist_sq = dx * dx + dy * dy
-    radii_sq = (layer.radii[prim_ids] ** 2).astype(dtype)
-    z_offset = np.asarray(layer.z - origin_z, dtype=np.float64).astype(dtype)
+    radii_sq = (radii[prim_ids] ** 2).astype(dtype)
+    z_offset = np.asarray(scene.z[layer_id] - origin_z, dtype=np.float64).astype(dtype)
     inside = dist_sq <= radii_sq
     half_chord = np.sqrt(np.maximum(radii_sq - dist_sq, 0.0))
     t_hit = z_offset - half_chord
@@ -174,13 +423,10 @@ def reference_construct(
     offsets, entries, values = [], [], []
     inner_flags = [] if inner_sphere_ratio is not None else None
     stats = TraversalStats()
-    num_entries = 0
     for s in range(num_subspaces):
-        layer = scene.layer(s)
-        num_entries = max(num_entries, layer.num_spheres)
         offset = float(origin_offsets[s])
         ray_index, entry_index, dist_sq, layer_stats = reference_trace_layer(
-            scene, s, origins[:, s, :], t_max[:, s], layer.z - offset, dtype
+            scene, s, origins[:, s, :], t_max[:, s], scene.z[s] - offset, dtype
         )
         stats.merge(layer_stats)
         order = np.argsort(ray_index, kind="stable")
@@ -196,7 +442,7 @@ def reference_construct(
             # (offset - t_hit)^2 = r^2 - d^2 against the entry's enlarged sphere
             query_norm_sq = np.sum(origins[ray_sorted, s, :] ** 2, axis=1)
             norm_term = (query_norm_sq - base_radius**2).astype(dtype)
-            radii_sq = (layer.radii[entries[-1]] ** 2).astype(dtype)
+            radii_sq = (layer_spheres(scene, s)[1][entries[-1]] ** 2).astype(dtype)
             values.append((norm_term + (radii_sq - dist_sq)) / 2.0)
         if inner_flags is not None:
             per_hit_threshold = thresholds[ray_sorted, s]
@@ -207,7 +453,7 @@ def reference_construct(
                 inner_flags.append(values[-1] >= per_hit_threshold + margin)
     return ReferenceLUT(
         num_rays=num_rays,
-        num_entries=num_entries,
+        num_entries=scene.entry_slots.shape[1],
         metric=metric,
         offsets=offsets,
         entries=entries,
@@ -254,9 +500,9 @@ class Ray:
 class HitRecord:
     """One accepted ray/sphere intersection at travel time ``t_hit``."""
 
-    sphere: Sphere
+    layer_id: int
+    entry_id: int
     t_hit: float
-    ray: Ray
 
 
 def aabb_intersects_ray(box: AABB, origin, direction, t_min=0.0, t_max=np.inf) -> bool:
@@ -308,7 +554,7 @@ def bvh_traverse(bvh: BVH, origin, direction, t_max=np.inf, stats=None):
     ``t_hit``; node, box and sphere-test counts are added to ``stats``."""
     stats = TraversalStats() if stats is None else stats
     hits = []
-    stack = [] if bvh.root is None else [bvh.root]
+    stack = [bvh.root]
     while stack:
         node = stack.pop()
         stats.node_visits += 1
@@ -330,9 +576,11 @@ def trace(scene: TraversableScene, ray: Ray) -> tuple[list[HitRecord], Traversal
     """Exact traversal of one ray through every layer's BVH, hits by ``t_hit``."""
     stats = TraversalStats(rays=1)
     records = [
-        HitRecord(sphere=layer.spheres[index], t_hit=t_hit, ray=ray)
-        for layer in scene.layers.values()
-        for index, t_hit in bvh_traverse(layer.bvh, ray.origin, ray.direction, ray.t_max, stats)
+        HitRecord(layer_id=layer, entry_id=index, t_hit=t_hit)
+        for layer in range(scene.z.shape[0])
+        for index, t_hit in bvh_traverse(
+            reference_bvh(scene, layer), ray.origin, ray.direction, ray.t_max, stats
+        )
     ]
     stats.hits = len(records)
     return sorted(records, key=lambda record: record.t_hit), stats
@@ -352,17 +600,20 @@ def inner_product_from_hit_time(t_hit, query_norm_sq, base_radius, origin_offset
 
 
 def per_ray_hits(scene, layer_id, origin_xy, origin_z, t_max):
-    """Exact traversal of one ray through one layer of ``scene``.
+    """Exact traversal of one ray through one layer of ``scene``: its own
+    BVH alone, so the counters are this layer's.  Returns
+    ``({entry_id: t_hit}, stats)``."""
+    stats = TraversalStats(rays=1)
+    origin = [origin_xy[0], origin_xy[1], origin_z]
+    hits = dict(bvh_traverse(reference_bvh(scene, layer_id), origin, [0, 0, 1], t_max, stats))
+    stats.hits = len(hits)
+    return hits, stats
 
-    The per-ray tracer walks every layer of its scene, so the layer is
-    traced in a scene of its own: the counters are then this layer's alone.
-    Returns ``({entry_id: t_hit}, stats)``.
-    """
-    alone = TraversableScene(leaf_size=scene.leaf_size)
-    alone.layers[layer_id] = scene.layer(layer_id)
-    ray = Ray(origin=[origin_xy[0], origin_xy[1], origin_z], direction=[0, 0, 1], t_max=t_max)
-    records, stats = trace(alone, ray)
-    return {r.sphere.payload["entry_id"]: r.t_hit for r in records}, stats
+
+def tmax_to_threshold(t_max, sphere_radius, origin_offset):
+    """Inverse of :meth:`~repro.core.threshold.ThresholdModel.threshold_to_tmax`."""
+    t_max = np.asarray(t_max, dtype=np.float64)
+    return np.sqrt(np.maximum(sphere_radius**2 - (origin_offset - t_max) ** 2, 0.0))
 
 
 def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> None:
@@ -386,13 +637,12 @@ def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> N
         assert lut.inner.dtype == bool and lut.inner.shape == lut.table.shape
         assert not (lut.inner & ~lut.hits).any()
     for ray in range(lut.num_rays):
-        assert lut.dense_rows(ray).tobytes() == expected.rows(expected.values, ray, np.nan).tobytes()
+        assert dense_rows(lut, ray).tobytes() == dense_rows(expected, ray).tobytes()
         if lut.inner is not None:
-            want = expected.rows(expected.inner_flags, ray, False)
-            assert lut.inner_mask_rows(ray).tobytes() == want.tobytes()
+            assert inner_mask_rows(lut, ray).tobytes() == inner_mask_rows(expected, ray).tobytes()
     for s in range(lut.num_subspaces):
         for ray in range(min(lut.num_rays, 3)):
-            entry_ids, values = lut.ray_slice(s, ray)
+            entry_ids, values = ray_slice(lut, s, ray)
             cut = slice(expected.offsets[s][ray], expected.offsets[s][ray + 1])
             order = np.argsort(entry_ids)
             want_order = np.argsort(expected.entries[s][cut])
@@ -404,7 +654,7 @@ def assert_hits_are_accepted(lut: SelectiveLUT, constructor, origins, t_max) -> 
     """``lut.hits`` is the tracer's accepted grid of the same rays, byte for byte."""
     scene = constructor.tracer.scene
     layers = np.arange(lut.num_subspaces)
-    origin_z = np.array([scene.layer(s).z for s in layers]) - constructor.origin_offsets[layers]
+    origin_z = scene.z[layers] - constructor.origin_offsets[layers]
     traced, _ = RayTracer(scene).trace_vertical_batch(layers, origins, t_max, origin_z)
     assert lut.hits.tobytes() == traced.accepted.tobytes()
 
@@ -439,12 +689,11 @@ def assert_columns_address_codes(index) -> None:
     assert layout.columns.dtype == np.int32 and layout.columns.flags.c_contiguous
     assert layout.columns.shape == (num_subspaces, index.num_points)
     assert layout.members.shape == (index.num_points,)
-    stacks, slot = index.scene.stacked()
+    scene = index.scene
     for s in range(num_subspaces):
-        group, position = slot[s]
         columns = layout.columns[s]
-        assert (stacks[group].leaf_radii_sq[position].reshape(-1)[columns] >= 0).all()
-        slot_entries = stacks[group].leaf_primitives[position].reshape(-1)
+        assert (scene.leaf_radii_sq[s].reshape(-1)[columns] >= 0).all()
+        slot_entries = scene.leaf_primitives[s].reshape(-1)
         assert (slot_entries[columns] == index.codes[layout.members, s]).all()
 
 
@@ -525,22 +774,20 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
     num_rays = lut.num_rays
     flipped = np.zeros((lut.num_subspaces, num_rays), dtype=np.int64)
     for s in range(lut.num_subspaces):
-        layer = scene.layer(s)
-        if layer.num_spheres == 0:
-            continue
-        columns = scene.entry_slots(s)
+        centres_xy, radii = layer_spheres(scene, s)
+        columns = scene.entry_slots[s]
         got = lut.table[s][:, columns]
         counts = np.diff(expected.offsets[s])
         hit_rays = np.repeat(np.arange(num_rays), counts)
-        want = np.full((num_rays, layer.num_spheres), np.nan)
+        want = np.full((num_rays, columns.size), np.nan)
         want[hit_rays, expected.entries[s]] = expected.values[s]
-        offset = layer.z - (layer.z - float(origin_offsets[s]))
+        offset = scene.z[s] - (scene.z[s] - float(origin_offsets[s]))
         near, slack = sphere_test_margins(
             origins[:, s, None, 0],
             origins[:, s, None, 1],
-            layer.centres_xy[None, :, 0],
-            layer.centres_xy[None, :, 1],
-            layer.radii[None, :] ** 2,
+            centres_xy[None, :, 0],
+            centres_xy[None, :, 1],
+            radii[None, :] ** 2,
             offset,
             t_max[:, s, None],
         )
@@ -550,7 +797,7 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
         both = got_hit & want_hit
         assert (np.abs(got - want) <= slack)[both].all(), f"subspace {s}: a value is off"
         if lut.inner is not None:
-            flags = np.zeros((num_rays, layer.num_spheres), dtype=bool)
+            flags = np.zeros((num_rays, columns.size), dtype=bool)
             flags[hit_rays, expected.entries[s]] = expected.inner_flags[s]
             threshold, ratio = thresholds[:, s, None], expected.inner_sphere_ratio
             if lut.metric is Metric.L2:

@@ -4,9 +4,8 @@ Not a test module: the oracle the parity, property and perf tests share.
 :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped as its
 distance-calculation stage before the batched kernels: for every
 (query, probed cluster) it builds that ray's dense ``(S, E)`` values and hit
-mask through the :class:`~repro.core.selective_lut.SelectiveLUT` per-ray
-accessors (``lut.hits`` decides what was selected), looks the cluster's
-member codes up in them, puts its own miss penalties where nothing was
+mask through the per-ray accessors of ``rt_reference`` (``lut.hits``
+decides what was selected), looks the cluster's member codes up in them, puts its own miss penalties where nothing was
 selected and accumulates subspace by subspace (:func:`subspace_sum`).  Its
 arithmetic follows the dtype of the table it is given (the miss penalties
 are cast to it): on the float32 LUT of ``src/``, ``ScoreStage`` must
@@ -20,6 +19,8 @@ compares against.
 from __future__ import annotations
 
 import numpy as np
+
+from rt_reference import dense_rows, hit_mask_rows, inner_mask_rows
 
 from repro.core.hit_count import HitCountScorer
 from repro.metrics.distances import Metric
@@ -79,17 +80,17 @@ class LoopedScoreStage:
                     continue
                 codes = index.subspace_index.cluster_codes(cluster_id)
                 if mode.uses_exact_distance:
-                    rows = lut.dense_rows(ray_id)
+                    rows = dense_rows(lut, ray_id)
                     values = rows[subspace_range[None, :], codes]
-                    hit = lut.hit_mask_rows(ray_id)[subspace_range[None, :], codes]
+                    hit = hit_mask_rows(lut, ray_id)[subspace_range[None, :], codes]
                     matched = hit.sum(axis=1)
                     penalties = _miss_penalties(ctx, thresholds[ray_id]).astype(rows.dtype)
                     scores = subspace_sum(np.where(hit, values, penalties[None, :]))
                     if ctx.query_cluster_ip is not None:
                         scores = scores + ctx.query_cluster_ip[qi, ci]
                 else:
-                    hit_mask = lut.hit_mask_rows(ray_id)
-                    inner_mask = lut.inner_mask_rows(ray_id) if mode.uses_inner_sphere else None
+                    hit_mask = hit_mask_rows(lut, ray_id)
+                    inner_mask = inner_mask_rows(lut, ray_id) if mode.uses_inner_sphere else None
                     scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
                 keep = matched >= 1
                 ctx.work.adc_lookups += float(matched.sum())

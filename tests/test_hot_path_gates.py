@@ -15,7 +15,7 @@ check here, long before a benchmark run:
 * a blake2b digest over what ``JunoIndex.train`` leaves behind on a corpus of
   the ledger's shape (96 dimensions, 48 subspaces of 128 entries; L2 and
   inner product): IVF centroids and labels, every codebook, the codes, the
-  threshold regressor, the sphere radius and every ``LayerStack`` array.
+  threshold regressor, the sphere radius and every ``TraversableScene`` array.
   Recorded at f82457f, before k-means computed each thing once; a set-up
   change that is meant to keep the bytes must leave it alone.
 * a ``tracemalloc`` bound on ``RTSelectStage.run`` for a 32-query batch on
@@ -149,7 +149,7 @@ def _training_digest(metric: Metric, seed: int) -> str:
         metric=metric,
     )
     index = JunoIndex(config).train(points)
-    (stack,), _ = index.scene.stacked()
+    stack = index.scene
     arrays = [index.ivf.centroids, index.ivf.labels, index.codes]
     arrays += [codebook.entries for codebook in index.pq.codebooks]
     arrays += [index.threshold_model.coefficients_, np.float64(index.sphere_radius)]

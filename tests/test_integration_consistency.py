@@ -12,7 +12,7 @@ the paper's correctness argument relies on:
 
 import numpy as np
 import pytest
-from rt_reference import sphere_test_margins
+from rt_reference import layer_spheres, ray_slice, sphere_test_margins
 
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
@@ -50,13 +50,13 @@ class TestSelectiveValuesMatchDenseLUT:
             residual = query - juno_l2.ivf.centroids[selected[0, ci]]
             dense = juno_l2.pq.lookup_table(residual, Metric.L2)
             for s in range(juno_l2.config.num_subspaces):
-                entry_ids, values = lut.ray_slice(s, ci)
+                entry_ids, values = ray_slice(lut, s, ci)
                 # float32 values: within the precision oracle's slack
-                layer = juno_l2.scene.layer(s)
+                centres_xy, radii = layer_spheres(juno_l2.scene, s)
                 _, slack = sphere_test_margins(
                     *origins[ci, s],
-                    *layer.centres_xy[entry_ids].T,
-                    layer.radii[entry_ids] ** 2,
+                    *centres_xy[entry_ids].T,
+                    radii[entry_ids] ** 2,
                     juno_l2.origin_offsets[s],
                     t_max[ci, s],
                 )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from rt_reference import layer_spheres
 
 from repro.core.config import JunoConfig, QualityMode, ThresholdStrategy
 from repro.core.index import JunoIndex
@@ -14,7 +15,7 @@ class TestTraining:
         assert juno_l2.is_trained
         assert juno_l2.dim == l2_dataset.dim
         assert juno_l2.codes.shape == (l2_dataset.num_points, juno_l2.config.num_subspaces)
-        assert juno_l2.scene.num_layers == juno_l2.config.num_subspaces
+        assert juno_l2.scene.z.shape == (juno_l2.config.num_subspaces,)
         assert juno_l2.sphere_radius > 0
         assert juno_l2.threshold_model.is_fitted
 
@@ -41,10 +42,9 @@ class TestTraining:
 
     def test_scene_spheres_match_codebooks(self, juno_l2):
         for s in range(juno_l2.config.num_subspaces):
-            layer = juno_l2.scene.layer(s)
-            np.testing.assert_allclose(
-                layer.centres_xy, juno_l2.pq.codebooks[s].entries
-            )
+            centres_xy, radii = layer_spheres(juno_l2.scene, s)
+            assert centres_xy.tobytes() == juno_l2.pq.codebooks[s].entries.tobytes()
+            assert (radii == juno_l2.sphere_radius).all()
 
 
 class TestSearchL2:

@@ -41,6 +41,7 @@ from repro.pipeline import (
     default_search_pipeline,
     rerank_pipeline,
 )
+from rt_reference import dense_rows, hit_mask_rows, inner_mask_rows
 from score_reference import LoopedScoreStage, subspace_sum
 
 WORK_COUNTER_FIELDS = (
@@ -132,7 +133,7 @@ def _reference_score_batch(
                 continue
             codes = index.subspace_index.cluster_codes(cluster_id)
             if mode.uses_exact_distance:
-                rows = lut.dense_rows(ray_id)
+                rows = dense_rows(lut, ray_id)
                 values = rows[subspace_range[None, :], codes]
                 miss = np.isnan(values)
                 matched = (~miss).sum(axis=1)
@@ -143,8 +144,8 @@ def _reference_score_batch(
                 if query_cluster_ip is not None:
                     scores = scores + query_cluster_ip[qi, ci]
             else:
-                hit_mask = lut.hit_mask_rows(ray_id)
-                inner_mask = lut.inner_mask_rows(ray_id) if mode.uses_inner_sphere else None
+                hit_mask = hit_mask_rows(lut, ray_id)
+                inner_mask = inner_mask_rows(lut, ray_id) if mode.uses_inner_sphere else None
                 scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
             keep = matched >= 1
             work.adc_lookups += float(matched.sum())

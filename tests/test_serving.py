@@ -26,7 +26,7 @@ from repro.serving import (
     save_index,
     search_results_equal,
 )
-from repro.serving.persistence import MANIFEST_NAME
+from repro.serving.persistence import ARRAYS_DIR_NAME, MANIFEST_NAME
 
 
 # --------------------------------------------------------------- persistence
@@ -56,7 +56,8 @@ class TestPersistenceRoundTrip:
         np.testing.assert_array_equal(reloaded.codes, juno_l2.codes)
         np.testing.assert_array_equal(reloaded.ivf.labels, juno_l2.ivf.labels)
         np.testing.assert_array_equal(reloaded.origin_offsets, juno_l2.origin_offsets)
-        assert reloaded.scene.num_spheres == juno_l2.scene.num_spheres
+        for name, array in vars(juno_l2.scene).items():
+            assert getattr(reloaded.scene, name).tobytes() == array.tobytes(), name
 
     def test_untrained_index_is_rejected(self, tmp_path):
         with pytest.raises(PersistenceError, match="untrained"):
@@ -87,17 +88,44 @@ class TestPersistenceRoundTrip:
         with pytest.raises(PersistenceError, match="no index bundle"):
             load_index(tmp_path / "bundle")
 
-    def test_corrupt_bundle_changes_search_results(self, juno_l2, l2_dataset, tmp_path):
+    def test_radius_that_training_did_not_fix_is_rejected(self, juno_l2, tmp_path):
+        """An L2 radius is ``max(threshold_max x margin, 1e-6)``, exactly: one
+        cut below the thresholds would clip them without a word."""
         bundle = save_index(juno_l2, tmp_path / "bundle")
         manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-        # L2 selects by ``d <= threshold`` and scores ``d^2``, so the radius
-        # only matters where it clips thresholds: shrink it below them
         manifest["sphere_radius"] = manifest["sphere_radius"] * 0.1
         (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
-        corrupted = load_index(bundle)
-        expected = juno_l2.search(l2_dataset.queries[:4], k=5, nprobs=6)
-        observed = corrupted.search(l2_dataset.queries[:4], k=5, nprobs=6)
-        assert not search_results_equal(expected, observed)
+        with pytest.raises(PersistenceError, match="sphere radius"):
+            load_index(bundle)
+
+    def test_mips_radius_below_the_lowest_threshold_is_rejected(self, juno_ip, tmp_path):
+        bundle = save_index(juno_ip, tmp_path / "bundle")
+        load_index(bundle)
+        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+        manifest["threshold_min"] = -(manifest["sphere_radius"] ** 2)
+        (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match="sphere radius"):
+            load_index(bundle)
+
+    @pytest.mark.parametrize(
+        "cut, subspaces",
+        [
+            (lambda entries: entries[:-1], [1]),  # one row short of the others
+            (lambda entries: np.concatenate([entries, entries], axis=1), None),  # 4-D entries
+            (lambda entries: np.concatenate([entries] * 2), None),  # more rows than num_entries
+        ],
+        ids=["row_short", "too_wide", "too_many_rows"],
+    )
+    def test_codebooks_the_scene_cannot_stack_are_rejected(self, juno_l2, tmp_path, cut, subspaces):
+        """The scene is one stack of equal layers of 2-D entries, at most
+        ``num_entries`` a layer: any other codebook set is an inconsistent
+        bundle, not a bare error from deep in the build."""
+        bundle = save_index(juno_l2, tmp_path / "bundle", layout="npy")
+        for s in range(juno_l2.config.num_subspaces) if subspaces is None else subspaces:
+            path = bundle / ARRAYS_DIR_NAME / f"codebook_{s}.npy"
+            np.save(path, cut(np.load(path)))
+        with pytest.raises(PersistenceError, match="codebooks have shapes"):
+            load_index(bundle)
 
 
 # ------------------------------------------------------------------ sharding
