@@ -4,7 +4,9 @@ Recommendation models and transformer attention rank items by inner product,
 not L2 distance.  This example uses the TTI-like surrogate (200-d embeddings
 with varying norms, searched with the inner-product metric) and demonstrates
 the extra-dimension-free MIPS mapping of Sec. 4.2: spheres are enlarged per
-entry offline and the inner product is decoded from the hit time online.
+entry offline, and online the inner product is computed from the squared
+in-plane distance the sphere test already holds and the sphere's enlarged
+radius (the paper's hit shader decodes the same value from the hit time).
 
 Run with::
 

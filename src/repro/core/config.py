@@ -17,6 +17,7 @@ factor (Sec. 4.1) and, for the ablation of Fig. 13(b), supports static
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.metrics.distances import Metric
@@ -128,6 +129,13 @@ class JunoConfig:
             raise ValueError("inner_sphere_ratio must be in (0, 1)")
         if self.density_grid < 2:
             raise ValueError("density_grid must be at least 2")
+        counts = ("regression_degree", "threshold_top_k", "num_threshold_samples", "kmeans_iters")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        # a negative factor would invert L2 scoring: misses would score best
+        if not (math.isfinite(self.miss_penalty_factor) and self.miss_penalty_factor > 0):
+            raise ValueError("miss_penalty_factor must be finite and positive")
 
     @property
     def subspace_dim(self) -> int:

@@ -428,11 +428,13 @@ class JunoIndex:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.shape[1] != self.dim:
             raise ValueError(f"queries must have dimension {self.dim}")
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must be finite")
         if k <= 0:
             raise ValueError("k must be positive")
         mode = QualityMode(quality_mode) if quality_mode is not None else self.config.quality_mode
         scale = float(threshold_scale) if threshold_scale is not None else self.config.threshold_scale
-        if scale <= 0:
+        if not scale > 0:  # NaN too
             raise ValueError("threshold_scale must be positive")
 
         ctx = QueryContext(

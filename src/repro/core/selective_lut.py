@@ -6,19 +6,18 @@ pairwise (query projection, entry) distances.  JUNO instead casts one ray per
 ``t_max`` encoding the dynamic threshold, and only the selected entries ever
 receive a LUT value.
 
-The constructor traces the rays of all (query, cluster) pairs of a batch a
-*block of subspaces* at a time.  The tracer hands each block over as the
-dense ``(subspace, ray, leaf slot)`` grid its float32 sphere tests ran on,
-with the squared in-plane distance ``d²`` each test computed.  That ``d²`` is
-the value: the L2 entry itself, and the inner product through the enlarged
-radius ``r² = R² + |e|²`` (:mod:`repro.core.inner_product`).  The paper's
-hit shader decodes it from ``t_hit`` because an RT core returns nothing
-else; the emulation has it in hand.  The result *is* the selective LUT: one
-float32 ``(S, rays, E')`` table holding what the distance calculation reads
-of each cell -- the value where the ray selected the slot's entry, the ray's
-miss value where it did not -- and the tracer's hit grid beside it.  The
-distance-calculation stage gathers from both directly, with no hit lists
-between.
+The constructor walks a batch's subspaces in cache-sized blocks; for each,
+the tracer writes the float32 sphere tests' squared in-plane distance ``d²``
+of every ``(subspace, ray, leaf slot)`` cell and whether the ray selected it
+straight into the block's rows of the table and the hit grid.  ``d²`` is the
+value: the L2 entry itself, and the inner product through the enlarged
+radius ``r² = R² + |e|²`` (:mod:`repro.core.inner_product`).  (The paper's
+hit shader decodes it from ``t_hit``, all an RT core returns.)  The MIPS
+transform and the miss fill follow in place while the rows are in cache.
+The result *is* the selective LUT: one float32 ``(S, rays, E')`` table of
+what the distance calculation reads of each cell -- the value where the ray
+selected the slot's entry, the ray's miss value where it did not -- beside
+the hit grid, both gathered from directly by the score stage.
 """
 
 from __future__ import annotations
@@ -32,12 +31,21 @@ from repro.metrics.distances import Metric
 from repro.rt.tracer import RayTracer, TraversalStats
 
 
-# (layer, ray) pairs traced per block.  A 1-query request (8 rays) traces all
-# 48 subspaces in one tracer call; a 32-query batch (256 rays) one subspace per
-# call, where the per-call overhead is already amortised.  A pair at 128
-# entries holds two 4-byte grids of 512 B (d², scratch) and ~0.4 kB of
-# bool masks: ~0.5 MB a block (2048 pairs of 8-byte cells raised peak_rss 12 %).
-_TRACE_BLOCK_PAIRS = 384
+# (layer, ray, slot) cells traced per block: all 48 subspaces of a 1-query
+# request (8 rays, 128 slots) in one tracer call, three of a 32-query batch.
+# Beyond its rows of the table and hit grid a cell costs one 4-byte scratch:
+# ~0.4 MB a block, which stays in a core's cache.
+_TRACE_BLOCK_CELLS = 3 << 15
+
+
+def _fill_misses(rows: np.ndarray, hits: np.ndarray, miss: np.ndarray) -> None:
+    """``rows = where(hits, rows, miss)`` in place and exact: ``m + hit * (v -
+    m)`` on the bit patterns, modulo 2**32, with ``miss`` broadcast once."""
+    bits, miss_bits = rows.view(np.uint32), np.empty(rows.shape, np.uint32)
+    miss_bits[...] = miss.view(np.uint32)
+    bits -= miss_bits
+    np.multiply(bits, hits, out=bits)
+    bits += miss_bits
 
 
 @dataclass
@@ -46,9 +54,8 @@ class SelectiveLUT:
 
     Columns are the scene's leaf slots, not entry ids: entry ``e`` of
     subspace ``s`` sits in column ``entry_slots[s, e]`` of the
-    :class:`~repro.rt.scene.TraversableScene`, and ``slot_entries`` maps
-    back.  The score kernel addresses the table through PQ codes remapped
-    to columns once, at index-build time
+    :class:`~repro.rt.scene.TraversableScene`.  The score kernel reads the
+    table through PQ codes remapped to columns at index-build time
     (:class:`~repro.core.subspace_index.FlatClusterLayout`).
 
     Attributes:
@@ -62,7 +69,6 @@ class SelectiveLUT:
         inner: ``(S, R, E')`` booleans marking selected cells that also fall
             inside the reward/penalty inner sphere (JUNO-M); ``None`` when
             the inner sphere was not evaluated.
-        slot_entries: ``(S, E')`` entry id of every column.
         num_entries: codebook entries per subspace ``E`` (``E <= E'``).
         metric: the metric the values are expressed in.
         stats: traversal statistics accumulated over all subspaces.
@@ -71,7 +77,6 @@ class SelectiveLUT:
     table: np.ndarray
     hits: np.ndarray
     inner: np.ndarray | None
-    slot_entries: np.ndarray
     num_entries: int
     metric: Metric
     stats: TraversalStats
@@ -139,15 +144,11 @@ class SelectiveLUTConstructor:
     ) -> SelectiveLUT:
         """Trace all rays and build the selective LUT.
 
-        Subspaces are traced in blocks of ``_TRACE_BLOCK_PAIRS // R`` layers
-        (at least one) per
-        :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call.  Each
-        call returns the block's dense hit grid and its ``d²``, which this
-        method then owns.  The L2 value is ``d²`` itself; the inner product
-        is ``(|q|² − R² + r² − d²) / 2``, in float32 on every cell, with the
-        norms broadcast along the slot axis and each slot's ``r²`` read from
-        the scene.  The block's rows of the table take exactly one
-        write, ``where(accepted, value, miss)``.
+        Each :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call
+        writes a block of ``_TRACE_BLOCK_CELLS`` cells (at least one layer)
+        into the table and the hit grid.  The L2 value is ``d²`` itself; the
+        inner product is ``(|q|² − R² + r² − d²) / 2``, in float32 on every
+        cell, with each slot's ``r²`` read from the scene.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -156,12 +157,10 @@ class SelectiveLUTConstructor:
             thresholds: ``(R, S)`` distance thresholds (needed to evaluate the
                 inner sphere for JUNO-M; ignored otherwise).
             trace: optional :class:`~repro.obs.trace.Trace`; when set, every
-                tracer call is recorded as an ``rt_trace`` span, which
-                separates traversal from writing the table in the caller's
-                span.
+                tracer call is recorded as an ``rt_trace`` span.
             miss: ``(R, S)`` value of the cells a ray does not select, cast
-                to float32 (the miss penalties); ``None`` fills them
-                with ``NaN``, which the inner sphere requires.
+                to float32 (the miss penalties); ``None`` fills in ``NaN``,
+                which the inner sphere requires.
 
         Returns:
             The populated :class:`SelectiveLUT`.
@@ -180,54 +179,40 @@ class SelectiveLUTConstructor:
         scene = self.tracer.scene
         origin_z = scene.z[:num_subspaces] - self.origin_offsets[:num_subspaces]
         if self.metric is Metric.INNER_PRODUCT:
-            radii_sq = scene.leaf_radii_sq[:num_subspaces].reshape(num_subspaces, 1, -1)
-            radii_sq = radii_sq.astype(np.float32)
+            radii_sq = scene.leaf_radii_sq.reshape(scene.z.size, 1, -1).astype(np.float32)
 
-        if miss is None:
-            miss = np.full((num_subspaces, 1, 1), np.nan, dtype=np.float32)
-        else:
-            miss = np.asarray(miss, dtype=np.float32).T[:, :, None]  # (S, R, 1)
+        miss = np.full((1, num_subspaces), np.nan) if miss is None else np.asarray(miss)
         table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float32)
         hit_grid = np.empty(table.shape, dtype=bool)
         inner = np.empty(table.shape, dtype=bool) if want_inner else None
         stats = TraversalStats()
-        block_layers = max(1, _TRACE_BLOCK_PAIRS // max(num_rays, 1))
+        block_layers = max(1, _TRACE_BLOCK_CELLS // max(num_rays * scene.num_slots, 1))
         for s0 in range(0, num_subspaces, block_layers):
-            block = slice(s0, min(s0 + block_layers, num_subspaces))
-            span = (
-                nullcontext() if trace is None else trace.span("rt_trace", layers=block.stop - s0)
-            )
+            layers = np.arange(s0, min(s0 + block_layers, num_subspaces))
+            block = slice(s0, s0 + layers.size)
+            rows, hit_rows = table[block], hit_grid[block]
+            span = nullcontext() if trace is None else trace.span("rt_trace", layers=layers.size)
             with span:
-                hits, block_stats = self.tracer.trace_vertical_batch(
-                    np.arange(s0, block.stop), origins[:, block], t_max[:, block], origin_z[block]
+                _, block_stats = self.tracer.trace_vertical_batch(
+                    layers, origins[:, block], t_max[:, block], origin_z[block], (rows, hit_rows)
                 )
             stats.merge(block_stats)
-            hit_grid[block] = hits.accepted
-            grid = hits.dist_sq  # the L2 value; still in cache
             if self.metric is Metric.INNER_PRODUCT:
                 # (offset - t_hit)^2 = r^2 - d^2, and |q|^2 depends on the ray only
                 query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
-                np.subtract(radii_sq[block], grid, out=grid)
-                np.add((query_norm_sq - self.base_radius**2).astype(np.float32), grid, out=grid)
-                np.divide(grid, 2.0, out=grid)
-            table[block] = np.where(hits.accepted, grid, miss[block])
+                np.subtract(radii_sq[block], rows, out=rows)
+                np.add((query_norm_sq - self.base_radius**2).astype(np.float32), rows, out=rows)
+                np.divide(rows, 2.0, out=rows)
+            _fill_misses(rows, hit_rows, miss[:, block].astype(np.float32).T[:, :, None])
             if want_inner:
                 # a NaN miss compares false: the flags need no AND with the hits
                 ray_threshold = thresholds[:, block].T[:, :, None]
                 if self.metric is Metric.L2:
-                    np.sqrt(table[block], out=grid)
-                    np.less_equal(grid, ray_threshold * self.inner_sphere_ratio, out=inner[block])
+                    bound = ray_threshold * self.inner_sphere_ratio
+                    np.less_equal(np.sqrt(rows), bound, out=inner[block])
                 else:
                     # "Inside the inner sphere" for MIPS: above the selection
                     # bound by a margin that shrinks with the inner-sphere ratio.
                     margin = (1.0 - self.inner_sphere_ratio) * np.abs(ray_threshold)
-                    np.greater_equal(table[block], ray_threshold + margin, out=inner[block])
-        return SelectiveLUT(
-            table=table,
-            hits=hit_grid,
-            inner=inner,
-            slot_entries=scene.leaf_primitives[:num_subspaces].reshape(num_subspaces, -1),
-            num_entries=scene.entry_slots.shape[1],
-            metric=self.metric,
-            stats=stats,
-        )
+                    np.greater_equal(rows, ray_threshold + margin, out=inner[block])
+        return SelectiveLUT(table, hit_grid, inner, scene.entry_slots.shape[1], self.metric, stats)

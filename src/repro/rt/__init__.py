@@ -9,17 +9,14 @@ on: ray ``t_max`` clipping and the hit test against it.
 The scene (:class:`repro.rt.scene.TraversableScene`) is arrays: one
 median-split BVH per subspace, all built in one vectorised pass and stored
 as one stack in which the layers share the tree topology and only node
-bounds and sphere data carry a layer axis.  The one execution path is a
-vectorised batch traversal for the axis-aligned rays JUNO casts
-(:meth:`repro.rt.tracer.RayTracer.trace_vertical_batch`): like the RT core,
-which walks every layer of the scene in one launch, it traverses a whole
-block of layers for a whole batch of rays in one pass of slab tests.  Hits
-come back as the dense (layer, ray, leaf slot) grid the sphere tests ran on
--- an accepted mask and the squared in-plane distance ``d²`` of every cell
--- which the selective LUT is written from cell by cell.  The recursive
-object BVH the array build is checked against, and an exact per-ray
-traversal of it (the float64 ground truth for hit sets and traversal
-counters), live in ``tests/rt_reference.py``.
+bounds and sphere data carry a layer axis.  The one execution path
+(:meth:`repro.rt.tracer.RayTracer.trace_vertical_batch`) traverses a block
+of layers for a whole batch of JUNO's axis-aligned rays in one pass of slab
+tests, as an RT core walks every layer in one launch, and writes the sphere
+tests' accepted mask and ``d²`` of every (layer, ray, leaf slot) cell into
+the caller's rows of the selective LUT.  The recursive object BVH the array
+build is checked against, an exact per-ray traversal of it and the ``sqrt``
+form of the accept test live in ``tests/rt_reference.py``.
 """
 
 from repro.rt.scene import TraversableScene

@@ -10,13 +10,14 @@ node, box and sphere-test counts are those of a per-ray BVH walk
 (``tests/rt_reference.py`` keeps one as the oracle).  The sphere tests run in
 float32, as on an RT core.
 
-The tracer evaluates every sphere test on a dense ``(layer, ray, leaf slot)``
-grid and returns that grid (:class:`BatchHits`) without extracting hit lists
-from it: the accepted mask, and the squared in-plane distance ``d²`` the
-sphere test computed before its ``sqrt``.  An RT core hands its hit shader
-only ``t_hit``, from which the paper decodes ``d²`` (Sec. 4.2); here ``d²`` is
-already in hand, so the selective LUT (:mod:`repro.core.selective_lut`) is
-written from it directly.
+Every sphere test runs on a dense ``(layer, ray, leaf slot)`` grid, handed
+over (:class:`BatchHits`) in buffers the caller may own: the accepted mask
+and the squared in-plane distance ``d²``, the value the selective LUT
+(:mod:`repro.core.selective_lut`) takes -- the paper's hit shader decodes it
+from ``t_hit`` (Sec. 4.2).  No hit time is computed: ``t_hit = fl(offset −
+fl(sqrt(y)))``, ``y = fl(r² − d²)``, is monotone in ``y``, so ``t_hit <=
+t_max`` is exactly ``y >=`` a per-ray bound (:func:`_least_accepted`);
+``tests/rt_reference.py`` keeps the ``sqrt`` form as the oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.rt.scene import TraversableScene
+
+# The float32 ``y >= +0`` as int32 bit patterns, ordered like their values,
+# run from 0 to ``_INF_BITS`` (``+inf``); one past either end is a NaN.
+_INF_BITS = 0x7F800000
+# Steps tried around the bound's guess (the ledger's rays need -1 ... +2).
+_WINDOW = np.arange(-2, 3, dtype=np.int32)[:, None, None]
+# The largest float32 below 0: ``t <= _BELOW_ZERO`` iff ``t < 0``.
+_BELOW_ZERO = -np.finfo(np.float32).smallest_subnormal
 
 
 @dataclass
@@ -61,8 +70,7 @@ class BatchHits:
     """The dense hit grid of a batch of rays against a block of layers.
 
     One cell per (layer, ray, slot), a slot being one (leaf, lane) of the
-    layer's leaf-ordered sphere grid (:class:`~repro.rt.scene.TraversableScene`),
-    handed over as the sphere tests left it.
+    layer's sphere grid (``TraversableScene.leaf_primitives`` maps it back).
 
     Attributes:
         accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
@@ -70,26 +78,49 @@ class BatchHits:
             its hit grid.
         dist_sq: ``(L, R, E')`` float32 squared in-plane distance from the
             ray to the slot's sphere centre, as the sphere test computed it;
-            meaningless where not ``accepted`` (padding lanes hold another
-            sphere's), so a reader selects by ``accepted``.  The caller owns
-            it and may overwrite it.
-        slot_entries: ``(L, E')`` index of each slot's sphere within its
-            layer (equal to the codebook entry id in JUNO's scenes).
+            meaningless where not ``accepted``: a reader selects by it.
     """
 
     accepted: np.ndarray
     dist_sq: np.ndarray
-    slot_entries: np.ndarray
 
-    @property
-    def num_hits(self) -> int:
-        """Total number of hits in the batch."""
-        return int(np.count_nonzero(self.accepted))
 
-    @property
-    def hits_per_ray(self) -> np.ndarray:
-        """``(L, R)`` number of hits of every (layer, ray) pair."""
-        return np.count_nonzero(self.accepted, axis=2)
+def _least_accepted(offset: np.ndarray, t_max: np.ndarray) -> np.ndarray:
+    """Per ray, the least float32 ``y >= +0`` with ``fl(offset − fl(sqrt(y)))
+    <= t_max`` (float32 operands), or NaN if none.  Five patterns around
+    ``fl((offset − t_max)²)`` settle almost every ray; the rest are bisected.
+    """
+    # fmax: a NaN t_max guesses +0; fmin: the square cannot overflow
+    guess = np.square(np.fmin(np.fmax(offset - t_max, 0, dtype=np.float32), 1e19))
+    # patterns below +0 are (quiet) NaNs, which never pass
+    guess = np.minimum(guess.view(np.int32), _INF_BITS - 2)
+    window = (guess + _WINDOW).view(np.float32)  # its hit times, in place:
+    np.subtract(offset, np.sqrt(window, out=window), out=window)
+    passed = np.sum(window <= t_max, axis=0, dtype=np.int32)
+    least = (guess + 3) - passed  # the window's first passing pattern: guess - 2 + (5 - passed)
+    if passed.size and (passed.min() == 0 or passed.max() == len(_WINDOW)):  # window missed
+        redo = (passed == 0) | (passed == len(_WINDOW))
+        offset, t_max = (np.broadcast_to(a, redo.shape)[redo] for a in (offset, t_max))
+        lo = np.full(offset.shape, -1, dtype=np.int32)  # fails
+        hi = np.full(offset.shape, _INF_BITS + 1, dtype=np.int32)  # passes
+        for _ in range(31):  # 2**31 > hi - lo
+            mid = lo + ((hi - lo) >> 1)  # (lo + hi) >> 1 overflows int32 past 2.0
+            up = offset - np.sqrt(mid.view(np.float32)) <= t_max
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        least[redo] = hi
+    return least.view(np.float32)
+
+
+def _accept(y: np.ndarray, offset: np.ndarray, t_max: np.ndarray, guard, out) -> None:
+    """Write into ``out`` whether ``t_hit = fl(offset − fl(sqrt(y))) <= t_max``
+    (and ``>= 0`` in the ``(L,)`` ``guard`` layers) for the float32 ``(L, R,
+    E')`` ``y = fl(r² − d²)``, ``(L, 1)`` ``offset`` and ``(L, R)`` ``t_max``;
+    a negative ``y`` (outside the sphere, a padding lane) fails."""
+    np.greater_equal(y, _least_accepted(offset, t_max)[:, :, None], out=out)
+    guarded = np.flatnonzero(guard)  # a layer at a time: no temporary of the block's size
+    below_zero = _least_accepted(offset[guarded], _BELOW_ZERO) if guarded.size else ()
+    for layer, below in zip(guarded, below_zero):
+        out[layer] &= y[layer] < below[0]
 
 
 class RayTracer:
@@ -102,6 +133,12 @@ class RayTracer:
     def __init__(self, scene: TraversableScene) -> None:
         self.scene = scene
         self.stats = TraversalStats()
+        # the sphere tests' float32 operands, cast once: (L, F * W) centres and
+        # r^2, and each layer's largest radius
+        leaf = (scene.leaf_centres_x, scene.leaf_centres_y, scene.leaf_radii_sq)
+        self._spheres = [a.reshape(a.shape[0], -1).astype(np.float32) for a in leaf]
+        self._radius_max = np.sqrt(self._spheres[2].max(axis=1))
+        self._children = np.bincount(scene.parent[1:], minlength=scene.parent.shape[0])
 
     def trace_vertical_batch(
         self,
@@ -109,6 +146,7 @@ class RayTracer:
         origins_xy: np.ndarray,
         t_max: np.ndarray | float,
         origin_z: np.ndarray | float | None = None,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[BatchHits, TraversalStats]:
         """Trace ``+z`` rays against a block of layers in one pass.
 
@@ -117,6 +155,7 @@ class RayTracer:
         maximum travel time, exactly like Alg. 2 (lines 3-8) -- but the
         whole block is traversed at once over the scene's stacked arrays
         instead of layer by layer.  A single layer is the block-of-one case.
+        ``docs/performance.md`` proves the identities this rests on.
 
         Args:
             layer_ids: ``(L,)`` target layer (subspace) ids, or one id.
@@ -126,16 +165,16 @@ class RayTracer:
                 ``(R,)`` array applies to every layer).
             origin_z: scalar or ``(L,)`` depth of the ray origin planes;
                 defaults to ``z - 1`` of each layer (the paper's ``z = 2s``
-                convention).  The inner-product mapping uses a deeper origin
-                so that per-entry enlarged spheres never contain the ray
-                origin.
+                convention); the inner-product mapping's lies deeper.
+            out: caller-owned C-contiguous ``(L, R, E')`` float32 and bool
+                arrays to write ``dist_sq`` and ``accepted`` into.
 
         Returns:
-            ``(hits, stats)`` -- the block's dense hit grid (:class:`BatchHits`)
-            and its traversal work (also merged into ``self.stats``): node, box
-            and sphere-test counts are a per-ray BVH walk's, ray by ray; hit
-            sets and the hit count agree with it to float32 precision.
+            ``(hits, stats)`` -- the block's hit grid and its traversal work
+            (also merged into ``self.stats``): node, box and sphere-test
+            counts are a per-ray BVH walk's; hits agree with it to float32.
         """
+        scene = self.scene
         layer_ids = np.atleast_1d(np.asarray(layer_ids, dtype=np.int64))
         num_layers = layer_ids.shape[0]
         origins_xy = np.asarray(origins_xy, dtype=np.float64)
@@ -144,117 +183,95 @@ class RayTracer:
         if origins_xy.shape[1:] != (num_layers, 2):
             raise ValueError("origins_xy must have shape (R, L, 2), or (R, 2) for one layer")
         num_rays = origins_xy.shape[0]
-        t_max_arr = np.asarray(t_max, dtype=np.float64)
-        if t_max_arr.ndim == 1:
-            t_max_arr = t_max_arr[:, None]
-        t_max_arr = np.ascontiguousarray(np.broadcast_to(t_max_arr, (num_rays, num_layers)).T)
-        scene = self.scene
         unknown = layer_ids[(layer_ids < 0) | (layer_ids >= scene.z.shape[0])]
         if unknown.size:
             raise KeyError(f"layer {int(unknown[0])} is not in the scene")
+        grid = (num_layers, num_rays, scene.num_slots)
+        if out is None:
+            out = (np.empty(grid, np.float32), np.empty(grid, bool))
+        for array, dtype in zip(out, (np.float32, bool)):
+            if array.shape != grid or array.dtype != dtype or not array.flags.c_contiguous:
+                raise ValueError(f"out must be C-contiguous {grid} float32 and bool arrays")
+        hits = BatchHits(accepted=out[1], dist_sq=out[0])
         # a run of adjacent layers (JUNO's blocks) is a basic slice of every array
         first = int(layer_ids[0]) if num_layers else 0
         adjacent = (layer_ids == np.arange(first, first + num_layers)).all()
         layers = slice(first, first + num_layers) if adjacent else layer_ids
         if origin_z is None:
-            origin_z_arr = scene.z[layers] - 1.0
-        else:
-            origin_z_arr = np.broadcast_to(np.asarray(origin_z, dtype=np.float64), (num_layers,))
-        ox = np.ascontiguousarray(origins_xy[:, :, 0].T)
-        oy = np.ascontiguousarray(origins_xy[:, :, 1].T)
-
-        stats = TraversalStats(rays=num_layers * num_rays)
-        hits = self._trace_layers(scene, layers, ox, oy, t_max_arr, origin_z_arr, stats)
-        stats.hits = hits.num_hits
-        self.stats.merge(stats)
-        return hits, stats
-
-    @staticmethod
-    def _trace_layers(
-        scene: TraversableScene,
-        layers: slice | np.ndarray,
-        ox: np.ndarray,
-        oy: np.ndarray,
-        t_max: np.ndarray,
-        origin_z: np.ndarray,
-        stats: TraversalStats,
-    ) -> BatchHits:
-        """Traverse ``L`` layers of the scene for ``(L, R)`` rays.
-
-        Returns the hit grid over the scene's ``F * W`` leaf slots and adds
-        the traversal work (hits excepted) to ``stats``.  ``docs/performance.md``
-        ("rt_select, pass by pass") proves the identities this rests on.
-        """
-        num_layers, num_rays = ox.shape
+            origin_z = scene.z[layers] - 1.0
+        origin_z = np.full(num_layers, origin_z, dtype=np.float64)
         offset = scene.z[layers] - origin_z
         if (offset <= 0.0).any():
             raise ValueError("origin_z must lie below the layer's sphere centres")
-        grid = (num_layers, num_rays, scene.num_slots)
-        slot_entries = scene.leaf_primitives[layers].reshape(num_layers, -1)
-        if ox.size == 0:
-            return BatchHits(np.zeros(grid, dtype=bool), np.zeros(grid, np.float32), slot_entries)
+        ox, oy, t_max_arr = (np.empty((num_layers, num_rays)) for _ in range(3))  # contiguous
+        ox.T[...], oy.T[...] = origins_xy[:, :, 0], origins_xy[:, :, 1]
+        t_max = np.asarray(t_max, dtype=np.float64)
+        t_max_arr.T[...] = t_max[:, None] if t_max.ndim == 1 else t_max
+        stats = TraversalStats(rays=num_layers * num_rays)
+        if num_layers and num_rays:
+            self._trace_layers(layers, ox, oy, t_max_arr, origin_z, offset, stats, hits)
+        stats.hits = int(np.count_nonzero(hits.accepted))
+        self.stats.merge(stats)
+        return hits, stats
+
+    def _trace_layers(self, layers, ox, oy, t_max, origin_z, offset, stats, hits) -> None:
+        """The slab pass, the counters, then the sphere tests into ``hits``."""
+        scene = self.scene
+        num_layers, num_rays = ox.shape
         node_min, node_max = scene.node_min[layers], scene.node_max[layers]
         num_nodes = scene.parent.shape[0]
 
-        # Slab tests for every (layer, node, ray), ANDed into one buffer through
-        # a second; the longer of the node and ray axes is contiguous in memory.
-        if num_rays >= num_nodes:
-            slab = np.ones((num_layers, num_nodes, num_rays), dtype=bool)
-        else:
-            slab = np.ones((num_layers, num_rays, num_nodes), dtype=bool).transpose(0, 2, 1)
-        test = np.empty_like(slab)  # same memory order
+        # Slab tests for every (layer, node, ray), ANDed into one mask through a
+        # second; the longer of the node and ray axes is contiguous in memory.
+        # Both masks live in the bytes of the caller's d^2 grid (a tree has
+        # fewer than 2 E' nodes) until the sphere tests overwrite them.
+        node_major = num_rays >= num_nodes
+        shape = (num_layers,) + ((num_nodes, num_rays) if node_major else (num_rays, num_nodes))
+        axes = (0, 1, 2) if node_major else (0, 2, 1)
+        free = hits.dist_sq.view(np.bool_).reshape(2, -1)[:, : num_layers * num_nodes * num_rays]
+        slab, test = (half.reshape(shape).transpose(axes) for half in free)
         # a box behind the ray (t_exit < 0) gets a NaN entry time: never reached
         t_entry = np.maximum(node_min[:, 2] - origin_z[:, None], 0.0)
         t_entry[node_max[:, 2] - origin_z[:, None] < 0.0] = np.nan
+        np.greater_equal(ox[:, None, :], node_min[:, 0, :, None], out=slab)
         for compare, of_ray, of_node in (
-            (np.greater_equal, ox, node_min[:, 0]),
             (np.less_equal, ox, node_max[:, 0]),
             (np.greater_equal, oy, node_min[:, 1]),
             (np.less_equal, oy, node_max[:, 1]),
             (np.greater_equal, t_max, t_entry),
         ):
-            compare(of_ray[:, None, :], of_node[:, :, None], out=test)
-            slab &= test
+            slab &= compare(of_ray[:, None, :], of_node[:, :, None], out=test)
 
         # The slab mask is the traversal: boxes are nested (the scene checks
         # it), so a node is visited iff its parent passed and a leaf's spheres
         # are tested iff the leaf passed -- the counters are sums of pass counts.
-        passed = np.count_nonzero(slab, axis=(0, 2))
-        children = np.bincount(scene.parent[1:], minlength=num_nodes)
-        node_visits = num_layers * num_rays + int(passed @ children)
+        passed = slab.view(np.uint8).sum(axis=(0, 2), dtype=np.int32)
+        node_visits = num_layers * num_rays + int(passed @ self._children)
         stats.node_visits += node_visits
         stats.aabb_tests += node_visits
         leaves = scene.leaf_nodes
         stats.prim_tests += int(passed[leaves] @ scene.leaf_count)
+        # The leaf mask: a ray that failed a leaf's box can still pass one of
+        # its sphere tests by rounding; such (layer, ray, leaf) lanes are cleared.
+        failing = np.flatnonzero(passed[leaves] != num_layers * num_rays)
+        if failing.size:
+            layer, at, ray = np.nonzero(~slab[:, leaves[failing]])
 
         # Sphere tests on the whole (layer, ray, slot) grid, in float32 as on an
-        # RT core.  ``d^2`` keeps its own grid: it is the value the LUT takes.
-        # The accept test runs on the scratch grid as the hit time ``t_hit =
-        # offset - sqrt(r^2 - d^2)``, compared with ``t_max``.  NaN is the miss:
-        # ``sqrt(r^2 - d^2)`` is NaN exactly where the ray passes outside the
-        # sphere (and in the ``r^2 = -1`` padding lanes), and a NaN hit time
-        # never satisfies ``t_hit <= t_max``.
-        row = (num_layers, 1, scene.num_slots)
-        leaf = (scene.leaf_centres_x, scene.leaf_centres_y, scene.leaf_radii_sq)
-        cx, cy, radii_sq = (a[layers].astype(np.float32).reshape(row) for a in leaf)
+        # RT core: d^2 into the caller's grid, y = r^2 - d^2 into a scratch one.
+        # t_hit >= fl(offset - r_max) >= 0 unless a layer's largest sphere
+        # reaches past the origin plane (JUNO's offset = r_max is on the edge).
+        cx, cy, radii_sq = (a[layers][:, None, :] for a in self._spheres)
         ox, oy, offset, t_max = (a.astype(np.float32) for a in (ox, oy, offset, t_max))
-        dist_sq, t_hit = np.empty(grid, np.float32), np.empty(grid, np.float32)
+        dist_sq, y = hits.dist_sq, np.empty(hits.dist_sq.shape, np.float32)
         np.subtract(ox[:, :, None], cx, out=dist_sq)
         np.multiply(dist_sq, dist_sq, out=dist_sq)
-        np.subtract(oy[:, :, None], cy, out=t_hit)
-        np.multiply(t_hit, t_hit, out=t_hit)
-        np.add(dist_sq, t_hit, out=dist_sq)
-        np.subtract(radii_sq, dist_sq, out=t_hit)
-        with np.errstate(invalid="ignore"):
-            np.sqrt(t_hit, out=t_hit)
-        np.subtract(offset[:, None, None], t_hit, out=t_hit)
-        accepted = t_hit <= t_max[:, :, None]
-        # ``t_hit >= fl(offset - r_max) >= 0`` unless a layer's largest sphere
-        # reaches past the origin plane (JUNO's ``offset = r_max`` sits on the
-        # boundary: rounding sends about half its layers through the compare).
-        if (offset < np.sqrt(radii_sq.max(axis=(1, 2)))).any():
-            accepted &= t_hit >= 0.0
-        if (passed[leaves] != num_layers * num_rays).any():
-            failed = ~slab[:, leaves].transpose(0, 2, 1)  # (layer, ray, leaf): rows of lanes
-            accepted.reshape(num_layers, num_rays, leaves.size, -1)[failed] = False
-        return BatchHits(accepted, dist_sq, slot_entries)
+        np.subtract(oy[:, :, None], cy, out=y)
+        np.multiply(y, y, out=y)
+        np.add(dist_sq, y, out=dist_sq)
+        np.subtract(radii_sq, dist_sq, out=y)
+        guard = offset < self._radius_max[layers]
+        _accept(y, offset[:, None], t_max, guard, out=hits.accepted)
+        if failing.size:
+            lanes = hits.accepted.reshape(num_layers, num_rays, leaves.size, -1)
+            lanes[layer, ray, failing[at]] = False

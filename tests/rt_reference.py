@@ -30,6 +30,11 @@ Not a test module: the oracles the RT-select test files share.
   cells within :data:`ULPS` float32 ulps of a decision boundary, and ``d²``
   and values agree within the same slack (``docs/performance.md``,
   "Float32 hot path", derives it).
+* :func:`sqrt_form_accepts` is the sphere test's accept step as ``src/`` ran
+  it on a grid of hit times until the tracer moved to an exact per-ray bound
+  on ``y = fl(r² − d²)``: ``t_hit = fl(offset − fl(sqrt(y))) <= t_max``, and
+  ``t_hit >= 0`` where a sphere can contain the origin plane.  The bound
+  must agree with it cell for cell.
 * :func:`assert_hits_are_accepted` and :func:`assert_miss_fill` pin what the
   table holds besides the oracle's values: its hit grid is the tracer's
   accepted grid, and every other cell the ray's miss value -- the float32
@@ -304,42 +309,49 @@ class ReferenceLUT:
         return out
 
 
-def _entry_rows(lut: SelectiveLUT, cells: np.ndarray, marked: np.ndarray, fill) -> np.ndarray:
+# The readers below take the scene the LUT was traced in: a ``SelectiveLUT``'s
+# columns are its leaf slots, and ``scene.leaf_primitives`` maps them back to
+# entry ids.  A ``ReferenceLUT`` is entry-ordered and ignores it.
+
+
+def _entry_rows(lut: SelectiveLUT, scene, cells: np.ndarray, marked: np.ndarray, fill):
     """``(S, E)`` entry-ordered rows holding the ``marked`` ones of one ray's
     slot-ordered ``(S, E')`` cells, ``fill`` elsewhere."""
     rows = np.full((lut.num_subspaces, lut.num_entries), fill, dtype=cells.dtype)
     subspace, column = np.nonzero(marked)
-    rows[subspace, lut.slot_entries[subspace, column]] = cells[subspace, column]
+    slot_entries = scene.leaf_primitives.reshape(scene.leaf_primitives.shape[0], -1)
+    rows[subspace, slot_entries[subspace, column]] = cells[subspace, column]
     return rows
 
 
-def ray_slice(lut: SelectiveLUT, subspace_id: int, ray_id: int) -> tuple[np.ndarray, np.ndarray]:
+def ray_slice(lut: SelectiveLUT, scene, subspace_id: int, ray_id: int):
     """``(entry_ids, values)`` one ray selected in one subspace."""
     columns = np.flatnonzero(lut.hits[subspace_id, ray_id])
-    return lut.slot_entries[subspace_id, columns], lut.table[subspace_id, ray_id, columns]
+    slot_entries = scene.leaf_primitives[subspace_id].reshape(-1)
+    return slot_entries[columns], lut.table[subspace_id, ray_id, columns]
 
 
-def dense_rows(lut, ray_id: int) -> np.ndarray:
+def dense_rows(lut, scene, ray_id: int) -> np.ndarray:
     """Dense ``(S, E)`` values of one ray, ``NaN`` where it selected nothing."""
     if isinstance(lut, ReferenceLUT):
         return lut.rows(lut.values, ray_id, np.nan)
-    return _entry_rows(lut, lut.table[:, ray_id], lut.hits[:, ray_id], np.nan)
+    return _entry_rows(lut, scene, lut.table[:, ray_id], lut.hits[:, ray_id], np.nan)
 
 
-def hit_mask_rows(lut, ray_id: int) -> np.ndarray:
+def hit_mask_rows(lut, scene, ray_id: int) -> np.ndarray:
     """Dense boolean ``(S, E)`` selection mask of one ray."""
     if isinstance(lut, ReferenceLUT):
         return lut.rows([np.ones(e.shape, dtype=bool) for e in lut.entries], ray_id, False)
     hit = lut.hits[:, ray_id]
-    return _entry_rows(lut, hit, hit, False)
+    return _entry_rows(lut, scene, hit, hit, False)
 
 
-def inner_mask_rows(lut, ray_id: int) -> np.ndarray:
+def inner_mask_rows(lut, scene, ray_id: int) -> np.ndarray:
     """Dense boolean ``(S, E)`` inner-sphere mask of one ray (JUNO-M)."""
     if isinstance(lut, ReferenceLUT):
         return lut.rows(lut.inner_flags, ray_id, False)
     inner = lut.inner[:, ray_id]
-    return _entry_rows(lut, inner, inner, False)
+    return _entry_rows(lut, scene, inner, inner, False)
 
 
 def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np.float64):
@@ -402,6 +414,16 @@ def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np
     accepted = inside & (t_hit <= t_max_arr[ray_ids].astype(dtype)) & (t_hit >= 0.0)
     stats.hits = int(np.count_nonzero(accepted))
     return ray_ids[accepted].astype(np.int64), prim_ids[accepted], dist_sq[accepted], stats
+
+
+def sqrt_form_accepts(y, offset, t_max, guard) -> np.ndarray:
+    """The float32 accept test on the hit time: ``fl(offset − fl(sqrt(y))) <=
+    t_max``, and ``>= 0`` where ``guard``; NaN (``y < 0``) is a miss.  The
+    operands and ``guard`` broadcast; the tracer's bound must equal it cell
+    for cell."""
+    with np.errstate(invalid="ignore"):
+        t_hit = np.asarray(offset, dtype=np.float32) - np.sqrt(np.asarray(y, dtype=np.float32))
+    return (t_hit <= t_max) & ((t_hit >= 0.0) | ~np.asarray(guard, dtype=bool))
 
 
 def reference_construct(
@@ -616,7 +638,7 @@ def tmax_to_threshold(t_max, sphere_radius, origin_offset):
     return np.sqrt(np.maximum(sphere_radius**2 - (origin_offset - t_max) ** 2, 0.0))
 
 
-def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> None:
+def assert_lut_matches_reference(lut: SelectiveLUT, scene, expected: ReferenceLUT) -> None:
     """Every ray's hit set, value bytes and inner flags equal; every counter
     equal.  ``expected`` is the float32 reference: the table is float32."""
     assert lut.num_rays == expected.num_rays
@@ -637,12 +659,13 @@ def assert_lut_matches_reference(lut: SelectiveLUT, expected: ReferenceLUT) -> N
         assert lut.inner.dtype == bool and lut.inner.shape == lut.table.shape
         assert not (lut.inner & ~lut.hits).any()
     for ray in range(lut.num_rays):
-        assert dense_rows(lut, ray).tobytes() == dense_rows(expected, ray).tobytes()
+        assert dense_rows(lut, scene, ray).tobytes() == dense_rows(expected, scene, ray).tobytes()
         if lut.inner is not None:
-            assert inner_mask_rows(lut, ray).tobytes() == inner_mask_rows(expected, ray).tobytes()
+            got, want = (inner_mask_rows(x, scene, ray) for x in (lut, expected))
+            assert got.tobytes() == want.tobytes()
     for s in range(lut.num_subspaces):
         for ray in range(min(lut.num_rays, 3)):
-            entry_ids, values = ray_slice(lut, s, ray)
+            entry_ids, values = ray_slice(lut, scene, s, ray)
             cut = slice(expected.offsets[s][ray], expected.offsets[s][ray + 1])
             order = np.argsort(entry_ids)
             want_order = np.argsort(expected.entries[s][cut])

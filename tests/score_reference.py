@@ -80,17 +80,19 @@ class LoopedScoreStage:
                     continue
                 codes = index.subspace_index.cluster_codes(cluster_id)
                 if mode.uses_exact_distance:
-                    rows = dense_rows(lut, ray_id)
+                    rows = dense_rows(lut, index.scene, ray_id)
                     values = rows[subspace_range[None, :], codes]
-                    hit = hit_mask_rows(lut, ray_id)[subspace_range[None, :], codes]
+                    hit = hit_mask_rows(lut, index.scene, ray_id)[subspace_range[None, :], codes]
                     matched = hit.sum(axis=1)
                     penalties = _miss_penalties(ctx, thresholds[ray_id]).astype(rows.dtype)
                     scores = subspace_sum(np.where(hit, values, penalties[None, :]))
                     if ctx.query_cluster_ip is not None:
                         scores = scores + ctx.query_cluster_ip[qi, ci]
                 else:
-                    hit_mask = hit_mask_rows(lut, ray_id)
-                    inner_mask = inner_mask_rows(lut, ray_id) if mode.uses_inner_sphere else None
+                    hit_mask = hit_mask_rows(lut, index.scene, ray_id)
+                    inner_mask = None
+                    if mode.uses_inner_sphere:
+                        inner_mask = inner_mask_rows(lut, index.scene, ray_id)
                     scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
                 keep = matched >= 1
                 ctx.work.adc_lookups += float(matched.sum())

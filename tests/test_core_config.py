@@ -58,3 +58,21 @@ class TestJunoConfig:
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             JunoConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("regression_degree", 0),
+            ("threshold_top_k", 0),
+            ("num_threshold_samples", 0),
+            ("kmeans_iters", 0),
+            ("miss_penalty_factor", -1.0),  # would invert L2 scoring
+            ("miss_penalty_factor", 0.0),
+            ("miss_penalty_factor", float("nan")),
+            ("miss_penalty_factor", float("inf")),
+        ],
+    )
+    def test_counts_and_miss_penalty_are_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JunoConfig(**{field: value})
+        JunoConfig(**{field: 1})  # the least valid value

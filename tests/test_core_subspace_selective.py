@@ -133,7 +133,7 @@ class TestSelectiveLUT:
         assert lut.num_rays == num_rays
         for ray in range(num_rays):
             for s in range(num_subspaces):
-                entry_ids, values = ray_slice(lut, s, ray)
+                entry_ids, values = ray_slice(lut, constructor.tracer.scene, s, ray)
                 dist = np.sqrt(np.sum((entry_sets[s] - origins[ray, s]) ** 2, axis=1))
                 expected = set(np.flatnonzero(dist <= thresholds[ray, s] + 1e-12).tolist())
                 assert set(entry_ids.tolist()) == expected
@@ -146,8 +146,8 @@ class TestSelectiveLUT:
         origins = rng.uniform(-1, 1, size=(4, 3, 2))
         t_max = np.full((4, 3), 1.0 - np.sqrt(1.0 - 0.5**2))
         lut = constructor.construct(origins, t_max)
-        rows = dense_rows(lut, 0)
-        mask = hit_mask_rows(lut, 0)
+        rows = dense_rows(lut, constructor.tracer.scene, 0)
+        mask = hit_mask_rows(lut, constructor.tracer.scene, 0)
         assert rows.shape == (3, lut.num_entries)
         assert (np.isnan(rows) == ~mask).all()
 
@@ -171,8 +171,8 @@ class TestSelectiveLUT:
         thresholds = np.full((5, 1), 0.6)
         t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
         lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        inner = inner_mask_rows(lut, 0)
-        entry_ids, values = ray_slice(lut, 0, 0)
+        inner = inner_mask_rows(lut, constructor.tracer.scene, 0)
+        entry_ids, values = ray_slice(lut, constructor.tracer.scene, 0, 0)
         for entry_id, value in zip(entry_ids, values):
             assert inner[0, entry_id] == (np.sqrt(value) <= 0.3 + 1e-12)
 
@@ -209,7 +209,7 @@ class TestSelectiveLUT:
         t_max = np.full((6, 1), offset)  # accept every reachable hit
         lut = constructor.construct(origins, t_max)
         for ray in range(6):
-            entry_ids, values = ray_slice(lut, 0, ray)
+            entry_ids, values = ray_slice(lut, constructor.tracer.scene, 0, ray)
             expected = entries[entry_ids] @ origins[ray, 0]
             # float32 values: within 32 ulps of the operands' scale, offset^2 here
             slack = 32 * np.spacing(np.float32(offset**2))
@@ -297,7 +297,8 @@ class TestStackedConstruct:
         # the layer-at-a-time oracle at float32: every ray's hit set, the
         # values and inner flags byte for byte, all five counters; at
         # float64, the precision oracle
-        assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
         assert_hits_are_accepted(lut, constructor, origins, t_max)
         assert_miss_fill(lut)
         reference = _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
@@ -305,10 +306,11 @@ class TestStackedConstruct:
         # the dense grid: one column per leaf slot of the scene, every entry
         # in exactly one of them
         num_subspaces, num_entries = index.config.num_subspaces, index.config.num_entries
-        assert lut.table.shape == (num_subspaces, num_rays, lut.slot_entries.shape[1])
+        assert lut.table.shape == (num_subspaces, num_rays, index.scene.num_slots)
         for s in range(num_subspaces):
             slots = index.scene.entry_slots[s]
-            assert lut.slot_entries[s, slots].tolist() == list(range(num_entries))
+            slot_entries = index.scene.leaf_primitives[s].reshape(-1)
+            assert slot_entries[slots].tolist() == list(range(num_entries))
 
         # and the float64 reference against the exact per-ray traversal, its
         # hit times decoded as the paper's hit shader does: every ray of a
@@ -352,7 +354,7 @@ class TestStackedConstruct:
         constructor = _rt_select_constructor(ctx)
         assert_hits_are_accepted(ctx.lut, constructor, ctx.origins, ctx.t_max)
         reference = _reference_lut(constructor, ctx.origins, ctx.t_max, ctx.thresholds)
-        assert_lut_matches_reference(ctx.lut, reference)
+        assert_lut_matches_reference(ctx.lut, constructor.tracer.scene, reference)
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_block_size_never_changes_the_lut(self, request, monkeypatch, metric):
@@ -369,12 +371,13 @@ class TestStackedConstruct:
             return traced(*args, **kwargs)
 
         monkeypatch.setattr(constructor.tracer, "trace_vertical_batch", counting)
+        layer_cells = origins.shape[0] * constructor.tracer.scene.num_slots
         for layers_per_block in (1, 2, num_subspaces):
             calls.clear()
-            monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_PAIRS", 8 * layers_per_block)
+            monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_CELLS", layer_cells * layers_per_block)
             lut = constructor.construct(origins, t_max, thresholds=thresholds)
             assert max(calls) == layers_per_block and sum(calls) == num_subspaces
-            assert_lut_matches_reference(lut, expected)
+            assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
 
 
 # Scenes the trained fixtures never produce, as (entries per layer, spread of
@@ -432,7 +435,8 @@ class TestPassByPass:
     def test_generic_scenes_match_the_reference(self, rng, scene_name, metric, mode):
         constructor, origins, t_max, thresholds = _generic_case(rng, scene_name, metric, mode, 24)
         lut = _construct_strictly(constructor, origins, t_max, thresholds)
-        assert_lut_matches_reference(lut, _reference_lut(constructor, origins, t_max, thresholds))
+        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
         _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
         stack = constructor.tracer.scene
         num_entries, _, _, offset = GENERIC_SCENES[scene_name]
@@ -493,7 +497,8 @@ class TestPassByPass:
             rng, "pruning", metric, "juno-m", 256
         )
         whole = _construct_strictly(constructor, origins, t_max, thresholds)
-        assert_lut_matches_reference(whole, _reference_lut(constructor, origins, t_max, thresholds))
+        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        assert_lut_matches_reference(whole, constructor.tracer.scene, expected)
         parts = [
             _construct_strictly(constructor, origins[r : r + 8], t_max[r : r + 8], thresholds[r : r + 8])
             for r in range(0, 256, 8)

@@ -173,7 +173,7 @@ class TestPinnedTrainingDigest:
 def _lut_bytes(lut) -> int:
     """The LUT's size with 4-byte table cells and its 1-byte hit grid: a
     float64 table overshoots it by 6 MB."""
-    arrays = [lut.slot_entries, lut.hits] + ([] if lut.inner is None else [lut.inner])
+    arrays = [lut.hits] + ([] if lut.inner is None else [lut.inner])
     return 4 * lut.table.size + sum(int(array.nbytes) for array in arrays)
 
 
@@ -207,12 +207,13 @@ def wide_batch_ctx(wide_index, wide_corpus):
 
 class TestRTSelectMemory:
     # What one trace block may hold beyond the float32 LUT and its R * S * E'
-    # byte hit grid: three float32 grids (the sphere tests' d^2, one scratch
-    # and the miss-filled rows the table takes) and the bool
-    # grids (the accepted mask and the two slab-mask buffers), plus JUNO-H's
-    # (R, S) miss penalties.  At 384 (layer, ray) pairs a JUNO-H block peaks
-    # at ~0.71 MB, a float64 one at ~1.3 MB; the whole batch as one block at
-    # ~17.4 MB.  A float64 table would add 6 MB.
+    # byte hit grid, which the tracer writes d^2 and the accept mask into
+    # (the slab masks borrow the d^2 rows first): one float32 scratch grid
+    # (y = r^2 - d^2, then the whole-row miss bits of the miss fill) and
+    # NumPy's broadcast buffers, plus JUNO-H's (R, S) miss penalties.  At
+    # 3 << 15 cells (three layers of 256 rays) a JUNO-H block peaks at
+    # ~0.67 MB, four layers at ~0.84 MB, and the whole batch as one block at
+    # ~7.5 MB.  A float64 table would add 6 MB.
     SLACK_BYTES = 3 << 18
 
     @staticmethod
@@ -226,7 +227,7 @@ class TestRTSelectMemory:
 
     def test_one_block_per_batch_breaks_the_bound(self, wide_batch_ctx, monkeypatch):
         """The guard bites: all 48 layers x 256 rays as one block fails it."""
-        monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_PAIRS", 1 << 40)
+        monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_CELLS", 1 << 40)
         assert self._peak_beyond_lut(wide_batch_ctx) > self.SLACK_BYTES
 
 

@@ -50,7 +50,7 @@ class TestSelectiveValuesMatchDenseLUT:
             residual = query - juno_l2.ivf.centroids[selected[0, ci]]
             dense = juno_l2.pq.lookup_table(residual, Metric.L2)
             for s in range(juno_l2.config.num_subspaces):
-                entry_ids, values = ray_slice(lut, s, ci)
+                entry_ids, values = ray_slice(lut, juno_l2.scene, s, ci)
                 # float32 values: within the precision oracle's slack
                 centres_xy, radii = layer_spheres(juno_l2.scene, s)
                 _, slack = sphere_test_margins(

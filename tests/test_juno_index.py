@@ -113,6 +113,26 @@ class TestSearchL2:
         with pytest.raises(ValueError):
             juno_l2.search(np.zeros((2, juno_l2.dim + 2)), k=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, juno_l2, l2_dataset, bad):
+        """A non-finite query has no neighbours to rank: rejected, not a row of -1."""
+        queries = l2_dataset.queries[:3].copy()
+        queries[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            juno_l2.search(queries, k=5)
+
+    def test_nan_threshold_scale_raises(self, juno_l2, l2_dataset):
+        with pytest.raises(ValueError, match="threshold_scale"):
+            juno_l2.search(l2_dataset.queries[:2], k=5, threshold_scale=float("nan"))
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_empty_batch_returns_empty_rows(self, juno_l2, mode):
+        """Every stage handles zero queries: no special case guards this."""
+        result = juno_l2.search(np.zeros((0, juno_l2.dim)), k=7, quality_mode=mode)
+        assert result.ids.shape == result.scores.shape == (0, 7)
+        assert result.ids.dtype == np.int64 and result.scores.dtype == np.float64
+        assert result.work.num_queries == 0
+
 
 class TestSearchInnerProduct:
     def test_recall_reasonable(self, juno_ip, ip_dataset):

@@ -133,7 +133,7 @@ def _reference_score_batch(
                 continue
             codes = index.subspace_index.cluster_codes(cluster_id)
             if mode.uses_exact_distance:
-                rows = dense_rows(lut, ray_id)
+                rows = dense_rows(lut, index.scene, ray_id)
                 values = rows[subspace_range[None, :], codes]
                 miss = np.isnan(values)
                 matched = (~miss).sum(axis=1)
@@ -144,8 +144,10 @@ def _reference_score_batch(
                 if query_cluster_ip is not None:
                     scores = scores + query_cluster_ip[qi, ci]
             else:
-                hit_mask = hit_mask_rows(lut, ray_id)
-                inner_mask = inner_mask_rows(lut, ray_id) if mode.uses_inner_sphere else None
+                hit_mask = hit_mask_rows(lut, index.scene, ray_id)
+                inner_mask = None
+                if mode.uses_inner_sphere:
+                    inner_mask = inner_mask_rows(lut, index.scene, ray_id)
                 scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
             keep = matched >= 1
             work.adc_lookups += float(matched.sum())

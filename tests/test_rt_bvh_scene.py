@@ -30,11 +30,12 @@ from rt_reference import (
     reference_bvh,
     reference_scene,
     reference_trace_layer,
+    sqrt_form_accepts,
     trace,
 )
 from repro.core.inner_product import adjusted_radii_for_inner_product
 from repro.rt.scene import TraversableScene
-from repro.rt.tracer import RayTracer, TraversalStats
+from repro.rt.tracer import RayTracer, TraversalStats, _accept, _least_accepted
 
 
 def _random_layer_scene(rng, num_entries=40, radius=1.0):
@@ -214,10 +215,10 @@ class TestScene:
         assert [(hit.layer_id, hit.entry_id) for hit in hits] == [(1, 0)]
 
 
-def _hits_of_ray(batch, ray, layer=0):
+def _hits_of_ray(scene, batch, ray, layer=0):
     """``(entry_ids, dist_sq)`` of one ray in one layer of a batch, in slot order."""
     hit = batch.accepted[layer, ray]
-    return batch.slot_entries[layer, hit], batch.dist_sq[layer, ray, hit]
+    return scene.leaf_primitives[layer].reshape(-1)[hit], batch.dist_sq[layer, ray, hit]
 
 
 class TestTracer:
@@ -231,7 +232,7 @@ class TestTracer:
         batch, stats = tracer.trace_vertical_batch(0, origins, t_max, origin_z=origin_z)
         for ray_id, origin in enumerate(origins):
             exact, _ = per_ray_hits(scene, 0, origin, origin_z, t_max)
-            batch_ids, batch_d2 = _hits_of_ray(batch, ray_id)
+            batch_ids, batch_d2 = _hits_of_ray(scene, batch, ray_id)
             assert sorted(batch_ids.tolist()) == sorted(exact)
             # float32 d^2 against the float64 walk's t_hit decoded: within 32
             # ulps of the operands' scale (4 here)
@@ -249,7 +250,7 @@ class TestTracer:
         for ray_id in range(25):
             dist = np.sqrt(np.sum((centres - origins[ray_id]) ** 2, axis=1))
             expected = set(np.flatnonzero(dist <= thresholds[ray_id] + 1e-12).tolist())
-            got, _ = _hits_of_ray(batch, ray_id)
+            got, _ = _hits_of_ray(scene, batch, ray_id)
             assert set(got.tolist()) == expected
 
     def test_dist_sq_is_the_squared_distance(self, rng):
@@ -258,7 +259,7 @@ class TestTracer:
         origins = rng.uniform(-1, 1, size=(10, 2))
         batch, _ = tracer.trace_vertical_batch(0, origins, t_max=1.0)
         for ray_id in range(10):
-            ids, dist_sq = _hits_of_ray(batch, ray_id)
+            ids, dist_sq = _hits_of_ray(scene, batch, ray_id)
             # within 32 ulps of the operands' scale (4 here)
             true_sq = np.sum((centres[ids] - origins[ray_id]) ** 2, axis=1)
             slack = ULPS * np.spacing(np.float32(4.0))
@@ -282,7 +283,7 @@ class TestTracer:
         scene, _ = _random_layer_scene(rng)
         tracer = RayTracer(scene)
         batch, stats = tracer.trace_vertical_batch(0, np.zeros((0, 2)), 0.5)
-        assert batch.num_hits == 0
+        assert not batch.accepted.any()
         assert stats.rays == 0
 
 
@@ -395,7 +396,7 @@ class TestStackedTracer:
         num_layers, num_spheres = scene.entry_slots.shape
         width = scene.num_slots
         assert batch.accepted.shape == batch.dist_sq.shape == (num_layers, num_rays, width)
-        assert batch.accepted.dtype == bool and batch.slot_entries.shape == (num_layers, width)
+        assert batch.accepted.dtype == bool
         assert batch.dist_sq.dtype == np.float32
         expected = TraversalStats()
         for layer in range(num_layers):
@@ -408,7 +409,8 @@ class TestStackedTracer:
             want[ray_index, entry_index] = dist_sq
             got = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
             rays, columns = np.nonzero(batch.accepted[layer])
-            got[rays, batch.slot_entries[layer, columns]] = batch.dist_sq[layer, rays, columns]
+            slot_entries = scene.leaf_primitives[layer].reshape(-1)
+            got[rays, slot_entries[columns]] = batch.dist_sq[layer, rays, columns]
             assert got.tobytes() == want.tobytes()
             ray_index, entry_index, dist_sq, exact_stats = reference_trace_layer(*inputs)
             exact = np.full((num_rays, num_spheres), np.nan)
@@ -431,9 +433,9 @@ class TestStackedTracer:
             assert not batch.accepted[layer][:, padding].any()
             # a sphere's slot holds that sphere
             slots = scene.entry_slots[layer]
-            assert batch.slot_entries[layer, slots].tolist() == list(range(num_spheres))
+            assert slot_entries[slots].tolist() == list(range(num_spheres))
         assert stats == expected
-        assert batch.num_hits == stats.hits == int(batch.hits_per_ray.sum())
+        assert np.count_nonzero(batch.accepted) == stats.hits
         if num_rays and shape == "equal":
             assert (scene.leaf_radii_sq < 0).any()  # the padding lanes exist
         if num_rays == 256 and shape == "pruning":
@@ -480,7 +482,6 @@ class TestStackedTracer:
             )
             hit = alone.accepted[0]
             assert batch.accepted[position].tobytes() == hit.tobytes()
-            assert batch.slot_entries[position].tobytes() == alone.slot_entries[0].tobytes()
             assert batch.dist_sq[position][hit].tobytes() == alone.dist_sq[0][hit].tobytes()
 
     def test_unknown_layer_and_bad_shapes_raise(self, rng):
@@ -491,3 +492,104 @@ class TestStackedTracer:
                 tracer.trace_vertical_batch(np.array(layers), np.zeros((1, len(layers), 2)), 1.0)
         with pytest.raises(ValueError):
             tracer.trace_vertical_batch(np.arange(2), np.zeros((1, 3, 2)), 1.0)
+
+
+_F32 = np.float32
+
+
+def _f32(low, high):
+    low, high = float(_F32(low)), float(_F32(high))
+    return st.floats(low, high, width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _accept_cases(draw):
+    """``(y, offset, t_max, guard)`` for :func:`~repro.rt.tracer._accept`,
+    the guard on in the layers whose largest sphere reaches the origin plane.
+
+    Per-slot radii as MIPS enlarges them (``r²`` up to 16, past the int32
+    midpoint overflow at 2) and ``-1`` padding lanes; offsets on, just above,
+    well above, just below and well below ``r_max`` (below turns the guard
+    on); ``d²`` of 0, exactly ``r²`` and anything between or outside; and
+    ``t_max`` below 0, past the offset, NaN, equal to a hit time the grid
+    achieves, a few ulps under the offset, or anywhere between.
+    """
+    layers, rays, slots = (draw(st.integers(1, n)) for n in (3, 4, 6))
+    radii_sq = np.array(
+        [draw(st.one_of(_f32(1e-3, 16.0), st.just(-1.0))) for _ in range(layers * slots)], _F32
+    ).reshape(layers, 1, slots)
+    radii_sq[:, 0, 0] = np.abs(radii_sq[:, 0, 0])  # one real sphere per layer
+    r_max = np.sqrt(radii_sq.max(axis=(1, 2)))
+    offset = np.empty(layers, _F32)
+    for layer in range(layers):
+        kind = draw(st.sampled_from(["on", "above", "far_above", "below", "far_below"]))
+        on = r_max[layer]
+        offset[layer] = {
+            "on": on,
+            "above": np.nextafter(on, _F32(np.inf)),
+            "far_above": on * draw(_f32(1.05, 4.0)),
+            "below": np.nextafter(on, _F32(0)),
+            "far_below": on * draw(_f32(0.2, 0.95)),
+        }[kind]
+    fraction = [
+        draw(st.one_of(st.just(0.0), st.just(1.0), _f32(0.0, 1.5)))
+        for _ in range(layers * rays * slots)
+    ]
+    # d² = fraction * |r²|: a fraction of 1 gives d² = r² exactly, y = +0
+    y = radii_sq - np.array(fraction, _F32).reshape(layers, rays, slots) * np.abs(radii_sq)
+    with np.errstate(invalid="ignore"):
+        achieved = offset[:, None, None] - np.sqrt(y)
+    t_max = np.empty((layers, rays), _F32)
+    for layer in range(layers):
+        for ray in range(rays):
+            kind = draw(st.sampled_from(["below_0", "past", "nan", "achieved", "ulps", "any"]))
+            off = offset[layer]
+            t_max[layer, ray] = {
+                "below_0": -draw(_f32(1e-6, 5.0)),
+                "past": off + draw(_f32(0.0, 3.0)),
+                "nan": np.nan,
+                "achieved": achieved[layer, ray, draw(st.integers(0, slots - 1))],
+                "ulps": off - draw(st.integers(1, 64)) * np.spacing(off),
+                "any": off * draw(_f32(0.0, 1.0)),
+            }[kind]
+    return y, offset, t_max, offset < r_max
+
+
+class TestAcceptBound:
+    """The tracer's accept test -- ``y >=`` a per-ray bound, ``y <`` a
+    per-layer one under the guard -- is the ``sqrt`` form, cell for cell."""
+
+    @staticmethod
+    def _assert_matches_sqrt_form(y, offset, t_max, guard):
+        guard = np.broadcast_to(guard, offset.shape)
+        got = np.empty(y.shape, dtype=bool)
+        _accept(y, offset[:, None], t_max, guard, out=got)
+        want = sqrt_form_accepts(y, offset[:, None, None], t_max[:, :, None], guard[:, None, None])
+        assert got.tobytes() == want.tobytes()
+
+    @given(case=_accept_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_equals_sqrt_form(self, case):
+        self._assert_matches_sqrt_form(*case)
+
+    def test_bisected_bound_past_two(self):
+        """A ray whose bound lies two patterns under the guess, above 2.0:
+        the window misses it, and the bisection's midpoint must not overflow."""
+        offset, t_max = np.array([9.483387], _F32), np.array([[7.744867]], _F32)
+        bound = _least_accepted(offset[:, None], t_max)[0, 0]
+        guess = np.square(offset - t_max)[0, 0]
+        assert bound > 2.0 and guess.view(np.int32) - bound.view(np.int32) == 2
+        near = bound.view(np.int32) + np.arange(-3, 4, dtype=np.int32)
+        y = near.view(_F32).reshape(1, 1, -1)
+        self._assert_matches_sqrt_form(y, offset, t_max, guard=False)
+
+    def test_guard_rejects_cells_behind_the_origin(self):
+        """An origin plane inside the sphere: the centre ray's hit time is
+        negative, which only the guard rejects."""
+        radii_sq = np.array([[[4.0, 1.0]]], _F32)
+        y = radii_sq - np.zeros((1, 1, 2), _F32)
+        offset, t_max = np.array([1.5], _F32), np.array([[1.0]], _F32)
+        self._assert_matches_sqrt_form(y, offset, t_max, guard=True)
+        got = np.empty(y.shape, dtype=bool)
+        _accept(y, offset[:, None], t_max, np.array([True]), out=got)
+        assert got.tolist() == [[[False, True]]]
