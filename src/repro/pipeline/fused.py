@@ -10,11 +10,11 @@ dynamic-threshold penalty, ``NaN`` for JUNO-M) where it did not -- and the
 hit grid beside it.
 So :func:`fused_score_candidates`, per block of queries,
 
-1. builds one ``(S, candidates)`` index into the whole table,
-   ``columns[:, rows] + s * plane + ray * E'``, from the subspace-major
-   column rows of :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout`
-   (a probed cluster's members are one contiguous run of each row; a column
-   is a PQ code already translated to the table's leaf-slot order);
+1. builds one ``(S, candidates)`` ``intp`` index into the whole table: the
+   block's rays' runs ``columns[:, base:base + size]`` of the subspace-major
+   :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout` back
+   to back (a column is a PQ code already in the table's leaf-slot order),
+   plus ``ray * E'`` and ``s * plane``;
 2. gathers through it the hit bytes and the contributions (JUNO-H) or the
    inner-sphere bytes (JUNO-M);
 3. sums each over the subspace axis: match counts in ``uint8`` (``int32``
@@ -23,9 +23,9 @@ So :func:`fused_score_candidates`, per block of queries,
 
 There is no Python loop over clusters, candidates or subspaces, and no
 per-cell test or select: RT-select decided each cell once.  The index is
-built in ``int32`` while the table has fewer than 2**31 cells and widened
-once to the ``intp`` every gather reads; contributions and their sum are
-float32, the LUT's dtype; the top-k stage widens the scores it returns.
+built in the ``intp`` every gather reads, so no pass widens it; contributions
+and their sum are float32, the LUT's dtype; the top-k stage widens the scores
+it returns.
 
 Bit-identity with the per-ray reference loop (``tests/score_reference.py``)
 at the table's dtype is by construction:
@@ -54,13 +54,13 @@ from repro.pipeline.context import QueryContext
 # columns of the gathered ``(subspace, candidate)`` tables.  Blocks align on
 # query boundaries so each query's candidates assemble in one pass; columns
 # are independent, so blocking cannot change any result.  At its peak a block
-# holds the 8-byte gather index, the 4-byte contributions and the 1-byte hits
-# of the gathered shape, ~3.4 MB, so this constant decides the stage's memory
-# and its speed.  On the 32-query sweep cells it beats 1 << 17, 1 << 19 and
-# 1 << 20 in every JUNO-H cell (by 7-11 % against 1 << 19) and stays within
-# 3 % of 1 << 19 in the JUNO-M/L cells, where 1 << 17 loses 16-20 % to
-# per-block overhead (docs/performance.md).  tests/test_hot_path_gates.py
-# bounds the stage's peak.
+# holds the 8-byte gather index (concatenated as such, never a narrower copy),
+# the 4-byte contributions and the 1-byte hits of the gathered shape, ~3.4 MB,
+# so this constant decides the stage's memory and its speed.  On the 32-query
+# sweep cells it beats 1 << 17, 1 << 19 and 1 << 20 in every JUNO-H cell (by
+# 7-11 % against 1 << 19) and stays within 3 % of 1 << 19 in the JUNO-M/L
+# cells, where 1 << 17 loses 16-20 % to per-block overhead
+# (docs/performance.md).  tests/test_hot_path_gates.py bounds the stage's peak.
 _FUSED_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -85,8 +85,7 @@ def fused_score_candidates(ctx: QueryContext) -> None:
     flat_clusters = np.asarray(selected, dtype=np.int64).reshape(-1)
     ray_sizes = layout.cluster_sizes[flat_clusters]
     query_elements = ray_sizes.reshape(num_queries, nprobs).sum(axis=1) * num_subspaces
-    index_dtype = np.int32 if lut.table.size < 2**31 else np.int64
-    subspace_base = np.arange(num_subspaces, dtype=index_dtype)[:, None] * (num_rays * num_slots)
+    subspace_base = np.arange(num_subspaces, dtype=np.intp)[:, None] * (num_rays * num_slots)
     # uint8 counts while they fit: a count never exceeds num_subspaces
     count_dtype = np.uint8 if num_subspaces < 256 else np.int32
     # The tables the mode's score reads, flattened for the flat gather: the
@@ -124,22 +123,19 @@ def fused_score_candidates(ctx: QueryContext) -> None:
             q0 = q1
             continue
         cand_ray = np.repeat(np.arange(r1 - r0), sizes_b)
-        # A probed cluster's members are one run of the cluster-major
-        # layout: candidate i of a ray sits at member_base[cluster] + i.
-        run_starts = layout.member_base[clusters_b] - (np.cumsum(sizes_b) - sizes_b)
-        member_rows = np.repeat(run_starts, sizes_b) + np.arange(total)
-        cand_ids = layout.members[member_rows]
+        # a probed cluster's members are one run: the block's runs back to back
+        runs = [slice(*ends) for ends in layout.member_base[clusters_b[:, None] + (0, 1)].tolist()]
+        cand_ids = np.concatenate([layout.members[run] for run in runs])
 
         # Flat index of table[s, ray, column] for every (subspace,
         # candidate): one gather per table fills what the sums below run over.
-        gather = layout.columns.take(member_rows, axis=1).astype(index_dtype, copy=False)
-        gather += ((cand_ray + r0) * num_slots).astype(index_dtype)
+        gather = np.concatenate([layout.columns[:, run] for run in runs], axis=1, dtype=np.intp)
+        gather += (cand_ray + r0) * num_slots
         gather += subspace_base
         if total == 1:
             # NumPy sums a lone column pairwise; beside a copy of itself it
             # is summed row after row like every other block
             gather = np.repeat(gather, 2, axis=1)
-        gather = gather.astype(np.intp, copy=False)  # once, not inside every take
         gathered = [table.take(gather) for table in tables]
 
         matched = gathered[0].sum(axis=0, dtype=count_dtype)
@@ -153,6 +149,7 @@ def fused_score_candidates(ctx: QueryContext) -> None:
             scores = rewards.astype(np.float64) - miss_penalty * misses
         else:
             scores = matched.astype(np.float64)
+        del gather, gathered  # freed before the next block's index is built
 
         matched = matched[:total]
         keep = matched >= 1

@@ -5,8 +5,10 @@ rays -- all parallel to ``+z``, each targeting the layer just above its
 origin plane -- to traverse a whole *block* of layers for a whole batch of
 rays in one straight line of array passes over the scene's stack
 (:class:`~repro.rt.scene.TraversableScene`), paying the interpreter once per
-block.  Node boxes are nested, so the float64 slab mask *is* the traversal:
-node, box and sphere-test counts are those of a per-ray BVH walk
+block.  A ray in its layer's *common box* (the node boxes' intersection)
+walks the whole tree, counted by arithmetic; only the other rays take the
+float64 slab pass, and as boxes are nested its pass counts are their node,
+box and sphere-test counts: a per-ray BVH walk's either way
 (``tests/rt_reference.py`` keeps one as the oracle).  The sphere tests run in
 float32, as on an RT core.
 
@@ -139,6 +141,8 @@ class RayTracer:
         self._spheres = [a.reshape(a.shape[0], -1).astype(np.float32) for a in leaf]
         self._radius_max = np.sqrt(self._spheres[2].max(axis=1))
         self._children = np.bincount(scene.parent[1:], minlength=scene.parent.shape[0])
+        # each layer's common box, the intersection of its node boxes: (L, 3) corners
+        self._common = (scene.node_min.max(axis=2), scene.node_max.min(axis=2))
 
     def trace_vertical_batch(
         self,
@@ -214,48 +218,32 @@ class RayTracer:
         self.stats.merge(stats)
         return hits, stats
 
+    def _inside(self, layers, ox, oy, t_max, origin_z) -> np.ndarray:
+        """``(L, R)``: whether each ray passes every box of its layer -- iff it
+        is in their intersection, as ``x >= max min_x`` iff ``x >=`` every
+        ``min_x`` and an entry or exit time ``fl(a − o)`` is monotone in ``a``."""
+        low, high = self._common[0][layers], self._common[1][layers]
+        t_entry = np.maximum(low[:, 2] - origin_z, 0.0)
+        t_entry[high[:, 2] - origin_z < 0.0] = np.nan  # a box behind the ray: none pass
+        inside = (ox >= low[:, 0, None]) & (ox <= high[:, 0, None])
+        inside &= (oy >= low[:, 1, None]) & (oy <= high[:, 1, None])
+        inside &= t_max >= t_entry[:, None]
+        return inside
+
     def _trace_layers(self, layers, ox, oy, t_max, origin_z, offset, stats, hits) -> None:
-        """The slab pass, the counters, then the sphere tests into ``hits``."""
+        """The counters, then the sphere tests into ``hits``, then the leaf mask."""
         scene = self.scene
         num_layers, num_rays = ox.shape
-        node_min, node_max = scene.node_min[layers], scene.node_max[layers]
-        num_nodes = scene.parent.shape[0]
-
-        # Slab tests for every (layer, node, ray), ANDed into one mask through a
-        # second; the longer of the node and ray axes is contiguous in memory.
-        # Both masks live in the bytes of the caller's d^2 grid (a tree has
-        # fewer than 2 E' nodes) until the sphere tests overwrite them.
-        node_major = num_rays >= num_nodes
-        shape = (num_layers,) + ((num_nodes, num_rays) if node_major else (num_rays, num_nodes))
-        axes = (0, 1, 2) if node_major else (0, 2, 1)
-        free = hits.dist_sq.view(np.bool_).reshape(2, -1)[:, : num_layers * num_nodes * num_rays]
-        slab, test = (half.reshape(shape).transpose(axes) for half in free)
-        # a box behind the ray (t_exit < 0) gets a NaN entry time: never reached
-        t_entry = np.maximum(node_min[:, 2] - origin_z[:, None], 0.0)
-        t_entry[node_max[:, 2] - origin_z[:, None] < 0.0] = np.nan
-        np.greater_equal(ox[:, None, :], node_min[:, 0, :, None], out=slab)
-        for compare, of_ray, of_node in (
-            (np.less_equal, ox, node_max[:, 0]),
-            (np.greater_equal, oy, node_min[:, 1]),
-            (np.less_equal, oy, node_max[:, 1]),
-            (np.greater_equal, t_max, t_entry),
-        ):
-            slab &= compare(of_ray[:, None, :], of_node[:, :, None], out=test)
-
-        # The slab mask is the traversal: boxes are nested (the scene checks
-        # it), so a node is visited iff its parent passed and a leaf's spheres
-        # are tested iff the leaf passed -- the counters are sums of pass counts.
-        passed = slab.view(np.uint8).sum(axis=(0, 2), dtype=np.int32)
-        node_visits = num_layers * num_rays + int(passed @ self._children)
-        stats.node_visits += node_visits
-        stats.aabb_tests += node_visits
-        leaves = scene.leaf_nodes
-        stats.prim_tests += int(passed[leaves] @ scene.leaf_count)
-        # The leaf mask: a ray that failed a leaf's box can still pass one of
-        # its sphere tests by rounding; such (layer, ray, leaf) lanes are cleared.
-        failing = np.flatnonzero(passed[leaves] != num_layers * num_rays)
-        if failing.size:
-            layer, at, ray = np.nonzero(~slab[:, leaves[failing]])
+        # A ray inside its layer's common box in every layer of the block walks
+        # each whole tree: its counters are arithmetic and it clears no lane.
+        outside = np.flatnonzero(~self._inside(layers, ox, oy, t_max, origin_z).all(axis=0))
+        walks = num_layers * (num_rays - outside.size)
+        stats.node_visits += walks * scene.parent.shape[0]
+        stats.aabb_tests += walks * scene.parent.shape[0]
+        stats.prim_tests += walks * int(scene.leaf_count.sum())
+        if outside.size:
+            rays = (a[:, outside] for a in (ox, oy, t_max))
+            layer, ray, leaf = self._slab_pass(layers, *rays, origin_z, stats, hits.dist_sq)
 
         # Sphere tests on the whole (layer, ray, slot) grid, in float32 as on an
         # RT core: d^2 into the caller's grid, y = r^2 - d^2 into a scratch one.
@@ -272,6 +260,46 @@ class RayTracer:
         np.subtract(radii_sq, dist_sq, out=y)
         guard = offset < self._radius_max[layers]
         _accept(y, offset[:, None], t_max, guard, out=hits.accepted)
-        if failing.size:
-            lanes = hits.accepted.reshape(num_layers, num_rays, leaves.size, -1)
-            lanes[layer, ray, failing[at]] = False
+        if outside.size:
+            lanes = hits.accepted.reshape(num_layers, num_rays, scene.leaf_nodes.size, -1)
+            lanes[layer, outside[ray], leaf] = False
+
+    def _slab_pass(self, layers, ox, oy, t_max, origin_z, stats, free) -> tuple:
+        """Slab tests of every (layer, node, ray): adds the rays' counters to
+        ``stats``, returns the ``(layer, ray, leaf)`` lanes of failed leaf boxes.
+        The masks live in the ``free`` d^2 grid's bytes (M < 2 E' nodes)."""
+        scene = self.scene
+        node_min, node_max = scene.node_min[layers], scene.node_max[layers]
+        (num_layers, num_rays), num_nodes = ox.shape, scene.parent.shape[0]
+        # Slab tests ANDed into one mask through a second; the longer of the
+        # node and ray axes is contiguous in memory.
+        node_major = num_rays >= num_nodes
+        shape = (num_layers,) + ((num_nodes, num_rays) if node_major else (num_rays, num_nodes))
+        axes = (0, 1, 2) if node_major else (0, 2, 1)
+        free = free.view(np.bool_).reshape(2, -1)[:, : num_layers * num_nodes * num_rays]
+        slab, test = (half.reshape(shape).transpose(axes) for half in free)
+        # a box behind the ray (t_exit < 0) gets a NaN entry time: never reached
+        t_entry = np.maximum(node_min[:, 2] - origin_z[:, None], 0.0)
+        t_entry[node_max[:, 2] - origin_z[:, None] < 0.0] = np.nan
+        np.greater_equal(ox[:, None, :], node_min[:, 0, :, None], out=slab)
+        for compare, of_ray, of_node in (
+            (np.less_equal, ox, node_max[:, 0]),
+            (np.greater_equal, oy, node_min[:, 1]),
+            (np.less_equal, oy, node_max[:, 1]),
+            (np.greater_equal, t_max, t_entry),
+        ):
+            slab &= compare(of_ray[:, None, :], of_node[:, :, None], out=test)
+
+        # Boxes are nested (the scene checks it), so a node is visited iff its
+        # parent passed and a leaf's spheres are tested iff the leaf passed:
+        # the counters are sums of pass counts.
+        passed = slab.view(np.uint8).sum(axis=(0, 2), dtype=np.int32)
+        node_visits = num_layers * num_rays + int(passed @ self._children)
+        stats.node_visits += node_visits
+        stats.aabb_tests += node_visits
+        leaves = scene.leaf_nodes
+        stats.prim_tests += int(passed[leaves] @ scene.leaf_count)
+        # a sphere test can pass by rounding where the ray failed the leaf's box
+        failing = np.flatnonzero(passed[leaves] != num_layers * num_rays)
+        layer, at, ray = np.nonzero(~slab[:, leaves[failing]])
+        return layer, ray, failing[at]

@@ -330,21 +330,6 @@ class ServingEngine:
                 snapshots.append(executor.worker_metrics())
         return merge_snapshots(snapshots)
 
-    def collect_worker_metrics(self) -> dict:
-        """Explicitly pull fresh registry snapshots from resident workers.
-
-        Unlike :meth:`metrics_snapshot` (which reads the latest piggybacked
-        snapshots without touching the workers), this submits a
-        ``collect_metrics`` task to every live worker and waits for the
-        replies -- use it when piggybacking is disabled or when the
-        freshest possible numbers are needed.  Raises :class:`TypeError`
-        when the backend is not worker-resident.
-        """
-        accessor = getattr(self.index, "resident_executor", None)
-        if not callable(accessor):
-            raise TypeError(f"backend {self.backend!r} is not worker-resident")
-        return accessor().collect_metrics()
-
     def modelled_qps(self, result: EngineResult, pipelined: bool | None = None) -> float:
         """Modelled throughput of a result under the engine's cost model.
 

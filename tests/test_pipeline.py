@@ -564,6 +564,61 @@ class TestScoreBlockInvariance:
         assert looped.candidate_total > 0
 
 
+class TestScoreIndexRuns:
+    """The gather index is the block's rays' cluster runs back to back: a
+    zero-length run between two others, a block of one candidate among empty
+    runs and block boundaries inside a batch reproduce the loop too."""
+
+    _upstream = staticmethod(TestScoreBlockInvariance._upstream)
+    _scored = staticmethod(TestScoreBlockInvariance._scored)
+    _assert_blocks_match_loop = TestScoreBlockInvariance._assert_blocks_match_loop
+
+    @staticmethod
+    def _query_elements(ctx):
+        sizes = ctx.index.subspace_index.flat_layout().cluster_sizes[ctx.selected]
+        return sizes.sum(axis=1) * ctx.lut.table.shape[0]
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_empty_run_between_two_others(self, edge_case_juno, mode, monkeypatch):
+        index, dataset = edge_case_juno
+        nprobs = index.config.num_clusters
+        with _largest_cluster_emptied(index) as (_, victim):
+            ctx = self._upstream(index, dataset.queries, mode, 1.0, nprobs)
+            probe = np.nonzero(ctx.selected == victim)[1]
+            assert ((probe > 0) & (probe < nprobs - 1)).any()
+            self.BLOCKS = (1, 1 << 40, int(self._query_elements(ctx)[:3].sum()))
+            self._assert_blocks_match_loop(ctx, monkeypatch)
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_one_candidate_among_empty_runs(self, edge_case_juno, mode, monkeypatch):
+        """One cluster keeps one member, every other is empty: each query's
+        block is a lone candidate between zero-length runs."""
+        index, dataset = edge_case_juno
+        original = index.subspace_index, index.ivf.posting_lists
+        kept = int(np.argmax([ids.size for ids in original[1]]))
+        index.ivf.posting_lists = [ids[: int(c == kept)] for c, ids in enumerate(original[1])]
+        index.rebuild_layout()
+        try:
+            nprobs = index.config.num_clusters
+            ctx = self._upstream(index, dataset.queries[:4], mode, 1.0, nprobs)
+            assert self._query_elements(ctx).tolist() == [index.config.num_subspaces] * 4
+            self.BLOCKS = (1, 1 << 40)
+            self._assert_blocks_match_loop(ctx, monkeypatch)
+        finally:
+            index.subspace_index, index.ivf.posting_lists = original
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    def test_block_boundaries_inside_a_batch(self, juno_l2, l2_dataset, mode, monkeypatch):
+        queries = TestScoreBlockInvariance._queries(l2_dataset, 32)
+        ctx = self._upstream(juno_l2, queries, mode, 1.0, nprobs=6)
+        elements = self._query_elements(ctx)
+        # blocks of at least two queries, and a first block of exactly five
+        self.BLOCKS = (2 * int(elements.max()), int(elements[:5].sum()) + 1)
+        assert elements.sum() > max(self.BLOCKS)
+        looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+        assert looped.candidate_total > 0
+
+
 # --------------------------------------------------------- stateless search
 class TestStatelessSearch:
     """A search is a pure function of the query batch and the trained index.

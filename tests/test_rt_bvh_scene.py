@@ -593,3 +593,134 @@ class TestAcceptBound:
         got = np.empty(y.shape, dtype=bool)
         _accept(y, offset[:, None], t_max, np.array([True]), out=got)
         assert got.tolist() == [[[False, True]]]
+
+
+def _common_box(scene, layer):
+    """``(low, high)``: the intersection of a layer's node boxes (empty if ``low > high``)."""
+    return scene.node_min[layer].max(axis=1), scene.node_max[layer].min(axis=1)
+
+
+def _walks_every_box(scene, layer, origin_xy, t_max, origin_z):
+    """Whether one ray passes every box of the layer in the reference walk."""
+    *_, stats = reference_trace_layer(scene, layer, origin_xy[None], t_max, origin_z)
+    full = (scene.parent.shape[0], scene.leaf_count.sum())
+    return (stats.node_visits, stats.prim_tests) == full
+
+
+def _assert_block_is_reference(scene, batch, stats, origins, t_max, origin_z):
+    """Every hit with its ``d²`` bytes (so no lane the leaf mask must clear)
+    and all five counters are the float32 layer-at-a-time reference's."""
+    expected = TraversalStats()
+    for layer in range(scene.z.shape[0]):
+        rays, entries, dist_sq, layer_stats = reference_trace_layer(
+            scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer], dtype=np.float32
+        )
+        expected.merge(layer_stats)
+        got_rays, slots = np.nonzero(batch.accepted[layer])
+        got = zip(
+            got_rays.tolist(),
+            scene.leaf_primitives[layer].reshape(-1)[slots].tolist(),
+            batch.dist_sq[layer, got_rays, slots].tolist(),
+        )
+        assert sorted(got) == sorted(zip(rays.tolist(), entries.tolist(), dist_sq.tolist()))
+    assert stats == expected
+
+
+@st.composite
+def _common_box_cases(draw):
+    """A scene and a block of rays around its layers' common boxes.
+
+    A layer's radii are small or large against its centres' spread: small
+    ones leave leaf boxes that rarely share a point (most rays fail some
+    box), large ones a common box.  An origin lies anywhere, inside the common
+    box, or on one of its side faces or 1 ulp either side; a ``t_max``
+    passes every box, falls short anywhere, lies on the common box's entry
+    time or 1 ulp either side, or is NaN.
+    """
+    num_layers, num_rays = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    entries, leaf_size = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array([draw(st.sampled_from([0.15, 3.0, 3.0])) for _ in range(num_layers)])
+    radii = scale[:, None] * rng.uniform(0.5, 1.0, size=(num_layers, entries))
+    scene = make_scene(rng.uniform(-1, 1, size=(num_layers, entries, 2)), radii, leaf_size)
+    offset = radii.max(axis=1) * np.array([draw(_f32(0.8, 1.5)) for _ in range(num_layers)])
+    origin_z = scene.z - offset
+    origins = rng.uniform(-4.0, 4.0, size=(num_rays, num_layers, 2))
+    t_max = rng.uniform(0.0, offset + 0.5, size=(num_rays, num_layers))
+    for ray, layer in np.ndindex(num_rays, num_layers):
+        low, high = _common_box(scene, layer)
+        axis, side = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        step = draw(st.integers(-1, 1))
+        if (low[:2] <= high[:2]).all() and draw(st.integers(0, 3)):
+            origins[ray, layer] = rng.uniform(low[:2], high[:2])
+            if axis < 2:  # on a face, or 1 ulp either side of it
+                face = (low, high)[side][axis]
+                origins[ray, layer, axis] = np.nextafter(face, np.inf * step) if step else face
+        entry = max(low[2] - origin_z[layer], 0.0)
+        t_max[ray, layer] = draw(
+            st.sampled_from(
+                [
+                    t_max[ray, layer],
+                    offset[layer] + 1.0,
+                    np.nextafter(entry, np.inf * step) if step else entry,
+                    np.nan,
+                ]
+            )
+        )
+    return scene, origins, t_max, origin_z
+
+
+class TestCommonBoxShortcut:
+    """A ray skips the slab pass iff it lies in its layer's common box, which
+    must be iff it passes every box of the layer in the reference walk --
+    ``>=`` on the faces, with the entry time, and no ray where a box lies
+    behind the origin plane.  Whichever way a ray goes, the block's hits,
+    ``d²`` and counters are the reference's."""
+
+    @staticmethod
+    def _inside(tracer, origins, t_max, origin_z):
+        grids = (origins[:, :, 0].T.copy(), origins[:, :, 1].T.copy(), t_max.T.copy())
+        return tracer._inside(np.arange(origins.shape[1]), *grids, origin_z)
+
+    @given(case=_common_box_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_inside_iff_the_walk_passes_every_box(self, case):
+        scene, origins, t_max, origin_z = case
+        tracer, batch, stats = _trace_block(scene, origins, t_max, origin_z)
+        _assert_block_is_reference(scene, batch, stats, origins, t_max, origin_z)
+        # the first layer's boxes behind the origin plane (which the public
+        # call rejects): no ray passes them all
+        behind = origin_z.copy()
+        behind[0] = scene.node_max[0, 2].max() + 0.5
+        for planes in (origin_z, behind):
+            got = self._inside(tracer, origins, t_max, planes)
+            want = [
+                [
+                    _walks_every_box(scene, layer, origins[ray, layer], t_max[ray, layer], z)
+                    for ray in range(origins.shape[0])
+                ]
+                for layer, z in enumerate(planes)
+            ]
+            assert got.tolist() == want
+        assert not got[0].any()
+
+    @pytest.mark.parametrize("radius", [3.0, 0.15])
+    def test_all_inside_and_all_outside_blocks(self, rng, radius):
+        """Radius 3 around centres in [-1, 1]: every ray near the axis is in
+        every common box and the counters are arithmetic alone.  Radius 0.15:
+        the leaf boxes share no point, so every ray takes the slab pass."""
+        centres = rng.uniform(-1, 1, size=(3, 20, 2))
+        scene = make_scene(centres, radius)
+        origins = rng.uniform(-0.5, 0.5, size=(64, 3, 2))
+        t_max, origin_z = np.full((64, 3), radius + 0.5), scene.z - radius - 0.2
+        tracer, batch, stats = _trace_block(scene, origins, t_max, origin_z)
+        _assert_block_is_reference(scene, batch, stats, origins, t_max, origin_z)
+        inside = self._inside(tracer, origins, t_max, origin_z)
+        if radius > 1:
+            assert inside.all() and stats.hits > 0
+            walks = 3 * 64
+            assert replace(stats, hits=0) == TraversalStats(
+                walks, walks * scene.parent.shape[0], walks * scene.parent.shape[0], walks * 20
+            )
+        else:
+            assert not inside.any()
