@@ -26,15 +26,11 @@ class ObservabilityConfig:
             the operator on the box, not the network.
         port: exporter bind port; ``0`` picks an ephemeral free port
             (read it back from ``engine.metrics_exporter.port``).
-        piggyback_metrics: resident workers attach a registry snapshot to
-            every task reply so coordinator-side aggregates stay fresh
-            without explicit collection; disable to shave IPC bytes.
     """
 
     exporter: bool = False
     host: str = "127.0.0.1"
     port: int = 0
-    piggyback_metrics: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.port, int) or isinstance(self.port, bool) or not 0 <= self.port <= 65535:
@@ -47,14 +43,13 @@ class ObservabilityConfig:
             "exporter": self.exporter,
             "host": self.host,
             "port": self.port,
-            "piggyback_metrics": self.piggyback_metrics,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ObservabilityConfig":
         if not isinstance(payload, dict):
             raise TypeError(f"ObservabilityConfig payload must be a dict, got {type(payload).__name__}")
-        known = {"exporter", "host", "port", "piggyback_metrics"}
+        known = {"exporter", "host", "port"}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown ObservabilityConfig keys: {sorted(unknown)}")

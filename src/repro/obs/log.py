@@ -6,7 +6,7 @@ application (or :func:`configure`) opts in.  Events are emitted as
 ``event_name key=value ...`` lines through :func:`event`, which keeps call
 sites one-liners and the output grep-able:
 
-    failover shard=1 replica=0 pid=4242 reason=BrokenProcessPool
+    replica_failover shards=1 replica=0
 
 The serving stack logs WARNING for things that cost availability or data
 (failover, shed/reject, WAL tail repair) and INFO for expected lifecycle

@@ -83,7 +83,7 @@ class AsyncBatchingScheduler:
             search call.
 
     The batched search itself runs synchronously on the event loop: the
-    NumPy/process-pool work below releases the GIL or lives in other
+    NumPy work below releases the GIL or runs in resident worker
     processes, and serialising flushes keeps result distribution trivially
     correct.  Clients therefore observe queueing latency + their batch's
     search latency, exactly like the closed-loop harness measures.

@@ -138,8 +138,7 @@ class ServingConfig:
             when the deployment turns mutable.
         observability: the :class:`~repro.obs.config.ObservabilityConfig`
             governing metrics exposition (opt-in HTTP exporter started by
-            :class:`~repro.serving.engine.ServingEngine`) and whether
-            resident workers piggyback registry snapshots on task replies.
+            :class:`~repro.serving.engine.ServingEngine`).
         label: display name for engines built over the deployment.
     """
 

@@ -3,8 +3,9 @@
 The thread pool that shipped with :class:`~repro.serving.shard.ShardedJunoIndex`
 is GIL-bound outside NumPy kernels, so the Python-heavy parts of the staged
 query pipeline (per-query candidate loops, LUT row materialisation) serialise
-across shards.  This module abstracts the fan-out behind a tiny executor
-interface with three backends:
+across shards.  This module abstracts the fan-out behind a two-method
+executor interface -- :meth:`ShardExecutor.search_shards` and
+:meth:`ShardExecutor.close` -- with three backends:
 
 * :class:`SequentialShardExecutor` -- in-process loop, zero overhead, the
   reference for correctness tests;
@@ -12,36 +13,23 @@ interface with three backends:
   NumPy kernels dominate;
 * :class:`~repro.serving.routing.ResidentProcessShardExecutor` (in
   :mod:`repro.serving.routing`) -- worker-resident processes booted from
-  per-shard disk bundles with replicated routing and failover, for true
-  parallelism of the Python-level stage code; per-batch payloads carry
-  queries only.
+  per-shard disk bundles, each answering over its own pipe, with replicated
+  routing and failover, for true parallelism of the Python-level stage
+  code; per-batch payloads carry queries only.
 
-The router talks to executors through :meth:`ShardExecutor.search_shards`;
-the generic ``map`` remains for the payload-agnostic backends.  All
-executors are context managers with idempotent ``close()``.
+All executors are context managers with idempotent ``close()``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 _EXECUTOR_KINDS = ("sequential", "thread")
 
 
-def search_shard_task(payload) -> object:
-    """Run one shard's search from a ``(shard, queries, k, params)`` payload.
-
-    ``params`` are the keyword arguments of
-    :meth:`repro.core.index.JunoIndex.search` (including an optional
-    per-shard ``pipeline``).
-    """
-    shard, queries, k, params = payload
-    return shard.search(queries, k, **params)
-
-
 class ShardExecutor:
-    """Interface of a fan-out backend: map a task over payloads, then close.
+    """Interface of a fan-out backend: search every shard, then close.
 
     ``resident`` marks executors whose workers own their shard state for the
     process lifetime; the router sends such executors mutations as op
@@ -51,18 +39,14 @@ class ShardExecutor:
     kind: str = "abstract"
     resident: bool = False
 
-    def map(self, fn: Callable, payloads: Sequence) -> list:
-        """Apply ``fn`` to every payload, preserving order."""
-        raise NotImplementedError
-
     def search_shards(self, shards: Sequence, queries, k: int, params: dict) -> list:
         """Search every shard with one query batch, preserving shard order.
 
-        The default implementation hands the shard objects themselves to
-        :meth:`map`; resident executors override it with query-only payloads
-        routed to the workers that already hold the shard.
+        ``params`` are the keyword arguments of
+        :meth:`repro.core.index.JunoIndex.search` (including an optional
+        per-shard ``pipeline``).
         """
-        return self.map(search_shard_task, [(shard, queries, k, params) for shard in shards])
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release backend resources; safe to call repeatedly."""
@@ -79,8 +63,8 @@ class SequentialShardExecutor(ShardExecutor):
 
     kind = "sequential"
 
-    def map(self, fn: Callable, payloads: Sequence) -> list:
-        return [fn(payload) for payload in payloads]
+    def search_shards(self, shards: Sequence, queries, k: int, params: dict) -> list:
+        return [shard.search(queries, k, **params) for shard in shards]
 
 
 class ThreadShardExecutor(ShardExecutor):
@@ -89,7 +73,7 @@ class ThreadShardExecutor(ShardExecutor):
     The pool is created on first use and reused across batches (the serving
     hot path flushes a batch every few milliseconds; per-batch pool creation
     would dominate).  ``close()`` shuts it down and is idempotent; the next
-    ``map`` after a close transparently builds a fresh pool.
+    search after a close transparently builds a fresh pool.
     """
 
     kind = "thread"
@@ -100,10 +84,10 @@ class ThreadShardExecutor(ShardExecutor):
         self.num_workers = int(num_workers)
         self._pool: ThreadPoolExecutor | None = None
 
-    def map(self, fn: Callable, payloads: Sequence) -> list:
+    def search_shards(self, shards: Sequence, queries, k: int, params: dict) -> list:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
-        return list(self._pool.map(fn, payloads))
+        return list(self._pool.map(lambda shard: shard.search(queries, k, **params), shards))
 
     def close(self) -> None:
         if self._pool is not None:

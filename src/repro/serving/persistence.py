@@ -76,7 +76,7 @@ def shard_bundle_path(root: str | Path, shard_id: int) -> Path:
     """The per-shard index bundle directory inside a sharded deployment bundle.
 
     One canonical place for the layout so the router's save/load and the
-    worker-resident runtime (which loads single shards into pool workers)
+    worker-resident runtime (which loads single shards into worker processes)
     can never drift apart.
     """
     return Path(root) / f"shard_{int(shard_id):03d}"

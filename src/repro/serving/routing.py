@@ -12,13 +12,23 @@ the process.
 :class:`~repro.serving.executors.ShardExecutor` fan-out interface on top of
 a replica table: every shard is hosted by ``num_replicas`` independent
 worker processes, batches go round-robin over the live replicas, and when a
-worker dies mid-batch (detected as a broken pool) the batch is
-transparently retried on a surviving replica.  Per-batch IPC is query-only
--- a payload is ``(shard_id, queries, k, params)`` -- so its pickled size is
-independent of the corpus; shard bytes reach the workers through the
-per-shard bundles on disk, at pool init.  Mutable deployments additionally broadcast op payloads
-to every live replica of the owning shard (:meth:`apply_ops` -- the
-replicated op log), keeping replicas bit-identical under streaming updates.
+worker dies mid-batch (its pipe reaches EOF or its process exits) the batch
+is transparently retried on a surviving replica.  Per-batch IPC is
+query-only -- a payload is ``(shard_id, queries, k, params)`` -- so its
+pickled size is independent of the corpus; shard bytes reach the workers
+through the per-shard bundles on disk, at boot.  Mutable deployments
+additionally broadcast op payloads to every live replica of the owning shard
+(:meth:`apply_ops` -- the replicated op log), keeping replicas bit-identical
+under streaming updates.
+
+Every operation that talks to several workers goes in rounds
+(:meth:`ResidentProcessShardExecutor._round`): send to each target in
+``(shard, replica)`` order, then read every reply.  A worker's lock is held
+from its send until its reply is read, and every thread takes those locks in
+that one order and releases them all before the next round, so concurrent
+callers (a search beside a compaction thread's ``apply_ops``) cannot
+deadlock.  Shards whose worker died are retried in a fresh round on another
+replica.
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ from __future__ import annotations
 import logging
 import pickle
 import threading
-from concurrent.futures import BrokenExecutor, Future
 from pathlib import Path
 
 from repro.errors import RecoveryError, ServingError
@@ -34,7 +43,7 @@ from repro.obs.log import event as log_event
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry, merge_snapshots
 from repro.serving.executors import ShardExecutor
-from repro.serving.runtime import RESIDENCY_MODES, ResidentWorker
+from repro.serving.runtime import RESIDENCY_MODES, ResidentWorker, WorkerDiedError
 from repro.serving.shm import ShmArraySet
 
 _log = get_logger("serving.routing")
@@ -84,7 +93,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
             load-balancing headroom at the cost of ``R`` resident copies.
         warm: ping every worker at construction so a bad bundle raises its
             typed error immediately (and shard loading provably happens at
-            pool init, not on the first live batch).
+            boot, not on the first live batch).
         mutable: boot the workers from mutable per-shard bundles
             (:mod:`repro.updates`); :meth:`apply_ops` then broadcasts
             mutation payloads to every live replica of the owning shard.
@@ -97,11 +106,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
             share one physical copy of its trained arrays.  Zero-copy modes
             require an immutable deployment: mutable shards replay WAL tails
             and mutate state in place, which cannot alias a shared mapping.
-        piggyback_metrics: workers attach a metrics-registry snapshot to
-            every search/apply reply, keeping the coordinator's
-            :meth:`worker_metrics` aggregate fresh without extra round
-            trips; the explicit :meth:`collect_metrics` op works either
-            way.
 
     Attributes:
         last_batch_payload_bytes: summed pickled size of the last fan-out's
@@ -127,7 +131,6 @@ class ResidentProcessShardExecutor(ShardExecutor):
         warm: bool = True,
         mutable: bool = False,
         residency: str = "copy",
-        piggyback_metrics: bool = True,
     ) -> None:
         if num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
@@ -142,14 +145,16 @@ class ResidentProcessShardExecutor(ShardExecutor):
             )
         self.bundle_path = Path(bundle_path)
         if num_shards is None:
-            num_shards = self._read_num_shards(self.bundle_path)
+            from repro.serving.persistence import read_manifest
+            from repro.serving.shard import SHARDED_KIND
+
+            num_shards = int(read_manifest(self.bundle_path, SHARDED_KIND)["num_shards"])
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         self.num_shards = int(num_shards)
         self.num_replicas = int(num_replicas)
         self.mutable = bool(mutable)
         self.residency = str(residency)
-        self.piggyback_metrics = bool(piggyback_metrics)
         self.last_batch_payload_bytes = 0
         self.retried_batches = 0
         self.ops_broadcast = 0
@@ -189,7 +194,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
                 self.warm()
         except BaseException:
             # A failed boot (bad bundle, dead interpreter) must not leak the
-            # worker pools already spawned for earlier shards/replicas, nor
+            # worker processes already spawned for earlier shards/replicas, nor
             # the shared-memory segments already materialised.
             self.close()
             raise
@@ -228,11 +233,10 @@ class ResidentProcessShardExecutor(ShardExecutor):
             shm_descriptors=(
                 {shard_id: shm_set.descriptors} if shm_set is not None else None
             ),
-            piggyback_metrics=self.piggyback_metrics,
         )
 
     def boot_payload_bytes(self) -> int:
-        """Summed pickled initargs of every configured worker.
+        """Summed pickled boot arguments of every configured worker.
 
         The boot-time IPC observable, the counterpart of
         :attr:`last_batch_payload_bytes`: with zero-copy residency the
@@ -257,46 +261,90 @@ class ResidentProcessShardExecutor(ShardExecutor):
         """``(shard_id, replica_id) -> pid`` of every live worker process.
 
         Used by the boot-residency benchmark to probe per-worker RSS from
-        ``/proc``; workers that have not spawned a process yet (never
-        pinged) are omitted.
+        ``/proc``.
         """
-        pids = {}
-        for replica_set in self._replica_sets:
-            for worker in replica_set.alive():
-                for pid in worker.pids():
-                    pids[(replica_set.shard_id, worker.replica_id)] = pid
-        return pids
+        return {
+            (worker.shard_ids[0], worker.replica_id): pid
+            for worker in self._alive_workers()
+            for pid in worker.pids()
+        }
 
-    @staticmethod
-    def _read_num_shards(bundle_path: Path) -> int:
-        from repro.serving.persistence import read_manifest
-        from repro.serving.shard import SHARDED_KIND
+    def _alive_workers(self) -> list[ResidentWorker]:
+        """Every live worker, in ``(shard, replica)`` order."""
+        return [worker for replica_set in self._replica_sets for worker in replica_set.alive()]
 
-        return int(read_manifest(bundle_path, SHARDED_KIND)["num_shards"])
+    def _round(self, calls: list) -> dict:
+        """Send every ``(worker, task, args)`` call, then read every reply.
+
+        ``calls`` must be in ``(shard, replica)`` order, the one order in
+        which every thread takes worker locks; each lock is released as its
+        reply is read, so rounds cannot deadlock.  Returns ``{worker:
+        value}`` for the workers that answered -- a worker that died is
+        closed and left out -- and raises the first worker-side exception
+        once every reply has been read.
+        """
+        sent = [worker.send(task, *args) for worker, task, args in calls]
+        replies, error = {}, None
+        for worker in sent:
+            try:
+                replies[worker] = worker.result()
+            except WorkerDiedError:
+                pass
+            except BaseException as exc:  # noqa: BLE001 - raised after the round
+                error = error or exc
+        if error is not None:
+            raise error
+        return replies
+
+    def _call_or_die(self, shard_id: int, worker: ResidentWorker, task: str, args: tuple):
+        """The round call for one worker, or its crash when one was injected."""
+        for key in ((shard_id, worker.replica_id), (shard_id, -1)):
+            if key in self._injected_failures:
+                self._injected_failures.discard(key)
+                return worker, "die", ()
+        return worker, task, args
 
     # ---------------------------------------------------------------- lifecycle
     def warm(self) -> None:
         """Boot every worker and verify its shard loaded (fail fast).
 
-        All readiness probes are submitted before any is awaited, so the
-        worker processes spawn and load their shard bundles concurrently --
-        startup costs one bundle load, not ``num_shards * num_replicas``.
+        The worker processes boot concurrently and one round pings them all,
+        so startup costs one bundle load, not ``num_shards * num_replicas``.
         """
-        probes = [
-            (worker, worker.submit_ping())
-            for replica_set in self._replica_sets
-            for worker in replica_set.alive()
-        ]
-        for worker, probe in probes:
-            loaded = probe.result()
-            if list(worker.shard_ids) != loaded:  # pragma: no cover - defensive
+        workers = self._alive_workers()
+        replies = self._round([(worker, "ping", ()) for worker in workers])
+        for worker in workers:
+            if replies.get(worker) != list(worker.shard_ids):
                 raise WorkerFailoverError(
-                    f"worker for shard {worker.shard_ids} reports shards {loaded}"
+                    f"worker for shard {worker.shard_ids} died or reports "
+                    f"shards {replies.get(worker)} at boot"
                 )
 
     def alive_replicas(self, shard_id: int) -> list[int]:
         """Replica ids currently able to serve ``shard_id`` (diagnostics)."""
         return [w.replica_id for w in self._replica_sets[shard_id].alive()]
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("ResidentProcessShardExecutor is closed")
+
+    def _replicas(self, shard_id: int) -> _ReplicaSet:
+        """One shard's replica set; refuses a closed executor or an unknown shard."""
+        self._check_open()
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
+        return self._replica_sets[shard_id]
+
+    def _slot(self, shard_id: int, replica_id: int) -> int:
+        """Index of one replica in its shard's worker list."""
+        workers = self._replicas(shard_id).workers
+        for slot, worker in enumerate(workers):
+            if worker.replica_id == replica_id:
+                return slot
+        raise ValueError(
+            f"shard {shard_id} has no replica {replica_id} "
+            f"(configured: {[w.replica_id for w in workers]})"
+        )
 
     def close(self) -> None:
         """Shut every worker down and unlink owned shared memory (idempotent)."""
@@ -321,35 +369,21 @@ class ResidentProcessShardExecutor(ShardExecutor):
         (bit-identically) on a surviving replica.  ``replica_id=None``
         poisons whichever replica the router picks next.
         """
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
+        self._replicas(shard_id)
         self._injected_failures.add((int(shard_id), -1 if replica_id is None else int(replica_id)))
 
-    def _pop_injected_failure(self, shard_id: int, replica_id: int) -> bool:
-        for key in ((shard_id, replica_id), (shard_id, -1)):
-            if key in self._injected_failures:
-                self._injected_failures.discard(key)
-                return True
-        return False
-
     # ----------------------------------------------------------------- fan-out
-    def map(self, fn, payloads):
-        raise NotImplementedError(
-            "ResidentProcessShardExecutor routes (shard_id, queries) payloads to "
-            "resident workers; use search_shards() (the ShardedJunoIndex router "
-            "does) instead of the generic map() interface"
-        )
-
     def search_shards(self, shards, queries, k: int, params: dict) -> list:
         """Fan one query batch out to every shard's resident workers.
 
         ``shards`` is accepted for interface compatibility but only its
         length is used -- the shard state lives in the workers.  Payloads are
         query-only; their summed pickled size is recorded in
-        :attr:`last_batch_payload_bytes`.
+        :attr:`last_batch_payload_bytes`.  Each round sends every pending
+        shard to one live replica; shards whose worker died are retired and
+        retried in the next round on another replica.
         """
-        if self._closed:
-            raise RuntimeError("ResidentProcessShardExecutor is closed")
+        self._check_open()
         if len(shards) != self.num_shards:
             raise ValueError(
                 f"router has {len(shards)} shards but the resident runtime was "
@@ -361,49 +395,34 @@ class ResidentProcessShardExecutor(ShardExecutor):
         self.last_batch_payload_bytes = self.num_shards * len(
             pickle.dumps((0, queries, k, params))
         )
-        inflight: list[tuple[ResidentWorker, Future, set[int]]] = []
-        for shard_id in range(self.num_shards):
-            inflight.append(self._dispatch(shard_id, queries, k, params))
-        results = []
-        for shard_id, (worker, future, exclude) in enumerate(inflight):
-            results.append(self._collect(shard_id, worker, future, exclude, queries, k, params))
-        return results
+        results: dict[int, object] = {}
+        excluded: dict[int, set[int]] = {shard_id: set() for shard_id in range(self.num_shards)}
+        pending = list(range(self.num_shards))
+        while pending:
+            targets = [
+                (shard_id, self._replica_sets[shard_id].pick(excluded[shard_id]))
+                for shard_id in pending
+            ]
+            replies = self._round(
+                [
+                    self._call_or_die(shard_id, worker, "search", (shard_id, queries, k, params))
+                    for shard_id, worker in targets
+                ]
+            )
+            pending = []
+            for shard_id, worker in targets:
+                if worker in replies:
+                    result = replies[worker]
+                    self._ingest_worker_metrics(shard_id, result.extra.pop("worker_metrics"))
+                    results[shard_id] = result
+                else:
+                    self._retire(worker)
+                    excluded[shard_id].add(worker.replica_id)
+                    pending.append(shard_id)
+        return [results[shard_id] for shard_id in range(self.num_shards)]
 
-    def _dispatch(
-        self,
-        shard_id: int,
-        queries,
-        k: int,
-        params: dict,
-        exclude: set[int] | None = None,
-    ) -> tuple[ResidentWorker, Future, set[int]]:
-        """Submit one shard's batch to the chosen live replica.
-
-        Submission itself can observe a broken pool (the worker died between
-        batches, or an injected crash was detected before the submit went
-        through); those replicas are marked dead and the batch moves on to
-        the next one, so callers only ever see a queued future.
-        """
-        exclude = set(exclude or ())
-        while True:
-            worker = self._replica_sets[shard_id].pick(exclude)
-            if self._pop_injected_failure(shard_id, worker.replica_id):
-                # Crash the worker under a live batch; depending on how fast
-                # the pool notices, the search fails either at submit time or
-                # through its future -- both take the failover path below.
-                try:
-                    worker.submit_die()
-                except BrokenExecutor:  # pragma: no cover - already gone
-                    pass
-            try:
-                return worker, worker.submit_search(shard_id, queries, k, params), exclude
-            except BrokenExecutor:
-                self._retire(worker, exclude)
-
-    def _retire(self, worker: ResidentWorker, exclude: set[int]) -> None:
-        worker.mark_dead()
-        worker.close()
-        exclude.add(worker.replica_id)
+    def _retire(self, worker: ResidentWorker) -> None:
+        """Count and log a batch re-routed away from a dead worker."""
         self.retried_batches += 1
         get_registry().counter("repro_failover_retries_total").inc()
         log_event(
@@ -414,30 +433,8 @@ class ResidentProcessShardExecutor(ShardExecutor):
             replica=worker.replica_id,
         )
 
-    def _collect(
-        self,
-        shard_id: int,
-        worker: ResidentWorker,
-        future: Future,
-        exclude: set[int],
-        queries,
-        k,
-        params,
-    ):
-        """Await one shard's result, failing over across replicas on death."""
-        while True:
-            try:
-                result = future.result()
-                self._ingest_worker_metrics(shard_id, result.extra.pop("worker_metrics", None))
-                return result
-            except BrokenExecutor:
-                self._retire(worker, exclude)
-                worker, future, exclude = self._dispatch(
-                    shard_id, queries, k, params, exclude=exclude
-                )
-
     # ----------------------------------------------------------- observability
-    def _ingest_worker_metrics(self, shard_id: int, payload: "dict | None") -> None:
+    def _ingest_worker_metrics(self, shard_id: int, payload: dict) -> None:
         """Store one worker incarnation's registry snapshot (latest wins).
 
         Snapshots are cumulative per process, so replacing the previous one
@@ -445,9 +442,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
         monotonic; a respawned replica's fresh pid opens a new key instead
         of overwriting the dead incarnation's final counts.
         """
-        if not isinstance(payload, dict) or "snapshot" not in payload:
-            return
-        key = (int(shard_id), int(payload.get("replica_id", -1)), int(payload.get("pid", -1)))
+        key = (int(shard_id), int(payload["replica_id"]), int(payload["pid"]))
         with self._metrics_lock:
             self._worker_snapshots[key] = payload["snapshot"]
 
@@ -466,28 +461,16 @@ class ResidentProcessShardExecutor(ShardExecutor):
         """Explicitly snapshot every live worker, then return the merged view.
 
         The pull half of cross-process aggregation (the push half is the
-        piggybacked snapshot on task replies): one metrics task per live
-        worker, all submitted before any is awaited.  Workers found dead
-        under the probe are retired exactly like a failed search.  The
-        returned dict merges every incarnation ever seen -- dead replicas'
-        final snapshots included -- so totals never move backwards.
+        piggybacked snapshot on task replies): one round of metrics
+        requests to every live worker.  Workers found dead under the probe
+        are closed and skipped.  The returned dict merges every incarnation
+        ever seen -- dead replicas' final snapshots included -- so totals
+        never move backwards.
         """
-        if self._closed:
-            raise RuntimeError("ResidentProcessShardExecutor is closed")
-        probes = []
-        for replica_set in self._replica_sets:
-            for worker in replica_set.alive():
-                try:
-                    probes.append((replica_set.shard_id, worker, worker.submit_metrics()))
-                except BrokenExecutor:
-                    worker.mark_dead()
-                    worker.close()
-        for shard_id, worker, probe in probes:
-            try:
-                self._ingest_worker_metrics(shard_id, probe.result())
-            except BrokenExecutor:
-                worker.mark_dead()
-                worker.close()
+        self._check_open()
+        replies = self._round([(worker, "metrics", ()) for worker in self._alive_workers()])
+        for worker, payload in replies.items():
+            self._ingest_worker_metrics(worker.shard_ids[0], payload)
         return self.worker_metrics()
 
     # ---------------------------------------------------------------- mutation
@@ -498,8 +481,8 @@ class ResidentProcessShardExecutor(ShardExecutor):
         ops are deterministic, so replicas that applied the same stream hold
         bit-identical state), is retained in :meth:`op_log` for diagnostics
         and future replica respawn, and follows the same failover semantics
-        as queries -- a replica whose pool breaks mid-apply is retired, and
-        the op succeeds as long as at least one replica applied it.
+        as queries -- a replica that dies mid-apply is retired, and the op
+        succeeds as long as at least one replica applied it.
 
         Returns the last surviving replica's report (``live`` point count,
         ``ops_applied``, buffer sizes and pending maintenance).
@@ -511,10 +494,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
         ops in one global order (op order is what makes replicas
         bit-identical).
         """
-        if self._closed:
-            raise RuntimeError("ResidentProcessShardExecutor is closed")
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
+        replica_set = self._replicas(shard_id)
         if not self.mutable:
             raise RuntimeError(
                 "this resident deployment was booted from an immutable bundle; "
@@ -522,29 +502,19 @@ class ResidentProcessShardExecutor(ShardExecutor):
             )
         ops = list(ops)
         with self._apply_lock:
-            replica_set = self._replica_sets[shard_id]
-            submitted: list[tuple[ResidentWorker, Future]] = []
-            for worker in replica_set.alive():
-                if self._pop_injected_failure(shard_id, worker.replica_id):
-                    try:
-                        worker.submit_die()
-                    except BrokenExecutor:  # pragma: no cover - already gone
-                        pass
-                try:
-                    submitted.append((worker, worker.submit_apply(shard_id, ops)))
-                except BrokenExecutor:
-                    worker.mark_dead()
-                    worker.close()
+            workers = replica_set.alive()
+            replies = self._round(
+                [
+                    self._call_or_die(shard_id, worker, "apply", (shard_id, ops))
+                    for worker in workers
+                ]
+            )
             report = None
-            for worker, future in submitted:
-                try:
-                    report = future.result()
-                    self._ingest_worker_metrics(
-                        shard_id, report.pop("worker_metrics", None)
-                    )
-                except BrokenExecutor:
-                    worker.mark_dead()
-                    worker.close()
+            for worker in workers:
+                if worker in replies:
+                    report = replies[worker]
+                    self._ingest_worker_metrics(shard_id, report.pop("worker_metrics"))
+                else:
                     log_event(
                         _log,
                         logging.WARNING,
@@ -580,7 +550,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
         """``(shard_id, replica_id)`` of every replica known to be dead.
 
         "Known" means a batch, broadcast or probe already observed the
-        broken pool; a worker that died while idle is only discovered by
+        death; a worker that died while idle is only discovered by
         :meth:`probe_replicas` (or the next batch that reaches it).
         """
         return [
@@ -594,33 +564,22 @@ class ResidentProcessShardExecutor(ShardExecutor):
         """Ping every allegedly-alive worker; returns the newly dead ones.
 
         The active half of failure detection: a worker that crashed between
-        batches holds no in-flight future to fail, so nothing marks it dead
-        until traffic (or this probe) touches its pool.  All probes are
-        submitted before any is awaited, so a sweep costs one round trip.
+        batches has no request outstanding, so nothing marks it dead until
+        traffic (or this probe) reaches it.  One round pings every worker,
+        so a sweep costs one round trip.
         """
-        probes: list[tuple[_ReplicaSet, ResidentWorker, Future | None]] = []
-        for replica_set in self._replica_sets:
-            for worker in replica_set.alive():
-                try:
-                    probes.append((replica_set, worker, worker.submit_ping()))
-                except BrokenExecutor:
-                    probes.append((replica_set, worker, None))
+        workers = self._alive_workers()
+        replies = self._round([(worker, "ping", ()) for worker in workers])
         newly_dead = []
-        for replica_set, worker, probe in probes:
-            if probe is not None:
-                try:
-                    probe.result()
-                    continue
-                except BrokenExecutor:
-                    pass
-            worker.mark_dead()
-            worker.close()
-            newly_dead.append((replica_set.shard_id, worker.replica_id))
+        for worker in workers:
+            if worker in replies:
+                continue
+            newly_dead.append((worker.shard_ids[0], worker.replica_id))
             log_event(
                 _log,
                 logging.WARNING,
                 "replica_dead",
-                shard=replica_set.shard_id,
+                shard=worker.shard_ids[0],
                 replica=worker.replica_id,
                 detected_by="probe",
             )
@@ -641,18 +600,18 @@ class ResidentProcessShardExecutor(ShardExecutor):
         worker = self._make_worker(shard_id, replica_id)
         replayed = 0
         try:
-            worker.ping()
+            worker.call("ping")
             while replayed < self.op_watermark(shard_id):
                 pending = self._op_logs[shard_id][replayed:]
-                worker.submit_apply(shard_id, pending).result()
+                worker.call("apply", shard_id, pending)
                 replayed += len(pending)
-        except BaseException as exc:
+        except WorkerDiedError as exc:
+            raise RecoveryError(
+                f"freshly booted replica {replica_id} of shard {shard_id} "
+                f"died during op-log catch-up (after {replayed} ops)"
+            ) from exc
+        except BaseException:
             worker.close()
-            if isinstance(exc, BrokenExecutor):
-                raise RecoveryError(
-                    f"freshly booted replica {replica_id} of shard {shard_id} "
-                    f"died during op-log catch-up (after {replayed} ops)"
-                ) from exc
             raise
         return worker, replayed
 
@@ -670,20 +629,9 @@ class ResidentProcessShardExecutor(ShardExecutor):
 
         Returns ``{"shard_id", "replica_id", "ops_replayed"}``.
         """
-        if self._closed:
-            raise RuntimeError("ResidentProcessShardExecutor is closed")
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
-        replica_set = self._replica_sets[shard_id]
-        slots = [
-            slot for slot, w in enumerate(replica_set.workers) if w.replica_id == replica_id
-        ]
-        if not slots:
-            raise ValueError(
-                f"shard {shard_id} has no replica {replica_id} "
-                f"(configured: {[w.replica_id for w in replica_set.workers]})"
-            )
-        old = replica_set.workers[slots[0]]
+        slot = self._slot(shard_id, replica_id)
+        workers = self._replica_sets[shard_id].workers
+        old = workers[slot]
         if old.alive:
             raise RecoveryError(
                 f"replica {replica_id} of shard {shard_id} is still alive; "
@@ -691,7 +639,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
             )
         worker, replayed = self._boot_caught_up_worker(shard_id, replica_id)
         old.close()
-        replica_set.workers[slots[0]] = worker  # re-admitted only now
+        workers[slot] = worker  # re-admitted only now
         self.replicas_respawned += 1
         self.ops_replayed += replayed
         registry = get_registry()
@@ -719,11 +667,7 @@ class ResidentProcessShardExecutor(ShardExecutor):
         op log, and joins routing only once caught up -- the same admission
         rule as :meth:`respawn_replica`.  Returns the new replica id.
         """
-        if self._closed:
-            raise RuntimeError("ResidentProcessShardExecutor is closed")
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
-        replica_set = self._replica_sets[shard_id]
+        replica_set = self._replicas(shard_id)
         replica_id = 1 + max(
             (w.replica_id for w in replica_set.workers), default=-1
         )
@@ -747,50 +691,25 @@ class ResidentProcessShardExecutor(ShardExecutor):
         Removing the last replica of a shard -- alive or dead -- is refused:
         a shard with an empty replica set could never serve or heal again.
         """
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
-        replica_set = self._replica_sets[shard_id]
-        slots = [
-            slot for slot, w in enumerate(replica_set.workers) if w.replica_id == replica_id
-        ]
-        if not slots:
-            raise ValueError(
-                f"shard {shard_id} has no replica {replica_id} "
-                f"(configured: {[w.replica_id for w in replica_set.workers]})"
-            )
-        if len(replica_set.workers) == 1:
+        slot = self._slot(shard_id, replica_id)
+        workers = self._replica_sets[shard_id].workers
+        if len(workers) == 1:
             raise ValueError(
                 f"cannot remove the last replica of shard {shard_id}; "
                 "add a replacement first"
             )
-        worker = replica_set.workers.pop(slots[0])
-        worker.close()
+        workers.pop(slot).close()
 
     # -------------------------------------------------------------- consistency
     def replica_states(self, shard_id: int) -> dict[int, dict]:
         """State fingerprints of one shard's live replicas, by replica id.
 
-        Submits every probe before awaiting any.  Replicas that applied the
-        same op stream report equal ``digest`` values; the chaos harness
-        asserts exactly that after every recovery.  A replica whose pool
-        breaks under the probe is marked dead and omitted.
+        One round probes every live replica.  Replicas that applied the same
+        op stream report equal ``digest`` values; the chaos harness asserts
+        exactly that after every recovery.  A replica that dies under the
+        probe is closed and omitted.
         """
-        if self._closed:
-            raise RuntimeError("ResidentProcessShardExecutor is closed")
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"shard_id must be in [0, {self.num_shards})")
-        probes = []
-        for worker in self._replica_sets[shard_id].alive():
-            try:
-                probes.append((worker, worker.submit_state(shard_id)))
-            except BrokenExecutor:
-                worker.mark_dead()
-                worker.close()
-        states: dict[int, dict] = {}
-        for worker, probe in probes:
-            try:
-                states[worker.replica_id] = probe.result()
-            except BrokenExecutor:
-                worker.mark_dead()
-                worker.close()
-        return states
+        replies = self._round(
+            [(worker, "state", (shard_id,)) for worker in self._replicas(shard_id).alive()]
+        )
+        return {worker.replica_id: state for worker, state in replies.items()}

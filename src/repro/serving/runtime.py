@@ -1,14 +1,22 @@
 """Worker-resident shard runtime: what runs *inside* a serving worker process.
 
-The original process-pool fan-out re-pickled every trained shard into the
-pool on every batch, so per-batch IPC grew with the corpus instead of the
-query batch.  This module is the worker half of the resident architecture
-(the Megatron-style "workers own their model state for a process lifetime"
-shape): a pool worker is booted with an initializer that loads its assigned
-shard(s) from persisted per-shard bundles exactly once, keeps them in
-process-global state, and from then on receives only
-``(shard_id, queries, k, params)`` payloads.  Shard bytes cross the process
-boundary at pool init (via the filesystem), never per batch.
+A fan-out that pickles every trained shard into a process on every batch
+makes per-batch IPC grow with the corpus instead of the query batch.  This
+module is the worker half of the resident architecture (the Megatron-style
+"workers own their model state for a process lifetime" shape): each
+:class:`ResidentWorker` is one :class:`multiprocessing.Process` running
+:func:`serve`, which loads the assigned shard(s) from persisted per-shard
+bundles exactly once and then answers requests over one duplex
+:func:`multiprocessing.Pipe` until told to stop.  A request is
+``(task, args)`` -- e.g. ``("search", (shard_id, queries, k, params))`` --
+and a reply is ``(True, value)`` or ``(False, exception)``.  Shard bytes
+cross the process boundary at boot (via the filesystem), never per batch.
+
+The worker's state is the loop's locals: the booted shards, its replica id,
+the attached shared-memory sets and a boot error that answers every request
+with its type.  On the coordinator a reply that never comes -- EOF, a broken
+pipe or the process sentinel firing -- is a :class:`WorkerDiedError`; any
+other exception is the worker's own, re-raised with its type.
 
 Layering: this module knows nothing about replicas or batching.  Replica
 assignment, load balancing and failover live in :mod:`repro.serving.routing`;
@@ -18,14 +26,15 @@ the batching front-ends live in :mod:`repro.serving.scheduler` /
 
 from __future__ import annotations
 
-import hashlib
+import multiprocessing
 import os
 import pickle
-from concurrent.futures import Future, ProcessPoolExecutor
+import threading
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
+from repro.errors import ServingError
 
 #: Residency modes of a worker's shard arrays: ``"copy"`` gives every worker
 #: a private copy (the original behaviour), ``"mmap"`` maps the bundle's
@@ -34,51 +43,34 @@ import numpy as np
 #: modes let N co-resident workers share one physical copy.
 RESIDENCY_MODES = ("copy", "mmap", "shm")
 
-#: Process-global state of a resident worker, populated by
-#: :func:`resident_worker_init` when the pool boots the process.  Maps
-#: ``shard_id -> JunoIndex`` (or its mutable wrapper); the ``"__error__"`` key
-#: holds an initializer failure so tasks can re-raise it as a typed error
-#: instead of breaking the pool, and ``"__shm__"`` retains the attached
-#: :class:`~repro.serving.shm.ShmArraySet` objects so their views stay valid
-#: for the worker's lifetime.
-_RESIDENT_SHARDS: dict = {}
+
+class WorkerDiedError(ServingError):
+    """A resident worker process died before answering a request."""
 
 
-def resident_worker_init(
+def boot_shards(
     bundle_path: str,
     shard_ids: Sequence[int],
     mutable: bool = False,
     residency: str = "copy",
     shm_descriptors: dict | None = None,
-    replica_id: int = 0,
-    piggyback_metrics: bool = True,
-) -> None:
-    """Pool initializer: make the assigned shards resident, once.
+) -> tuple[dict, list]:
+    """Make the assigned shards resident; returns ``(shards, shm_sets)``.
 
-    Runs inside the freshly started worker process.  Each shard is restored
-    from its per-shard bundle (written by
+    Each shard is restored from its per-shard bundle (written by
     :meth:`repro.serving.shard.ShardedJunoIndex.save`).  ``mutable`` boots
     the shard as a :class:`~repro.updates.mutable.MutableJunoIndex` (from a
-    mutable bundle), so the worker can apply replicated op payloads
-    (:func:`resident_apply_task`) in addition to serving queries.
+    mutable bundle), so the worker can apply replicated op payloads in
+    addition to serving queries.
 
     ``residency`` picks how the trained arrays become resident: ``"copy"``
     reads private copies from the bundle, ``"mmap"`` maps the bundle's
     ``npy``-layout arrays read-only, and ``"shm"`` attaches the
     shared-memory segments whose descriptors arrive in ``shm_descriptors``
     (``{shard_id: {name: ShmArrayDescriptor}}``) -- the arrays themselves
-    never cross the process boundary.
-
-    ``replica_id`` identifies which replica of its shards this worker is;
-    it is stamped (with the pid) into the worker's metrics snapshots and
-    trace spans so coordinator-side aggregation can key per-incarnation
-    data.  ``piggyback_metrics=False`` stops search/apply replies from
-    carrying registry snapshots (the explicit metrics task still works).
-
-    A failing load is *recorded* rather than raised: an initializer exception
-    would break the whole pool with an untyped
-    :class:`~concurrent.futures.process.BrokenProcessPool`; instead every
-    subsequent task re-raises the stored (typed) error.
+    never cross the process boundary.  The returned
+    :class:`~repro.serving.shm.ShmArraySet` objects must be kept alive for
+    as long as the shards are served, or their views go stale.
     """
     from repro.serving.persistence import (
         index_from_arrays,
@@ -87,60 +79,45 @@ def resident_worker_init(
         read_manifest,
         shard_bundle_path,
     )
-    from repro.obs.metrics import set_registry
     from repro.serving.shm import ShmArraySet
 
-    # A forked worker inherits the coordinator's registry and its counts;
-    # its snapshots must count this process's work alone.
-    set_registry(None)
-    _RESIDENT_SHARDS.clear()
-    _RESIDENT_SHARDS["__meta__"] = {
-        "replica_id": int(replica_id),
-        "piggyback_metrics": bool(piggyback_metrics),
-    }
-    try:
-        if residency not in RESIDENCY_MODES:
-            raise ValueError(f"residency must be one of {RESIDENCY_MODES}")
-        root = Path(bundle_path)
-        attached: dict[int, ShmArraySet] = {}
-        for shard_id in shard_ids:
-            shard_path = shard_bundle_path(root, shard_id)
-            if mutable:
-                # Mutable bundles replay WAL tails and mutate state in
-                # place; zero-copy residency is validated away upstream.
-                index = load_mutable_index(shard_path)
-            elif residency == "shm":
-                descriptors = (shm_descriptors or {}).get(int(shard_id))
-                if descriptors is None:
-                    raise ValueError(
-                        f"shm residency for shard {shard_id} needs its "
-                        "shared-memory descriptors"
-                    )
-                shm = ShmArraySet.attach(descriptors)
-                attached[int(shard_id)] = shm
-                index = index_from_arrays(
-                    read_manifest(shard_path, "juno-index"), shm.arrays()
+    if residency not in RESIDENCY_MODES:
+        raise ValueError(f"residency must be one of {RESIDENCY_MODES}")
+    root = Path(bundle_path)
+    shards: dict[int, object] = {}
+    attached: list[ShmArraySet] = []
+    for shard_id in shard_ids:
+        shard_path = shard_bundle_path(root, shard_id)
+        if mutable:
+            # Mutable bundles replay WAL tails and mutate state in
+            # place; zero-copy residency is validated away upstream.
+            index = load_mutable_index(shard_path)
+        elif residency == "shm":
+            descriptors = (shm_descriptors or {}).get(int(shard_id))
+            if descriptors is None:
+                raise ValueError(
+                    f"shm residency for shard {shard_id} needs its "
+                    "shared-memory descriptors"
                 )
-            else:
-                index = load_index(shard_path, mmap=residency == "mmap")
-            _RESIDENT_SHARDS[int(shard_id)] = index
-        if attached:
-            _RESIDENT_SHARDS["__shm__"] = attached
-    except Exception as exc:  # noqa: BLE001 - re-raised typed by every task
-        _RESIDENT_SHARDS["__error__"] = exc
+            shm = ShmArraySet.attach(descriptors)
+            attached.append(shm)
+            index = index_from_arrays(read_manifest(shard_path, "juno-index"), shm.arrays())
+        else:
+            index = load_index(shard_path, mmap=residency == "mmap")
+        shards[int(shard_id)] = index
+    return shards, attached
 
 
-def _check_worker_ready() -> None:
-    error = _RESIDENT_SHARDS.get("__error__")
-    if error is not None:
-        raise error
+def _resident_shard(shards: dict, shard_id: int):
+    try:
+        return shards[int(shard_id)]
+    except KeyError:
+        raise RuntimeError(
+            f"shard {shard_id} is not resident in this worker (resident: {sorted(shards)})"
+        ) from None
 
 
-def _worker_meta() -> dict:
-    return _RESIDENT_SHARDS.get("__meta__", {})
-
-
-def _worker_metrics_payload() -> dict:
+def _metrics(shards: dict, replica_id: int) -> dict:
     """This worker's registry snapshot, keyed by its incarnation identity.
 
     The ``(replica_id, pid)`` pair is the aggregation key at the
@@ -152,53 +129,32 @@ def _worker_metrics_payload() -> dict:
 
     return {
         "pid": os.getpid(),
-        "replica_id": int(_worker_meta().get("replica_id", -1)),
+        "replica_id": int(replica_id),
         "snapshot": get_registry().snapshot(),
     }
 
 
-def resident_metrics_task() -> dict:
-    """Report this worker's registry snapshot (explicit collection op)."""
-    _check_worker_ready()
-    return _worker_metrics_payload()
+def _ping(shards: dict, replica_id: int) -> list[int]:
+    """The shard ids resident in this worker (readiness probe)."""
+    return sorted(shards)
 
 
-def resident_ping_task() -> list[int]:
-    """Report the shard ids resident in this worker (readiness probe).
-
-    The routing layer submits this right after constructing a worker so a
-    bad bundle fails fast with the initializer's typed error instead of
-    surfacing on the first live batch -- and so the shard bundles are
-    demonstrably loaded *before* any query payload is shipped.
-    """
-    _check_worker_ready()
-    return sorted(sid for sid in _RESIDENT_SHARDS if isinstance(sid, int))
-
-
-def resident_search_task(shard_id: int, queries, k: int, params: dict):
+def _search(shards: dict, replica_id: int, shard_id: int, queries, k: int, params: dict):
     """Run one shard's search against worker-resident state.
 
     The payload carries only the query batch and search knobs; the shard
     itself already lives in this process.  An explicit
-    ``params["pipeline"]`` (shipped pickled, like the non-resident executors)
-    overrides the index's default pipeline.
+    ``params["pipeline"]`` (shipped pickled) overrides the index's default
+    pipeline.
 
     A propagated ``params["trace"]`` context is rebuilt into a worker-side
     :class:`~repro.obs.trace.Trace`: the whole call is wrapped in a
     ``shard_search`` span (tagged shard/replica/pid) whose children are the
     pipeline's stage spans, and the finished spans ride back to the
-    coordinator in ``result.extra["trace"]``.  Unless disabled at boot, a
-    registry snapshot piggybacks on the reply as
-    ``result.extra["worker_metrics"]``.
+    coordinator in ``result.extra["trace"]``.  A registry snapshot
+    piggybacks on every reply as ``result.extra["worker_metrics"]``.
     """
-    _check_worker_ready()
-    try:
-        index = _RESIDENT_SHARDS[int(shard_id)]
-    except KeyError:
-        raise RuntimeError(
-            f"shard {shard_id} is not resident in this worker "
-            f"(resident: {sorted(s for s in _RESIDENT_SHARDS if isinstance(s, int))})"
-        ) from None
+    index = _resident_shard(shards, shard_id)
     params = dict(params)
     trace_ctx = params.pop("trace", None)
     if trace_ctx is not None:
@@ -208,7 +164,7 @@ def resident_search_task(shard_id: int, queries, k: int, params: dict):
         with worker_trace.span(
             "shard_search",
             shard=int(shard_id),
-            replica=int(_worker_meta().get("replica_id", -1)),
+            replica=int(replica_id),
             pid=os.getpid(),
         ):
             result = index.search(queries, k, trace=worker_trace, **params)
@@ -216,12 +172,11 @@ def resident_search_task(shard_id: int, queries, k: int, params: dict):
         result.extra["trace"] = worker_trace.to_dict()
     else:
         result = index.search(queries, k, **params)
-    if _worker_meta().get("piggyback_metrics", True):
-        result.extra["worker_metrics"] = _worker_metrics_payload()
+    result.extra["worker_metrics"] = _metrics(shards, replica_id)
     return result
 
 
-def resident_apply_task(shard_id: int, ops: Sequence[dict]) -> dict:
+def _apply(shards: dict, replica_id: int, shard_id: int, ops: Sequence[dict]) -> dict:
     """Apply replicated mutation payloads to a worker-resident mutable shard.
 
     ``ops`` is a list of op records shaped like WAL records --
@@ -232,14 +187,7 @@ def resident_apply_task(shard_id: int, ops: Sequence[dict]) -> dict:
     ops are deterministic; this is what keeps replicas consistent).  Returns
     a small report the routing layer uses for bookkeeping.
     """
-    _check_worker_ready()
-    try:
-        index = _RESIDENT_SHARDS[int(shard_id)]
-    except KeyError:
-        raise RuntimeError(
-            f"shard {shard_id} is not resident in this worker "
-            f"(resident: {sorted(s for s in _RESIDENT_SHARDS if isinstance(s, int))})"
-        ) from None
+    index = _resident_shard(shards, shard_id)
     if not callable(getattr(index, "upsert", None)):
         raise RuntimeError(
             f"shard {shard_id} is resident but immutable; save a mutable "
@@ -258,7 +206,7 @@ def resident_apply_task(shard_id: int, ops: Sequence[dict]) -> dict:
             index.retrain()
         else:
             raise ValueError(f"unknown mutable-index op {kind!r}")
-    report = {
+    return {
         "shard_id": int(shard_id),
         "ops_applied": int(index.ops_applied),
         "live": int(index.num_points),
@@ -270,10 +218,8 @@ def resident_apply_task(shard_id: int, ops: Sequence[dict]) -> dict:
         # measurement without an extra round trip per shard.
         "delta": int(len(index.delta)),
         "tombstones": int(len(index.tombstones)),
+        "worker_metrics": _metrics(shards, replica_id),
     }
-    if _worker_meta().get("piggyback_metrics", True):
-        report["worker_metrics"] = _worker_metrics_payload()
-    return report
 
 
 def _state_digest(index) -> str:
@@ -285,24 +231,17 @@ def _state_digest(index) -> str:
     trained arrays here.  Replicas of one shard that applied the same op
     stream -- or none -- must produce identical digests.
     """
+    from repro.updates.mutable import digest_arrays
+
     own = getattr(index, "state_digest", None)
     if callable(own):
         return own()
-    digest = hashlib.blake2b(digest_size=16)
-    for name, array in (
-        ("codes", index.codes),
-        ("labels", index.ivf.labels),
-        ("centroids", index.ivf.centroids),
-    ):
-        array = np.ascontiguousarray(np.asarray(array))
-        digest.update(name.encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+    return digest_arrays(
+        (("codes", index.codes), ("labels", index.ivf.labels), ("centroids", index.ivf.centroids))
+    )
 
 
-def resident_state_task(shard_id: int) -> dict:
+def _state(shards: dict, replica_id: int, shard_id: int) -> dict:
     """Report one resident shard's state fingerprint (consistency probe).
 
     The recovery layer compares these across a shard's replicas: equal
@@ -311,14 +250,7 @@ def resident_state_task(shard_id: int) -> dict:
     shards additionally report their applied-op count, buffer sizes and
     pending maintenance.
     """
-    _check_worker_ready()
-    try:
-        index = _RESIDENT_SHARDS[int(shard_id)]
-    except KeyError:
-        raise RuntimeError(
-            f"shard {shard_id} is not resident in this worker "
-            f"(resident: {sorted(s for s in _RESIDENT_SHARDS if isinstance(s, int))})"
-        ) from None
+    index = _resident_shard(shards, shard_id)
     report = {
         "shard_id": int(shard_id),
         "digest": _state_digest(index),
@@ -332,23 +264,80 @@ def resident_state_task(shard_id: int) -> dict:
     return report
 
 
-def resident_die_task() -> None:
-    """Kill the worker process without cleanup (failure injection).
-
-    Exists so tests (and chaos drills) can simulate a worker crash: the
-    worker exits hard mid-task, the owning pool breaks, and the routing
-    layer must fail the batch over to a surviving replica.
-    """
+def _die(shards: dict, replica_id: int) -> None:
+    """Exit without cleanup or reply (failure injection for tests and drills)."""
     os._exit(1)
+
+
+#: The requests a worker answers, by task name: each is called as
+#: ``fn(shards, replica_id, *args)``.
+TASKS = {
+    "ping": _ping,
+    "search": _search,
+    "apply": _apply,
+    "state": _state,
+    "metrics": _metrics,
+    "die": _die,
+}
+
+
+def serve(
+    conn,
+    bundle_path: str,
+    shard_ids: Sequence[int],
+    mutable: bool = False,
+    residency: str = "copy",
+    shm_descriptors: dict | None = None,
+    replica_id: int = 0,
+) -> None:
+    """A worker's whole life: boot once, then receive -> dispatch -> send.
+
+    Loops until it receives ``None`` or the coordinator's end of ``conn``
+    closes.  A failing boot is *kept* rather than raised, and answers every
+    later request with its type, so the coordinator sees the typed error
+    instead of a dead worker.  ``replica_id`` is stamped (with the pid) into
+    the worker's metrics snapshots and trace spans so coordinator-side
+    aggregation can key per-incarnation data.
+    """
+    from repro.obs.metrics import set_registry
+
+    # A forked worker inherits the coordinator's registry and its counts;
+    # its snapshots must count this process's work alone.
+    set_registry(None)
+    shards: dict = {}
+    error = None
+    try:
+        shards, _shm_sets = boot_shards(bundle_path, shard_ids, mutable, residency, shm_descriptors)
+    except Exception as exc:  # noqa: BLE001 - answered typed to every request
+        error = exc
+    try:
+        for task, args in iter(conn.recv, None):
+            reply = (False, error)
+            if error is None:
+                try:
+                    reply = (True, TASKS[task](shards, replica_id, *args))
+                except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+                    reply = (False, exc)
+            try:
+                conn.send(reply)
+            except Exception as exc:  # noqa: BLE001 - an unpicklable value or error
+                conn.send((False, RuntimeError(f"{task} reply could not be sent: {exc!r}")))
+    except EOFError:
+        pass  # the coordinator is gone
 
 
 class ResidentWorker:
     """One worker process owning one replica of one (or more) shard(s).
 
-    A thin handle over a single-process :class:`ProcessPoolExecutor` whose
-    initializer loads ``shard_ids`` from ``bundle_path``.  The handle tracks
-    liveness: once the underlying pool breaks (worker death), the routing
-    layer marks the replica dead and stops scheduling onto it.
+    A :class:`multiprocessing.Process` running :func:`serve` over one duplex
+    pipe.  :meth:`send` writes a request and returns this worker as the
+    reply handle; :meth:`result` reads that request's reply.  The worker's
+    lock is held from the send until the reply is read, so concurrent
+    callers never read each other's replies; a caller that locks several
+    workers must take them in one global order (the routing layer uses
+    ``(shard, replica)``).  When a reply cannot come (EOF, a broken pipe or
+    the process exited) the worker is closed and :class:`WorkerDiedError`
+    is raised; ``alive`` then stays ``False``.
 
     Args:
         bundle_path: root of the sharded deployment bundle (the directory
@@ -362,11 +351,9 @@ class ResidentWorker:
         shm_descriptors: per-shard shared-memory descriptors
             (``{shard_id: {name: ShmArrayDescriptor}}``) when ``residency``
             is ``"shm"``; the coordinator owns the segments.
-        piggyback_metrics: have search/apply replies carry the worker's
-            registry snapshot (see :func:`resident_worker_init`).
 
     Attributes:
-        boot_payload_bytes: pickled size of the initializer arguments --
+        boot_payload_bytes: pickled size of the boot arguments --
             everything that crosses the process boundary to boot this
             worker.  With zero-copy residency this stays flat as the corpus
             grows (descriptors, not arrays, are shipped), which the
@@ -381,71 +368,105 @@ class ResidentWorker:
         mutable: bool = False,
         residency: str = "copy",
         shm_descriptors: dict | None = None,
-        piggyback_metrics: bool = True,
     ) -> None:
-        self.bundle_path = str(bundle_path)
         self.shard_ids = tuple(int(s) for s in shard_ids)
         self.replica_id = int(replica_id)
-        self.mutable = bool(mutable)
-        self.residency = str(residency)
-        self.piggyback_metrics = bool(piggyback_metrics)
         self.alive = True
-        initargs = (
-            self.bundle_path,
+        bootargs = (
+            str(bundle_path),
             self.shard_ids,
-            self.mutable,
-            self.residency,
+            bool(mutable),
+            str(residency),
             shm_descriptors,
             self.replica_id,
-            self.piggyback_metrics,
         )
-        self.boot_payload_bytes = len(pickle.dumps(initargs))
-        self._pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=resident_worker_init,
-            initargs=initargs,
-        )
+        self.boot_payload_bytes = len(pickle.dumps(bootargs))
+        self._lock = threading.Lock()
+        self._send_error: BaseException | None = None
+        self._conn, child = multiprocessing.Pipe()
+        self._process = multiprocessing.Process(target=serve, args=(child, *bootargs), daemon=True)
+        self._process.start()
+        child.close()
 
-    def submit_ping(self) -> Future:
-        """Queue a readiness probe (spawns the worker process if needed)."""
-        return self._pool.submit(resident_ping_task)
+    def send(self, task: str, *args) -> "ResidentWorker":
+        """Send one request; returns this worker, whose :meth:`result` reads the reply.
 
-    def ping(self) -> list[int]:
-        """Block until the worker booted; returns its resident shard ids."""
-        return self.submit_ping().result()
+        Blocks while another caller's request to this worker is unanswered.
+        Never raises: a failed send is raised by :meth:`result`, so a caller
+        that sent to several workers can always read every reply.
+        """
+        self._lock.acquire()
+        try:
+            self._conn.send((task, args))
+        except BaseException as exc:  # noqa: BLE001 - raised by result()
+            self._send_error = exc
+        return self
+
+    def result(self):
+        """Read the reply to the last :meth:`send` and release the lock.
+
+        Returns the worker's value or re-raises its exception with its
+        type; raises :class:`WorkerDiedError` when the worker died first.
+        """
+        error, self._send_error = self._send_error, None
+        try:
+            if error is not None and not isinstance(error, OSError):
+                raise error  # nothing was written, e.g. an unpicklable request
+            try:
+                if error is not None or self._conn not in wait(
+                    [self._conn, self._process.sentinel]
+                ):
+                    raise EOFError("worker process exited") from error
+                ok, value = self._conn.recv()
+            except (EOFError, OSError) as exc:
+                self._stop()
+                raise WorkerDiedError(
+                    f"worker for shards {self.shard_ids} (replica {self.replica_id}) died"
+                ) from exc
+            except BaseException:
+                # Interrupted with a reply still owed: the pipe is out of step
+                # with its requests, so this worker can serve no other caller.
+                self._process.kill()
+                self._stop()
+                raise
+        finally:
+            self._lock.release()
+        if not ok:
+            raise value
+        return value
+
+    def call(self, task: str, *args):
+        """One request and its reply (see :data:`TASKS` for the tasks)."""
+        return self.send(task, *args).result()
 
     def pids(self) -> list[int]:
-        """OS pids of the worker's spawned process(es), for RSS probes."""
-        return [proc.pid for proc in (self._pool._processes or {}).values()]
-
-    def submit_search(self, shard_id: int, queries, k: int, params: dict) -> Future:
-        """Queue one shard search on this worker (query-only payload)."""
-        return self._pool.submit(resident_search_task, shard_id, queries, k, params)
-
-    def submit_apply(self, shard_id: int, ops: Sequence[dict]) -> Future:
-        """Queue a mutation-op payload on this worker (replication path)."""
-        return self._pool.submit(resident_apply_task, shard_id, ops)
-
-    def submit_state(self, shard_id: int) -> Future:
-        """Queue a state-fingerprint probe (replica-consistency checks)."""
-        return self._pool.submit(resident_state_task, shard_id)
-
-    def submit_metrics(self) -> Future:
-        """Queue an explicit registry-snapshot collection on this worker."""
-        return self._pool.submit(resident_metrics_task)
-
-    def submit_die(self) -> Future:
-        """Queue a hard crash (failure injection); breaks the pool."""
-        return self._pool.submit(resident_die_task)
-
-    def mark_dead(self) -> None:
-        """Record that the worker process died; the pool is unusable."""
-        self.alive = False
+        """OS pid of the worker process, for RSS probes."""
+        return [self._process.pid]
 
     def close(self) -> None:
-        """Shut the worker's pool down (idempotent; safe on broken pools)."""
+        """Stop the worker process and wait for it to exit (idempotent).
+
+        Waits for an unanswered request's reply first.
+        """
         self.alive = False
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        with self._lock:
+            self._stop()
+
+    def _stop(self) -> None:
+        """Stop and reap the process; the caller holds the lock.
+
+        The stop is an explicit message: a sibling worker forked later holds
+        a copy of this pipe's coordinator end, so closing it alone would not
+        reach EOF.
+        """
+        self.alive = False
+        if not self._conn.closed:
+            try:
+                self._conn.send(None)
+            except OSError:
+                pass  # already dead
+            self._conn.close()
+        self._process.join()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "dead"

@@ -1058,8 +1058,8 @@ class ShardedJunoIndex:
         ``ServingConfig(executor="resident")`` boots the worker-resident
         runtime from the same bundle: one
         :class:`~repro.serving.routing.ResidentProcessShardExecutor` whose
-        pool workers load their shard(s) from the per-shard bundles at
-        init.  The router owns that executor and shuts it down on
+        worker processes load their shard(s) from the per-shard bundles at
+        boot.  The router owns that executor and shuts it down on
         :meth:`close`.
 
         ``load_shards`` controls whether the coordinator also materialises
@@ -1103,7 +1103,6 @@ class ShardedJunoIndex:
                 mutable=mutable,
                 warm=replicas.warm,
                 residency=replicas.residency,
-                piggyback_metrics=config.observability.piggyback_metrics,
             )
             owns_executor = True
         try:
@@ -1213,7 +1212,6 @@ class ShardedJunoIndex:
             mutable=self._mutable,
             warm=replicas.warm,
             residency=replicas.residency,
-            piggyback_metrics=config.observability.piggyback_metrics,
         )
         if self._owns_spec_executor and isinstance(self.executor_spec, ShardExecutor):
             self.executor_spec.close()

@@ -57,6 +57,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.pipeline import QueryPipeline
 
 
+def digest_arrays(named_arrays) -> str:
+    """Hex blake2b digest of ``(name, array)`` pairs: names, dtypes, shapes, bytes."""
+    digest = hashlib.blake2b(digest_size=16)
+    for name, array in named_arrays:
+        array = np.ascontiguousarray(np.asarray(array))
+        digest.update(name.encode())
+        digest.update(str(array.dtype).encode())
+        digest.update(str(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class RebuildPolicy:
     """When the mutable layer compacts, and when drift warrants retraining.
@@ -302,24 +314,19 @@ class MutableJunoIndex:
         the same op stream produce the same digest; the recovery layer uses
         this to assert a respawned replica caught up bit-identically.
         """
-        digest = hashlib.blake2b(digest_size=16)
         delta_ids, delta_vectors = self.delta.snapshot()
-        for name, array in (
-            ("codes", self.base.codes),
-            ("labels", self.base.ivf.labels),
-            ("centroids", self.base.ivf.centroids),
-            ("global_ids", self._global_ids),
-            ("vectors", self._vectors),
-            ("delta_ids", delta_ids),
-            ("delta_vectors", delta_vectors),
-            ("tombstones", self.tombstones.to_array()),
-        ):
-            array = np.ascontiguousarray(np.asarray(array))
-            digest.update(name.encode())
-            digest.update(str(array.dtype).encode())
-            digest.update(str(array.shape).encode())
-            digest.update(array.tobytes())
-        return digest.hexdigest()
+        return digest_arrays(
+            (
+                ("codes", self.base.codes),
+                ("labels", self.base.ivf.labels),
+                ("centroids", self.base.ivf.centroids),
+                ("global_ids", self._global_ids),
+                ("vectors", self._vectors),
+                ("delta_ids", delta_ids),
+                ("delta_vectors", delta_vectors),
+                ("tombstones", self.tombstones.to_array()),
+            )
+        )
 
     # --------------------------------------------------------- op application
     def _log(self, op: str, **fields) -> None:

@@ -17,6 +17,7 @@ results on both interpreters.)
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import numpy as np
@@ -46,6 +47,20 @@ def _pin_global_rngs():
     """
     np.random.seed(SUITE_SEED % (2**32))
     random.seed(SUITE_SEED)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_worker_outlives_its_module():
+    """Every child process a test module starts has exited by its teardown.
+
+    Resident serving workers are ``multiprocessing`` children that the
+    executor's ``close()`` stops and joins; one still running here leaked
+    past the deployment that owned it.
+    """
+    before = set(multiprocessing.active_children())
+    yield
+    leaked = [proc for proc in multiprocessing.active_children() if proc not in before]
+    assert not leaked, f"child processes outlived their test module: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -545,7 +545,7 @@ def aabb_intersects_ray(box: AABB, origin, direction, t_min=0.0, t_max=np.inf) -
         inv = 1.0 / d
         t0, t1 = sorted(((box.minimum[axis] - o) * inv, (box.maximum[axis] - o) * inv))
         low, high = max(low, t0), min(high, t1)
-        if low > high:
+        if not low <= high:  # a NaN bound passes no box
             return False
     return True
 

@@ -189,8 +189,13 @@ class TestObservabilityConfig:
     def test_defaults_round_trip(self):
         config = ObservabilityConfig()
         assert not config.exporter
-        assert config.piggyback_metrics
         assert ObservabilityConfig.from_dict(config.to_dict()) == config
+
+    def test_piggyback_metrics_key_is_unknown(self):
+        """Worker replies always carry their metrics snapshot; the key that
+        switched that off is rejected like any other unknown key."""
+        with pytest.raises(ValueError, match="piggyback_metrics"):
+            ObservabilityConfig.from_dict({"piggyback_metrics": False})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -41,11 +41,10 @@ NUM_REPLICAS = 2
 RT_COUNTERS = ("repro_rt_rays_total", "repro_rt_hits_total", "repro_rt_slots_total")
 
 
-def _resident(piggyback_metrics=True):
+def _resident():
     return ServingConfig(
         executor="resident",
         replicas=ReplicaPolicy(num_replicas=NUM_REPLICAS),
-        observability=ObservabilityConfig(piggyback_metrics=piggyback_metrics),
     )
 
 
@@ -138,11 +137,11 @@ class TestCrossProcessAggregation:
         assert 0.0 < hits / slots <= 1.0 and hits / slots < summed_ratios
 
     def test_collect_metrics_pulls_every_live_worker(self, corpus, bundle):
-        with ShardedJunoIndex.load(bundle, _resident(piggyback_metrics=False)) as resident:
+        with ShardedJunoIndex.load(bundle, _resident()) as resident:
             executor = resident.executor_spec
             resident.search(corpus.queries, k=5, nprobs=4)
-            # piggybacking disabled: replies carried no snapshots
-            assert executor.worker_snapshots() == {}
+            # the search reached one replica per shard; the pull reaches all
+            assert len(executor.worker_snapshots()) == NUM_SHARDS
             merged = executor.collect_metrics()
             keys = executor.worker_snapshots()
             assert len(keys) == NUM_SHARDS * NUM_REPLICAS
@@ -198,7 +197,7 @@ class TestCrossProcessAggregation:
         with ShardedJunoIndex.load(bundle) as local:
             local.search(corpus.queries, k=5, nprobs=4)
         assert _counter(registry.snapshot(), "repro_pipeline_batches_total") > 0
-        with ShardedJunoIndex.load(bundle, _resident(piggyback_metrics=False)) as resident:
+        with ShardedJunoIndex.load(bundle, _resident()) as resident:
             executor = resident.executor_spec
             executor.collect_metrics()
             snapshots = executor.worker_snapshots()

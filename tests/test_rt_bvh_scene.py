@@ -724,3 +724,17 @@ class TestCommonBoxShortcut:
             )
         else:
             assert not inside.any()
+
+    def test_nan_t_max_walks_like_the_layer_reference(self, rng):
+        """A NaN ``t_max`` passes no box: the per-ray walk rejects the root,
+        as ``reference_trace_layer`` and the tracer do."""
+        scene = make_scene(rng.uniform(-1, 1, size=(1, 20, 2)), 0.6)
+        origins = rng.uniform(-0.5, 0.5, size=(4, 2))
+        origin_z = scene.z[0] - 0.8
+        for origin, t_max in zip(origins, (np.nan, 0.5, 1.1, np.inf)):
+            hits, stats = per_ray_hits(scene, 0, origin, origin_z, t_max)
+            _, entries, _, want = reference_trace_layer(scene, 0, origin[None], t_max, origin_z)
+            assert (sorted(hits), stats) == (sorted(entries.tolist()), want)
+        assert per_ray_hits(scene, 0, origins[0], origin_z, np.nan)[1] == TraversalStats(
+            1, 1, 1, 0, 0
+        )

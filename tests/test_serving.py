@@ -307,7 +307,11 @@ class TestShardedJunoIndex:
             # the router's close() (context-manager exit) must not shut down
             # an executor the caller owns and may share with other routers
             assert shared._pool is not None
-            assert shared.map(lambda x: x + 1, [1, 2]) == [2, 3]
+            expected = sharded_juno.shards[0].search(shard_corpus.queries[:2], 5, nprobs=4)
+            (observed,) = shared.search_shards(
+                sharded_juno.shards[:1], shard_corpus.queries[:2], 5, {"nprobs": 4}
+            )
+            assert search_results_equal(expected, observed)
         finally:
             shared.close()
 

@@ -7,8 +7,12 @@ Covers the tentpole acceptance criteria of the resident refactor:
   reference, including with ``num_replicas > 1`` and an injected worker
   failure mid-sweep;
 * query-only IPC -- per-batch payload pickle size is independent of the
-  corpus size (shard bytes cross the process boundary only at pool init);
+  corpus size (shard bytes cross the process boundary only at boot);
 * in-process worker boots that search like the router, batch after batch;
+* the pipe workers: a worker-side exception is not a death, an idle worker
+  killed from outside is retired by the next batch, a search racing
+  ``apply_ops`` neither deadlocks nor reads the other's reply, and
+  ``close()`` ends every worker process;
 * typed persistence errors for broken sharded bundles and the per-shard
   bundle layout round-trip.
 
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -239,87 +245,198 @@ class TestResidentLifecycle:
         finally:
             executor.close()
 
-    def test_generic_map_is_rejected(self, bundle):
-        executor = ResidentProcessShardExecutor(bundle, warm=False)
-        try:
-            with pytest.raises(NotImplementedError, match="search_shards"):
-                executor.map(lambda x: x, [1])
-        finally:
-            executor.close()
-
 
 class TestRuntimeFunctionsInProcess:
-    """The worker-side task functions, driven in-process.
+    """The worker loop and its tasks, driven in-process.
 
-    The pool tests above exercise them for real across the process boundary;
-    calling them directly additionally pins their contracts (typed errors,
-    pipeline defaulting) where coverage tooling can see them.
+    The deployments above exercise them for real across the process
+    boundary; calling them directly additionally pins their contracts
+    (typed errors, pipeline defaulting) where coverage tooling can see them.
     """
 
-    def test_init_ping_and_search(self, corpus, sequential_router, bundle):
-        from repro.serving import runtime
+    def test_boot_ping_and_search(self, corpus, sequential_router, bundle):
+        from repro.serving.runtime import TASKS, boot_shards
 
-        runtime.resident_worker_init(str(bundle), (0, 1))
-        try:
-            assert runtime.resident_ping_task() == [0, 1]
-            observed = runtime.resident_search_task(
-                0, corpus.queries, 5, {"nprobs": 4}
-            )
-            expected = sequential_router.shards[0].search(corpus.queries, 5, nprobs=4)
-            assert search_results_equal(expected, observed)
-            # a booted shard's gather columns follow the scene it rebuilt
-            for shard_id in (0, 1):
-                assert_columns_address_codes(runtime._RESIDENT_SHARDS[shard_id])
-            with pytest.raises(RuntimeError, match="not resident"):
-                runtime.resident_search_task(7, corpus.queries, 5, {})
-        finally:
-            runtime._RESIDENT_SHARDS.clear()
+        shards, _ = boot_shards(str(bundle), (0, 1))
+        assert TASKS["ping"](shards, 0) == [0, 1]
+        observed = TASKS["search"](shards, 0, 0, corpus.queries, 5, {"nprobs": 4})
+        expected = sequential_router.shards[0].search(corpus.queries, 5, nprobs=4)
+        assert search_results_equal(expected, observed)
+        # a booted shard's gather columns follow the scene it rebuilt
+        for shard_id in (0, 1):
+            assert_columns_address_codes(shards[shard_id])
+        with pytest.raises(RuntimeError, match="not resident"):
+            TASKS["search"](shards, 0, 7, corpus.queries, 5, {})
+        with pytest.raises(RuntimeError, match="not resident"):
+            TASKS["state"](shards, 0, 7)
 
     @pytest.mark.parametrize("residency", ["copy", "mmap"])
-    def test_init_searches_like_the_router(
+    def test_boot_searches_like_the_router(
         self, corpus, sequential_router, bundle, residency, tmp_path
     ):
         """A booted worker's shards search like the router's, batch after batch."""
-        from repro.serving import runtime
+        from repro.serving.runtime import TASKS, boot_shards
 
         if residency == "mmap":
             bundle = sequential_router.save(tmp_path / "deployment", layout="npy")
-        runtime.resident_worker_init(str(bundle), (0, 1), residency=residency)
-        try:
-            expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
-            for _ in range(2):
-                observed = runtime.resident_search_task(1, corpus.queries, 5, {"nprobs": 4})
-                assert search_results_equal(expected, observed)
-        finally:
-            runtime._RESIDENT_SHARDS.clear()
+        shards, _ = boot_shards(str(bundle), (0, 1), residency=residency)
+        expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
+        for _ in range(2):
+            observed = TASKS["search"](shards, 0, 1, corpus.queries, 5, {"nprobs": 4})
+            assert search_results_equal(expected, observed)
 
     def test_worker_boot_arguments_reach_their_parameters(self, corpus, sequential_router, bundle):
-        """The worker's positional initializer arguments line up with
-        :func:`resident_worker_init`'s parameters across the process boundary."""
+        """The worker's positional boot arguments line up with
+        :func:`serve`'s parameters across the process boundary."""
         from repro.serving.runtime import ResidentWorker
 
-        worker = ResidentWorker(bundle, (1,), replica_id=3, piggyback_metrics=False)
+        worker = ResidentWorker(bundle, (1,), replica_id=3)
         try:
-            assert worker.ping() == [1]
-            assert worker.submit_metrics().result()["replica_id"] == 3
-            observed = worker.submit_search(1, corpus.queries, 5, {"nprobs": 4}).result()
+            assert worker.call("ping") == [1]
+            assert worker.call("metrics")["replica_id"] == 3
+            observed = worker.call("search", 1, corpus.queries, 5, {"nprobs": 4})
             expected = sequential_router.shards[1].search(corpus.queries, 5, nprobs=4)
             assert search_results_equal(expected, observed)
-            assert "worker_metrics" not in observed.extra
+            assert observed.extra["worker_metrics"]["replica_id"] == 3
         finally:
             worker.close()
 
-    def test_init_failure_is_recorded_and_reraised_typed(self, corpus, tmp_path):
-        from repro.serving import runtime
+    def test_boot_failure_answers_every_request_typed(self, corpus, tmp_path):
+        """The loop keeps a failed boot and answers every request with it."""
+        import multiprocessing
+        import threading
 
-        runtime.resident_worker_init(str(tmp_path / "missing"), (0,))
+        from repro.obs.metrics import set_registry
+        from repro.serving.runtime import serve
+
+        conn, child = multiprocessing.Pipe()
+        previous = set_registry(None)  # serve() installs a fresh registry too
+        loop = threading.Thread(target=serve, args=(child, str(tmp_path / "missing"), (0,)))
+        loop.start()
         try:
-            with pytest.raises(PersistenceError, match="no index bundle"):
-                runtime.resident_ping_task()
-            with pytest.raises(PersistenceError, match="no index bundle"):
-                runtime.resident_search_task(0, corpus.queries, 5, {})
+            for request in (("ping", ()), ("search", (0, corpus.queries, 5, {}))):
+                conn.send(request)
+                ok, error = conn.recv()
+                assert not ok and isinstance(error, PersistenceError)
+                assert "no index bundle" in str(error)
+            conn.send(None)
+            loop.join(timeout=30)
+            assert not loop.is_alive()
         finally:
-            runtime._RESIDENT_SHARDS.clear()
+            set_registry(previous)
+
+    def test_boot_failure_is_typed_across_the_process_boundary(self, corpus, tmp_path):
+        from repro.serving.runtime import ResidentWorker
+
+        worker = ResidentWorker(tmp_path / "missing", (0,))
+        try:
+            for _ in range(2):
+                with pytest.raises(PersistenceError, match="no index bundle"):
+                    worker.call("search", 0, corpus.queries, 5, {})
+            assert worker.alive  # a typed error is not a death
+        finally:
+            worker.close()
+
+    def test_a_worker_that_exits_raises_worker_died(self, bundle):
+        from repro.serving.runtime import ResidentWorker, WorkerDiedError
+
+        worker = ResidentWorker(bundle, (0,))
+        try:
+            with pytest.raises(WorkerDiedError):
+                worker.call("die")
+            assert not worker.alive
+            with pytest.raises(WorkerDiedError):
+                worker.call("ping")
+        finally:
+            worker.close()
+
+
+class TestPipeWorkers:
+    """Death, worker-side errors, concurrency and shutdown over the pipes."""
+
+    def test_worker_side_exception_is_not_a_death(self, corpus, sequential_router, bundle):
+        queries = corpus.queries.copy()
+        queries[0, 0] = np.nan
+        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
+            executor = resident.executor_spec
+            with pytest.raises(ValueError, match="finite"):
+                resident.search(queries, k=5, nprobs=4)
+            assert executor.retried_batches == 0
+            assert executor.dead_replicas() == []
+            expected = sequential_router.search(corpus.queries, k=5, nprobs=4)
+            assert search_results_equal(expected, resident.search(corpus.queries, k=5, nprobs=4))
+
+    def test_idle_worker_killed_from_outside_is_retired(self, corpus, sequential_router, bundle):
+        expected = sequential_router.search(corpus.queries, k=5, nprobs=4)
+        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
+            executor = resident.executor_spec
+            # replica 0 is the round-robin's next pick for every shard
+            os.kill(executor.worker_pids()[(0, 0)], signal.SIGKILL)
+            observed = resident.search(corpus.queries, k=5, nprobs=4)
+            assert search_results_equal(expected, observed)
+            _assert_work_equal(expected.work, observed.work)
+            assert executor.retried_batches == 1
+            assert executor.dead_replicas() == [(0, 0)]
+
+    def test_search_racing_apply_ops_neither_deadlocks_nor_mismatches(self, corpus, tmp_path):
+        """Two search loops beside an apply_ops loop (more threads than this
+        box's cores, switching every 10 us): every reply reaches the caller
+        that asked for it, and no thread waits forever."""
+        import sys
+        import threading
+
+        router = _train_sharded(corpus)
+        router.enable_updates(points=corpus.points)
+        bundle = router.save(tmp_path / "mutable")
+        rounds = 200
+        errors: list = []
+        reports: list = []
+
+        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
+            executor = resident.executor_spec
+
+            def search_loop():
+                try:
+                    for _ in range(rounds):
+                        result = resident.search(corpus.queries[:2], k=5, nprobs=4)
+                        assert result.ids.shape == (2, 5)
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            def apply_loop():
+                try:
+                    for step in range(rounds):
+                        op = {"op": "upsert", "ids": [10_000 + step], "vectors": corpus.queries[:1]}
+                        reports.append(executor.apply_ops(0, [op]))
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            loops = (search_loop, search_loop, apply_loop)
+            threads = [threading.Thread(target=fn, daemon=True) for fn in loops]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads), "deadlocked"
+            assert errors == []
+            assert [report["shard_id"] for report in reports] == [0] * rounds
+            applied = [report["ops_applied"] for report in reports]
+            assert applied == list(range(applied[0], applied[0] + rounds))
+            states = executor.replica_states(0)
+            assert len({state["digest"] for state in states.values()}) == 1
+
+    def test_close_ends_every_worker(self, bundle):
+        with ShardedJunoIndex.load(bundle, _resident(num_replicas=2)) as resident:
+            pids = list(resident.executor_spec.worker_pids().values())
+        assert len(pids) == 4
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestShardedBundleErrors:
