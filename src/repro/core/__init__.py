@@ -10,8 +10,8 @@ of Sec. 4 and the end-to-end system of Sec. 5:
   threshold strategies used as ablations.
 * :mod:`repro.core.selective_lut` -- threshold-based selective L2-LUT
   construction on the ray-tracing engine (the sphere test's distances).
-* :mod:`repro.core.hit_count` -- the aggressive hit-count approximation with
-  the reward/penalty inner sphere (Sec. 5.4).
+* :mod:`repro.core.hit_count` -- how well the aggressive hit-count scores
+  (Sec. 5.4) track the true distance.
 * :mod:`repro.core.inner_product` -- the extra-dimension-free MIPS transform.
 * :mod:`repro.core.subspace_index` -- the entry -> search-point inverted
   indices built per (cluster, subspace).
@@ -21,7 +21,6 @@ of Sec. 4 and the end-to-end system of Sec. 5:
 from repro.core.config import JunoConfig, QualityMode, ThresholdStrategy
 from repro.core.density import DensityMap
 from repro.core.threshold import ThresholdModel
-from repro.core.hit_count import HitCountScorer
 from repro.core.inner_product import adjusted_radii_for_inner_product
 from repro.core.selective_lut import SelectiveLUT, SelectiveLUTConstructor
 from repro.core.subspace_index import SubspaceInvertedIndex
@@ -33,7 +32,6 @@ __all__ = [
     "ThresholdStrategy",
     "DensityMap",
     "ThresholdModel",
-    "HitCountScorer",
     "SelectiveLUT",
     "SelectiveLUTConstructor",
     "SubspaceInvertedIndex",

@@ -366,14 +366,15 @@ class JunoIndex:
         """(Re)build the subspace inverted index from the posting lists, the
         PQ codes and the current scene.
 
-        The one place the score kernel's gather columns are made: each PQ
-        code is translated, here and never per query, to the column its
-        entry's sphere occupies in the tracer's hit grid.  Reached through
-        :meth:`rebuild_scene` by training and loading, and directly by
-        compaction, which changes members and codes but not the scene.
+        The one place the score kernel's gather cells are made: each PQ
+        code is translated, here and never per query, to the cell its
+        entry's sphere occupies in a ray's block of the tracer's hit grid.
+        Reached through :meth:`rebuild_scene` by training and loading, and
+        directly by compaction, which changes members and codes but not the
+        scene.
         """
         self.subspace_index = SubspaceInvertedIndex(self.config.num_entries).build(
-            self.ivf.posting_lists, self.codes, self.scene.entry_slots
+            self.ivf.posting_lists, self.codes, self.scene.entry_slots, self.scene.num_slots
         )
 
     # ----------------------------------------------------------------- search

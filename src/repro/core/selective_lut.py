@@ -6,18 +6,19 @@ pairwise (query projection, entry) distances.  JUNO instead casts one ray per
 ``t_max`` encoding the dynamic threshold, and only the selected entries ever
 receive a LUT value.
 
-The constructor walks a batch's subspaces in cache-sized blocks; for each,
-the tracer writes the float32 sphere tests' squared in-plane distance ``d²``
-of every ``(subspace, ray, leaf slot)`` cell and whether the ray selected it
+The constructor walks a batch's rays in cache-sized blocks; for each, the
+tracer writes the float32 sphere tests' squared in-plane distance ``d²`` of
+every ``(ray, subspace, leaf slot)`` cell and whether the ray selected it
 straight into the block's rows of the table and the hit grid.  ``d²`` is the
 value: the L2 entry itself, and the inner product through the enlarged
 radius ``r² = R² + |e|²`` (:mod:`repro.core.inner_product`).  (The paper's
 hit shader decodes it from ``t_hit``, all an RT core returns.)  The MIPS
 transform and the miss fill follow in place while the rows are in cache.
-The result *is* the selective LUT: one float32 ``(S, rays, E')`` table of
-what the distance calculation reads of each cell -- the value where the ray
-selected the slot's entry, the ray's miss value where it did not -- beside
-the hit grid, both gathered from directly by the score stage.
+The result *is* the selective LUT: one float32 ray-major ``(rays, S, E')``
+table of what the distance calculation reads of each cell -- the value
+where the ray selected the slot's entry, the ray's miss value where it did
+not -- beside the hit grid.  A ray's ``(S, E')`` block is contiguous, and
+the score stage gathers from it ray by ray.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from repro.metrics.distances import Metric
 from repro.rt.tracer import RayTracer, TraversalStats
 
 
-# (layer, ray, slot) cells traced per block: all 48 subspaces of a 1-query
-# request (8 rays, 128 slots) in one tracer call, three of a 32-query batch.
+# (ray, layer, slot) cells traced per block: all 8 rays of a 1-query request
+# (48 subspaces, 128 slots) in one tracer call, 16 rays of a 32-query batch.
 # Beyond its rows of the table and hit grid a cell costs one 4-byte scratch:
 # ~0.4 MB a block, which stays in a core's cache.
 _TRACE_BLOCK_CELLS = 3 << 15
@@ -55,18 +56,18 @@ class SelectiveLUT:
     Columns are the scene's leaf slots, not entry ids: entry ``e`` of
     subspace ``s`` sits in column ``entry_slots[s, e]`` of the
     :class:`~repro.rt.scene.TraversableScene`.  The score kernel reads the
-    table through PQ codes remapped to columns at index-build time
-    (:class:`~repro.core.subspace_index.FlatClusterLayout`).
+    table ray by ray through PQ codes remapped to ``s * E' + column`` at
+    index-build time (:class:`~repro.core.subspace_index.FlatClusterLayout`).
 
     Attributes:
-        table: ``(S, R, E')`` float32 score contributions, ``R = Q * nprobs``:
+        table: ``(R, S, E')`` float32 score contributions, ``R = Q * nprobs``:
             the value (squared L2 distance or inner product) of every
-            selected (subspace, ray, slot) cell and the ray's miss value in
+            selected (ray, subspace, slot) cell and the ray's miss value in
             every other -- its miss penalty in that subspace, or ``NaN``
             when JUNO-M built the table.
-        hits: ``(S, R, E')`` booleans marking the selected cells (the
+        hits: ``(R, S, E')`` booleans marking the selected cells (the
             tracer's accepted grid).
-        inner: ``(S, R, E')`` booleans marking selected cells that also fall
+        inner: ``(R, S, E')`` booleans marking selected cells that also fall
             inside the reward/penalty inner sphere (JUNO-M); ``None`` when
             the inner sphere was not evaluated.
         num_entries: codebook entries per subspace ``E`` (``E <= E'``).
@@ -84,12 +85,12 @@ class SelectiveLUT:
     @property
     def num_subspaces(self) -> int:
         """Number of subspaces covered by the LUT."""
-        return int(self.table.shape[0])
+        return int(self.table.shape[1])
 
     @property
     def num_rays(self) -> int:
         """Number of rays per subspace (``Q * nprobs``)."""
-        return int(self.table.shape[1])
+        return int(self.table.shape[0])
 
     @property
     def total_hits(self) -> int:
@@ -145,10 +146,10 @@ class SelectiveLUTConstructor:
         """Trace all rays and build the selective LUT.
 
         Each :meth:`~repro.rt.tracer.RayTracer.trace_vertical_batch` call
-        writes a block of ``_TRACE_BLOCK_CELLS`` cells (at least one layer)
-        into the table and the hit grid.  The L2 value is ``d²`` itself; the
-        inner product is ``(|q|² − R² + r² − d²) / 2``, in float32 on every
-        cell, with each slot's ``r²`` read from the scene.
+        writes a block of ``_TRACE_BLOCK_CELLS`` cells (at least one ray, in
+        every subspace) into the table and the hit grid.  The L2 value is
+        ``d²`` itself; the inner product is ``(|q|² − R² + r² − d²) / 2``, in
+        float32 on every cell, with each slot's ``r²`` read from the scene.
 
         Args:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
@@ -177,36 +178,37 @@ class SelectiveLUTConstructor:
             raise ValueError("the inner sphere needs thresholds and NaN misses")
 
         scene = self.tracer.scene
-        origin_z = scene.z[:num_subspaces] - self.origin_offsets[:num_subspaces]
+        layers = np.arange(num_subspaces)
+        origin_z = scene.z[layers] - self.origin_offsets[layers]
         if self.metric is Metric.INNER_PRODUCT:
-            radii_sq = scene.leaf_radii_sq.reshape(scene.z.size, 1, -1).astype(np.float32)
+            radii_sq = scene.leaf_radii_sq[layers].reshape(num_subspaces, -1).astype(np.float32)
+            # (offset - t_hit)^2 = r^2 - d^2, and |q|^2 depends on the ray only
+            norm_term = (np.sum(origins**2, axis=2) - self.base_radius**2).astype(np.float32)
 
-        miss = np.full((1, num_subspaces), np.nan) if miss is None else np.asarray(miss)
-        table = np.empty((num_subspaces, num_rays, scene.num_slots), dtype=np.float32)
+        miss = np.full(num_subspaces, np.nan) if miss is None else np.asarray(miss)
+        miss = np.broadcast_to(miss.astype(np.float32), (num_rays, num_subspaces))
+        table = np.empty((num_rays, num_subspaces, scene.num_slots), dtype=np.float32)
         hit_grid = np.empty(table.shape, dtype=bool)
         inner = np.empty(table.shape, dtype=bool) if want_inner else None
         stats = TraversalStats()
-        block_layers = max(1, _TRACE_BLOCK_CELLS // max(num_rays * scene.num_slots, 1))
-        for s0 in range(0, num_subspaces, block_layers):
-            layers = np.arange(s0, min(s0 + block_layers, num_subspaces))
-            block = slice(s0, s0 + layers.size)
+        block_rays = max(1, _TRACE_BLOCK_CELLS // max(num_subspaces * scene.num_slots, 1))
+        for r0 in range(0, num_rays, block_rays):
+            block = slice(r0, min(r0 + block_rays, num_rays))
             rows, hit_rows = table[block], hit_grid[block]
-            span = nullcontext() if trace is None else trace.span("rt_trace", layers=layers.size)
+            span = nullcontext() if trace is None else trace.span("rt_trace", rays=len(rows))
             with span:
                 _, block_stats = self.tracer.trace_vertical_batch(
-                    layers, origins[:, block], t_max[:, block], origin_z[block], (rows, hit_rows)
+                    layers, origins[block], t_max[block], origin_z, (rows, hit_rows)
                 )
             stats.merge(block_stats)
             if self.metric is Metric.INNER_PRODUCT:
-                # (offset - t_hit)^2 = r^2 - d^2, and |q|^2 depends on the ray only
-                query_norm_sq = np.sum(origins[:, block] ** 2, axis=2).T[:, :, None]
-                np.subtract(radii_sq[block], rows, out=rows)
-                np.add((query_norm_sq - self.base_radius**2).astype(np.float32), rows, out=rows)
+                np.subtract(radii_sq, rows, out=rows)
+                np.add(norm_term[block, :, None], rows, out=rows)
                 np.divide(rows, 2.0, out=rows)
-            _fill_misses(rows, hit_rows, miss[:, block].astype(np.float32).T[:, :, None])
+            _fill_misses(rows, hit_rows, miss[block, :, None])
             if want_inner:
                 # a NaN miss compares false: the flags need no AND with the hits
-                ray_threshold = thresholds[:, block].T[:, :, None]
+                ray_threshold = thresholds[block, :, None]
                 if self.metric is Metric.L2:
                     bound = ray_threshold * self.inner_sphere_ratio
                     np.less_equal(np.sqrt(rows), bound, out=inner[block])

@@ -36,12 +36,13 @@ Batched scoring
 
 :class:`~repro.pipeline.stages.ScoreStage` is one vectorised kernel
 (:mod:`repro.pipeline.fused`): RT-select hands over the selective LUT as one
-dense ``(S, rays, E')`` table of score contributions -- decoded values where
-a ray selected the slot, its miss penalty (``NaN`` for JUNO-M) where it did
-not -- beside its hit grid, and per block of queries the members of every
-probed cluster read their PQ codes' cells out of both with one flat gather
-each into ``(subspace, candidate)`` tables that are summed over the subspace
-axis -- for the exact-distance (JUNO-H) and both hit-count (JUNO-L/M) modes.
+dense ray-major ``(rays, S, E')`` table of score contributions -- decoded
+values where a ray selected the slot, its miss penalty (``NaN`` for JUNO-M)
+where it did not -- beside its hit grid, and per ray the members of its
+probed cluster read their PQ codes' cells out of the ray's ``(S, E')``
+blocks through cell indices fixed when the index was built, one gather per
+table, summed over the subspace axis -- for the exact-distance (JUNO-H) and
+both hit-count (JUNO-L/M) modes.
 :class:`~repro.pipeline.stages.TopKStage` then ranks each query, sorting
 only the candidates up to its k-th best score.  The historical per-ray
 Python loop is the oracle of the parity and property tests and lives with

@@ -1,39 +1,38 @@
 """The score kernel: gather the selective LUT by PQ code and sum.
 
-The paper's distance calculation is a table lookup: each candidate's PQ
-codes index the selectively built LUT and the per-subspace values are
-accumulated.  RT-select hands the LUT over as exactly what that lookup reads
-(:class:`~repro.core.selective_lut.SelectiveLUT`): one dense
-``(S, rays, E')`` float32 table of each cell's contribution -- its decoded
-value where the ray selected the slot, the ray's miss value (its
+The paper's distance calculation is a table lookup per (query, cluster):
+each probed cluster's members look their PQ codes up in that ray's LUT and
+the per-subspace values are accumulated.  RT-select hands the LUT over as
+exactly what that lookup reads (:class:`~repro.core.selective_lut.SelectiveLUT`):
+one ray-major ``(rays, S, E')`` float32 table of each cell's contribution --
+its decoded value where the ray selected the slot, the ray's miss value (its
 dynamic-threshold penalty, ``NaN`` for JUNO-M) where it did not -- and the
-hit grid beside it.
-So :func:`fused_score_candidates`, per block of queries,
+hit grid beside it.  The lookup's static half, the codes, was fixed when the
+index was built: per cluster, the
+:meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout` holds
+the ``(S, n_c)`` block of ``s * E' + column`` cells its members' codes
+address in any ray's ``(S, E')`` block.  So :func:`fused_score_candidates`,
+per ray,
 
-1. builds one ``(S, candidates)`` ``intp`` index into the whole table: the
-   block's rays' runs ``columns[:, base:base + size]`` of the subspace-major
-   :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout` back
-   to back (a column is a PQ code already in the table's leaf-slot order),
-   plus ``ray * E'`` and ``s * plane``;
-2. gathers through it the hit bytes and the contributions (JUNO-H) or the
-   inner-sphere bytes (JUNO-M);
-3. sums each over the subspace axis: match counts in ``uint8`` (``int32``
-   past 255 subspaces), scores subspace by subspace as in the paper's
-   kernel.
+1. takes the ray's block of the hit grid, and of the contributions (JUNO-H)
+   or the inner-sphere flags (JUNO-M), through its cluster's cells;
+2. sums each over the subspace axis straight into the batch's candidate
+   arrays, at the ray's offset: match counts in ``uint8`` (``int32`` past
+   255 subspaces), scores subspace by subspace as in the paper's kernel.
 
-There is no Python loop over clusters, candidates or subspaces, and no
-per-cell test or select: RT-select decided each cell once.  The index is
-built in the ``intp`` every gather reads, so no pass widens it; contributions
-and their sum are float32, the LUT's dtype; the top-k stage widens the scores
-it returns.
+No index is built per batch, and there is no Python loop over candidates or
+subspaces and no per-cell test or select: RT-select decided each cell once.
+Contributions and their sum are float32, the LUT's dtype; the top-k stage
+widens the scores it returns.
 
 Bit-identity with the per-ray reference loop (``tests/score_reference.py``)
 at the table's dtype is by construction:
 
-* a candidate's column of the index addresses exactly the cells the
-  reference's per-ray ``(members, S)`` lookup reads, in subspace order, and
-  ``sum(axis=0)`` of an ``(S, n >= 2)`` array adds one row after the other --
-  the reference's accumulation;
+* a cluster's cells address exactly the cells the reference's per-ray
+  ``(members, S)`` lookup reads, in subspace order, and
+  ``np.add.reduce(axis=0)`` (``sum``) of a C-contiguous ``(S, n >= 2)``
+  array adds one row after the other, into an ``out=`` slice too -- the
+  reference's accumulation;
 * match counts are integer hit counts, not scatter-adds;
 * per-query candidate order is ray-major -- the same probe order the
   reference concatenates.
@@ -50,19 +49,6 @@ import numpy as np
 
 from repro.pipeline.context import QueryContext
 
-# Per-block element budget: a query costs ``S * candidates`` elements, its
-# columns of the gathered ``(subspace, candidate)`` tables.  Blocks align on
-# query boundaries so each query's candidates assemble in one pass; columns
-# are independent, so blocking cannot change any result.  At its peak a block
-# holds the 8-byte gather index (concatenated as such, never a narrower copy),
-# the 4-byte contributions and the 1-byte hits of the gathered shape, ~3.4 MB,
-# so this constant decides the stage's memory and its speed.  On the 32-query
-# sweep cells it beats 1 << 17, 1 << 19 and 1 << 20 in every JUNO-H cell (by
-# 7-11 % against 1 << 19) and stays within 3 % of 1 << 19 in the JUNO-M/L
-# cells, where 1 << 17 loses 16-20 % to per-block overhead
-# (docs/performance.md).  tests/test_hot_path_gates.py bounds the stage's peak.
-_FUSED_BLOCK_ELEMENTS = 1 << 18
-
 
 def fused_score_candidates(ctx: QueryContext) -> None:
     """Run the score kernel over the whole query batch.
@@ -75,104 +61,71 @@ def fused_score_candidates(ctx: QueryContext) -> None:
     lut = ctx.require("lut", "score")
     mode = ctx.quality_mode
     num_queries, nprobs = selected.shape
-    num_subspaces, num_rays, num_slots = lut.table.shape
+    num_rays, num_subspaces, num_slots = lut.table.shape
     layout = index.subspace_index.flat_layout()
-    miss_penalty = float(index.config.hit_count_penalty)
-    query_cluster_ip = (
-        None if ctx.query_cluster_ip is None else ctx.query_cluster_ip.reshape(-1)
-    )
 
-    flat_clusters = np.asarray(selected, dtype=np.int64).reshape(-1)
-    ray_sizes = layout.cluster_sizes[flat_clusters]
-    query_elements = ray_sizes.reshape(num_queries, nprobs).sum(axis=1) * num_subspaces
-    subspace_base = np.arange(num_subspaces, dtype=np.intp)[:, None] * (num_rays * num_slots)
+    clusters = np.asarray(selected, dtype=np.int64).reshape(-1)
+    sizes = layout.cluster_sizes[clusters]
+    ray_base = np.zeros(num_rays + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ray_base[1:])
+    total = int(ray_base[-1])
     # uint8 counts while they fit: a count never exceeds num_subspaces
     count_dtype = np.uint8 if num_subspaces < 256 else np.int32
-    # The tables the mode's score reads, flattened for the flat gather: the
-    # hit bytes first.
-    tables = [lut.hits.view(np.uint8)]
+    # The tables the mode's score reads, each ray's (S, E') block a row, and
+    # the dtype of their sums: the hit bytes first.
+    width = num_subspaces * num_slots
+    tables = [(lut.hits.view(np.uint8).reshape(num_rays, width), count_dtype)]
     if mode.uses_exact_distance:
-        tables.append(lut.table)
+        tables.append((lut.table.reshape(num_rays, width), np.float32))
     elif mode.uses_inner_sphere:
-        tables.append(lut.inner.view(np.uint8))
-    tables = [table.reshape(-1) for table in tables]
+        tables.append((lut.inner.view(np.uint8).reshape(num_rays, width), count_dtype))
+    # one spare slot: a lone member is summed beside a copy of itself (NumPy
+    # sums a lone column pairwise, not row after row), and the copy's sum
+    # lands one past the ray's run, where the next run or the spare slot is
+    sums = [np.empty(total + 1, dtype) for _, dtype in tables]
+    for ray, cluster, start, size in zip(
+        range(num_rays), clusters.tolist(), ray_base.tolist(), sizes.tolist()
+    ):
+        if size == 0:
+            continue
+        cells = layout.cells[cluster]
+        if size == 1:
+            cells = np.repeat(cells, 2, axis=1)
+        at = slice(start, start + max(size, 2))
+        for (rows, dtype), out in zip(tables, sums):
+            np.add.reduce(rows[ray].take(cells), axis=0, dtype=dtype, out=out[at])
+
+    matched = sums[0][:total]
+    if mode.uses_exact_distance:
+        scores = sums[1][:total]
+        if ctx.query_cluster_ip is not None:
+            scores = scores + np.repeat(ctx.query_cluster_ip.reshape(-1), sizes)
+    elif mode.uses_inner_sphere:
+        misses = num_subspaces - matched.astype(np.float64)
+        miss_penalty = float(index.config.hit_count_penalty)
+        scores = sums[1][:total].astype(np.float64) - miss_penalty * misses
+    else:
+        scores = matched.astype(np.float64)
+
+    keep = matched >= 1
+    ctx.work.adc_lookups += float(matched.sum())
+    ctx.work.adc_candidates += float(np.count_nonzero(keep))
+    # a probed cluster's members are one run: the batch's runs back to back
+    runs = np.repeat(layout.member_base[clusters] - ray_base[:-1], sizes)
+    kept_ids = layout.members[np.arange(total) + runs][keep]
+    kept_scores = scores[keep]
+    bounds = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(keep, out=bounds[1:])
+    bounds = bounds[ray_base[::nprobs]].tolist()  # each query's rays are one range
 
     candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
     candidate_total = 0.0
-    adc_lookups = 0.0
-    adc_candidates = 0.0
-
-    q0 = 0
-    while q0 < num_queries:
-        # grow the block query by query up to the element budget (always
-        # at least one query, however large)
-        q1 = q0 + 1
-        elements = int(query_elements[q0])
-        while q1 < num_queries and elements + query_elements[q1] <= _FUSED_BLOCK_ELEMENTS:
-            elements += int(query_elements[q1])
-            q1 += 1
-
-        # The block's rays are the contiguous range [r0, r1), so per-ray
-        # inputs are plain slices.
-        r0, r1 = q0 * nprobs, q1 * nprobs
-        clusters_b = flat_clusters[r0:r1]
-        sizes_b = ray_sizes[r0:r1]
-        total = int(sizes_b.sum())
-        if total == 0:
-            candidates.extend([None] * (q1 - q0))
-            q0 = q1
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if start == stop:
+            candidates.append(None)
             continue
-        cand_ray = np.repeat(np.arange(r1 - r0), sizes_b)
-        # a probed cluster's members are one run: the block's runs back to back
-        runs = [slice(*ends) for ends in layout.member_base[clusters_b[:, None] + (0, 1)].tolist()]
-        cand_ids = np.concatenate([layout.members[run] for run in runs])
-
-        # Flat index of table[s, ray, column] for every (subspace,
-        # candidate): one gather per table fills what the sums below run over.
-        gather = np.concatenate([layout.columns[:, run] for run in runs], axis=1, dtype=np.intp)
-        gather += (cand_ray + r0) * num_slots
-        gather += subspace_base
-        if total == 1:
-            # NumPy sums a lone column pairwise; beside a copy of itself it
-            # is summed row after row like every other block
-            gather = np.repeat(gather, 2, axis=1)
-        gathered = [table.take(gather) for table in tables]
-
-        matched = gathered[0].sum(axis=0, dtype=count_dtype)
-        if mode.uses_exact_distance:
-            scores = gathered[1].sum(axis=0)
-            if query_cluster_ip is not None:
-                scores = scores[:total] + query_cluster_ip[r0:r1][cand_ray]
-        elif mode.uses_inner_sphere:
-            rewards = gathered[1].sum(axis=0, dtype=count_dtype)
-            misses = num_subspaces - matched.astype(np.float64)
-            scores = rewards.astype(np.float64) - miss_penalty * misses
-        else:
-            scores = matched.astype(np.float64)
-        del gather, gathered  # freed before the next block's index is built
-
-        matched = matched[:total]
-        keep = matched >= 1
-        adc_lookups += float(matched.sum())
-        adc_candidates += float(keep.sum())
-
-        kept_ids = cand_ids[keep]
-        kept_scores = scores[:total][keep]
-        kept_per_ray = np.bincount(cand_ray[keep], minlength=sizes_b.shape[0])
-        kept_per_query = kept_per_ray.reshape(q1 - q0, nprobs).sum(axis=1)
-        bounds = np.zeros(kept_per_query.shape[0] + 1, dtype=np.int64)
-        np.cumsum(kept_per_query, out=bounds[1:])
-        for qi in range(q1 - q0):
-            start, stop = int(bounds[qi]), int(bounds[qi + 1])
-            if start == stop:
-                candidates.append(None)
-                continue
-            candidate_total += float(stop - start)
-            candidates.append((kept_ids[start:stop], kept_scores[start:stop]))
-        q0 = q1
-
-    ctx.work.adc_lookups += adc_lookups
-    ctx.work.adc_candidates += adc_candidates
+        candidate_total += float(stop - start)
+        candidates.append((kept_ids[start:stop], kept_scores[start:stop]))
     ctx.candidates = candidates
     ctx.candidate_total = candidate_total
     ctx.extra["num_candidates"] = candidate_total

@@ -128,9 +128,10 @@ class RTSelectStage:
     """Stage B2: selective L2-LUT construction on the RT engine.
 
     Traces every (query, cluster, subspace) ray through the scene a block of
-    subspaces at a time and decodes the tracer's dense hit grid, cell by
-    cell, into the :class:`~repro.core.selective_lut.SelectiveLUT` -- one
-    ``(S, rays, E')`` table of score contributions and the hit grid beside
+    rays at a time, over every subspace, and decodes the tracer's dense hit
+    grid, cell by cell, into the
+    :class:`~repro.core.selective_lut.SelectiveLUT` -- one ray-major
+    ``(rays, S, E')`` table of score contributions and the hit grid beside
     it (plus the inner-sphere table for JUNO-M) that :class:`ScoreStage`
     gathers from as they are.  A cell the ray did not select holds the ray's
     miss value: its dynamic-threshold miss penalty, or ``NaN`` for JUNO-M,
@@ -184,13 +185,13 @@ class ScoreStage:
     """Stage C1: batched distance calculation over the selected points only.
 
     One kernel, :func:`repro.pipeline.fused.fused_score_candidates`: per
-    block of queries the members of every probed cluster look their PQ
-    codes up in the selective LUT with one flat gather per table -- the
-    codes were translated to the table's columns when the index was built
-    -- and the ``(subspace, candidate)`` cells are summed over the subspace
-    axis: the contributions RT-select wrote, exact distances with the miss
-    penalties already standing in for unselected entries (JUNO-H), or hit /
-    inner-sphere counts (JUNO-L/M).  Match counts are hit counts in every
+    ray the members of its probed cluster look their PQ codes up in the
+    ray's ``(S, E')`` block of the selective LUT with one gather per table
+    -- the codes were translated to the block's cells when the index was
+    built -- and the ``(subspace, member)`` cells are summed over the
+    subspace axis: the contributions RT-select wrote, exact distances with
+    the miss penalties already standing in for unselected entries (JUNO-H),
+    or hit / inner-sphere counts (JUNO-L/M).  Match counts are hit counts in every
     mode.
 
     The kernel runs in the float32 of the selective LUT.  Scores,
@@ -198,7 +199,7 @@ class ScoreStage:
     the per-ray loop the parity and property tests keep as their oracle
     (``tests/score_reference.py``) run on the same LUT: the per-element
     arithmetic and the per-(ray, member) accumulation over the subspace axis,
-    subspace by subspace, are the loop's, only the batch shape differs.
+    subspace by subspace, are the loop's.
     Against the float64 path, the precision oracle
     (``tests/test_precision_oracle.py``) bounds the scores.
 

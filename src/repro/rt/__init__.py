@@ -11,9 +11,9 @@ median-split BVH per subspace, all built in one vectorised pass and stored
 as one stack in which the layers share the tree topology and only node
 bounds and sphere data carry a layer axis.  The one execution path
 (:meth:`repro.rt.tracer.RayTracer.trace_vertical_batch`) traverses a block
-of layers for a whole batch of JUNO's axis-aligned rays in one pass of slab
+of JUNO's axis-aligned rays over a block of layers in one pass of slab
 tests, as an RT core walks every layer in one launch, and writes the sphere
-tests' accepted mask and ``d²`` of every (layer, ray, leaf slot) cell into
+tests' accepted mask and ``d²`` of every (ray, layer, leaf slot) cell into
 the caller's rows of the selective LUT.  The recursive object BVH the array
 build is checked against, an exact per-ray traversal of it and the ``sqrt``
 form of the accept test live in ``tests/rt_reference.py``.

@@ -2,8 +2,8 @@
 
 :meth:`RayTracer.trace_vertical_batch` exploits the structure of JUNO's
 rays -- all parallel to ``+z``, each targeting the layer just above its
-origin plane -- to traverse a whole *block* of layers for a whole batch of
-rays in one straight line of array passes over the scene's stack
+origin plane -- to traverse a *block* of rays over a block of layers in
+one straight line of array passes over the scene's stack
 (:class:`~repro.rt.scene.TraversableScene`), paying the interpreter once per
 block.  A ray in its layer's *common box* (the node boxes' intersection)
 walks the whole tree, counted by arithmetic; only the other rays take the
@@ -12,7 +12,7 @@ box and sphere-test counts: a per-ray BVH walk's either way
 (``tests/rt_reference.py`` keeps one as the oracle).  The sphere tests run in
 float32, as on an RT core.
 
-Every sphere test runs on a dense ``(layer, ray, leaf slot)`` grid, handed
+Every sphere test runs on a dense ``(ray, layer, leaf slot)`` grid, handed
 over (:class:`BatchHits`) in buffers the caller may own: the accepted mask
 and the squared in-plane distance ``d²``, the value the selective LUT
 (:mod:`repro.core.selective_lut`) takes -- the paper's hit shader decodes it
@@ -69,16 +69,16 @@ class TraversalStats:
 
 @dataclass
 class BatchHits:
-    """The dense hit grid of a batch of rays against a block of layers.
+    """The dense hit grid of a block of rays against a block of layers.
 
-    One cell per (layer, ray, slot), a slot being one (leaf, lane) of the
+    One cell per (ray, layer, slot), a slot being one (leaf, lane) of the
     layer's sphere grid (``TraversableScene.leaf_primitives`` maps it back).
 
     Attributes:
-        accepted: ``(L, R, E')`` whether the ray hit the slot's sphere,
+        accepted: ``(R, L, E')`` whether the ray hit the slot's sphere,
             ``L`` counting within the block; the selective LUT keeps it as
             its hit grid.
-        dist_sq: ``(L, R, E')`` float32 squared in-plane distance from the
+        dist_sq: ``(R, L, E')`` float32 squared in-plane distance from the
             ray to the slot's sphere centre, as the sphere test computed it;
             meaningless where not ``accepted``: a reader selects by it.
     """
@@ -115,14 +115,14 @@ def _least_accepted(offset: np.ndarray, t_max: np.ndarray) -> np.ndarray:
 
 def _accept(y: np.ndarray, offset: np.ndarray, t_max: np.ndarray, guard, out) -> None:
     """Write into ``out`` whether ``t_hit = fl(offset − fl(sqrt(y))) <= t_max``
-    (and ``>= 0`` in the ``(L,)`` ``guard`` layers) for the float32 ``(L, R,
-    E')`` ``y = fl(r² − d²)``, ``(L, 1)`` ``offset`` and ``(L, R)`` ``t_max``;
+    (and ``>= 0`` in the ``(L,)`` ``guard`` layers) for the float32 ``(R, L,
+    E')`` ``y = fl(r² − d²)``, ``(L,)`` ``offset`` and ``(R, L)`` ``t_max``;
     a negative ``y`` (outside the sphere, a padding lane) fails."""
     np.greater_equal(y, _least_accepted(offset, t_max)[:, :, None], out=out)
     guarded = np.flatnonzero(guard)  # a layer at a time: no temporary of the block's size
-    below_zero = _least_accepted(offset[guarded], _BELOW_ZERO) if guarded.size else ()
+    below_zero = _least_accepted(offset[guarded, None], _BELOW_ZERO) if guarded.size else ()
     for layer, below in zip(guarded, below_zero):
-        out[layer] &= y[layer] < below[0]
+        out[:, layer] &= y[:, layer] < below[0]
 
 
 class RayTracer:
@@ -154,7 +154,7 @@ class RayTracer:
     ) -> tuple[BatchHits, TraversalStats]:
         """Trace ``+z`` rays against a block of layers in one pass.
 
-        One ray per (layer, ray index): ray ``r`` of layer ``l`` starts at
+        One ray per (ray index, layer): ray ``r`` of layer ``l`` starts at
         ``(x, y, origin_z[l])`` and travels towards ``+z`` with its own
         maximum travel time, exactly like Alg. 2 (lines 3-8) -- but the
         whole block is traversed at once over the scene's stacked arrays
@@ -170,7 +170,7 @@ class RayTracer:
             origin_z: scalar or ``(L,)`` depth of the ray origin planes;
                 defaults to ``z - 1`` of each layer (the paper's ``z = 2s``
                 convention); the inner-product mapping's lies deeper.
-            out: caller-owned C-contiguous ``(L, R, E')`` float32 and bool
+            out: caller-owned C-contiguous ``(R, L, E')`` float32 and bool
                 arrays to write ``dist_sq`` and ``accepted`` into.
 
         Returns:
@@ -190,7 +190,7 @@ class RayTracer:
         unknown = layer_ids[(layer_ids < 0) | (layer_ids >= scene.z.shape[0])]
         if unknown.size:
             raise KeyError(f"layer {int(unknown[0])} is not in the scene")
-        grid = (num_layers, num_rays, scene.num_slots)
+        grid = (num_rays, num_layers, scene.num_slots)
         if out is None:
             out = (np.empty(grid, np.float32), np.empty(grid, bool))
         for array, dtype in zip(out, (np.float32, bool)):
@@ -207,49 +207,53 @@ class RayTracer:
         offset = scene.z[layers] - origin_z
         if (offset <= 0.0).any():
             raise ValueError("origin_z must lie below the layer's sphere centres")
-        ox, oy, t_max_arr = (np.empty((num_layers, num_rays)) for _ in range(3))  # contiguous
-        ox.T[...], oy.T[...] = origins_xy[:, :, 0], origins_xy[:, :, 1]
+        ox, oy = origins_xy[:, :, 0], origins_xy[:, :, 1]
         t_max = np.asarray(t_max, dtype=np.float64)
-        t_max_arr.T[...] = t_max[:, None] if t_max.ndim == 1 else t_max
+        if t_max.shape != ox.shape:
+            t_max = np.broadcast_to(t_max[:, None] if t_max.ndim == 1 else t_max, ox.shape)
         stats = TraversalStats(rays=num_layers * num_rays)
         if num_layers and num_rays:
-            self._trace_layers(layers, ox, oy, t_max_arr, origin_z, offset, stats, hits)
+            self._trace_layers(layers, ox, oy, t_max, origin_z, offset, stats, hits)
         stats.hits = int(np.count_nonzero(hits.accepted))
         self.stats.merge(stats)
         return hits, stats
 
     def _inside(self, layers, ox, oy, t_max, origin_z) -> np.ndarray:
-        """``(L, R)``: whether each ray passes every box of its layer -- iff it
+        """``(R, L)``: whether each ray passes every box of its layer -- iff it
         is in their intersection, as ``x >= max min_x`` iff ``x >=`` every
         ``min_x`` and an entry or exit time ``fl(a − o)`` is monotone in ``a``."""
         low, high = self._common[0][layers], self._common[1][layers]
         t_entry = np.maximum(low[:, 2] - origin_z, 0.0)
         t_entry[high[:, 2] - origin_z < 0.0] = np.nan  # a box behind the ray: none pass
-        inside = (ox >= low[:, 0, None]) & (ox <= high[:, 0, None])
-        inside &= (oy >= low[:, 1, None]) & (oy <= high[:, 1, None])
-        inside &= t_max >= t_entry[:, None]
+        inside = (ox >= low[:, 0]) & (ox <= high[:, 0])
+        inside &= (oy >= low[:, 1]) & (oy <= high[:, 1])
+        inside &= t_max >= t_entry
         return inside
 
     def _trace_layers(self, layers, ox, oy, t_max, origin_z, offset, stats, hits) -> None:
         """The counters, then the sphere tests into ``hits``, then the leaf mask."""
         scene = self.scene
-        num_layers, num_rays = ox.shape
-        # A ray inside its layer's common box in every layer of the block walks
-        # each whole tree: its counters are arithmetic and it clears no lane.
-        outside = np.flatnonzero(~self._inside(layers, ox, oy, t_max, origin_z).all(axis=0))
-        walks = num_layers * (num_rays - outside.size)
+        num_rays, num_layers = ox.shape
+        # A ray inside its layer's common box walks the whole tree: its counters
+        # are arithmetic and it clears no lane.  The rays outside in some layer
+        # take the slab pass, over the layers where one of them is outside.
+        inside = self._inside(layers, ox, oy, t_max, origin_z)
+        outside = np.flatnonzero(~inside.all(axis=1))
+        slabbed = np.flatnonzero(~inside[outside].all(axis=0))
+        walks = num_layers * num_rays - slabbed.size * outside.size
         stats.node_visits += walks * scene.parent.shape[0]
         stats.aabb_tests += walks * scene.parent.shape[0]
         stats.prim_tests += walks * int(scene.leaf_count.sum())
         if outside.size:
-            rays = (a[:, outside] for a in (ox, oy, t_max))
-            layer, ray, leaf = self._slab_pass(layers, *rays, origin_z, stats, hits.dist_sq)
+            rays = (a[np.ix_(outside, slabbed)].T for a in (ox, oy, t_max))
+            in_scene, free = np.arange(scene.z.shape[0])[layers][slabbed], hits.dist_sq
+            layer, ray, leaf = self._slab_pass(in_scene, *rays, origin_z[slabbed], stats, free)
 
-        # Sphere tests on the whole (layer, ray, slot) grid, in float32 as on an
+        # Sphere tests on the whole (ray, layer, slot) grid, in float32 as on an
         # RT core: d^2 into the caller's grid, y = r^2 - d^2 into a scratch one.
         # t_hit >= fl(offset - r_max) >= 0 unless a layer's largest sphere
         # reaches past the origin plane (JUNO's offset = r_max is on the edge).
-        cx, cy, radii_sq = (a[layers][:, None, :] for a in self._spheres)
+        cx, cy, radii_sq = (a[layers] for a in self._spheres)
         ox, oy, offset, t_max = (a.astype(np.float32) for a in (ox, oy, offset, t_max))
         dist_sq, y = hits.dist_sq, np.empty(hits.dist_sq.shape, np.float32)
         np.subtract(ox[:, :, None], cx, out=dist_sq)
@@ -259,15 +263,16 @@ class RayTracer:
         np.add(dist_sq, y, out=dist_sq)
         np.subtract(radii_sq, dist_sq, out=y)
         guard = offset < self._radius_max[layers]
-        _accept(y, offset[:, None], t_max, guard, out=hits.accepted)
+        _accept(y, offset, t_max, guard, out=hits.accepted)
         if outside.size:
-            lanes = hits.accepted.reshape(num_layers, num_rays, scene.leaf_nodes.size, -1)
-            lanes[layer, outside[ray], leaf] = False
+            lanes = hits.accepted.reshape(num_rays, num_layers, scene.leaf_nodes.size, -1)
+            lanes[outside[ray], slabbed[layer], leaf] = False
 
     def _slab_pass(self, layers, ox, oy, t_max, origin_z, stats, free) -> tuple:
-        """Slab tests of every (layer, node, ray): adds the rays' counters to
-        ``stats``, returns the ``(layer, ray, leaf)`` lanes of failed leaf boxes.
-        The masks live in the ``free`` d^2 grid's bytes (M < 2 E' nodes)."""
+        """Slab tests of every (layer, node, ray) of the ``(L, R)`` rays: adds
+        their counters to ``stats``, returns the ``(layer, ray, leaf)`` lanes
+        of failed leaf boxes, ``ray`` counting within the ``R`` given.  The
+        masks live in the ``free`` d^2 grid's bytes (M < 2 E' nodes)."""
         scene = self.scene
         node_min, node_max = scene.node_min[layers], scene.node_max[layers]
         (num_layers, num_rays), num_nodes = ox.shape, scene.parent.shape[0]

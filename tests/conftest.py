@@ -135,16 +135,14 @@ def wide_corpus():
     return rng.standard_normal((800, 96)) * np.linspace(0.5, 1.5, 96)
 
 
-@pytest.fixture(scope="session")
-def wide_index(wide_corpus):
+def _wide_juno(points, metric=Metric.L2):
     """A 48-subspace, 128-entry index (the ledger's scene shape) without k-means.
 
     Centroids and codebooks are sampled corpus points / residual projections
-    and installed through ``assemble``, so the fixture costs well under a
+    and installed through ``assemble``, so the index costs well under a
     second while the scene, density maps and regressor are the real ones.
     """
     rng = np.random.default_rng(8)
-    points = wide_corpus
     centroids = points[rng.choice(points.shape[0], size=8, replace=False)]
     labels = np.argmin(
         ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1
@@ -162,11 +160,24 @@ def wide_index(wide_corpus):
         num_clusters=8,
         num_subspaces=48,
         num_entries=128,
+        metric=metric,
         num_threshold_samples=32,
         threshold_top_k=20,
         density_grid=20,
     )
     return JunoIndex(config).assemble(points, centroids, labels, codebooks, codes)
+
+
+@pytest.fixture(scope="session")
+def wide_index(wide_corpus):
+    """The ledger's scene shape over ``wide_corpus`` (see :func:`_wide_juno`)."""
+    return _wide_juno(wide_corpus)
+
+
+@pytest.fixture(scope="session")
+def wide_ip_index(wide_corpus):
+    """``wide_index``'s inner-product twin: same clusters, codes and codebooks."""
+    return _wide_juno(wide_corpus, Metric.INNER_PRODUCT)
 
 
 @pytest.fixture(scope="session")

@@ -39,9 +39,9 @@ Not a test module: the oracles the RT-select test files share.
   table holds besides the oracle's values: its hit grid is the tracer's
   accepted grid, and every other cell the ray's miss value -- the float32
   miss penalty (JUNO-H/L), ``NaN`` for JUNO-M.
-* :func:`assert_columns_address_codes` pins the build-time remap of PQ
-  codes to the table's leaf-slot columns on any trained, loaded or
-  compacted index.
+* :func:`assert_cells_address_codes` pins the build-time remap of PQ
+  codes to cells of a ray's ``(S, E')`` block of the table, in its
+  leaf-slot columns, on any trained, loaded or compacted index.
 * :func:`ray_slice`, :func:`dense_rows`, :func:`hit_mask_rows` and
   :func:`inner_mask_rows` read a :class:`~repro.core.selective_lut.SelectiveLUT`
   (or a :class:`ReferenceLUT`) back in entry order, one ray at a time, for
@@ -326,23 +326,23 @@ def _entry_rows(lut: SelectiveLUT, scene, cells: np.ndarray, marked: np.ndarray,
 
 def ray_slice(lut: SelectiveLUT, scene, subspace_id: int, ray_id: int):
     """``(entry_ids, values)`` one ray selected in one subspace."""
-    columns = np.flatnonzero(lut.hits[subspace_id, ray_id])
+    columns = np.flatnonzero(lut.hits[ray_id, subspace_id])
     slot_entries = scene.leaf_primitives[subspace_id].reshape(-1)
-    return slot_entries[columns], lut.table[subspace_id, ray_id, columns]
+    return slot_entries[columns], lut.table[ray_id, subspace_id, columns]
 
 
 def dense_rows(lut, scene, ray_id: int) -> np.ndarray:
     """Dense ``(S, E)`` values of one ray, ``NaN`` where it selected nothing."""
     if isinstance(lut, ReferenceLUT):
         return lut.rows(lut.values, ray_id, np.nan)
-    return _entry_rows(lut, scene, lut.table[:, ray_id], lut.hits[:, ray_id], np.nan)
+    return _entry_rows(lut, scene, lut.table[ray_id], lut.hits[ray_id], np.nan)
 
 
 def hit_mask_rows(lut, scene, ray_id: int) -> np.ndarray:
     """Dense boolean ``(S, E)`` selection mask of one ray."""
     if isinstance(lut, ReferenceLUT):
         return lut.rows([np.ones(e.shape, dtype=bool) for e in lut.entries], ray_id, False)
-    hit = lut.hits[:, ray_id]
+    hit = lut.hits[ray_id]
     return _entry_rows(lut, scene, hit, hit, False)
 
 
@@ -350,7 +350,7 @@ def inner_mask_rows(lut, scene, ray_id: int) -> np.ndarray:
     """Dense boolean ``(S, E)`` inner-sphere mask of one ray (JUNO-M)."""
     if isinstance(lut, ReferenceLUT):
         return lut.rows(lut.inner_flags, ray_id, False)
-    inner = lut.inner[:, ray_id]
+    inner = lut.inner[ray_id]
     return _entry_rows(lut, scene, inner, inner, False)
 
 
@@ -649,7 +649,7 @@ def assert_lut_matches_reference(lut: SelectiveLUT, scene, expected: ReferenceLU
     assert lut.total_hits == sum(e.shape[0] for e in expected.entries)
     assert lut.table.dtype == np.float32
     assert all(values.dtype == np.float32 for values in expected.values)
-    assert lut.table.shape[:2] == (lut.num_subspaces, lut.num_rays)
+    assert lut.table.shape[:2] == (lut.num_rays, lut.num_subspaces)
     assert (lut.inner is None) == (expected.inner_flags is None)
     # the hit grid marks exactly the selected cells; what the others hold is
     # assert_miss_fill's to check
@@ -697,27 +697,36 @@ def assert_miss_fill(lut: SelectiveLUT, thresholds=None, penalty_factor=None) ->
         return
     thresholds = np.asarray(thresholds, dtype=np.float64)
     base = thresholds**2 if lut.metric is Metric.L2 else thresholds
-    want = np.broadcast_to((base * penalty_factor).astype(np.float32).T[:, :, None], missed.shape)
+    want = np.broadcast_to((base * penalty_factor).astype(np.float32)[:, :, None], missed.shape)
     assert lut.table[missed].tobytes() == want[missed].tobytes()
 
 
-def assert_columns_address_codes(index) -> None:
-    """Every member's gather column is the slot holding its PQ code's sphere.
+def assert_cells_address_codes(index) -> None:
+    """Every member's gather cell is ``s * E'`` plus the slot holding its PQ
+    code's sphere, each cluster's cells one block of one buffer.
 
-    For each subspace the column must be a filled lane of the scene's leaf
+    For each subspace the slot must be a filled lane of the scene's leaf
     grid whose ``leaf_primitives`` entry equals the member's code.
     """
     layout = index.subspace_index.flat_layout()
-    num_subspaces = index.config.num_subspaces
-    assert layout.columns.dtype == np.int32 and layout.columns.flags.c_contiguous
-    assert layout.columns.shape == (num_subspaces, index.num_points)
+    num_subspaces, scene = index.config.num_subspaces, index.scene
     assert layout.members.shape == (index.num_points,)
-    scene = index.scene
-    for s in range(num_subspaces):
-        columns = layout.columns[s]
-        assert (scene.leaf_radii_sq[s].reshape(-1)[columns] >= 0).all()
-        slot_entries = scene.leaf_primitives[s].reshape(-1)
-        assert (slot_entries[columns] == index.codes[layout.members, s]).all()
+    assert len(layout.cells) == layout.cluster_sizes.shape[0]
+    buffer = layout.cells[0].base
+    assert buffer.dtype == np.intp and buffer.shape == (num_subspaces * index.num_points,)
+    for cluster, cells in enumerate(layout.cells):
+        assert cells.base is buffer and cells.flags.c_contiguous
+        start, stop = layout.member_base[cluster : cluster + 2]
+        assert cells.shape == (num_subspaces, stop - start)
+        offset = cells.ctypes.data - buffer.ctypes.data
+        assert offset == buffer.itemsize * num_subspaces * start or not cells.size
+        rows, columns = np.divmod(cells, scene.num_slots)
+        assert (rows == np.arange(num_subspaces)[:, None]).all()
+        for s in range(num_subspaces):
+            assert (scene.leaf_radii_sq[s].reshape(-1)[columns[s]] >= 0).all()
+            slot_entries = scene.leaf_primitives[s].reshape(-1)
+            codes = index.codes[layout.members[start:stop], s]
+            assert (slot_entries[columns[s]] == codes).all()
 
 
 # The precision oracle's slack, in float32 ulps of a cell's scale: the largest
@@ -799,7 +808,7 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
     for s in range(lut.num_subspaces):
         centres_xy, radii = layer_spheres(scene, s)
         columns = scene.entry_slots[s]
-        got = lut.table[s][:, columns]
+        got = lut.table[:, s, columns]
         counts = np.diff(expected.offsets[s])
         hit_rays = np.repeat(np.arange(num_rays), counts)
         want = np.full((num_rays, columns.size), np.nan)
@@ -814,7 +823,7 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
             offset,
             t_max[:, s, None],
         )
-        got_hit, want_hit = lut.hits[s][:, columns], ~np.isnan(want)
+        got_hit, want_hit = lut.hits[:, s, columns], ~np.isnan(want)
         differs = got_hit != want_hit
         assert not (differs & ~near).any(), f"subspace {s}: a hit flipped away from boundaries"
         both = got_hit & want_hit
@@ -827,7 +836,7 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
                 bound = (threshold * ratio) ** 2
             else:
                 bound = threshold + (1.0 - ratio) * np.abs(threshold)
-            flag_differs = both & (lut.inner[s][:, columns] != flags)
+            flag_differs = both & (lut.inner[:, s, columns] != flags)
             assert not (flag_differs & (np.abs(want - bound) > 2 * slack)).any()
             differs |= flag_differs
         flipped[s] = differs.sum(axis=1)

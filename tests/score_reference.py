@@ -1,6 +1,8 @@
 """Reference score kernel the batched ``ScoreStage`` is pinned against.
 
 Not a test module: the oracle the parity, property and perf tests share.
+:class:`HitCountScorer` scores one cluster's members for one ray from its
+hit (and inner-sphere) masks, the JUNO-L/M half of the oracle.
 :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped as its
 distance-calculation stage before the batched kernels: for every
 (query, probed cluster) it builds that ray's dense ``(S, E)`` values and hit
@@ -22,7 +24,6 @@ import numpy as np
 
 from rt_reference import dense_rows, hit_mask_rows, inner_mask_rows
 
-from repro.core.hit_count import HitCountScorer
 from repro.metrics.distances import Metric
 from repro.pipeline.context import QueryContext
 
@@ -43,6 +44,43 @@ def subspace_sum(values: np.ndarray) -> np.ndarray:
     for column in values.T[1:]:
         total += column
     return total
+
+
+class HitCountScorer:
+    """The JUNO-L/M scores of one cluster's members for one ray (Sec. 5.4).
+
+    JUNO-L ranks a member by the number of subspaces in which the ray hit
+    its entry; JUNO-M rewards a hit inside the inner sphere (+1) and
+    charges ``miss_penalty`` per subspace hit by neither sphere, while an
+    outer-only hit is neutral.
+
+    Args:
+        use_inner_sphere: the reward/penalty score (JUNO-M) instead of the
+            plain hit count (JUNO-L).
+        miss_penalty: penalty per missed subspace (the paper uses 1).
+    """
+
+    def __init__(self, use_inner_sphere: bool = False, miss_penalty: float = 1.0) -> None:
+        self.use_inner_sphere = bool(use_inner_sphere)
+        self.miss_penalty = float(miss_penalty)
+
+    def score_members(self, hit_mask, inner_mask, codes) -> tuple[np.ndarray, np.ndarray]:
+        """``(scores, matched)`` of members with ``(n, S)`` ``codes`` from the
+        ray's ``(S, E)`` hit mask (and inner mask, for JUNO-M); ``matched``
+        counts the subspaces whose entry the ray selected."""
+        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+        num_subspaces = hit_mask.shape[0]
+        if codes.shape[1] != num_subspaces:
+            raise ValueError("codes and hit_mask disagree on the number of subspaces")
+        subspace_index = np.arange(num_subspaces)
+        matched = hit_mask[subspace_index[None, :], codes].sum(axis=1)
+        if not self.use_inner_sphere:
+            return matched.astype(np.float64), matched
+        if inner_mask is None:
+            raise ValueError("inner_mask is required when use_inner_sphere is set")
+        rewards = inner_mask[subspace_index[None, :], codes].sum(axis=1).astype(np.float64)
+        misses = (num_subspaces - matched).astype(np.float64)
+        return rewards - self.miss_penalty * misses, matched
 
 
 class LoopedScoreStage:
@@ -78,7 +116,7 @@ class LoopedScoreStage:
                 members = index.subspace_index.cluster_members(cluster_id)
                 if members.size == 0:
                     continue
-                codes = index.subspace_index.cluster_codes(cluster_id)
+                codes = index.codes[members]
                 if mode.uses_exact_distance:
                     rows = dense_rows(lut, index.scene, ray_id)
                     values = rows[subspace_range[None, :], codes]

@@ -21,10 +21,11 @@ from rt_reference import (
     reference_construct,
     reference_trace_layer,
 )
+from score_reference import HitCountScorer
 
 from repro.core import selective_lut
 from repro.core.config import QualityMode
-from repro.core.hit_count import HitCountScorer, hit_count_correlation
+from repro.core.hit_count import hit_count_correlation
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.gpu.work import SearchWork
@@ -46,33 +47,26 @@ class TestSubspaceInvertedIndex:
         index = SubspaceInvertedIndex(num_entries).build(posting_lists, codes)
         return index, codes, posting_lists
 
-    def test_points_for_entry_matches_codes(self, built):
-        index, codes, posting_lists = built
-        for cluster_id, members in enumerate(posting_lists):
-            for s in range(4):
-                for e in range(8):
-                    got = set(index.points_for_entry(cluster_id, s, e).tolist())
-                    expected = set(members[codes[members, s] == e].tolist())
-                    assert got == expected
-
-    def test_points_for_entries_union(self, built):
-        index, codes, posting_lists = built
-        got = set(index.points_for_entries(0, 2, np.array([1, 3])).tolist())
-        members = posting_lists[0]
-        expected = set(members[np.isin(codes[members, 2], [1, 3])].tolist())
-        assert got == expected
-
-    def test_entry_usage_sums_to_cluster_size(self, built):
-        index, _, posting_lists = built
-        for cluster_id, members in enumerate(posting_lists):
-            for s in range(4):
-                assert index.entry_usage(cluster_id, s).sum() == len(members)
-
     def test_cluster_accessors(self, built):
-        index, codes, posting_lists = built
+        index, _, posting_lists = built
         np.testing.assert_array_equal(index.cluster_members(1), posting_lists[1])
-        np.testing.assert_array_equal(index.cluster_codes(1), codes[posting_lists[1]])
         assert index.num_clusters == 2
+
+    @staticmethod
+    def _assert_cells(layout, want_columns, width):
+        """Each cluster's cells are an ``(S, n_c)`` C-contiguous block of one
+        ``intp`` buffer, cluster after cluster: ``s * width + column``."""
+        buffer = layout.cells[0].base
+        assert buffer.dtype == np.intp and buffer.size == want_columns.size
+        num_subspaces = want_columns.shape[0]
+        for cluster, cells in enumerate(layout.cells):
+            start, stop = layout.member_base[cluster : cluster + 2]
+            assert cells.base is buffer and cells.flags.c_contiguous
+            assert cells.dtype == np.intp and cells.shape == (num_subspaces, stop - start)
+            offset = cells.ctypes.data - buffer.ctypes.data
+            assert offset == buffer.itemsize * num_subspaces * start or not cells.size
+            want = want_columns[:, start:stop] + width * np.arange(num_subspaces)[:, None]
+            np.testing.assert_array_equal(cells, want)
 
     def test_flat_layout_is_cluster_major(self, built):
         index, codes, posting_lists = built
@@ -81,25 +75,27 @@ class TestSubspaceInvertedIndex:
         np.testing.assert_array_equal(layout.cluster_sizes, [100, 100])
         np.testing.assert_array_equal(layout.member_base, [0, 100, 200])
         np.testing.assert_array_equal(layout.members, members)
-        # without a scene to follow, a code is its own column, subspace-major
-        np.testing.assert_array_equal(layout.columns, codes[members].T)
-        assert layout.columns.dtype == np.int32 and layout.columns.flags.c_contiguous
-        # one stored code array: the corpus codes are referenced, not copied
-        assert index._codes is codes
-        assert index.cluster_codes(1).dtype == np.int32
+        # without a scene to follow, a code is its own column of an E-wide row
+        self._assert_cells(layout, codes[members].T, 8)
 
-    def test_columns_follow_entry_slots(self, built, rng):
-        """With a slot map, every code is translated through its subspace's row."""
+    def test_cells_follow_entry_slots(self, built, rng):
+        """With a slot map, every code is translated through its subspace's
+        row into a row ``num_slots`` wide, which the slot map needs."""
         _, codes, posting_lists = built
         entry_slots = np.stack([rng.permutation(12)[:8] for _ in range(4)])
-        index = SubspaceInvertedIndex(8).build(posting_lists, codes, entry_slots)
+        index = SubspaceInvertedIndex(8).build(posting_lists, codes, entry_slots, 12)
         layout = index.flat_layout()
         want = entry_slots[np.arange(4)[:, None], codes[layout.members].T]
-        np.testing.assert_array_equal(layout.columns, want)
-        assert layout.columns.dtype == np.int32
-        # the reverse lookups read the codes, not the columns
-        np.testing.assert_array_equal(index.cluster_codes(0), codes[posting_lists[0]])
-        assert index.entry_usage(1, 2).sum() == 100
+        self._assert_cells(layout, want, 12)
+        with pytest.raises(ValueError, match="num_slots"):
+            SubspaceInvertedIndex(8).build(posting_lists, codes, entry_slots)
+
+    def test_empty_cluster_is_an_empty_block(self, rng):
+        codes = rng.integers(0, 8, size=(10, 3))
+        posting_lists = [np.arange(4), np.zeros(0, dtype=np.int64), np.arange(4, 10)]
+        layout = SubspaceInvertedIndex(8).build(posting_lists, codes).flat_layout()
+        assert [cells.shape for cells in layout.cells] == [(3, 4), (3, 0), (3, 6)]
+        self._assert_cells(layout, codes[layout.members].T, 8)
 
     def test_flat_layout_needs_build(self):
         with pytest.raises(RuntimeError, match="build"):
@@ -306,7 +302,7 @@ class TestStackedConstruct:
         # the dense grid: one column per leaf slot of the scene, every entry
         # in exactly one of them
         num_subspaces, num_entries = index.config.num_subspaces, index.config.num_entries
-        assert lut.table.shape == (num_subspaces, num_rays, index.scene.num_slots)
+        assert lut.table.shape == (num_rays, num_subspaces, index.scene.num_slots)
         for s in range(num_subspaces):
             slots = index.scene.entry_slots[s]
             slot_entries = index.scene.leaf_primitives[s].reshape(-1)
@@ -362,21 +358,22 @@ class TestStackedConstruct:
         dataset = request.getfixturevalue(f"{metric}_dataset")
         constructor, origins, t_max, thresholds = _rt_select_inputs(index, dataset, 8, "juno-m")
         expected = _reference_lut(constructor, origins, t_max, thresholds)
-        num_subspaces = origins.shape[1]
+        num_rays, num_subspaces = origins.shape[:2]
         calls = []
         traced = constructor.tracer.trace_vertical_batch
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return traced(*args, **kwargs)
+        def counting(layers, origins_xy, *args, **kwargs):
+            assert np.array_equal(layers, np.arange(num_subspaces))  # every layer, always
+            calls.append(len(origins_xy))
+            return traced(layers, origins_xy, *args, **kwargs)
 
         monkeypatch.setattr(constructor.tracer, "trace_vertical_batch", counting)
-        layer_cells = origins.shape[0] * constructor.tracer.scene.num_slots
-        for layers_per_block in (1, 2, num_subspaces):
+        ray_cells = num_subspaces * constructor.tracer.scene.num_slots
+        for rays_per_block in (1, 3, num_rays):
             calls.clear()
-            monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_CELLS", layer_cells * layers_per_block)
+            monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_CELLS", ray_cells * rays_per_block)
             lut = constructor.construct(origins, t_max, thresholds=thresholds)
-            assert max(calls) == layers_per_block and sum(calls) == num_subspaces
+            assert max(calls) == rays_per_block and sum(calls) == num_rays
             assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
 
 
@@ -453,7 +450,7 @@ class TestPassByPass:
             # the padding lanes' columns exist and are never hit
             padding = stack.leaf_radii_sq.reshape(3, -1) < 0
             assert padding.any() and lut.table.shape[2] > num_entries
-            assert not lut.hits.transpose(0, 2, 1)[padding].any()
+            assert not lut.hits.transpose(1, 2, 0)[padding].any()
         assert_hits_are_accepted(lut, constructor, origins, t_max)
         assert_miss_fill(lut)
 
@@ -476,17 +473,17 @@ class TestPassByPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hits, _ = RayTracer(scene).trace_vertical_batch(np.arange(3), origins, t_max, origin_z)
-        own = [hits.accepted[s, np.arange(4), scene.entry_slots[s]] for s in range(3)]
+        own = [hits.accepted[np.arange(4), s, scene.entry_slots[s]] for s in range(3)]
         assert np.array(own).tolist() == [[False] * 4, [True] * 4, [True] * 4]
         # each ray sits on its sphere's centre: d^2 = 0, so t_hit = offset - rim
-        own_dist_sq = [hits.dist_sq[s, np.arange(4), scene.entry_slots[s]] for s in range(3)]
+        own_dist_sq = [hits.dist_sq[np.arange(4), s, scene.entry_slots[s]] for s in range(3)]
         assert (np.array(own_dist_sq) == 0).all()
         for s in range(3):
             rays, entries, dist_sq, _ = reference_trace_layer(
                 scene, s, origins[:, s], t_max[:, s], origin_z[s], dtype=np.float32
             )
             assert sorted(zip(rays.tolist(), entries.tolist())) == [(i, i) for i in range(4) if s]
-            got = hits.dist_sq[s][rays, scene.entry_slots[s][entries]]
+            got = hits.dist_sq[rays, s, scene.entry_slots[s][entries]]
             assert got.tobytes() == dist_sq.tobytes()
 
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
@@ -504,7 +501,7 @@ class TestPassByPass:
             for r in range(0, 256, 8)
         ]
         for name in ("table", "hits", "inner"):
-            joined = np.concatenate([getattr(p, name) for p in parts], axis=1)
+            joined = np.concatenate([getattr(p, name) for p in parts])
             assert joined.tobytes() == getattr(whole, name).tobytes(), name
         stats = TraversalStats()
         for part in parts:
@@ -533,13 +530,13 @@ def _selected_values(index, points, nprobs, scale):
     got, want = [], []
     for s in range(ctx.lut.num_subspaces):
         columns = index.scene.entry_slots[s]
-        hit = ctx.lut.hits[s][:, columns]
+        hit = ctx.lut.hits[:, s, columns]
         origins, centres = ctx.origins[:, s], layer_spheres(index.scene, s)[0]
         if index.metric is Metric.L2:
             truth = ((origins[:, None] - centres[None]) ** 2).sum(axis=2)
         else:
             truth = origins @ centres.T
-        got.append(ctx.lut.table[s][:, columns][hit])
+        got.append(ctx.lut.table[:, s, columns][hit])
         want.append(truth[hit])
     return np.concatenate(got).astype(np.float64), np.concatenate(want)
 

@@ -308,7 +308,8 @@ class TestTraceIntegration:
         rt_stage = next(s for s in exported["spans"] if s["name"] == "stage:rt_select")
         traversals = [s for s in exported["spans"] if s["name"] == "rt_trace"]
         assert traversals and all(s["parent_id"] == rt_stage["span_id"] for s in traversals)
-        assert sum(s["attributes"]["layers"] for s in traversals) == juno_l2.config.num_subspaces
+        # one traversal per block of rays, each over every subspace
+        assert sum(s["attributes"]["rays"] for s in traversals) == 4 * 4
         assert 0.0 < sum(s["duration_s"] for s in traversals) <= rt_stage["duration_s"]
         assert result.extra["stage_seconds"]["rt_select"] == rt_stage["duration_s"]
         # the score stage gathers from the LUT as it is: no child span

@@ -19,7 +19,6 @@ import pytest
 
 from repro.baselines.exact import exact_candidate_scores
 from repro.core.config import JunoConfig, QualityMode
-from repro.core.hit_count import HitCountScorer
 from repro.core.index import JunoIndex
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.threshold import ThresholdModel
@@ -28,7 +27,6 @@ from repro.datasets.synthetic import make_clustered_dataset
 from repro.gpu.cost_model import CostModel
 from repro.gpu.work import SearchWork
 from repro.metrics.distances import Metric
-from repro.pipeline import fused
 from repro.pipeline import (
     CoarseFilterStage,
     ExactRerankStage,
@@ -42,7 +40,7 @@ from repro.pipeline import (
     rerank_pipeline,
 )
 from rt_reference import dense_rows, hit_mask_rows, inner_mask_rows
-from score_reference import LoopedScoreStage, subspace_sum
+from score_reference import HitCountScorer, LoopedScoreStage, subspace_sum
 
 WORK_COUNTER_FIELDS = (
     "filter_flops",
@@ -131,7 +129,7 @@ def _reference_score_batch(
             members = index.subspace_index.cluster_members(cluster_id)
             if members.size == 0:
                 continue
-            codes = index.subspace_index.cluster_codes(cluster_id)
+            codes = index.codes[members]
             if mode.uses_exact_distance:
                 rows = dense_rows(lut, index.scene, ray_id)
                 values = rows[subspace_range[None, :], codes]
@@ -434,7 +432,8 @@ class TestScoreCountWidth:
 class TestSubspaceSumOrder:
     """The premise of the kernel's bit-identity: NumPy's ``sum(axis=0)`` of a
     C-contiguous ``(S, n >= 2)`` float32 table adds its rows one after the
-    other, as ``subspace_sum`` does; a lone column (``n == 1``) is summed
+    other, as ``subspace_sum`` does, also into an ``out=`` slice of a larger
+    array, as the kernel sums each ray; a lone column (``n == 1``) is summed
     that way once it is gathered beside a copy of itself."""
 
     @pytest.mark.parametrize("num_subspaces", [2, 3, 7, 8, 9, 16, 48, 129])
@@ -444,22 +443,22 @@ class TestSubspaceSumOrder:
             magnitudes = 10.0 ** rng.uniform(-4, 4, size=(num_subspaces, n))
             table = (rng.standard_normal((num_subspaces, n)) * magnitudes).astype(np.float32)
             want = subspace_sum(table.T)
+            into = np.full(n + 5, np.nan, dtype=np.float32)
             if n == 1:
-                got = np.repeat(table, 2, axis=1).sum(axis=0)[:1]
+                beside_a_copy = np.repeat(table, 2, axis=1)
+                got = beside_a_copy.sum(axis=0)[:1]
+                beside_a_copy.sum(axis=0, dtype=np.float32, out=into[3:5])
             else:
                 got = table.sum(axis=0)
+                table.sum(axis=0, dtype=np.float32, out=into[3 : 3 + n])
             assert got.dtype == np.float32
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes() == into[3 : 3 + n].tobytes()
 
 
-class TestScoreBlockInvariance:
-    """Any query-aligned blocking of the score kernel reproduces the loop.
-
-    ``_FUSED_BLOCK_ELEMENTS`` only decides how many queries share one dense
-    table; 1 forces one query per block, a huge value one block per batch.
-    """
-
-    BLOCKS = (1, 1 << 40)
+class TestScoreMatchesLoop:
+    """The per-ray score kernel reproduces the loop: every query's candidate
+    ids, order and scores and the ``SearchWork`` deltas, on small batches
+    and on the ledger's 32-query, 8-probe batch."""
 
     @staticmethod
     def _upstream(index, queries, mode, scale, nprobs):
@@ -484,20 +483,20 @@ class TestScoreBlockInvariance:
         stage.run(run)
         return run
 
-    def _assert_blocks_match_loop(self, ctx, monkeypatch):
-        looped = self._scored(ctx, LoopedScoreStage())
-        for block in self.BLOCKS:
-            monkeypatch.setattr(fused, "_FUSED_BLOCK_ELEMENTS", block)
-            batched = self._scored(ctx, ScoreStage())
-            assert len(batched.candidates) == len(looped.candidates) == ctx.num_queries
-            for got, want in zip(batched.candidates, looped.candidates):
-                assert (got is None) == (want is None)
-                if want is not None:
-                    np.testing.assert_array_equal(got[0], want[0])
-                    np.testing.assert_array_equal(got[1], want[1])
-            assert batched.candidate_total == looped.candidate_total
-            assert batched.work.adc_lookups == looped.work.adc_lookups
-            assert batched.work.adc_candidates == looped.work.adc_candidates
+    @classmethod
+    def _assert_matches_loop(cls, ctx):
+        looped = cls._scored(ctx, LoopedScoreStage())
+        batched = cls._scored(ctx, ScoreStage())
+        assert len(batched.candidates) == len(looped.candidates) == ctx.num_queries
+        for got, want in zip(batched.candidates, looped.candidates):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[1].dtype == want[1].dtype
+                assert got[1].tobytes() == want[1].tobytes()
+        assert batched.candidate_total == looped.candidate_total
+        assert batched.work.adc_lookups == looped.work.adc_lookups
+        assert batched.work.adc_candidates == looped.work.adc_candidates
         return looped
 
     @staticmethod
@@ -509,90 +508,102 @@ class TestScoreBlockInvariance:
     @pytest.mark.parametrize("count", [1, 2, 32])
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
-    def test_block_sizes_match_loop(
-        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, count, monkeypatch
+    def test_batch_sizes_match_loop(
+        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, count
     ):
         index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
         ctx = self._upstream(index, self._queries(dataset, count), mode, 1.0, nprobs=6)
-        looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+        looped = self._assert_matches_loop(ctx)
         assert looped.candidate_total > 0
 
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_sparse_selection_with_all_miss_rays(self, juno_l2, l2_dataset, mode, monkeypatch):
+    def test_sparse_selection_with_all_miss_rays(self, juno_l2, l2_dataset, mode):
         """``threshold_scale=0.1``: most entries unselected, some rays hit nothing."""
         nprobs = juno_l2.config.num_clusters
         ctx = self._upstream(juno_l2, self._queries(l2_dataset, 32), mode, 0.1, nprobs)
-        hits_per_ray = np.count_nonzero(ctx.lut.hits, axis=(0, 2))
+        hits_per_ray = np.count_nonzero(ctx.lut.hits, axis=(1, 2))
         assert (hits_per_ray == 0).any() and (hits_per_ray > 0).any()
-        self._assert_blocks_match_loop(ctx, monkeypatch)
+        self._assert_matches_loop(ctx)
 
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_empty_probed_cluster(self, edge_case_juno, mode, monkeypatch):
+    def test_empty_probed_cluster(self, edge_case_juno, mode):
         index, dataset = edge_case_juno
         with _largest_cluster_emptied(index) as (_, victim):
             ctx = self._upstream(
                 index, dataset.queries, mode, 1.0, nprobs=index.config.num_clusters
             )
             assert (ctx.selected == victim).any()
-            self._assert_blocks_match_loop(ctx, monkeypatch)
+            self._assert_matches_loop(ctx)
 
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_lone_candidate_block(self, wide_index, wide_corpus, mode, monkeypatch):
-        """A block holding a single candidate sums its 48 subspaces one after
-        the other too, which NumPy's ``sum`` does not do for a lone column."""
+    def test_lone_member_clusters(self, wide_index, wide_corpus, mode):
+        """A cluster of one member sums its 48 subspaces one after the other
+        too, which NumPy's ``sum`` does not do for a lone column."""
         original = wide_index.subspace_index, wide_index.ivf.posting_lists
         wide_index.ivf.posting_lists = [ids[:1] for ids in original[1]]
         wide_index.rebuild_layout()
         try:
             ctx = self._upstream(wide_index, wide_corpus[6:12] + 0.3, mode, 1.0, nprobs=1)
-            looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+            looped = self._assert_matches_loop(ctx)
         finally:
             wide_index.subspace_index, wide_index.ivf.posting_lists = original
         assert looped.candidate_total > 0
 
-    @pytest.mark.parametrize("scale", [0.25, 1.0])
+    # threshold scales that select some and most cells (an inner-product
+    # index selects nothing at 0.25 or 0.5)
+    SCALES = {"l2": {"sparse": 0.25, "dense": 1.0}, "ip": {"sparse": 1.0, "dense": 2.0}}
+
+    @pytest.mark.parametrize("regime", ["sparse", "dense"])
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_ledger_shaped_batch(self, wide_index, wide_corpus, mode, scale, monkeypatch):
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_ledger_shaped_batch(self, request, wide_corpus, metric, mode, regime):
         """48 subspaces of 128 entries, 32 queries x 8 probes: the ledger's
-        scene and batch shape, sparse and dense."""
+        scene and batch shape, sparse and dense, with one probed cluster
+        emptied and one cut to a lone member."""
+        index = request.getfixturevalue("wide_index" if metric == "l2" else "wide_ip_index")
+        scale = self.SCALES[metric][regime]
         rng = np.random.default_rng(32)
         queries = wide_corpus[rng.integers(0, wide_corpus.shape[0], size=32)]
         queries = queries + 0.1 * rng.standard_normal(queries.shape)
-        ctx = self._upstream(wide_index, queries, mode, scale, nprobs=8)
-        assert ctx.lut.num_rays == 256
-        looped = self._assert_blocks_match_loop(ctx, monkeypatch)
+        original = index.subspace_index, index.ivf.posting_lists
+        posting = list(original[1])
+        posting[0], posting[1] = posting[0][:0], posting[1][:1]  # all 8 are probed
+        index.ivf.posting_lists = posting
+        index.rebuild_layout()
+        try:
+            ctx = self._upstream(index, queries, mode, scale, nprobs=8)
+            assert ctx.lut.num_rays == 256 and ctx.lut.table.shape[1] == 48
+            sizes = index.subspace_index.flat_layout().cluster_sizes[ctx.selected]
+            assert (sizes == 0).any() and (sizes == 1).any()
+            looped = self._assert_matches_loop(ctx)
+        finally:
+            index.subspace_index, index.ivf.posting_lists = original
         assert looped.candidate_total > 0
 
 
-class TestScoreIndexRuns:
-    """The gather index is the block's rays' cluster runs back to back: a
-    zero-length run between two others, a block of one candidate among empty
-    runs and block boundaries inside a batch reproduce the loop too."""
+class TestScoreRayRuns:
+    """Each ray's sums land at its run's offset in the batch's arrays: a
+    zero-length run between two others, a lone member among empty runs
+    (whose copy's sum lands in the next run or the spare slot) and a query
+    with no candidate between two others reproduce the loop too."""
 
-    _upstream = staticmethod(TestScoreBlockInvariance._upstream)
-    _scored = staticmethod(TestScoreBlockInvariance._scored)
-    _assert_blocks_match_loop = TestScoreBlockInvariance._assert_blocks_match_loop
-
-    @staticmethod
-    def _query_elements(ctx):
-        sizes = ctx.index.subspace_index.flat_layout().cluster_sizes[ctx.selected]
-        return sizes.sum(axis=1) * ctx.lut.table.shape[0]
+    _upstream = staticmethod(TestScoreMatchesLoop._upstream)
+    _assert_matches_loop = TestScoreMatchesLoop._assert_matches_loop
 
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_empty_run_between_two_others(self, edge_case_juno, mode, monkeypatch):
+    def test_empty_run_between_two_others(self, edge_case_juno, mode):
         index, dataset = edge_case_juno
         nprobs = index.config.num_clusters
         with _largest_cluster_emptied(index) as (_, victim):
             ctx = self._upstream(index, dataset.queries, mode, 1.0, nprobs)
             probe = np.nonzero(ctx.selected == victim)[1]
             assert ((probe > 0) & (probe < nprobs - 1)).any()
-            self.BLOCKS = (1, 1 << 40, int(self._query_elements(ctx)[:3].sum()))
-            self._assert_blocks_match_loop(ctx, monkeypatch)
+            self._assert_matches_loop(ctx)
 
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_one_candidate_among_empty_runs(self, edge_case_juno, mode, monkeypatch):
+    def test_one_candidate_among_empty_runs(self, edge_case_juno, mode):
         """One cluster keeps one member, every other is empty: each query's
-        block is a lone candidate between zero-length runs."""
+        candidates are a lone member between zero-length runs."""
         index, dataset = edge_case_juno
         original = index.subspace_index, index.ivf.posting_lists
         kept = int(np.argmax([ids.size for ids in original[1]]))
@@ -601,22 +612,23 @@ class TestScoreIndexRuns:
         try:
             nprobs = index.config.num_clusters
             ctx = self._upstream(index, dataset.queries[:4], mode, 1.0, nprobs)
-            assert self._query_elements(ctx).tolist() == [index.config.num_subspaces] * 4
-            self.BLOCKS = (1, 1 << 40)
-            self._assert_blocks_match_loop(ctx, monkeypatch)
+            sizes = index.subspace_index.flat_layout().cluster_sizes[ctx.selected]
+            assert sizes.sum(axis=1).tolist() == [1] * 4
+            self._assert_matches_loop(ctx)
         finally:
             index.subspace_index, index.ivf.posting_lists = original
 
     @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
-    def test_block_boundaries_inside_a_batch(self, juno_l2, l2_dataset, mode, monkeypatch):
-        queries = TestScoreBlockInvariance._queries(l2_dataset, 32)
-        ctx = self._upstream(juno_l2, queries, mode, 1.0, nprobs=6)
-        elements = self._query_elements(ctx)
-        # blocks of at least two queries, and a first block of exactly five
-        self.BLOCKS = (2 * int(elements.max()), int(elements[:5].sum()) + 1)
-        assert elements.sum() > max(self.BLOCKS)
-        looped = self._assert_blocks_match_loop(ctx, monkeypatch)
-        assert looped.candidate_total > 0
+    def test_query_without_candidates_between_others(self, edge_case_juno, mode):
+        index, dataset = edge_case_juno
+        with _largest_cluster_emptied(index) as (_, victim):
+            probed = self._upstream(index, dataset.queries, mode, 1.0, nprobs=1).selected[:, 0]
+            empty, other = np.flatnonzero(probed == victim), np.flatnonzero(probed != victim)
+            assert empty.size and other.size >= 2
+            queries = dataset.queries[[other[0], empty[0], other[1]]]
+            ctx = self._upstream(index, queries, mode, 1.0, nprobs=1)
+            looped = self._assert_matches_loop(ctx)
+        assert [pair is None for pair in looped.candidates] == [False, True, False]
 
 
 # --------------------------------------------------------- stateless search
@@ -762,7 +774,7 @@ class TestStatelessSearch:
                 return [value]
             return [value.table, value.hits] + ([] if value.inner is None else [value.inner])
 
-        upstream = TestScoreBlockInvariance._upstream
+        upstream = TestScoreMatchesLoop._upstream
         queries = l2_dataset.queries[:8]
         first = upstream(juno_l2, queries, "juno-m", 1.0, nprobs=6)
         pristine = [array.copy() for array in arrays(first)]

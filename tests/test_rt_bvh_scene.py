@@ -11,6 +11,7 @@ and with the float64 paths within the precision oracle's slack
 
 import warnings
 from dataclasses import dataclass, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from rt_reference import (
     sqrt_form_accepts,
     trace,
 )
+from repro.core import selective_lut
 from repro.core.inner_product import adjusted_radii_for_inner_product
+from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.rt.scene import TraversableScene
 from repro.rt.tracer import RayTracer, TraversalStats, _accept, _least_accepted
 
@@ -217,8 +220,8 @@ class TestScene:
 
 def _hits_of_ray(scene, batch, ray, layer=0):
     """``(entry_ids, dist_sq)`` of one ray in one layer of a batch, in slot order."""
-    hit = batch.accepted[layer, ray]
-    return scene.leaf_primitives[layer].reshape(-1)[hit], batch.dist_sq[layer, ray, hit]
+    hit = batch.accepted[ray, layer]
+    return scene.leaf_primitives[layer].reshape(-1)[hit], batch.dist_sq[ray, layer, hit]
 
 
 class TestTracer:
@@ -333,7 +336,8 @@ def _block_inputs(rng, scene, num_rays, shape=SceneShape(0, 0)):
 def _entry_grid(scene, batch, layer):
     """One layer's ``(R, E)`` ``d²`` in entry order, NaN = miss."""
     columns = scene.entry_slots[layer]
-    return np.where(batch.accepted[layer][:, columns], batch.dist_sq[layer][:, columns], np.nan)
+    hit, dist_sq = batch.accepted[:, layer, columns], batch.dist_sq[:, layer, columns]
+    return np.where(hit, dist_sq, np.nan)
 
 
 def _trace_block(scene, origins, t_max, origin_z):
@@ -395,7 +399,7 @@ class TestStackedTracer:
         _, batch, stats = _trace_block(scene, origins, t_max, origin_z)
         num_layers, num_spheres = scene.entry_slots.shape
         width = scene.num_slots
-        assert batch.accepted.shape == batch.dist_sq.shape == (num_layers, num_rays, width)
+        assert batch.accepted.shape == batch.dist_sq.shape == (num_rays, num_layers, width)
         assert batch.accepted.dtype == bool
         assert batch.dist_sq.dtype == np.float32
         expected = TraversalStats()
@@ -408,9 +412,9 @@ class TestStackedTracer:
             want = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
             want[ray_index, entry_index] = dist_sq
             got = np.full((num_rays, num_spheres), np.nan, dtype=np.float32)
-            rays, columns = np.nonzero(batch.accepted[layer])
+            rays, columns = np.nonzero(batch.accepted[:, layer])
             slot_entries = scene.leaf_primitives[layer].reshape(-1)
-            got[rays, slot_entries[columns]] = batch.dist_sq[layer, rays, columns]
+            got[rays, slot_entries[columns]] = batch.dist_sq[rays, layer, columns]
             assert got.tobytes() == want.tobytes()
             ray_index, entry_index, dist_sq, exact_stats = reference_trace_layer(*inputs)
             exact = np.full((num_rays, num_spheres), np.nan)
@@ -430,7 +434,7 @@ class TestStackedTracer:
             assert rays.size == ray_index.size
             # a padding lane's radius^2 of -1 makes its hit time NaN: a miss
             padding = np.flatnonzero(scene.leaf_radii_sq[layer].reshape(-1) < 0)
-            assert not batch.accepted[layer][:, padding].any()
+            assert not batch.accepted[:, layer, padding].any()
             # a sphere's slot holds that sphere
             slots = scene.entry_slots[layer]
             assert slot_entries[slots].tolist() == list(range(num_spheres))
@@ -446,7 +450,7 @@ class TestStackedTracer:
         if num_rays == 256 and shape == "origin_inside":
             # the ``t_hit >= 0`` branch had cells to reject: a half chord
             # longer than the offset puts the sphere's near side behind the ray
-            half_chord_sq = scene.leaf_radii_sq.reshape(2, 1, -1) - batch.dist_sq
+            half_chord_sq = scene.leaf_radii_sq.reshape(1, 2, -1) - batch.dist_sq
             behind = half_chord_sq > SCENE_SHAPES[shape].offset ** 2 + 1e-3
             assert behind.any() and not batch.accepted[behind].any()
 
@@ -480,9 +484,9 @@ class TestStackedTracer:
             alone, _ = tracer.trace_vertical_batch(
                 layer, origins[:, layer], t_max[:, layer], origin_z[layer]
             )
-            hit = alone.accepted[0]
-            assert batch.accepted[position].tobytes() == hit.tobytes()
-            assert batch.dist_sq[position][hit].tobytes() == alone.dist_sq[0][hit].tobytes()
+            hit = alone.accepted[:, 0]
+            assert batch.accepted[:, position].tobytes() == hit.tobytes()
+            assert batch.dist_sq[:, position][hit].tobytes() == alone.dist_sq[:, 0][hit].tobytes()
 
     def test_unknown_layer_and_bad_shapes_raise(self, rng):
         scene = _layered_scene(rng, SceneShape(2, 9))
@@ -562,10 +566,11 @@ class TestAcceptBound:
     @staticmethod
     def _assert_matches_sqrt_form(y, offset, t_max, guard):
         guard = np.broadcast_to(guard, offset.shape)
-        got = np.empty(y.shape, dtype=bool)
-        _accept(y, offset[:, None], t_max, guard, out=got)
+        # the cases are drawn layer-major; the tracer's grid is ray-major
+        got = np.empty(y.transpose(1, 0, 2).shape, dtype=bool)
+        _accept(y.transpose(1, 0, 2), offset, t_max.T, guard, out=got)
         want = sqrt_form_accepts(y, offset[:, None, None], t_max[:, :, None], guard[:, None, None])
-        assert got.tobytes() == want.tobytes()
+        assert got.transpose(1, 0, 2).tobytes() == want.tobytes()
 
     @given(case=_accept_cases())
     @settings(max_examples=200, deadline=None)
@@ -591,7 +596,7 @@ class TestAcceptBound:
         offset, t_max = np.array([1.5], _F32), np.array([[1.0]], _F32)
         self._assert_matches_sqrt_form(y, offset, t_max, guard=True)
         got = np.empty(y.shape, dtype=bool)
-        _accept(y, offset[:, None], t_max, np.array([True]), out=got)
+        _accept(y, offset, t_max, np.array([True]), out=got)
         assert got.tolist() == [[[False, True]]]
 
 
@@ -616,11 +621,11 @@ def _assert_block_is_reference(scene, batch, stats, origins, t_max, origin_z):
             scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer], dtype=np.float32
         )
         expected.merge(layer_stats)
-        got_rays, slots = np.nonzero(batch.accepted[layer])
+        got_rays, slots = np.nonzero(batch.accepted[:, layer])
         got = zip(
             got_rays.tolist(),
             scene.leaf_primitives[layer].reshape(-1)[slots].tolist(),
-            batch.dist_sq[layer, got_rays, slots].tolist(),
+            batch.dist_sq[got_rays, layer, slots].tolist(),
         )
         assert sorted(got) == sorted(zip(rays.tolist(), entries.tolist(), dist_sq.tolist()))
     assert stats == expected
@@ -679,8 +684,9 @@ class TestCommonBoxShortcut:
 
     @staticmethod
     def _inside(tracer, origins, t_max, origin_z):
-        grids = (origins[:, :, 0].T.copy(), origins[:, :, 1].T.copy(), t_max.T.copy())
-        return tracer._inside(np.arange(origins.shape[1]), *grids, origin_z)
+        """``(L, R)``: the tracer's ray-major answer, one row per layer."""
+        grids = (origins[:, :, 0], origins[:, :, 1], t_max)
+        return tracer._inside(np.arange(origins.shape[1]), *grids, origin_z).T
 
     @given(case=_common_box_cases())
     @settings(max_examples=150, deadline=None)
@@ -738,3 +744,37 @@ class TestCommonBoxShortcut:
         assert per_ray_hits(scene, 0, origins[0], origin_z, np.nan)[1] == TraversalStats(
             1, 1, 1, 0, 0
         )
+
+
+class TestRayMajorBlocks:
+    """``rt_select`` traces a batch in blocks of rays over every layer; the
+    block size decides nothing.  Each ``(R, L, E')`` grid, read one layer at
+    a time, is the per-layer reference's ``(R, E')`` one -- its hits and
+    their ``d²`` bytes, ``NaN`` in every other cell -- and the counters are
+    exact, for rays outside the common box in only some layers, guard layers
+    (``offset < r_max``) and ``NaN`` ``t_max``."""
+
+    @given(case=_common_box_cases(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_ray_blocking_is_the_layer_reference(self, case, data):
+        scene, origins, t_max, origin_z = case
+        (num_rays, num_layers), width = t_max.shape, scene.num_slots
+        # from one ray per block to the whole batch and past it
+        cells = data.draw(st.integers(1, 2 * num_rays * num_layers * width))
+        constructor = SelectiveLUTConstructor(RayTracer(scene), 1.0, scene.z - origin_z)
+        with mock.patch.object(selective_lut, "_TRACE_BLOCK_CELLS", cells):
+            lut = constructor.construct(origins, t_max)
+        assert lut.table.shape == lut.hits.shape == (num_rays, num_layers, width)
+        expected = TraversalStats()
+        for layer in range(num_layers):
+            rays, entries, dist_sq, layer_stats = reference_trace_layer(
+                scene, layer, origins[:, layer], t_max[:, layer], origin_z[layer], np.float32
+            )
+            expected.merge(layer_stats)
+            slots = scene.entry_slots[layer][entries]
+            hits = np.zeros((num_rays, width), dtype=bool)
+            values = np.full((num_rays, width), np.nan, dtype=np.float32)
+            hits[rays, slots], values[rays, slots] = True, dist_sq
+            assert lut.hits[:, layer].tobytes() == hits.tobytes()
+            assert lut.table[:, layer].tobytes() == values.tobytes()
+        assert lut.stats == expected

@@ -29,7 +29,7 @@ import signal
 
 import numpy as np
 import pytest
-from rt_reference import assert_columns_address_codes
+from rt_reference import assert_cells_address_codes
 
 from repro.datasets.synthetic import make_clustered_dataset
 from repro.serving import (
@@ -262,9 +262,9 @@ class TestRuntimeFunctionsInProcess:
         observed = TASKS["search"](shards, 0, 0, corpus.queries, 5, {"nprobs": 4})
         expected = sequential_router.shards[0].search(corpus.queries, 5, nprobs=4)
         assert search_results_equal(expected, observed)
-        # a booted shard's gather columns follow the scene it rebuilt
+        # a booted shard's gather cells follow the scene it rebuilt
         for shard_id in (0, 1):
-            assert_columns_address_codes(shards[shard_id])
+            assert_cells_address_codes(shards[shard_id])
         with pytest.raises(RuntimeError, match="not resident"):
             TASKS["search"](shards, 0, 7, corpus.queries, 5, {})
         with pytest.raises(RuntimeError, match="not resident"):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from rt_reference import assert_columns_address_codes
+from rt_reference import assert_cells_address_codes
 
 from repro.core.config import JunoConfig
 from repro.core.index import JunoIndex
@@ -340,8 +340,8 @@ class TestCompaction:
             assert layout is not None
             assert index.subspace_index.flat_layout() is layout
             # ... against the scene the index traces: one owner builds the
-            # gather columns wherever the layout or the scene is (re)built
-            assert_columns_address_codes(index)
+            # gather cells wherever the layout or the scene is (re)built
+            assert_cells_address_codes(index)
             return layout
 
         prebuilt(base_index)
