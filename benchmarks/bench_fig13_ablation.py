@@ -1,5 +1,6 @@
 """Fig. 13(a): improvement breakdown -- full JUNO vs without pipelining vs
-without hit-count selection.
+without hit-count selection.  "Full JUNO" sweeps JUNO-H and JUNO-L; the
+paper's sweep also held JUNO-M, which is not offered.
 Fig. 13(b): static small / static large / dynamic threshold strategies.
 """
 
@@ -37,12 +38,12 @@ def test_fig13a_improvement_breakdown(sift_workload, rtx4090, benchmark):
         )
         full = run_juno_sweep(
             workload.juno, dataset.queries, dataset.ground_truth,
-            _sweep((QualityMode.HIGH, QualityMode.MEDIUM, QualityMode.LOW)),
+            _sweep((QualityMode.HIGH, QualityMode.LOW)),
             rtx4090, label="JUNO",
         )
         no_pipeline = run_juno_sweep(
             workload.juno, dataset.queries, dataset.ground_truth,
-            _sweep((QualityMode.HIGH, QualityMode.MEDIUM, QualityMode.LOW)),
+            _sweep((QualityMode.HIGH, QualityMode.LOW)),
             rtx4090, label="JUNO w/o pipeline", pipelined=False,
         )
         no_hit_count = run_juno_sweep(

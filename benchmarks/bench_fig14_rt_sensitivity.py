@@ -15,7 +15,7 @@ from repro.gpu.cost_model import CostModel
 SWEEP = SweepConfig(
     nprobs_values=(1, 2, 4, 8),
     threshold_scales=(0.4, 0.7, 1.0),
-    quality_modes=(QualityMode.HIGH, QualityMode.MEDIUM, QualityMode.LOW),
+    quality_modes=(QualityMode.HIGH, QualityMode.LOW),
     k=100,
     recall_k=1,
     recall_n=100,

@@ -4,8 +4,8 @@
     python3 benchmarks/hot_path_sweep.py [--tree DIR] [--points N] [--repeats N]
         [--json OUT] [--against PARENT.json]
 
-Trains the ledger's index (seed 1) and searches it in 24 cells -- quality mode
-(JUNO-H/M/L) x ``threshold_scale`` (0.1, 0.25, 0.5, 1.0) x batch (1, 32) --
+Trains the ledger's index (seed 1) and searches it in 16 cells -- quality mode
+(JUNO-H/L) x ``threshold_scale`` (0.1, 0.25, 0.5, 1.0) x batch (1, 32) --
 nine searches per cell.  A cell's time is the median ``rt_select`` plus the
 median ``score`` stage time of the nine (the selective LUT is one table
 written by the first and read by the second, so a change can move time
@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-MODES = ("juno-h", "juno-m", "juno-l")
+MODES = ("juno-h", "juno-l")
 SCALES = (0.1, 0.25, 0.5, 1.0)
 BATCHES = (1, 32)
 SEARCHES = 9
@@ -71,7 +71,7 @@ def _digest(arrays) -> str:
 
 
 def sweep_once(index, queries, truth, recall_k_at_n) -> dict[str, dict]:
-    """One pass over the 24 cells: ``{cell: {ms, rt_select_ms, digests, recall}}``."""
+    """One pass over the 16 cells: ``{cell: {ms, rt_select_ms, digests, recall}}``."""
     cells = {}
     for mode, scale, batch in product(MODES, SCALES, BATCHES):
         results = [

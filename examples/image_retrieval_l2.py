@@ -32,7 +32,7 @@ def main() -> None:
     sweep = SweepConfig(
         nprobs_values=(1, 2, 4, 8),
         threshold_scales=(0.4, 0.7, 1.0),
-        quality_modes=(QualityMode.HIGH, QualityMode.MEDIUM, QualityMode.LOW),
+        quality_modes=(QualityMode.HIGH, QualityMode.LOW),
     )
     cost_model = CostModel("rtx4090")
     juno_sweep = run_juno_sweep(juno, dataset.queries, dataset.ground_truth, sweep, cost_model)

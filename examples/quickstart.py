@@ -36,7 +36,7 @@ def main() -> None:
     # 4. Search with both and compare recall and modelled throughput.
     cost_model = CostModel("rtx4090")
     print(f"\n{'system':<22} {'recall R1@100':>14} {'modelled QPS':>14} {'entries selected':>18}")
-    for mode in ("juno-h", "juno-m", "juno-l"):
+    for mode in ("juno-h", "juno-l"):
         result = juno.search(dataset.queries, k=100, nprobs=8, quality_mode=mode)
         recall = recall_at(result.ids, ground_truth, 100)
         qps = cost_model.qps(result.work, pipelined=True)

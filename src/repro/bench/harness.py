@@ -60,11 +60,7 @@ class SweepConfig:
     nprobs_values: tuple[int, ...] = (1, 2, 4, 8, 16)
     threshold_scales: tuple[float, ...] = (0.4, 0.6, 0.8, 1.0)
     ef_values: tuple[int, ...] = (16, 32, 64)
-    quality_modes: tuple[QualityMode, ...] = (
-        QualityMode.HIGH,
-        QualityMode.MEDIUM,
-        QualityMode.LOW,
-    )
+    quality_modes: tuple[QualityMode, ...] = (QualityMode.HIGH, QualityMode.LOW)
     k: int = 100
     recall_k: int = 1
     recall_n: int = 100

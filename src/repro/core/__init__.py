@@ -3,7 +3,7 @@
 The core package implements the sparsity- and locality-aware search algorithm
 of Sec. 4 and the end-to-end system of Sec. 5:
 
-* :mod:`repro.core.config` -- configuration and the JUNO-L/M/H quality modes.
+* :mod:`repro.core.config` -- configuration and the JUNO-L/H quality modes.
 * :mod:`repro.core.density` -- the per-subspace 100x100 density maps.
 * :mod:`repro.core.threshold` -- the offline polynomial regressor that turns
   region density into a per-query distance threshold, plus the static

@@ -1,13 +1,17 @@
 """Configuration objects for the JUNO search system.
 
-The paper exposes three quality presets (Sec. 6.1):
+The paper exposes three quality presets (Sec. 6.1); two are kept:
 
-* **JUNO-H** -- exact hit-time-based distance calculation; for high quality
-  requirements (recall above ~0.97).
-* **JUNO-M** -- finer-grained hit-count selection with the reward/penalty
-  inner sphere; medium quality (~0.95-0.97).
+* **JUNO-H** -- distance calculation from the sphere test's squared in-plane
+  distance ``d²`` of every selected entry; for high quality requirements
+  (recall above ~0.97).
 * **JUNO-L** -- pure hit-count selection; low quality (below ~0.95) and the
   highest throughput.
+
+The paper's middle preset, JUNO-M (hit counts with a reward/penalty inner
+sphere), is not offered: it scored lower recall than JUNO-H at every
+threshold scale and was no faster (``docs/performance.md``, "Quality
+modes").
 
 It also lets the user trade quality for throughput with a threshold scaling
 factor (Sec. 4.1) and, for the ablation of Fig. 13(b), supports static
@@ -24,10 +28,9 @@ from repro.metrics.distances import Metric
 
 
 class QualityMode(str, enum.Enum):
-    """The JUNO-L / JUNO-M / JUNO-H operating points."""
+    """The JUNO-L / JUNO-H operating points."""
 
     HIGH = "juno-h"
-    MEDIUM = "juno-m"
     LOW = "juno-l"
 
     @property
@@ -35,15 +38,10 @@ class QualityMode(str, enum.Enum):
         """Whether the mode computes exact hit distances (JUNO-H only)."""
         return self is QualityMode.HIGH
 
-    @property
-    def uses_inner_sphere(self) -> bool:
-        """Whether the reward/penalty inner sphere is used (JUNO-M only)."""
-        return self is QualityMode.MEDIUM
-
     def higher_is_better(self, metric: Metric) -> bool:
         """Sort direction of the scores this mode produces under ``metric``.
 
-        Hit-count scores (JUNO-L/M) and inner products rank descending;
+        Hit-count scores (JUNO-L) and inner products rank descending;
         JUNO-H L2 distances rank ascending.  Shared by the in-process top-k
         selection and the shard merge in :mod:`repro.serving.shard`, which
         must agree on the direction for merged results to be correct.
@@ -69,7 +67,7 @@ class JunoConfig:
             by the RT-core mapping).
         num_entries: codebook entries per subspace ``E``.
         metric: L2 or inner product.
-        quality_mode: JUNO-H / JUNO-M / JUNO-L operating point.
+        quality_mode: JUNO-H / JUNO-L operating point.
         threshold_strategy: dynamic (density-driven) or static thresholds.
         threshold_scale: user-facing scaling factor applied to the predicted
             threshold; < 1 trades recall for throughput (Fig. 7(b)).
@@ -86,10 +84,6 @@ class JunoConfig:
             ``t_max``.
         miss_penalty_factor: multiplier on the squared threshold used as the
             distance contribution of subspaces whose entry was not selected.
-        inner_sphere_ratio: radius ratio of the reward/penalty inner sphere
-            (the paper uses half the radius).
-        hit_count_penalty: penalty applied when a ray misses both spheres in
-            JUNO-M scoring.
         kmeans_iters: Lloyd iterations used for IVF and PQ training.
         seed: RNG seed for all training stages.
         leaf_size: BVH leaf size of the traversable scene.
@@ -108,8 +102,6 @@ class JunoConfig:
     threshold_top_k: int = 100
     sphere_radius_margin: float = 1.25
     miss_penalty_factor: float = 1.0
-    inner_sphere_ratio: float = 0.5
-    hit_count_penalty: float = 1.0
     kmeans_iters: int = 15
     seed: int = 0
     leaf_size: int = 4
@@ -125,8 +117,6 @@ class JunoConfig:
             raise ValueError("threshold_scale must be positive")
         if self.sphere_radius_margin < 1.0:
             raise ValueError("sphere_radius_margin must be >= 1")
-        if not 0.0 < self.inner_sphere_ratio < 1.0:
-            raise ValueError("inner_sphere_ratio must be in (0, 1)")
         if self.density_grid < 2:
             raise ValueError("density_grid must be at least 2")
         counts = ("regression_degree", "threshold_top_k", "num_threshold_samples", "kmeans_iters")

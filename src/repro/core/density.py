@@ -113,11 +113,3 @@ class DensityMap:
         if xy.ndim != 3 or xy.shape[1:] != (self.num_subspaces, 2):
             raise ValueError("xy must have shape (R, S, 2)")
         return self._densities_at(np.arange(xy.shape[1]), xy)
-
-    def mean_density(self, subspace_id: int) -> float:
-        """Average density over the occupied cells of one subspace."""
-        if not self.is_fitted:
-            raise RuntimeError("DensityMap has not been fitted")
-        cells = self.densities_[subspace_id]
-        occupied = cells[cells > 0]
-        return float(occupied.mean()) if occupied.size else 0.0

@@ -15,9 +15,9 @@
   and the default pipeline reproduces the historical monolithic
   implementation bit-identically.
 
-The three quality modes map onto the scoring strategy used in the last
-stage: JUNO-H decodes exact distances from hit times, JUNO-M uses the
-reward/penalty hit count and JUNO-L the plain hit count (Sec. 5.4 / 6.1).
+The two quality modes map onto the scoring strategy used in the last
+stage: JUNO-H sums the per-subspace values the sphere tests wrote (``d²``
+for L2), JUNO-L counts the hits (Sec. 5.4 / 6.1).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class JunoSearchResult:
         ids: ``(Q, k)`` neighbour ids, best-first, padded with ``-1``.
         scores: ``(Q, k)`` scores aligned with ``ids``.  JUNO-H reports
             approximate distances (L2) or similarities (inner product);
-            JUNO-L/M report hit-count scores (higher is better).
+            JUNO-L reports hit-count scores (higher is better).
         work: operation counters for the whole batch (feeds the GPU cost
             model).
         quality_mode: the mode the search ran in.
@@ -405,7 +405,7 @@ class JunoIndex:
             queries: ``(Q, D)`` query batch.
             k: neighbours to return per query.
             nprobs: coarse clusters probed per query.
-            quality_mode: override of the configured JUNO-L/M/H mode.
+            quality_mode: override of the configured JUNO-L/H mode.
             threshold_scale: override of the configured threshold scaling
                 factor (< 1 trades recall for throughput).
             pipeline: custom :class:`~repro.pipeline.pipeline.QueryPipeline`;

@@ -63,13 +63,9 @@ class SelectiveLUT:
         table: ``(R, S, E')`` float32 score contributions, ``R = Q * nprobs``:
             the value (squared L2 distance or inner product) of every
             selected (ray, subspace, slot) cell and the ray's miss value in
-            every other -- its miss penalty in that subspace, or ``NaN``
-            when JUNO-M built the table.
+            every other -- its miss penalty in that subspace.
         hits: ``(R, S, E')`` booleans marking the selected cells (the
             tracer's accepted grid).
-        inner: ``(R, S, E')`` booleans marking selected cells that also fall
-            inside the reward/penalty inner sphere (JUNO-M); ``None`` when
-            the inner sphere was not evaluated.
         num_entries: codebook entries per subspace ``E`` (``E <= E'``).
         metric: the metric the values are expressed in.
         stats: traversal statistics accumulated over all subspaces.
@@ -77,7 +73,6 @@ class SelectiveLUT:
 
     table: np.ndarray
     hits: np.ndarray
-    inner: np.ndarray | None
     num_entries: int
     metric: Metric
     stats: TraversalStats
@@ -117,8 +112,6 @@ class SelectiveLUTConstructor:
         origin_offsets: ``(S,)`` distance from the ray-origin plane to the
             sphere-centre plane for every subspace layer.
         metric: L2 or inner product.
-        inner_sphere_ratio: if not ``None``, hits are additionally classified
-            against an inner sphere of ``ratio * threshold`` (JUNO-M).
     """
 
     def __init__(
@@ -127,21 +120,18 @@ class SelectiveLUTConstructor:
         base_radius: float,
         origin_offsets: np.ndarray,
         metric: Metric = Metric.L2,
-        inner_sphere_ratio: float | None = None,
     ) -> None:
         self.tracer = tracer
         self.base_radius = float(base_radius)
         self.origin_offsets = np.asarray(origin_offsets, dtype=np.float64)
         self.metric = Metric(metric)
-        self.inner_sphere_ratio = inner_sphere_ratio
 
     def construct(
         self,
         origins: np.ndarray,
         t_max: np.ndarray,
-        thresholds: np.ndarray | None = None,
+        miss: np.ndarray,
         trace=None,
-        miss: np.ndarray | None = None,
     ) -> SelectiveLUT:
         """Trace all rays and build the selective LUT.
 
@@ -155,13 +145,10 @@ class SelectiveLUTConstructor:
             origins: ``(R, S, 2)`` ray origins per ray and subspace (residual
                 projections for L2, raw query projections for inner product).
             t_max: ``(R, S)`` per-ray maximum travel times.
-            thresholds: ``(R, S)`` distance thresholds (needed to evaluate the
-                inner sphere for JUNO-M; ignored otherwise).
+            miss: ``(R, S)`` value of the cells a ray does not select, cast
+                to float32 (the miss penalties).
             trace: optional :class:`~repro.obs.trace.Trace`; when set, every
                 tracer call is recorded as an ``rt_trace`` span.
-            miss: ``(R, S)`` value of the cells a ray does not select, cast
-                to float32 (the miss penalties); ``None`` fills in ``NaN``,
-                which the inner sphere requires.
 
         Returns:
             The populated :class:`SelectiveLUT`.
@@ -173,9 +160,6 @@ class SelectiveLUTConstructor:
         num_rays, num_subspaces, _ = origins.shape
         if t_max.shape != (num_rays, num_subspaces):
             raise ValueError("t_max must have shape (R, S)")
-        want_inner = self.inner_sphere_ratio is not None
-        if want_inner and (thresholds is None or miss is not None):
-            raise ValueError("the inner sphere needs thresholds and NaN misses")
 
         scene = self.tracer.scene
         layers = np.arange(num_subspaces)
@@ -185,11 +169,9 @@ class SelectiveLUTConstructor:
             # (offset - t_hit)^2 = r^2 - d^2, and |q|^2 depends on the ray only
             norm_term = (np.sum(origins**2, axis=2) - self.base_radius**2).astype(np.float32)
 
-        miss = np.full(num_subspaces, np.nan) if miss is None else np.asarray(miss)
-        miss = np.broadcast_to(miss.astype(np.float32), (num_rays, num_subspaces))
+        miss = np.broadcast_to(np.asarray(miss, dtype=np.float32), (num_rays, num_subspaces))
         table = np.empty((num_rays, num_subspaces, scene.num_slots), dtype=np.float32)
         hit_grid = np.empty(table.shape, dtype=bool)
-        inner = np.empty(table.shape, dtype=bool) if want_inner else None
         stats = TraversalStats()
         block_rays = max(1, _TRACE_BLOCK_CELLS // max(num_subspaces * scene.num_slots, 1))
         for r0 in range(0, num_rays, block_rays):
@@ -206,15 +188,4 @@ class SelectiveLUTConstructor:
                 np.add(norm_term[block, :, None], rows, out=rows)
                 np.divide(rows, 2.0, out=rows)
             _fill_misses(rows, hit_rows, miss[block, :, None])
-            if want_inner:
-                # a NaN miss compares false: the flags need no AND with the hits
-                ray_threshold = thresholds[block, :, None]
-                if self.metric is Metric.L2:
-                    bound = ray_threshold * self.inner_sphere_ratio
-                    np.less_equal(np.sqrt(rows), bound, out=inner[block])
-                else:
-                    # "Inside the inner sphere" for MIPS: above the selection
-                    # bound by a margin that shrinks with the inner-sphere ratio.
-                    margin = (1.0 - self.inner_sphere_ratio) * np.abs(ray_threshold)
-                    np.greater_equal(rows, ray_threshold + margin, out=inner[block])
-        return SelectiveLUT(table, hit_grid, inner, scene.entry_slots.shape[1], self.metric, stats)
+        return SelectiveLUT(table, hit_grid, scene.entry_slots.shape[1], self.metric, stats)

@@ -48,18 +48,6 @@ class GPUDevice:
         """Whether hardware ray tracing is available."""
         return self.rt_cores > 0
 
-    def effective_rt_throughput(self) -> float:
-        """Traversal operations per second, accounting for CUDA emulation.
-
-        Without RT cores, traversal runs as ordinary (divergent, scattered)
-        CUDA code: the rate is derived from the CUDA peak with the same
-        scatter efficiency the cost model applies, divided by the emulation
-        penalty.
-        """
-        if self.has_rt_cores:
-            return self.rt_gigatraversals * 1e9
-        return (self.cuda_gflops * 1e9 / 3000.0) / self.rt_emulation_penalty
-
 
 # Relative numbers follow the NVIDIA whitepapers cited by the paper
 # ([49, 50, 52, 54]): Ada Gen-3 RT cores ~2x the per-core throughput of

@@ -102,10 +102,6 @@ class SearchWork:
         # flops (subtract, square, accumulate per dimension).
         return 3.0 * self.lut_pairwise * self.lut_pairwise_dims
 
-    def distance_calc_flops(self) -> float:
-        """FLOPs spent accumulating LUT values in the distance calculation stage."""
-        return float(self.adc_lookups)
-
 
 # ``num_queries`` and ``lut_pairwise_dims`` describe the batch; every other
 # numeric field accumulates.  Computed once: the query pipeline copies and

@@ -43,7 +43,7 @@ class QueryContext:
         k: neighbours to return per query.
         nprobs: coarse clusters probed per query (clamped by the coarse
             filter stage to the number of available clusters).
-        quality_mode: resolved JUNO-L/M/H operating point.
+        quality_mode: resolved JUNO-L/H operating point.
         threshold_scale: resolved threshold scaling factor.
         metric: ranking metric of the search.
         work: shared operation counters for the whole batch.

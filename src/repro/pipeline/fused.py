@@ -6,16 +6,16 @@ the per-subspace values are accumulated.  RT-select hands the LUT over as
 exactly what that lookup reads (:class:`~repro.core.selective_lut.SelectiveLUT`):
 one ray-major ``(rays, S, E')`` float32 table of each cell's contribution --
 its decoded value where the ray selected the slot, the ray's miss value (its
-dynamic-threshold penalty, ``NaN`` for JUNO-M) where it did not -- and the
-hit grid beside it.  The lookup's static half, the codes, was fixed when the
-index was built: per cluster, the
+dynamic-threshold penalty) where it did not -- and the hit grid beside it.
+The lookup's static half, the codes, was fixed when the index was built:
+per cluster, the
 :meth:`~repro.core.subspace_index.SubspaceInvertedIndex.flat_layout` holds
 the ``(S, n_c)`` block of ``s * E' + column`` cells its members' codes
 address in any ray's ``(S, E')`` block.  So :func:`fused_score_candidates`,
 per ray,
 
-1. takes the ray's block of the hit grid, and of the contributions (JUNO-H)
-   or the inner-sphere flags (JUNO-M), through its cluster's cells;
+1. takes the ray's block of the hit grid, and of the contributions (JUNO-H),
+   through its cluster's cells;
 2. sums each over the subspace axis straight into the batch's candidate
    arrays, at the ray's offset: match counts in ``uint8`` (``int32`` past
    255 subspaces), scores subspace by subspace as in the paper's kernel.
@@ -77,8 +77,6 @@ def fused_score_candidates(ctx: QueryContext) -> None:
     tables = [(lut.hits.view(np.uint8).reshape(num_rays, width), count_dtype)]
     if mode.uses_exact_distance:
         tables.append((lut.table.reshape(num_rays, width), np.float32))
-    elif mode.uses_inner_sphere:
-        tables.append((lut.inner.view(np.uint8).reshape(num_rays, width), count_dtype))
     # one spare slot: a lone member is summed beside a copy of itself (NumPy
     # sums a lone column pairwise, not row after row), and the copy's sum
     # lands one past the ray's run, where the next run or the spare slot is
@@ -100,10 +98,6 @@ def fused_score_candidates(ctx: QueryContext) -> None:
         scores = sums[1][:total]
         if ctx.query_cluster_ip is not None:
             scores = scores + np.repeat(ctx.query_cluster_ip.reshape(-1), sizes)
-    elif mode.uses_inner_sphere:
-        misses = num_subspaces - matched.astype(np.float64)
-        miss_penalty = float(index.config.hit_count_penalty)
-        scores = sums[1][:total].astype(np.float64) - miss_penalty * misses
     else:
         scores = matched.astype(np.float64)
 

@@ -132,12 +132,10 @@ class RTSelectStage:
     grid, cell by cell, into the
     :class:`~repro.core.selective_lut.SelectiveLUT` -- one ray-major
     ``(rays, S, E')`` table of score contributions and the hit grid beside
-    it (plus the inner-sphere table for JUNO-M) that :class:`ScoreStage`
-    gathers from as they are.  A cell the ray did not select holds the ray's
-    miss value: its dynamic-threshold miss penalty, or ``NaN`` for JUNO-M,
-    whose inner-sphere test must fail on a miss.  JUNO-L reads only the hit
-    grid, so it builds JUNO-H's LUT.  The hits are never compressed to lists
-    in between.
+    it that :class:`ScoreStage` gathers from as they are.  A cell the ray did
+    not select holds the ray's dynamic-threshold miss penalty.  JUNO-L reads
+    only the hit grid, so it builds JUNO-H's LUT.  The hits are never
+    compressed to lists in between.
     """
 
     name = "rt_select"
@@ -151,18 +149,9 @@ class RTSelectStage:
             base_radius=index.sphere_radius,
             origin_offsets=index.origin_offsets,
             metric=ctx.metric,
-            inner_sphere_ratio=(
-                index.config.inner_sphere_ratio
-                if ctx.quality_mode.uses_inner_sphere
-                else None
-            ),
         )
-        miss = None
-        if not ctx.quality_mode.uses_inner_sphere:
-            miss = _miss_penalties(ctx, ctx.require("thresholds", self.name))
-        lut = constructor.construct(
-            origins, t_max, thresholds=ctx.thresholds, trace=ctx.trace, miss=miss
-        )
+        miss = _miss_penalties(ctx, ctx.require("thresholds", self.name))
+        lut = constructor.construct(origins, t_max, miss, trace=ctx.trace)
         ctx.lut = lut
         ctx.work.rt_rays += lut.stats.rays
         ctx.work.rt_node_visits += lut.stats.node_visits
@@ -191,8 +180,7 @@ class ScoreStage:
     built -- and the ``(subspace, member)`` cells are summed over the
     subspace axis: the contributions RT-select wrote, exact distances with
     the miss penalties already standing in for unselected entries (JUNO-H),
-    or hit / inner-sphere counts (JUNO-L/M).  Match counts are hit counts in every
-    mode.
+    or hit counts (JUNO-L).  Match counts are hit counts in every mode.
 
     The kernel runs in the float32 of the selective LUT.  Scores,
     candidate ordering and :class:`SearchWork` deltas are bit-identical to
@@ -265,7 +253,7 @@ class ExactRerankStage:
 
     The sharded router appends this stage after its k-way merge: per-shard
     scores live in shard-local PQ frames (JUNO-H) or are plain hit counts
-    (JUNO-L/M), so at aggressive ``threshold_scale`` the merged ranking mixes
+    (JUNO-L), so at aggressive ``threshold_scale`` the merged ranking mixes
     incomparable score scales.  Reranking by the true metric restores a
     globally consistent order.  After this stage, ``ctx.scores`` are exact
     squared L2 distances (ascending) or inner products (descending)

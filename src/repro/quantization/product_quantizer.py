@@ -176,16 +176,6 @@ class ProductQuantizer:
         subspace_index = np.arange(self.num_subspaces)
         return lookup[subspace_index[None, :], codes].sum(axis=1)
 
-    def reconstruction_error(self, residuals: np.ndarray) -> float:
-        """Mean squared reconstruction error of encode+decode; a PQ quality measure."""
-        residuals = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
-        decoded = self.decode(self.encode(residuals))
-        return float(np.mean(np.sum((residuals - decoded) ** 2, axis=1)))
-
-    def code_size_bits(self) -> int:
-        """Storage per encoded point in bits: ``(D/M) * log2(E)``."""
-        return int(self.num_subspaces * np.ceil(np.log2(max(self.num_entries, 2))))
-
     def _require_trained(self) -> None:
         if not self.is_trained:
             raise RuntimeError("ProductQuantizer must be trained before use")

@@ -57,7 +57,8 @@ from repro.quantization.codebook import SubspaceCodebook
 from repro.quantization.product_quantizer import ProductQuantizer
 from repro.storage import atomic_write_text, staged
 
-FORMAT_VERSION = 1
+# 2: the config lost JUNO-M's ``inner_sphere_ratio`` and ``hit_count_penalty``
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 ARRAYS_DIR_NAME = "arrays"
@@ -268,6 +269,15 @@ def read_bundle_arrays(path: str | Path, manifest: dict, mmap: bool = False) -> 
         raise PersistenceError(f"corrupt array bundle in {path}: {exc}") from exc
 
 
+def config_from_manifest(manifest: dict) -> JunoConfig:
+    """The manifest's :class:`JunoConfig`; an unknown key or a value it
+    rejects is a :class:`PersistenceError` that names it."""
+    try:
+        return JunoConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise PersistenceError(f"bundle config is not a valid JunoConfig: {exc}") from exc
+
+
 def index_from_arrays(manifest: dict, arrays: dict) -> JunoIndex:
     """Assemble a searchable :class:`JunoIndex` from a manifest plus arrays.
 
@@ -277,7 +287,7 @@ def index_from_arrays(manifest: dict, arrays: dict) -> JunoIndex:
     derived (posting lists, subspace inverted indices, the RT scene) is
     rebuilt here, which is what keeps reloaded indexes bit-identical.
     """
-    config = JunoConfig(**manifest["config"])
+    config = config_from_manifest(manifest)
     index = JunoIndex(config)
     index.dim = int(manifest["dim"])
     index.num_points = int(manifest["num_points"])

@@ -51,6 +51,7 @@ from repro.serving.persistence import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     PersistenceError,
+    config_from_manifest,
     load_index,
     load_mutable_index,
     read_manifest,
@@ -1107,7 +1108,7 @@ class ShardedJunoIndex:
             owns_executor = True
         try:
             sharded = cls(
-                JunoConfig(**manifest["config"]),
+                config_from_manifest(manifest),
                 num_shards=int(manifest["num_shards"]),
                 assignment=manifest["assignment"],
                 num_workers=num_workers,

@@ -38,12 +38,12 @@ Not a test module: the oracles the RT-select test files share.
 * :func:`assert_hits_are_accepted` and :func:`assert_miss_fill` pin what the
   table holds besides the oracle's values: its hit grid is the tracer's
   accepted grid, and every other cell the ray's miss value -- the float32
-  miss penalty (JUNO-H/L), ``NaN`` for JUNO-M.
+  miss penalty.
 * :func:`assert_cells_address_codes` pins the build-time remap of PQ
   codes to cells of a ray's ``(S, E')`` block of the table, in its
   leaf-slot columns, on any trained, loaded or compacted index.
-* :func:`ray_slice`, :func:`dense_rows`, :func:`hit_mask_rows` and
-  :func:`inner_mask_rows` read a :class:`~repro.core.selective_lut.SelectiveLUT`
+* :func:`ray_slice`, :func:`dense_rows` and :func:`hit_mask_rows` read a
+  :class:`~repro.core.selective_lut.SelectiveLUT`
   (or a :class:`ReferenceLUT`) back in entry order, one ray at a time, for
   the oracles and the looped scorer.
 * The exact per-ray tracer -- :class:`Ray`, :class:`HitRecord`,
@@ -285,9 +285,8 @@ class ReferenceLUT:
     """Per-subspace CSR hit lists over ray ids, as ``src/`` once stored them.
 
     For subspace ``s`` and ray ``r`` the selected entries are
-    ``entries[s][offsets[s][r]:offsets[s][r + 1]]``, their values and
-    JUNO-M inner-sphere flags the matching slices of ``values[s]`` /
-    ``inner_flags[s]``.
+    ``entries[s][offsets[s][r]:offsets[s][r + 1]]``, their values the
+    matching slice of ``values[s]``.
     """
 
     num_rays: int
@@ -296,9 +295,7 @@ class ReferenceLUT:
     offsets: list[np.ndarray]
     entries: list[np.ndarray]
     values: list[np.ndarray]
-    inner_flags: list[np.ndarray] | None
     stats: TraversalStats
-    inner_sphere_ratio: float | None = None
 
     def rows(self, per_hit: list[np.ndarray], ray: int, fill) -> np.ndarray:
         """Entry-ordered ``(S, E)`` rows of one ray's hits (``fill`` = no hit)."""
@@ -344,14 +341,6 @@ def hit_mask_rows(lut, scene, ray_id: int) -> np.ndarray:
         return lut.rows([np.ones(e.shape, dtype=bool) for e in lut.entries], ray_id, False)
     hit = lut.hits[ray_id]
     return _entry_rows(lut, scene, hit, hit, False)
-
-
-def inner_mask_rows(lut, scene, ray_id: int) -> np.ndarray:
-    """Dense boolean ``(S, E)`` inner-sphere mask of one ray (JUNO-M)."""
-    if isinstance(lut, ReferenceLUT):
-        return lut.rows(lut.inner_flags, ray_id, False)
-    inner = lut.inner[ray_id]
-    return _entry_rows(lut, scene, inner, inner, False)
 
 
 def reference_trace_layer(scene, layer_id, origins_xy, t_max, origin_z, dtype=np.float64):
@@ -431,10 +420,8 @@ def reference_construct(
     base_radius,
     origin_offsets,
     metric,
-    inner_sphere_ratio,
     origins,
     t_max,
-    thresholds,
     dtype=np.float64,
 ) -> ReferenceLUT:
     """The per-subspace loop: trace, stable sort by ray, ``searchsorted``.
@@ -443,7 +430,6 @@ def reference_construct(
     """
     num_rays, num_subspaces, _ = origins.shape
     offsets, entries, values = [], [], []
-    inner_flags = [] if inner_sphere_ratio is not None else None
     stats = TraversalStats()
     for s in range(num_subspaces):
         offset = float(origin_offsets[s])
@@ -466,13 +452,6 @@ def reference_construct(
             norm_term = (query_norm_sq - base_radius**2).astype(dtype)
             radii_sq = (layer_spheres(scene, s)[1][entries[-1]] ** 2).astype(dtype)
             values.append((norm_term + (radii_sq - dist_sq)) / 2.0)
-        if inner_flags is not None:
-            per_hit_threshold = thresholds[ray_sorted, s]
-            if metric is Metric.L2:
-                inner_flags.append(np.sqrt(values[-1]) <= per_hit_threshold * inner_sphere_ratio)
-            else:
-                margin = (1.0 - inner_sphere_ratio) * np.abs(per_hit_threshold)
-                inner_flags.append(values[-1] >= per_hit_threshold + margin)
     return ReferenceLUT(
         num_rays=num_rays,
         num_entries=scene.entry_slots.shape[1],
@@ -480,9 +459,7 @@ def reference_construct(
         offsets=offsets,
         entries=entries,
         values=values,
-        inner_flags=inner_flags,
         stats=stats,
-        inner_sphere_ratio=inner_sphere_ratio,
     )
 
 
@@ -639,8 +616,7 @@ def tmax_to_threshold(t_max, sphere_radius, origin_offset):
 
 
 def assert_lut_matches_reference(lut: SelectiveLUT, scene, expected: ReferenceLUT) -> None:
-    """Every ray's hit set, value bytes and inner flags equal; every counter
-    equal.  ``expected`` is the float32 reference: the table is float32."""
+    """Every ray's hit set and value bytes equal; every counter equal.  ``expected`` is the float32 reference: the table is float32."""
     assert lut.num_rays == expected.num_rays
     assert lut.num_entries == expected.num_entries
     assert lut.metric is expected.metric
@@ -650,19 +626,12 @@ def assert_lut_matches_reference(lut: SelectiveLUT, scene, expected: ReferenceLU
     assert lut.table.dtype == np.float32
     assert all(values.dtype == np.float32 for values in expected.values)
     assert lut.table.shape[:2] == (lut.num_rays, lut.num_subspaces)
-    assert (lut.inner is None) == (expected.inner_flags is None)
     # the hit grid marks exactly the selected cells; what the others hold is
     # assert_miss_fill's to check
     assert lut.hits.dtype == bool and lut.hits.shape == lut.table.shape
     assert np.count_nonzero(lut.hits) == lut.total_hits
-    if lut.inner is not None:
-        assert lut.inner.dtype == bool and lut.inner.shape == lut.table.shape
-        assert not (lut.inner & ~lut.hits).any()
     for ray in range(lut.num_rays):
         assert dense_rows(lut, scene, ray).tobytes() == dense_rows(expected, scene, ray).tobytes()
-        if lut.inner is not None:
-            got, want = (inner_mask_rows(x, scene, ray) for x in (lut, expected))
-            assert got.tobytes() == want.tobytes()
     for s in range(lut.num_subspaces):
         for ray in range(min(lut.num_rays, 3)):
             entry_ids, values = ray_slice(lut, scene, s, ray)
@@ -682,19 +651,15 @@ def assert_hits_are_accepted(lut: SelectiveLUT, constructor, origins, t_max) -> 
     assert lut.hits.tobytes() == traced.accepted.tobytes()
 
 
-def assert_miss_fill(lut: SelectiveLUT, thresholds=None, penalty_factor=None) -> None:
+def assert_miss_fill(lut: SelectiveLUT, thresholds, penalty_factor) -> None:
     """The cells no ray selected hold the miss value, the selected ones never NaN.
 
-    With a ``penalty_factor`` (JUNO-H/L) the miss value of ray ``r`` in
-    subspace ``s`` is the score's miss penalty cast to float32: the squared
-    threshold (L2) or the threshold (inner product) times the factor;
-    without one (JUNO-M) it is ``NaN``.
+    The miss value of ray ``r`` in subspace ``s`` is the score's miss
+    penalty cast to float32: the squared threshold (L2) or the threshold
+    (inner product) times ``penalty_factor``.
     """
     missed = ~lut.hits
     assert not np.isnan(lut.table[lut.hits]).any()
-    if penalty_factor is None:
-        assert np.isnan(lut.table[missed]).all()
-        return
     thresholds = np.asarray(thresholds, dtype=np.float64)
     base = thresholds**2 if lut.metric is Metric.L2 else thresholds
     want = np.broadcast_to((base * penalty_factor).astype(np.float32)[:, :, None], missed.shape)
@@ -790,15 +755,13 @@ def assert_layer_within_precision(got, want, origins_xy, centres_xy, radii_sq, o
     return differs.sum(axis=1)
 
 
-def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds, origin_offsets):
+def assert_lut_within_precision(lut, expected, scene, origins, t_max, origin_offsets):
     """The float32 :class:`SelectiveLUT` against the float64 :class:`ReferenceLUT`.
 
     The traversal counters are equal; per subspace, hit states agree outside
     the near-boundary cells, values within the slack (L2 values are ``d^2``,
     inner products ``(|q|^2 - R^2 + h^2) / 2``: both inherit the slack of
-    ``h^2``) and inner-sphere flags wherever the value is not within twice
-    the slack (the value's, plus the rounding of its ``sqrt``) of the flag's
-    bound.  Returns the ``(S, R)`` count of cells whose hit state or flag
+    ``h^2``).  Returns the ``(S, R)`` count of cells whose hit state
     differs.
     """
     for name in ("rays", "node_visits", "aabb_tests", "prim_tests"):
@@ -828,16 +791,5 @@ def assert_lut_within_precision(lut, expected, scene, origins, t_max, thresholds
         assert not (differs & ~near).any(), f"subspace {s}: a hit flipped away from boundaries"
         both = got_hit & want_hit
         assert (np.abs(got - want) <= slack)[both].all(), f"subspace {s}: a value is off"
-        if lut.inner is not None:
-            flags = np.zeros((num_rays, columns.size), dtype=bool)
-            flags[hit_rays, expected.entries[s]] = expected.inner_flags[s]
-            threshold, ratio = thresholds[:, s, None], expected.inner_sphere_ratio
-            if lut.metric is Metric.L2:
-                bound = (threshold * ratio) ** 2
-            else:
-                bound = threshold + (1.0 - ratio) * np.abs(threshold)
-            flag_differs = both & (lut.inner[:, s, columns] != flags)
-            assert not (flag_differs & (np.abs(want - bound) > 2 * slack)).any()
-            differs |= flag_differs
         flipped[s] = differs.sum(axis=1)
     return flipped

@@ -2,7 +2,7 @@
 
 Not a test module: the oracle the parity, property and perf tests share.
 :class:`HitCountScorer` scores one cluster's members for one ray from its
-hit (and inner-sphere) masks, the JUNO-L/M half of the oracle.
+hit mask, the JUNO-L half of the oracle.
 :class:`LoopedScoreStage` is the per-ray Python loop ``src/`` shipped as its
 distance-calculation stage before the batched kernels: for every
 (query, probed cluster) it builds that ray's dense ``(S, E)`` values and hit
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rt_reference import dense_rows, hit_mask_rows, inner_mask_rows
+from rt_reference import dense_rows, hit_mask_rows
 
 from repro.metrics.distances import Metric
 from repro.pipeline.context import QueryContext
@@ -47,40 +47,20 @@ def subspace_sum(values: np.ndarray) -> np.ndarray:
 
 
 class HitCountScorer:
-    """The JUNO-L/M scores of one cluster's members for one ray (Sec. 5.4).
+    """The JUNO-L scores of one cluster's members for one ray (Sec. 5.4):
+    the number of subspaces in which the ray hit the member's entry."""
 
-    JUNO-L ranks a member by the number of subspaces in which the ray hit
-    its entry; JUNO-M rewards a hit inside the inner sphere (+1) and
-    charges ``miss_penalty`` per subspace hit by neither sphere, while an
-    outer-only hit is neutral.
-
-    Args:
-        use_inner_sphere: the reward/penalty score (JUNO-M) instead of the
-            plain hit count (JUNO-L).
-        miss_penalty: penalty per missed subspace (the paper uses 1).
-    """
-
-    def __init__(self, use_inner_sphere: bool = False, miss_penalty: float = 1.0) -> None:
-        self.use_inner_sphere = bool(use_inner_sphere)
-        self.miss_penalty = float(miss_penalty)
-
-    def score_members(self, hit_mask, inner_mask, codes) -> tuple[np.ndarray, np.ndarray]:
+    def score_members(self, hit_mask, codes) -> tuple[np.ndarray, np.ndarray]:
         """``(scores, matched)`` of members with ``(n, S)`` ``codes`` from the
-        ray's ``(S, E)`` hit mask (and inner mask, for JUNO-M); ``matched``
-        counts the subspaces whose entry the ray selected."""
+        ray's ``(S, E)`` hit mask; ``matched`` counts the subspaces whose
+        entry the ray selected."""
         codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
         num_subspaces = hit_mask.shape[0]
         if codes.shape[1] != num_subspaces:
             raise ValueError("codes and hit_mask disagree on the number of subspaces")
         subspace_index = np.arange(num_subspaces)
         matched = hit_mask[subspace_index[None, :], codes].sum(axis=1)
-        if not self.use_inner_sphere:
-            return matched.astype(np.float64), matched
-        if inner_mask is None:
-            raise ValueError("inner_mask is required when use_inner_sphere is set")
-        rewards = inner_mask[subspace_index[None, :], codes].sum(axis=1).astype(np.float64)
-        misses = (num_subspaces - matched).astype(np.float64)
-        return rewards - self.miss_penalty * misses, matched
+        return matched.astype(np.float64), matched
 
 
 class LoopedScoreStage:
@@ -101,10 +81,7 @@ class LoopedScoreStage:
         num_queries, nprobs = selected.shape
         num_subspaces = index.config.num_subspaces
         subspace_range = np.arange(num_subspaces)
-        scorer = HitCountScorer(
-            use_inner_sphere=mode.uses_inner_sphere,
-            miss_penalty=index.config.hit_count_penalty,
-        )
+        scorer = HitCountScorer()
         candidates: list[tuple[np.ndarray, np.ndarray] | None] = []
         candidate_total = 0.0
         for qi in range(num_queries):
@@ -128,10 +105,7 @@ class LoopedScoreStage:
                         scores = scores + ctx.query_cluster_ip[qi, ci]
                 else:
                     hit_mask = hit_mask_rows(lut, index.scene, ray_id)
-                    inner_mask = None
-                    if mode.uses_inner_sphere:
-                        inner_mask = inner_mask_rows(lut, index.scene, ray_id)
-                    scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
+                    scores, matched = scorer.score_members(hit_mask, codes)
                 keep = matched >= 1
                 ctx.work.adc_lookups += float(matched.sum())
                 ctx.work.adc_candidates += float(keep.sum())

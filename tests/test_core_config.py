@@ -9,15 +9,11 @@ from repro.metrics.distances import Metric
 class TestQualityMode:
     def test_string_round_trip(self):
         assert QualityMode("juno-h") is QualityMode.HIGH
-        assert QualityMode("juno-m") is QualityMode.MEDIUM
         assert QualityMode("juno-l") is QualityMode.LOW
 
     def test_mode_properties(self):
         assert QualityMode.HIGH.uses_exact_distance
         assert not QualityMode.LOW.uses_exact_distance
-        assert QualityMode.MEDIUM.uses_inner_sphere
-        assert not QualityMode.HIGH.uses_inner_sphere
-        assert not QualityMode.LOW.uses_inner_sphere
 
 
 class TestJunoConfig:
@@ -51,7 +47,7 @@ class TestJunoConfig:
             {"num_entries": -1},
             {"threshold_scale": 0.0},
             {"sphere_radius_margin": 0.5},
-            {"inner_sphere_ratio": 1.5},
+            {"quality_mode": "juno-m"},  # JUNO-M is not offered
             {"density_grid": 1},
         ],
     )

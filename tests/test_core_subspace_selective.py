@@ -11,7 +11,6 @@ from rt_reference import (
     assert_miss_fill,
     dense_rows,
     hit_mask_rows,
-    inner_mask_rows,
     inner_product_from_hit_time,
     l2_distance_from_hit_time,
     layer_spheres,
@@ -118,6 +117,11 @@ def _build_constructor(rng, num_subspaces=3, num_entries=20, radius=1.0):
     return constructor, entry_sets
 
 
+def _miss_penalties(constructor, thresholds):
+    """The miss values ``RTSelectStage`` passes at ``miss_penalty_factor`` 1."""
+    return thresholds**2 if constructor.metric is Metric.L2 else thresholds
+
+
 class TestSelectiveLUT:
     def test_hits_match_threshold_selection(self, rng):
         constructor, entry_sets = _build_constructor(rng)
@@ -125,7 +129,7 @@ class TestSelectiveLUT:
         origins = rng.uniform(-1, 1, size=(num_rays, num_subspaces, 2))
         thresholds = rng.uniform(0.2, 0.8, size=(num_rays, num_subspaces))
         t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
-        lut = constructor.construct(origins, t_max)
+        lut = constructor.construct(origins, t_max, _miss_penalties(constructor, thresholds))
         assert lut.num_rays == num_rays
         for ray in range(num_rays):
             for s in range(num_subspaces):
@@ -141,7 +145,7 @@ class TestSelectiveLUT:
         constructor, entry_sets = _build_constructor(rng)
         origins = rng.uniform(-1, 1, size=(4, 3, 2))
         t_max = np.full((4, 3), 1.0 - np.sqrt(1.0 - 0.5**2))
-        lut = constructor.construct(origins, t_max)
+        lut = constructor.construct(origins, t_max, miss=0.25)
         rows = dense_rows(lut, constructor.tracer.scene, 0)
         mask = hit_mask_rows(lut, constructor.tracer.scene, 0)
         assert rows.shape == (3, lut.num_entries)
@@ -151,40 +155,15 @@ class TestSelectiveLUT:
         constructor, _ = _build_constructor(rng)
         origins = rng.uniform(-1, 1, size=(6, 3, 2))
         t_max = np.full((6, 3), 1.0 - np.sqrt(1.0 - 0.3**2))
-        lut = constructor.construct(origins, t_max)
+        lut = constructor.construct(origins, t_max, miss=0.09)
         assert 0.0 <= lut.selected_fraction() <= 1.0
-
-    def test_inner_sphere_flags(self, rng):
-        entries = rng.uniform(-1, 1, size=(1, 30, 2))
-        constructor = SelectiveLUTConstructor(
-            tracer=RayTracer(make_scene(entries, 1.0)),
-            base_radius=1.0,
-            origin_offsets=np.array([1.0]),
-            metric=Metric.L2,
-            inner_sphere_ratio=0.5,
-        )
-        origins = rng.uniform(-1, 1, size=(5, 1, 2))
-        thresholds = np.full((5, 1), 0.6)
-        t_max = 1.0 - np.sqrt(1.0 - thresholds**2)
-        lut = constructor.construct(origins, t_max, thresholds=thresholds)
-        inner = inner_mask_rows(lut, constructor.tracer.scene, 0)
-        entry_ids, values = ray_slice(lut, constructor.tracer.scene, 0, 0)
-        for entry_id, value in zip(entry_ids, values):
-            assert inner[0, entry_id] == (np.sqrt(value) <= 0.3 + 1e-12)
-
-    def test_inner_sphere_requires_thresholds(self, rng):
-        constructor, _ = _build_constructor(rng)
-        constructor.inner_sphere_ratio = 0.5
-        origins = rng.uniform(-1, 1, size=(2, 3, 2))
-        with pytest.raises(ValueError):
-            constructor.construct(origins, np.full((2, 3), 0.2))
 
     def test_shape_validation(self, rng):
         constructor, _ = _build_constructor(rng)
         with pytest.raises(ValueError):
-            constructor.construct(rng.uniform(size=(2, 3)), np.zeros((2, 3)))
+            constructor.construct(rng.uniform(size=(2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            constructor.construct(rng.uniform(size=(2, 3, 2)), np.zeros((2, 2)))
+            constructor.construct(rng.uniform(size=(2, 3, 2)), np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_inner_product_values(self, rng):
         """Values written from the sphere test's d^2 must equal true subspace
@@ -203,7 +182,7 @@ class TestSelectiveLUT:
         )
         origins = rng.standard_normal((6, 1, 2))
         t_max = np.full((6, 1), offset)  # accept every reachable hit
-        lut = constructor.construct(origins, t_max)
+        lut = constructor.construct(origins, t_max, miss=0.0)
         for ray in range(6):
             entry_ids, values = ray_slice(lut, constructor.tracer.scene, 0, ray)
             expected = entries[entry_ids] @ origins[ray, 0]
@@ -243,9 +222,6 @@ def _rt_select_constructor(ctx):
         base_radius=index.sphere_radius,
         origin_offsets=index.origin_offsets,
         metric=index.metric,
-        inner_sphere_ratio=(
-            index.config.inner_sphere_ratio if ctx.quality_mode.uses_inner_sphere else None
-        ),
     )
 
 
@@ -255,25 +231,23 @@ def _rt_select_inputs(index, dataset, num_rays, mode):
     return _rt_select_constructor(ctx), ctx.origins, ctx.t_max, ctx.thresholds
 
 
-def _reference_lut(constructor, origins, t_max, thresholds, dtype=np.float32):
+def _reference_lut(constructor, origins, t_max, dtype=np.float32):
     return reference_construct(
         constructor.tracer.scene,
         constructor.base_radius,
         constructor.origin_offsets,
         constructor.metric,
-        constructor.inner_sphere_ratio,
         origins,
         t_max,
-        thresholds,
         dtype,
     )
 
 
-def _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds):
+def _assert_lut_within_precision(lut, constructor, origins, t_max):
     """``lut`` against the float64 reference, which it returns."""
-    exact = _reference_lut(constructor, origins, t_max, thresholds, np.float64)
+    exact = _reference_lut(constructor, origins, t_max, np.float64)
     scene, offsets = constructor.tracer.scene, constructor.origin_offsets
-    assert_lut_within_precision(lut, exact, scene, origins, t_max, thresholds, offsets)
+    assert_lut_within_precision(lut, exact, scene, origins, t_max, offsets)
     return exact
 
 
@@ -281,7 +255,7 @@ class TestStackedConstruct:
     """The block-of-subspaces constructor against its two references."""
 
     @pytest.mark.parametrize("num_rays", sorted(RAY_SHAPES))
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_matches_references(self, request, metric, mode, num_rays):
         index = request.getfixturevalue(f"juno_{metric}")
@@ -289,16 +263,15 @@ class TestStackedConstruct:
         constructor, origins, t_max, thresholds = _rt_select_inputs(
             index, dataset, num_rays, mode
         )
-        lut = constructor.construct(origins, t_max, thresholds=thresholds)
+        lut = constructor.construct(origins, t_max, _miss_penalties(constructor, thresholds))
         # the layer-at-a-time oracle at float32: every ray's hit set, the
-        # values and inner flags byte for byte, all five counters; at
-        # float64, the precision oracle
-        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        # values byte for byte, all five counters; at float64, the precision
+        # oracle
+        expected = _reference_lut(constructor, origins, t_max)
         assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
         assert_hits_are_accepted(lut, constructor, origins, t_max)
-        assert_miss_fill(lut)
-        reference = _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
-        assert (lut.inner is not None) == (mode == "juno-m")
+        assert_miss_fill(lut, thresholds, 1.0)
+        reference = _assert_lut_within_precision(lut, constructor, origins, t_max)
         # the dense grid: one column per leaf slot of the scene, every entry
         # in exactly one of them
         num_subspaces, num_entries = index.config.num_subspaces, index.config.num_entries
@@ -336,28 +309,28 @@ class TestStackedConstruct:
             assert reference.stats == per_ray_stats
 
     @pytest.mark.parametrize("num_rays", [1, 8, 256])
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_stage_fills_misses_for_its_mode(self, request, metric, mode, num_rays):
         """``RTSelectStage``'s table: the oracle's values where a ray selected
-        an entry, the float32 miss penalties where it did not (NaN for
-        JUNO-M), beside the tracer's accepted grid as its hits."""
+        an entry, the float32 miss penalties where it did not, beside the
+        tracer's accepted grid as its hits."""
         index = request.getfixturevalue(f"juno_{metric}")
         ctx = _rt_select_ctx(index, request.getfixturevalue(f"{metric}_dataset"), num_rays, mode)
         RTSelectStage().run(ctx)
-        factor = None if mode == "juno-m" else index.config.miss_penalty_factor
-        assert_miss_fill(ctx.lut, ctx.thresholds, factor)
+        assert_miss_fill(ctx.lut, ctx.thresholds, index.config.miss_penalty_factor)
         constructor = _rt_select_constructor(ctx)
         assert_hits_are_accepted(ctx.lut, constructor, ctx.origins, ctx.t_max)
-        reference = _reference_lut(constructor, ctx.origins, ctx.t_max, ctx.thresholds)
+        reference = _reference_lut(constructor, ctx.origins, ctx.t_max)
         assert_lut_matches_reference(ctx.lut, constructor.tracer.scene, reference)
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_block_size_never_changes_the_lut(self, request, monkeypatch, metric):
         index = request.getfixturevalue(f"juno_{metric}")
         dataset = request.getfixturevalue(f"{metric}_dataset")
-        constructor, origins, t_max, thresholds = _rt_select_inputs(index, dataset, 8, "juno-m")
-        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        constructor, origins, t_max, thresholds = _rt_select_inputs(index, dataset, 8, "juno-h")
+        miss = _miss_penalties(constructor, thresholds)
+        expected = _reference_lut(constructor, origins, t_max)
         num_rays, num_subspaces = origins.shape[:2]
         calls = []
         traced = constructor.tracer.trace_vertical_batch
@@ -372,7 +345,7 @@ class TestStackedConstruct:
         for rays_per_block in (1, 3, num_rays):
             calls.clear()
             monkeypatch.setattr(selective_lut, "_TRACE_BLOCK_CELLS", ray_cells * rays_per_block)
-            lut = constructor.construct(origins, t_max, thresholds=thresholds)
+            lut = constructor.construct(origins, t_max, miss)
             assert max(calls) == rays_per_block and sum(calls) == num_rays
             assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
 
@@ -390,7 +363,7 @@ GENERIC_SCENES = {
 }
 
 
-def _generic_case(rng, scene_name, metric, mode, num_rays):
+def _generic_case(rng, scene_name, metric, num_rays):
     """Constructor and inputs on a hand-made 3-layer scene.
 
     The values are arithmetic on ``d²`` and the radii, pinned byte for byte
@@ -405,7 +378,6 @@ def _generic_case(rng, scene_name, metric, mode, num_rays):
         base_radius=radius,
         origin_offsets=np.full(3, offset),
         metric=metric,
-        inner_sphere_ratio=0.5 if QualityMode(mode).uses_inner_sphere else None,
     )
     origins = rng.uniform(-1.25 * spread, 1.25 * spread, size=(num_rays, 3, 2))
     t_max = rng.uniform(0.3 * offset, offset + 0.2, size=(num_rays, 3))
@@ -418,7 +390,7 @@ def _construct_strictly(constructor, origins, t_max, thresholds):
     ``sqrt`` sits under an ``errstate`` and nothing else may warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return constructor.construct(origins, t_max, thresholds=thresholds)
+        return constructor.construct(origins, t_max, _miss_penalties(constructor, thresholds))
 
 
 class TestPassByPass:
@@ -426,15 +398,15 @@ class TestPassByPass:
     trained fixtures (every ray visits every node, offsets clear every
     sphere) cannot tell them from their absence."""
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
     @pytest.mark.parametrize("scene_name", sorted(GENERIC_SCENES))
     def test_generic_scenes_match_the_reference(self, rng, scene_name, metric, mode):
-        constructor, origins, t_max, thresholds = _generic_case(rng, scene_name, metric, mode, 24)
+        constructor, origins, t_max, thresholds = _generic_case(rng, scene_name, metric, 24)
         lut = _construct_strictly(constructor, origins, t_max, thresholds)
-        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        expected = _reference_lut(constructor, origins, t_max)
         assert_lut_matches_reference(lut, constructor.tracer.scene, expected)
-        _assert_lut_within_precision(lut, constructor, origins, t_max, thresholds)
+        _assert_lut_within_precision(lut, constructor, origins, t_max)
         stack = constructor.tracer.scene
         num_entries, _, _, offset = GENERIC_SCENES[scene_name]
         if scene_name == "pruning":
@@ -452,7 +424,7 @@ class TestPassByPass:
             assert padding.any() and lut.table.shape[2] > num_entries
             assert not lut.hits.transpose(1, 2, 0)[padding].any()
         assert_hits_are_accepted(lut, constructor, origins, t_max)
-        assert_miss_fill(lut)
+        assert_miss_fill(lut, thresholds, 1.0)
 
     def test_float32_origin_plane_boundary(self):
         """JUNO puts the origin plane at ``offset = r_max``, and float32 decides
@@ -490,17 +462,15 @@ class TestPassByPass:
     def test_slab_memory_order_never_changes_the_lut(self, rng, metric):
         """256 rays in one block lay the slab mask out node-major, the same
         rays in blocks of 8 ray-major: byte-equal tables, equal counters."""
-        constructor, origins, t_max, thresholds = _generic_case(
-            rng, "pruning", metric, "juno-m", 256
-        )
+        constructor, origins, t_max, thresholds = _generic_case(rng, "pruning", metric, 256)
         whole = _construct_strictly(constructor, origins, t_max, thresholds)
-        expected = _reference_lut(constructor, origins, t_max, thresholds)
+        expected = _reference_lut(constructor, origins, t_max)
         assert_lut_matches_reference(whole, constructor.tracer.scene, expected)
         parts = [
             _construct_strictly(constructor, origins[r : r + 8], t_max[r : r + 8], thresholds[r : r + 8])
             for r in range(0, 256, 8)
         ]
-        for name in ("table", "hits", "inner"):
+        for name in ("table", "hits"):
             joined = np.concatenate([getattr(p, name) for p in parts])
             assert joined.tobytes() == getattr(whole, name).tobytes(), name
         stats = TraversalStats()
@@ -566,37 +536,13 @@ class TestHitCountScorer:
         hit_mask[0, 1] = True
         hit_mask[1, 2] = True
         codes = np.array([[1, 2, 0], [0, 0, 0], [1, 2, 3]])
-        scores, matched = HitCountScorer().score_members(hit_mask, None, codes)
+        scores, matched = HitCountScorer().score_members(hit_mask, codes)
         np.testing.assert_array_equal(scores, [2.0, 0.0, 2.0])
         np.testing.assert_array_equal(matched, [2, 0, 2])
 
-    def test_reward_penalty(self):
-        hit_mask = np.ones((2, 3), dtype=bool)
-        inner_mask = np.zeros((2, 3), dtype=bool)
-        inner_mask[0, 0] = True
-        codes = np.array([[0, 0], [1, 1]])
-        scorer = HitCountScorer(use_inner_sphere=True, miss_penalty=1.0)
-        scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
-        # First member: one inner hit, no misses -> +1; second: no inner hits -> 0.
-        np.testing.assert_array_equal(scores, [1.0, 0.0])
-        np.testing.assert_array_equal(matched, [2, 2])
-
-    def test_misses_penalised(self):
-        hit_mask = np.zeros((2, 3), dtype=bool)
-        codes = np.array([[0, 0]])
-        scorer = HitCountScorer(use_inner_sphere=True, miss_penalty=2.0)
-        scores, matched = scorer.score_members(hit_mask, np.zeros((2, 3), dtype=bool), codes)
-        assert scores[0] == pytest.approx(-4.0)
-        assert matched[0] == 0
-
-    def test_inner_sphere_requires_mask(self):
-        scorer = HitCountScorer(use_inner_sphere=True)
-        with pytest.raises(ValueError):
-            scorer.score_members(np.zeros((1, 2), dtype=bool), None, np.array([[0]]))
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            HitCountScorer().score_members(np.zeros((2, 3), dtype=bool), None, np.array([[0, 1, 2]]))
+            HitCountScorer().score_members(np.zeros((2, 3), dtype=bool), np.array([[0, 1, 2]]))
 
     def test_correlation_helper(self, rng):
         distances = rng.uniform(0, 1, size=100)

@@ -28,18 +28,6 @@ class TestDeviceCatalog:
         assert get_device("rtx4090").has_rt_cores
         assert not get_device("a100").has_rt_cores
 
-    def test_ada_faster_than_ampere_rt(self):
-        assert (
-            get_device("rtx4090").effective_rt_throughput()
-            > get_device("a40").effective_rt_throughput()
-        )
-
-    def test_emulated_rt_much_slower(self):
-        assert (
-            get_device("a100").effective_rt_throughput()
-            < get_device("a40").effective_rt_throughput() / 5
-        )
-
 
 class TestSearchWork:
     def test_merge_accumulates(self):

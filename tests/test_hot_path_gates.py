@@ -58,7 +58,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.context import QueryContext
 
-MODES = ("juno-h", "juno-m", "juno-l")
+MODES = ("juno-h", "juno-l")
 
 # Re-recorded once when the hot path went float32: JUNO-H scores moved by at
 # most 4e-6 relative (a float32 sum), and one wide-fixture cell on a sphere's
@@ -72,17 +72,14 @@ MODES = ("juno-h", "juno-m", "juno-l")
 # were re-recorded once more when the LUT began to take the sphere test's d^2
 # instead of decoding it from the float32 hit time: the hit grid is the same,
 # and scores moved by at most 3.8e-6 relative (wide), towards the float64
-# reference.  Every id and counter held; JUNO-M and JUNO-L never read the
-# values, and their digests held too.
+# reference.  Every id and counter held; JUNO-L never reads the values, and
+# its digests held too.
 PINNED = {
     ("l2", "juno-h"): "c5d7380b2df1dad92833053e2b652a85",
-    ("l2", "juno-m"): "4784a269df5182d34f5eb7721c0e77f8",
     ("l2", "juno-l"): "05781383d3946d7808728457579fe5ee",
     ("ip", "juno-h"): "1c35dcdda0f7515dcccefc8dbe2e3910",
-    ("ip", "juno-m"): "1b94aba38cc84dab081be356bbc44870",
     ("ip", "juno-l"): "8147ffeceff2c0aa190a98728b991acb",
     ("wide", "juno-h"): "402dc23354b8406c9baf3745af124aca",
-    ("wide", "juno-m"): "44258ac9838a1a1cde8d9c8b86569842",
     ("wide", "juno-l"): "a4f2f1f97bb37dbd7bcc00bfedf83883",
 }
 
@@ -173,8 +170,7 @@ class TestPinnedTrainingDigest:
 def _lut_bytes(lut) -> int:
     """The LUT's size with 4-byte table cells and its 1-byte hit grid: a
     float64 table overshoots it by 6 MB."""
-    arrays = [lut.hits] + ([] if lut.inner is None else [lut.inner])
-    return 4 * lut.table.size + sum(int(array.nbytes) for array in arrays)
+    return 4 * lut.table.size + int(lut.hits.nbytes)
 
 
 def _traced_peak(stage, ctx) -> int:
@@ -236,7 +232,7 @@ class TestScoreMemory:
     # candidate of the batch, its id, float32 score, match count and keep
     # flag, and the int64 member index and running kept count that split
     # them by query, plus one ray's gathered (S, n_c) blocks.  The 25 600
-    # candidates of this JUNO-H batch peak at ~0.78 MB (JUNO-M at ~1.1 MB).
+    # candidates of this JUNO-H batch peak at ~0.78 MB.
     # A batch-wide (S, candidates) intp gather index, which the kernel built
     # per batch before the index held each cluster's cells, is 9.8 MB alone.
     SLACK_BYTES = 3 << 19

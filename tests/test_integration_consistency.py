@@ -45,7 +45,7 @@ class TestSelectiveValuesMatchDenseLUT:
             origin_offsets=juno_l2.origin_offsets,
             metric=Metric.L2,
         )
-        lut = constructor.construct(origins, t_max)
+        lut = constructor.construct(origins, t_max, miss=thresholds**2)
         for ci in range(nprobs):
             residual = query - juno_l2.ivf.centroids[selected[0, ci]]
             dense = juno_l2.pq.lookup_table(residual, Metric.L2)
@@ -119,16 +119,15 @@ class TestWorkRelations:
 
 class TestQualityOrdering:
     def test_recall_ordering_across_modes(self, juno_l2, l2_dataset):
-        """JUNO-H should be at least as accurate as JUNO-M, which should be at
-        least as accurate as JUNO-L (allowing small-sample noise)."""
+        """JUNO-H should be at least as accurate as JUNO-L (allowing
+        small-sample noise)."""
         recalls = {}
-        for mode in ("juno-h", "juno-m", "juno-l"):
+        for mode in ("juno-h", "juno-l"):
             result = juno_l2.search(
                 l2_dataset.queries, k=100, nprobs=8, quality_mode=mode, threshold_scale=0.8
             )
             recalls[mode] = recall_at(result.ids, l2_dataset.ground_truth, 100)
         assert recalls["juno-h"] >= recalls["juno-l"] - 0.1
-        assert recalls["juno-h"] >= recalls["juno-m"] - 0.1
 
     def test_throughput_ordering_across_modes(self, juno_l2, l2_dataset):
         """Lower-quality modes never do more distance-calculation work."""
@@ -136,7 +135,7 @@ class TestQualityOrdering:
 
         cost = CostModel("rtx4090")
         latencies = {}
-        for mode, scale in (("juno-h", 1.0), ("juno-m", 0.7), ("juno-l", 0.5)):
+        for mode, scale in (("juno-h", 1.0), ("juno-l", 0.5)):
             result = juno_l2.search(
                 l2_dataset.queries, k=100, nprobs=8, quality_mode=mode, threshold_scale=scale
             )

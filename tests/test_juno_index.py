@@ -125,7 +125,7 @@ class TestSearchL2:
         with pytest.raises(ValueError, match="threshold_scale"):
             juno_l2.search(l2_dataset.queries[:2], k=5, threshold_scale=float("nan"))
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_empty_batch_returns_empty_rows(self, juno_l2, mode):
         """Every stage handles zero queries: no special case guards this."""
         result = juno_l2.search(np.zeros((0, juno_l2.dim)), k=7, quality_mode=mode)

@@ -39,7 +39,7 @@ from repro.pipeline import (
     default_search_pipeline,
     rerank_pipeline,
 )
-from rt_reference import dense_rows, hit_mask_rows, inner_mask_rows
+from rt_reference import dense_rows, hit_mask_rows
 from score_reference import HitCountScorer, LoopedScoreStage, subspace_sum
 
 WORK_COUNTER_FIELDS = (
@@ -111,10 +111,7 @@ def _reference_score_batch(
     num_queries, nprobs = selected.shape
     num_subspaces = index.config.num_subspaces
     subspace_range = np.arange(num_subspaces)
-    scorer = HitCountScorer(
-        use_inner_sphere=mode.uses_inner_sphere,
-        miss_penalty=index.config.hit_count_penalty,
-    )
+    scorer = HitCountScorer()
     higher_is_better = mode.higher_is_better(index.metric)
     fill_value = -np.inf if higher_is_better else np.inf
     all_ids = np.full((num_queries, k), -1, dtype=np.int64)
@@ -143,10 +140,7 @@ def _reference_score_batch(
                     scores = scores + query_cluster_ip[qi, ci]
             else:
                 hit_mask = hit_mask_rows(lut, index.scene, ray_id)
-                inner_mask = None
-                if mode.uses_inner_sphere:
-                    inner_mask = inner_mask_rows(lut, index.scene, ray_id)
-                scores, matched = scorer.score_members(hit_mask, inner_mask, codes)
+                scores, matched = scorer.score_members(hit_mask, codes)
             keep = matched >= 1
             work.adc_lookups += float(matched.sum())
             work.adc_candidates += float(keep.sum())
@@ -187,9 +181,8 @@ def _reference_monolithic_search(
         base_radius=index.sphere_radius,
         origin_offsets=index.origin_offsets,
         metric=index.metric,
-        inner_sphere_ratio=index.config.inner_sphere_ratio if mode.uses_inner_sphere else None,
     )
-    lut = constructor.construct(origins, t_max, thresholds=thresholds)
+    lut = constructor.construct(origins, t_max, _reference_miss_penalties(index, thresholds))
     work.rt_rays += lut.stats.rays
     work.rt_node_visits += lut.stats.node_visits
     work.rt_aabb_tests += lut.stats.aabb_tests
@@ -230,7 +223,7 @@ def _assert_results_bit_identical(result, other):
 class TestDefaultPipelineParity:
     """Property: the staged default pipeline == the pre-refactor monolith."""
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("scale", [0.6, 1.0, 2.0])
     def test_l2_bit_identical(self, juno_l2, l2_dataset, mode, scale):
         _assert_matches_reference(juno_l2, l2_dataset, mode, scale)
@@ -289,7 +282,7 @@ def _largest_cluster_emptied(index):
 class TestScoreStageParity:
     """The batched ScoreStage is bit-identical to the per-ray loop."""
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("scale", [0.6, 1.0, 2.0])
     def test_l2_looped_vs_vectorised(self, juno_l2, l2_dataset, mode, scale):
         kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=scale)
@@ -297,14 +290,14 @@ class TestScoreStageParity:
         looped = juno_l2.search(l2_dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
         _assert_results_bit_identical(vectorised, looped)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_ip_looped_vs_vectorised(self, juno_ip, ip_dataset, mode):
         kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=1.0)
         vectorised = juno_ip.search(ip_dataset.queries, **kwargs)
         looped = juno_ip.search(ip_dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
         _assert_results_bit_identical(vectorised, looped)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_empty_cluster_parity(self, edge_case_juno, mode):
         """Clusters whose posting list is empty are skipped identically."""
         index, dataset = edge_case_juno
@@ -319,7 +312,7 @@ class TestScoreStageParity:
         assert not np.isin(vectorised.ids[vectorised.ids >= 0], posting[victim]).any()
         assert np.isin(vectorised.ids[vectorised.ids >= 0], ref_ids).all()
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_all_miss_parity(self, edge_case_juno, mode):
         """A threshold scale so tight that no ray hits anything: all-padded output."""
         index, dataset = edge_case_juno
@@ -331,7 +324,7 @@ class TestScoreStageParity:
         assert vectorised.extra["num_candidates"] == 0.0
         assert vectorised.work.adc_candidates == 0.0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_empty_query_batch(self, juno_l2, mode):
         """A (0, D) batch returns (0, k) cleanly from both scorer variants."""
         empty = np.empty((0, juno_l2.dim))
@@ -342,7 +335,7 @@ class TestScoreStageParity:
         assert vectorised.ids.shape == (0, 5)
         assert vectorised.extra["num_candidates"] == 0.0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_jittered_resamples(
         self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, rng
@@ -358,7 +351,7 @@ class TestScoreStageParity:
             looped = index.search(queries, pipeline=looped_score_pipeline(), **kwargs)
             _assert_results_bit_identical(vectorised, looped)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_empty_cluster_parity_mips(self, juno_ip, ip_dataset, mode):
         """MIPS adds each ray's query-cluster product; an empty ray adds none."""
         with _largest_cluster_emptied(juno_ip) as (posting, victim):
@@ -371,7 +364,7 @@ class TestScoreStageParity:
         assert not np.isin(vectorised.ids[vectorised.ids >= 0], posting[victim]).any()
         assert (vectorised.ids >= 0).any()
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_all_miss_parity_mips(self, juno_ip, ip_dataset, mode):
         kwargs = dict(k=10, nprobs=4, quality_mode=mode, threshold_scale=1e-6)
         vectorised = juno_ip.search(ip_dataset.queries, **kwargs)
@@ -413,7 +406,7 @@ class TestScoreCountWidth:
     """Match counts are summed in ``uint8`` up to 255 subspaces and wider past
     it: a candidate every one of 256 subspaces selects counts 256, not 0."""
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("num_subspaces", [255, 256])
     def test_every_subspace_hit(self, num_subspaces, mode):
         index = _full_width_juno(num_subspaces)
@@ -506,7 +499,7 @@ class TestScoreMatchesLoop:
         return dataset.points[rows] + 0.1 * rng.standard_normal((count, dataset.dim))
 
     @pytest.mark.parametrize("count", [1, 2, 32])
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_batch_sizes_match_loop(
         self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, count
@@ -516,7 +509,7 @@ class TestScoreMatchesLoop:
         looped = self._assert_matches_loop(ctx)
         assert looped.candidate_total > 0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_sparse_selection_with_all_miss_rays(self, juno_l2, l2_dataset, mode):
         """``threshold_scale=0.1``: most entries unselected, some rays hit nothing."""
         nprobs = juno_l2.config.num_clusters
@@ -525,7 +518,7 @@ class TestScoreMatchesLoop:
         assert (hits_per_ray == 0).any() and (hits_per_ray > 0).any()
         self._assert_matches_loop(ctx)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_empty_probed_cluster(self, edge_case_juno, mode):
         index, dataset = edge_case_juno
         with _largest_cluster_emptied(index) as (_, victim):
@@ -535,7 +528,7 @@ class TestScoreMatchesLoop:
             assert (ctx.selected == victim).any()
             self._assert_matches_loop(ctx)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_lone_member_clusters(self, wide_index, wide_corpus, mode):
         """A cluster of one member sums its 48 subspaces one after the other
         too, which NumPy's ``sum`` does not do for a lone column."""
@@ -554,7 +547,7 @@ class TestScoreMatchesLoop:
     SCALES = {"l2": {"sparse": 0.25, "dense": 1.0}, "ip": {"sparse": 1.0, "dense": 2.0}}
 
     @pytest.mark.parametrize("regime", ["sparse", "dense"])
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_ledger_shaped_batch(self, request, wide_corpus, metric, mode, regime):
         """48 subspaces of 128 entries, 32 queries x 8 probes: the ledger's
@@ -590,7 +583,7 @@ class TestScoreRayRuns:
     _upstream = staticmethod(TestScoreMatchesLoop._upstream)
     _assert_matches_loop = TestScoreMatchesLoop._assert_matches_loop
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_empty_run_between_two_others(self, edge_case_juno, mode):
         index, dataset = edge_case_juno
         nprobs = index.config.num_clusters
@@ -600,7 +593,7 @@ class TestScoreRayRuns:
             assert ((probe > 0) & (probe < nprobs - 1)).any()
             self._assert_matches_loop(ctx)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_one_candidate_among_empty_runs(self, edge_case_juno, mode):
         """One cluster keeps one member, every other is empty: each query's
         candidates are a lone member between zero-length runs."""
@@ -618,7 +611,7 @@ class TestScoreRayRuns:
         finally:
             index.subspace_index, index.ivf.posting_lists = original
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     def test_query_without_candidates_between_others(self, edge_case_juno, mode):
         index, dataset = edge_case_juno
         with _largest_cluster_emptied(index) as (_, victim):
@@ -680,7 +673,7 @@ class TestStatelessSearch:
 
     def test_quality_mode_sweep_on_one_pipeline(self, juno_l2, l2_dataset):
         pipeline = default_search_pipeline()
-        for mode in ("juno-h", "juno-m", "juno-l", "juno-h"):
+        for mode in ("juno-h", "juno-l", "juno-h"):
             _assert_results_bit_identical(
                 self._search(juno_l2, l2_dataset, pipeline=pipeline, mode=mode),
                 self._search(juno_l2, l2_dataset, mode=mode),
@@ -720,7 +713,7 @@ class TestStatelessSearch:
         _assert_results_bit_identical(after, self._search(juno_l2, l2_dataset, queries=moved))
         assert not np.array_equal(after.scores, before.scores)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_rows_do_not_depend_on_batch_companions(
         self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode
@@ -772,15 +765,15 @@ class TestStatelessSearch:
             value = getattr(ctx, field)
             if field != "lut":
                 return [value]
-            return [value.table, value.hits] + ([] if value.inner is None else [value.inner])
+            return [value.table, value.hits]
 
         upstream = TestScoreMatchesLoop._upstream
         queries = l2_dataset.queries[:8]
-        first = upstream(juno_l2, queries, "juno-m", 1.0, nprobs=6)
+        first = upstream(juno_l2, queries, "juno-h", 1.0, nprobs=6)
         pristine = [array.copy() for array in arrays(first)]
         for array in arrays(first):
             array[...] = 0
-        second = upstream(juno_l2, queries, "juno-m", 1.0, nprobs=6)
+        second = upstream(juno_l2, queries, "juno-h", 1.0, nprobs=6)
         for got, want, scribbled in zip(arrays(second), pristine, arrays(first)):
             assert got.tobytes() == want.tobytes()
             assert not np.shares_memory(got, scribbled)

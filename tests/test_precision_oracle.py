@@ -1,22 +1,22 @@
 """The precision oracle: the float32 hot path against the float64 reference.
 
-The hot path -- the tracer's sphere tests, the hit-time decode, the selective
-LUT, the score kernel's gather, miss penalties and sum -- runs in float32.
-Its float64 reference is what ``src/`` computed before it did:
-``rt_reference.reference_construct`` at float64 (the layer-at-a-time tracer
-and decode) scored by ``score_reference.LoopedScoreStage`` (which follows the
+The hot path -- the tracer's sphere tests, the selective LUT, the score
+kernel's gather, miss penalties and sum -- runs in float32.  Its float64
+reference is what ``src/`` computed before it did:
+``rt_reference.reference_construct`` at float64 (the layer-at-a-time tracer)
+scored by ``score_reference.LoopedScoreStage`` (which follows the
 dtype of the table it is given).  On the L2, inner-product and ledger-shaped
-fixtures, in JUNO-H/M/L, at ``threshold_scale`` 0.25 and 1.0:
+fixtures, in JUNO-H/L, at ``threshold_scale`` 0.25 and 1.0:
 
 * the three traversal counters are equal, and so is every count downstream
   when no cell's hit state differs;
 * hit states agree except on cells within the slack of a decision boundary,
-  values and inner-sphere flags within the slack
+  values within the slack
   (``rt_reference.assert_lut_within_precision``);
 * the top-k ids agree at every cut of the ranking, except cuts where the
   reference's scores on either side lie within :data:`REL_GAP` of each other
   (JUNO-H: a real-valued score) and rows whose rays hold a cell whose hit
-  state differs; JUNO-M/L scores are counts and agree exactly;
+  state differs; JUNO-L scores are counts and agree exactly;
 * where the ids agree, JUNO-H scores agree within half of :data:`REL_GAP`.
 
 ``docs/performance.md`` ("Float32 hot path") derives the tolerances.
@@ -98,10 +98,8 @@ def _float64_search(ctx):
         index.sphere_radius,
         index.origin_offsets,
         index.metric,
-        index.config.inner_sphere_ratio if ctx.quality_mode.uses_inner_sphere else None,
         ctx.origins,
         ctx.t_max,
-        ctx.thresholds,
     )
     LoopedScoreStage().run(ctx)
     TopKStage().run(ctx)
@@ -109,7 +107,7 @@ def _float64_search(ctx):
 
 
 @pytest.mark.parametrize("scale", [0.25, 1.0])
-@pytest.mark.parametrize("mode", ["juno-h", "juno-m", "juno-l"])
+@pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 def test_float32_hot_path_within_precision_of_float64(request, fixture, mode, scale):
     index_name, data_name, nprobs = FIXTURES[fixture]
@@ -124,7 +122,6 @@ def test_float32_hot_path_within_precision_of_float64(request, fixture, mode, sc
         index.scene,
         upstream.origins,
         upstream.t_max,
-        upstream.thresholds,
         index.origin_offsets,
     )
     if not flipped.any():

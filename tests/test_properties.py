@@ -194,7 +194,7 @@ class TestScoreStageParityProperties:
 
     @given(
         seed=st.integers(min_value=0, max_value=5),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+        mode=st.sampled_from(["juno-h", "juno-l"]),
         scale=st.sampled_from([0.5, 1.0, 1.8]),
         nprobs=st.integers(min_value=1, max_value=6),
     )
@@ -224,7 +224,7 @@ class TestRepeatSearchProperties:
 
     @given(
         seed=st.integers(min_value=0, max_value=5),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+        mode=st.sampled_from(["juno-h", "juno-l"]),
         scales=st.lists(
             st.sampled_from([0.5, 0.7, 1.0, 1.5]), min_size=2, max_size=5
         ),
@@ -282,24 +282,19 @@ def _selective_lut(index, queries, mode, scale=1.0):
 
 class TestRTSelectProperties:
     """What the RT-select stage's LUT holds in each quality mode, and how it
-    follows the inner-sphere setting, the miss penalty and the ``t_max``
-    travel budgets."""
+    follows the miss penalty and the ``t_max`` travel budgets."""
 
     @given(
         seed=st.integers(min_value=0, max_value=3),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+        mode=st.sampled_from(["juno-h", "juno-l"]),
     )
     @settings(max_examples=6, deadline=None)
     def test_repeat_builds_an_identical_private_lut(self, seed, mode):
         index, dataset = _seeded_juno(seed)
         first = _selective_lut(index, dataset.queries, mode)
         second = _selective_lut(index, dataset.queries, mode)
-        assert (first.inner is None) == (mode != "juno-m")
-        for name in ("table", "hits", "inner"):
+        for name in ("table", "hits"):
             want, got = getattr(first, name), getattr(second, name)
-            if want is None:
-                assert got is None
-                continue
             assert got.tobytes() == want.tobytes(), name
             assert got.flags.writeable and not np.shares_memory(got, want), name
 
@@ -309,21 +304,13 @@ class TestRTSelectProperties:
     )
     @settings(max_examples=8, deadline=None)
     def test_miss_fill_follows_mode(self, seed, metric):
-        """JUNO-H and JUNO-L build one LUT, misses filled with penalties;
-        JUNO-M selects the same cells with the same values but fills every
-        miss with NaN and flags its inner-sphere cells among the hits."""
+        """JUNO-H and JUNO-L build one LUT, misses filled with penalties."""
         index, dataset = _seeded_juno(seed, metric=metric)
         high = _selective_lut(index, dataset.queries, "juno-h")
         low = _selective_lut(index, dataset.queries, "juno-l")
-        medium = _selective_lut(index, dataset.queries, "juno-m")
         assert high.table.tobytes() == low.table.tobytes()
         assert high.hits.tobytes() == low.hits.tobytes()
-        assert high.inner is None and low.inner is None
-        np.testing.assert_array_equal(medium.hits, high.hits)
-        np.testing.assert_array_equal(medium.table[medium.hits], high.table[high.hits])
-        assert np.isnan(medium.table[~medium.hits]).all()
         assert not np.isnan(high.table).any()
-        assert not (medium.inner & ~medium.hits).any()
 
     @given(seed=st.integers(min_value=0, max_value=3), mode=st.sampled_from(["juno-h", "juno-l"]))
     @settings(max_examples=6, deadline=None)
@@ -378,7 +365,7 @@ class TestMutationVisibilityProperties:
     @given(
         seed=st.integers(min_value=0, max_value=3),
         op=st.sampled_from(["insert", "update", "delete"]),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+        mode=st.sampled_from(["juno-h", "juno-l"]),
     )
     @settings(max_examples=10, deadline=None)
     def test_any_mutation_is_visible_to_the_next_search(self, seed, op, mode):
@@ -403,7 +390,7 @@ class TestMutationVisibilityProperties:
 
     @given(
         seed=st.integers(min_value=0, max_value=3),
-        mode=st.sampled_from(["juno-h", "juno-m", "juno-l"]),
+        mode=st.sampled_from(["juno-h", "juno-l"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_unmutated_mutable_index_matches_its_base(self, seed, mode):

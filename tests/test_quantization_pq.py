@@ -63,16 +63,6 @@ class TestProductQuantizer:
         assert codes.min() >= 0
         assert codes.max() < 16
 
-    def test_code_size_bits(self, trained):
-        pq, _ = trained
-        assert pq.code_size_bits() == 4 * 4  # 4 subspaces * log2(16)
-
-    def test_reconstruction_better_than_zero_codebook(self, trained):
-        pq, residuals = trained
-        error = pq.reconstruction_error(residuals)
-        baseline = float(np.mean(np.sum(residuals**2, axis=1)))
-        assert error < baseline
-
     def test_lookup_table_matches_manual(self, trained):
         pq, residuals = trained
         query = residuals[0]

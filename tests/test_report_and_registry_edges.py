@@ -46,7 +46,6 @@ class TestSearchWorkDefaults:
         assert work.num_queries == 0
         assert work.rt_hits == 0.0
         assert work.lut_flops() == 0.0
-        assert work.distance_calc_flops() == 0.0
 
 
 class TestProductQuantizerInnerProductLUT:

@@ -763,7 +763,7 @@ class TestRayMajorBlocks:
         cells = data.draw(st.integers(1, 2 * num_rays * num_layers * width))
         constructor = SelectiveLUTConstructor(RayTracer(scene), 1.0, scene.z - origin_z)
         with mock.patch.object(selective_lut, "_TRACE_BLOCK_CELLS", cells):
-            lut = constructor.construct(origins, t_max)
+            lut = constructor.construct(origins, t_max, miss=np.nan)
         assert lut.table.shape == lut.hits.shape == (num_rays, num_layers, width)
         expected = TraversalStats()
         for layer in range(num_layers):

@@ -34,7 +34,7 @@ class TestPersistenceRoundTrip:
     def test_l2_search_results_identical_after_reload(self, juno_l2, l2_dataset, tmp_path):
         bundle = save_index(juno_l2, tmp_path / "bundle")
         reloaded = load_index(bundle)
-        for mode in ("juno-h", "juno-m", "juno-l"):
+        for mode in ("juno-h", "juno-l"):
             expected = juno_l2.search(l2_dataset.queries, k=10, nprobs=6, quality_mode=mode)
             observed = reloaded.search(l2_dataset.queries, k=10, nprobs=6, quality_mode=mode)
             assert search_results_equal(expected, observed)
@@ -73,6 +73,20 @@ class TestPersistenceRoundTrip:
         manifest["format_version"] = 999
         (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(PersistenceError, match="format version"):
+            load_index(bundle)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("inner_sphere_ratio", 0.5, "inner_sphere_ratio"), ("quality_mode", "juno-m", "juno-m")],
+    )
+    def test_config_this_version_rejects_is_typed(self, juno_l2, tmp_path, key, value, named):
+        """A hand-edited or stale config key or value names itself in a
+        PersistenceError, not a bare TypeError/ValueError from JunoConfig."""
+        bundle = save_index(juno_l2, tmp_path / "bundle")
+        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+        manifest["config"][key] = value
+        (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match=named):
             load_index(bundle)
 
     def test_failed_validation_removes_the_bundle(
@@ -714,10 +728,10 @@ class TestBatchingScheduler:
 class TestServingEngine:
     def test_juno_backend(self, juno_l2, l2_dataset):
         engine = ServingEngine(juno_l2)
-        result = engine.search(l2_dataset.queries, k=10, nprobs=6, quality_mode="juno-m")
+        result = engine.search(l2_dataset.queries, k=10, nprobs=6, quality_mode="juno-l")
         assert engine.backend == "juno"
         assert result.ids.shape == (l2_dataset.num_queries, 10)
-        assert result.extra["quality_mode"] == "juno-m"
+        assert result.extra["quality_mode"] == "juno-l"
 
     def test_ivfpq_backend(self, ivfpq_l2, l2_dataset):
         engine = ServingEngine(ivfpq_l2)

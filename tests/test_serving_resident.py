@@ -135,7 +135,7 @@ class TestResidentParity:
         self, corpus, sequential_router, bundle
     ):
         with ShardedJunoIndex.load(bundle, _resident()) as resident:
-            for mode in ("juno-h", "juno-m", "juno-l"):
+            for mode in ("juno-h", "juno-l"):
                 expected = sequential_router.search(
                     corpus.queries, k=5, nprobs=4, quality_mode=mode
                 )

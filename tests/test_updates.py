@@ -379,14 +379,14 @@ class TestCompaction:
         assert mutable.base.scene is scene and mutable.base.tracer is tracer
         kept = [
             mutable.search(corpus.queries, 10, nprobs=4, quality_mode=mode)
-            for mode in ("juno-h", "juno-m", "juno-l")
+            for mode in ("juno-h", "juno-l")
         ]
         digest = mutable.state_digest()
 
         mutable.base.rebuild_scene()
         assert mutable.base.scene is not scene
         assert mutable.state_digest() == digest
-        for mode, result in zip(("juno-h", "juno-m", "juno-l"), kept):
+        for mode, result in zip(("juno-h", "juno-l"), kept):
             rebuilt = mutable.search(corpus.queries, 10, nprobs=4, quality_mode=mode)
             assert search_results_equal(result, rebuilt)
             assert rebuilt.ids.tobytes() == result.ids.tobytes()
