@@ -25,6 +25,7 @@ from score_reference import HitCountScorer
 from repro.core import selective_lut
 from repro.core.config import QualityMode
 from repro.core.hit_count import hit_count_correlation
+from repro.core.index import JunoIndex
 from repro.core.selective_lut import SelectiveLUTConstructor
 from repro.core.subspace_index import SubspaceInvertedIndex
 from repro.gpu.work import SearchWork
@@ -195,7 +196,7 @@ class TestSelectiveLUT:
 RAY_SHAPES = {0: (0, 4), 1: (1, 1), 8: (2, 4), 256: (32, 8)}
 
 
-def _rt_select_ctx(index, dataset, num_rays, mode):
+def _rt_select_ctx(index, dataset, num_rays, mode, scale=1.0):
     """A real batch of ``num_rays`` rays, run up to the threshold stage."""
     num_queries, nprobs = RAY_SHAPES[num_rays]
     rows = np.random.default_rng(99).integers(0, dataset.num_points, size=num_queries)
@@ -205,7 +206,7 @@ def _rt_select_ctx(index, dataset, num_rays, mode):
         k=5,
         nprobs=nprobs,
         quality_mode=QualityMode(mode),
-        threshold_scale=1.0,
+        threshold_scale=scale,
         metric=index.metric,
         work=SearchWork(num_queries=num_queries),
     )
@@ -309,20 +310,80 @@ class TestStackedConstruct:
             assert reference.stats == per_ray_stats
 
     @pytest.mark.parametrize("num_rays", [1, 8, 256])
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize(
+        "mode, miss_factor",
+        [
+            pytest.param("juno-h", 1.0, id="juno-h"),
+            pytest.param("juno-l", 1.0, id="juno-l"),
+            pytest.param("juno-h", 2.5, id="juno-h-miss2.5"),
+        ],
+    )
     @pytest.mark.parametrize("metric", ["l2", "ip"])
-    def test_stage_fills_misses_for_its_mode(self, request, metric, mode, num_rays):
+    def test_stage_fills_misses_for_its_mode(
+        self, request, monkeypatch, metric, mode, miss_factor, num_rays
+    ):
         """``RTSelectStage``'s table: the oracle's values where a ray selected
         an entry, the float32 miss penalties where it did not, beside the
-        tracer's accepted grid as its hits."""
+        tracer's accepted grid as its hits; also at a ``miss_penalty_factor``
+        other than 1."""
         index = request.getfixturevalue(f"juno_{metric}")
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         ctx = _rt_select_ctx(index, request.getfixturevalue(f"{metric}_dataset"), num_rays, mode)
+        self._assert_stage_matches_references(ctx)
+
+    # one static threshold for every ray and subspace (Fig. 13(b)): the
+    # smallest or the largest the training saw
+    @pytest.mark.parametrize("num_rays", [1, 8, 256])
+    @pytest.mark.parametrize("strategy", ["static-small", "static-large"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_static_thresholds_match_references(self, request, metric, strategy, num_rays):
+        index = request.getfixturevalue(f"juno_{metric}")
+        dataset = request.getfixturevalue(f"{metric}_dataset")
+        static = JunoIndex(index.config.with_updates(threshold_strategy=strategy))
+        static.train(dataset.points)
+        ctx = _rt_select_ctx(static, dataset, num_rays, "juno-h")
+        if metric == "l2":
+            model = static.threshold_model
+            expected = model.min_threshold_ if strategy == "static-small" else model.max_threshold_
+            np.testing.assert_array_equal(ctx.thresholds, expected)
+        self._assert_stage_matches_references(ctx)
+
+    # threshold scales off the trained one, as (scale, least and most
+    # selected fraction): L2 rays that select a few entries, and rays whose
+    # threshold passes the sphere radius, so every t_max is clamped to the
+    # origin offset; inner-product rays that select nothing or everything
+    REGIMES = {
+        "l2-sparse": (0.25, 0.001, 0.05),
+        "l2-clamped": (4.0, 0.4, 0.7),
+        "ip-none": (0.5, 0.0, 0.0),
+        "ip-all": (2.0, 1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("num_rays", [8, 256])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_threshold_scale_extremes_match_references(self, request, regime, num_rays):
+        metric = regime.split("-")[0]
+        scale, least, most = self.REGIMES[regime]
+        index = request.getfixturevalue(f"juno_{metric}")
+        dataset = request.getfixturevalue(f"{metric}_dataset")
+        ctx = _rt_select_ctx(index, dataset, num_rays, "juno-h", scale)
+        if regime == "l2-clamped":
+            assert (ctx.t_max == index.origin_offsets[None, :]).all()
+        lut = self._assert_stage_matches_references(ctx)
+        assert least <= lut.selected_fraction() <= most
+
+    @staticmethod
+    def _assert_stage_matches_references(ctx):
+        """Run ``RTSelectStage`` on ``ctx`` and pin its table to both
+        oracles and its misses to the config's penalty factor."""
         RTSelectStage().run(ctx)
-        assert_miss_fill(ctx.lut, ctx.thresholds, index.config.miss_penalty_factor)
+        assert_miss_fill(ctx.lut, ctx.thresholds, ctx.index.config.miss_penalty_factor)
         constructor = _rt_select_constructor(ctx)
         assert_hits_are_accepted(ctx.lut, constructor, ctx.origins, ctx.t_max)
         reference = _reference_lut(constructor, ctx.origins, ctx.t_max)
         assert_lut_matches_reference(ctx.lut, constructor.tracer.scene, reference)
+        _assert_lut_within_precision(ctx.lut, constructor, ctx.origins, ctx.t_max)
+        return ctx.lut
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_block_size_never_changes_the_lut(self, request, monkeypatch, metric):

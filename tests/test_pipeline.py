@@ -56,6 +56,16 @@ WORK_COUNTER_FIELDS = (
     "rerank_flops",
 )
 
+# The two score rules, and JUNO-H once more with its misses at another
+# ``miss_penalty_factor``, which reaches the score only through JUNO-H's miss
+# values (JUNO-L counts hits).  A test sets the factor on its index for the
+# run with ``monkeypatch``.
+SCORE_RULES = [
+    pytest.param("juno-h", 1.0, id="juno-h"),
+    pytest.param("juno-l", 1.0, id="juno-l"),
+    pytest.param("juno-h", 2.5, id="juno-h-miss2.5"),
+]
+
 
 def looped_score_pipeline() -> QueryPipeline:
     """The default pipeline with the historical per-ray score loop."""
@@ -220,17 +230,40 @@ def _assert_results_bit_identical(result, other):
 
 
 # ------------------------------------------------------------------- parity
+@pytest.fixture(scope="module")
+def static_juno(juno_l2, l2_dataset, juno_ip, ip_dataset):
+    """The session indexes retrained with each static threshold strategy of
+    Fig. 13(b), keyed ``(metric, strategy)`` to ``(index, dataset)``: one
+    threshold for every ray and subspace, the smallest or the largest the
+    training saw."""
+    trained = {}
+    for metric, index, dataset in (("l2", juno_l2, l2_dataset), ("ip", juno_ip, ip_dataset)):
+        for strategy in ("static-small", "static-large"):
+            config = index.config.with_updates(threshold_strategy=strategy)
+            trained[metric, strategy] = JunoIndex(config).train(dataset.points), dataset
+    return trained
+
+
 class TestDefaultPipelineParity:
     """Property: the staged default pipeline == the pre-refactor monolith."""
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
     @pytest.mark.parametrize("scale", [0.6, 1.0, 2.0])
-    def test_l2_bit_identical(self, juno_l2, l2_dataset, mode, scale):
+    def test_l2_bit_identical(self, monkeypatch, juno_l2, l2_dataset, mode, miss_factor, scale):
+        monkeypatch.setattr(juno_l2.config, "miss_penalty_factor", miss_factor)
         _assert_matches_reference(juno_l2, l2_dataset, mode, scale)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_ip_bit_identical(self, juno_ip, ip_dataset, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_ip_bit_identical(self, monkeypatch, juno_ip, ip_dataset, mode, miss_factor):
+        monkeypatch.setattr(juno_ip.config, "miss_penalty_factor", miss_factor)
         _assert_matches_reference(juno_ip, ip_dataset, mode, 1.0)
+
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("strategy", ["static-small", "static-large"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_static_thresholds_bit_identical(self, static_juno, metric, strategy, mode):
+        index, dataset = static_juno[metric, strategy]
+        _assert_matches_reference(index, dataset, mode, 1.0)
 
 
 # ------------------------------------------------- looped vs batched scoring
@@ -282,25 +315,30 @@ def _largest_cluster_emptied(index):
 class TestScoreStageParity:
     """The batched ScoreStage is bit-identical to the per-ray loop."""
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
     @pytest.mark.parametrize("scale", [0.6, 1.0, 2.0])
-    def test_l2_looped_vs_vectorised(self, juno_l2, l2_dataset, mode, scale):
+    def test_l2_looped_vs_vectorised(
+        self, monkeypatch, juno_l2, l2_dataset, mode, miss_factor, scale
+    ):
+        monkeypatch.setattr(juno_l2.config, "miss_penalty_factor", miss_factor)
         kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=scale)
         vectorised = juno_l2.search(l2_dataset.queries, **kwargs)
         looped = juno_l2.search(l2_dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
         _assert_results_bit_identical(vectorised, looped)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_ip_looped_vs_vectorised(self, juno_ip, ip_dataset, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_ip_looped_vs_vectorised(self, monkeypatch, juno_ip, ip_dataset, mode, miss_factor):
+        monkeypatch.setattr(juno_ip.config, "miss_penalty_factor", miss_factor)
         kwargs = dict(k=10, nprobs=6, quality_mode=mode, threshold_scale=1.0)
         vectorised = juno_ip.search(ip_dataset.queries, **kwargs)
         looped = juno_ip.search(ip_dataset.queries, pipeline=looped_score_pipeline(), **kwargs)
         _assert_results_bit_identical(vectorised, looped)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_empty_cluster_parity(self, edge_case_juno, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_empty_cluster_parity(self, monkeypatch, edge_case_juno, mode, miss_factor):
         """Clusters whose posting list is empty are skipped identically."""
         index, dataset = edge_case_juno
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         with _largest_cluster_emptied(index) as (posting, victim):
             kwargs = dict(
                 k=10, nprobs=index.config.num_clusters, quality_mode=mode, threshold_scale=1.0
@@ -335,13 +373,14 @@ class TestScoreStageParity:
         assert vectorised.ids.shape == (0, 5)
         assert vectorised.extra["num_candidates"] == 0.0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_jittered_resamples(
-        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, rng
+        self, monkeypatch, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, miss_factor, rng
     ):
         """Off-corpus query mixes: resampled queries jittered off the data."""
         index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         for _ in range(3):
             rows = rng.integers(0, dataset.queries.shape[0], size=8)
             queries = dataset.queries[rows] + rng.normal(scale=0.05, size=(8, dataset.dim))
@@ -351,9 +390,10 @@ class TestScoreStageParity:
             looped = index.search(queries, pipeline=looped_score_pipeline(), **kwargs)
             _assert_results_bit_identical(vectorised, looped)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_empty_cluster_parity_mips(self, juno_ip, ip_dataset, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_empty_cluster_parity_mips(self, monkeypatch, juno_ip, ip_dataset, mode, miss_factor):
         """MIPS adds each ray's query-cluster product; an empty ray adds none."""
+        monkeypatch.setattr(juno_ip.config, "miss_penalty_factor", miss_factor)
         with _largest_cluster_emptied(juno_ip) as (posting, victim):
             kwargs = dict(
                 k=10, nprobs=juno_ip.config.num_clusters, quality_mode=mode, threshold_scale=1.0
@@ -372,6 +412,19 @@ class TestScoreStageParity:
         _assert_results_bit_identical(vectorised, looped)
         assert (vectorised.ids == -1).all()
         assert vectorised.work.adc_candidates == 0.0
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_miss_factor_reaches_only_juno_h_scores(self, request, monkeypatch, metric):
+        """The ``juno-h-miss2.5`` cases score differently from ``juno-h``,
+        and JUNO-L's hit counts do not move with the factor."""
+        index = request.getfixturevalue(f"juno_{metric}")
+        queries = request.getfixturevalue(f"{metric}_dataset").queries
+        kwargs = dict(k=10, nprobs=6, threshold_scale=1.0)
+        high, low = (index.search(queries, quality_mode=m, **kwargs) for m in ("juno-h", "juno-l"))
+        monkeypatch.setattr(index.config, "miss_penalty_factor", 2.5)
+        moved = index.search(queries, quality_mode="juno-h", **kwargs)
+        assert not np.array_equal(moved.scores, high.scores)
+        _assert_results_bit_identical(index.search(queries, quality_mode="juno-l", **kwargs), low)
 
 
 def _full_width_juno(num_subspaces: int) -> JunoIndex:
@@ -499,28 +552,42 @@ class TestScoreMatchesLoop:
         return dataset.points[rows] + 0.1 * rng.standard_normal((count, dataset.dim))
 
     @pytest.mark.parametrize("count", [1, 2, 32])
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_batch_sizes_match_loop(
-        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, count
+        self,
+        monkeypatch,
+        juno_l2,
+        l2_dataset,
+        juno_ip,
+        ip_dataset,
+        metric,
+        mode,
+        miss_factor,
+        count,
     ):
         index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         ctx = self._upstream(index, self._queries(dataset, count), mode, 1.0, nprobs=6)
         looped = self._assert_matches_loop(ctx)
         assert looped.candidate_total > 0
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_sparse_selection_with_all_miss_rays(self, juno_l2, l2_dataset, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_sparse_selection_with_all_miss_rays(
+        self, monkeypatch, juno_l2, l2_dataset, mode, miss_factor
+    ):
         """``threshold_scale=0.1``: most entries unselected, some rays hit nothing."""
+        monkeypatch.setattr(juno_l2.config, "miss_penalty_factor", miss_factor)
         nprobs = juno_l2.config.num_clusters
         ctx = self._upstream(juno_l2, self._queries(l2_dataset, 32), mode, 0.1, nprobs)
         hits_per_ray = np.count_nonzero(ctx.lut.hits, axis=(1, 2))
         assert (hits_per_ray == 0).any() and (hits_per_ray > 0).any()
         self._assert_matches_loop(ctx)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_empty_probed_cluster(self, edge_case_juno, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_empty_probed_cluster(self, monkeypatch, edge_case_juno, mode, miss_factor):
         index, dataset = edge_case_juno
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         with _largest_cluster_emptied(index) as (_, victim):
             ctx = self._upstream(
                 index, dataset.queries, mode, 1.0, nprobs=index.config.num_clusters
@@ -528,10 +595,11 @@ class TestScoreMatchesLoop:
             assert (ctx.selected == victim).any()
             self._assert_matches_loop(ctx)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_lone_member_clusters(self, wide_index, wide_corpus, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_lone_member_clusters(self, monkeypatch, wide_index, wide_corpus, mode, miss_factor):
         """A cluster of one member sums its 48 subspaces one after the other
         too, which NumPy's ``sum`` does not do for a lone column."""
+        monkeypatch.setattr(wide_index.config, "miss_penalty_factor", miss_factor)
         original = wide_index.subspace_index, wide_index.ivf.posting_lists
         wide_index.ivf.posting_lists = [ids[:1] for ids in original[1]]
         wide_index.rebuild_layout()
@@ -547,13 +615,16 @@ class TestScoreMatchesLoop:
     SCALES = {"l2": {"sparse": 0.25, "dense": 1.0}, "ip": {"sparse": 1.0, "dense": 2.0}}
 
     @pytest.mark.parametrize("regime", ["sparse", "dense"])
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
     @pytest.mark.parametrize("metric", ["l2", "ip"])
-    def test_ledger_shaped_batch(self, request, wide_corpus, metric, mode, regime):
+    def test_ledger_shaped_batch(
+        self, request, monkeypatch, wide_corpus, metric, mode, miss_factor, regime
+    ):
         """48 subspaces of 128 entries, 32 queries x 8 probes: the ledger's
         scene and batch shape, sparse and dense, with one probed cluster
         emptied and one cut to a lone member."""
         index = request.getfixturevalue("wide_index" if metric == "l2" else "wide_ip_index")
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         scale = self.SCALES[metric][regime]
         rng = np.random.default_rng(32)
         queries = wide_corpus[rng.integers(0, wide_corpus.shape[0], size=32)]
@@ -573,6 +644,16 @@ class TestScoreMatchesLoop:
             index.subspace_index, index.ivf.posting_lists = original
         assert looped.candidate_total > 0
 
+    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("strategy", ["static-small", "static-large"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_static_thresholds_match_loop(self, static_juno, metric, strategy, mode):
+        """One threshold, and so one miss penalty, for every ray."""
+        index, dataset = static_juno[metric, strategy]
+        ctx = self._upstream(index, self._queries(dataset, 32), mode, 1.0, nprobs=6)
+        looped = self._assert_matches_loop(ctx)
+        assert looped.candidate_total > 0
+
 
 class TestScoreRayRuns:
     """Each ray's sums land at its run's offset in the batch's arrays: a
@@ -583,9 +664,10 @@ class TestScoreRayRuns:
     _upstream = staticmethod(TestScoreMatchesLoop._upstream)
     _assert_matches_loop = TestScoreMatchesLoop._assert_matches_loop
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_empty_run_between_two_others(self, edge_case_juno, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_empty_run_between_two_others(self, monkeypatch, edge_case_juno, mode, miss_factor):
         index, dataset = edge_case_juno
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         nprobs = index.config.num_clusters
         with _largest_cluster_emptied(index) as (_, victim):
             ctx = self._upstream(index, dataset.queries, mode, 1.0, nprobs)
@@ -593,11 +675,12 @@ class TestScoreRayRuns:
             assert ((probe > 0) & (probe < nprobs - 1)).any()
             self._assert_matches_loop(ctx)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_one_candidate_among_empty_runs(self, edge_case_juno, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_one_candidate_among_empty_runs(self, monkeypatch, edge_case_juno, mode, miss_factor):
         """One cluster keeps one member, every other is empty: each query's
         candidates are a lone member between zero-length runs."""
         index, dataset = edge_case_juno
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         original = index.subspace_index, index.ivf.posting_lists
         kept = int(np.argmax([ids.size for ids in original[1]]))
         index.ivf.posting_lists = [ids[: int(c == kept)] for c, ids in enumerate(original[1])]
@@ -611,9 +694,12 @@ class TestScoreRayRuns:
         finally:
             index.subspace_index, index.ivf.posting_lists = original
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
-    def test_query_without_candidates_between_others(self, edge_case_juno, mode):
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
+    def test_query_without_candidates_between_others(
+        self, monkeypatch, edge_case_juno, mode, miss_factor
+    ):
         index, dataset = edge_case_juno
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         with _largest_cluster_emptied(index) as (_, victim):
             probed = self._upstream(index, dataset.queries, mode, 1.0, nprobs=1).selected[:, 0]
             empty, other = np.flatnonzero(probed == victim), np.flatnonzero(probed != victim)
@@ -713,13 +799,14 @@ class TestStatelessSearch:
         _assert_results_bit_identical(after, self._search(juno_l2, l2_dataset, queries=moved))
         assert not np.array_equal(after.scores, before.scores)
 
-    @pytest.mark.parametrize("mode", ["juno-h", "juno-l"])
+    @pytest.mark.parametrize("mode, miss_factor", SCORE_RULES)
     @pytest.mark.parametrize("metric", ["l2", "ip"])
     def test_rows_do_not_depend_on_batch_companions(
-        self, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode
+        self, monkeypatch, juno_l2, l2_dataset, juno_ip, ip_dataset, metric, mode, miss_factor
     ):
         """A query's row is the same alone, reordered or in a sub-batch."""
         index, dataset = (juno_l2, l2_dataset) if metric == "l2" else (juno_ip, ip_dataset)
+        monkeypatch.setattr(index.config, "miss_penalty_factor", miss_factor)
         full = self._search(index, dataset, mode=mode)
         order = np.arange(dataset.queries.shape[0])[::-1]
         reversed_batch = self._search(index, dataset, queries=dataset.queries[order], mode=mode)
